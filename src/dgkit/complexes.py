@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .linalg import (
-    Matrix,
-    column_space_basis,
-    induced_map_on_quotients,
-    kernel_basis,
-)
+from .linalg import Echelon, Matrix, column_space_basis, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -278,12 +273,6 @@ def shift(C: Complex, t: int) -> Complex:
     return Complex(C.field, GradedSpace(dims, labels), diffs)
 
 
-def shift_chain_map(f: ChainMap, t: int) -> ChainMap:
-    return ChainMap(
-        shift(f.source, t), shift(f.target, t), {n + t: m for n, m in f.mats.items()}
-    )
-
-
 def direct_sum(summands: list[Complex], field: Field | None = None) -> Complex:
     """Componentwise direct sum with block-diagonal differential."""
     if not summands:
@@ -396,20 +385,30 @@ class QuasiIsoReport:
         return self.ok
 
 
-def homology_map(f: ChainMap, n: int) -> Matrix:
-    """Matrix of H_n(f) in the canonical quotient bases."""
-    src = homology_at(f.source, n)
-    dst = homology_at(f.target, n)
-    return induced_map_on_quotients(f.f(n), src.cycles, src.boundaries, dst.cycles, dst.boundaries)
-
-
 def quasi_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
-    """Per-degree bijectivity of H_n(f) on the window."""
-    per, dims = {}, {}
-    from .linalg import rank as _rank
+    """Per-degree bijectivity of H_n(f) on the window, from ranks.
 
+    With one echelon per degree, rank H_n(f) = rank[B_n(tgt) | f(Z_n(src))]
+    − dim B_n(tgt).  Raises ValueError, with the cycle as ``witness``, when
+    f does not map cycles to cycles.
+    """
+    src, tgt = f.source, f.target
+    per, dims = {}, {}
     for n in w.degrees():
-        hf = homology_map(f, n)
-        dims[n] = (hf.cols, hf.rows)
-        per[n] = hf.rows == hf.cols and _rank(hf) == hf.rows
+        cycles = kernel_basis(src.d(n))
+        h_src = len(cycles) - rank(src.d(n + 1))
+        fn, dn, bd = f.f(n), tgt.d(n), tgt.d(n + 1)
+        image = Echelon(tgt.field)
+        b_tgt = sum(image.add(bd.column(j)) for j in range(bd.cols))
+        h_tgt = tgt.dim(n) - rank(dn) - b_tgt
+        rank_hf = 0
+        for z in cycles:
+            y = fn.apply(z)
+            if any(dn.apply(y)):
+                err = ValueError(f"f_{n} maps a cycle to a non-cycle")
+                err.witness = z
+                raise err
+            rank_hf += image.add(y)
+        dims[n] = (h_src, h_tgt)
+        per[n] = h_src == h_tgt == rank_hf
     return QuasiIsoReport(per, all(per.values()), dims)

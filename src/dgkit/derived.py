@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, rank
+from .linalg import Matrix
 from .complexes import ChainMap, Complex, Window, homology_dims, quasi_iso
 from .dga import (
     DgAlgebra,
@@ -24,13 +24,8 @@ from .dga import (
     vec_add,
     vec_scale,
 )
-from .homtensor import HomComplex, TensorProduct, hom_over, tensor_over
-from .resolutions import (
-    BimoduleResolution,
-    SemifreeResolution,
-    semifree_resolution,
-    semifree_resolution_bimodule,
-)
+from .homtensor import HomComplex, hom_over, tensor_over
+from .resolutions import BimoduleResolution, semifree_resolution, semifree_resolution_bimodule
 
 
 @dataclass
@@ -241,7 +236,9 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     """
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    D2q = D + 1 + max(0, _top(M)) + max(0, -_bot(M))
+    # truncation junk of Q lands at Hom degree top(N) − D2q − 1, so a module
+    # N reaching above degree 0 needs Q that much deeper
+    D2q = D + 1 + max(0, _top(M)) + max(0, -_bot(M)) + max(0, _top(N))
     # stagger: the Hom target is resolved deeper so that truncation junk of
     # source and target cannot pair into the window (their degree difference
     # exceeds D)
@@ -407,7 +404,7 @@ def duality_map(
 
 def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap:
     """S ⊗^L_R S → S realized as S ⊗_R P → S, s⊗p ↦ s·ε(p)."""
-    from .dga import bimodule_from_morphism, restrict_scalars, left_regular
+    from .dga import restrict_scalars, left_regular
 
     R, S = phi.source, phi.target
     F = S.field

@@ -41,10 +41,6 @@ def vec_scale(F: Field, c, a: dict) -> dict:
     return {k: F.mul(c, v) for k, v in a.items()}
 
 
-def vec_sub(F: Field, a: dict, b: dict) -> dict:
-    return vec_add(F, a, vec_scale(F, F.neg(F.one), b))
-
-
 def vec_is_zero(a: dict) -> bool:
     return all(v == 0 for v in a.values())
 
@@ -171,9 +167,6 @@ class DgAlgebra(_Graded):
     def one(self) -> dict:
         return {self.unit: self.field.one}
 
-    def action_free(self):  # pragma: no cover - debugging aid
-        return self.mul
-
     def __repr__(self):
         return f"DgAlgebra({self.name}, dim={self.total_dim})"
 
@@ -274,8 +267,10 @@ def _check_graded_table(obj, table, deg_of_result, kind, violations):
     for key, e in table.items():
         for tgt, c in e.items():
             if c != 0 and obj.deg(tgt) != deg_of_result(key):
+                # differential tables are keyed by one basis index
+                where = key if isinstance(key, tuple) else (key,)
                 violations.append(
-                    AxiomViolation("grading", key, f"{kind} output hits degree {obj.deg(tgt)}")
+                    AxiomViolation("grading", where, f"{kind} output hits degree {obj.deg(tgt)}")
                 )
                 break
 

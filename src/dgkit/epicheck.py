@@ -10,7 +10,7 @@ never certified universal quantification.
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import ChainMap, Window, homology_dims
+from .complexes import ChainMap, Window
 from .dga import (
     DgAlgebra,
     DgBimodule,

@@ -16,15 +16,9 @@ All descended structures are certified by the module validators in tests.
 from __future__ import annotations
 
 from .field import Field
-from .linalg import LinearSolver, Matrix, _rref_with_transform, kernel_basis, row_reduce, solve
+from .linalg import Echelon, Matrix
 from .complexes import ChainMap, Complex, GradedSpace
-from .dga import (
-    DgAlgebra,
-    DgBimodule,
-    DgModule,
-    vec_add,
-    vec_scale,
-)
+from .dga import DgAlgebra, DgBimodule, DgModule
 
 
 class SideMismatch(ValueError):
@@ -84,23 +78,21 @@ class TensorProduct:
         self._act_rA, self._act_lA = act_rA, act_lA
         self._act_outer_l, self._act_outer_r = act_outer_l, act_outer_r
 
-        # ground pairs by degree
+        # ground pairs by degree, in lexicographic order
         self.pairs: dict[int, list[tuple[int, int]]] = {}
         for mi in range(M.total_dim):
             for nj in range(N.total_dim):
                 d = M.deg(mi) + N.deg(nj)
                 self.pairs.setdefault(d, []).append((mi, nj))
-        self._pos = {
-            d: {p: i for i, p in enumerate(ps)} for d, ps in self.pairs.items()
-        }
 
-        # relation reduction data per degree: sparse rref rows keyed by pivot
-        self._rows: dict[int, dict[int, dict]] = {}
-        self._free: dict[int, list[int]] = {}
-        self._free_pos: dict[int, dict[int, int]] = {}
+        # the relations of each degree, as an echelon over ground pairs; the
+        # pairs off its pivots represent the quotient basis
+        self._relations: dict[int, Echelon] = {}
+        self._free: dict[int, list[tuple[int, int]]] = {}
+        self._free_pos: dict[int, dict[tuple[int, int], int]] = {}
         ncomp = {n: N.component(n) for n in N.degrees()}
         for d, ps in self.pairs.items():
-            rows: dict[int, dict] = {}
+            relations = Echelon(F)
             for a in range(A.total_dim):
                 if a == A.unit:
                     continue
@@ -108,42 +100,28 @@ class TensorProduct:
                 for mi in range(M.total_dim):
                     ma = act_rA.get((a, mi), {})
                     for nj in ncomp.get(d - M.deg(mi) - pa, []):
-                        vec: dict = {}
-                        for k, c in ma.items():
-                            j = self._pos[d][(k, nj)]
-                            s = F.add(vec.get(j, F.zero), c)
-                            if s == 0:
-                                vec.pop(j, None)
-                            else:
-                                vec[j] = s
+                        # the relation m·a ⊗ n − m ⊗ a·n
+                        vec = {(k, nj): c for k, c in ma.items()}
                         for k, c in act_lA.get((a, nj), {}).items():
-                            j = self._pos[d][(mi, k)]
-                            s = F.sub(vec.get(j, F.zero), c)
-                            if s == 0:
-                                vec.pop(j, None)
-                            else:
-                                vec[j] = s
-                        self._insert_relation(rows, vec)
-            self._rows[d] = rows
-            self._free[d] = [j for j in range(len(ps)) if j not in rows]
-            self._free_pos[d] = {j: i for i, j in enumerate(self._free[d])}
+                            vec[(mi, k)] = F.sub(vec.get((mi, k), F.zero), c)
+                        relations.add(vec)
+            self._relations[d] = relations
+            self._free[d] = [pair for pair in ps if pair not in relations.rows]
+            self._free_pos[d] = {pair: i for i, pair in enumerate(self._free[d])}
 
         dims = {d: len(fr) for d, fr in self._free.items()}
         labels = {
-            d: tuple(
-                f"{M.label(self.pairs[d][j][0])}⊗{N.label(self.pairs[d][j][1])}"
-                for j in fr
-            )
+            d: tuple(f"{M.label(mi)}⊗{N.label(nj)}" for mi, nj in fr)
             for d, fr in self._free.items()
         }
         diffs = {}
         for d in dims:
             if dims.get(d, 0) == 0 or dims.get(d - 1, 0) == 0:
                 continue
-            cols = []
-            for j in self._free[d]:
-                mi, nj = self.pairs[d][j]
-                cols.append(self.project(self._ground_diff_pair(mi, nj), d - 1))
+            cols = [
+                self.project(self._ground_diff_pair(mi, nj), d - 1)
+                for mi, nj in self._free[d]
+            ]
             diffs[d] = Matrix.from_columns(F, cols, rows=dims[d - 1])
         self.complex = Complex(F, GradedSpace(dims, labels), diffs)
         self._module = None
@@ -179,72 +157,23 @@ class TensorProduct:
                 out[key] = v
         return out
 
-    def _insert_relation(self, rows: dict, vec: dict):
-        """Sparse RREF insert: rows[p] has pivot p, entry 1, no other pivots."""
-        F = self.field
-        vec = self._sparse_reduce(rows, vec)
-        if not vec:
-            return
-        piv = min(vec)
-        inv = F.inv(vec[piv])
-        row = {j: F.mul(inv, c) for j, c in vec.items()}
-        # keep the RREF invariant: clear the new pivot from existing rows
-        for p, r in rows.items():
-            c = r.get(piv)
-            if c is not None:
-                for j, x in row.items():
-                    s = F.sub(r.get(j, F.zero), F.mul(c, x))
-                    if s == 0:
-                        r.pop(j, None)
-                    else:
-                        r[j] = s
-        rows[piv] = row
-
-    def _sparse_reduce(self, rows: dict, vec: dict) -> dict:
-        F = self.field
-        vec = dict(vec)
-        for piv in [j for j in vec if j in rows]:
-            c = vec.pop(piv, F.zero)
-            if c == 0:
-                continue
-            for j, x in rows[piv].items():
-                if j == piv:
-                    continue
-                s = F.sub(vec.get(j, F.zero), F.mul(c, x))
-                if s == 0:
-                    vec.pop(j, None)
-                else:
-                    vec[j] = s
-        return vec
-
     def reduce(self, ground: dict, d: int) -> dict:
-        """Reduce a ground vector modulo the relation row space."""
-        F = self.field
-        vec: dict = {}
-        for pair, c in ground.items():
-            if c != 0:
-                j = self._pos[d][pair]
-                s = F.add(vec.get(j, F.zero), c)
-                if s == 0:
-                    vec.pop(j, None)
-                else:
-                    vec[j] = s
-        vec = self._sparse_reduce(self._rows.get(d, {}), vec)
-        return {self.pairs[d][j]: x for j, x in vec.items() if x != 0}
+        """Normal form of a ground vector of degree d modulo the relations."""
+        if not any(ground.values()):
+            return {}
+        return self._relations[d].reduce(ground)
 
     def project(self, ground: dict, d: int):
         """Quotient coordinates of a ground vector of degree d."""
-        F = self.field
-        red = self.reduce(ground, d)
-        out = [F.zero] * len(self._free.get(d, []))
         fpos = self._free_pos.get(d, {})
-        for pair, c in red.items():
-            out[fpos[self._pos[d][pair]]] = c
+        out = [self.field.zero] * len(fpos)
+        for pair, c in self.reduce(ground, d).items():
+            out[fpos[pair]] = c
         return tuple(out)
 
     def section(self, d: int, q: int) -> tuple[int, int]:
         """Ground pair representing quotient basis vector q in degree d."""
-        return self.pairs[d][self._free[d][q]]
+        return self._free[d][q]
 
     def project_elem(self, ground: dict, d: int) -> dict:
         """Quotient coordinates as a sparse dict over quotient positions."""
@@ -369,7 +298,6 @@ class HomComplex:
             lo = min(n_degs) - max(m_degs)
             hi = max(n_degs) - min(m_degs)
 
-        self.pairs: dict[int, list[tuple[int, int]]] = {}
         self.basis_vectors: dict[int, list[dict]] = {}
         for n in range(lo, hi + 1):
             ps = [
@@ -380,8 +308,10 @@ class HomComplex:
             ]
             if not ps:
                 continue
-            pos = {p: i for i, p in enumerate(ps)}
-            rows = []
+            in_ps = set(ps)
+            # A-linearity constraints, one per (a, m, w): the Hom_n component
+            # is their kernel over the ground pairs
+            constraints = Echelon(F)
             for a in range(A.total_dim):
                 if a == A.unit:
                     continue
@@ -395,41 +325,20 @@ class HomComplex:
                         continue
                     am = act_M.get((a, mi), {})
                     for w in tgt:
-                        row = [F.zero] * len(ps)
-                        nonzero = False
-                        for k, c in am.items():
-                            p = pos.get((k, w))
-                            if p is not None:
-                                row[p] = F.add(row[p], c)
-                                nonzero = True
+                        row = {(k, w): c for k, c in am.items() if (k, w) in in_ps}
                         for nj in N.component(M.deg(mi) + n):
                             coef = act_N.get((a, nj), {}).get(w)
-                            if coef is not None and coef != 0:
-                                p = pos[(mi, nj)]
-                                row[p] = F.sub(row[p], F.mul(sgn, coef))
-                                nonzero = True
-                        if nonzero:
-                            rows.append(row)
-            if rows:
-                ker = kernel_basis(Matrix(F, rows, cols=len(ps)))
-            else:
-                ker = [
-                    tuple(F.one if i == j else F.zero for i in range(len(ps)))
-                    for j in range(len(ps))
-                ]
-            vecs = [
-                {ps[i]: c for i, c in enumerate(v) if c != 0} for v in ker
-            ]
+                            if coef:
+                                c = row.get((mi, nj), F.zero)
+                                row[(mi, nj)] = F.sub(c, F.mul(sgn, coef))
+                        constraints.add(row)
+            vecs = constraints.kernel(ps)
             if prefer and n in prefer:
-                vecs = self._seat_first(prefer[n], vecs, ps, pos)
+                vecs = self._seat_first(prefer[n], vecs)
             if vecs:
-                self.pairs[n] = ps
                 self.basis_vectors[n] = vecs
 
-        self._pos = {
-            n: {p: i for i, p in enumerate(ps)} for n, ps in self.pairs.items()
-        }
-        self._coord_solvers: dict[int, LinearSolver] = {}
+        self._spans: dict[int, Echelon] = {}
         dims = {n: len(v) for n, v in self.basis_vectors.items()}
         labels = {n: tuple(f"f{n}_{i}" for i in range(d)) for n, d in dims.items()}
         diffs = {}
@@ -456,31 +365,16 @@ class HomComplex:
     def struct_pair(self, g: int) -> tuple[int, int]:
         return self._struct_pairs[g]
 
-    def _seat_first(self, preferred, vecs, ps, pos):
+    def _seat_first(self, preferred, vecs):
         """Reorder a component basis so the preferred vectors come first."""
-        F = self.field
-        cols = []
-        for p in preferred:
-            v = [F.zero] * len(ps)
-            for pair, c in p.items():
-                v[pos[pair]] = c
-            cols.append(tuple(v))
-        for v in vecs:
-            w = [F.zero] * len(ps)
-            for pair, c in v.items():
-                w[pos[pair]] = c
-            cols.append(tuple(w))
-        if not cols:
-            return vecs
-        mat = Matrix.from_columns(F, cols, rows=len(ps))
-        _, _, _, pivots = _rref_with_transform(mat)
-        for i in range(len(preferred)):
-            if i not in pivots:
+        span = Echelon(self.field)
+        chosen = []
+        for i, v in enumerate(list(preferred) + vecs):
+            if span.add(v):
+                chosen.append({pair: c for pair, c in sorted(v.items()) if c != 0})
+            elif i < len(preferred):
                 raise ValueError("preferred Hom vector dependent or not A-linear")
-        chosen = [cols[j] for j in pivots]
-        return [
-            {ps[i]: c for i, c in enumerate(v) if c != 0} for v in chosen
-        ]
+        return chosen
 
     # -- evaluation and differential on ground vectors -----------------------
 
@@ -522,35 +416,20 @@ class HomComplex:
 
     def coords(self, ground: dict, n: int):
         """Coordinates of a ground vector in the chosen Hom_n basis."""
-        F = self.field
-        dims = len(self.basis_vectors.get(n, []))
-        if dims == 0:
+        vecs = self.basis_vectors.get(n, [])
+        if not vecs:
             if any(c != 0 for c in ground.values()):
                 raise ValueError("vector outside empty Hom component")
             return ()
-        ps = self.pairs[n]
-        pos = self._pos[n]
-        solver = self._coord_solvers.get(n)
-        if solver is None:
-            cols = []
-            for v in self.basis_vectors[n]:
-                w = [F.zero] * len(ps)
-                for pair, c in v.items():
-                    w[pos[pair]] = c
-                cols.append(tuple(w))
-            solver = LinearSolver(Matrix.from_columns(F, cols, rows=len(ps)))
-            self._coord_solvers[n] = solver
-        target = [F.zero] * len(ps)
-        for pair, c in ground.items():
-            if c != 0:
-                target[pos[pair]] = c
-        x = solver.solve(tuple(target))
+        span = self._spans.get(n)
+        if span is None:
+            span = self._spans[n] = Echelon(self.field, certify=True)
+            for v in vecs:
+                span.add(v)
+        x = span.coords(ground)
         if x is None:
             raise ValueError("ground vector is not A-linear (outside Hom span)")
-        return x
-
-    def basis_vector(self, n: int, i: int) -> dict:
-        return self.basis_vectors[n][i]
+        return tuple(x.get(i, self.field.zero) for i in range(len(vecs)))
 
     def identity_ground(self) -> dict:
         """Ground vector of the identity (only meaningful when M is N)."""

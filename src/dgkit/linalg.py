@@ -1,8 +1,13 @@
-"""Exact dense linear algebra: row reduction, kernels, solving, quotients.
+"""Exact linear algebra: dense immutable matrices and one sparse echelon engine.
 
 Matrices are immutable, stored row-major as tuples of tuples of scalars of a
-single ambient :class:`~dgkit.field.Field`.  Pivoting always takes the first
-nonzero entry in column order, so every result is deterministic.
+single ambient :class:`~dgkit.field.Field`; they carry differentials and
+chain maps.  Every elimination goes through :class:`Echelon`, the reduced
+echelon basis of a subspace held as sparse dict rows.  A row's pivot is the
+least index of its support and every row is zero on every other pivot, so the
+rows are the unique reduced row-echelon form of the span: rank, kernel bases,
+solutions and normal forms depend only on the input and its order, never on
+the elimination path.
 """
 
 from __future__ import annotations
@@ -12,14 +17,6 @@ from .field import Field
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class QuotientPrecondition(ValueError):
-    """Raised when a map fails to carry cycles/boundaries where required."""
-
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
 
 
 class Matrix:
@@ -63,14 +60,8 @@ class Matrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i):
-        return self.entries[i]
-
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -147,180 +138,157 @@ class Matrix:
             out.append(s)
         return tuple(out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)], cols=self.rows)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        return Matrix(
-            self.field,
-            [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols + other.cols,
-        )
-
-
-def _rref_with_transform(A: Matrix):
-    """Gauss-Jordan; returns (R, rank, T, pivot column list) with T*A = R."""
-    F = A.field
-    m = [list(r) for r in A.entries]
-    t = [list(r) for r in Matrix.identity(F, A.rows).entries]
-    pivots = []
-    pr = 0
-    for pc in range(A.cols):
-        pivot_row = None
-        for i in range(pr, A.rows):
-            if m[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        t[pr], t[pivot_row] = t[pivot_row], t[pr]
-        inv = F.inv(m[pr][pc])
-        m[pr] = [F.mul(inv, x) for x in m[pr]]
-        t[pr] = [F.mul(inv, x) for x in t[pr]]
-        for i in range(A.rows):
-            if i != pr and m[i][pc] != 0:
-                c = m[i][pc]
-                m[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[i], m[pr])]
-                t[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(t[i], t[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == A.rows:
-            break
-    R = Matrix(F, m, cols=A.cols)
-    T = Matrix(F, t, cols=A.rows) if A.rows else Matrix.identity(F, 0)
-    return R, pr, T, pivots
+def _sub_scaled(p: int, v: dict, c, row: dict):
+    """v -= c·row in place, dropping zeros; p is the characteristic."""
+    if p:
+        for j, x in row.items():
+            s = (v.get(j, 0) - c * x) % p
+            if s:
+                v[j] = s
+            else:
+                v.pop(j, None)
+    else:
+        for j, x in row.items():
+            s = v.get(j, 0) - c * x
+            if s:
+                v[j] = s
+            else:
+                v.pop(j, None)
 
 
-def row_reduce(A: Matrix):
-    """Reduced row-echelon form: (R, rank, T) with T*A = R, T invertible."""
-    R, rank, T, _ = _rref_with_transform(A)
-    return R, rank, T
+def _scaled(p: int, c, v: dict) -> dict:
+    return {j: c * x % p for j, x in v.items()} if p else {j: c * x for j, x in v.items()}
+
+
+class Echelon:
+    """Reduced echelon basis of a growing subspace, over sparse dict vectors.
+
+    Vectors are dicts {index: scalar} (a sequence is read as one over
+    0..n-1); indices only need to be comparable.  ``rows[p]`` is 1 at its
+    pivot p = min(support) and 0 at every other pivot.  With ``certify`` each
+    row also keeps its expression in the vectors passed to :meth:`add`,
+    numbered in call order, which :meth:`coords` uses.
+    """
+
+    def __init__(self, field: Field, certify: bool = False):
+        self.field = field
+        self.rows: dict = {}
+        self._certs: dict | None = {} if certify else None
+        self._added = 0
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, v, cert: dict | None):
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        v = {j: c for j, c in items if c != 0}
+        rows, p = self.rows, self.field.characteristic
+        # subtracting a row changes v only off the pivots, so one pass suffices
+        for piv in [j for j in v if j in rows]:
+            c = v[piv]
+            _sub_scaled(p, v, c, rows[piv])
+            if cert is not None:
+                _sub_scaled(p, cert, c, self._certs[piv])
+        return v, cert
+
+    def reduce(self, v) -> dict:
+        """Normal form of v modulo the span: zero on every pivot, and unique."""
+        return self._reduce(v, None)[0]
+
+    def add(self, v) -> bool:
+        """Insert v; True iff it was independent of the span so far."""
+        F, p = self.field, self.field.characteristic
+        cert = None if self._certs is None else {self._added: F.one}
+        self._added += 1
+        v, cert = self._reduce(v, cert)
+        if not v:
+            return False
+        piv = min(v)
+        inv = F.inv(v[piv])
+        row = _scaled(p, inv, v)
+        if cert is not None:
+            cert = _scaled(p, inv, cert)
+        for q, r in self.rows.items():
+            c = r.get(piv)
+            if c is not None:
+                _sub_scaled(p, r, c, row)
+                if cert is not None:
+                    _sub_scaled(p, self._certs[q], c, cert)
+        self.rows[piv] = row
+        if cert is not None:
+            self._certs[piv] = cert
+        return True
+
+    def coords(self, v) -> dict | None:
+        """{i: c} with v = Σ c·(i-th added vector), or None outside the span.
+
+        Needs ``certify``; unique when the added vectors are independent.
+        """
+        rest, cert = self._reduce(v, {})
+        if rest:
+            return None
+        neg = self.field.neg
+        return {i: neg(c) for i, c in cert.items() if c != 0}
+
+    def kernel(self, columns) -> list[dict]:
+        """Basis of the vectors x over ``columns`` with row·x = 0 for every row.
+
+        One vector per non-pivot column j, in the order of ``columns``: 1 at
+        j, 0 at the other non-pivots.  Entries are in index order.
+        """
+        F = self.field
+        ker = {j: {j: F.one} for j in columns if j not in self.rows}
+        for piv, row in self.rows.items():
+            for j, c in row.items():
+                if j != piv:
+                    ker[j][piv] = F.neg(c)
+        return [dict(sorted(v.items())) for v in ker.values()]
+
+
+def _row_echelon(A: Matrix) -> Echelon:
+    E = Echelon(A.field)
+    for r in A.entries:
+        E.add(r)
+    return E
 
 
 def rank(A: Matrix) -> int:
-    return _rref_with_transform(A)[1]
+    return len(_row_echelon(A))
 
 
 def kernel_basis(A: Matrix):
-    """Basis of the right null space, as a list of column-vector tuples."""
-    F = A.field
-    R, rk, _, pivots = _rref_with_transform(A)
-    pivot_set = set(pivots)
-    free = [j for j in range(A.cols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [F.zero] * A.cols
-        v[j] = F.one
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R[i, j])
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right null space, as a list of column-vector tuples.
+
+    Canonical: one vector per non-pivot column j of the reduced row-echelon
+    form, with 1 at j and 0 at the other non-pivot columns.
+    """
+    z = A.field.zero
+    return [
+        tuple(v.get(j, z) for j in range(A.cols))
+        for v in _row_echelon(A).kernel(range(A.cols))
+    ]
 
 
 def solve(A: Matrix, b):
-    """One exact solution of A x = b, or None if b is not in the column space."""
+    """One exact solution of A x = b, or None if b is not in the column space.
+
+    The solution is the one that vanishes on the non-pivot columns.
+    """
     if len(b) != A.rows:
         raise DimensionMismatch("rhs length mismatch")
-    F = A.field
-    aug = A.hstack(Matrix(F, [[x] for x in b]) if A.rows else Matrix.zero(F, 0, 1))
-    R, _, _, pivots = _rref_with_transform(aug)
-    if A.cols in pivots:
+    F, n = A.field, A.cols
+    E = Echelon(F)
+    for r, x in zip(A.entries, b):
+        E.add(r + (F.of(x),))
+    if n in E.rows:
         return None
-    x = [F.zero] * A.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, A.cols]
+    x = [F.zero] * n
+    for piv, row in E.rows.items():
+        x[piv] = row.get(n, F.zero)
     return tuple(x)
 
 
-class LinearSolver:
-    """Factor A once to answer many A x = b queries."""
-
-    def __init__(self, A: Matrix):
-        self.A = A
-        R, rank, T, pivots = _rref_with_transform(A)
-        self.rank = rank
-        self.pivots = pivots
-        self._t_rows = [T.row(i) for i in range(T.rows)]
-
-    def solve(self, b):
-        """One exact solution of A x = b, or None if b is outside the span."""
-        if len(b) != self.A.rows:
-            raise DimensionMismatch("rhs length mismatch")
-        F = self.A.field
-        y = []
-        for row in self._t_rows:
-            s = F.zero
-            for c, x in zip(row, b):
-                if c != 0 and x != 0:
-                    s = F.add(s, F.mul(c, x))
-            y.append(s)
-        if any(v != 0 for v in y[self.rank :]):
-            return None
-        x = [F.zero] * self.A.cols
-        for i, pc in enumerate(self.pivots):
-            x[pc] = y[i]
-        return tuple(x)
-
-
 def column_space_basis(A: Matrix):
-    """Pivot columns of A: a deterministic basis of the column space."""
-    _, _, _, pivots = _rref_with_transform(A)
-    return [A.column(j) for j in pivots]
-
-
-def in_span(field: Field, basis, v):
-    """Coordinates of v in span(basis) or None.  basis: list of vectors."""
-    if not basis:
-        return () if all(x == 0 for x in v) else None
-    A = Matrix.from_columns(field, basis)
-    return solve(A, v)
-
-
-def quotient_reps(field: Field, sub_basis, big_basis, dim: int):
-    """Representatives in big_basis completing span(sub_basis) to span(big_basis).
-
-    Returns the list of vectors of ``big_basis`` whose classes form a basis of
-    span(big)/span(sub).  Deterministic: first independent columns win.
-    """
-    cols = list(sub_basis) + list(big_basis)
-    if not cols:
-        return []
-    A = Matrix.from_columns(field, cols, rows=dim)
-    _, _, _, pivots = _rref_with_transform(A)
-    k = len(sub_basis)
-    return [big_basis[j - k] for j in pivots if j >= k]
-
-
-def induced_map_on_quotients(f: Matrix, ker_src, im_src, ker_dst, im_dst) -> Matrix:
-    """Matrix of the map induced by f on span(ker)/span(im), both sides.
-
-    Quotient bases are chosen by :func:`quotient_reps`.  Raises
-    :class:`QuotientPrecondition` with a witness vector when f fails to map
-    cycles to cycles or boundaries to boundaries.
-    """
-    F = f.field
-    for v in im_src:
-        w = f.apply(v)
-        if in_span(F, list(im_dst), w) is None:
-            raise QuotientPrecondition("boundary not mapped into boundaries", v)
-    for v in ker_src:
-        w = f.apply(v)
-        if in_span(F, list(ker_dst), w) is None:
-            raise QuotientPrecondition("cycle not mapped into cycles", v)
-    reps_src = quotient_reps(F, im_src, ker_src, f.cols)
-    reps_dst = quotient_reps(F, im_dst, ker_dst, f.rows)
-    dst_cols = list(im_dst) + list(reps_dst)
-    out_cols = []
-    for v in reps_src:
-        w = f.apply(v)
-        if dst_cols:
-            coords = solve(Matrix.from_columns(F, dst_cols, rows=f.rows), w)
-        else:
-            coords = () if all(x == 0 for x in w) else None
-        if coords is None:
-            raise QuotientPrecondition("image leaves the destination cycle space", v)
-        out_cols.append(tuple(coords[len(im_dst):]))
-    return Matrix.from_columns(F, out_cols, rows=len(reps_dst))
+    """Pivot columns of A (the first independent ones): a basis of the column space."""
+    return [A.column(j) for j in sorted(_row_echelon(A).rows)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix
-from .complexes import ChainMap, Homotopy, Violation, check_homotopy
+from .complexes import ChainMap, Violation
 from .dga import DgAlgebra, DgModule, vec_add, vec_scale
 
 

@@ -31,7 +31,6 @@ from fractions import Fraction
 from .dga import DgAlgebra, DgModule, DgaMorphism
 from .field import Field, GF, QQ
 from .linalg import Matrix
-from .modops import DgModuleMap
 from .resolutions import BuildTreeWitness, ConeNode, Leaf, ShiftNode, SumNode
 
 

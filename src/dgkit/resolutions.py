@@ -12,9 +12,9 @@ is handled exactly once and the window is honest by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .linalg import Matrix, quotient_reps
+from .linalg import Echelon, kernel_basis, rank, solve
 from .complexes import (
     ChainMap,
     Homotopy,
@@ -22,7 +22,6 @@ from .complexes import (
     Window,
     check_homotopy,
     cone,
-    homology_at,
     quasi_iso,
 )
 from .dga import (
@@ -33,7 +32,6 @@ from .dga import (
     enveloping,
     env_module_to_bimodule,
     left_op_to_right,
-    opposite,
     right_to_left_op,
     vec_scale,
 )
@@ -77,22 +75,16 @@ def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
     # candidate generators: basis vectors completing span(A⁺·M) degreewise
     by_degree: dict[int, list[int]] = {}
     for n in M.degrees():
-        comp = M.component(n)
-        dim = len(comp)
-        sub = []
+        span = Echelon(F)
         for a in range(A.total_dim):
             if a == A.unit:
                 continue
             for m in M.component(n - A.deg(a)):
                 e = M.act.get((a, m), {})
                 if e:
-                    sub.append(M.component_vector(e, n))
-        big = [
-            tuple(F.one if i == j else F.zero for i in range(dim))
-            for j in range(dim)
-        ]
-        reps = quotient_reps(F, sub, big, dim)
-        by_degree[n] = [comp[v.index(F.one)] for v in reps]
+                    span.add(M.component_vector(e, n))
+        comp = M.component(n)
+        by_degree[n] = [g for i, g in enumerate(comp) if span.add({i: F.one})]
     gens: list[Generator] = []
     free = FreeModule(A, [])
     for n in sorted(by_degree):
@@ -101,12 +93,7 @@ def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
             dm = M.diff.get(m_idx, {})
             eps = free.augmentation(M)
             if dm:
-                b = M.component_vector(dm, n - 1)
-                x = None
-                mat = eps.f(n - 1)
-                from .linalg import solve
-
-                x = solve(mat, b)
+                x = solve(eps.f(n - 1), M.component_vector(dm, n - 1))
                 if x is None:
                     return None
                 comp = free.module.component(n - 1)
@@ -121,8 +108,6 @@ def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
         return None
     for n in FM.degrees():
         f = eps.f(n)
-        from .linalg import rank
-
         if f.rows != f.cols or rank(f) != f.rows:
             return None
     if eps.validate() is not True:
@@ -151,15 +136,18 @@ def semifree_resolution(
         while True:
             eps = free.augmentation(M)
             Cn, _, _ = cone(eps.chain_map())
-            H = homology_at(Cn, n)
-            reps = quotient_reps(F, H.boundaries, H.cycles, Cn.dim(n))
-            if not reps:
+            # the first cycle (in kernel-basis order) that is not a boundary
+            boundaries = Echelon(F)
+            dn1 = Cn.d(n + 1)
+            for j in range(dn1.cols):
+                boundaries.add(dn1.column(j))
+            v = next((z for z in kernel_basis(Cn.d(n)) if boundaries.add(z)), None)
+            if v is None:
                 break
             # one generator per pass: dependent classes then die for free,
             # keeping the resolution close to minimal
             dimM = len(M.component(n))
             comp_free = free.module.component(n - 1)
-            v = reps[0]
             m_part = M.elem_from_component(v[:dimM], n)
             x_part = {comp_free[i]: c for i, c in enumerate(v[dimM:]) if c != 0}
             gens.append(

@@ -428,11 +428,11 @@ def test_criterion_7_canonical_maps():
             multiplication_map(phi, 2),
         ]
         for cm in maps:
-            assert cm.chain_map.validate() is True, f"{desc}: {cm.description}"
+            assert cm.chain_map.validate() is True, f"{desc}: {cm.provenance}"
         if phi.source is phi.target:  # identity fixtures: R = S = M
             for cm in maps:
                 assert is_derived_iso(cm.chain_map, Window(-2, 2)).ok, (
-                    f"{desc}: {cm.description}"
+                    f"{desc}: {cm.provenance}"
                 )
     _passed(7, "unit/counit/duality/multiplication chain-validate; identity cases are quasi-isos")
 

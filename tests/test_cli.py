@@ -26,6 +26,19 @@ def test_validate_axiom_violation_exits_one(capsys):
     assert "leibniz" in out
 
 
+def test_validate_grading_violation_of_differential_exits_one(capsys, tmp_path):
+    # d m = n with both in degree 0: the differential table breaks the grading
+    path = tmp_path / "bad_grading.dg"
+    path.write_text(
+        "field Q\n\nalgebra A\n  basis e:0\n  unit e\n\n"
+        "module M over A\n  basis m:0 n:0\n  d m = n\n"
+    )
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert any(line.strip().startswith("grading fails at") for line in out.splitlines())
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fixture", ["bad_parse.dg", "bad_field.dg"])
 def test_parse_errors_exit_one(capsys, fixture):
     code, _, err = _run(capsys, "validate", FIXTURES / fixture)

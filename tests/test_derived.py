@@ -274,3 +274,17 @@ def test_duality_map_rejects_bad_witness():
     N = left_regular(phi.target)
     with pytest.raises(ValueError):
         duality_map(M, N, BuildTreeWitness(Leaf(1)), 3)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [truncated_polynomial(2), truncated_polynomial(3), product_kk(), exterior_algebra()],
+    ids=["k[x]/x2", "k[x]/x3", "kxk", "exterior"],
+)
+def test_unit_map_quasi_iso_on_family_of_size_three(S):
+    # the size-3 family adds a member with top degree 1 (cone0); the unit's
+    # resolution depth must grow with top(N), or junk reaches degree -D
+    from dgkit.epicheck import generate_test_family
+
+    for desc, N in generate_test_family(S, 0, 3).left:
+        assert unit_map(regular_bimodule(S), N, 2).report().ok, desc

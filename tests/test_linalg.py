@@ -4,16 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dgkit.complexes import ChainMap, Complex, GradedSpace, Window, quasi_iso
 from dgkit.field import GF, QQ
-from dgkit.linalg import (
-    Matrix,
-    QuotientPrecondition,
-    induced_map_on_quotients,
-    kernel_basis,
-    rank,
-    row_reduce,
-    solve,
-)
+from dgkit.linalg import Echelon, Matrix, column_space_basis, kernel_basis, rank, solve
+
+FIELDS = (QQ, GF(2), GF(101))
 
 
 def rand_matrix(field, rows, cols, rng):
@@ -22,33 +17,65 @@ def rand_matrix(field, rows, cols, rng):
     )
 
 
+def echelon_of(A: Matrix) -> Echelon:
+    E = Echelon(A.field)
+    for r in A.entries:
+        E.add(r)
+    return E
+
+
+def dense_rref(F, rows, ncols):
+    """Dense Gauss–Jordan oracle: (reduced nonzero rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(m)) if m[i][c] != 0), None)
+        if r is None:
+            continue
+        m[k], m[r] = m[r], m[k]
+        inv = F.inv(m[k][c])
+        m[k] = [F.mul(inv, x) for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[k])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+# -- row reduction --------------------------------------------------------------
+
+
 def test_row_reduce_identity():
     I = Matrix.identity(QQ, 2)
-    R, rk, T = row_reduce(I)
-    assert R == I and rk == 2 and T == I
+    assert echelon_of(I).rows == {0: {0: 1}, 1: {1: 1}}
+    assert rank(I) == 2 and kernel_basis(I) == []
 
 
 def test_row_reduce_rank_one():
     A = Matrix(QQ, [[1, 2], [2, 4]])
-    R, rk, T = row_reduce(A)
-    assert R == Matrix(QQ, [[1, 2], [0, 0]])
-    assert rk == 1
-    assert T * A == R
+    assert echelon_of(A).rows == {0: {0: 1, 1: 2}}
+    assert rank(A) == 1
+    assert kernel_basis(A) == [(Fraction(-2), Fraction(1))]
 
 
 def test_row_reduce_mod2():
     A = Matrix(GF(2), [[1, 1], [1, 1]])
-    _, rk, _ = row_reduce(A)
-    assert rk == 1
+    assert rank(A) == 1
+    assert kernel_basis(A) == [(1, 1)]
 
 
 def test_row_reduce_idempotent():
     rng = random.Random(7)
     for _ in range(20):
         A = rand_matrix(QQ, rng.randint(0, 4), rng.randint(0, 4), rng)
-        R, _, _ = row_reduce(A)
-        R2, _, _ = row_reduce(R)
-        assert R2 == R
+        E = echelon_of(A)
+        again = Echelon(QQ)
+        for row in E.rows.values():
+            again.add(row)
+        assert again.rows == E.rows
+        assert rank(A) == len(E)
 
 
 def test_kernel_identity_empty():
@@ -100,37 +127,45 @@ def test_solve_kernel_consistency():
             assert A.apply(shifted) == b
 
 
+# -- the map induced on homology ---------------------------------------------------
+
+
+def two_step(field, d1_column):
+    """C_1 = k --d_1--> C_0 = k², with d_1 sending the generator to d1_column."""
+    return Complex(
+        field,
+        GradedSpace({0: 2, 1: 1}),
+        {1: Matrix(field, [[x] for x in d1_column], cols=1)},
+    )
+
+
 def test_induced_map_identity():
-    f = Matrix.identity(QQ, 2)
-    ker = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    im = [(Fraction(1), Fraction(0))]
-    m = induced_map_on_quotients(f, ker, im, ker, im)
-    assert m == Matrix.identity(QQ, 1)
+    C = two_step(QQ, (1, 0))  # H_0 spanned by e1
+    report = quasi_iso(ChainMap.identity(C), Window(0, 1))
+    assert report.ok and report.dims == {0: (1, 1), 1: (0, 0)}
 
 
 def test_induced_map_zero():
-    f = Matrix.zero(QQ, 2, 2)
-    ker = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    im = []
-    m = induced_map_on_quotients(f, ker, im, ker, im)
-    assert m.is_zero() and m.rows == 2 and m.cols == 2
+    C = Complex(QQ, GradedSpace({0: 2}), {})
+    report = quasi_iso(ChainMap.zero(C, C), Window(0, 0))
+    assert not report.ok and report.dims[0] == (2, 2)
 
 
 def test_induced_map_cycle_to_boundary():
-    # f sends the generating cycle into the boundary subspace: zero column.
-    f = Matrix(QQ, [[0, 0], [1, 0]])
-    ker = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    im = [(Fraction(0), Fraction(1))]
-    m = induced_map_on_quotients(f, ker, im, ker, im)
-    assert m.is_zero()
+    # f_0 sends the homology class e0 onto the boundary e1: H_0(f) = 0
+    C = two_step(QQ, (0, 1))
+    f = ChainMap(C, C, {0: Matrix(QQ, [[0, 0], [1, 0]])})
+    assert f.validate() is True
+    report = quasi_iso(f, Window(0, 0))
+    assert report.per_degree == {0: False} and report.dims[0] == (1, 1)
 
 
 def test_induced_map_precondition_violation():
-    f = Matrix(QQ, [[0, 0], [1, 0]])
-    ker_src = [(Fraction(1), Fraction(0))]
-    ker_dst = [(Fraction(1), Fraction(0))]
-    with pytest.raises(QuotientPrecondition) as err:
-        induced_map_on_quotients(f, ker_src, [], ker_dst, [])
+    # d_0 = (0 1): e0 is a cycle, and f_0 sends it to e1, which is not
+    C = Complex(QQ, GradedSpace({-1: 1, 0: 2}), {0: Matrix(QQ, [[0, 1]])})
+    f = ChainMap(C, C, {0: Matrix(QQ, [[0, 0], [1, 0]])})
+    with pytest.raises(ValueError) as err:
+        quasi_iso(f, Window(0, 0))
     assert err.value.witness == (Fraction(1), Fraction(0))
 
 
@@ -139,3 +174,53 @@ def test_rank_nullity_property(r, c, seed):
     rng = random.Random(seed)
     A = rand_matrix(QQ, r, c, rng)
     assert rank(A) + len(kernel_basis(A)) == c
+
+
+# -- the echelon engine against the dense oracle ------------------------------------
+
+entries = st.sampled_from((0, 0, 0, 1, -1, 2, 3))
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_engine_matches_dense_oracle(F, r, c, data):
+    rows = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    A = Matrix(F, data.draw(rows), cols=c)
+    R, pivots = dense_rref(F, A.entries, c)
+    E = echelon_of(A)
+    assert E.rows == {p: {j: x for j, x in enumerate(row) if x != 0} for row, p in zip(R, pivots)}
+    assert rank(A) == len(pivots)
+    assert column_space_basis(A) == [A.column(j) for j in pivots]
+    ker = []
+    for j in (j for j in range(c) if j not in pivots):
+        v = [F.zero] * c
+        v[j] = F.one
+        for row, p in zip(R, pivots):
+            v[p] = F.neg(row[j])
+        ker.append(tuple(v))
+    assert kernel_basis(A) == ker
+
+    b = tuple(F.of(x) for x in data.draw(st.lists(entries, min_size=r, max_size=r)))
+    Rb, pb = dense_rref(F, [row + (x,) for row, x in zip(A.entries, b)], c + 1)
+    if c in pb:
+        assert solve(A, b) is None
+    else:
+        x = [F.zero] * c
+        for row, p in zip(Rb, pb):
+            x[p] = row[c]
+        assert solve(A, b) == tuple(x)
+
+    # normal form modulo the row space, as the tensor product reduces ground vectors
+    v = [F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c))]
+    w = list(v)
+    for row, p in zip(R, pivots):
+        w = [F.sub(x, F.mul(w[p], y)) for x, y in zip(w, row)]
+    assert E.reduce(v) == {j: x for j, x in enumerate(w) if x != 0}
+
+    # certified coordinates in the inserted columns
+    cols = Echelon(F, certify=True)
+    for j in range(c):
+        cols.add(A.column(j))
+    x0 = [F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c))]
+    coords = cols.coords(A.apply(x0))
+    assert A.apply([coords.get(j, F.zero) for j in range(c)]) == A.apply(x0)
+    assert (cols.coords(b) is None) == (c in pb)

@@ -51,6 +51,29 @@ def _get(pool: dict, name: str, kind: str):
     return pool[name]
 
 
+_VALIDATORS = {"algebra": validate_dga, "module": validate_module, "morphism": validate_morphism}
+
+
+def _validated(*objects):
+    """Raise InputError on the first axiom violation of these (kind, name, object)
+    triples or of the algebras they live over; each object is checked once."""
+    seen: set = set()
+    for kind, name, obj in objects:
+        if kind == "module":
+            parts = [("algebra", obj.algebra.name, obj.algebra)]
+        elif kind == "morphism":
+            parts = [("algebra", A.name, A) for A in (obj.source, obj.target)]
+        else:
+            parts = []
+        for k, n, o in parts + [(kind, name, obj)]:
+            if id(o) in seen:
+                continue
+            seen.add(id(o))
+            viols = _VALIDATORS[k](o)
+            if viols:
+                raise InputError(f"{k} {n} violates the axioms: {viols[0]}")
+
+
 def _window(text: str) -> Window:
     try:
         lo, hi = text.split("..", 1)
@@ -103,6 +126,7 @@ def cmd_validate(args):
 def cmd_homology(args):
     pf = _load(args.file)
     M = _get(pf.modules, args.module, "module")
+    _validated(("module", args.module, M))
     w = args.window
     dims = homology_dims(M.underlying(), w)
     lines = [f"homology of {args.module} on {w.lo}..{w.hi}"]
@@ -114,6 +138,7 @@ def cmd_homology(args):
 def cmd_resolve(args):
     pf = _load(args.file)
     M = _get(pf.modules, args.module, "module")
+    _validated(("module", args.module, M))
     if M.side == "right":
         M = right_to_left_op(M)
     res = semifree_resolution(M, args.window.hi, args.max_generators)
@@ -143,6 +168,7 @@ def _tor_ext(args, which: str):
     A = _get(pf.algebras, args.algebra, "algebra")
     M = _get(pf.modules, args.left, "module")
     N = _get(pf.modules, args.right, "module")
+    _validated(("algebra", args.algebra, A), ("module", args.left, M), ("module", args.right, N))
     D = max(args.window.hi, 0)
     table = (tor_table if which == "tor" else ext_table)(A, M, N, D, args.max_generators)
     name = "Tor" if which == "tor" else "Ext"
@@ -165,6 +191,7 @@ def _tensor_rhom(args, which: str):
     A = _get(pf.algebras, args.algebra, "algebra")
     M = _get(pf.modules, args.left, "module")
     N = _get(pf.modules, args.right, "module")
+    _validated(("algebra", args.algebra, A), ("module", args.left, M), ("module", args.right, N))
     w = args.window
     D = max(abs(w.lo), abs(w.hi))
     dc = (derived_tensor if which == "tensor" else rhom)(A, M, N, D, args.max_generators)
@@ -187,6 +214,7 @@ def cmd_rhom(args):
 def cmd_endo_dga(args):
     pf = _load(args.file)
     M = _get(pf.modules, args.module, "module")
+    _validated(("module", args.module, M))
     if M.side != "left":
         raise InputError("endomorphism DGA needs a left module")
     Fdga, _ = endomorphism_dga(M)
@@ -214,6 +242,7 @@ def cmd_witness_verify(args):
     pf = _load(args.file)
     w = _get(pf.witnesses, args.witness, "witness")
     M = pf.modules[w.module_name]
+    _validated(("module", w.module_name, M))
     if M.side == "right":
         M = right_to_left_op(M)
     ok = verify_build_tree(w.witness, M)
@@ -264,8 +293,7 @@ def _rep_data(rep) -> dict:
 def cmd_check_epi(args):
     pf = _load(args.file)
     phi = _get(pf.morphisms, args.morphism, "morphism")
-    if validate_morphism(phi):
-        raise InputError(f"morphism {args.morphism} violates the DGA-morphism axioms")
+    _validated(("morphism", args.morphism, phi))
     D = max(args.window.hi, 1)
     fam = generate_test_family(phi.target, args.seed, args.family_size)
     rep = check_dga_epi(phi, D, fam, args.max_generators)
@@ -277,6 +305,7 @@ def cmd_dwyer_greenlees(args):
     pf = _load(args.file)
     M = _get(pf.modules, args.module, "module")
     w = _get(pf.witnesses, args.witness, "witness")
+    _validated(("module", args.module, M), ("module", w.module_name, pf.modules[w.module_name]))
     if M.side != "left":
         raise InputError("the acting module must be a left module")
     try:
@@ -306,6 +335,7 @@ def cmd_dwyer_greenlees(args):
 def cmd_consistency(args):
     pf = _load(args.file)
     corpus = [(n, pf.morphisms[n]) for k, n in pf.order if k == "morphism"]
+    _validated(*(("morphism", n, phi) for n, phi in corpus))
     D = max(args.window.hi, 1)
     rep = consistency_run(corpus, args.seed, D, args.family_size, args.max_generators)
     lines = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .linalg import Echelon, Matrix, column_space_basis, kernel_basis, rank
+from .linalg import Echelon, Matrix, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -237,25 +237,10 @@ def check_homotopy(f: ChainMap, g: ChainMap, h: Homotopy) -> bool:
     return True
 
 
-@dataclass
-class HomologyData:
-    dim: int
-    cycles: list
-    boundaries: list
-
-
-def homology_at(C: Complex, n: int) -> HomologyData:
-    cycles = kernel_basis(C.d(n))
-    boundaries = column_space_basis(C.d(n + 1))
-    return HomologyData(len(cycles) - len(boundaries), cycles, boundaries)
-
-
-def homology(C: Complex, w: Window) -> dict[int, HomologyData]:
-    return {n: homology_at(C, n) for n in w.degrees()}
-
-
 def homology_dims(C: Complex, w: Window) -> dict[int, int]:
-    return {n: homology_at(C, n).dim for n in w.degrees()}
+    """dim H_n = dim C_n − rank d_n − rank d_{n+1} for each n in the window."""
+    ranks = {n: rank(C.d(n)) for n in range(w.lo, w.hi + 2)}
+    return {n: C.dim(n) - ranks[n] - ranks[n + 1] for n in w.degrees()}
 
 
 def euler_characteristic(C: Complex) -> int:

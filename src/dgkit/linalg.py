@@ -287,8 +287,3 @@ def solve(A: Matrix, b):
     for piv, row in E.rows.items():
         x[piv] = row.get(n, F.zero)
     return tuple(x)
-
-
-def column_space_basis(A: Matrix):
-    """Pivot columns of A (the first independent ones): a basis of the column space."""
-    return [A.column(j) for j in sorted(_row_echelon(A).rows)]

@@ -294,6 +294,32 @@ class Generator:
     stage: int = 0
 
 
+def free_act(A: DgAlgebra, a_idx: int, e: dict) -> dict:
+    """Left-multiply a free-module element by an algebra basis element.
+
+    Free-module indices are g * dim(A) + a, as in :class:`FreeModule`.
+    """
+    F, dA = A.field, A.total_dim
+    out: dict = {}
+    for idx, c in e.items():
+        g, b = divmod(idx, dA)
+        for b2, c2 in A.mul.get((a_idx, b), {}).items():
+            k = g * dA + b2
+            s = F.add(out.get(k, F.zero), F.mul(c, c2))
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def free_diff(A: DgAlgebra, g: int, d_g: dict, a: int) -> dict:
+    """d(a·g) = d(a)·g + (-1)^{|a|} a·d(g) in a free module with d(g) = d_g."""
+    F, dA = A.field, A.total_dim
+    e = {g * dA + a2: c for a2, c in A.diff.get(a, {}).items()}
+    return vec_add(F, e, vec_scale(F, F.of((-1) ** A.deg(a)), free_act(A, a, d_g)))
+
+
 class FreeModule:
     """Left A-module free on graded generators, with triangular differential.
 
@@ -315,20 +341,7 @@ class FreeModule:
         return divmod(idx, self.algebra.total_dim)
 
     def act_on_elem(self, a_idx: int, e: dict) -> dict:
-        """Left-multiply a free-module element by an algebra basis element."""
-        A, F = self.algebra, self.algebra.field
-        out: dict = {}
-        for idx, c in e.items():
-            g, b = self.split(idx)
-            prod = A.mul.get((a_idx, b), {})
-            for b2, c2 in prod.items():
-                k = self.index(g, b2)
-                s = F.add(out.get(k, F.zero), F.mul(c, c2))
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
+        return free_act(self.algebra, a_idx, e)
 
     def _build(self) -> DgModule:
         A, F = self.algebra, self.algebra.field
@@ -347,13 +360,7 @@ class FreeModule:
         diff = {}
         for g, gen in enumerate(self.gens):
             for a in range(A.total_dim):
-                # d(a·g) = d(a)·g + (-1)^{|a|} a·d(g)
-                e: dict = {}
-                for a2, c in A.diff.get(a, {}).items():
-                    e[self.index(g, a2)] = c
-                sign = F.of((-1) ** A.deg(a))
-                tail = self.act_on_elem(a, gen.d_elem)
-                e = vec_add(F, e, vec_scale(F, sign, tail))
+                e = free_diff(A, g, gen.d_elem, a)
                 if e:
                     diff[self.index(g, a)] = e
         name = f"free({','.join(g.label for g in self.gens)})"

@@ -338,6 +338,8 @@ def _parse_node(pf, toks, pos: int, lineno: int):
         raise ParseError(lineno, 1, "node keyword")
     kw = toks[pos]
     pos += 1
+    if kw in ("shift", "cone") and pos >= len(toks):
+        raise ParseError(lineno, 1, f"{'shift amount' if kw == 'shift' else 'map name'} after {kw!r}")
     if kw == "leaf":
         node = Leaf(0)
     elif kw == "shift":

@@ -8,22 +8,25 @@ A-linear quasi-isomorphism ε: F → M on the stated validity window.
 The builder kills the lowest-degree homology of cone(ε) bottom-up; since
 new generators only change the cone in strictly higher degrees, each degree
 is handled exactly once and the window is honest by construction.
+
+Within degree n it needs one cycle basis and one boundary echelon.  Because
+cone(ε)_n = M_n ⊕ F_{n-1} and A is nonnegatively graded, generators of
+degree n change F only in degrees ≥ n: d_n of the cone, and with it the
+canonical kernel basis Z_n, stay fixed for the whole degree.  A generator g
+killing the cycle v adds the boundaries d(a·g) = a·d(g) for the degree-0
+basis elements a of A, which span exactly A_0·v.  So Z_n is walked once in
+kernel-basis order against one growing echelon of boundaries, and a cycle
+gets a generator iff it is not yet a boundary.  The cone's columns are
+built sparsely from the generator list; the free module and ε are built
+once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Echelon, kernel_basis, rank, solve
-from .complexes import (
-    ChainMap,
-    Homotopy,
-    Violation,
-    Window,
-    check_homotopy,
-    cone,
-    quasi_iso,
-)
+from .linalg import Echelon, rank
+from .complexes import ChainMap, Homotopy, Violation, Window, check_homotopy, quasi_iso
 from .dga import (
     DgAlgebra,
     DgBimodule,
@@ -35,7 +38,7 @@ from .dga import (
     right_to_left_op,
     vec_scale,
 )
-from .modops import DgModuleMap, FreeModule, Generator, module_shift
+from .modops import DgModuleMap, FreeModule, Generator, free_diff, module_shift
 
 
 class ResourceBoundExceeded(RuntimeError):
@@ -68,11 +71,64 @@ def _bottom(M) -> int:
     return min(degs) if degs else 0
 
 
-def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
-    """If M is visibly free on a generating set, return it as its own
-    resolution (no spurious generators)."""
+def _free_basis(A: DgAlgebra, gens: list[Generator], n: int) -> list[int]:
+    """Indices of the degree-n basis of the free module on gens, in index order."""
+    dA = A.total_dim
+    return [g * dA + a for g, gen in enumerate(gens) for a in A.component(n - gen.degree)]
+
+
+def _positions(M: DgModule, gens: list[Generator], n: int) -> tuple[dict, dict]:
+    """Positions in cone(ε)_n = M_n ⊕ F_{n-1}: the M part first, each part in index order."""
+    m_pos = {m: p for p, m in enumerate(M.component(n))}
+    off = len(m_pos)
+    f_pos = {x: off + p for p, x in enumerate(_free_basis(M.algebra, gens, n - 1))}
+    return m_pos, f_pos
+
+
+def _eps_column(M: DgModule, gens: list[Generator], x: int, m_pos: dict) -> dict:
+    """ε(a·g) = a·ε(g) for the free basis element x = a·g, over positions in M."""
+    g, a = divmod(x, M.algebra.total_dim)
+    return {m_pos[t]: c for t, c in M.act_elem({a: M.field.one}, gens[g].eps).items()}
+
+
+def _free_column(M: DgModule, gens: list[Generator], x: int, rows) -> dict:
+    """Cone column of the free basis element x = a·g: ε(a·g) ⊕ −d(a·g)."""
+    m_pos, f_pos = rows
+    col = _eps_column(M, gens, x, m_pos)
+    g, a = divmod(x, M.algebra.total_dim)
+    for y, c in free_diff(M.algebra, g, gens[g].d_elem, a).items():
+        col[f_pos[y]] = M.field.neg(c)
+    return col
+
+
+def _cone_columns(M: DgModule, gens: list[Generator], n: int) -> list[dict]:
+    """d_n of cone(ε: F → M) as sparse columns over the positions of cone_{n-1}."""
+    rows = _positions(M, gens, n - 1)
+    m_pos = rows[0]
+    cols = [{m_pos[t]: c for t, c in M.diff.get(m, {}).items()} for m in M.component(n)]
+    cols += [_free_column(M, gens, x, rows) for x in _free_basis(M.algebra, gens, n - 1)]
+    return cols
+
+
+def _cycles(F, cols: list[dict]) -> list[dict]:
+    """Canonical kernel basis of the map with these columns (see Echelon.kernel)."""
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    ech = Echelon(F)
+    for r in rows.values():
+        ech.add(r)
+    return ech.kernel(range(len(cols)))
+
+
+def _free_generators(M: DgModule) -> list[Generator] | None:
+    """Generators presenting M as visibly free, or None if there are none.
+
+    The candidates are basis vectors completing span(A⁺·M) degreewise; each
+    needs d(g) in F_{n-1} with ε(d(g)) = d_M(m).
+    """
     A, F = M.algebra, M.field
-    # candidate generators: basis vectors completing span(A⁺·M) degreewise
     by_degree: dict[int, list[int]] = {}
     for n in M.degrees():
         span = Echelon(F)
@@ -86,22 +142,32 @@ def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
         comp = M.component(n)
         by_degree[n] = [g for i, g in enumerate(comp) if span.add({i: F.one})]
     gens: list[Generator] = []
-    free = FreeModule(A, [])
     for n in sorted(by_degree):
+        # ε on F_{n-1} is fixed while degree-n generators are added, so one
+        # certified echelon of its columns solves for all of them
+        free = _free_basis(A, gens, n - 1)
+        m_pos = {m: p for p, m in enumerate(M.component(n - 1))}
+        image = Echelon(F, certify=True)
+        for x in free:
+            image.add(_eps_column(M, gens, x, m_pos))
         for m_idx in by_degree[n]:
-            # need x in F_{n-1} with ε(x) = d_M(m); solvable iff ε is onto there
             dm = M.diff.get(m_idx, {})
-            eps = free.augmentation(M)
-            if dm:
-                x = solve(eps.f(n - 1), M.component_vector(dm, n - 1))
-                if x is None:
-                    return None
-                comp = free.module.component(n - 1)
-                d_elem = {comp[i]: c for i, c in enumerate(x) if c != 0}
-            else:
-                d_elem = {}
+            x = image.coords(M.component_vector(dm, n - 1)) if dm else {}
+            if x is None:
+                return None
+            d_elem = {free[i]: c for i, c in sorted(x.items())}
             gens.append(Generator(M.label(m_idx), n, d_elem, {m_idx: F.one}, 0))
-            free = FreeModule(A, gens)
+    return gens
+
+
+def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
+    """If M is visibly free on a generating set, return it as its own
+    resolution (no spurious generators)."""
+    A = M.algebra
+    gens = _free_generators(M)
+    if gens is None:
+        return None
+    free = FreeModule(A, gens)
     eps = free.augmentation(M)
     FM = free.module
     if FM.underlying().space.dims != M.underlying().space.dims:
@@ -130,35 +196,24 @@ def semifree_resolution(
     if fast is not None:
         return fast
     gens: list[Generator] = []
-    free = FreeModule(A, gens)
-    stage = 0
     for n in range(bottom, D + 2):
-        while True:
-            eps = free.augmentation(M)
-            Cn, _, _ = cone(eps.chain_map())
-            # the first cycle (in kernel-basis order) that is not a boundary
-            boundaries = Echelon(F)
-            dn1 = Cn.d(n + 1)
-            for j in range(dn1.cols):
-                boundaries.add(dn1.column(j))
-            v = next((z for z in kernel_basis(Cn.d(n)) if boundaries.add(z)), None)
-            if v is None:
-                break
-            # one generator per pass: dependent classes then die for free,
+        rows = _positions(M, gens, n)
+        dimM = len(rows[0])
+        m_of = M.component(n)
+        x_of = list(rows[1])
+        boundaries = Echelon(F)
+        for col in _cone_columns(M, gens, n + 1):
+            boundaries.add(col)
+        # the cycles not yet bounded, in kernel-basis order
+        for z in _cycles(F, _cone_columns(M, gens, n)):
+            if not boundaries.add(z):
+                continue
+            # one generator per class: dependent classes then die for free,
             # keeping the resolution close to minimal
-            dimM = len(M.component(n))
-            comp_free = free.module.component(n - 1)
-            m_part = M.elem_from_component(v[:dimM], n)
-            x_part = {comp_free[i]: c for i, c in enumerate(v[dimM:]) if c != 0}
-            gens.append(
-                Generator(
-                    f"g{n}.{len(gens)}",
-                    n,
-                    x_part,
-                    vec_scale(F, F.neg(F.one), m_part),
-                    stage,
-                )
-            )
+            m_part = {m_of[p]: c for p, c in z.items() if p < dimM}
+            x_part = {x_of[p - dimM]: c for p, c in z.items() if p >= dimM}
+            g = len(gens)  # also its stage: each generator is its own stage
+            gens.append(Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.neg(F.one), m_part), g))
             if len(gens) > max_generators:
                 free = FreeModule(A, gens)
                 partial = SemifreeResolution(
@@ -167,10 +222,11 @@ def semifree_resolution(
                 raise ResourceBoundExceeded(
                     partial, f"generator cap {max_generators} exceeded at degree {n}"
                 )
-            free = FreeModule(A, gens)
-            stage += 1
-    eps = free.augmentation(M)
-    return SemifreeResolution(A, M, free, eps, Window(bottom - 1, D))
+            # d(a·g) = a·d(g) for |a| = 0: the boundaries grow by A_0·z
+            for a in A.component(0):
+                boundaries.add(_free_column(M, gens, g * A.total_dim + a, rows))
+    free = FreeModule(A, gens)
+    return SemifreeResolution(A, M, free, free.augmentation(M), Window(bottom - 1, D))
 
 
 def verify_resolution(res: SemifreeResolution):

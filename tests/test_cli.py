@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dgkit.cli import main
 
@@ -184,3 +190,109 @@ def test_bad_window_exits_one(capsys):
     )
     assert code == 1
     assert "window" in err
+
+
+# -- input validation in computing commands -----------------------------------------
+
+BAD_GRADING = (
+    "field Q\n\nalgebra A\n  basis e:0 x:0\n  unit e\n  mul x x = 0\n\n"
+    "module M over A\n  basis m:0 n:1\n  act x m = n\n"
+)
+
+
+@pytest.fixture
+def bad_grading(tmp_path):
+    # x·m = n with |x| = |m| = 0 and |n| = 1: the action breaks the grading
+    path = tmp_path / "bad_action_grading.dg"
+    path.write_text(BAD_GRADING)
+    return path
+
+
+def test_validate_reports_action_grading(capsys, bad_grading):
+    code, out, _ = _run(capsys, "validate", bad_grading)
+    assert code == 1
+    assert "grading fails at (1, 0)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "M"],
+        ["resolve", "M"],
+        ["endo-dga", "M"],
+        ["tor", "A", "M", "M"],
+        ["tensor", "A", "M", "M"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_computing_commands_reject_invalid_module(capsys, bad_grading, argv):
+    code, out, err = _run(capsys, argv[0], bad_grading, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "module M violates the axioms: grading fails at (1, 0)" in err
+
+
+def test_check_epi_rejects_invalid_algebra(capsys, tmp_path):
+    path = tmp_path / "bad_algebra.dg"
+    text = (FIXTURES / "bad_axiom.dg").read_text()
+    path.write_text(text + "\nmorphism idB : B -> B\n  e -> e\n  x -> x\n  y -> y\n")
+    code, _, err = _run(capsys, "check-epi", path, "idB", "--family-size", "2")
+    assert code == 1
+    assert "algebra B violates the axioms: leibniz fails" in err
+
+
+# -- mutated fixtures never crash the CLI ---------------------------------------------
+
+_NUMBER = re.compile(r"-?\d+")
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _mutate(text: str, data) -> str:
+    lines = [_TOKEN.findall(line) for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        slots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+        if not slots:
+            break
+        i, j = data.draw(st.sampled_from(slots), label="token")
+        op = data.draw(st.sampled_from(("drop", "duplicate", "swap", "flip")), label="op")
+        if op == "drop":
+            del lines[i][j]
+        elif op == "duplicate":
+            lines[i].insert(j, lines[i][j])
+        elif op == "swap":
+            k, m = data.draw(st.sampled_from(slots), label="other")
+            lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+        elif _NUMBER.search(lines[i][j]):
+            new = data.draw(st.sampled_from((-2, -1, 0, 1, 2, 3, 5, 101)), label="number")
+            lines[i][j] = _NUMBER.sub(str(new), lines[i][j], count=1)
+    return "\n".join("  " + " ".join(toks) for toks in lines) + "\n"
+
+
+def _first(text: str, keyword: str) -> str:
+    found = re.search(rf"^\s*{keyword}\s+(\S+)", text, re.MULTILINE)
+    return found.group(1) if found else "none"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.dg"))), st.data())
+def test_mutated_fixtures_exit_cleanly(fixture, data):
+    text = _mutate((FIXTURES / fixture).read_text(), data)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / fixture
+        path.write_text(text)
+        algebra, module, witness = (_first(text, k) for k in ("algebra", "module", "witness"))
+        bounded = ["--window", "0..3", "--max-generators", "30", "--family-size", "2"]
+        for argv in (
+            ["validate", path],
+            ["roundtrip", path],
+            ["homology", path, module],
+            ["resolve", path, module, *bounded],
+            ["endo-dga", path, module],
+            ["tor", path, algebra, module, module, *bounded],
+            ["witness-verify", path, witness],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(a) for a in argv])
+            assert code in (0, 1, 2), (argv, text)
+            assert "Traceback" not in err.getvalue(), (argv, text)

@@ -22,6 +22,7 @@ from dgkit.standard import (
     triangular_to_product,
     truncated_polynomial,
     truncated_to_ground,
+    upper_triangular,
 )
 
 
@@ -136,6 +137,29 @@ def test_dga_exterior_identity_is_epi():
 
 
 # -- bimodule conditions directly ---------------------------------------------
+
+
+STOCK_DGAS = [
+    ground_algebra,
+    lambda: truncated_polynomial(2),
+    lambda: truncated_polynomial(3),
+    product_kk,
+    upper_triangular,
+    exterior_algebra,
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "make", STOCK_DGAS, ids=["k", "k[x]/(x2)", "k[x]/(x3)", "kxk", "T2", "Lambda(x)"]
+)
+def test_identity_is_epi_at_family_size_three(make, seed):
+    # family size 3 adds a random cone to {S, ΣS}; truncation junk of a
+    # too-shallow resolution shows up there as a wrong NO
+    A = make()
+    rep = check_dga_epi(identity_morphism(A), 4, generate_test_family(A, seed, 3))
+    assert rep.agreement, rep.disagreement
+    assert rep.is_epi
 
 
 def test_bimodule_identity_all_hold():

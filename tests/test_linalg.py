@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from dgkit.complexes import ChainMap, Complex, GradedSpace, Window, quasi_iso
 from dgkit.field import GF, QQ
-from dgkit.linalg import Echelon, Matrix, column_space_basis, kernel_basis, rank, solve
+from dgkit.linalg import Echelon, Matrix, kernel_basis, rank, solve
 
 FIELDS = (QQ, GF(2), GF(101))
 
@@ -189,7 +189,6 @@ def test_engine_matches_dense_oracle(F, r, c, data):
     E = echelon_of(A)
     assert E.rows == {p: {j: x for j, x in enumerate(row) if x != 0} for row, p in zip(R, pivots)}
     assert rank(A) == len(pivots)
-    assert column_space_basis(A) == [A.column(j) for j in pivots]
     ker = []
     for j in (j for j in range(c) if j not in pivots):
         v = [F.zero] * c

@@ -104,3 +104,11 @@ def test_duplicate_names_rejected():
 def test_comments_and_blank_lines_ignored():
     pf = parse("# header\nfield Q\n\n# note\nalgebra A\n  basis e:0\n  unit e\n")
     assert set(pf.algebras) == {"A"}
+
+
+@pytest.mark.parametrize("tree", ["(shift", "(cone", "(sum (leaf) (shift"])
+def test_truncated_build_tree_is_a_parse_error(tree):
+    text = "field Q\nalgebra A\n  basis e:0\n  unit e\nmodule M over A\n  basis m:0\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text + f"witness w for M\n  {tree}\n")
+    assert exc.value.line == 8

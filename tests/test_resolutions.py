@@ -1,16 +1,31 @@
 import pytest
 
-from dgkit.field import QQ
-from dgkit.complexes import Window, homology_dims, quasi_iso
-from dgkit.dga import left_regular, restrict_scalars, validate_module
-from dgkit.linalg import Matrix
-from dgkit.modops import DgModuleMap, FreeModule, Generator, module_shift
+from dgkit.field import GF, QQ
+from dgkit.complexes import Window, cone, homology_dims, quasi_iso
+from dgkit.dga import (
+    DgAlgebra,
+    DgModule,
+    bimodule_from_morphism,
+    bimodule_to_env_module,
+    left_regular,
+    restrict_scalars,
+    right_to_left_op,
+    tensor_algebra,
+    validate_dga,
+    validate_module,
+    vec_scale,
+)
+from dgkit.epicheck import generate_test_family
+from dgkit.linalg import Echelon, Matrix, kernel_basis, solve
+from dgkit.modops import DgModuleMap, FreeModule, Generator, module_direct_sum, module_shift
 from dgkit.resolutions import (
     BuildTreeWitness,
     ConeNode,
     Leaf,
     ResourceBoundExceeded,
     SumNode,
+    _free_generators,
+    _try_free_presentation,
     semifree_resolution,
     semifree_resolution_bimodule,
     verify_build_tree,
@@ -21,6 +36,7 @@ from dgkit.standard import (
     ground_algebra,
     product_kk,
     product_to_ground,
+    triangular_to_product,
     truncated_polynomial,
     truncated_to_ground,
     upper_triangular,
@@ -195,3 +211,157 @@ def test_build_tree_wrong_module_rejected():
     A = truncated_polynomial(2)
     M = ground_left_module(truncated_to_ground(2))
     assert verify_build_tree(BuildTreeWitness(Leaf(0)), M) is not True
+
+
+# -- differential test: the incremental builder against the rebuild loop -------
+
+
+def rebuild_resolution(M, D, max_generators=10000):
+    """Generators and window of the rebuild-per-generator construction.
+
+    Test oracle only: after every generator it rebuilds the free module, ε
+    and the whole cone(ε), then eliminates again.  Returns (generators,
+    window, capped).
+    """
+    if free_presentation := _try_free_presentation(M, D):
+        return free_presentation.generators, free_presentation.validity, False
+    A, F = M.algebra, M.field
+    gens, stage = [], 0
+    free = FreeModule(A, gens)
+    bottom = min((d for _, d in M.basis), default=0)
+    for n in range(bottom, D + 2):
+        while True:
+            Cn, _, _ = cone(free.augmentation(M).chain_map())
+            boundaries = Echelon(F)
+            for j in range(Cn.d(n + 1).cols):
+                boundaries.add(Cn.d(n + 1).column(j))
+            v = next((z for z in kernel_basis(Cn.d(n)) if boundaries.add(z)), None)
+            if v is None:
+                break
+            dimM = len(M.component(n))
+            comp_free = free.module.component(n - 1)
+            m_part = M.elem_from_component(v[:dimM], n)
+            x_part = {comp_free[i]: c for i, c in enumerate(v[dimM:]) if c != 0}
+            eps = vec_scale(F, F.neg(F.one), m_part)
+            gens.append(Generator(f"g{n}.{len(gens)}", n, x_part, eps, stage))
+            if len(gens) > max_generators:
+                return gens, Window(bottom - 1, n - 1), True
+            free = FreeModule(A, gens)
+            stage += 1
+    return gens, Window(bottom - 1, D), False
+
+
+def rebuild_free_generators(M):
+    """Generators of the visibly-free fast path, solving with ε rebuilt per generator."""
+    A, F = M.algebra, M.field
+    gens = []
+    for n in M.degrees():
+        span = Echelon(F)
+        for a in range(A.total_dim):
+            for m in M.component(n - A.deg(a)) if a != A.unit else ():
+                if (a, m) in M.act:
+                    span.add(M.component_vector(M.act[(a, m)], n))
+        for i, m_idx in enumerate(M.component(n)):
+            if not span.add({i: F.one}):
+                continue
+            dm, comp = M.diff.get(m_idx, {}), FreeModule(A, gens).module.component(n - 1)
+            eps_f = FreeModule(A, gens).augmentation(M).f(n - 1)
+            x = solve(eps_f, M.component_vector(dm, n - 1)) if dm else ()
+            if x is None:
+                return None
+            d_elem = {comp[j]: c for j, c in enumerate(x) if c != 0}
+            gens.append(Generator(M.label(m_idx), n, d_elem, {m_idx: F.one}, 0))
+    return gens
+
+
+def _gen_data(gens):
+    return [(g.label, g.degree, g.d_elem, g.eps, g.stage) for g in gens]
+
+
+def _dy_equals_x(field):
+    """k[x]/(x²) ⊗ Λ(y) with |x| = 0, |y| = 1 and dy = x."""
+    T = tensor_algebra(truncated_polynomial(2, field), exterior_algebra(field))
+    # basis 1⊗1, 1⊗y, x⊗1, x⊗y
+    A = DgAlgebra(field, T.basis, T.unit, T.mul, {1: {2: field.one}}, name="k[x]/(x²)⊗Λ(y)")
+    assert validate_dga(A) == []
+    return A
+
+
+def _ground(A):
+    """k as a left A-module: every basis element but the unit acts by zero."""
+    F = A.field
+    return DgModule(A, "left", [("m", 0)], {(A.unit, 0): {0: F.one}}, {}, name="k")
+
+
+def _two_cell(A):
+    """k ⊕ Σk with d(n) = m and A⁺ acting by zero: acyclic, with a differential."""
+    F = A.field
+    act = {(A.unit, 0): {0: F.one}, (A.unit, 1): {1: F.one}}
+    return DgModule(A, "left", [("m", 0), ("n", 1)], act, {1: {0: F.one}}, name="two-cell")
+
+
+def _corpus(field):
+    out = []
+    for phi in (
+        truncated_to_ground(2, field),
+        truncated_to_ground(3, field),
+        product_to_ground(field),
+        triangular_to_product(field),
+    ):
+        out.append((f"{phi.name} over {phi.source.name}", ground_left_module(phi), 5))
+        bimodule = bimodule_from_morphism(phi)
+        out.append((f"{phi.name} bimodule", bimodule_to_env_module(bimodule), 3))
+    T2 = upper_triangular(field)
+    out.append(("k over T2(k)", _ground(T2), 5))
+    for A in (exterior_algebra(field), _dy_equals_x(field)):
+        out.append((f"k over {A.name}", _ground(A), 5))
+        out.append((f"two-cell over {A.name}", _two_cell(A), 4))
+        family = generate_test_family(A, 1, 5)
+        out += [(f"{d} over {A.name}", m, 4) for d, m in family.left]
+        out += [(f"{d} over {A.name}", right_to_left_op(m), 4) for d, m in family.right]
+        # k ⊕ (member) is not visibly free, so the member's differential
+        # reaches the general builder
+        out += [
+            (f"k ⊕ {d} over {A.name}", module_direct_sum([_ground(A), m]), 3)
+            for d, m in family.left[2:]
+        ]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_incremental_builder_matches_rebuild_loop(field):
+    for name, M, D in _corpus(field):
+        assert validate_module(M) == [], name
+        gens, window, capped = rebuild_resolution(M, D)
+        assert not capped
+        res = semifree_resolution(M, D)
+        assert _gen_data(res.generators) == _gen_data(gens), name
+        assert res.validity == window, name
+        assert verify_resolution(res) is True, name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_free_generators_match_rebuild(field):
+    presented = 0
+    for name, M, D in _corpus(field):
+        old = rebuild_free_generators(M)
+        new = _free_generators(M)
+        assert (new is None) == (old is None), name
+        if new is not None:
+            assert _gen_data(new) == _gen_data(old), name
+            presented += _try_free_presentation(M, D) is not None
+    assert presented >= 4
+
+
+def test_incremental_builder_cap_partial_matches_rebuild_loop():
+    for field in (QQ, GF(101)):
+        for name, M, _ in _corpus(field)[:6]:
+            gens, window, capped = rebuild_resolution(M, 6, max_generators=3)
+            if not capped:
+                continue
+            with pytest.raises(ResourceBoundExceeded) as e:
+                semifree_resolution(M, 6, max_generators=3)
+            partial = e.value.partial
+            assert _gen_data(partial.generators) == _gen_data(gens), name
+            assert partial.validity == window, name
+            assert verify_resolution(partial) is True, name

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix
 from .complexes import ChainMap, Complex, Window, homology_dims, quasi_iso
 from .dga import (
     DgAlgebra,
     DgBimodule,
     DgModule,
     opposite,
-    vec_add,
+    swap_sides,
+    vec_iadd,
     vec_scale,
 )
 from .homtensor import HomComplex, hom_over, tensor_over
+from .modops import matrices_from_images
 from .resolutions import BimoduleResolution, semifree_resolution, semifree_resolution_bimodule
 
 
@@ -36,22 +37,12 @@ class DerivedComplex:
     carrier: object = None  # the TensorProduct/HomComplex behind value
 
 
-def _bot(M) -> int:
-    degs = [d for _, d in M.basis]
-    return min(degs) if degs else 0
-
-
-def _top(M) -> int:
-    degs = [d for _, d in M.basis]
-    return max(degs) if degs else 0
-
-
 def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
     """M ⊗^L_A N via a semifree resolution of N (outer actions retained).
 
     M: right A-module or R-A-bimodule; N: left A-module or A-T-bimodule.
     """
-    D2 = D + 1 + max(0, -_bot(M))
+    D2 = D + 1 + max(0, -M.min_degree())
     if isinstance(N, DgBimodule):
         bres = semifree_resolution_bimodule(N, D2, max_generators)
         P = bres.bimodule
@@ -61,13 +52,13 @@ def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> D
         P = res.module
         prov = f"resolved {N.name} through {D2}"
     T = tensor_over(A, M, P)
-    lo = min(_bot(M) + _bot(P) - 1, -D)
+    lo = min(M.min_degree() + P.min_degree() - 1, -D)
     return DerivedComplex(T.complex, Window(lo, D), prov, T)
 
 
 def rhom(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
     """RHom_A(M, N) via a semifree resolution of M (outer actions retained)."""
-    D2 = D + 1 + max(0, _top(N))
+    D2 = D + 1 + max(0, N.max_degree())
     if isinstance(M, DgBimodule):
         bres = semifree_resolution_bimodule(M, D2, max_generators)
         Q = bres.bimodule
@@ -117,34 +108,6 @@ def is_derived_iso(f: ChainMap, w: Window) -> DerivedIsoReport:
 # -- dualized bimodule Z = RHom_{S^op}(M, S) ----------------------------------
 
 
-def _as_left_op_bimodule(Q: DgBimodule, Rop: DgAlgebra, Sop: DgAlgebra) -> DgBimodule:
-    """R-S-bimodule as an S^op-R^op-bimodule (Koszul signs on both sides)."""
-    R, S, F = Q.left_algebra, Q.right_algebra, Q.field
-    act_l = {
-        (s, q): vec_scale(F, F.of((-1) ** (S.deg(s) * Q.deg(q))), e)
-        for (s, q), e in Q.act_right.items()
-    }
-    act_r = {
-        (r, q): vec_scale(F, F.of((-1) ** (R.deg(r) * Q.deg(q))), e)
-        for (r, q), e in Q.act_left.items()
-    }
-    return DgBimodule(Sop, Rop, Q.basis, act_l, act_r, Q.diff, name=f"{Q.name}'")
-
-
-def _op_swap_bimodule(Zb: DgBimodule, R: DgAlgebra, S: DgAlgebra) -> DgBimodule:
-    """Left R^op / right S^op bimodule back to a left S / right R one."""
-    F = Zb.field
-    act_left = {
-        (s, z): vec_scale(F, F.of((-1) ** (S.deg(s) * Zb.deg(z))), e)
-        for (s, z), e in Zb.act_right.items()
-    }
-    act_right = {
-        (r, z): vec_scale(F, F.of((-1) ** (R.deg(r) * Zb.deg(z))), e)
-        for (r, z), e in Zb.act_left.items()
-    }
-    return DgBimodule(S, R, Zb.basis, act_left, act_right, Zb.diff, name=Zb.name)
-
-
 @dataclass
 class DualizedBimodule:
     Z: DgBimodule  # left S, right R
@@ -167,11 +130,11 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
     """Z = RHom_{S^op}(M, S) with its left-S and right-R structure."""
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    D2 = D + 1 + max(0, _top(S))
+    D2 = D + 1 + max(0, S.max_degree())
     bres = semifree_resolution_bimodule(M, D2, max_generators)
     Q = bres.bimodule
     Sop, Rop = opposite(S), opposite(R)
-    Qp = _as_left_op_bimodule(Q, Rop, Sop)
+    Qp = swap_sides(Q, Sop, Rop, name=f"{Q.name}'")
     # S as an S^op-S^op-bimodule: s̄·x = (-1)^{|s||x|} xs, x·s̄ = (-1)^{|s||x|} sx
     act_l = {}
     act_r = {}
@@ -182,7 +145,7 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
     Sp = DgBimodule(Sop, Sop, S.basis, act_l, act_r, S.diff, name="S'")
     H = hom_over(Sop, Qp, Sp, name=f"Z({M.name})")
     Zb = H.structure()  # left R^op, right S^op
-    Z = _op_swap_bimodule(Zb, R, S)
+    Z = swap_sides(Zb, S, R)  # left S, right R
     return DualizedBimodule(
         Z,
         H,
@@ -210,7 +173,7 @@ def _truncated_dual(dual: "DualizedBimodule", c: int):
     def ev(zt_idx: int, q_elem: dict) -> dict:
         out: dict = {}
         for zi, cz in carriers[zt_idx].items():
-            out = vec_add(F, out, vec_scale(F, cz, dual.evaluate(zi, q_elem)))
+            vec_iadd(F, out, dual.evaluate(zi, q_elem), cz)
         return out
 
     return Zt, ev
@@ -238,7 +201,7 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     F = M.field
     # truncation junk of Q lands at Hom degree top(N) − D2q − 1, so a module
     # N reaching above degree 0 needs Q that much deeper
-    D2q = D + 1 + max(0, _top(M)) + max(0, -_bot(M)) + max(0, _top(N))
+    D2q = D + 1 + max(0, M.max_degree()) + max(0, -M.min_degree()) + max(0, N.max_degree())
     # stagger: the Hom target is resolved deeper so that truncation junk of
     # source and target cannot pair into the window (their degree difference
     # exceeds D)
@@ -249,32 +212,17 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     Q = bres.bimodule
     eps_gr = _eps_ground(bres)  # Q basis idx -> element of M
     T = tensor_over(S, M, P)
-    Tmod = T.structure()  # left R-module
-    H = hom_over(R, Q, Tmod)
-    PC = P.underlying()
-    mats = {}
-    for n in PC.degrees():
-        cols = []
-        for p_idx in P.component(n):
-            ground: dict = {}
-            for q_idx in range(Q.total_dim):
-                dq = Q.deg(q_idx)
-                sgn = F.of((-1) ** (n * dq))
-                eq = eps_gr.get(q_idx, {})
-                if not eq:
-                    continue
-                tg = {(m_idx, p_idx): F.mul(sgn, c) for m_idx, c in eq.items()}
-                td = dq + n
-                for pos, c in T.project_elem(tg, td).items():
-                    key = (q_idx, T.struct_index(td, pos))
-                    s = F.add(ground.get(key, F.zero), c)
-                    if s == 0:
-                        ground.pop(key, None)
-                    else:
-                        ground[key] = s
-            cols.append(H.coords(ground, n))
-        mats[n] = Matrix.from_columns(F, cols, rows=H.complex.dim(n))
-    cm = ChainMap(PC, H.complex, mats)
+    H = hom_over(R, Q, T.structure())  # T as a left R-module
+
+    def image(p_idx, n):
+        ground: dict = {}
+        for q_idx, eq in eps_gr.items():
+            dq = Q.deg(q_idx)
+            t = T.element({(m_idx, p_idx): c for m_idx, c in eq.items()}, dq + n)
+            vec_iadd(F, ground, {(q_idx, g): c for g, c in t.items()}, F.of((-1) ** (n * dq)))
+        return ground
+
+    cm = ChainMap(P.underlying(), H.complex, matrices_from_images(P, H, image))
     return CanonicalMap(
         cm,
         Window(-D, D),
@@ -305,7 +253,7 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     # resolutions go well past the window: top-degree junk of Q and P then
     # cannot pair with the low true classes of Zt (which reach -D-1) and
     # land inside the window
-    D2 = 2 * D + 2 + max(0, _top(M)) + max(0, -_bot(M))
+    D2 = 2 * D + 2 + max(0, M.max_degree()) + max(0, -M.min_degree())
     dual = dualize(M, D2, max_generators)
     Q = dual.Q  # R-S bimodule resolution of M
     res_N = semifree_resolution(N, D2, max_generators)
@@ -314,22 +262,14 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     T2mod = T2.structure()
     Zt, ev = _truncated_dual(dual, -D - 1)
     T1 = tensor_over(R, Zt, T2mod)  # outer left S retained
-    NC = N.underlying()
-    mats = {}
-    for d in T1.complex.degrees():
-        cols = []
-        for pos in range(T1.complex.dim(d)):
-            z_idx, t_idx = T1.section(d, pos)
-            td, tq = T2.struct_pair(t_idx)
-            q_idx, p_idx = T2.section(td, tq)
-            zq = ev(z_idx, {q_idx: F.one})  # element of S
-            val = P.act_elem(zq, {p_idx: F.one})  # z(q)·p in P
-            img = res_N.eps.apply_elem(val)  # land in N
-            cols.append(
-                N.component_vector(img, d) if img else tuple([F.zero] * NC.dim(d))
-            )
-        mats[d] = Matrix.from_columns(F, cols, rows=NC.dim(d))
-    cm = ChainMap(T1.complex, NC, mats)
+
+    def image(pair, d):
+        z_idx, t_idx = pair
+        q_idx, p_idx = T2.section(*T2.struct_pair(t_idx))
+        zq = ev(z_idx, {q_idx: F.one})  # element of S
+        return res_N.eps.apply_elem(P.act_elem(zq, {p_idx: F.one}))  # z(q)·p, in N
+
+    cm = ChainMap(T1.complex, N.underlying(), matrices_from_images(T1, N, image))
     return CanonicalMap(
         cm,
         Window(-D, D),
@@ -361,7 +301,7 @@ def duality_map(
     ok = verify_build_tree(witness, M_op)
     if ok is not True:
         raise ValueError(f"witness rejected: {ok.reason} (degree {ok.degree})")
-    D2 = D + 1 + max(0, _top(M)) + max(0, -_bot(M))
+    D2 = D + 1 + max(0, M.max_degree()) + max(0, -M.min_degree())
     dual = dualize(M, D, max_generators)
     Q = dual.Q
     res_N = semifree_resolution(N, D2, max_generators)
@@ -369,30 +309,19 @@ def duality_map(
     T2 = tensor_over(S, Q, P)
     Zt, ev = _truncated_dual(dual, -D - 1)
     H2 = hom_over(S, Zt, P)  # Z is left S with outer right R
-    mats = {}
-    for d in T2.complex.degrees():
-        cols = []
-        for pos in range(T2.complex.dim(d)):
-            q_idx, p_idx = T2.section(d, pos)
-            dq = Q.deg(q_idx)
-            ground: dict = {}
-            for z_idx in range(Zt.total_dim):
-                dz = Zt.deg(z_idx)
-                # sign (-1)^{|z|(|q|+|p|)}: forced by graded S-linearity of
-                # the resulting Hom element under this library's conventions
-                sgn = F.of((-1) ** (dz * d))
-                zq = ev(z_idx, {q_idx: F.one})
-                val = P.act_elem(zq, {p_idx: F.one})
-                for k, c in val.items():
-                    key = (z_idx, k)
-                    s = F.add(ground.get(key, F.zero), F.mul(sgn, c))
-                    if s == 0:
-                        ground.pop(key, None)
-                    else:
-                        ground[key] = s
-            cols.append(H2.coords(ground, d))
-        mats[d] = Matrix.from_columns(F, cols, rows=H2.complex.dim(d))
-    cm = ChainMap(T2.complex, H2.complex, mats)
+
+    def image(pair, d):
+        q_idx, p_idx = pair
+        ground: dict = {}
+        for z_idx in range(Zt.total_dim):
+            val = P.act_elem(ev(z_idx, {q_idx: F.one}), {p_idx: F.one})
+            # sign (-1)^{|z|(|q|+|p|)}: forced by graded S-linearity of
+            # the resulting Hom element under this library's conventions
+            sgn = F.of((-1) ** (Zt.deg(z_idx) * d))
+            vec_iadd(F, ground, {(z_idx, k): c for k, c in val.items()}, sgn)
+        return ground
+
+    cm = ChainMap(T2.complex, H2.complex, matrices_from_images(T2, H2, image))
     return CanonicalMap(
         cm,
         Window(-D, D),
@@ -404,38 +333,20 @@ def duality_map(
 
 def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap:
     """S ⊗^L_R S → S realized as S ⊗_R P → S, s⊗p ↦ s·ε(p)."""
-    from .dga import restrict_scalars, left_regular
+    from .dga import restrict_scalars, left_regular, sr_bimodule_from_morphism
 
     R, S = phi.source, phi.target
     F = S.field
-    # S as an S-R-bimodule (left mult, right through phi)
-    act_right = {}
-    for j in range(R.total_dim):
-        img = phi.apply({j: F.one})
-        for m in range(S.total_dim):
-            e = S.mul_elem({m: F.one}, img)
-            if e:
-                act_right[(j, m)] = e
-    SR = DgBimodule(S, R, S.basis, dict(S.mul), act_right, S.diff, name=S.name)
     # S as a left R-module through phi
     S_left = restrict_scalars(left_regular(S), phi)
-    D2 = D + 1
-    res = semifree_resolution(S_left, D2, max_generators)
-    P = res.module
-    T = tensor_over(R, SR, P)
-    SC = S.underlying()
-    mats = {}
-    for d in T.complex.degrees():
-        cols = []
-        for pos in range(T.complex.dim(d)):
-            s_idx, p_idx = T.section(d, pos)
-            ep = res.eps.apply_elem({p_idx: F.one})  # element of S
-            val = S.mul_elem({s_idx: F.one}, ep)
-            cols.append(
-                S.component_vector(val, d) if val else tuple([F.zero] * SC.dim(d))
-            )
-        mats[d] = Matrix.from_columns(F, cols, rows=SC.dim(d))
-    cm = ChainMap(T.complex, SC, mats)
+    res = semifree_resolution(S_left, D + 1, max_generators)
+    T = tensor_over(R, sr_bimodule_from_morphism(phi), res.module)
+
+    def image(pair, d):
+        s_idx, p_idx = pair
+        return S.mul_elem({s_idx: F.one}, res.eps.apply_elem({p_idx: F.one}))
+
+    cm = ChainMap(T.complex, S.underlying(), matrices_from_images(T, S, image))
     return CanonicalMap(
         cm, Window(-D, D), f"multiplication for {phi.name}", source_carrier=T
     )

@@ -24,15 +24,19 @@ from .complexes import Complex, GradedSpace
 # -- sparse element helpers ---------------------------------------------------
 
 
-def vec_add(F: Field, a: dict, b: dict) -> dict:
-    out = dict(a)
+def vec_iadd(F: Field, acc: dict, b: dict, c=None) -> dict:
+    """acc += c·b in place (b itself when c is omitted), dropping zeros; returns acc."""
     for k, v in b.items():
-        s = F.add(out.get(k, F.zero), v)
+        s = F.add(acc.get(k, F.zero), v if c is None else F.mul(c, v))
         if s == 0:
-            out.pop(k, None)
+            acc.pop(k, None)
         else:
-            out[k] = s
-    return out
+            acc[k] = s
+    return acc
+
+
+def vec_add(F: Field, a: dict, b: dict) -> dict:
+    return vec_iadd(F, dict(a), b)
 
 
 def vec_scale(F: Field, c, a: dict) -> dict:
@@ -51,9 +55,8 @@ def bilinear(F: Field, table, a: dict, b: dict) -> dict:
     for i, ci in a.items():
         for j, cj in b.items():
             c = F.mul(ci, cj)
-            if c == 0:
-                continue
-            out = vec_add(F, out, vec_scale(F, c, table(i, j)))
+            if c != 0:
+                vec_iadd(F, out, table(i, j), c)
     return out
 
 
@@ -61,7 +64,7 @@ def linear(F: Field, table, a: dict) -> dict:
     out: dict = {}
     for i, ci in a.items():
         if ci != 0:
-            out = vec_add(F, out, vec_scale(F, ci, table(i)))
+            vec_iadd(F, out, table(i), ci)
     return out
 
 
@@ -101,6 +104,12 @@ class _Graded:
     def degrees(self):
         return sorted(self._by_degree)
 
+    def min_degree(self) -> int:
+        return min(self._by_degree) if self._by_degree else 0
+
+    def max_degree(self) -> int:
+        return max(self._by_degree) if self._by_degree else 0
+
     def d_elem(self, a: dict) -> dict:
         return linear(self.field, lambda i: self.diff.get(i, {}), a)
 
@@ -112,7 +121,7 @@ class _Graded:
             raise ValueError(f"inhomogeneous element across degrees {sorted(degs)}")
         return degs.pop()
 
-    def component_vector(self, a: dict, n: int):
+    def coords(self, a: dict, n: int):
         """Coordinates of a degree-n element in the component basis."""
         idx = self.component(n)
         pos = {g: p for p, g in enumerate(idx)}
@@ -434,13 +443,10 @@ def tensor_algebra(R: DgAlgebra, T: DgAlgebra, name: str | None = None) -> DgAlg
     ]
 
     def emb(er: dict, et: dict, sign) -> dict:
-        out = {}
+        out: dict = {}
         for i, ci in er.items():
-            for j, cj in et.items():
-                c = F.mul(F.mul(ci, cj), sign)
-                if c != 0:
-                    out[index[(i, j)]] = F.add(out.get(index[(i, j)], F.zero), c)
-        return {k: c for k, c in out.items() if c != 0}
+            vec_iadd(F, out, {index[(i, j)]: cj for j, cj in et.items()}, F.mul(ci, sign))
+        return out
 
     mul = {}
     for a, (i1, j1) in enumerate(pairs):
@@ -465,6 +471,27 @@ def tensor_algebra(R: DgAlgebra, T: DgAlgebra, name: str | None = None) -> DgAlg
 def enveloping(R: DgAlgebra, S: DgAlgebra) -> DgAlgebra:
     """R ⊗ S^op: left modules over it are exactly R-S-bimodules."""
     return tensor_algebra(R, opposite(S), name=f"{R.name}^e({S.name})")
+
+
+def swap_sides(
+    X: DgBimodule, left: DgAlgebra, right: DgAlgebra, name: str | None = None
+) -> DgBimodule:
+    """X's right action as a left action of ``left``, and its left action as a
+    right action of ``right``, each with the Koszul sign (-1)^{|a||x|}.
+
+    An R-S-bimodule becomes an S^op-R^op-bimodule, and back.
+    """
+    F = X.field
+
+    def signed(table, A):
+        return {
+            (a, x): vec_scale(F, F.of((-1) ** (A.deg(a) * X.deg(x))), e)
+            for (a, x), e in table.items()
+        }
+
+    act_left = signed(X.act_right, X.right_algebra)
+    act_right = signed(X.act_left, X.left_algebra)
+    return DgBimodule(left, right, X.basis, act_left, act_right, X.diff, name=name or X.name)
 
 
 def right_to_left_op(M: DgModule, Aop: DgAlgebra | None = None) -> DgModule:
@@ -577,3 +604,16 @@ def bimodule_from_morphism(phi: DgaMorphism) -> DgBimodule:
                 act_left[(i, m)] = e
     act_right = {(j, i): e for (i, j), e in S.mul.items()}
     return DgBimodule(phi.source, S, S.basis, act_left, act_right, S.diff, name=S.name)
+
+
+def sr_bimodule_from_morphism(phi: DgaMorphism) -> DgBimodule:
+    """The S-R-bimodule S with right R-action through phi: R -> S."""
+    S, F = phi.target, phi.target.field
+    act_right = {}
+    for j in range(phi.source.total_dim):
+        img = phi.apply({j: F.one})
+        for m in range(S.total_dim):
+            e = S.mul_elem({m: F.one}, img)
+            if e:
+                act_right[(j, m)] = e
+    return DgBimodule(S, phi.source, S.basis, dict(S.mul), act_right, S.diff, name=S.name)

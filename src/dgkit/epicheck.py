@@ -23,12 +23,12 @@ from .dga import (
     restrict_scalars,
     right_regular,
     right_to_left_op,
+    sr_bimodule_from_morphism,
     validate_dga,
     validate_module,
+    vec_iadd,
 )
 from .derived import (
-    _bot,
-    _top,
     _truncated_dual,
     counit_map,
     dualize,
@@ -38,9 +38,16 @@ from .derived import (
     tor_table,
     unit_map,
 )
-from .homtensor import endomorphism_dga, hom_over, tensor_over
+from .homtensor import endomorphism_dga, hom_over, identity_ground, tensor_over
 from .linalg import Matrix, kernel_basis
-from .modops import FreeModule, Generator, DgModuleMap, module_cone, module_shift
+from .modops import (
+    FreeModule,
+    Generator,
+    DgModuleMap,
+    matrices_from_images,
+    module_cone,
+    module_shift,
+)
 from .resolutions import (
     BuildTreeWitness,
     Leaf,
@@ -200,19 +207,11 @@ def _random_cycle(rng: random.Random, M: DgModule, n: int) -> dict:
     if not ker:
         return {}
     F = M.field
-    comp = M.component(n)
     out: dict = {}
     for vec in ker:
         c = rng.randint(-2, 2)
-        if c == 0:
-            continue
-        for i, x in enumerate(vec):
-            if x != 0:
-                s = F.add(out.get(comp[i], F.zero), F.mul(F.of(c), x))
-                if s == 0:
-                    out.pop(comp[i], None)
-                else:
-                    out[comp[i]] = s
+        if c != 0:
+            vec_iadd(F, out, M.elem_from_component(vec, n), F.of(c))
     return out
 
 
@@ -234,15 +233,11 @@ def _random_cone(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:
     ft = FreeModule(A, [Generator(f"{label}t", 0)])
     src, tgt = fs.module, ft.module
     img = _random_cycle(rng, tgt, sdeg)  # image of the generator: a cycle
-    mats = {}
-    for n in src.degrees():
-        cols = []
-        for idx in src.component(n):
-            _, a = fs.split(idx)
-            val = tgt.act_elem({a: F.one}, img) if img else {}
-            cols.append(tgt.component_vector(val, n))
-        mats[n] = Matrix.from_columns(F, cols, rows=tgt.underlying().dim(n))
-    f = DgModuleMap(src, tgt, mats)
+
+    def image(idx, n):  # a·g ↦ a·img
+        return tgt.act_elem({fs.split(idx)[1]: F.one}, img)
+
+    f = DgModuleMap(src, tgt, matrices_from_images(src, tgt, image))
     ok = f.validate()
     if ok is not True:
         raise AssertionError(f"random cone map invalid: {ok.reason}")
@@ -301,7 +296,7 @@ def _condition3_map(R, S, M, Nr, Nl, D, max_generators) -> ChainMap:
     F = M.field
     # all resolutions well past the window: their top junk cannot reach it
     # even against the lowest true classes of the truncated dual (≥ -D-1)
-    Ddeep = 2 * D + 2 + max(0, _top(M)) + max(0, -_bot(M))
+    Ddeep = 2 * D + 2 + max(0, M.max_degree()) + max(0, -M.min_degree())
     dual = dualize(M, Ddeep, max_generators)
     Zt, ev = _truncated_dual(dual, -D - 1)
     Q = dual.Q
@@ -311,25 +306,15 @@ def _condition3_map(R, S, M, Nr, Nl, D, max_generators) -> ChainMap:
     T2 = tensor_over(S, Q, P)  # outer left R retained
     Tab = tensor_over(R, Ta.structure(), T2.structure())
     Tc = tensor_over(S, Pr, P)
-    mats = {}
-    for d in Tab.complex.degrees():
-        cols = []
-        for pos in range(Tab.complex.dim(d)):
-            a_idx, t_idx = Tab.section(d, pos)
-            da, pa = Ta.struct_pair(a_idx)
-            pr_idx, z_idx = Ta.section(da, pa)
-            dt, pt = T2.struct_pair(t_idx)
-            q_idx, p_idx = T2.section(dt, pt)
-            zq = ev(z_idx, {q_idx: F.one})  # element of S
-            val = P.act_elem(zq, {p_idx: F.one}) if zq else {}
-            col = [F.zero] * Tc.complex.dim(d)
-            if val:
-                ground = {(pr_idx, k): c for k, c in val.items()}
-                for p2, c in Tc.project_elem(ground, d).items():
-                    col[p2] = F.add(col[p2], c)
-            cols.append(tuple(col))
-        mats[d] = Matrix.from_columns(F, cols, rows=Tc.complex.dim(d))
-    return ChainMap(Tab.complex, Tc.complex, mats)
+
+    def image(pair, d):
+        a_idx, t_idx = pair
+        pr_idx, z_idx = Ta.section(*Ta.struct_pair(a_idx))
+        q_idx, p_idx = T2.section(*T2.struct_pair(t_idx))
+        zq = ev(z_idx, {q_idx: F.one})  # element of S
+        return {(pr_idx, k): c for k, c in P.act_elem(zq, {p_idx: F.one}).items()}
+
+    return ChainMap(Tab.complex, Tc.complex, matrices_from_images(Tab, Tc, image))
 
 
 def _condition5_map(R, S, M, Nl, Nl2, D, max_generators) -> ChainMap:
@@ -339,9 +324,8 @@ def _condition5_map(R, S, M, Nl, Nl2, D, max_generators) -> ChainMap:
     is f ↦ id_Q ⊗ f with the Koszul sign for moving f past q.
     """
     F = M.field
-    m = 2 + max(0, _top(M)) + max(0, -_bot(M)) + max((d for _, d in S.basis), default=0)
-    topN2 = max((d for _, d in Nl2.basis), default=0)
-    Dn2 = D + 1 + max(0, topN2)
+    m = 2 + max(0, M.max_degree()) + max(0, -M.min_degree()) + S.max_degree()
+    Dn2 = D + 1 + max(0, Nl2.max_degree())
     # two bimodule resolutions at staggered depths: were the same Q used on
     # both sides of the Hom, its top junk would pair with itself at Hom
     # degree 0, inside the window.  The builder is deterministic and adds
@@ -359,29 +343,20 @@ def _condition5_map(R, S, M, Nl, Nl2, D, max_generators) -> ChainMap:
     T2 = tensor_over(S, Qt, Nl2)
     Tn_mod = Tn.structure()
     Htgt = hom_over(R, Tn_mod, T2.structure())
-    mats = {}
-    for n in sorted(Hsrc.basis_vectors):
-        cols = []
-        for f in Hsrc.basis_vectors[n]:
-            ground: dict = {}
-            for t_idx in range(Tn_mod.total_dim):
-                dt, pt = Tn.struct_pair(t_idx)
-                q_idx, p_idx = Tn.section(dt, pt)
-                fp = Hsrc.evaluate(f, {p_idx: F.one})
-                if not fp:
-                    continue
+
+    def image(f, n):
+        ground: dict = {}
+        for t_idx in range(Tn_mod.total_dim):
+            dt, pt = Tn.struct_pair(t_idx)
+            q_idx, p_idx = Tn.section(dt, pt)
+            fp = Hsrc.evaluate(f, {p_idx: F.one})
+            if fp:
+                t = T2.element({(q_idx, k): c for k, c in fp.items()}, dt + n)
                 sgn = F.of((-1) ** (n * Qs.deg(q_idx)))
-                g2 = {(q_idx, k): F.mul(sgn, c) for k, c in fp.items()}
-                for p2, c in T2.project_elem(g2, dt + n).items():
-                    key = (t_idx, T2.struct_index(dt + n, p2))
-                    s = F.add(ground.get(key, F.zero), c)
-                    if s == 0:
-                        ground.pop(key, None)
-                    else:
-                        ground[key] = s
-            cols.append(Htgt.coords(ground, n))
-        mats[n] = Matrix.from_columns(F, cols, rows=Htgt.complex.dim(n))
-    return ChainMap(Hsrc.complex, Htgt.complex, mats)
+                vec_iadd(F, ground, {(t_idx, g): c for g, c in t.items()}, sgn)
+        return ground
+
+    return ChainMap(Hsrc.complex, Htgt.complex, matrices_from_images(Hsrc, Htgt, image))
 
 
 def check_bimodule_conditions(
@@ -496,28 +471,16 @@ def check_compact_endpoint(
         raise ValueError(f"witness rejected: {ok.reason} (degree {ok.degree})")
     F = M.field
     H = hom_over(R, M.left_module(), M.left_module())
-    SC = S.underlying()
-    mats = {}
-    for n in SC.degrees():
-        cols = []
-        for s in S.component(n):
-            ground: dict = {}
-            for mi in range(M.total_dim):
-                img = M.act_right.get((s, mi), {})
-                if not img:
-                    continue
-                # f_s(m) = (-1)^{|s||m|} m·s is graded R-linear and chain
-                sgn = F.of((-1) ** (n * M.deg(mi)))
-                for k, c in img.items():
-                    key = (mi, k)
-                    v = F.add(ground.get(key, F.zero), F.mul(sgn, c))
-                    if v == 0:
-                        ground.pop(key, None)
-                    else:
-                        ground[key] = v
-            cols.append(H.coords(ground, n))
-        mats[n] = Matrix.from_columns(F, cols, rows=H.complex.dim(n))
-    cm = ChainMap(SC, H.complex, mats)
+
+    def image(s, n):
+        ground: dict = {}
+        for mi in range(M.total_dim):
+            # f_s(m) = (-1)^{|s||m|} m·s is graded R-linear and chain
+            ms = {(mi, k): c for k, c in M.act_right.get((s, mi), {}).items()}
+            vec_iadd(F, ground, ms, F.of((-1) ** (n * M.deg(mi))))
+        return ground
+
+    cm = ChainMap(S.underlying(), H.complex, matrices_from_images(S, H, image))
     _require_chain(cm, "endpoint map S → Hom_R(M, M)")
     return _verdict("compact-endpoint", is_derived_iso(cm, window), window)
 
@@ -545,8 +508,7 @@ def check_dwyer_greenlees(
     # degreewise comparison S ≅ Hom_R(M, M): the identity-seated Hom basis
     # is exactly the basis of F, so the comparison map is the identity matrix
     # in every degree and being a chain map pins the differentials to agree
-    idg = hom_over(R, M, M).identity_ground()
-    H2 = hom_over(R, M, M, prefer={0: [idg]})
+    H2 = hom_over(R, M, M, prefer={0: [identity_ground(M)]})
     SC = S.underlying()
     F = S.field
     degreewise = all(SC.dim(n) == H2.complex.dim(n) for n in set(SC.degrees()) | set(H2.complex.degrees()))
@@ -562,40 +524,20 @@ def check_dwyer_greenlees(
 # -- ring-mode checker ---------------------------------------------------------
 
 
-def _s_as_s_r_bimodule(phi: DgaMorphism) -> DgBimodule:
-    """S with left multiplication and right R-action through phi."""
-    R, S = phi.source, phi.target
-    F = S.field
-    act_right = {}
-    for j in range(R.total_dim):
-        img = phi.apply({j: F.one})
-        for m in range(S.total_dim):
-            e = S.mul_elem({m: F.one}, img)
-            if e:
-                act_right[(j, m)] = e
-    return DgBimodule(S, R, S.basis, dict(S.mul), act_right, S.diff, name=S.name)
-
-
 def _ring_condition2_map(phi, N, D, max_generators) -> ChainMap:
     """S ⊗_R P_N → N, s⊗p ↦ s·ε(p), with P_N → N a resolution over R."""
     R, S = phi.source, phi.target
     F = S.field
     NR = restrict_scalars(N, phi)
-    D2 = D + 1 + max(0, -_bot(NR))
+    D2 = D + 1 + max(0, -NR.min_degree())
     res = semifree_resolution(NR, D2, max_generators)
-    P = res.module
-    T = tensor_over(R, _s_as_s_r_bimodule(phi), P)
-    NC = N.underlying()
-    mats = {}
-    for d in T.complex.degrees():
-        cols = []
-        for pos in range(T.complex.dim(d)):
-            s_idx, p_idx = T.section(d, pos)
-            ep = res.eps.apply_elem({p_idx: F.one})  # element of N
-            val = N.act_elem({s_idx: F.one}, ep) if ep else {}
-            cols.append(N.component_vector(val, d) if val else tuple([F.zero] * NC.dim(d)))
-        mats[d] = Matrix.from_columns(F, cols, rows=NC.dim(d))
-    return ChainMap(T.complex, NC, mats)
+    T = tensor_over(R, sr_bimodule_from_morphism(phi), res.module)
+
+    def image(pair, d):
+        s_idx, p_idx = pair
+        return N.act_elem({s_idx: F.one}, res.eps.apply_elem({p_idx: F.one}))
+
+    return ChainMap(T.complex, N.underlying(), matrices_from_images(T, N, image))
 
 
 def _ring_condition4_map(phi, N, D, max_generators) -> ChainMap:
@@ -604,33 +546,20 @@ def _ring_condition4_map(phi, N, D, max_generators) -> ChainMap:
     F = S.field
     NR = restrict_scalars(N, phi)
     S_left = restrict_scalars(left_regular(S), phi)
-    topN = max((d for _, d in N.basis), default=0)
-    D2 = D + 1 + max(0, topN)
+    D2 = D + 1 + max(0, N.max_degree())
     res = semifree_resolution(S_left, D2, max_generators)
     Q = res.module
     H = hom_over(R, Q, NR)
-    NC = N.underlying()
-    mats = {}
-    for n in NC.degrees():
-        cols = []
-        for n_idx in N.component(n):
-            ground: dict = {}
-            for q_idx in range(Q.total_dim):
-                eq = res.eps.apply_elem({q_idx: F.one})  # element of S
-                if not eq:
-                    continue
-                sgn = F.of((-1) ** (n * Q.deg(q_idx)))
-                val = N.act_elem(eq, {n_idx: F.one})
-                for k, c in val.items():
-                    key = (q_idx, k)
-                    v = F.add(ground.get(key, F.zero), F.mul(sgn, c))
-                    if v == 0:
-                        ground.pop(key, None)
-                    else:
-                        ground[key] = v
-            cols.append(H.coords(ground, n))
-        mats[n] = Matrix.from_columns(F, cols, rows=H.complex.dim(n))
-    return ChainMap(NC, H.complex, mats)
+    eps = [res.eps.apply_elem({q_idx: F.one}) for q_idx in range(Q.total_dim)]  # in S
+
+    def image(n_idx, n):
+        ground: dict = {}
+        for q_idx, eq in enumerate(eps):
+            val = {(q_idx, k): c for k, c in N.act_elem(eq, {n_idx: F.one}).items()}
+            vec_iadd(F, ground, val, F.of((-1) ** (n * Q.deg(q_idx))))
+        return ground
+
+    return ChainMap(N.underlying(), H.complex, matrices_from_images(N, H, image))
 
 
 def check_ring_epi(
@@ -653,7 +582,7 @@ def check_ring_epi(
     verdicts.append(_verdict(1, rep1, window))
 
     # Translation: H_0 bijective and Tor_i(S,S) = 0 for 1 <= i <= D
-    tors = tor_table(R, Sr, Sl, D)
+    tors = tor_table(R, Sr, Sl, D, max_generators)
     h0_ok = rep1.per_degree.get(0, False)
     bad_i = next((i for i in range(1, D + 1) if tors.get(i, 0) != 0), None)
     if h0_ok and bad_i is None:
@@ -692,8 +621,9 @@ def check_ring_epi(
     # (3): Tor over R vs over S on right/left pairs (dims level)
     items = []
     for (d1, Mr), (d2, Nl) in zip(family.right, family.left):
-        tR = tor_table(R, restrict_scalars(Mr, phi), restrict_scalars(Nl, phi), D)
-        tS = tor_table(S, Mr, Nl, D)
+        MrR, NlR = restrict_scalars(Mr, phi), restrict_scalars(Nl, phi)
+        tR = tor_table(R, MrR, NlR, D, max_generators)
+        tS = tor_table(S, Mr, Nl, D, max_generators)
         items.append((f"({d1}, {d2})", tR, tS))
     verdicts.append(_dims_quantified(3, window, items))
 
@@ -708,8 +638,9 @@ def check_ring_epi(
     # (5): Ext over S vs over R on diagonal pairs (dims level)
     items = []
     for desc, N in family.left:
-        eS = ext_table(S, N, N, D)
-        eR = ext_table(R, restrict_scalars(N, phi), restrict_scalars(N, phi), D)
+        eS = ext_table(S, N, N, D, max_generators)
+        NR = restrict_scalars(N, phi)
+        eR = ext_table(R, NR, NR, D, max_generators)
         items.append((f"({desc}, {desc})", eS, eR))
     verdicts.append(_dims_quantified(5, window, items))
 

@@ -1,5 +1,8 @@
 """Operations on DG modules: A-linear chain maps, shifts, sums, cones, frees.
 
+Every map given by the images of basis elements is assembled by
+:func:`matrices_from_images`.
+
 Suspension convention for left modules: the action on shift(M, t) is twisted
 by (-1)^{t|a|}; right actions are untwisted.  Both choices are forced by the
 Leibniz rules once the shifted differential is (-1)^t d.
@@ -11,7 +14,28 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix
 from .complexes import ChainMap, Violation
-from .dga import DgAlgebra, DgModule, vec_add, vec_scale
+from .dga import DgAlgebra, DgModule, vec_iadd, vec_scale
+
+
+def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Matrix]:
+    """Matrices of the linear map b ↦ image(b, n), source_n → target_{n+offset}.
+
+    ``source`` and ``target`` are graded carriers: DG algebras and
+    (bi)modules, tensor products and Hom complexes.  Each has ``degrees()``,
+    ``component(n)`` (its degree-n basis, as basis indices, ground pairs or
+    Hom ground vectors) and ``coords(element, n)``.  ``image`` receives a
+    member of ``source.component(n)`` and its degree and returns an element
+    of ``target`` of degree n + offset.
+    """
+    F = target.field
+    return {
+        n: Matrix.from_columns(
+            F,
+            [target.coords(image(b, n), n + offset) for b in source.component(n)],
+            rows=len(target.component(n + offset)),
+        )
+        for n in source.degrees()
+    }
 
 
 class DgModuleMap:
@@ -47,9 +71,7 @@ class DgModuleMap:
             n = self.source.deg(i)
             col = self.source.component(n).index(i)
             img = self.f(n).column(col)
-            out = vec_add(
-                F, out, vec_scale(F, c, self.target.elem_from_component(img, n))
-            )
+            vec_iadd(F, out, self.target.elem_from_component(img, n), c)
         return out
 
     def validate(self):
@@ -152,7 +174,7 @@ def module_cone(f: DgModuleMap):
         n = M.deg(m)
         col = M.component(n).index(m)
         img = f.f(n).column(col)
-        e = vec_add(F, e, N.elem_from_component(img, n))
+        vec_iadd(F, e, N.elem_from_component(img, n))
         if e:
             diff[m + nN] = e
     C = DgModule(A, M.side, basis, act, diff, name=f"cone({M.name}->{N.name})")
@@ -226,7 +248,7 @@ def truncate_below(M, c: int):
             return {}
         if deg > c:
             return {old_to_new[g]: x for g, x in e.items()}
-        coords = solve(ker_mat, M.component_vector(e, c))
+        coords = solve(ker_mat, M.coords(e, c))
         if coords is None:
             raise ValueError("truncation: element not a cycle in the cut degree")
         return {j: x for j, x in enumerate(coords) if x != 0}
@@ -248,12 +270,7 @@ def truncate_below(M, c: int):
                 da = alg.deg(a)
                 img: dict = {}
                 for g, x in carrier.items():
-                    for k2, x2 in table.get((a, g), {}).items():
-                        s = F.add(img.get(k2, F.zero), F.mul(x, x2))
-                        if s == 0:
-                            img.pop(k2, None)
-                        else:
-                            img[k2] = s
+                    vec_iadd(F, img, table.get((a, g), {}), x)
                 if img and deg + da >= c:
                     e = express(img, deg + da)
                     if e:
@@ -303,13 +320,7 @@ def free_act(A: DgAlgebra, a_idx: int, e: dict) -> dict:
     out: dict = {}
     for idx, c in e.items():
         g, b = divmod(idx, dA)
-        for b2, c2 in A.mul.get((a_idx, b), {}).items():
-            k = g * dA + b2
-            s = F.add(out.get(k, F.zero), F.mul(c, c2))
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+        vec_iadd(F, out, {g * dA + b2: c2 for b2, c2 in A.mul.get((a_idx, b), {}).items()}, c)
     return out
 
 
@@ -317,7 +328,7 @@ def free_diff(A: DgAlgebra, g: int, d_g: dict, a: int) -> dict:
     """d(a·g) = d(a)·g + (-1)^{|a|} a·d(g) in a free module with d(g) = d_g."""
     F, dA = A.field, A.total_dim
     e = {g * dA + a2: c for a2, c in A.diff.get(a, {}).items()}
-    return vec_add(F, e, vec_scale(F, F.of((-1) ** A.deg(a)), free_act(A, a, d_g)))
+    return vec_iadd(F, e, free_act(A, a, d_g), F.of((-1) ** A.deg(a)))
 
 
 class FreeModule:
@@ -368,16 +379,11 @@ class FreeModule:
 
     def augmentation(self, target: DgModule) -> DgModuleMap:
         """Extend the generators' eps values A-linearly to a module map."""
-        F = self.algebra.field
+        one = self.algebra.field.one
+
+        def image(idx, n):
+            g, a = self.split(idx)
+            return target.act_elem({a: one}, self.gens[g].eps)
+
         M = self.module
-        mats = {}
-        for n in M.degrees():
-            comp = M.component(n)
-            cols = []
-            for idx in comp:
-                g, a = self.split(idx)
-                val = target.act_elem({a: F.one}, self.gens[g].eps)
-                cols.append(target.component_vector(val, n) if val else
-                            tuple([F.zero] * len(target.component(n))))
-            mats[n] = Matrix.from_columns(F, cols, rows=len(target.component(n)))
-        return DgModuleMap(M, target, mats)
+        return DgModuleMap(M, target, matrices_from_images(M, target, image))

@@ -28,9 +28,9 @@ default to 0.  Lines starting with `#` and blank lines are ignored.
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .dga import DgAlgebra, DgModule, DgaMorphism
+from .dga import DgAlgebra, DgModule, DgaMorphism, vec_iadd
 from .field import Field, GF, QQ
-from .linalg import Matrix
+from .modops import matrices_from_images
 from .resolutions import BuildTreeWitness, ConeNode, Leaf, ShiftNode, SumNode
 
 
@@ -51,17 +51,9 @@ class MapDecl:
 
     def matrices(self, offset: int = 0) -> dict:
         """Degree-wise matrices of the map, as a degree-`offset` assignment."""
-        F = self.source.field
-        mats = {}
-        for n in self.source.degrees():
-            cols = []
-            for i in self.source.component(n):
-                img = self.images.get(i, {})
-                cols.append(self.target.component_vector(img, n + offset))
-            mats[n] = Matrix.from_columns(
-                F, cols, rows=self.target.underlying().dim(n + offset)
-            )
-        return mats
+        return matrices_from_images(
+            self.source, self.target, lambda i, n: self.images.get(i, {}), offset
+        )
 
 
 @dataclass
@@ -116,12 +108,7 @@ def _lin_comb(F: Field, text: str, labels: dict, line: int, col: int) -> dict:
             c, label = F.one, term
         if label not in labels:
             raise ParseError(line, col, f"known basis label (got {label!r})")
-        i = labels[label]
-        s = F.add(out.get(i, F.zero), c)
-        if s == 0:
-            out.pop(i, None)
-        else:
-            out[i] = s
+        vec_iadd(F, out, {labels[label]: c})
     return out
 
 

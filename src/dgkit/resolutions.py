@@ -66,11 +66,6 @@ class SemifreeResolution:
         return self.free.gens
 
 
-def _bottom(M) -> int:
-    degs = [d for _, d in M.basis]
-    return min(degs) if degs else 0
-
-
 def _free_basis(A: DgAlgebra, gens: list[Generator], n: int) -> list[int]:
     """Indices of the degree-n basis of the free module on gens, in index order."""
     dA = A.total_dim
@@ -138,7 +133,7 @@ def _free_generators(M: DgModule) -> list[Generator] | None:
             for m in M.component(n - A.deg(a)):
                 e = M.act.get((a, m), {})
                 if e:
-                    span.add(M.component_vector(e, n))
+                    span.add(M.coords(e, n))
         comp = M.component(n)
         by_degree[n] = [g for i, g in enumerate(comp) if span.add({i: F.one})]
     gens: list[Generator] = []
@@ -151,8 +146,7 @@ def _free_generators(M: DgModule) -> list[Generator] | None:
         for x in free:
             image.add(_eps_column(M, gens, x, m_pos))
         for m_idx in by_degree[n]:
-            dm = M.diff.get(m_idx, {})
-            x = image.coords(M.component_vector(dm, n - 1)) if dm else {}
+            x = image.coords(M.coords(M.diff.get(m_idx, {}), n - 1))
             if x is None:
                 return None
             d_elem = {free[i]: c for i, c in sorted(x.items())}
@@ -178,7 +172,7 @@ def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
             return None
     if eps.validate() is not True:
         return None
-    lo = min(_bottom(M) - 1, -abs(D) - 1)
+    lo = min(M.min_degree() - 1, -abs(D) - 1)
     return SemifreeResolution(A, M, free, eps, Window(lo, max(D, lo)))
 
 
@@ -189,9 +183,9 @@ def semifree_resolution(
     A, F = M.algebra, M.field
     if M.side != "left":
         raise ValueError("resolve left modules; convert right modules first")
-    if A.basis and min(d for _, d in A.basis) < 0:
+    if A.min_degree() < 0:
         raise ValueError("algebra must be nonnegatively graded")
-    bottom = _bottom(M)
+    bottom = M.min_degree()
     fast = _try_free_presentation(M, D)
     if fast is not None:
         return fast

@@ -66,6 +66,24 @@ def test_resource_bound_exits_two(capsys):
     assert "generator cap" in err
 
 
+def test_check_epi_ring_mode_resource_bound_exits_two(capsys):
+    # ring mode passes --max-generators to its Tor and Ext resolutions too
+    code, _, err = _run(
+        capsys,
+        "check-epi",
+        FIXTURES / "truncated.dg",
+        "aug",
+        "--window",
+        "0..3",
+        "--family-size",
+        "3",
+        "--max-generators",
+        "12",
+    )
+    assert code == 2
+    assert "generator cap" in err
+
+
 def test_tor_matches_periodic_oracle(capsys):
     code, out, _ = _run(
         capsys, "tor", FIXTURES / "truncated.dg", "A", "Kr", "K", "--window", "0..4"

@@ -13,10 +13,13 @@ from dgkit.dga import (
     restrict_scalars,
     right_regular,
     right_to_left_op,
+    sr_bimodule_from_morphism,
+    swap_sides,
     tensor_algebra,
     validate_dga,
     validate_module,
     validate_morphism,
+    vec_iadd,
 )
 from dgkit.standard import (
     exterior_algebra,
@@ -182,3 +185,44 @@ def test_env_round_trip_with_graded_bimodule():
     assert validate_module(X) == []
     back = env_module_to_bimodule(X, A, A)
     assert back.act_left == M.act_left and back.act_right == M.act_right
+
+
+def test_vec_iadd_accumulates_in_place_and_drops_zeros():
+    acc = {0: QQ.one, 1: QQ.of(2)}
+    out = vec_iadd(QQ, acc, {1: QQ.of(-1), 2: QQ.of(3)}, QQ.of(2))
+    assert out is acc
+    assert acc == {0: 1, 2: 6}
+    assert vec_iadd(QQ, acc, {0: QQ.of(-1)}) == {2: 6}
+
+
+def test_degree_bounds():
+    A = exterior_algebra(gen_degree=3)
+    assert (A.min_degree(), A.max_degree()) == (0, 3)
+    M = DgModule(A, "left", [("m", -2), ("n", 1)], {}, {})
+    assert (M.min_degree(), M.max_degree()) == (-2, 1)
+    empty = DgModule(A, "left", [], {}, {})
+    assert (empty.min_degree(), empty.max_degree()) == (0, 0)
+
+
+def test_swap_sides_is_an_involution_with_koszul_signs():
+    from dgkit.resolutions import semifree_resolution_bimodule
+
+    # the enveloping resolution of Λ(x) has odd generators with x acting on
+    # both sides, so the Koszul signs are exercised
+    S = exterior_algebra()
+    Q = semifree_resolution_bimodule(regular_bimodule(S), 3).bimodule
+    Sop = opposite(S)
+    Qp = swap_sides(Q, Sop, Sop, name="Q'")
+    assert Qp.name == "Q'"
+    assert validate_module(Qp) == []
+    assert any(c == -1 for e in Qp.act_left.values() for c in e.values())
+    back = swap_sides(Qp, S, S)
+    assert (back.act_left, back.act_right, back.name) == (Q.act_left, Q.act_right, "Q'")
+
+
+def test_sr_bimodule_from_morphism():
+    phi = truncated_to_ground(2)
+    B = sr_bimodule_from_morphism(phi)
+    assert (B.left_algebra, B.right_algebra) == (phi.target, phi.source)
+    assert validate_module(B) == []
+    assert B.act_right[(0, 0)] == {0: QQ.one} and (1, 0) not in B.act_right

@@ -1,0 +1,219 @@
+"""Byte-identity guards: canonical-map matrices and README stdout, by sha256.
+
+The digests were recorded before the chain-map builder replaced the
+hand-written matrix-assembly loops.  A change that alters any matrix entry,
+shape or degree of these maps, or any byte the README examples print, fails
+here; a deliberate change has to record new digests and say why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from dgkit.cli import main
+from dgkit.dga import bimodule_from_morphism, regular_bimodule
+from dgkit.derived import counit_map, duality_map, multiplication_map, unit_map
+from dgkit.epicheck import (
+    _condition3_map,
+    _condition5_map,
+    _ring_condition2_map,
+    _ring_condition4_map,
+    generate_test_family,
+)
+from dgkit.field import GF, QQ
+from dgkit.homtensor import tensor_unit_iso
+from dgkit.resolutions import BuildTreeWitness, Leaf
+from dgkit.standard import (
+    exterior_algebra,
+    identity_morphism,
+    product_to_ground,
+    triangular_to_product,
+    truncated_polynomial,
+    truncated_to_ground,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIELDS = {"Q": QQ, "F101": GF(101)}
+CAP = 10000
+
+
+def _digest(cm) -> str:
+    """sha256 over the dimensions and every entry of every degree-wise matrix."""
+    h = hashlib.sha256()
+    src, tgt = cm.source, cm.target
+    for n in sorted(set(src.space.dims) | set(tgt.space.dims)):
+        m = cm.f(n)
+        h.update(f"{n}:{src.dim(n)}->{tgt.dim(n)}:{m.rows}x{m.cols}:".encode())
+        h.update(",".join(str(x) for row in m.entries for x in row).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+def _family_digests(maps) -> str:
+    return hashlib.sha256("".join(_digest(cm) for cm in maps).encode()).hexdigest()
+
+
+def _morphisms(F):
+    """x -> 0 on k[x]/(x²), the identity of Λ(x), and T₂(k) -> k×k."""
+    return (
+        truncated_to_ground(2, F),
+        identity_morphism(exterior_algebra(F)),
+        triangular_to_product(F),
+    )
+
+
+def _family(phi):
+    return generate_test_family(phi.target, 0, 3)
+
+
+def _unit(F):
+    out = []
+    for S in (truncated_polynomial(2, F), exterior_algebra(F)):
+        M = regular_bimodule(S)
+        out += [unit_map(M, N, 2).chain_map for _, N in generate_test_family(S, 0, 3).left]
+    return out
+
+
+def _counit(F):
+    out = []
+    for phi in _morphisms(F)[:2]:
+        M = bimodule_from_morphism(phi)
+        out += [counit_map(M, N, 1).chain_map for _, N in _family(phi).left]
+    return out
+
+
+def _duality(F):
+    w = BuildTreeWitness(Leaf(0))
+    out = []
+    for phi in (truncated_to_ground(2, F), product_to_ground(F)):
+        M = bimodule_from_morphism(phi)
+        out += [duality_map(M, N, w, 2).chain_map for _, N in _family(phi).left]
+    return out
+
+
+def _multiplication(F):
+    return [
+        multiplication_map(phi, 3).chain_map
+        for phi in (truncated_to_ground(2, F), product_to_ground(F), triangular_to_product(F))
+    ]
+
+
+def _condition3(F):
+    out = []
+    for phi in _morphisms(F)[:2]:
+        R, S, M = phi.source, phi.target, bimodule_from_morphism(phi)
+        fam = _family(phi)
+        out += [
+            _condition3_map(R, S, M, Nr, Nl, 1, CAP)
+            for (_, Nr), (_, Nl) in zip(fam.right, fam.left)
+        ]
+    return out
+
+
+def _condition5(F):
+    out = []
+    for phi in _morphisms(F)[:2]:
+        R, S, M = phi.source, phi.target, bimodule_from_morphism(phi)
+        out += [_condition5_map(R, S, M, N, N, 1, CAP) for _, N in _family(phi).left]
+    return out
+
+
+def _ring_condition2(F):
+    out = []
+    for phi in (truncated_to_ground(2, F), triangular_to_product(F)):
+        out += [_ring_condition2_map(phi, N, 3, CAP) for _, N in _family(phi).left]
+    return out
+
+
+def _ring_condition4(F):
+    out = []
+    for phi in (truncated_to_ground(3, F), triangular_to_product(F)):
+        out += [_ring_condition4_map(phi, N, 3, CAP) for _, N in _family(phi).left]
+    return out
+
+
+def _tensor_unit(F):
+    out = []
+    for A in (truncated_polynomial(3, F), exterior_algebra(F)):
+        out += [tensor_unit_iso(A, N) for _, N in generate_test_family(A, 0, 3).left]
+    return out
+
+
+MAP_DIGESTS = {
+    ("unit_map", "Q"): "370fe0de927375d579bce3e67926b979305c8957d0d2a70c5c8ea1d21e53e181",
+    ("unit_map", "F101"): "e61642c82c039ef402e4b5e3963eb5d12cb347bbba07b3bc8c655e308f139ab6",
+    ("counit_map", "Q"): "c4d0f115656afe3d037409baee82243c63922c1b79c0c48b727ba2b890324215",
+    ("counit_map", "F101"): "c71ba6d5104ed06a1f02bcefbb4e30468dea0b1bd21740c4397bff004ad34059",
+    ("duality_map", "Q"): "2f52fd16fdf32effce3cd953cbef3102de4f78524d86561bb4168504affb1cca",
+    ("duality_map", "F101"): "be7f028308887bc9cd3b7b9fa40e980c468db8832e3d2d83f3227b90595ed1f6",
+    ("multiplication_map", "Q"): "2d60b60dbb56de716253d1083d0ea5211e75f7f384f3c39d927a1df3237c63e6",
+    ("multiplication_map", "F101"): "8887119b40d03425f3db85dd435c26bef86917a215408a41db9438b2eae6f00c",
+    ("_condition3_map", "Q"): "bd8efaa986949224ec670737eb2e4a270f5819fef81da761824a70cda28330d4",
+    ("_condition3_map", "F101"): "2bade4213bdda15a4dd6a0aea0ffe10c66f5df48cbf4123cae97b1cd1ed37c28",
+    ("_condition5_map", "Q"): "94ab1202b2e4698d3accf07778958a6002b75e792e0117345af379abbed68822",
+    ("_condition5_map", "F101"): "ef9b49a5093428808ca8cb3fe617bfe191baa113d0144552b6a7029acf91ca31",
+    ("_ring_condition2_map", "Q"): "7ed6b5a8457c701ef96d1d001e2cc78069c43431d47d3842088b0f9fee57405a",
+    ("_ring_condition2_map", "F101"): "3854b11d845b9dd99e7af5ddd673ad1340602e41e25b9918f74c1898d879c048",
+    ("_ring_condition4_map", "Q"): "12ef55d908ab4519c66e653af0800f39ecadf3103f52fb17e90b5a8caea8cd92",
+    ("_ring_condition4_map", "F101"): "65a1a4c2c4ed693527697a65205a76636bc2f6488c07e3702a4dae3a71dc782b",
+    ("tensor_unit_iso", "Q"): "65ecec7194a82f5c2a9169e09515362ac974f4bc24fefdb64b1eb3d5299d501a",
+    ("tensor_unit_iso", "F101"): "bc23e6de90ae30c1374660f59b82c70e83b9554b7505786ce2869472b003d820",
+}
+
+BUILDERS = {
+    "unit_map": _unit,
+    "counit_map": _counit,
+    "duality_map": _duality,
+    "multiplication_map": _multiplication,
+    "_condition3_map": _condition3,
+    "_condition5_map": _condition5,
+    "_ring_condition2_map": _ring_condition2,
+    "_ring_condition4_map": _ring_condition4,
+    "tensor_unit_iso": _tensor_unit,
+}
+
+
+@pytest.mark.parametrize("name, field", sorted(MAP_DIGESTS), ids=lambda x: str(x))
+def test_canonical_map_matrices_unchanged(name, field):
+    maps = BUILDERS[name](FIELDS[field])
+    assert all(cm.validate() is True for cm in maps)
+    assert _family_digests(maps) == MAP_DIGESTS[(name, field)]
+
+
+README_DIGESTS = {
+    "validate": (
+        ["validate", "truncated.dg"],
+        "222ee0ef028c85322c9417605a4b4aaa0392b1bfbd45b9fa84e850d707ae47c5",
+    ),
+    "tor": (
+        ["tor", "truncated.dg", "A", "Kr", "K", "--window", "0..8"],
+        "4b6ea25c72c705eda519c57f4526ea529dae4a4e49d514affd0d33c7e99816dd",
+    ),
+    "check-epi": (
+        ["check-epi", "truncated.dg", "aug", "--window", "0..4"],
+        "bb14268534e5b53ddcc2e1de2949d44bfd845f635db292f8aecc1af3021ca12e",
+    ),
+    "dwyer-greenlees": (
+        ["dwyer-greenlees", "exterior.dg", "R", "wR", "--window=-2..8"],
+        "0725119a66e962a152e55512e83cc91ad6b0ea3fea3022e76aaddd49ee0a8403",
+    ),
+    "witness-verify": (
+        ["witness-verify", "exterior.dg", "wRetract"],
+        "42cd9c073c37e6985dcff7756eb32707d793325615c4677738b2c83a1b4ddea7",
+    ),
+    "consistency": (
+        ["consistency", "product.dg", "--seed", "0", "--family-size", "4"],
+        "3fc84d01d9e6e51c7e57759084620dd1a3971c54986725024b85679df0392940",
+    ),
+}
+
+
+@pytest.mark.parametrize("example", sorted(README_DIGESTS))
+def test_readme_example_stdout_unchanged(capsys, example):
+    argv, digest = README_DIGESTS[example]
+    argv = [str(FIXTURES / a) if a.endswith(".dg") else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

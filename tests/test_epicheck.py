@@ -12,7 +12,7 @@ from dgkit.epicheck import (
     generate_test_family,
 )
 from dgkit.modops import module_direct_sum, module_shift
-from dgkit.resolutions import BuildTreeWitness, Leaf, SumNode
+from dgkit.resolutions import BuildTreeWitness, Leaf, ResourceBoundExceeded, SumNode
 from dgkit.standard import (
     exterior_algebra,
     ground_algebra,
@@ -108,6 +108,15 @@ def test_ring_mode_rejects_graded_algebra():
     fam = generate_test_family(phi.target, 0, 2)
     with pytest.raises(ValueError):
         check_ring_epi(phi, 2, fam)
+
+
+def test_ring_mode_honours_generator_cap():
+    # the Tor and Ext tables of conditions (3), (5) and the translation test
+    # resolve with the caller's cap: one Ext resolution here needs 14 generators
+    phi = truncated_to_ground(2)
+    fam = generate_test_family(phi.target, 0, 3)
+    with pytest.raises(ResourceBoundExceeded):
+        check_ring_epi(phi, 3, fam, max_generators=12)
 
 
 # -- DGA mode ------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import pytest
+
 from dgkit.field import QQ
 from dgkit.complexes import Window, cone, homology_dims, quasi_iso
 from dgkit.dga import left_regular, restrict_scalars, validate_module
+from dgkit.linalg import Matrix
 from dgkit.modops import (
     DgModuleMap,
     FreeModule,
     Generator,
+    matrices_from_images,
     module_cone,
     module_direct_sum,
     module_shift,
@@ -148,3 +152,19 @@ def test_augmentation_respects_differential_of_generators():
     F = FreeModule(A, [g0, g1])
     eps = F.augmentation(k)
     assert eps.validate() is True
+
+
+def test_matrices_from_images_with_degree_offset():
+    # multiplication by x on Λ(x) as a degree +1 assignment: 1 ↦ x, x ↦ 0
+    A = exterior_algebra()
+    M = left_regular(A)
+    mats = matrices_from_images(M, M, lambda i, n: M.act_elem({1: QQ.one}, {i: QQ.one}), 1)
+    assert mats[0] == Matrix(QQ, [[1]])
+    assert (mats[1].rows, mats[1].cols) == (0, 1)
+
+
+def test_matrices_from_images_rejects_image_in_wrong_degree():
+    A = exterior_algebra()
+    M = left_regular(A)
+    with pytest.raises(ValueError):
+        matrices_from_images(M, M, lambda i, n: {1: QQ.one})

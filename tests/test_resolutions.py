@@ -260,13 +260,13 @@ def rebuild_free_generators(M):
         for a in range(A.total_dim):
             for m in M.component(n - A.deg(a)) if a != A.unit else ():
                 if (a, m) in M.act:
-                    span.add(M.component_vector(M.act[(a, m)], n))
+                    span.add(M.coords(M.act[(a, m)], n))
         for i, m_idx in enumerate(M.component(n)):
             if not span.add({i: F.one}):
                 continue
             dm, comp = M.diff.get(m_idx, {}), FreeModule(A, gens).module.component(n - 1)
             eps_f = FreeModule(A, gens).augmentation(M).f(n - 1)
-            x = solve(eps_f, M.component_vector(dm, n - 1)) if dm else ()
+            x = solve(eps_f, M.coords(dm, n - 1)) if dm else ()
             if x is None:
                 return None
             d_elem = {comp[j]: c for j, c in enumerate(x) if c != 0}

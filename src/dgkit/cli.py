@@ -3,7 +3,8 @@
 Every command reads a presentation file, computes, and prints a deterministic
 report (text or json).  Exit codes: 0 a verdict was computed, 1 invalid input
 (parse error, axiom violation, unknown name, wrong side), 2 a resource bound
-was hit before the computation finished.
+was hit before the computation finished (`check-epi` then prints the
+verdicts finished before it).
 """
 
 import argparse
@@ -259,10 +260,12 @@ def cmd_witness_verify(args):
     return 0
 
 
+def _verdict_lines(name: str, verdicts) -> list:
+    return [f"morphism {name}:"] + [f"  {v.summary()}" for v in verdicts]
+
+
 def _epi_report(args, name: str, rep) -> list:
-    lines = [f"morphism {name}:"]
-    for v in rep.verdicts:
-        lines.append(f"  {v.summary()}")
+    lines = _verdict_lines(name, rep.verdicts)
     lines.append(f"  agreement: {_yesno(rep.agreement)}")
     if rep.disagreement:
         lines.append(f"  disagreement: {rep.disagreement}")
@@ -274,17 +277,21 @@ def _epi_report(args, name: str, rep) -> list:
     return lines
 
 
+def _verdict_data(verdicts) -> list:
+    return [
+        {
+            "condition": str(v.condition),
+            "status": v.status,
+            "degree": v.degree,
+            "dims": list(v.dims) if v.dims else None,
+        }
+        for v in verdicts
+    ]
+
+
 def _rep_data(rep) -> dict:
     return {
-        "verdicts": [
-            {
-                "condition": str(v.condition),
-                "status": v.status,
-                "degree": v.degree,
-                "dims": list(v.dims) if v.dims else None,
-            }
-            for v in rep.verdicts
-        ],
+        "verdicts": _verdict_data(rep.verdicts),
         "agreement": rep.agreement,
         "is_epi": rep.is_epi,
     }
@@ -296,7 +303,14 @@ def cmd_check_epi(args):
     _validated(("morphism", args.morphism, phi))
     D = max(args.window.hi, 1)
     fam = generate_test_family(phi.target, args.seed, args.family_size)
-    rep = check_dga_epi(phi, D, fam, args.max_generators)
+    try:
+        rep = check_dga_epi(phi, D, fam, args.max_generators)
+    except ResourceBoundExceeded as e:
+        # report the verdicts finished before the bound; main exits 2
+        data = {"verdicts": _verdict_data(e.verdicts), "unfinished": str(e)}
+        lines = _verdict_lines(args.morphism, e.verdicts) + [f"  unfinished: {e}"]
+        _emit(args, "check-epi", {"morphism": args.morphism, **data}, lines)
+        raise
     _emit(args, "check-epi", {"morphism": args.morphism, **_rep_data(rep)}, _epi_report(args, args.morphism, rep))
     return 0
 

@@ -26,7 +26,12 @@ from .dga import (
 )
 from .homtensor import HomComplex, hom_over, tensor_over
 from .modops import matrices_from_images
-from .resolutions import BimoduleResolution, semifree_resolution, semifree_resolution_bimodule
+from .resolutions import (
+    BimoduleResolution,
+    required_depth,
+    semifree_resolution,
+    semifree_resolution_bimodule,
+)
 
 
 @dataclass
@@ -37,20 +42,22 @@ class DerivedComplex:
     carrier: object = None  # the TensorProduct/HomComplex behind value
 
 
+def _resolve(X, depth: int, max_generators: int):
+    """A semifree resolution of X, over the enveloping algebra when X is a
+    bimodule, and its provenance."""
+    if isinstance(X, DgBimodule):
+        P = semifree_resolution_bimodule(X, depth, max_generators).bimodule
+        return P, f"resolved {X.name} over enveloping through {depth}"
+    P = semifree_resolution(X, depth, max_generators).module
+    return P, f"resolved {X.name} through {depth}"
+
+
 def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
     """M ⊗^L_A N via a semifree resolution of N (outer actions retained).
 
     M: right A-module or R-A-bimodule; N: left A-module or A-T-bimodule.
     """
-    D2 = D + 1 + max(0, -M.min_degree())
-    if isinstance(N, DgBimodule):
-        bres = semifree_resolution_bimodule(N, D2, max_generators)
-        P = bres.bimodule
-        prov = f"resolved {N.name} over enveloping through {D2}"
-    else:
-        res = semifree_resolution(N, D2, max_generators)
-        P = res.module
-        prov = f"resolved {N.name} through {D2}"
+    P, prov = _resolve(N, required_depth(D, -M.min_degree()), max_generators)
     T = tensor_over(A, M, P)
     lo = min(M.min_degree() + P.min_degree() - 1, -D)
     return DerivedComplex(T.complex, Window(lo, D), prov, T)
@@ -58,15 +65,7 @@ def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> D
 
 def rhom(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
     """RHom_A(M, N) via a semifree resolution of M (outer actions retained)."""
-    D2 = D + 1 + max(0, N.max_degree())
-    if isinstance(M, DgBimodule):
-        bres = semifree_resolution_bimodule(M, D2, max_generators)
-        Q = bres.bimodule
-        prov = f"resolved {M.name} over enveloping through {D2}"
-    else:
-        res = semifree_resolution(M, D2, max_generators)
-        Q = res.module
-        prov = f"resolved {M.name} through {D2}"
+    Q, prov = _resolve(M, required_depth(D, N.max_degree()), max_generators)
     H = hom_over(A, Q, N)
     return DerivedComplex(H.complex, Window(-D, D), prov, H)
 
@@ -130,7 +129,7 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
     """Z = RHom_{S^op}(M, S) with its left-S and right-R structure."""
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    D2 = D + 1 + max(0, S.max_degree())
+    D2 = required_depth(D, S.max_degree())
     bres = semifree_resolution_bimodule(M, D2, max_generators)
     Q = bres.bimodule
     Sop, Rop = opposite(S), opposite(R)
@@ -199,13 +198,9 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     """
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    # truncation junk of Q lands at Hom degree top(N) − D2q − 1, so a module
-    # N reaching above degree 0 needs Q that much deeper
-    D2q = D + 1 + max(0, M.max_degree()) + max(0, -M.min_degree()) + max(0, N.max_degree())
-    # stagger: the Hom target is resolved deeper so that truncation junk of
-    # source and target cannot pair into the window (their degree difference
-    # exceeds D)
-    D2p = D2q + D + 1
+    D2q = required_depth(D, M.max_degree(), -M.min_degree(), N.max_degree())
+    # stagger: the Hom target's resolution is deeper than the Hom source's
+    D2p = required_depth(D, D2q)
     res_N = semifree_resolution(N, D2p, max_generators)
     P = res_N.module
     bres = semifree_resolution_bimodule(M, D2q, max_generators)
@@ -250,10 +245,7 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     """
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    # resolutions go well past the window: top-degree junk of Q and P then
-    # cannot pair with the low true classes of Zt (which reach -D-1) and
-    # land inside the window
-    D2 = 2 * D + 2 + max(0, M.max_degree()) + max(0, -M.min_degree())
+    D2 = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
     dual = dualize(M, D2, max_generators)
     Q = dual.Q  # R-S bimodule resolution of M
     res_N = semifree_resolution(N, D2, max_generators)
@@ -301,7 +293,7 @@ def duality_map(
     ok = verify_build_tree(witness, M_op)
     if ok is not True:
         raise ValueError(f"witness rejected: {ok.reason} (degree {ok.degree})")
-    D2 = D + 1 + max(0, M.max_degree()) + max(0, -M.min_degree())
+    D2 = required_depth(D, M.max_degree(), -M.min_degree())
     dual = dualize(M, D, max_generators)
     Q = dual.Q
     res_N = semifree_resolution(N, D2, max_generators)
@@ -339,7 +331,7 @@ def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap
     F = S.field
     # S as a left R-module through phi
     S_left = restrict_scalars(left_regular(S), phi)
-    res = semifree_resolution(S_left, D + 1, max_generators)
+    res = semifree_resolution(S_left, required_depth(D, -S.min_degree()), max_generators)
     T = tensor_over(R, sr_bimodule_from_morphism(phi), res.module)
 
     def image(pair, d):

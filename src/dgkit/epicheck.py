@@ -51,6 +51,8 @@ from .modops import (
 from .resolutions import (
     BuildTreeWitness,
     Leaf,
+    ResourceBoundExceeded,
+    required_depth,
     resolve_right_module,
     semifree_resolution,
     semifree_resolution_bimodule,
@@ -195,6 +197,19 @@ def _dims_quantified(condition, window: Window, items) -> ConditionVerdict:
     )
 
 
+def _finished(verdicts) -> list:
+    """Evaluate the conditions in turn; on a resource bound, the exception
+    carries the verdicts finished before it."""
+    done = []
+    try:
+        for v in verdicts:
+            done.append(v)
+    except ResourceBoundExceeded as e:
+        e.verdicts = done
+        raise
+    return done
+
+
 # -- test families -------------------------------------------------------------
 
 
@@ -294,9 +309,7 @@ def _condition3_map(R, S, M, Nr, Nl, D, max_generators) -> ChainMap:
     elements change order, so no Koszul sign appears.
     """
     F = M.field
-    # all resolutions well past the window: their top junk cannot reach it
-    # even against the lowest true classes of the truncated dual (≥ -D-1)
-    Ddeep = 2 * D + 2 + max(0, M.max_degree()) + max(0, -M.min_degree())
+    Ddeep = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
     dual = dualize(M, Ddeep, max_generators)
     Zt, ev = _truncated_dual(dual, -D - 1)
     Q = dual.Q
@@ -324,15 +337,18 @@ def _condition5_map(R, S, M, Nl, Nl2, D, max_generators) -> ChainMap:
     is f ↦ id_Q ⊗ f with the Koszul sign for moving f past q.
     """
     F = M.field
-    m = 2 + max(0, M.max_degree()) + max(0, -M.min_degree()) + S.max_degree()
-    Dn2 = D + 1 + max(0, Nl2.max_degree())
     # two bimodule resolutions at staggered depths: were the same Q used on
     # both sides of the Hom, its top junk would pair with itself at Hom
     # degree 0, inside the window.  The builder is deterministic and adds
     # generators in degree order, so the shallow resolution is a prefix of
     # the deep one and the inclusion is the identity on common indices.
-    Dqs = D + 1 + m
-    Dqt = max(Dqs, Dn2) + D + m
+    # `span`, the depth a window of width 0 needs against M and S, is how far
+    # Q ⊗_S X reaches above its generators: Qs goes one span and one degree
+    # past the window, Qt one span past the top of the Hom source Qs ⊗_S Pn
+    span = required_depth(0, M.max_degree(), -M.min_degree(), S.max_degree())
+    Dn2 = required_depth(D, Nl2.max_degree())
+    Dqs = required_depth(D, span, 1)
+    Dqt = required_depth(D, max(Dqs, Dn2), span)
     Pn = semifree_resolution(Nl, Dn2, max_generators).module
     Qs = semifree_resolution_bimodule(M, Dqs, max_generators).bimodule
     Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
@@ -369,60 +385,12 @@ def check_bimodule_conditions(
     max_generators: int = 10000,
 ) -> ConsistencyReport:
     """Evaluate the six equivalent bimodule conditions over a test family."""
-    window = Window(-D, D)
     has_witness = witness_Sop is not None
     if has_witness:
         ok = verify_build_tree(witness_Sop, right_to_left_op(M.right_module()))
         if ok is not True:
             raise ValueError(f"witness rejected: {ok.reason} (degree {ok.degree})")
-    verdicts = []
-
-    # (1): counit at N = S
-    c1 = counit_map(M, left_regular(S), D, max_generators)
-    _require_chain(c1.chain_map, "counit at S")
-    verdicts.append(_verdict(1, is_derived_iso(c1.chain_map, window), window))
-
-    # (2): counit over the family
-    items = []
-    for desc, N in family.left:
-        c = counit_map(M, N, D, max_generators)
-        _require_chain(c.chain_map, f"counit at {desc}")
-        items.append((desc, is_derived_iso(c.chain_map, window)))
-    verdicts.append(_quantified(2, window, items))
-
-    # (3): the two-sided composed map over right/left pairs
-    items = []
-    for (d1, Nr), (d2, Nl) in zip(family.right, family.left):
-        cm = _condition3_map(R, S, M, Nr, Nl, D, max_generators)
-        _require_chain(cm, f"two-sided map at ({d1}, {d2})")
-        items.append((f"({d1}, {d2})", is_derived_iso(cm, window)))
-    verdicts.append(_quantified(3, window, items))
-
-    # (4): unit over the family
-    items = []
-    for desc, N in family.left:
-        u = unit_map(M, N, D, max_generators)
-        _require_chain(u.chain_map, f"unit at {desc}")
-        items.append((desc, is_derived_iso(u.chain_map, window)))
-    verdicts.append(_quantified(4, window, items))
-
-    # (5): induced map on RHom over diagonal pairs
-    items = []
-    for desc, N in family.left:
-        cm = _condition5_map(R, S, M, N, N, D, max_generators)
-        _require_chain(cm, f"RHom map at ({desc}, {desc})")
-        items.append((f"({desc}, {desc})", is_derived_iso(cm, window)))
-    verdicts.append(_quantified(5, window, items))
-
-    verdicts.append(
-        ConditionVerdict(
-            6,
-            UNCHECKABLE,
-            window,
-            note="full embedding of derived categories; equivalent to (1)-(5) by "
-            "the theorem, not directly evaluable",
-        )
-    )
+    verdicts = _finished(_bimodule_verdicts(R, S, M, family, D, max_generators))
 
     note = ""
     if has_witness:
@@ -445,6 +413,56 @@ def check_bimodule_conditions(
     return ConsistencyReport(verdicts, agreement, detail, note)
 
 
+def _bimodule_verdicts(R, S, M, family: TestFamily, D: int, max_generators: int):
+    """The verdicts on conditions (1)-(6), one at a time."""
+    window = Window(-D, D)
+
+    # (1): counit at N = S
+    c1 = counit_map(M, left_regular(S), D, max_generators)
+    _require_chain(c1.chain_map, "counit at S")
+    yield _verdict(1, is_derived_iso(c1.chain_map, window), window)
+
+    # (2): counit over the family
+    items = []
+    for desc, N in family.left:
+        c = counit_map(M, N, D, max_generators)
+        _require_chain(c.chain_map, f"counit at {desc}")
+        items.append((desc, is_derived_iso(c.chain_map, window)))
+    yield _quantified(2, window, items)
+
+    # (3): the two-sided composed map over right/left pairs
+    items = []
+    for (d1, Nr), (d2, Nl) in zip(family.right, family.left):
+        cm = _condition3_map(R, S, M, Nr, Nl, D, max_generators)
+        _require_chain(cm, f"two-sided map at ({d1}, {d2})")
+        items.append((f"({d1}, {d2})", is_derived_iso(cm, window)))
+    yield _quantified(3, window, items)
+
+    # (4): unit over the family
+    items = []
+    for desc, N in family.left:
+        u = unit_map(M, N, D, max_generators)
+        _require_chain(u.chain_map, f"unit at {desc}")
+        items.append((desc, is_derived_iso(u.chain_map, window)))
+    yield _quantified(4, window, items)
+
+    # (5): induced map on RHom over diagonal pairs
+    items = []
+    for desc, N in family.left:
+        cm = _condition5_map(R, S, M, N, N, D, max_generators)
+        _require_chain(cm, f"RHom map at ({desc}, {desc})")
+        items.append((f"({desc}, {desc})", is_derived_iso(cm, window)))
+    yield _quantified(5, window, items)
+
+    yield ConditionVerdict(
+        6,
+        UNCHECKABLE,
+        window,
+        note="full embedding of derived categories; equivalent to (1)-(5) by "
+        "the theorem, not directly evaluable",
+    )
+
+
 # -- compact endpoint ----------------------------------------------------------
 
 
@@ -465,12 +483,16 @@ def check_compact_endpoint(
     The witness makes M K-projective over R, so the underived Hom complex
     computes RHom and no resolution of M is needed.
     """
-    window = _as_window(D)
     ok = verify_build_tree(witness_R, M.left_module())
     if ok is not True:
         raise ValueError(f"witness rejected: {ok.reason} (degree {ok.degree})")
-    F = M.field
     H = hom_over(R, M.left_module(), M.left_module())
+    return _endpoint_verdict(S, M, H, _as_window(D))
+
+
+def _endpoint_verdict(S: DgAlgebra, M: DgBimodule, H, window: Window) -> ConditionVerdict:
+    """Verdict on S → H, s ↦ (m ↦ ± m·s), for any Hom complex H of Hom_R(M, M)."""
+    F = M.field
 
     def image(s, n):
         ground: dict = {}
@@ -517,7 +539,8 @@ def check_dwyer_greenlees(
             SC, H2.complex, {n: Matrix.identity(F, SC.dim(n)) for n in SC.degrees()}
         )
         degreewise = cm.validate() is True
-    endpoint = check_compact_endpoint(R, S, bimod, witness_R, window, max_generators)
+    # the witness was verified above, so the endpoint map can target H2
+    endpoint = _endpoint_verdict(S, bimod, H2, window)
     return DwyerGreenleesReport(Fdga, S, degreewise, endpoint)
 
 
@@ -529,8 +552,7 @@ def _ring_condition2_map(phi, N, D, max_generators) -> ChainMap:
     R, S = phi.source, phi.target
     F = S.field
     NR = restrict_scalars(N, phi)
-    D2 = D + 1 + max(0, -NR.min_degree())
-    res = semifree_resolution(NR, D2, max_generators)
+    res = semifree_resolution(NR, required_depth(D, -S.min_degree()), max_generators)
     T = tensor_over(R, sr_bimodule_from_morphism(phi), res.module)
 
     def image(pair, d):
@@ -546,8 +568,7 @@ def _ring_condition4_map(phi, N, D, max_generators) -> ChainMap:
     F = S.field
     NR = restrict_scalars(N, phi)
     S_left = restrict_scalars(left_regular(S), phi)
-    D2 = D + 1 + max(0, N.max_degree())
-    res = semifree_resolution(S_left, D2, max_generators)
+    res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
     Q = res.module
     H = hom_over(R, Q, NR)
     eps = [res.eps.apply_elem({q_idx: F.one}) for q_idx in range(Q.total_dim)]  # in S
@@ -569,45 +590,52 @@ def check_ring_epi(
     R, S = phi.source, phi.target
     if any(d != 0 for _, d in R.basis) or any(d != 0 for _, d in S.basis):
         raise ValueError("ring mode requires algebras concentrated in degree zero")
+    verdicts = _finished(_ring_verdicts(phi, D, family, max_generators))
+    agreement, detail = True, None
+    checkable = [v for v in verdicts if v.checkable]
+    if len({v.holds for v in checkable}) > 1:
+        agreement = False
+        detail = "; ".join(v.summary() for v in checkable)
+    return ConsistencyReport(verdicts, agreement, detail)
+
+
+def _ring_verdicts(phi: DgaMorphism, D: int, family: TestFamily, max_generators: int):
+    """The verdicts on (1), Translation and (2)-(6), one at a time."""
+    R, S = phi.source, phi.target
     window = Window(0, D)
     ext_window = Window(-D, D)
     Sr = restrict_scalars(right_regular(S), phi)
     Sl = restrict_scalars(left_regular(S), phi)
-    verdicts = []
 
     # (1): multiplication map S ⊗^L_R S → S
     m = multiplication_map(phi, D, max_generators)
     _require_chain(m.chain_map, "multiplication map")
     rep1 = is_derived_iso(m.chain_map, window)
-    verdicts.append(_verdict(1, rep1, window))
+    yield _verdict(1, rep1, window)
 
     # Translation: H_0 bijective and Tor_i(S,S) = 0 for 1 <= i <= D
     tors = tor_table(R, Sr, Sl, D, max_generators)
     h0_ok = rep1.per_degree.get(0, False)
     bad_i = next((i for i in range(1, D + 1) if tors.get(i, 0) != 0), None)
     if h0_ok and bad_i is None:
-        verdicts.append(ConditionVerdict("translation", HOLDS, window))
+        yield ConditionVerdict("translation", HOLDS, window)
     elif not h0_ok:
-        verdicts.append(
-            ConditionVerdict(
-                "translation",
-                FAILS,
-                window,
-                degree=0,
-                dims=(rep1.source_h.get(0, 0), rep1.target_h.get(0, 0)),
-                note="multiplication not bijective on H_0",
-            )
+        yield ConditionVerdict(
+            "translation",
+            FAILS,
+            window,
+            degree=0,
+            dims=(rep1.source_h.get(0, 0), rep1.target_h.get(0, 0)),
+            note="multiplication not bijective on H_0",
         )
     else:
-        verdicts.append(
-            ConditionVerdict(
-                "translation",
-                FAILS,
-                window,
-                degree=bad_i,
-                dims=(tors[bad_i], 0),
-                note=f"Tor_{bad_i}(S,S) has dimension {tors[bad_i]}",
-            )
+        yield ConditionVerdict(
+            "translation",
+            FAILS,
+            window,
+            degree=bad_i,
+            dims=(tors[bad_i], 0),
+            note=f"Tor_{bad_i}(S,S) has dimension {tors[bad_i]}",
         )
 
     # (2): S ⊗^L_R N → N over the family, chain-realized
@@ -616,7 +644,7 @@ def check_ring_epi(
         cm = _ring_condition2_map(phi, N, D, max_generators)
         _require_chain(cm, f"induction counit at {desc}")
         items.append((desc, is_derived_iso(cm, window)))
-    verdicts.append(_quantified(2, window, items))
+    yield _quantified(2, window, items)
 
     # (3): Tor over R vs over S on right/left pairs (dims level)
     items = []
@@ -625,7 +653,7 @@ def check_ring_epi(
         tR = tor_table(R, MrR, NlR, D, max_generators)
         tS = tor_table(S, Mr, Nl, D, max_generators)
         items.append((f"({d1}, {d2})", tR, tS))
-    verdicts.append(_dims_quantified(3, window, items))
+    yield _dims_quantified(3, window, items)
 
     # (4): N → RHom_R(S, N) over the family, chain-realized
     items = []
@@ -633,7 +661,7 @@ def check_ring_epi(
         cm = _ring_condition4_map(phi, N, D, max_generators)
         _require_chain(cm, f"restriction unit at {desc}")
         items.append((desc, is_derived_iso(cm, ext_window)))
-    verdicts.append(_quantified(4, ext_window, items))
+    yield _quantified(4, ext_window, items)
 
     # (5): Ext over S vs over R on diagonal pairs (dims level)
     items = []
@@ -642,24 +670,15 @@ def check_ring_epi(
         NR = restrict_scalars(N, phi)
         eR = ext_table(R, NR, NR, D, max_generators)
         items.append((f"({desc}, {desc})", eS, eR))
-    verdicts.append(_dims_quantified(5, window, items))
+    yield _dims_quantified(5, window, items)
 
-    verdicts.append(
-        ConditionVerdict(
-            6,
-            UNCHECKABLE,
-            window,
-            note="full embedding of derived categories; equivalent to (1)-(5) by "
-            "the theorem, not directly evaluable",
-        )
+    yield ConditionVerdict(
+        6,
+        UNCHECKABLE,
+        window,
+        note="full embedding of derived categories; equivalent to (1)-(5) by "
+        "the theorem, not directly evaluable",
     )
-
-    agreement, detail = True, None
-    checkable = [v for v in verdicts if v.checkable]
-    if len({v.holds for v in checkable}) > 1:
-        agreement = False
-        detail = "; ".join(v.summary() for v in checkable)
-    return ConsistencyReport(verdicts, agreement, detail)
 
 
 def check_dga_epi(

@@ -42,11 +42,13 @@ from .modops import DgModuleMap, FreeModule, Generator, free_diff, module_shift
 
 
 class ResourceBoundExceeded(RuntimeError):
-    """Generator cap hit; carries the partial resolution built so far."""
+    """Generator cap hit; carries the partial resolution built so far and,
+    when raised inside an epimorphism check, the verdicts finished before it."""
 
     def __init__(self, partial, message: str):
         super().__init__(message)
         self.partial = partial
+        self.verdicts: list = []
 
 
 @dataclass
@@ -174,6 +176,26 @@ def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
         return None
     lo = min(M.min_degree() - 1, -abs(D) - 1)
     return SemifreeResolution(A, M, free, eps, Window(lo, max(D, lo)))
+
+
+def required_depth(D: int, *reaches: int) -> int:
+    """Depth E through which to resolve for a verdict on the window -D..D.
+
+    A resolution exact through E has ε a quasi-isomorphism through E, so its
+    truncation junk (the homology of cone(ε)) lives in degrees ≥ E + 1.
+    Tensoring with X moves that junk down by at most -bottom(X); a resolved
+    Hom source puts it at Hom degree ≤ top(target) - E - 1.  With
+    E = D + 1 + reach, where reach is -bottom(X) or top(target) and counts
+    only when positive, the junk stays above D + 1 or below -D - 1: out of
+    the window and out of the boundary degree next to it, which the
+    homology at the window's edge reads.
+
+    A composite map adds the reaches of its factors.  The dual truncated
+    below -D - 1 (`derived._truncated_dual`) has reach D + 1.  A second
+    resolution staggered against a first one takes the first one's depth as
+    its reach, so that their junk cannot pair into the window.
+    """
+    return D + 1 + sum(max(0, r) for r in reaches)
 
 
 def semifree_resolution(

@@ -67,21 +67,28 @@ def test_resource_bound_exits_two(capsys):
 
 
 def test_check_epi_ring_mode_resource_bound_exits_two(capsys):
-    # ring mode passes --max-generators to its Tor and Ext resolutions too
-    code, _, err = _run(
-        capsys,
-        "check-epi",
-        FIXTURES / "truncated.dg",
-        "aug",
-        "--window",
-        "0..3",
-        "--family-size",
-        "3",
-        "--max-generators",
-        "12",
-    )
+    # ring mode passes --max-generators to its Tor and Ext resolutions too;
+    # the cap is hit in an Ext table of (5), after (1)-(4) and Translation
+    argv = ["check-epi", FIXTURES / "truncated.dg", "aug", "--window", "0..3"]
+    argv += ["--family-size", "3", "--max-generators", "12"]
+    code, out, err = _run(capsys, *argv)
     assert code == 2
     assert "generator cap" in err
+    assert out.splitlines() == [
+        "morphism aug:",
+        "  (1) fails at degree 1: dims 1 vs 0",
+        "  (translation) fails at degree 1: dims 1 vs 0",
+        "  (2) fails at degree 1: dims 1 vs 0",
+        "  (3) fails at degree 1: dims 1 vs 0",
+        "  (4) fails at degree -3: dims 0 vs 1",
+        "  unfinished: generator cap 12 exceeded at degree 7",
+    ]
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 2
+    rep = json.loads(out)
+    assert [v["condition"] for v in rep["verdicts"]] == ["1", "translation", "2", "3", "4"]
+    assert rep["unfinished"] == "generator cap 12 exceeded at degree 7"
+    assert "is_epi" not in rep
 
 
 def test_tor_matches_periodic_oracle(capsys):

@@ -115,8 +115,10 @@ def test_ring_mode_honours_generator_cap():
     # resolve with the caller's cap: one Ext resolution here needs 14 generators
     phi = truncated_to_ground(2)
     fam = generate_test_family(phi.target, 0, 3)
-    with pytest.raises(ResourceBoundExceeded):
+    with pytest.raises(ResourceBoundExceeded) as e:
         check_ring_epi(phi, 3, fam, max_generators=12)
+    # the cap is hit in (5): the exception carries the verdicts before it
+    assert [v.condition for v in e.value.verdicts] == [1, "translation", 2, 3, 4]
 
 
 # -- DGA mode ------------------------------------------------------------------
@@ -256,6 +258,28 @@ def test_dwyer_greenlees_broken_witness_refused():
     M = module_direct_sum([left_regular(R), module_shift(left_regular(R), 1)])
     with pytest.raises(ValueError):
         check_dwyer_greenlees(R, M, BuildTreeWitness(Leaf(0)), Window(-2, 4))
+
+
+def test_dwyer_greenlees_builds_the_endomorphism_hom_twice(monkeypatch):
+    # once in endomorphism_dga, once for the comparison and the endpoint
+    from dgkit.homtensor import HomComplex, endomorphism_dga
+
+    built = []
+    init = HomComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomComplex, "__init__", counted)
+    R = exterior_algebra()
+    M = module_direct_sum([left_regular(R), module_shift(left_regular(R), 1)])
+    w = BuildTreeWitness(SumNode([Leaf(0), Leaf(1)]))
+    rep = check_dwyer_greenlees(R, M, w, Window(-2, 8))
+    assert len(built) == 2
+    # the endpoint verdict is the public one, which builds its own Hom
+    _, bimod = endomorphism_dga(M)
+    assert rep.endpoint == check_compact_endpoint(R, rep.acting_algebra, bimod, w, Window(-2, 8))
 
 
 # -- aggregate runs ------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every command reads a presentation file, computes, and prints a deterministic
 report (text or json).  Exit codes: 0 a verdict was computed, 1 invalid input
 (parse error, axiom violation, unknown name, wrong side), 2 a resource bound
-was hit before the computation finished (`check-epi` then prints the
-verdicts finished before it).
+was hit before the computation finished (`check-epi` and `consistency` then
+print the verdicts finished before it).
 """
 
 import argparse
@@ -77,13 +77,12 @@ def _validated(*objects):
 
 def _window(text: str) -> Window:
     try:
-        lo, hi = text.split("..", 1)
-        w = Window(int(lo), int(hi))
+        lo, hi = map(int, text.split("..", 1))
     except ValueError:
         raise InputError(f"window must be LO..HI, got {text!r}")
-    if w.lo > w.hi:
+    if lo > hi:
         raise InputError(f"empty window {text!r}")
-    return w
+    return Window(lo, hi)
 
 
 def _emit(args, title: str, data: dict, lines: list):
@@ -351,22 +350,26 @@ def cmd_consistency(args):
     corpus = [(n, pf.morphisms[n]) for k, n in pf.order if k == "morphism"]
     _validated(*(("morphism", n, phi) for n, phi in corpus))
     D = max(args.window.hi, 1)
-    rep = consistency_run(corpus, args.seed, D, args.family_size, args.max_generators)
-    lines = []
-    for name, r in rep.instances:
-        lines += _epi_report(args, name, r)
+
+    def report(instances):
+        lines = [line for name, r in instances for line in _epi_report(args, name, r)]
+        return lines, {n: _rep_data(r) for n, r in instances}
+
+    try:
+        rep = consistency_run(corpus, args.seed, D, args.family_size, args.max_generators)
+    except ResourceBoundExceeded as e:
+        # the finished instances, then the capped one's finished verdicts; main exits 2
+        lines, data = report(e.instances)
+        name = corpus[len(e.instances)][0]
+        lines += _verdict_lines(name, e.verdicts) + [f"  unfinished: {e}"]
+        data[name] = {"verdicts": _verdict_data(e.verdicts), "unfinished": str(e)}
+        _emit(args, "consistency", {"instances": data}, lines)
+        raise
+    lines, data = report(rep.instances)
     lines.append(f"all instances consistent: {_yesno(rep.agreement)}")
     if rep.first_disagreement:
         lines.append(f"first disagreement: {rep.first_disagreement}")
-    _emit(
-        args,
-        "consistency",
-        {
-            "instances": {n: _rep_data(r) for n, r in rep.instances},
-            "agreement": rep.agreement,
-        },
-        lines,
-    )
+    _emit(args, "consistency", {"instances": data, "agreement": rep.agreement}, lines)
     return 0
 
 

@@ -147,11 +147,9 @@ def validate_complex(C: Complex):
     """Check d*d = 0 everywhere; returns True or a Violation."""
     for n in list(C.diffs):
         prod = C.d(n - 1) * C.d(n)
-        if not prod.is_zero():
-            for j in range(prod.cols):
-                col = prod.column(j)
-                if any(x != 0 for x in col):
-                    return Violation(n, "d ∘ d != 0", (j, col))
+        for j, col in enumerate(prod.columns):
+            if col:
+                return Violation(n, "d ∘ d != 0", (j, prod.column(j)))
     return True
 
 
@@ -275,20 +273,11 @@ def direct_sum(summands: list[Complex], field: Field | None = None) -> Complex:
     }
     diffs = {}
     for n in degrees:
-        rows = []
-        row_dim = sum(c.dim(n - 1) for c in summands)
-        offset_r = 0
-        cols_total = dims[n]
-        block = [[F.zero] * cols_total for _ in range(row_dim)]
-        offset_c = 0
+        cols, off = [], 0
         for c in summands:
-            d = c.d(n)
-            for i in range(d.rows):
-                for j in range(d.cols):
-                    block[offset_r + i][offset_c + j] = d[i, j]
-            offset_r += c.dim(n - 1)
-            offset_c += c.dim(n)
-        diffs[n] = Matrix(F, block, cols=cols_total)
+            cols += [{i + off: x for i, x in col.items()} for col in c.d(n).columns]
+            off += c.dim(n - 1)
+        diffs[n] = Matrix.from_columns(F, cols, off)
     return Complex(F, GradedSpace(dims, labels), diffs)
 
 
@@ -309,35 +298,18 @@ def cone(f: ChainMap):
     }
     diffs = {}
     for n in degrees:
-        rows_out = N.dim(n - 1) + M.dim(n - 2)
-        cols_in = dims[n]
-        block = [[F.zero] * cols_in for _ in range(rows_out)]
-        dN = N.d(n)
-        fm = f.f(n - 1)
-        dM = M.d(n - 1)
-        for i in range(dN.rows):
-            for j in range(dN.cols):
-                block[i][j] = dN[i, j]
-        for i in range(fm.rows):
-            for j in range(fm.cols):
-                block[i][N.dim(n) + j] = fm[i, j]
-        for i in range(dM.rows):
-            for j in range(dM.cols):
-                block[N.dim(n - 1) + i][N.dim(n) + j] = F.neg(dM[i, j])
-        diffs[n] = Matrix(F, block, cols=cols_in)
+        off = N.dim(n - 1)
+        shifted = [
+            {**fc, **{off + i: F.neg(x) for i, x in dc.items()}}
+            for fc, dc in zip(f.f(n - 1).columns, M.d(n - 1).columns)
+        ]
+        diffs[n] = Matrix.from_columns(F, list(N.d(n).columns) + shifted, off + M.dim(n - 2))
     Cn = Complex(F, GradedSpace(dims, labels), diffs)
     incl = ChainMap(
         N,
         Cn,
         {
-            n: Matrix(
-                F,
-                [
-                    [F.one if i == j else F.zero for j in range(N.dim(n))]
-                    for i in range(Cn.dim(n))
-                ],
-                cols=N.dim(n),
-            )
+            n: Matrix.from_columns(F, [{j: F.one} for j in range(N.dim(n))], Cn.dim(n))
             for n in N.degrees()
         },
     )
@@ -346,13 +318,8 @@ def cone(f: ChainMap):
         Cn,
         SM,
         {
-            n: Matrix(
-                F,
-                [
-                    [F.one if j == N.dim(n) + i else F.zero for j in range(Cn.dim(n))]
-                    for i in range(SM.dim(n))
-                ],
-                cols=Cn.dim(n),
+            n: Matrix.from_columns(
+                F, [{}] * N.dim(n) + [{i: F.one} for i in range(SM.dim(n))], SM.dim(n)
             )
             for n in Cn.degrees()
         },
@@ -382,16 +349,16 @@ def quasi_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
     for n in w.degrees():
         cycles = kernel_basis(src.d(n))
         h_src = len(cycles) - rank(src.d(n + 1))
-        fn, dn, bd = f.f(n), tgt.d(n), tgt.d(n + 1)
+        fn, dn = f.f(n), tgt.d(n)
         image = Echelon(tgt.field)
-        b_tgt = sum(image.add(bd.column(j)) for j in range(bd.cols))
+        b_tgt = sum(image.add(c) for c in tgt.d(n + 1).columns)
         h_tgt = tgt.dim(n) - rank(dn) - b_tgt
         rank_hf = 0
         for z in cycles:
-            y = fn.apply(z)
-            if any(dn.apply(y)):
+            y = fn.image(z)
+            if dn.image(y):
                 err = ValueError(f"f_{n} maps a cycle to a non-cycle")
-                err.witness = z
+                err.witness = tuple(z.get(j, src.field.zero) for j in range(src.dim(n)))
                 raise err
             rank_hf += image.add(y)
         dims[n] = (h_src, h_tgt)

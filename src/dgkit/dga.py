@@ -88,8 +88,11 @@ class _Graded:
         self.basis = list(basis)
         self.diff = {i: dict(e) for i, e in diff.items() if e}
         self._by_degree: dict[int, list[int]] = {}
+        self._pos: list[int] = []  # position of each basis index in its component
         for i, (_, d) in enumerate(self.basis):
-            self._by_degree.setdefault(d, []).append(i)
+            comp = self._by_degree.setdefault(d, [])
+            self._pos.append(len(comp))
+            comp.append(i)
         self._complex = None
 
     def deg(self, i: int) -> int:
@@ -121,38 +124,34 @@ class _Graded:
             raise ValueError(f"inhomogeneous element across degrees {sorted(degs)}")
         return degs.pop()
 
-    def coords(self, a: dict, n: int):
-        """Coordinates of a degree-n element in the component basis."""
-        idx = self.component(n)
-        pos = {g: p for p, g in enumerate(idx)}
-        v = [self.field.zero] * len(idx)
+    def coords(self, a: dict, n: int) -> dict:
+        """Coordinates {position: c} of a degree-n element in the component basis."""
+        out = {}
         for g, c in a.items():
             if c != 0:
                 if self.deg(g) != n:
                     raise ValueError("element not concentrated in requested degree")
-                v[pos[g]] = c
-        return tuple(v)
+                out[self._pos[g]] = c
+        return out
 
-    def elem_from_component(self, vec, n: int) -> dict:
+    def elem_from_component(self, vec: dict, n: int) -> dict:
+        """The element with coordinates {position: c} in the degree-n component."""
         idx = self.component(n)
-        return {idx[p]: c for p, c in enumerate(vec) if c != 0}
+        return {idx[p]: c for p, c in sorted(vec.items()) if c != 0}
 
     def underlying(self) -> Complex:
         if self._complex is None:
             dims = {n: len(ix) for n, ix in self._by_degree.items()}
             labels = {n: tuple(self.label(i) for i in ix) for n, ix in self._by_degree.items()}
-            diffs = {}
-            for n, idx in self._by_degree.items():
-                rows = self.component(n - 1)
-                if not rows or not idx:
-                    continue
-                pos = {g: p for p, g in enumerate(rows)}
-                F = self.field
-                block = [[F.zero] * len(idx) for _ in rows]
-                for col, g in enumerate(idx):
-                    for tgt, c in self.diff.get(g, {}).items():
-                        block[pos[tgt]][col] = c
-                diffs[n] = Matrix(F, block, cols=len(idx))
+            diffs = {
+                n: Matrix.from_columns(
+                    self.field,
+                    [self.coords(self.diff.get(g, {}), n - 1) for g in idx],
+                    len(self.component(n - 1)),
+                )
+                for n, idx in self._by_degree.items()
+                if self.component(n - 1)
+            }
             self._complex = Complex(self.field, GradedSpace(dims, labels), diffs)
         return self._complex
 
@@ -202,15 +201,11 @@ class DgModule(_Graded):
         key = (a_idx, n)
         if key not in self._action_mats:
             p = self.algebra.deg(a_idx)
-            src = self.component(n)
-            dst = self.component(n + p)
-            pos = {g: q for q, g in enumerate(dst)}
-            F = self.field
-            block = [[F.zero] * len(src) for _ in dst]
-            for col, m in enumerate(src):
-                for tgt, c in self.act.get((a_idx, m), {}).items():
-                    block[pos[tgt]][col] = c
-            self._action_mats[key] = Matrix(F, block, cols=len(src))
+            self._action_mats[key] = Matrix.from_columns(
+                self.field,
+                [self.coords(self.act.get((a_idx, m), {}), n + p) for m in self.component(n)],
+                len(self.component(n + p)),
+            )
         return self._action_mats[key]
 
     def __repr__(self):

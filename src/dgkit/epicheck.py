@@ -702,13 +702,21 @@ def check_dga_epi(
 def consistency_run(
     corpus, seed: int, D: int, family_size: int = 6, max_generators: int = 10000
 ) -> AggregateReport:
-    """Run the applicable checker on each (description, morphism) instance."""
+    """Run the applicable checker on each (description, morphism) instance.
+
+    On a resource bound the exception carries the (description, report)
+    pairs finished before it, besides the capped instance's verdicts.
+    """
     instances = []
     agreement = True
     first = None
     for desc, phi in corpus:
         family = generate_test_family(phi.target, seed, family_size)
-        rep = check_dga_epi(phi, D, family, max_generators)
+        try:
+            rep = check_dga_epi(phi, D, family, max_generators)
+        except ResourceBoundExceeded as e:
+            e.instances = instances
+            raise
         instances.append((desc, rep))
         if not rep.agreement and first is None:
             agreement = False

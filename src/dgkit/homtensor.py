@@ -51,12 +51,22 @@ def _left_over(X, A: DgAlgebra):
     raise SideMismatch(f"unsupported operand {X!r}")
 
 
+def _ground_pairs(M, N, sign: int) -> dict[int, list[tuple[int, int]]]:
+    """The ground pairs (m, n) by degree sign·|m| + |n|, each in lexicographic order."""
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for mi in range(M.total_dim):
+        dm = sign * M.deg(mi)
+        for nj in range(N.total_dim):
+            pairs.setdefault(dm + N.deg(nj), []).append((mi, nj))
+    return pairs
+
+
 class GroundComplex:
     """A complex whose basis vectors are ground vectors over pairs (m, n).
 
     Shared by :class:`TensorProduct` and :class:`HomComplex`.  A subclass sets
     ``field``, ``name``, the outer algebras and ``_basis`` (degree -> basis
-    representatives), and provides ``_coords`` (sparse coordinates of a
+    representatives), and provides ``coords`` (sparse coordinates of a
     ground vector), ``ground_differential`` and the outer actions on ground
     vectors.  This class builds the complex, numbers the basis globally for
     ``structure()`` and assembles that bimodule, module or bare complex.
@@ -69,16 +79,10 @@ class GroundComplex:
         """Degree-n basis representatives: ground pairs or Hom ground vectors."""
         return self._basis.get(n, [])
 
-    def coords(self, ground: dict, n: int) -> tuple:
-        """Coordinates of a ground vector of degree n in the degree-n basis."""
-        x = self._coords(ground, n)
-        z = self.field.zero
-        return tuple(x.get(i, z) for i in range(len(self.component(n))))
-
     def element(self, ground: dict, n: int) -> dict:
         """The element of structure() represented by a ground vector of degree n."""
         index = self._struct_index
-        return {index[(n, i)]: c for i, c in sorted(self._coords(ground, n).items())}
+        return {index[(n, i)]: c for i, c in sorted(self.coords(ground, n).items())}
 
     def _build_complex(self, labels: dict):
         dims = {n: len(self.component(n)) for n in self.degrees()}
@@ -104,11 +108,9 @@ class GroundComplex:
         """The differential of structure(), read off the matrix columns."""
         index, diff = self._struct_index, {}
         for n in self.degrees():
-            mat = self.complex.d(n)
-            for q in range(mat.cols):
-                e = {index[(n - 1, i)]: c for i, c in enumerate(mat.column(q)) if c != 0}
-                if e:
-                    diff[index[(n, q)]] = e
+            for q, col in enumerate(self.complex.d(n).columns):
+                if col:
+                    diff[index[(n, q)]] = {index[(n - 1, i)]: c for i, c in sorted(col.items())}
         return diff
 
     def _act_table(self, alg: DgAlgebra, ground_act) -> dict:
@@ -150,15 +152,12 @@ class TensorProduct(GroundComplex):
         self.N = N
         F = A.field
         self.field = F
+        self._signs = (F.one, F.neg(F.one))  # (-1)^k is _signs[k % 2]
         self.name = name or f"{M.name}⊗{N.name}"
         act_rA, self.outer_left, self._act_outer_l = _right_over(M, A)
         act_lA, self.outer_right, self._act_outer_r = _left_over(N, A)
 
-        # ground pairs by degree, in lexicographic order
-        pairs: dict[int, list[tuple[int, int]]] = {}
-        for mi in range(M.total_dim):
-            for nj in range(N.total_dim):
-                pairs.setdefault(M.deg(mi) + N.deg(nj), []).append((mi, nj))
+        pairs = _ground_pairs(M, N, 1)
 
         # the relations of each degree, as an echelon over ground pairs; the
         # pairs off its pivots represent the quotient basis
@@ -197,7 +196,7 @@ class TensorProduct(GroundComplex):
         mi, nj = pair
         out = {(k, nj): c for k, c in self.M.diff.get(mi, {}).items()}
         dn = {(mi, k): c for k, c in self.N.diff.get(nj, {}).items()}
-        return vec_iadd(self.field, out, dn, self.field.of((-1) ** self.M.deg(mi)))
+        return vec_iadd(self.field, out, dn, self._signs[self.M.deg(mi) % 2])
 
     def _left_act_ground(self, a: int, pair: tuple[int, int], d: int) -> dict:
         mi, nj = pair
@@ -213,7 +212,8 @@ class TensorProduct(GroundComplex):
             return {}
         return self._relations[d].reduce(ground)
 
-    def _coords(self, ground: dict, d: int) -> dict:
+    def coords(self, ground: dict, d: int) -> dict:
+        """Coordinates {position: c} of a ground vector of degree d in the quotient basis."""
         fpos = self._free_pos.get(d, {})
         return {fpos[pair]: c for pair, c in self.reduce(ground, d).items()}
 
@@ -254,25 +254,13 @@ class HomComplex(GroundComplex):
         self.N = N
         F = A.field
         self.field = F
+        self._signs = (F.one, F.neg(F.one))  # (-1)^k is _signs[k % 2]
         self.name = name or f"Hom({M.name},{N.name})"
         act_M, self.outer_left, self._act_outer_l = _left_over(M, A)
         act_N, self.outer_right, self._act_outer_r = _left_over(N, A)
-        if not M.basis or not N.basis:
-            lo, hi = 0, -1
-        else:
-            lo = N.min_degree() - M.max_degree()
-            hi = N.max_degree() - M.min_degree()
 
         self.basis_vectors: dict[int, list[dict]] = {}
-        for n in range(lo, hi + 1):
-            ps = [
-                (mi, nj)
-                for mi in range(M.total_dim)
-                for nj in range(N.total_dim)
-                if N.deg(nj) == M.deg(mi) + n
-            ]
-            if not ps:
-                continue
+        for n, ps in sorted(_ground_pairs(M, N, -1).items()):
             in_ps = set(ps)
             # A-linearity constraints, one per (a, m, w): the Hom_n component
             # is their kernel over the ground pairs
@@ -281,7 +269,7 @@ class HomComplex(GroundComplex):
                 if a == A.unit:
                     continue
                 pa = A.deg(a)
-                sgn = F.of((-1) ** (n * pa))
+                sgn = self._signs[n * pa % 2]
                 for mi in range(M.total_dim):
                     tgt_deg = M.deg(mi) + pa + n
                     tgt = N.component(tgt_deg)
@@ -338,13 +326,14 @@ class HomComplex(GroundComplex):
         for mi, fm in f.items():
             vec_iadd(F, out, {(mi, k): c for k, c in self.N.d_elem(fm).items()})
         # (f ∘ d_M)(m) = Σ_k d(m)_k f(k), read off the transpose of d_M
-        sgn = F.of(-((-1) ** n))
+        sgn = self._signs[(n + 1) % 2]
         for k, fk in f.items():
             for mi, c in self._dM_into.get(k, {}).items():
                 vec_iadd(F, out, {(mi, nj): c2 for nj, c2 in fk.items()}, F.mul(sgn, c))
         return out
 
-    def _coords(self, ground: dict, n: int) -> dict:
+    def coords(self, ground: dict, n: int) -> dict:
+        """Coordinates {position: c} of an A-linear ground vector of degree n."""
         vecs = self.basis_vectors.get(n, [])
         if not vecs:
             if any(c != 0 for c in ground.values()):
@@ -372,7 +361,7 @@ class HomComplex(GroundComplex):
             ms = self._act_outer_l.get((s, mi), {})
             if ms:
                 fms = linear(F, lambda k: fmap.get(k, {}), ms)
-                sgn = F.of((-1) ** (ds * (n + self.M.deg(mi))))
+                sgn = self._signs[ds * (n + self.M.deg(mi)) % 2]
                 vec_iadd(F, out, {(mi, nj): c for nj, c in fms.items()}, sgn)
         return out
 
@@ -382,7 +371,7 @@ class HomComplex(GroundComplex):
         dt = self.outer_right.deg(t)
         out: dict = {}
         for (mi, nj), c in f.items():
-            sgn = F.of((-1) ** (dt * self.M.deg(mi)))
+            sgn = self._signs[dt * self.M.deg(mi) % 2]
             nt = {(mi, k): c2 for k, c2 in self._act_outer_r.get((t, nj), {}).items()}
             vec_iadd(F, out, nt, F.mul(sgn, c))
         return out

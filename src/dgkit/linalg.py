@@ -1,13 +1,18 @@
-"""Exact linear algebra: dense immutable matrices and one sparse echelon engine.
+"""Exact linear algebra: sparse-column immutable matrices and one echelon engine.
 
-Matrices are immutable, stored row-major as tuples of tuples of scalars of a
-single ambient :class:`~dgkit.field.Field`; they carry differentials and
-chain maps.  Every elimination goes through :class:`Echelon`, the reduced
-echelon basis of a subspace held as sparse dict rows.  A row's pivot is the
-least index of its support and every row is zero on every other pivot, so the
-rows are the unique reduced row-echelon form of the span: rank, kernel bases,
-solutions and normal forms depend only on the input and its order, never on
-the elimination path.
+A :class:`Matrix` over a :class:`~dgkit.field.Field` is a tuple of sparse
+columns, each a dict ``{row: nonzero field element}``; matrices carry
+differentials and chain maps.  ``Matrix(F, rows)`` is the one constructor
+that coerces its entries into the field, for input from outside; every other
+constructor takes field elements as they are.  ``entries`` is a dense
+row-major view, for tests and printing only.
+
+Every elimination goes through :class:`Echelon`, the reduced echelon basis of
+a subspace held as sparse dict rows.  A row's pivot is the least index of its
+support and every row is zero on every other pivot, so the rows are the
+unique reduced row-echelon form of the span: rank, kernel bases, solutions
+and normal forms depend only on the input and its order, never on the
+elimination path.
 """
 
 from __future__ import annotations
@@ -20,63 +25,70 @@ class DimensionMismatch(ValueError):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "columns")
 
     def __init__(self, field: Field, entries, cols: int | None = None):
-        self.field = field
-        self.entries = tuple(tuple(field.of(x) for x in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else (cols or 0)
-        if any(len(r) != self.cols for r in self.entries):
+        """The matrix with these rows (``cols`` sets the width of an empty list);
+        the one constructor that coerces its entries into the field."""
+        entries = [tuple(field.of(x) for x in row) for row in entries]
+        cols = len(entries[0]) if entries else (cols or 0)
+        if any(len(r) != cols for r in entries):
             raise DimensionMismatch("ragged rows")
+        columns = [{} for _ in range(cols)]
+        for i, row in enumerate(entries):
+            for j, x in enumerate(row):
+                if x != 0:
+                    columns[j][i] = x
+        self.field, self.rows, self.cols, self.columns = field, len(entries), cols, tuple(columns)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
+    def from_columns(field: Field, cols, rows: int) -> "Matrix":
+        """The matrix with these columns, each a dict {row: field element}.
+        Entries are not coerced; zeros are dropped."""
+        m = object.__new__(Matrix)
+        m.field, m.rows = field, rows
+        m.columns = tuple({i: x for i, x in c.items() if x != 0} for c in cols)
+        m.cols = len(m.columns)
+        if any(i >= rows for c in m.columns for i in c):
+            raise DimensionMismatch(f"column entry beyond row {rows - 1}")
+        return m
+
+    @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return Matrix.from_columns(field, [{}] * cols, rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(
-            field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def from_columns(field: Field, cols, rows: int | None = None) -> "Matrix":
-        cols = list(cols)
-        if not cols:
-            if rows is None:
-                raise DimensionMismatch("row count needed for empty column list")
-            return Matrix(field, [[] for _ in range(rows)], cols=0)
-        if len(cols[0]) == 0:
-            return Matrix(field, [], cols=len(cols))
-        n = len(cols[0])
-        return Matrix(field, [[c[i] for c in cols] for i in range(n)])
+        return Matrix.from_columns(field, [{i: field.one} for i in range(n)], n)
 
     # -- access --------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple:
+        """Dense row-major view, for tests and printing."""
+        return tuple(tuple(self[i, j] for j in range(self.cols)) for i in range(self.rows))
+
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        return self.columns[ij[1]].get(ij[0], self.field.zero)
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(self[i, j] for i in range(self.rows))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.columns)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and other.field == self.field
-            and other.entries == self.entries
             and other.rows == self.rows
-            and other.cols == self.cols
+            and other.columns == self.columns
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, tuple(frozenset(c.items()) for c in self.columns)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
@@ -86,23 +98,21 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in add")
-        F = self.field
-        return Matrix(
-            F,
-            [
-                [F.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
+        p, minus_one = self.field.characteristic, self.field.neg(self.field.one)
+        cols = [dict(a) for a in self.columns]
+        for a, b in zip(cols, other.columns):
+            _sub_scaled(p, a, minus_one, b)
+        return Matrix.from_columns(self.field, cols, self.rows)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(self.field.neg(self.field.one))
 
     def scale(self, c) -> "Matrix":
-        F = self.field
-        c = F.of(c)
-        return Matrix(F, [[F.mul(c, x) for x in row] for row in self.entries], cols=self.cols)
+        c = self.field.of(c)
+        if c == 0:
+            return Matrix.zero(self.field, self.rows, self.cols)
+        p = self.field.characteristic
+        return Matrix.from_columns(self.field, [_scaled(p, c, a) for a in self.columns], self.rows)
 
     def __neg__(self) -> "Matrix":
         return self.scale(self.field.neg(self.field.one))
@@ -110,33 +120,21 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        F = self.field
-        out = []
-        ocols = other.entries
-        for r in self.entries:
-            row = []
-            for j in range(other.cols):
-                s = F.zero
-                for k, a in enumerate(r):
-                    if a != 0:
-                        s = F.add(s, F.mul(a, ocols[k][j]))
-                row.append(s)
-            out.append(row)
-        return Matrix(F, out, cols=other.cols)
+        return Matrix.from_columns(self.field, [self.image(b) for b in other.columns], self.rows)
+
+    def image(self, v: dict) -> dict:
+        """The image of a sparse vector {column: scalar}, as a sparse vector."""
+        F, out = self.field, {}
+        for j, x in v.items():
+            _sub_scaled(F.characteristic, out, F.neg(x), self.columns[j])
+        return out
 
     def apply(self, vec):
         """Multiply by a column vector given as a sequence; returns a tuple."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        F = self.field
-        out = []
-        for r in self.entries:
-            s = F.zero
-            for a, v in zip(r, vec):
-                if a != 0 and v != 0:
-                    s = F.add(s, F.mul(a, v))
-            out.append(s)
-        return tuple(out)
+        y = self.image({j: x for j, x in enumerate(vec) if x != 0})
+        return tuple(y.get(i, self.field.zero) for i in range(self.rows))
 
 
 def _sub_scaled(p: int, v: dict, c, row: dict):
@@ -246,44 +244,42 @@ class Echelon:
         return [dict(sorted(v.items())) for v in ker.values()]
 
 
-def _row_echelon(A: Matrix) -> Echelon:
-    E = Echelon(A.field)
-    for r in A.entries:
-        E.add(r)
-    return E
-
-
 def rank(A: Matrix) -> int:
-    return len(_row_echelon(A))
+    E = Echelon(A.field)
+    for c in A.columns:
+        E.add(c)
+    return len(E)
 
 
-def kernel_basis(A: Matrix):
-    """Basis of the right null space, as a list of column-vector tuples.
+def kernel_basis(A: Matrix) -> list[dict]:
+    """Basis of the right null space, as sparse vectors {column: scalar}.
 
     Canonical: one vector per non-pivot column j of the reduced row-echelon
     form, with 1 at j and 0 at the other non-pivot columns.
     """
-    z = A.field.zero
-    return [
-        tuple(v.get(j, z) for j in range(A.cols))
-        for v in _row_echelon(A).kernel(range(A.cols))
-    ]
+    rows: list[dict] = [{} for _ in range(A.rows)]
+    for j, c in enumerate(A.columns):
+        for i, x in c.items():
+            rows[i][j] = x
+    E = Echelon(A.field)
+    for r in rows:
+        E.add(r)
+    return E.kernel(range(A.cols))
 
 
 def solve(A: Matrix, b):
     """One exact solution of A x = b, or None if b is not in the column space.
 
-    The solution is the one that vanishes on the non-pivot columns.
+    b is a sequence or a sparse dict; the solution is a tuple.  It is the one
+    that vanishes on the non-pivot columns: the certified echelon of the
+    columns expresses b in the columns independent of the earlier ones.
     """
-    if len(b) != A.rows:
+    if not isinstance(b, dict) and len(b) != A.rows:
         raise DimensionMismatch("rhs length mismatch")
-    F, n = A.field, A.cols
-    E = Echelon(F)
-    for r, x in zip(A.entries, b):
-        E.add(r + (F.of(x),))
-    if n in E.rows:
+    E = Echelon(A.field, certify=True)
+    for c in A.columns:
+        E.add(c)
+    x = E.coords(b)
+    if x is None:
         return None
-    x = [F.zero] * n
-    for piv, row in E.rows.items():
-        x[piv] = row.get(n, F.zero)
-    return tuple(x)
+    return tuple(x.get(j, A.field.zero) for j in range(A.cols))

@@ -23,7 +23,8 @@ def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Ma
     ``source`` and ``target`` are graded carriers: DG algebras and
     (bi)modules, tensor products and Hom complexes.  Each has ``degrees()``,
     ``component(n)`` (its degree-n basis, as basis indices, ground pairs or
-    Hom ground vectors) and ``coords(element, n)``.  ``image`` receives a
+    Hom ground vectors) and ``coords(element, n)``, the sparse coordinates
+    {position: c} of a degree-n element.  ``image`` receives a
     member of ``source.component(n)`` and its degree and returns an element
     of ``target`` of degree n + offset.
     """
@@ -69,9 +70,8 @@ class DgModuleMap:
         F = self.source.field
         for i, c in e.items():
             n = self.source.deg(i)
-            col = self.source.component(n).index(i)
-            img = self.f(n).column(col)
-            vec_iadd(F, out, self.target.elem_from_component(img, n), c)
+            col = self.f(n).columns[self.source.component(n).index(i)]
+            vec_iadd(F, out, self.target.elem_from_component(col, n), c)
         return out
 
     def validate(self):
@@ -172,42 +172,19 @@ def module_cone(f: DgModuleMap):
         for k, c in M.diff.get(m, {}).items():
             e[k + nN] = F.neg(c)
         n = M.deg(m)
-        col = M.component(n).index(m)
-        img = f.f(n).column(col)
-        vec_iadd(F, e, N.elem_from_component(img, n))
+        col = f.f(n).columns[M.component(n).index(m)]
+        vec_iadd(F, e, N.elem_from_component(col, n))
         if e:
             diff[m + nN] = e
     C = DgModule(A, M.side, basis, act, diff, name=f"cone({M.name}->{N.name})")
-    one = F.one
-    incl = DgModuleMap(
-        N,
-        C,
-        {
-            n: Matrix(
-                F,
-                [
-                    [one if C.component(n)[i] == N.component(n)[j] else F.zero
-                     for j in range(len(N.component(n)))]
-                    for i in range(len(C.component(n)))
-                ],
-                cols=len(N.component(n)),
-            )
-            for n in N.degrees()
-        },
-    )
+    # the target's basis indices are the cone's, and source index m is m + nN
+    incl = DgModuleMap(N, C, matrices_from_images(N, C, lambda g, n: {g: F.one}))
     SM = module_shift(M, 1)
-    proj_mats = {}
-    for n in C.degrees():
-        rows = []
-        for i in range(len(SM.component(n))):
-            src_global = SM.component(n)[i] + nN  # same ordinal in cone basis
-            row = [
-                one if C.component(n)[j] == src_global else F.zero
-                for j in range(len(C.component(n)))
-            ]
-            rows.append(row)
-        proj_mats[n] = Matrix(F, rows, cols=len(C.component(n)))
-    proj = DgModuleMap(C, SM, proj_mats)
+
+    def to_source(g, n):
+        return {g - nN: F.one} if g >= nN else {}
+
+    proj = DgModuleMap(C, SM, matrices_from_images(C, SM, to_source))
     return C, incl, proj
 
 
@@ -350,9 +327,6 @@ class FreeModule:
 
     def split(self, idx: int) -> tuple[int, int]:
         return divmod(idx, self.algebra.total_dim)
-
-    def act_on_elem(self, a_idx: int, e: dict) -> dict:
-        return free_act(self.algebra, a_idx, e)
 
     def _build(self) -> DgModule:
         A, F = self.algebra, self.algebra.field

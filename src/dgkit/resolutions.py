@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Echelon, rank
+from .linalg import Echelon, Matrix, kernel_basis, rank
 from .complexes import ChainMap, Homotopy, Violation, Window, check_homotopy, quasi_iso
 from .dga import (
     DgAlgebra,
@@ -42,13 +42,15 @@ from .modops import DgModuleMap, FreeModule, Generator, free_diff, module_shift
 
 
 class ResourceBoundExceeded(RuntimeError):
-    """Generator cap hit; carries the partial resolution built so far and,
-    when raised inside an epimorphism check, the verdicts finished before it."""
+    """Generator cap hit; carries the partial resolution built so far, the
+    verdicts finished before it when raised inside an epimorphism check, and
+    the instances finished before it when raised inside a consistency run."""
 
     def __init__(self, partial, message: str):
         super().__init__(message)
         self.partial = partial
         self.verdicts: list = []
+        self.instances: list = []
 
 
 @dataclass
@@ -98,25 +100,13 @@ def _free_column(M: DgModule, gens: list[Generator], x: int, rows) -> dict:
     return col
 
 
-def _cone_columns(M: DgModule, gens: list[Generator], n: int) -> list[dict]:
-    """d_n of cone(ε: F → M) as sparse columns over the positions of cone_{n-1}."""
+def _cone_differential(M: DgModule, gens: list[Generator], n: int) -> Matrix:
+    """d_n of cone(ε: F → M), built column by column from the generator list."""
     rows = _positions(M, gens, n - 1)
     m_pos = rows[0]
     cols = [{m_pos[t]: c for t, c in M.diff.get(m, {}).items()} for m in M.component(n)]
     cols += [_free_column(M, gens, x, rows) for x in _free_basis(M.algebra, gens, n - 1)]
-    return cols
-
-
-def _cycles(F, cols: list[dict]) -> list[dict]:
-    """Canonical kernel basis of the map with these columns (see Echelon.kernel)."""
-    rows: dict = {}
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    ech = Echelon(F)
-    for r in rows.values():
-        ech.add(r)
-    return ech.kernel(range(len(cols)))
+    return Matrix.from_columns(M.field, cols, len(m_pos) + len(rows[1]))
 
 
 def _free_generators(M: DgModule) -> list[Generator] | None:
@@ -218,10 +208,10 @@ def semifree_resolution(
         m_of = M.component(n)
         x_of = list(rows[1])
         boundaries = Echelon(F)
-        for col in _cone_columns(M, gens, n + 1):
+        for col in _cone_differential(M, gens, n + 1).columns:
             boundaries.add(col)
         # the cycles not yet bounded, in kernel-basis order
-        for z in _cycles(F, _cone_columns(M, gens, n)):
+        for z in kernel_basis(_cone_differential(M, gens, n)):
             if not boundaries.add(z):
                 continue
             # one generator per class: dependent classes then die for free,

@@ -91,6 +91,37 @@ def test_check_epi_ring_mode_resource_bound_exits_two(capsys):
     assert "is_epi" not in rep
 
 
+def test_consistency_resource_bound_reports_finished_instances(capsys, tmp_path):
+    # idk finishes; aug hits the cap in (5), as in the check-epi test above
+    path = tmp_path / "two.dg"
+    text = (FIXTURES / "truncated.dg").read_text()
+    path.write_text(text.replace("morphism aug", "morphism idk : k -> k\n  u -> u\n\nmorphism aug"))
+    argv = ["consistency", path, "--window", "0..3", "--family-size", "3", "--max-generators", "12"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert "generator cap" in err
+    lines = out.splitlines()
+    assert lines[0] == "morphism idk:"
+    assert "  homological epimorphism: YES" in lines
+    assert lines[lines.index("morphism aug:"):] == [
+        "morphism aug:",
+        "  (1) fails at degree 1: dims 1 vs 0",
+        "  (translation) fails at degree 1: dims 1 vs 0",
+        "  (2) fails at degree 1: dims 1 vs 0",
+        "  (3) fails at degree 1: dims 1 vs 0",
+        "  (4) fails at degree -3: dims 0 vs 1",
+        "  unfinished: generator cap 12 exceeded at degree 7",
+    ]
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["command"] == "consistency" and "agreement" not in rep
+    assert rep["instances"]["idk"]["is_epi"] is True
+    aug = rep["instances"]["aug"]
+    assert [v["condition"] for v in aug["verdicts"]] == ["1", "translation", "2", "3", "4"]
+    assert aug["unfinished"] == "generator cap 12 exceeded at degree 7"
+
+
 def test_tor_matches_periodic_oracle(capsys):
     code, out, _ = _run(
         capsys, "tor", FIXTURES / "truncated.dg", "A", "Kr", "K", "--window", "0..4"
@@ -214,7 +245,7 @@ def test_bad_window_exits_one(capsys):
         capsys, "homology", FIXTURES / "truncated.dg", "K", "--window", "5..1"
     )
     assert code == 1
-    assert "window" in err
+    assert "empty window '5..1'" in err
 
 
 # -- input validation in computing commands -----------------------------------------

@@ -129,12 +129,12 @@ def test_hom_outer_structures_valid():
 
 def test_hom_differential_squares_to_zero_with_nontrivial_diff():
     # module with differential: cone-style module over Λ(x)
-    from dgkit.modops import FreeModule, Generator
+    from dgkit.modops import FreeModule, Generator, free_act
 
     A = exterior_algebra()
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = F0.act_on_elem(1, {F0.index(0, 0): QQ.one})
+    x_g0 = free_act(A, 1, {F0.index(0, 0): QQ.one})
     F = FreeModule(A, [g0, Generator("g1", 2, d_elem=x_g0)])
     M = F.module
     assert validate_module(M) == []
@@ -161,12 +161,12 @@ def test_endomorphism_dga_identity_is_unit():
 
 
 def test_endomorphism_dga_of_two_generator_free():
-    from dgkit.modops import FreeModule, Generator
+    from dgkit.modops import FreeModule, Generator, free_act
 
     A = exterior_algebra()
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = F0.act_on_elem(1, {F0.index(0, 0): QQ.one})
+    x_g0 = free_act(A, 1, {F0.index(0, 0): QQ.one})
     F = FreeModule(A, [g0, Generator("g1", 2, d_elem=x_g0)])
     E, bimod = endomorphism_dga(F.module)
     assert validate_dga(E) == []

@@ -44,6 +44,29 @@ def dense_rref(F, rows, ncols):
     return m[: len(pivots)], pivots
 
 
+def oracle_kernel(F, R, pivots, ncols):
+    """Canonical sparse kernel from a reduced row-echelon form: 1 at each non-pivot j."""
+    ker = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [F.zero] * ncols
+        v[j] = F.one
+        for row, p in zip(R, pivots):
+            v[p] = F.neg(row[j])
+        ker.append({i: x for i, x in enumerate(v) if x != 0})
+    return ker
+
+
+def oracle_solve(F, rows, b, ncols):
+    """The solution of A x = b vanishing on the non-pivot columns, or None."""
+    Rb, pb = dense_rref(F, [list(row) + [x] for row, x in zip(rows, b)], ncols + 1)
+    if ncols in pb:
+        return None
+    x = [F.zero] * ncols
+    for row, p in zip(Rb, pb):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
 # -- row reduction --------------------------------------------------------------
 
 
@@ -57,13 +80,13 @@ def test_row_reduce_rank_one():
     A = Matrix(QQ, [[1, 2], [2, 4]])
     assert echelon_of(A).rows == {0: {0: 1, 1: 2}}
     assert rank(A) == 1
-    assert kernel_basis(A) == [(Fraction(-2), Fraction(1))]
+    assert kernel_basis(A) == [{0: Fraction(-2), 1: Fraction(1)}]
 
 
 def test_row_reduce_mod2():
     A = Matrix(GF(2), [[1, 1], [1, 1]])
     assert rank(A) == 1
-    assert kernel_basis(A) == [(1, 1)]
+    assert kernel_basis(A) == [{0: 1, 1: 1}]
 
 
 def test_row_reduce_idempotent():
@@ -123,7 +146,7 @@ def test_solve_kernel_consistency():
         x = solve(A, b)
         assert x is not None and A.apply(x) == b
         for v in kernel_basis(A):
-            shifted = tuple(a + c for a, c in zip(x, v))
+            shifted = tuple(a + v.get(j, 0) for j, a in enumerate(x))
             assert A.apply(shifted) == b
 
 
@@ -189,24 +212,11 @@ def test_engine_matches_dense_oracle(F, r, c, data):
     E = echelon_of(A)
     assert E.rows == {p: {j: x for j, x in enumerate(row) if x != 0} for row, p in zip(R, pivots)}
     assert rank(A) == len(pivots)
-    ker = []
-    for j in (j for j in range(c) if j not in pivots):
-        v = [F.zero] * c
-        v[j] = F.one
-        for row, p in zip(R, pivots):
-            v[p] = F.neg(row[j])
-        ker.append(tuple(v))
-    assert kernel_basis(A) == ker
+    assert kernel_basis(A) == oracle_kernel(F, R, pivots, c)
 
     b = tuple(F.of(x) for x in data.draw(st.lists(entries, min_size=r, max_size=r)))
-    Rb, pb = dense_rref(F, [row + (x,) for row, x in zip(A.entries, b)], c + 1)
-    if c in pb:
-        assert solve(A, b) is None
-    else:
-        x = [F.zero] * c
-        for row, p in zip(Rb, pb):
-            x[p] = row[c]
-        assert solve(A, b) == tuple(x)
+    expected = oracle_solve(F, A.entries, b, c)
+    assert solve(A, b) == expected
 
     # normal form modulo the row space, as the tensor product reduces ground vectors
     v = [F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c))]
@@ -222,4 +232,58 @@ def test_engine_matches_dense_oracle(F, r, c, data):
     x0 = [F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c))]
     coords = cols.coords(A.apply(x0))
     assert A.apply([coords.get(j, F.zero) for j in range(c)]) == A.apply(x0)
-    assert (cols.coords(b) is None) == (c in pb)
+    assert (cols.coords(b) is None) == (expected is None)
+
+
+# -- the sparse-column Matrix against a dense list-of-lists oracle ------------------
+
+
+def oracle_sum(F, xs):
+    total = F.zero
+    for x in xs:
+        total = F.add(total, x)
+    return total
+
+
+def grid(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matrix_matches_dense_oracle(F, r, c, k, data):
+    a, b = ([[F.of(x) for x in row] for row in data.draw(grid(r, c))] for _ in range(2))
+    e = [[F.of(x) for x in row] for row in data.draw(grid(c, k))]
+    A, B, E = Matrix(F, a, cols=c), Matrix(F, b, cols=c), Matrix(F, e, cols=k)
+
+    # the same columns with their explicit zeros give the same matrix, stored without them
+    A2 = Matrix.from_columns(F, [{i: a[i][j] for i in range(r)} for j in range(c)], r)
+    assert A2 == A and hash(A2) == hash(A)
+    assert all(x != 0 for col in A.columns + A2.columns for x in col.values())
+    assert (A.rows, A.cols) == (r, c)
+
+    assert A.entries == tuple(map(tuple, a))
+    assert [A.column(j) for j in range(c)] == [tuple(row[j] for row in a) for j in range(c)]
+    assert A.is_zero() == all(x == 0 for row in a for x in row)
+
+    def dense(rows, cols):
+        return Matrix(F, rows, cols=cols)
+
+    product = [
+        [oracle_sum(F, (F.mul(x, e[q][j]) for q, x in enumerate(row))) for j in range(k)]
+        for row in a
+    ]
+    assert A * E == dense(product, k)
+    assert A + B == dense([[F.add(x, y) for x, y in zip(p, q)] for p, q in zip(a, b)], c)
+    assert A - B == dense([[F.sub(x, y) for x, y in zip(p, q)] for p, q in zip(a, b)], c)
+    assert (A - A).is_zero() and A - A == Matrix.zero(F, r, c)
+    s = F.of(data.draw(entries))
+    assert A.scale(s) == dense([[F.mul(s, x) for x in row] for row in a], c)
+
+    v = [F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c))]
+    assert A.apply(v) == tuple(oracle_sum(F, (F.mul(x, y) for x, y in zip(row, v))) for row in a)
+
+    R, pivots = dense_rref(F, a, c)
+    assert rank(A) == len(pivots)
+    assert kernel_basis(A) == oracle_kernel(F, R, pivots, c)
+    rhs = tuple(F.of(x) for x in data.draw(st.lists(entries, min_size=r, max_size=r)))
+    assert solve(A, rhs) == oracle_solve(F, a, rhs, c)

@@ -240,8 +240,8 @@ def rebuild_resolution(M, D, max_generators=10000):
                 break
             dimM = len(M.component(n))
             comp_free = free.module.component(n - 1)
-            m_part = M.elem_from_component(v[:dimM], n)
-            x_part = {comp_free[i]: c for i, c in enumerate(v[dimM:]) if c != 0}
+            m_part = M.elem_from_component({p: c for p, c in v.items() if p < dimM}, n)
+            x_part = {comp_free[p - dimM]: c for p, c in sorted(v.items()) if p >= dimM}
             eps = vec_scale(F, F.neg(F.one), m_part)
             gens.append(Generator(f"g{n}.{len(gens)}", n, x_part, eps, stage))
             if len(gens) > max_generators:

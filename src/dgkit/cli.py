@@ -2,9 +2,9 @@
 
 Every command reads a presentation file, computes, and prints a deterministic
 report (text or json).  Exit codes: 0 a verdict was computed, 1 invalid input
-(parse error, axiom violation, unknown name, wrong side), 2 a resource bound
-was hit before the computation finished (`check-epi` and `consistency` then
-print the verdicts finished before it).
+(parse error, axiom violation, unknown name, wrong side, a flag out of
+range), 2 a resource bound was hit before the computation finished
+(`check-epi` and `consistency` then print the verdicts finished before it).
 """
 
 import argparse
@@ -83,6 +83,16 @@ def _window(text: str) -> Window:
     if lo > hi:
         raise InputError(f"empty window {text!r}")
     return Window(lo, hi)
+
+
+def _check_counts(args):
+    # a test family always holds S and ΣS
+    for flag, value, least in (
+        ("--max-generators", args.max_generators, 1),
+        ("--family-size", args.family_size, 2),
+    ):
+        if value < least:
+            raise InputError(f"{flag} must be at least {least}, got {value}")
 
 
 def _emit(args, title: str, data: dict, lines: list):
@@ -423,6 +433,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         args.window = _window(args.window)
+        _check_counts(args)
         return args.fn(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Field
-from .linalg import Echelon, Matrix, kernel_basis, rank
+from .field import QQ, Field
+from .linalg import Echelon, Matrix, kernel_basis, rank, vec_scale
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def homology_dims(C: Complex, w: Window) -> dict[int, int]:
 
 
 def euler_characteristic(C: Complex) -> int:
-    return sum((-1) ** n * d for n, d in C.space.dims.items())
+    return sum(int(QQ.sign(n)) * d for n, d in C.space.dims.items())
 
 
 def shift(C: Complex, t: int) -> Complex:
@@ -251,8 +251,7 @@ def shift(C: Complex, t: int) -> Complex:
         return C
     dims = {n + t: d for n, d in C.space.dims.items()}
     labels = {n + t: lab for n, lab in C.space.labels.items()}
-    sign = C.field.of((-1) ** t)
-    diffs = {n + t: m.scale(sign) for n, m in C.diffs.items()}
+    diffs = {n + t: m.scale(C.field.sign(t)) for n, m in C.diffs.items()}
     return Complex(C.field, GradedSpace(dims, labels), diffs)
 
 
@@ -300,7 +299,7 @@ def cone(f: ChainMap):
     for n in degrees:
         off = N.dim(n - 1)
         shifted = [
-            {**fc, **{off + i: F.neg(x) for i, x in dc.items()}}
+            {**fc, **vec_scale(F, F.sign(1), {off + i: x for i, x in dc.items()})}
             for fc, dc in zip(f.f(n - 1).columns, M.d(n - 1).columns)
         ]
         diffs[n] = Matrix.from_columns(F, list(N.d(n).columns) + shifted, off + M.dim(n - 2))

@@ -19,10 +19,10 @@ from .dga import (
     DgAlgebra,
     DgBimodule,
     DgModule,
+    koszul_signed,
     opposite,
     swap_sides,
     vec_iadd,
-    vec_scale,
 )
 from .homtensor import HomComplex, hom_over, tensor_over
 from .modops import matrices_from_images
@@ -134,14 +134,10 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
     Q = bres.bimodule
     Sop, Rop = opposite(S), opposite(R)
     Qp = swap_sides(Q, Sop, Rop, name=f"{Q.name}'")
-    # S as an S^op-S^op-bimodule: s̄·x = (-1)^{|s||x|} xs, x·s̄ = (-1)^{|s||x|} sx
-    act_l = {}
-    act_r = {}
-    for (i, j), e in S.mul.items():
-        sgn = F.of((-1) ** (S.deg(i) * S.deg(j)))
-        act_l[(j, i)] = vec_scale(F, sgn, e)
-        act_r[(j, i)] = vec_scale(F, sgn, e)
-    Sp = DgBimodule(Sop, Sop, S.basis, act_l, act_r, S.diff, name="S'")
+    # S as an S^op-S^op-bimodule: s̄·x = (-1)^{|s||x|} xs, x·s̄ = (-1)^{|s||x|} sx,
+    # one table for both sides
+    act = koszul_signed(F, {(j, i): e for (i, j), e in S.mul.items()}, S.deg, S.deg)
+    Sp = DgBimodule(Sop, Sop, S.basis, act, act, S.diff, name="S'")
     H = hom_over(Sop, Qp, Sp, name=f"Z({M.name})")
     Zb = H.structure()  # left R^op, right S^op
     Z = swap_sides(Zb, S, R)  # left S, right R
@@ -214,7 +210,7 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
         for q_idx, eq in eps_gr.items():
             dq = Q.deg(q_idx)
             t = T.element({(m_idx, p_idx): c for m_idx, c in eq.items()}, dq + n)
-            vec_iadd(F, ground, {(q_idx, g): c for g, c in t.items()}, F.of((-1) ** (n * dq)))
+            vec_iadd(F, ground, {(q_idx, g): c for g, c in t.items()}, F.sign(n * dq))
         return ground
 
     cm = ChainMap(P.underlying(), H.complex, matrices_from_images(P, H, image))
@@ -309,7 +305,7 @@ def duality_map(
             val = P.act_elem(ev(z_idx, {q_idx: F.one}), {p_idx: F.one})
             # sign (-1)^{|z|(|q|+|p|)}: forced by graded S-linearity of
             # the resulting Hom element under this library's conventions
-            sgn = F.of((-1) ** (Zt.deg(z_idx) * d))
+            sgn = F.sign(Zt.deg(z_idx) * d)
             vec_iadd(F, ground, {(z_idx, k): c for k, c in val.items()}, sgn)
         return ground
 

@@ -1,9 +1,11 @@
 """DG algebras, DG (bi)modules, and DGA morphisms as basis-indexed data.
 
-Elements are sparse dicts ``{global basis index: scalar}``.  Structure
-constants (multiplication, actions, differentials) are given on basis
-elements and extended bilinearly.  All axioms are verified exactly on basis
-tuples by the ``validate_*`` functions.
+Elements are sparse dicts ``{global basis index: scalar}``; they are added
+and scaled by the sparse-vector kernel of :mod:`dgkit.linalg` (re-exported
+here as ``vec_iadd`` and ``vec_scale``), and every sign is ``Field.sign``.
+Structure constants (multiplication, actions, differentials) are given on
+basis elements and extended bilinearly.  All axioms are verified exactly on
+basis tuples by the ``validate_*`` functions.
 
 Sign conventions (fixed once, certified by the validators):
   * left Leibniz   d(a m) = d(a) m + (-1)^{|a|} a d(m)
@@ -17,36 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import Field
-from .linalg import Matrix
+from .linalg import Matrix, vec_iadd, vec_scale
 from .complexes import Complex, GradedSpace
 
 
 # -- sparse element helpers ---------------------------------------------------
-
-
-def vec_iadd(F: Field, acc: dict, b: dict, c=None) -> dict:
-    """acc += c·b in place (b itself when c is omitted), dropping zeros; returns acc."""
-    for k, v in b.items():
-        s = F.add(acc.get(k, F.zero), v if c is None else F.mul(c, v))
-        if s == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return acc
-
-
-def vec_add(F: Field, a: dict, b: dict) -> dict:
-    return vec_iadd(F, dict(a), b)
-
-
-def vec_scale(F: Field, c, a: dict) -> dict:
-    if c == 0:
-        return {}
-    return {k: F.mul(c, v) for k, v in a.items()}
-
-
-def vec_is_zero(a: dict) -> bool:
-    return all(v == 0 for v in a.values())
 
 
 def bilinear(F: Field, table, a: dict, b: dict) -> dict:
@@ -54,9 +31,7 @@ def bilinear(F: Field, table, a: dict, b: dict) -> dict:
     out: dict = {}
     for i, ci in a.items():
         for j, cj in b.items():
-            c = F.mul(ci, cj)
-            if c != 0:
-                vec_iadd(F, out, table(i, j), c)
+            vec_iadd(F, out, table(i, j), ci * cj)
     return out
 
 
@@ -66,6 +41,15 @@ def linear(F: Field, table, a: dict) -> dict:
         if ci != 0:
             vec_iadd(F, out, table(i), ci)
     return out
+
+
+def koszul_signed(F: Field, table: dict, deg_a, deg_x) -> dict:
+    """The action table {(a, x): (-1)^{deg_a(a)·deg_x(x)} e} of {(a, x): e}.
+
+    The one Koszul rewrite behind opposites, side swaps and enveloping
+    actions.
+    """
+    return {(a, x): vec_scale(F, F.sign(deg_a(a) * deg_x(x)), e) for (a, x), e in table.items()}
 
 
 @dataclass(frozen=True)
@@ -287,7 +271,7 @@ def validate_dga(A: DgAlgebra) -> list[AxiomViolation]:
         v.append(AxiomViolation("unit-degree", (A.unit,)))
     _check_graded_table(A, A.mul, lambda ij: A.deg(ij[0]) + A.deg(ij[1]), "mul", v)
     _check_graded_table(A, A.diff, lambda i: A.deg(i) - 1, "d", v)
-    if not vec_is_zero(A.d_elem(A.one())):
+    if A.d_elem(A.one()):
         v.append(AxiomViolation("d-unit", (A.unit,), "d(1) != 0"))
     n_basis = range(A.total_dim)
     for i in n_basis:
@@ -295,16 +279,14 @@ def validate_dga(A: DgAlgebra) -> list[AxiomViolation]:
             v.append(AxiomViolation("unit-law", (A.unit, i), "1·a != a"))
         if A.mul_elem({i: F.one}, A.one()) != {i: F.one}:
             v.append(AxiomViolation("unit-law", (i, A.unit), "a·1 != a"))
-        if not vec_is_zero(A.d_elem(A.d_elem({i: F.one}))):
+        if A.d_elem(A.d_elem({i: F.one})):
             v.append(AxiomViolation("d-squared", (i,)))
     for i in n_basis:
         for j in n_basis:
             a, b = {i: F.one}, {j: F.one}
             lhs = A.d_elem(A.mul_elem(a, b))
-            rhs = vec_add(
-                F,
-                A.mul_elem(A.d_elem(a), b),
-                vec_scale(F, F.of((-1) ** A.deg(i)), A.mul_elem(a, A.d_elem(b))),
+            rhs = vec_iadd(
+                F, A.mul_elem(A.d_elem(a), b), A.mul_elem(a, A.d_elem(b)), F.sign(A.deg(i))
             )
             if lhs != rhs:
                 v.append(AxiomViolation("leibniz", (i, j)))
@@ -329,7 +311,7 @@ def _validate_one_sided(M: DgModule, act_elem, side: str, v: list[AxiomViolation
         e = {m: F.one}
         if act_elem(A.one(), e) != e:
             v.append(AxiomViolation("unit-action", (A.unit, m)))
-        if not vec_is_zero(M.d_elem(M.d_elem(e))):
+        if M.d_elem(M.d_elem(e)):
             v.append(AxiomViolation("d-squared", (m,)))
     for i in range(A.total_dim):
         ai = {i: F.one}
@@ -337,16 +319,12 @@ def _validate_one_sided(M: DgModule, act_elem, side: str, v: list[AxiomViolation
             em = {m: F.one}
             lhs = M.d_elem(act_elem(ai, em))
             if side == "left":
-                rhs = vec_add(
-                    F,
-                    act_elem(A.d_elem(ai), em),
-                    vec_scale(F, F.of((-1) ** A.deg(i)), act_elem(ai, M.d_elem(em))),
+                rhs = vec_iadd(
+                    F, act_elem(A.d_elem(ai), em), act_elem(ai, M.d_elem(em)), F.sign(A.deg(i))
                 )
             else:
-                rhs = vec_add(
-                    F,
-                    act_elem(ai, M.d_elem(em)),
-                    vec_scale(F, F.of((-1) ** M.deg(m)), act_elem(A.d_elem(ai), em)),
+                rhs = vec_iadd(
+                    F, act_elem(ai, M.d_elem(em)), act_elem(A.d_elem(ai), em), F.sign(M.deg(m))
                 )
             if lhs != rhs:
                 v.append(AxiomViolation(f"leibniz-{side}", (i, m)))
@@ -416,14 +394,10 @@ def validate_morphism(phi: DgaMorphism) -> list[AxiomViolation]:
 
 def opposite(A: DgAlgebra) -> DgAlgebra:
     """Opposite DGA: a *op b = (-1)^{|a||b|} b a."""
-    F = A.field
-    mul = {}
-    for i in range(A.total_dim):
-        for j in range(A.total_dim):
-            e = A.mul.get((j, i), {})
-            if e:
-                mul[(i, j)] = vec_scale(F, F.of((-1) ** (A.deg(i) * A.deg(j))), e)
-    return DgAlgebra(F, A.basis, A.unit, mul, A.diff, name=f"{A.name}^op")
+    n = range(A.total_dim)
+    swapped = {(i, j): A.mul[(j, i)] for i in n for j in n if (j, i) in A.mul}
+    mul = koszul_signed(A.field, swapped, A.deg, A.deg)
+    return DgAlgebra(A.field, A.basis, A.unit, mul, A.diff, name=f"{A.name}^op")
 
 
 def tensor_algebra(R: DgAlgebra, T: DgAlgebra, name: str | None = None) -> DgAlgebra:
@@ -437,26 +411,19 @@ def tensor_algebra(R: DgAlgebra, T: DgAlgebra, name: str | None = None) -> DgAlg
         (f"{R.label(i)}⊗{T.label(j)}", R.deg(i) + T.deg(j)) for (i, j) in pairs
     ]
 
-    def emb(er: dict, et: dict, sign) -> dict:
-        out: dict = {}
-        for i, ci in er.items():
-            vec_iadd(F, out, {index[(i, j)]: cj for j, cj in et.items()}, F.mul(ci, sign))
-        return out
+    def emb(er: dict, et: dict) -> dict:
+        return linear(F, lambda i: {index[(i, j)]: cj for j, cj in et.items()}, er)
 
     mul = {}
     for a, (i1, j1) in enumerate(pairs):
         for b, (i2, j2) in enumerate(pairs):
-            sign = F.of((-1) ** (T.deg(j1) * R.deg(i2)))
-            e = emb(R.mul.get((i1, i2), {}), T.mul.get((j1, j2), {}), sign)
+            e = emb(R.mul.get((i1, i2), {}), T.mul.get((j1, j2), {}))
             if e:
-                mul[(a, b)] = e
+                mul[(a, b)] = vec_scale(F, F.sign(T.deg(j1) * R.deg(i2)), e)
     diff = {}
     for a, (i, j) in enumerate(pairs):
-        e = vec_add(
-            F,
-            emb(R.diff.get(i, {}), {j: F.one}, F.one),
-            emb({i: F.one}, T.diff.get(j, {}), F.of((-1) ** R.deg(i))),
-        )
+        e = emb(R.diff.get(i, {}), {j: F.one})
+        vec_iadd(F, e, emb({i: F.one}, T.diff.get(j, {})), F.sign(R.deg(i)))
         if e:
             diff[a] = e
     unit = index[(R.unit, T.unit)]
@@ -477,41 +444,29 @@ def swap_sides(
     An R-S-bimodule becomes an S^op-R^op-bimodule, and back.
     """
     F = X.field
-
-    def signed(table, A):
-        return {
-            (a, x): vec_scale(F, F.of((-1) ** (A.deg(a) * X.deg(x))), e)
-            for (a, x), e in table.items()
-        }
-
-    act_left = signed(X.act_right, X.right_algebra)
-    act_right = signed(X.act_left, X.left_algebra)
+    act_left = koszul_signed(F, X.act_right, X.right_algebra.deg, X.deg)
+    act_right = koszul_signed(F, X.act_left, X.left_algebra.deg, X.deg)
     return DgBimodule(left, right, X.basis, act_left, act_right, X.diff, name=name or X.name)
 
 
 def right_to_left_op(M: DgModule, Aop: DgAlgebra | None = None) -> DgModule:
     """Right A-module as a left A^op-module: a·m := (-1)^{|a||m|} m a."""
-    if M.side != "right":
-        raise ValueError("expected a right module")
-    A, F = M.algebra, M.field
-    Aop = Aop or opposite(A)
-    act = {}
-    for (i, m), e in M.act.items():
-        s = F.of((-1) ** (A.deg(i) * M.deg(m)))
-        act[(i, m)] = vec_scale(F, s, e)
-    return DgModule(Aop, "left", M.basis, act, M.diff, name=M.name)
+    return _other_side(M, "right", Aop or opposite(M.algebra))
 
 
 def left_op_to_right(M: DgModule, A: DgAlgebra) -> DgModule:
     """Inverse of :func:`right_to_left_op` (A is the original algebra)."""
-    if M.side != "left":
-        raise ValueError("expected a left module")
-    F = M.field
-    act = {}
-    for (i, m), e in M.act.items():
-        s = F.of((-1) ** (A.deg(i) * M.deg(m)))
-        act[(i, m)] = vec_scale(F, s, e)
-    return DgModule(A, "right", M.basis, act, M.diff, name=M.name)
+    return _other_side(M, "left", A)
+
+
+def _other_side(M: DgModule, side: str, B: DgAlgebra) -> DgModule:
+    """A ``side`` module as a module over B (A or A^op) on the other side, with
+    the Koszul sign (-1)^{|a||m|}."""
+    if M.side != side:
+        raise ValueError(f"expected a {side} module")
+    act = koszul_signed(M.field, M.act, B.deg, M.deg)
+    other = "left" if side == "right" else "right"
+    return DgModule(B, other, M.basis, act, M.diff, name=M.name)
 
 
 def bimodule_to_env_module(M: DgBimodule, E: DgAlgebra | None = None) -> DgModule:
@@ -526,11 +481,10 @@ def bimodule_to_env_module(M: DgBimodule, E: DgAlgebra | None = None) -> DgModul
     for a in range(E.total_dim):
         i, j = divmod(a, nS)
         for m in range(M.total_dim):
-            ms = M.act_right_elem({j: F.one}, {m: F.one})
-            e = M.act_left_elem({i: F.one}, ms)
-            e = vec_scale(F, F.of((-1) ** (S.deg(j) * M.deg(m))), e)
+            e = M.act_left_elem({i: F.one}, M.act_right_elem({j: F.one}, {m: F.one}))
             if e:
                 act[(a, m)] = e
+    act = koszul_signed(F, act, lambda a: S.deg(a % nS), M.deg)
     return DgModule(E, "left", M.basis, act, M.diff, name=M.name)
 
 
@@ -547,9 +501,9 @@ def env_module_to_bimodule(X: DgModule, R: DgAlgebra, S: DgAlgebra) -> DgBimodul
                 act_left[(i, m)] = e
         for j in range(S.total_dim):
             e = X.act_elem({R.unit * nS + j: F.one}, em)
-            e = vec_scale(F, F.of((-1) ** (S.deg(j) * X.deg(m))), e)
             if e:
                 act_right[(j, m)] = e
+    act_right = koszul_signed(F, act_right, S.deg, X.deg)
     return DgBimodule(R, S, X.basis, act_left, act_right, X.diff, name=X.name)
 
 

@@ -368,7 +368,7 @@ def _condition5_map(R, S, M, Nl, Nl2, D, max_generators) -> ChainMap:
             fp = Hsrc.evaluate(f, {p_idx: F.one})
             if fp:
                 t = T2.element({(q_idx, k): c for k, c in fp.items()}, dt + n)
-                sgn = F.of((-1) ** (n * Qs.deg(q_idx)))
+                sgn = F.sign(n * Qs.deg(q_idx))
                 vec_iadd(F, ground, {(t_idx, g): c for g, c in t.items()}, sgn)
         return ground
 
@@ -499,7 +499,7 @@ def _endpoint_verdict(S: DgAlgebra, M: DgBimodule, H, window: Window) -> Conditi
         for mi in range(M.total_dim):
             # f_s(m) = (-1)^{|s||m|} m·s is graded R-linear and chain
             ms = {(mi, k): c for k, c in M.act_right.get((s, mi), {}).items()}
-            vec_iadd(F, ground, ms, F.of((-1) ** (n * M.deg(mi))))
+            vec_iadd(F, ground, ms, F.sign(n * M.deg(mi)))
         return ground
 
     cm = ChainMap(S.underlying(), H.complex, matrices_from_images(S, H, image))
@@ -577,7 +577,7 @@ def _ring_condition4_map(phi, N, D, max_generators) -> ChainMap:
         ground: dict = {}
         for q_idx, eq in enumerate(eps):
             val = {(q_idx, k): c for k, c in N.act_elem(eq, {n_idx: F.one}).items()}
-            vec_iadd(F, ground, val, F.of((-1) ** (n * Q.deg(q_idx))))
+            vec_iadd(F, ground, val, F.sign(n * Q.deg(q_idx)))
         return ground
 
     return ChainMap(N.underlying(), H.complex, matrices_from_images(N, H, image))

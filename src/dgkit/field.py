@@ -30,6 +30,8 @@ class Field:
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         self.characteristic = characteristic
+        # (-1)^0 and (-1)^1, reduced: the values of sign()
+        self._parity = (1, characteristic - 1) if characteristic else (Fraction(1), Fraction(-1))
 
     @property
     def is_rational(self) -> bool:
@@ -84,6 +86,11 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def sign(self, k: int):
+        """(-1)^k as a field element: the one rule behind every Koszul, Leibniz
+        and suspension sign."""
+        return self._parity[k & 1]
 
     def is_zero(self, a) -> bool:
         return a == 0

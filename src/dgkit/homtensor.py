@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .linalg import Echelon
 from .complexes import ChainMap, Complex, GradedSpace
-from .dga import DgAlgebra, DgBimodule, DgModule, linear, vec_iadd, vec_scale
+from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd
 from .modops import matrices_from_images
 
 
@@ -152,7 +152,6 @@ class TensorProduct(GroundComplex):
         self.N = N
         F = A.field
         self.field = F
-        self._signs = (F.one, F.neg(F.one))  # (-1)^k is _signs[k % 2]
         self.name = name or f"{M.name}⊗{N.name}"
         act_rA, self.outer_left, self._act_outer_l = _right_over(M, A)
         act_lA, self.outer_right, self._act_outer_r = _left_over(N, A)
@@ -176,9 +175,8 @@ class TensorProduct(GroundComplex):
                     for nj in ncomp.get(d - M.deg(mi) - pa, []):
                         # the relation m·a ⊗ n − m ⊗ a·n
                         vec = {(k, nj): c for k, c in ma.items()}
-                        for k, c in act_lA.get((a, nj), {}).items():
-                            vec[(mi, k)] = F.sub(vec.get((mi, k), F.zero), c)
-                        relations.add(vec)
+                        an = {(mi, k): c for k, c in act_lA.get((a, nj), {}).items()}
+                        relations.add(vec_iadd(F, vec, an, F.sign(1)))
             self._relations[d] = relations
             self._basis[d] = [pair for pair in ps if pair not in relations.rows]
             self._free_pos[d] = {pair: i for i, pair in enumerate(self._basis[d])}
@@ -196,7 +194,7 @@ class TensorProduct(GroundComplex):
         mi, nj = pair
         out = {(k, nj): c for k, c in self.M.diff.get(mi, {}).items()}
         dn = {(mi, k): c for k, c in self.N.diff.get(nj, {}).items()}
-        return vec_iadd(self.field, out, dn, self._signs[self.M.deg(mi) % 2])
+        return vec_iadd(self.field, out, dn, self.field.sign(self.M.deg(mi)))
 
     def _left_act_ground(self, a: int, pair: tuple[int, int], d: int) -> dict:
         mi, nj = pair
@@ -254,7 +252,6 @@ class HomComplex(GroundComplex):
         self.N = N
         F = A.field
         self.field = F
-        self._signs = (F.one, F.neg(F.one))  # (-1)^k is _signs[k % 2]
         self.name = name or f"Hom({M.name},{N.name})"
         act_M, self.outer_left, self._act_outer_l = _left_over(M, A)
         act_N, self.outer_right, self._act_outer_r = _left_over(N, A)
@@ -269,7 +266,7 @@ class HomComplex(GroundComplex):
                 if a == A.unit:
                     continue
                 pa = A.deg(a)
-                sgn = self._signs[n * pa % 2]
+                sgn = F.sign(n * pa + 1)
                 for mi in range(M.total_dim):
                     tgt_deg = M.deg(mi) + pa + n
                     tgt = N.component(tgt_deg)
@@ -278,13 +275,14 @@ class HomComplex(GroundComplex):
                         continue
                     am = act_M.get((a, mi), {})
                     for w in tgt:
+                        # f(a·m) − (-1)^{n|a|} a·f(m), read at w
                         row = {(k, w): c for k, c in am.items() if (k, w) in in_ps}
+                        an = {}
                         for nj in N.component(M.deg(mi) + n):
                             coef = act_N.get((a, nj), {}).get(w)
                             if coef:
-                                c = row.get((mi, nj), F.zero)
-                                row[(mi, nj)] = F.sub(c, F.mul(sgn, coef))
-                        constraints.add(row)
+                                an[(mi, nj)] = coef
+                        constraints.add(vec_iadd(F, row, an, sgn))
             vecs = constraints.kernel(ps)
             if prefer and n in prefer:
                 vecs = self._seat_first(prefer[n], vecs)
@@ -326,10 +324,10 @@ class HomComplex(GroundComplex):
         for mi, fm in f.items():
             vec_iadd(F, out, {(mi, k): c for k, c in self.N.d_elem(fm).items()})
         # (f ∘ d_M)(m) = Σ_k d(m)_k f(k), read off the transpose of d_M
-        sgn = self._signs[(n + 1) % 2]
+        sgn = F.sign(n + 1)
         for k, fk in f.items():
             for mi, c in self._dM_into.get(k, {}).items():
-                vec_iadd(F, out, {(mi, nj): c2 for nj, c2 in fk.items()}, F.mul(sgn, c))
+                vec_iadd(F, out, {(mi, nj): c2 for nj, c2 in fk.items()}, sgn * c)
         return out
 
     def coords(self, ground: dict, n: int) -> dict:
@@ -361,7 +359,7 @@ class HomComplex(GroundComplex):
             ms = self._act_outer_l.get((s, mi), {})
             if ms:
                 fms = linear(F, lambda k: fmap.get(k, {}), ms)
-                sgn = self._signs[ds * (n + self.M.deg(mi)) % 2]
+                sgn = F.sign(ds * (n + self.M.deg(mi)))
                 vec_iadd(F, out, {(mi, nj): c for nj, c in fms.items()}, sgn)
         return out
 
@@ -371,9 +369,8 @@ class HomComplex(GroundComplex):
         dt = self.outer_right.deg(t)
         out: dict = {}
         for (mi, nj), c in f.items():
-            sgn = self._signs[dt * self.M.deg(mi) % 2]
             nt = {(mi, k): c2 for k, c2 in self._act_outer_r.get((t, nj), {}).items()}
-            vec_iadd(F, out, nt, F.mul(sgn, c))
+            vec_iadd(F, out, nt, F.sign(dt * self.M.deg(mi)) * c)
         return out
 
 
@@ -418,10 +415,10 @@ def endomorphism_dga(M: DgModule):
     S = opposite(Fdga)
     act_right = {}
     for fi, f in enumerate(fs):
-        n = basis[fi][1]
         for mi in range(M.total_dim):
-            e = vec_scale(F, F.of((-1) ** (n * M.deg(mi))), H.evaluate(f, {mi: F.one}))
+            e = H.evaluate(f, {mi: F.one})
             if e:
                 act_right[(fi, mi)] = e
+    act_right = koszul_signed(F, act_right, lambda fi: basis[fi][1], M.deg)
     bimod = DgBimodule(A, S, M.basis, dict(M.act), act_right, M.diff, name=M.name)
     return Fdga, bimod

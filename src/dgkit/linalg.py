@@ -1,4 +1,9 @@
-"""Exact linear algebra: sparse-column immutable matrices and one echelon engine.
+"""Exact linear algebra: sparse vectors, sparse-column matrices, one echelon engine.
+
+A sparse vector is a dict ``{index: nonzero field element}``.
+:func:`vec_iadd` (acc += c·b in place) and :func:`vec_scale` are the one
+sparse-vector arithmetic: the matrices, the echelon engine and every other
+module add and scale vectors through them.  Signs are ``Field.sign``.
 
 A :class:`Matrix` over a :class:`~dgkit.field.Field` is a tuple of sparse
 columns, each a dict ``{row: nonzero field element}``; matrices carry
@@ -96,26 +101,25 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in add")
-        p, minus_one = self.field.characteristic, self.field.neg(self.field.one)
-        cols = [dict(a) for a in self.columns]
-        for a, b in zip(cols, other.columns):
-            _sub_scaled(p, a, minus_one, b)
-        return Matrix.from_columns(self.field, cols, self.rows)
+        return self._combine(other, None)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.field.neg(self.field.one))
+        return self._combine(other, self.field.sign(1))
+
+    def _combine(self, other: "Matrix", c) -> "Matrix":
+        """self + c·other (other itself when c is None)."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("shape mismatch in add")
+        F = self.field
+        cols = [vec_iadd(F, dict(a), b, c) for a, b in zip(self.columns, other.columns)]
+        return Matrix.from_columns(F, cols, self.rows)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.of(c)
-        if c == 0:
-            return Matrix.zero(self.field, self.rows, self.cols)
-        p = self.field.characteristic
-        return Matrix.from_columns(self.field, [_scaled(p, c, a) for a in self.columns], self.rows)
+        F, c = self.field, self.field.of(c)
+        return Matrix.from_columns(F, [vec_scale(F, c, a) for a in self.columns], self.rows)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(self.field.neg(self.field.one))
+        return self.scale(self.field.sign(1))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -126,7 +130,7 @@ class Matrix:
         """The image of a sparse vector {column: scalar}, as a sparse vector."""
         F, out = self.field, {}
         for j, x in v.items():
-            _sub_scaled(F.characteristic, out, F.neg(x), self.columns[j])
+            vec_iadd(F, out, self.columns[j], x)
         return out
 
     def apply(self, vec):
@@ -137,26 +141,65 @@ class Matrix:
         return tuple(y.get(i, self.field.zero) for i in range(self.rows))
 
 
-def _sub_scaled(p: int, v: dict, c, row: dict):
-    """v -= c·row in place, dropping zeros; p is the characteristic."""
+# -- sparse vectors ------------------------------------------------------------
+
+
+def vec_iadd(F: Field, acc: dict, b: dict, c=None) -> dict:
+    """acc += c·b in place (b itself when c is omitted), dropping zeros; returns acc.
+
+    The one sparse-vector kernel.  When acc and b hold field elements, so does
+    acc afterwards (0..p-1 over F_p, whatever integer stands for c).  Over F_p
+    each entry is one integer multiply-add mod p; over Q, where every product
+    is a Fraction operation, a coefficient of ±1 adds or subtracts instead.
+    """
+    p, get = F.characteristic, acc.get
     if p:
-        for j, x in row.items():
-            s = (v.get(j, 0) - c * x) % p
+        c = 1 if c is None else c % p
+        for k, x in b.items():
+            s = (get(k, 0) + c * x) % p
             if s:
-                v[j] = s
+                acc[k] = s
             else:
-                v.pop(j, None)
+                acc.pop(k, None)
+        return acc
+    # a missing entry reads as None, not 0: int 0 + Fraction is a slow round trip
+    if c is None or c == 1:
+        for k, x in b.items():
+            s = get(k)
+            s = x if s is None else s + x
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    elif c == -1:
+        for k, x in b.items():
+            s = get(k)
+            s = -x if s is None else s - x
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
     else:
-        for j, x in row.items():
-            s = v.get(j, 0) - c * x
+        for k, x in b.items():
+            s = get(k)
+            s = c * x if s is None else s + c * x
             if s:
-                v[j] = s
+                acc[k] = s
             else:
-                v.pop(j, None)
+                acc.pop(k, None)
+    return acc
 
 
-def _scaled(p: int, c, v: dict) -> dict:
-    return {j: c * x % p for j, x in v.items()} if p else {j: c * x for j, x in v.items()}
+def vec_scale(F: Field, c, a: dict) -> dict:
+    """c·a as a new vector: a copy for c = 1, negated entries for c = -1 over Q."""
+    p = F.characteristic
+    if c == 0:
+        return {}
+    if c == 1:
+        return dict(a)
+    if p:
+        return {k: c * x % p for k, x in a.items()}
+    return {k: -x for k, x in a.items()} if c == -1 else {k: c * x for k, x in a.items()}
 
 
 class Echelon:
@@ -181,13 +224,13 @@ class Echelon:
     def _reduce(self, v, cert: dict | None):
         items = v.items() if isinstance(v, dict) else enumerate(v)
         v = {j: c for j, c in items if c != 0}
-        rows, p = self.rows, self.field.characteristic
+        F, rows = self.field, self.rows
         # subtracting a row changes v only off the pivots, so one pass suffices
         for piv in [j for j in v if j in rows]:
-            c = v[piv]
-            _sub_scaled(p, v, c, rows[piv])
+            c = -v[piv]
+            vec_iadd(F, v, rows[piv], c)
             if cert is not None:
-                _sub_scaled(p, cert, c, self._certs[piv])
+                vec_iadd(F, cert, self._certs[piv], c)
         return v, cert
 
     def reduce(self, v) -> dict:
@@ -196,7 +239,7 @@ class Echelon:
 
     def add(self, v) -> bool:
         """Insert v; True iff it was independent of the span so far."""
-        F, p = self.field, self.field.characteristic
+        F = self.field
         cert = None if self._certs is None else {self._added: F.one}
         self._added += 1
         v, cert = self._reduce(v, cert)
@@ -204,15 +247,15 @@ class Echelon:
             return False
         piv = min(v)
         inv = F.inv(v[piv])
-        row = _scaled(p, inv, v)
+        row = vec_scale(F, inv, v)
         if cert is not None:
-            cert = _scaled(p, inv, cert)
+            cert = vec_scale(F, inv, cert)
         for q, r in self.rows.items():
             c = r.get(piv)
             if c is not None:
-                _sub_scaled(p, r, c, row)
+                vec_iadd(F, r, row, -c)
                 if cert is not None:
-                    _sub_scaled(p, self._certs[q], c, cert)
+                    vec_iadd(F, self._certs[q], cert, -c)
         self.rows[piv] = row
         if cert is not None:
             self._certs[piv] = cert
@@ -226,8 +269,7 @@ class Echelon:
         rest, cert = self._reduce(v, {})
         if rest:
             return None
-        neg = self.field.neg
-        return {i: neg(c) for i, c in cert.items() if c != 0}
+        return vec_scale(self.field, self.field.sign(1), cert)
 
     def kernel(self, columns) -> list[dict]:
         """Basis of the vectors x over ``columns`` with row·x = 0 for every row.
@@ -238,9 +280,9 @@ class Echelon:
         F = self.field
         ker = {j: {j: F.one} for j in columns if j not in self.rows}
         for piv, row in self.rows.items():
-            for j, c in row.items():
+            for j, c in vec_scale(F, F.sign(1), row).items():
                 if j != piv:
-                    ker[j][piv] = F.neg(c)
+                    ker[j][piv] = c
         return [dict(sorted(v.items())) for v in ker.values()]
 
 

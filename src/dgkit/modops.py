@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix
 from .complexes import ChainMap, Violation
-from .dga import DgAlgebra, DgModule, vec_iadd, vec_scale
+from .dga import DgAlgebra, DgModule, koszul_signed, vec_iadd, vec_scale
 
 
 def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Matrix]:
@@ -70,7 +70,7 @@ class DgModuleMap:
         F = self.source.field
         for i, c in e.items():
             n = self.source.deg(i)
-            col = self.f(n).columns[self.source.component(n).index(i)]
+            col = self.f(n).columns[self.source._pos[i]]
             vec_iadd(F, out, self.target.elem_from_component(col, n), c)
         return out
 
@@ -110,14 +110,9 @@ class DgModuleMap:
 def module_shift(M: DgModule, t: int) -> DgModule:
     basis = [(f"s{t}.{lab}" if t else lab, d + t) for lab, d in M.basis]
     F = M.field
-    diff = {
-        i: vec_scale(F, F.of((-1) ** t), e) for i, e in M.diff.items()
-    }
+    diff = {i: vec_scale(F, F.sign(t), e) for i, e in M.diff.items()}
     if M.side == "left":
-        act = {
-            (a, m): vec_scale(F, F.of((-1) ** (t * M.algebra.deg(a))), e)
-            for (a, m), e in M.act.items()
-        }
+        act = koszul_signed(F, M.act, M.algebra.deg, lambda m: t)
     else:
         act = dict(M.act)
     return DgModule(M.algebra, M.side, basis, act, diff, name=f"Σ^{t}{M.name}" if t else M.name)
@@ -157,29 +152,25 @@ def module_cone(f: DgModuleMap):
     basis = [(f"t.{lab}", d) for lab, d in N.basis] + [
         (f"s.{lab}", d + 1) for lab, d in M.basis
     ]
+    # the source part is shift(M, 1) moved past N's indices, plus f in the differential
+    SM = module_shift(M, 1)
     act = {}
     for (a, m), e in N.act.items():
         act[(a, m)] = dict(e)
-    twist = M.side == "left"
-    for (a, m), e in M.act.items():
-        s = F.of((-1) ** A.deg(a)) if twist else F.one
-        act[(a, m + nN)] = {k + nN: F.mul(s, c) for k, c in e.items()}
+    for (a, m), e in SM.act.items():
+        act[(a, m + nN)] = {k + nN: c for k, c in e.items()}
     diff = {}
     for m, e in N.diff.items():
         diff[m] = dict(e)
     for m in range(M.total_dim):
-        e: dict = {}
-        for k, c in M.diff.get(m, {}).items():
-            e[k + nN] = F.neg(c)
+        e = {k + nN: c for k, c in SM.diff.get(m, {}).items()}
         n = M.deg(m)
-        col = f.f(n).columns[M.component(n).index(m)]
-        vec_iadd(F, e, N.elem_from_component(col, n))
+        vec_iadd(F, e, N.elem_from_component(f.f(n).columns[M._pos[m]], n))
         if e:
             diff[m + nN] = e
     C = DgModule(A, M.side, basis, act, diff, name=f"cone({M.name}->{N.name})")
     # the target's basis indices are the cone's, and source index m is m + nN
     incl = DgModuleMap(N, C, matrices_from_images(N, C, lambda g, n: {g: F.one}))
-    SM = module_shift(M, 1)
 
     def to_source(g, n):
         return {g - nN: F.one} if g >= nN else {}
@@ -305,7 +296,7 @@ def free_diff(A: DgAlgebra, g: int, d_g: dict, a: int) -> dict:
     """d(a·g) = d(a)·g + (-1)^{|a|} a·d(g) in a free module with d(g) = d_g."""
     F, dA = A.field, A.total_dim
     e = {g * dA + a2: c for a2, c in A.diff.get(a, {}).items()}
-    return vec_iadd(F, e, free_act(A, a, d_g), F.of((-1) ** A.deg(a)))
+    return vec_iadd(F, e, free_act(A, a, d_g), F.sign(A.deg(a)))
 
 
 class FreeModule:

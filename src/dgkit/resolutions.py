@@ -95,8 +95,8 @@ def _free_column(M: DgModule, gens: list[Generator], x: int, rows) -> dict:
     m_pos, f_pos = rows
     col = _eps_column(M, gens, x, m_pos)
     g, a = divmod(x, M.algebra.total_dim)
-    for y, c in free_diff(M.algebra, g, gens[g].d_elem, a).items():
-        col[f_pos[y]] = M.field.neg(c)
+    d = {f_pos[y]: c for y, c in free_diff(M.algebra, g, gens[g].d_elem, a).items()}
+    col.update(vec_scale(M.field, M.field.sign(1), d))
     return col
 
 
@@ -219,7 +219,7 @@ def semifree_resolution(
             m_part = {m_of[p]: c for p, c in z.items() if p < dimM}
             x_part = {x_of[p - dimM]: c for p, c in z.items() if p >= dimM}
             g = len(gens)  # also its stage: each generator is its own stage
-            gens.append(Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.neg(F.one), m_part), g))
+            gens.append(Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part), g))
             if len(gens) > max_generators:
                 free = FreeModule(A, gens)
                 partial = SemifreeResolution(

@@ -248,6 +248,22 @@ def test_bad_window_exits_one(capsys):
     assert "empty window '5..1'" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [
+        ("--max-generators", -1, 1),
+        ("--max-generators", 0, 1),
+        ("--family-size", -5, 2),
+        ("--family-size", 1, 2),
+    ],
+)
+def test_bad_count_flags_exit_one(capsys, flag, value, least):
+    code, out, err = _run(capsys, "check-epi", FIXTURES / "truncated.dg", "aug", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"error: {flag} must be at least {least}, got {value}" in err
+
+
 # -- input validation in computing commands -----------------------------------------
 
 BAD_GRADING = (

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from dgkit.complexes import ChainMap, Complex, GradedSpace, Window, quasi_iso
 from dgkit.field import GF, QQ
-from dgkit.linalg import Echelon, Matrix, kernel_basis, rank, solve
+from dgkit.linalg import Echelon, Matrix, kernel_basis, rank, solve, vec_iadd, vec_scale
 
 FIELDS = (QQ, GF(2), GF(101))
 
@@ -287,3 +287,75 @@ def test_matrix_matches_dense_oracle(F, r, c, k, data):
     assert kernel_basis(A) == oracle_kernel(F, R, pivots, c)
     rhs = tuple(F.of(x) for x in data.draw(st.lists(entries, min_size=r, max_size=r)))
     assert solve(A, rhs) == oracle_solve(F, a, rhs, c)
+
+
+# -- the sparse-vector kernel against the Field-based oracle ------------------------
+
+
+def oracle_iadd(F, acc, b, c=None):
+    """acc += c·b through Field.add and Field.mul, entry by entry."""
+    for k, v in b.items():
+        s = F.add(acc.get(k, F.zero), v if c is None else F.mul(c, v))
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+def oracle_scale(F, c, a):
+    if c == 0:
+        return {}
+    return {k: F.mul(c, v) for k, v in a.items()}
+
+
+def scalars(F):
+    if F.is_rational:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=3).map(F.of)
+    return st.integers(0, F.characteristic - 1)
+
+
+def sparse_vectors(F):
+    return st.dictionaries(st.integers(0, 7), scalars(F).filter(lambda x: x != 0), max_size=6)
+
+
+def assert_reduced(F, v):
+    """No stored zeros; Fractions over Q, integers in 0..p-1 over F_p."""
+    assert all(x != 0 for x in v.values())
+    if F.is_rational:
+        assert all(type(x) is Fraction for x in v.values())
+    else:
+        assert all(type(x) is int and 0 <= x < F.characteristic for x in v.values())
+
+
+@given(st.sampled_from(FIELDS), st.data())
+def test_vector_kernel_matches_field_oracle(F, data):
+    acc, b = data.draw(sparse_vectors(F)), data.draw(sparse_vectors(F))
+    c = data.draw(
+        st.one_of(
+            st.none(),
+            st.just(F.one),
+            st.just(F.of(-1)),
+            st.integers(-3, 3).map(F.sign),
+            scalars(F),
+        )
+    )
+    out = dict(acc)
+    assert vec_iadd(F, out, b, c) is out
+    assert out == oracle_iadd(F, dict(acc), b, c)
+    assert_reduced(F, out)
+    if not F.is_rational:
+        # any integer may stand for c over F_p, as −c does in the echelon engine
+        n = data.draw(st.integers(-250, 250))
+        out = vec_iadd(F, dict(acc), b, n)
+        assert out == oracle_iadd(F, dict(acc), b, F.of(n))
+        assert_reduced(F, out)
+
+    # b − b and −b + b cancel to nothing
+    assert vec_iadd(F, dict(b), b, F.sign(1)) == {}
+    assert vec_iadd(F, vec_scale(F, F.sign(1), b), b) == {}
+
+    k = 1 if c is None else c
+    scaled = vec_scale(F, k, b)
+    assert scaled == oracle_scale(F, k, b)
+    assert_reduced(F, scaled)

@@ -151,6 +151,12 @@ def cmd_resolve(args):
     _validated(("module", args.module, M))
     if M.side == "right":
         M = right_to_left_op(M)
+    bottom = M.min_degree()
+    if args.window.hi < bottom - 1:
+        raise InputError(
+            f"--window {args.window} ends below degree {bottom - 1}: the resolution of "
+            f"{args.module} is exact from one below its bottom degree {bottom}"
+        )
     res = semifree_resolution(M, args.window.hi, args.max_generators)
     by_degree: dict = {}
     for g in res.generators:

@@ -8,26 +8,33 @@ Conventions (fixed for determinism; balancing is a test, not an assumption):
 Canonical maps are realized by explicit Koszul-signed formulas and certified
 by chain-map validation; with these conventions the evaluation pairing
 Hom_{S^op}(Q, S) ⊗ Q → S is sign-free: (z·r)(q) = z(rq) and z(qs) = z(q)s.
+Whether a canonical map is an isomorphism on its window is is_derived_iso,
+whose report is complexes.quasi_iso's: the one iso verdict of the library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainMap, Complex, Window, homology_dims, quasi_iso
+from .complexes import ChainMap, Complex, QuasiIsoReport, Window, homology_dims, quasi_iso
 from .dga import (
     DgAlgebra,
     DgBimodule,
     DgModule,
     koszul_signed,
+    left_regular,
     opposite,
+    restrict_scalars,
+    right_to_left_op,
+    sr_bimodule_from_morphism,
     swap_sides,
     vec_iadd,
 )
 from .homtensor import HomComplex, hom_over, tensor_over
-from .modops import matrices_from_images
+from .modops import matrices_from_images, truncate_below
 from .resolutions import (
     BimoduleResolution,
+    require_witness,
     required_depth,
     semifree_resolution,
     semifree_resolution_bimodule,
@@ -39,7 +46,6 @@ class DerivedComplex:
     value: Complex
     validity: Window
     provenance: str
-    carrier: object = None  # the TensorProduct/HomComplex behind value
 
 
 def _resolve(X, depth: int, max_generators: int):
@@ -60,14 +66,14 @@ def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> D
     P, prov = _resolve(N, required_depth(D, -M.min_degree()), max_generators)
     T = tensor_over(A, M, P)
     lo = min(M.min_degree() + P.min_degree() - 1, -D)
-    return DerivedComplex(T.complex, Window(lo, D), prov, T)
+    return DerivedComplex(T.complex, Window(lo, D), prov)
 
 
 def rhom(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
     """RHom_A(M, N) via a semifree resolution of M (outer actions retained)."""
     Q, prov = _resolve(M, required_depth(D, N.max_degree()), max_generators)
     H = hom_over(A, Q, N)
-    return DerivedComplex(H.complex, Window(-D, D), prov, H)
+    return DerivedComplex(H.complex, Window(-D, D), prov)
 
 
 def tor_table(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> dict[int, int]:
@@ -83,25 +89,10 @@ def ext_table(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> dict[i
     return {i: dims[-i] for i in range(D + 1)}
 
 
-@dataclass
-class DerivedIsoReport:
-    ok: bool
-    per_degree: dict[int, bool]
-    source_h: dict[int, int]
-    target_h: dict[int, int]
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_derived_iso(f: ChainMap, w: Window) -> DerivedIsoReport:
-    r = quasi_iso(f, w)
-    return DerivedIsoReport(
-        r.ok,
-        r.per_degree,
-        homology_dims(f.source, w),
-        homology_dims(f.target, w),
-    )
+def is_derived_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
+    """Whether f is a quasi-isomorphism on w: the one iso verdict, with
+    ``dims[n] = (dim H_n(source), dim H_n(target))`` for each n in w."""
+    return quasi_iso(f, w)
 
 
 # -- dualized bimodule Z = RHom_{S^op}(M, S) ----------------------------------
@@ -160,8 +151,6 @@ def _truncated_dual(dual: "DualizedBimodule", c: int):
     pair with top-degree junk of the other tensor factor and contaminate the
     window (the junk degrees are opposite, their sum lands in the middle).
     """
-    from .modops import truncate_below
-
     F = dual.Z.field
     Zt, carriers = truncate_below(dual.Z, c)
 
@@ -179,10 +168,8 @@ class CanonicalMap:
     chain_map: ChainMap
     validity: Window
     provenance: str
-    source_carrier: object = None
-    target_carrier: object = None
 
-    def report(self) -> DerivedIsoReport:
+    def report(self) -> QuasiIsoReport:
         return is_derived_iso(self.chain_map, self.validity)
 
 
@@ -214,13 +201,7 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
         return ground
 
     cm = ChainMap(P.underlying(), H.complex, matrices_from_images(P, H, image))
-    return CanonicalMap(
-        cm,
-        Window(-D, D),
-        f"unit for {M.name} on {N.name}",
-        source_carrier=res_N,
-        target_carrier=H,
-    )
+    return CanonicalMap(cm, Window(-D, D), f"unit for {M.name} on {N.name}")
 
 
 def _eps_ground(bres: BimoduleResolution) -> dict[int, dict]:
@@ -258,13 +239,7 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
         return res_N.eps.apply_elem(P.act_elem(zq, {p_idx: F.one}))  # z(q)·p, in N
 
     cm = ChainMap(T1.complex, N.underlying(), matrices_from_images(T1, N, image))
-    return CanonicalMap(
-        cm,
-        Window(-D, D),
-        f"counit for {M.name} on {N.name}",
-        source_carrier=T1,
-        target_carrier=N,
-    )
+    return CanonicalMap(cm, Window(-D, D), f"counit for {M.name} on {N.name}")
 
 
 def duality_map(
@@ -278,17 +253,11 @@ def duality_map(
 
     Requires an accepted finitely-built witness for M over S^op.
     """
-    from .dga import right_to_left_op
-    from .resolutions import verify_build_tree
-
     R, S = M.left_algebra, M.right_algebra
     F = M.field
     if witness is None:
         raise ValueError("duality_map requires a finitely-built witness for M")
-    M_op = right_to_left_op(M.right_module())
-    ok = verify_build_tree(witness, M_op)
-    if ok is not True:
-        raise ValueError(f"witness rejected: {ok.reason} (degree {ok.degree})")
+    require_witness(witness, right_to_left_op(M.right_module()))
     D2 = required_depth(D, M.max_degree(), -M.min_degree())
     dual = dualize(M, D, max_generators)
     Q = dual.Q
@@ -310,31 +279,27 @@ def duality_map(
         return ground
 
     cm = ChainMap(T2.complex, H2.complex, matrices_from_images(T2, H2, image))
-    return CanonicalMap(
-        cm,
-        Window(-D, D),
-        f"duality for {M.name} on {N.name}",
-        source_carrier=T2,
-        target_carrier=H2,
-    )
+    return CanonicalMap(cm, Window(-D, D), f"duality for {M.name} on {N.name}")
 
 
-def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap:
-    """S ⊗^L_R S → S realized as S ⊗_R P → S, s⊗p ↦ s·ε(p)."""
-    from .dga import restrict_scalars, left_regular, sr_bimodule_from_morphism
-
+def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap:
+    """S ⊗_R P_N → N, s⊗p ↦ s·ε(p), with P_N → N a resolution over R."""
     R, S = phi.source, phi.target
     F = S.field
-    # S as a left R-module through phi
-    S_left = restrict_scalars(left_regular(S), phi)
-    res = semifree_resolution(S_left, required_depth(D, -S.min_degree()), max_generators)
+    res = semifree_resolution(
+        restrict_scalars(N, phi), required_depth(D, -S.min_degree()), max_generators
+    )
     T = tensor_over(R, sr_bimodule_from_morphism(phi), res.module)
 
     def image(pair, d):
         s_idx, p_idx = pair
-        return S.mul_elem({s_idx: F.one}, res.eps.apply_elem({p_idx: F.one}))
+        return N.act_elem({s_idx: F.one}, res.eps.apply_elem({p_idx: F.one}))
 
-    cm = ChainMap(T.complex, S.underlying(), matrices_from_images(T, S, image))
-    return CanonicalMap(
-        cm, Window(-D, D), f"multiplication for {phi.name}", source_carrier=T
-    )
+    return ChainMap(T.complex, N.underlying(), matrices_from_images(T, N, image))
+
+
+def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap:
+    """S ⊗^L_R S → S: the induction counit at N = S, where N's action is S's
+    multiplication."""
+    cm = _induction_counit(phi, left_regular(phi.target), D, max_generators)
+    return CanonicalMap(cm, Window(-D, D), f"multiplication for {phi.name}")

@@ -30,22 +30,17 @@ class Field:
         if characteristic != 0 and not _is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         self.characteristic = characteristic
+        # stored once: every read of zero or one returns the same object
+        self.zero = 0 if characteristic else Fraction(0)
+        self.one = 1 if characteristic else Fraction(1)
         # (-1)^0 and (-1)^1, reduced: the values of sign()
-        self._parity = (1, characteristic - 1) if characteristic else (Fraction(1), Fraction(-1))
+        self._parity = (self.one, characteristic - 1 if characteristic else Fraction(-1))
 
     @property
     def is_rational(self) -> bool:
         return self.characteristic == 0
 
     # -- element constructors ------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.is_rational else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.is_rational else 1 % self.characteristic
 
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string into this field."""

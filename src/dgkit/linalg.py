@@ -246,17 +246,19 @@ class Echelon:
         if not v:
             return False
         piv = min(v)
-        inv = F.inv(v[piv])
-        row = vec_scale(F, inv, v)
-        if cert is not None:
-            cert = vec_scale(F, inv, cert)
+        # v is the fresh dict _reduce built: already normalised when its pivot is 1
+        if v[piv] != 1:
+            inv = F.inv(v[piv])
+            v = vec_scale(F, inv, v)
+            if cert is not None:
+                cert = vec_scale(F, inv, cert)
         for q, r in self.rows.items():
             c = r.get(piv)
             if c is not None:
-                vec_iadd(F, r, row, -c)
+                vec_iadd(F, r, v, -c)
                 if cert is not None:
                     vec_iadd(F, self._certs[q], cert, -c)
-        self.rows[piv] = row
+        self.rows[piv] = v
         if cert is not None:
             self._certs[piv] = cert
         return True

@@ -360,7 +360,7 @@ def _structurally_equal(M: DgModule, X: DgModule) -> bool:
     return _module_data(M) == _module_data(X)
 
 
-def verify_build_tree(w: BuildTreeWitness, M: DgModule, window: Window | None = None):
+def verify_build_tree(w: BuildTreeWitness, M: DgModule):
     """Accept iff the tree evaluates to a module exhibiting M as stated."""
     A = M.algebra
     try:
@@ -402,3 +402,10 @@ def verify_build_tree(w: BuildTreeWitness, M: DgModule, window: Window | None = 
         )
         return Violation(bad, "p∘i − id is not ∂h + h∂")
     return True
+
+
+def require_witness(w: BuildTreeWitness, M: DgModule) -> None:
+    """The witness gate: raise ValueError unless verify_build_tree accepts w for M."""
+    ok = verify_build_tree(w, M)
+    if ok is not True:
+        raise ValueError(f"witness rejected: {ok.reason} (degree {ok.degree})")

@@ -248,6 +248,16 @@ def test_bad_window_exits_one(capsys):
     assert "empty window '5..1'" in err
 
 
+def test_resolve_window_below_module_exits_one(capsys):
+    # the resolution is exact from one below K's bottom degree 0 up to the
+    # window's top, so a window ending below -1 leaves nothing to resolve
+    code, out, err = _run(capsys, "resolve", FIXTURES / "truncated.dg", "K", "--window=-3..-2")
+    assert code == 1
+    assert out == ""
+    assert "--window" in err and "bottom degree 0" in err
+    assert "-1..-2" not in err
+
+
 @pytest.mark.parametrize(
     "flag, value, least",
     [

@@ -239,7 +239,7 @@ def test_multiplication_map_truncated_fails_h1():
     r = is_derived_iso(m.chain_map, Window(0, 4))
     assert r.per_degree[0] is True
     assert r.per_degree[1] is False
-    assert r.source_h[1] == 1 and r.target_h[1] == 0
+    assert r.dims[1] == (1, 0)
 
 
 def test_multiplication_map_product_is_quasi_iso():

@@ -199,6 +199,15 @@ def test_rank_nullity_property(r, c, seed):
     assert rank(A) + len(kernel_basis(A)) == c
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_field_zero_and_one_stored_once(F):
+    kind = Fraction if F.is_rational else int
+    assert type(F.zero) is kind and type(F.one) is kind
+    assert (F.zero, F.one) == (0, 1)
+    assert F.zero is F.zero and F.one is F.one
+    assert F.sign(0) == F.one and F.add(F.sign(1), F.one) == F.zero
+
+
 # -- the echelon engine against the dense oracle ------------------------------------
 
 entries = st.sampled_from((0, 0, 0, 1, -1, 2, 3))

@@ -8,6 +8,7 @@ range), 2 a resource bound was hit before the computation finished
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -83,6 +84,13 @@ def _window(text: str) -> Window:
     if lo > hi:
         raise InputError(f"empty window {text!r}")
     return Window(lo, hi)
+
+
+def _epi_depth(w: Window) -> int:
+    """The D of an epimorphism check, whose verdicts cover degrees 0..D."""
+    if w.lo != 0 or w.hi < 1:
+        raise InputError(f"--window must be 0..HI with HI at least 1, got {w}")
+    return w.hi
 
 
 def _check_counts(args):
@@ -316,7 +324,7 @@ def cmd_check_epi(args):
     pf = _load(args.file)
     phi = _get(pf.morphisms, args.morphism, "morphism")
     _validated(("morphism", args.morphism, phi))
-    D = max(args.window.hi, 1)
+    D = _epi_depth(args.window)
     fam = generate_test_family(phi.target, args.seed, args.family_size)
     try:
         rep = check_dga_epi(phi, D, fam, args.max_generators)
@@ -338,7 +346,7 @@ def cmd_dwyer_greenlees(args):
     if M.side != "left":
         raise InputError("the acting module must be a left module")
     try:
-        rep = check_dwyer_greenlees(M.algebra, M, w.witness, args.window, args.max_generators)
+        rep = check_dwyer_greenlees(M.algebra, M, w.witness, args.window)
     except ValueError as e:
         raise InputError(str(e))
     lines = [
@@ -365,7 +373,7 @@ def cmd_consistency(args):
     pf = _load(args.file)
     corpus = [(n, pf.morphisms[n]) for k, n in pf.order if k == "morphism"]
     _validated(*(("morphism", n, phi) for n, phi in corpus))
-    D = max(args.window.hi, 1)
+    D = _epi_depth(args.window)
 
     def report(instances):
         lines = [line for name, r in instances for line in _epi_report(args, name, r)]
@@ -398,6 +406,9 @@ def cmd_roundtrip(args):
 # -- entry point ---------------------------------------------------------------
 
 
+# built once per process: parsing leaves it unchanged, and each build leaves
+# about 800 argparse objects in cycles that only the cyclic collector frees
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dgkit")
     sub = top.add_subparsers(dest="command", required=True)

@@ -30,7 +30,7 @@ from .dga import (
     swap_sides,
     vec_iadd,
 )
-from .homtensor import HomComplex, hom_over, tensor_over
+from .homtensor import HomComplex, _pointwise, hom_over, tensor_over
 from .modops import matrices_from_images, truncate_below
 from .resolutions import (
     BimoduleResolution,
@@ -101,15 +101,14 @@ def is_derived_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
 @dataclass
 class DualizedBimodule:
     Z: DgBimodule  # left S, right R
-    hom: HomComplex  # Hom over S^op, basis aligned with Z via struct_index
+    hom: HomComplex  # Hom over S^op; Z's basis element g is hom.reps[g]
     resolution: BimoduleResolution
     validity: Window
     provenance: str
 
     def evaluate(self, z_idx: int, q_elem: dict) -> dict:
         """z(q) ∈ S for a basis element z of Z and an element q of Q."""
-        n, pos = self.hom.struct_pair(z_idx)
-        return self.hom.evaluate(self.hom.basis_vectors[n][pos], q_elem)
+        return self.hom.evaluate(self.hom.reps[z_idx], q_elem)
 
     @property
     def Q(self) -> DgBimodule:
@@ -145,7 +144,9 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
 
 
 def _truncated_dual(dual: "DualizedBimodule", c: int):
-    """Z soft-truncated below c, with evaluation lifted through the carriers.
+    """τ_{≥c}Z, the good truncation of the dual (``modops.truncate_below``),
+    and the evaluation z(q) of its basis elements, read through their
+    carriers in Z.  Every canonical map that pairs Z with Q uses it.
 
     The truncation removes resolution junk below the window so it cannot
     pair with top-degree junk of the other tensor factor and contaminate the
@@ -180,7 +181,6 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     with P → N the resolution over S and Q → M the enveloping resolution.
     """
     R, S = M.left_algebra, M.right_algebra
-    F = M.field
     D2q = required_depth(D, M.max_degree(), -M.min_degree(), N.max_degree())
     # stagger: the Hom target's resolution is deeper than the Hom source's
     D2p = required_depth(D, D2q)
@@ -193,12 +193,11 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     H = hom_over(R, Q, T.structure())  # T as a left R-module
 
     def image(p_idx, n):
-        ground: dict = {}
-        for q_idx, eq in eps_gr.items():
-            dq = Q.deg(q_idx)
-            t = T.element({(m_idx, p_idx): c for m_idx, c in eq.items()}, dq + n)
-            vec_iadd(F, ground, {(q_idx, g): c for g, c in t.items()}, F.sign(n * dq))
-        return ground
+        def value(q_idx):
+            eq = eps_gr.get(q_idx)  # ε(q) ∈ M, absent when zero
+            return T.element({(m, p_idx): c for m, c in eq.items()}, Q.deg(q_idx) + n) if eq else {}
+
+        return _pointwise(Q, n, value)
 
     cm = ChainMap(P.underlying(), H.complex, matrices_from_images(P, H, image))
     return CanonicalMap(cm, Window(-D, D), f"unit for {M.name} on {N.name}")
@@ -234,7 +233,7 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
 
     def image(pair, d):
         z_idx, t_idx = pair
-        q_idx, p_idx = T2.section(*T2.struct_pair(t_idx))
+        q_idx, p_idx = T2.reps[t_idx]
         zq = ev(z_idx, {q_idx: F.one})  # element of S
         return res_N.eps.apply_elem(P.act_elem(zq, {p_idx: F.one}))  # z(q)·p, in N
 
@@ -268,15 +267,10 @@ def duality_map(
     H2 = hom_over(S, Zt, P)  # Z is left S with outer right R
 
     def image(pair, d):
+        # the sign (-1)^{|z|(|q|+|p|)} is forced by graded S-linearity of the
+        # resulting Hom element under this library's conventions
         q_idx, p_idx = pair
-        ground: dict = {}
-        for z_idx in range(Zt.total_dim):
-            val = P.act_elem(ev(z_idx, {q_idx: F.one}), {p_idx: F.one})
-            # sign (-1)^{|z|(|q|+|p|)}: forced by graded S-linearity of
-            # the resulting Hom element under this library's conventions
-            sgn = F.sign(Zt.deg(z_idx) * d)
-            vec_iadd(F, ground, {(z_idx, k): c for k, c in val.items()}, sgn)
-        return ground
+        return _pointwise(Zt, d, lambda z: P.act_elem(ev(z, {q_idx: F.one}), {p_idx: F.one}))
 
     cm = ChainMap(T2.complex, H2.complex, matrices_from_images(T2, H2, image))
     return CanonicalMap(cm, Window(-D, D), f"duality for {M.name} on {N.name}")

@@ -46,7 +46,7 @@ from .derived import (
     tor_table,
     unit_map,
 )
-from .homtensor import endomorphism_dga, hom_over, identity_ground, tensor_over
+from .homtensor import _endomorphism_dga, _pointwise, hom_over, identity_ground, tensor_over
 from .linalg import Matrix, kernel_basis
 from .modops import (
     FreeModule,
@@ -356,8 +356,8 @@ def _condition3_map(R, S, M, Nr, Nl, D, max_generators) -> ChainMap:
 
     def image(pair, d):
         a_idx, t_idx = pair
-        pr_idx, z_idx = Ta.section(*Ta.struct_pair(a_idx))
-        q_idx, p_idx = T2.section(*T2.struct_pair(t_idx))
+        pr_idx, z_idx = Ta.reps[a_idx]
+        q_idx, p_idx = T2.reps[t_idx]
         zq = ev(z_idx, {q_idx: F.one})  # element of S
         return {(pr_idx, k): c for k, c in P.act_elem(zq, {p_idx: F.one}).items()}
 
@@ -396,12 +396,10 @@ def _condition5_map(R, S, M, Nl, Nl2, D, max_generators) -> ChainMap:
 
     def image(f, n):
         ground: dict = {}
-        for t_idx in range(Tn_mod.total_dim):
-            dt, pt = Tn.struct_pair(t_idx)
-            q_idx, p_idx = Tn.section(dt, pt)
+        for t_idx, (q_idx, p_idx) in enumerate(Tn.reps):
             fp = Hsrc.evaluate(f, {p_idx: F.one})
             if fp:
-                t = T2.element({(q_idx, k): c for k, c in fp.items()}, dt + n)
+                t = T2.element({(q_idx, k): c for k, c in fp.items()}, Tn_mod.deg(t_idx) + n)
                 sgn = F.sign(n * Qs.deg(q_idx))
                 vec_iadd(F, ground, {(t_idx, g): c for g, c in t.items()}, sgn)
         return ground
@@ -464,17 +462,12 @@ def _bimodule_verdicts(R, S, M, family: TestFamily, D: int, max_generators: int)
 # -- compact endpoint ----------------------------------------------------------
 
 
-def _as_window(D) -> Window:
-    return D if isinstance(D, Window) else Window(-D, D)
-
-
 def check_compact_endpoint(
     R: DgAlgebra,
     S: DgAlgebra,
     M: DgBimodule,
     witness_R: BuildTreeWitness,
-    D,
-    max_generators: int = 10000,
+    window: Window,
 ) -> ConditionVerdict:
     """Verdict on S → RHom_R(M, M) when M is finitely built from R on the left.
 
@@ -483,20 +476,15 @@ def check_compact_endpoint(
     """
     require_witness(witness_R, M.left_module())
     H = hom_over(R, M.left_module(), M.left_module())
-    return _endpoint_verdict(S, M, H, _as_window(D))
+    return _endpoint_verdict(S, M, H, window)
 
 
 def _endpoint_verdict(S: DgAlgebra, M: DgBimodule, H, window: Window) -> ConditionVerdict:
     """Verdict on S → H, s ↦ (m ↦ ± m·s), for any Hom complex H of Hom_R(M, M)."""
-    F = M.field
 
     def image(s, n):
-        ground: dict = {}
-        for mi in range(M.total_dim):
-            # f_s(m) = (-1)^{|s||m|} m·s is graded R-linear and chain
-            ms = {(mi, k): c for k, c in M.act_right.get((s, mi), {}).items()}
-            vec_iadd(F, ground, ms, F.sign(n * M.deg(mi)))
-        return ground
+        # f_s(m) = (-1)^{|s||m|} m·s is graded R-linear and chain
+        return _pointwise(M, n, lambda mi: M.act_right.get((s, mi), {}))
 
     return _check(
         "compact-endpoint",
@@ -510,13 +498,14 @@ def check_dwyer_greenlees(
     R: DgAlgebra,
     M: DgModule,
     witness_R: BuildTreeWitness,
-    D,
-    max_generators: int = 10000,
+    window: Window,
 ) -> DwyerGreenleesReport:
     """Endomorphism-DGA picture: F = End_R(M), S = F^op acting on the right."""
-    window = _as_window(D)
     require_witness(witness_R, M)
-    Fdga, bimod = endomorphism_dga(M)
+    # one Hom_R(M, M), identity seated first: the endomorphism DGA, the
+    # degreewise comparison and the endpoint map all read it
+    H = hom_over(R, M, M, prefer={0: [identity_ground(M)]})
+    Fdga, bimod = _endomorphism_dga(H)
     bad = validate_dga(Fdga)
     if bad:
         raise ValueError(f"endomorphism DGA invalid: {bad[0].axiom} at {bad[0].where}")
@@ -527,17 +516,16 @@ def check_dwyer_greenlees(
     # degreewise comparison S ≅ Hom_R(M, M): the identity-seated Hom basis
     # is exactly the basis of F, so the comparison map is the identity matrix
     # in every degree and being a chain map pins the differentials to agree
-    H2 = hom_over(R, M, M, prefer={0: [identity_ground(M)]})
     SC = S.underlying()
     F = S.field
-    degreewise = all(SC.dim(n) == H2.complex.dim(n) for n in set(SC.degrees()) | set(H2.complex.degrees()))
+    degreewise = all(SC.dim(n) == H.complex.dim(n) for n in set(SC.degrees()) | set(H.complex.degrees()))
     if degreewise:
         cm = ChainMap(
-            SC, H2.complex, {n: Matrix.identity(F, SC.dim(n)) for n in SC.degrees()}
+            SC, H.complex, {n: Matrix.identity(F, SC.dim(n)) for n in SC.degrees()}
         )
         degreewise = cm.validate() is True
-    # the witness was verified above, so the endpoint map can target H2
-    endpoint = _endpoint_verdict(S, bimod, H2, window)
+    # the witness was verified above, so the endpoint map can target H
+    endpoint = _endpoint_verdict(S, bimod, H, window)
     return DwyerGreenleesReport(Fdga, S, degreewise, endpoint)
 
 
@@ -556,11 +544,7 @@ def _ring_condition4_map(phi, N, D, max_generators) -> ChainMap:
     eps = [res.eps.apply_elem({q_idx: F.one}) for q_idx in range(Q.total_dim)]  # in S
 
     def image(n_idx, n):
-        ground: dict = {}
-        for q_idx, eq in enumerate(eps):
-            val = {(q_idx, k): c for k, c in N.act_elem(eq, {n_idx: F.one}).items()}
-            vec_iadd(F, ground, val, F.sign(n * Q.deg(q_idx)))
-        return ground
+        return _pointwise(Q, n, lambda q_idx: N.act_elem(eps[q_idx], {n_idx: F.one}))
 
     return ChainMap(N.underlying(), H.complex, matrices_from_images(N, H, image))
 

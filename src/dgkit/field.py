@@ -87,9 +87,6 @@ class Field:
         and suspension sign."""
         return self._parity[k & 1]
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     # -- misc ----------------------------------------------------------------
 
     def to_str(self, a) -> str:

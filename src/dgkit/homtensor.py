@@ -65,62 +65,57 @@ class GroundComplex:
     """A complex whose basis vectors are ground vectors over pairs (m, n).
 
     Shared by :class:`TensorProduct` and :class:`HomComplex`.  A subclass sets
-    ``field``, ``name``, the outer algebras and ``_basis`` (degree -> basis
-    representatives), and provides ``coords`` (sparse coordinates of a
+    ``field``, ``name``, the outer algebras and ``_components`` (degree ->
+    basis representatives), and provides ``coords`` (sparse coordinates of a
     ground vector), ``ground_differential`` and the outer actions on ground
-    vectors.  This class builds the complex, numbers the basis globally for
-    ``structure()`` and assembles that bimodule, module or bare complex.
+    vectors.  Like a module, it numbers its basis once, in degree order:
+    ``basis[g] = (label, degree)`` and ``reps[g]`` is the ground
+    representative of basis element g (a ground pair, or a Hom ground
+    vector).  ``component(n)`` and ``coords`` count positions within degree
+    n, as ``matrices_from_images`` reads them; ``structure()`` is the
+    bimodule, module or bare complex on the numbering of ``basis``.
     """
 
     def degrees(self):
-        return [n for n in sorted(self._basis) if self._basis[n]]
+        return [n for n in sorted(self._components) if self._components[n]]
 
     def component(self, n: int) -> list:
         """Degree-n basis representatives: ground pairs or Hom ground vectors."""
-        return self._basis.get(n, [])
+        return self._components.get(n, [])
 
     def element(self, ground: dict, n: int) -> dict:
         """The element of structure() represented by a ground vector of degree n."""
-        index = self._struct_index
-        return {index[(n, i)]: c for i, c in sorted(self.coords(ground, n).items())}
+        return {self._start[n] + i: c for i, c in sorted(self.coords(ground, n).items())}
 
     def _build_complex(self, labels: dict):
         dims = {n: len(self.component(n)) for n in self.degrees()}
         diffs = matrices_from_images(self, self, self.ground_differential, offset=-1)
         self.complex = Complex(self.field, GradedSpace(dims, labels), diffs)
         self._module = None
-        self._struct_pairs = [(n, q) for n in sorted(dims) for q in range(dims[n])]
-        self._struct_index = {nq: g for g, nq in enumerate(self._struct_pairs)}
+        self.basis = [(label, n) for n in dims for label in labels[n]]
+        self.reps = [rep for n in dims for rep in self.component(n)]
+        self._start: dict[int, int] = {}  # degree -> index of its first basis element
+        for g, (_, n) in enumerate(self.basis):
+            self._start.setdefault(n, g)
 
-    def struct_index(self, n: int, q: int) -> int:
-        """Global basis index (in structure()) of basis vector q of degree n."""
-        return self._struct_index[(n, q)]
+    def _table(self, mats: dict, offset: int) -> dict:
+        """{g: image of basis element g} of the map given by per-degree
+        matrices into degree n + offset, in the numbering of ``basis``."""
+        start = self._start
+        return {
+            start[n] + q: {start[n + offset] + i: c for i, c in sorted(col.items())}
+            for n, m in sorted(mats.items())
+            for q, col in enumerate(m.columns)
+            if col
+        }
 
-    def struct_pair(self, g: int) -> tuple[int, int]:
-        return self._struct_pairs[g]
-
-    # -- module structure ----------------------------------------------------
-
-    def _struct_basis(self) -> list:
-        return [(self.complex.space.label(n, q), n) for n, q in self._struct_pairs]
-
-    def _struct_diff(self) -> dict:
-        """The differential of structure(), read off the matrix columns."""
-        index, diff = self._struct_index, {}
-        for n in self.degrees():
-            for q, col in enumerate(self.complex.d(n).columns):
-                if col:
-                    diff[index[(n, q)]] = {index[(n - 1, i)]: c for i, c in sorted(col.items())}
-        return diff
-
-    def _act_table(self, alg: DgAlgebra, ground_act) -> dict:
+    def _act(self, alg: DgAlgebra, ground_act) -> dict:
+        """The outer action table {(a, g): a acting on g}."""
         act = {}
-        for g, (n, q) in enumerate(self._struct_pairs):
-            rep = self.component(n)[q]
-            for a in range(alg.total_dim):
-                e = self.element(ground_act(a, rep, n), n + alg.deg(a))
-                if e:
-                    act[(a, g)] = e
+        for a in range(alg.total_dim):
+            p = alg.deg(a)
+            mats = matrices_from_images(self, self, lambda rep, n: ground_act(a, rep, n), p)
+            act.update(((a, g), e) for g, e in self._table(mats, p).items())
         return act
 
     def structure(self):
@@ -131,9 +126,9 @@ class GroundComplex:
         if L is None and R is None:
             self._module = self.complex
             return self._module
-        basis, diff = self._struct_basis(), self._struct_diff()
-        act_l = self._act_table(L, self._left_act_ground) if L is not None else None
-        act_r = self._act_table(R, self._right_act_ground) if R is not None else None
+        basis, diff = self.basis, self._table(self.complex.diffs, -1)
+        act_l = self._act(L, self._left_act_ground) if L is not None else None
+        act_r = self._act(R, self._right_act_ground) if R is not None else None
         if act_l is not None and act_r is not None:
             self._module = DgBimodule(L, R, basis, act_l, act_r, diff, self.name)
         elif act_l is not None:
@@ -144,7 +139,7 @@ class GroundComplex:
 
 
 class TensorProduct(GroundComplex):
-    """M ⊗_A N as an explicit quotient complex with section and projection."""
+    """M ⊗_A N as an explicit quotient of the ground tensor product."""
 
     def __init__(self, A: DgAlgebra, M, N, name: str | None = None):
         self.A = A
@@ -161,7 +156,7 @@ class TensorProduct(GroundComplex):
         # the relations of each degree, as an echelon over ground pairs; the
         # pairs off its pivots represent the quotient basis
         self._relations: dict[int, Echelon] = {}
-        self._basis: dict[int, list[tuple[int, int]]] = {}
+        self._components: dict[int, list[tuple[int, int]]] = {}
         self._free_pos: dict[int, dict[tuple[int, int], int]] = {}
         ncomp = {n: N.component(n) for n in N.degrees()}
         for d, ps in pairs.items():
@@ -178,12 +173,12 @@ class TensorProduct(GroundComplex):
                         an = {(mi, k): c for k, c in act_lA.get((a, nj), {}).items()}
                         relations.add(vec_iadd(F, vec, an, F.sign(1)))
             self._relations[d] = relations
-            self._basis[d] = [pair for pair in ps if pair not in relations.rows]
-            self._free_pos[d] = {pair: i for i, pair in enumerate(self._basis[d])}
+            self._components[d] = [pair for pair in ps if pair not in relations.rows]
+            self._free_pos[d] = {pair: i for i, pair in enumerate(self._components[d])}
 
         labels = {
             d: tuple(f"{M.label(mi)}⊗{N.label(nj)}" for mi, nj in fr)
-            for d, fr in self._basis.items()
+            for d, fr in self._components.items()
         }
         self._build_complex(labels)
 
@@ -214,10 +209,6 @@ class TensorProduct(GroundComplex):
         """Coordinates {position: c} of a ground vector of degree d in the quotient basis."""
         fpos = self._free_pos.get(d, {})
         return {fpos[pair]: c for pair, c in self.reduce(ground, d).items()}
-
-    def section(self, d: int, q: int) -> tuple[int, int]:
-        """Ground pair representing quotient basis vector q in degree d."""
-        return self._basis[d][q]
 
 
 def tensor_over(A: DgAlgebra, M, N, name: str | None = None) -> TensorProduct:
@@ -256,7 +247,7 @@ class HomComplex(GroundComplex):
         act_M, self.outer_left, self._act_outer_l = _left_over(M, A)
         act_N, self.outer_right, self._act_outer_r = _left_over(N, A)
 
-        self.basis_vectors: dict[int, list[dict]] = {}
+        self._components: dict[int, list[dict]] = {}
         for n, ps in sorted(_ground_pairs(M, N, -1).items()):
             in_ps = set(ps)
             # A-linearity constraints, one per (a, m, w): the Hom_n component
@@ -287,15 +278,14 @@ class HomComplex(GroundComplex):
             if prefer and n in prefer:
                 vecs = self._seat_first(prefer[n], vecs)
             if vecs:
-                self.basis_vectors[n] = vecs
+                self._components[n] = vecs
 
-        self._basis = self.basis_vectors
         self._spans: dict[int, Echelon] = {}
         self._dM_into: dict[int, dict] = {}  # k ↦ {m: coefficient of k in d(m)}
         for mi, dm in M.diff.items():
             for k, c in dm.items():
                 self._dM_into.setdefault(k, {})[mi] = c
-        labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in self._basis.items()}
+        labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in self._components.items()}
         self._build_complex(labels)
 
     def _seat_first(self, preferred, vecs):
@@ -332,7 +322,7 @@ class HomComplex(GroundComplex):
 
     def coords(self, ground: dict, n: int) -> dict:
         """Coordinates {position: c} of an A-linear ground vector of degree n."""
-        vecs = self.basis_vectors.get(n, [])
+        vecs = self.component(n)
         if not vecs:
             if any(c != 0 for c in ground.values()):
                 raise ValueError("vector outside empty Hom component")
@@ -383,6 +373,18 @@ def identity_ground(M) -> dict:
     return {(i, i): M.field.one for i in range(M.total_dim)}
 
 
+def _pointwise(X, n: int, value) -> dict:
+    """The degree-n Hom ground vector x ↦ (-1)^{n|x|} value(x), defined on the
+    basis elements x of X: the one sign rule of maps into Hom built pointwise."""
+    F = X.field
+    ground: dict = {}
+    for x in range(X.total_dim):
+        v = value(x)
+        if v:
+            vec_iadd(F, ground, {(x, k): c for k, c in v.items()}, F.sign(n * X.deg(x)))
+    return ground
+
+
 def endomorphism_dga(M: DgModule):
     """Endomorphism DGA of a left module, and M as an R-F^op-bimodule.
 
@@ -390,12 +392,16 @@ def endomorphism_dga(M: DgModule):
     the first degree-0 basis vector.  The right F^op-action on M is
     m·f = (-1)^{|f||m|} f(m).
     """
+    H = hom_over(M.algebra, M, M, prefer={0: [identity_ground(M)]}, name=f"End({M.name})")
+    return _endomorphism_dga(H)
+
+
+def _endomorphism_dga(H: HomComplex):
+    """:func:`endomorphism_dga` on H = Hom(M, M) with the identity seated first."""
     from .dga import opposite
 
-    A, F = M.algebra, M.field
-    H = hom_over(A, M, M, prefer={0: [identity_ground(M)]}, name=f"End({M.name})")
-    basis = H._struct_basis()
-    fs = [f for n in H.degrees() for f in H.component(n)]  # in struct_index order
+    M, A, F = H.M, H.A, H.field
+    basis, fs = H.basis, H.reps
     mul = {}
     for i1, f1 in enumerate(fs):
         for i2, f2 in enumerate(fs):
@@ -410,8 +416,8 @@ def endomorphism_dga(M: DgModule):
                 e = H.element(comp, nn)
                 if e:
                     mul[(i1, i2)] = e
-    unit = H.struct_index(0, 0)
-    Fdga = DgAlgebra(F, basis, unit, mul, H._struct_diff(), name=f"End({M.name})")
+    diff = H._table(H.complex.diffs, -1)
+    Fdga = DgAlgebra(F, basis, H._start[0], mul, diff, name=f"End({M.name})")
     S = opposite(Fdga)
     act_right = {}
     for fi, f in enumerate(fs):

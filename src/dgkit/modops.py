@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Matrix
+from .linalg import Echelon, Matrix, kernel_basis
 from .complexes import ChainMap, Violation
-from .dga import DgAlgebra, DgModule, koszul_signed, vec_iadd, vec_scale
+from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, vec_iadd, vec_scale
 
 
 def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Matrix]:
@@ -179,92 +179,57 @@ def module_cone(f: DgModuleMap):
     return C, incl, proj
 
 
-def truncate_below(M, c: int):
-    """Good truncation τ_{≥c}: degrees > c kept, degree c replaced by cycles.
+def truncate_below(Z: DgBimodule, c: int):
+    """Good truncation τ_{≥c} of a bimodule: degrees > c kept, degree c
+    replaced by its cycles.
 
-    Over a nonnegatively graded algebra this is a sub(bi)module: degree-0
-    algebra elements are cycles, so they preserve kernels.  Returns
-    (truncated module, list mapping each new basis index to an element of M).
-    Homology agrees with M in degrees ≥ c and vanishes below.
+    Over nonnegatively graded algebras this is a sub-bimodule: degree-0
+    algebra elements are cycles, so they preserve kernels.  Returns (the
+    truncation, its carriers: each new basis element as an element of Z).
+    Homology agrees with Z in degrees ≥ c and vanishes below.  Elements of
+    degree c are expressed in the cycle basis through one certified echelon.
     """
-    from .linalg import Matrix, kernel_basis, solve
-    from .dga import DgBimodule
+    F = Z.field
+    cycles = kernel_basis(Z.underlying().d(c)) if Z.component(c) else []
+    span = Echelon(F, certify=True)
+    for v in cycles:
+        span.add(v)
+    carriers = [Z.elem_from_component(v, c) for v in cycles]
+    basis = [(f"z{c}_{i}", c) for i in range(len(cycles))]
+    new_index = {}
+    for n in Z.degrees():
+        if n > c:
+            for g in Z.component(n):
+                new_index[g] = len(carriers)
+                carriers.append({g: F.one})
+                basis.append((Z.label(g), n))
 
-    F = M.field
-    U = M.underlying()
-    carriers: list[dict] = []  # new index -> element of M
-    new_basis: list[tuple[str, int]] = []
-    # degree c: kernel basis of d_c
-    comp_c = M.component(c)
-    ker = kernel_basis(U.d(c)) if comp_c else []
-    ker_mat = Matrix.from_columns(F, ker, rows=len(comp_c)) if comp_c else None
-    for i, v in enumerate(ker):
-        carriers.append(M.elem_from_component(v, c))
-        new_basis.append((f"z{c}_{i}", c))
-    old_to_new = {}
-    for n in sorted(M.degrees()):
-        if n <= c:
-            continue
-        for g in M.component(n):
-            old_to_new[g] = len(carriers)
-            carriers.append({g: F.one})
-            new_basis.append((M.label(g), n))
-
-    def express(e: dict, deg: int) -> dict:
-        """Element of M of degree deg >= c in the new basis."""
-        if not e:
-            return {}
-        if deg > c:
-            return {old_to_new[g]: x for g, x in e.items()}
-        coords = solve(ker_mat, M.coords(e, c))
-        if coords is None:
+    def express(e: dict, n: int) -> dict:
+        """An element of Z of degree n ≥ c in the new basis."""
+        if n > c:
+            return {new_index[g]: x for g, x in e.items()}
+        x = span.coords(Z.coords(e, c))
+        if x is None:
             raise ValueError("truncation: element not a cycle in the cut degree")
-        return {j: x for j, x in enumerate(coords) if x != 0}
+        return dict(sorted(x.items()))
 
-    diff = {}
-    for new_i, carrier in enumerate(carriers):
-        deg = new_basis[new_i][1]
-        if deg <= c:
-            continue  # cycles at the cut degree
-        d = M.d_elem(carrier)
-        if d and deg - 1 >= c:
-            diff[new_i] = express(d, deg - 1)
+    L, R = Z.left_algebra, Z.right_algebra
+    diff, act_left, act_right = {}, {}, {}
 
-    def convert_act(table, alg):
-        act = {}
-        for new_i, carrier in enumerate(carriers):
-            deg = new_basis[new_i][1]
-            for a in range(alg.total_dim):
-                da = alg.deg(a)
-                img: dict = {}
-                for g, x in carrier.items():
-                    vec_iadd(F, img, table.get((a, g), {}), x)
-                if img and deg + da >= c:
-                    e = express(img, deg + da)
-                    if e:
-                        act[(a, new_i)] = e
-        return act
+    def put(table: dict, key, e: dict, n: int):
+        """table[key] = e, an element of Z of degree n, unless it is zero or cut."""
+        if e and n >= c:
+            e = express(e, n)
+            if e:
+                table[key] = e
 
-    if isinstance(M, DgBimodule):
-        out = DgBimodule(
-            M.left_algebra,
-            M.right_algebra,
-            new_basis,
-            convert_act(M.act_left, M.left_algebra),
-            convert_act(M.act_right, M.right_algebra),
-            diff,
-            name=f"τ≥{c}{M.name}",
-        )
-    else:
-        out = DgModule(
-            M.algebra,
-            M.side,
-            new_basis,
-            convert_act(M.act, M.algebra),
-            diff,
-            name=f"τ≥{c}{M.name}",
-        )
-    return out, carriers
+    for i, (carrier, (_, n)) in enumerate(zip(carriers, basis)):
+        put(diff, i, Z.d_elem(carrier), n - 1)
+        for a in range(L.total_dim):
+            put(act_left, (a, i), Z.act_left_elem({a: F.one}, carrier), n + L.deg(a))
+        for b in range(R.total_dim):
+            put(act_right, (b, i), Z.act_right_elem({b: F.one}, carrier), n + R.deg(b))
+    return DgBimodule(L, R, basis, act_left, act_right, diff, name=f"τ≥{c}{Z.name}"), carriers
 
 
 # -- free and semifree modules ------------------------------------------------

@@ -153,11 +153,17 @@ def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
     gens = _free_generators(M)
     if gens is None:
         return None
+    # dim F_n = Σ_g dim A_{n-|g|}: compare it with dim M_n before building F
+    dims: dict[int, int] = {}
+    for gen in gens:
+        for a in range(A.total_dim):
+            n = gen.degree + A.deg(a)
+            dims[n] = dims.get(n, 0) + 1
+    if dims != {n: len(M.component(n)) for n in M.degrees()}:
+        return None
     free = FreeModule(A, gens)
     eps = free.augmentation(M)
     FM = free.module
-    if FM.underlying().space.dims != M.underlying().space.dims:
-        return None
     for n in FM.degrees():
         f = eps.f(n)
         if f.rows != f.cols or rank(f) != f.rows:

@@ -259,6 +259,27 @@ def test_resolve_window_below_module_exits_one(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-epi", "truncated.dg", "aug", "--window", "2..2"],
+        ["check-epi", "truncated.dg", "aug", "--window=-5..2"],
+        ["check-epi", "truncated.dg", "aug", "--window", "0..0"],
+        ["consistency", "product.dg", "--window", "1..3"],
+        ["consistency", "product.dg", "--window=-2..3"],
+        ["consistency", "product.dg", "--window", "0..0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_epi_window_must_start_at_zero(capsys, argv):
+    # the verdicts cover degrees 0..HI: a window starting elsewhere, or one
+    # without a degree above 0, would be silently replaced by another
+    code, out, err = _run(capsys, argv[0], FIXTURES / argv[1], *argv[2:], "--family-size", "2")
+    assert code == 1
+    assert out == ""
+    assert "error: --window must be 0..HI with HI at least 1, got " in err
+
+
+@pytest.mark.parametrize(
     "flag, value, least",
     [
         ("--max-generators", -1, 1),

@@ -260,8 +260,8 @@ def test_dwyer_greenlees_broken_witness_refused():
         check_dwyer_greenlees(R, M, BuildTreeWitness(Leaf(0)), Window(-2, 4))
 
 
-def test_dwyer_greenlees_builds_the_endomorphism_hom_twice(monkeypatch):
-    # once in endomorphism_dga, once for the comparison and the endpoint
+def test_dwyer_greenlees_builds_the_endomorphism_hom_once(monkeypatch):
+    # one Hom_R(M, M) serves the endomorphism DGA, the comparison and the endpoint
     from dgkit.homtensor import HomComplex, endomorphism_dga
 
     built = []
@@ -276,9 +276,12 @@ def test_dwyer_greenlees_builds_the_endomorphism_hom_twice(monkeypatch):
     M = module_direct_sum([left_regular(R), module_shift(left_regular(R), 1)])
     w = BuildTreeWitness(SumNode([Leaf(0), Leaf(1)]))
     rep = check_dwyer_greenlees(R, M, w, Window(-2, 8))
-    assert len(built) == 2
-    # the endpoint verdict is the public one, which builds its own Hom
-    _, bimod = endomorphism_dga(M)
+    assert len(built) == 1
+    # the same DGA as the public endomorphism_dga, and the endpoint verdict is
+    # the public one, which builds its own Hom
+    E, bimod = endomorphism_dga(M)
+    F = rep.endomorphism_algebra
+    assert (F.basis, F.unit, F.mul, F.diff) == (E.basis, E.unit, E.mul, E.diff)
     assert rep.endpoint == check_compact_endpoint(R, rep.acting_algebra, bimod, w, Window(-2, 8))
 
 

@@ -127,6 +127,30 @@ def test_hom_outer_structures_valid():
         assert validate_module(M) == []
 
 
+def test_carrier_numbering_is_the_structure_numbering():
+    # basis[g] and reps[g] number structure(); its differential and outer
+    # actions equal the ground operations read element by element
+    for A in (exterior_algebra(), upper_triangular()):
+        B = regular_bimodule(A)
+        one = A.field.one
+        for X, ground in (
+            (tensor_over(A, B, B), lambda rep: {rep: one}),
+            (hom_over(A, B, B), lambda rep: rep),
+        ):
+            M = X.structure()
+            assert M.basis == X.basis and len(X.reps) == M.total_dim
+            for g, (rep, (_, n)) in enumerate(zip(X.reps, X.basis)):
+                assert rep in X.component(n)
+                assert X.element(ground(rep), n) == {g: one}
+                assert M.diff.get(g, {}) == X.element(X.ground_differential(rep, n), n - 1)
+                for a in range(A.total_dim):
+                    p = n + A.deg(a)
+                    left = X.element(X._left_act_ground(a, rep, n), p)
+                    right = X.element(X._right_act_ground(a, rep, n), p)
+                    assert M.act_left.get((a, g), {}) == left
+                    assert M.act_right.get((a, g), {}) == right
+
+
 def test_hom_differential_squares_to_zero_with_nontrivial_diff():
     # module with differential: cone-style module over Λ(x)
     from dgkit.modops import FreeModule, Generator, free_act

@@ -1,8 +1,15 @@
 import pytest
 
-from dgkit.field import QQ
+from dgkit.field import GF, QQ
 from dgkit.complexes import Window, cone, homology_dims, quasi_iso
-from dgkit.dga import left_regular, restrict_scalars, validate_module
+from dgkit.dga import (
+    bimodule_from_morphism,
+    left_regular,
+    restrict_scalars,
+    validate_module,
+    vec_iadd,
+)
+from dgkit.derived import dualize
 from dgkit.linalg import Matrix
 from dgkit.modops import (
     DgModuleMap,
@@ -13,11 +20,14 @@ from dgkit.modops import (
     module_cone,
     module_direct_sum,
     module_shift,
+    truncate_below,
     zero_module,
 )
 from dgkit.standard import (
     exterior_algebra,
     ground_algebra,
+    identity_morphism,
+    product_to_ground,
     truncated_polynomial,
     truncated_to_ground,
     upper_triangular,
@@ -169,3 +179,45 @@ def test_matrices_from_images_rejects_image_in_wrong_degree():
     M = left_regular(A)
     with pytest.raises(ValueError):
         matrices_from_images(M, M, lambda i, n: {1: QQ.one})
+
+
+# -- good truncation of the dual Z ---------------------------------------------
+
+DUAL_MORPHISMS = {
+    "x→0 on k[x]/(x²)": lambda F: truncated_to_ground(2, F),
+    "id on Λ(x)": lambda F: identity_morphism(exterior_algebra(F)),
+    "k×k→k": product_to_ground,
+}
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("morphism", sorted(DUAL_MORPHISMS))
+def test_truncate_below_dual(morphism, F):
+    # Z = RHom_{S^op}(M, S) reaches below every cut c tried here
+    Z = dualize(bimodule_from_morphism(DUAL_MORPHISMS[morphism](F)), 3).Z
+    lo, hi = Z.min_degree() - 1, Z.max_degree() + 1
+    hz = homology_dims(Z.underlying(), Window(lo, hi))
+    for c in (-3, -2, -1):
+        Zt, carriers = truncate_below(Z, c)
+        assert validate_module(Zt) == []
+        assert len(carriers) == Zt.total_dim
+
+        def lift(e):
+            out = {}
+            for j, x in e.items():
+                vec_iadd(F, out, carriers[j], x)
+            return out
+
+        # each carrier has Zt's differential and both actions, read through the carriers
+        for i, carrier in enumerate(carriers):
+            assert Z.elem_degree(carrier) == Zt.deg(i)
+            assert Z.d_elem(carrier) == lift(Zt.d_elem({i: F.one}))
+            for r in range(Z.left_algebra.total_dim):
+                er = {r: F.one}
+                assert Z.act_left_elem(er, carrier) == lift(Zt.act_left_elem(er, {i: F.one}))
+            for s in range(Z.right_algebra.total_dim):
+                es = {s: F.one}
+                assert Z.act_right_elem(es, carrier) == lift(Zt.act_right_elem(es, {i: F.one}))
+        ht = homology_dims(Zt.underlying(), Window(lo, hi))
+        assert ht == {n: hz[n] if n >= c else 0 for n in range(lo, hi + 1)}
+        assert Zt.min_degree() >= c and any(hz[n] for n in range(lo, c))

@@ -1,13 +1,18 @@
 """Command-line interface.
 
 Every command reads a presentation file, computes, and prints a deterministic
-report (text or json).  Exit codes: 0 a verdict was computed, 1 invalid input
-(parse error, axiom violation, unknown name, wrong side, a flag out of
-range), 2 a resource bound was hit before the computation finished
-(`check-epi` and `consistency` then print the verdicts finished before it).
+report (text or json).  One command table (`_COMMANDS`) gives each command its
+handler, its positional arguments and the flags it reads; no other flag is
+taken.  `main` checks only those flags, and one prologue loads the file, looks
+up and validates the named objects and hands them to the handler.  Exit codes:
+0 a verdict was computed, 1 invalid input (usage, parse error, axiom
+violation, unknown name, wrong side, a flag out of range), 2 a resource bound
+was hit before the computation finished (`check-epi` and `consistency` then
+print the verdicts finished before it).
 """
 
 import argparse
+import collections
 import functools
 import json
 import sys
@@ -47,12 +52,6 @@ def _load(path: str):
         raise InputError(str(e))
 
 
-def _get(pool: dict, name: str, kind: str):
-    if name not in pool:
-        raise InputError(f"unknown {kind} {name!r}")
-    return pool[name]
-
-
 _VALIDATORS = {"algebra": validate_dga, "module": validate_module, "morphism": validate_morphism}
 
 
@@ -76,6 +75,31 @@ def _validated(*objects):
                 raise InputError(f"{k} {n} violates the axioms: {viols[0]}")
 
 
+_POOLS = {"algebra": "algebras", "module": "modules", "morphism": "morphisms", "witness": "witnesses"}
+
+
+def _prologue(args, positional) -> list:
+    """Load the file and look up the object each positional argument names, in
+    order; then validate them, a witness through the module it builds.
+    Returns [presentation file, object, ...]."""
+    pf = _load(args.file)
+    objects, checked = [], []
+    for dest in positional:
+        # `left` and `right` name modules; every other positional names its kind
+        kind, name = {"left": "module", "right": "module"}.get(dest, dest), getattr(args, dest)
+        pool = getattr(pf, _POOLS[kind])
+        if name not in pool:
+            raise InputError(f"unknown {kind} {name!r}")
+        obj = pool[name]
+        objects.append(obj)
+        if kind == "witness":
+            kind, name = "module", obj.module_name
+            obj = pf.modules[name]
+        checked.append((kind, name, obj))
+    _validated(*checked)
+    return [pf, *objects]
+
+
 def _window(text: str) -> Window:
     try:
         lo, hi = map(int, text.split("..", 1))
@@ -93,12 +117,13 @@ def _epi_depth(w: Window) -> int:
     return w.hi
 
 
-def _check_counts(args):
+def _check_flags(args):
+    """Parse --window and range-check the counts, for the flags the command has."""
+    if "window" in args:
+        args.window = _window(args.window)
     # a test family always holds S and ΣS
-    for flag, value, least in (
-        ("--max-generators", args.max_generators, 1),
-        ("--family-size", args.family_size, 2),
-    ):
+    for flag, dest, least in (("--max-generators", "max_generators", 1), ("--family-size", "family_size", 2)):
+        value = getattr(args, dest, least)  # a command without the flag passes
         if value < least:
             raise InputError(f"{flag} must be at least {least}, got {value}")
 
@@ -115,19 +140,20 @@ def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
 
+def _degree_counts(degrees) -> tuple:
+    """Lines `  degree n: count` in degree order, and their json {"n": count}."""
+    counts = collections.Counter(degrees)
+    return [f"  degree {n}: {counts[n]}" for n in sorted(counts)], {str(n): c for n, c in counts.items()}
+
+
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_validate(args):
-    pf = _load(args.file)
+def cmd_validate(args, pf):
     lines, objects, bad_count = [], {}, 0
-    checks = (
-        [("algebra", n, validate_dga, pf.algebras) for k, n in pf.order if k == "algebra"]
-        + [("module", n, validate_module, pf.modules) for k, n in pf.order if k == "module"]
-        + [("morphism", n, validate_morphism, pf.morphisms) for k, n in pf.order if k == "morphism"]
-    )
-    for kind, name, check, pool in checks:
-        viols = check(pool[name])
+    # the algebras, then the modules, then the morphisms, each in file order
+    for kind, name in [(kind, n) for kind in _VALIDATORS for k, n in pf.order if k == kind]:
+        viols = _VALIDATORS[kind](getattr(pf, _POOLS[kind])[name])
         objects[f"{kind} {name}"] = [str(v) for v in viols]
         if viols:
             bad_count += len(viols)
@@ -141,10 +167,7 @@ def cmd_validate(args):
     return 0 if bad_count == 0 else 1
 
 
-def cmd_homology(args):
-    pf = _load(args.file)
-    M = _get(pf.modules, args.module, "module")
-    _validated(("module", args.module, M))
+def cmd_homology(args, pf, M):
     w = args.window
     dims = homology_dims(M.underlying(), w)
     lines = [f"homology of {args.module} on {w.lo}..{w.hi}"]
@@ -153,10 +176,7 @@ def cmd_homology(args):
     return 0
 
 
-def cmd_resolve(args):
-    pf = _load(args.file)
-    M = _get(pf.modules, args.module, "module")
-    _validated(("module", args.module, M))
+def cmd_resolve(args, pf, M):
     if M.side == "right":
         M = right_to_left_op(M)
     bottom = M.min_degree()
@@ -166,33 +186,26 @@ def cmd_resolve(args):
             f"{args.module} is exact from one below its bottom degree {bottom}"
         )
     res = semifree_resolution(M, args.window.hi, args.max_generators)
-    by_degree: dict = {}
-    for g in res.generators:
-        by_degree[g.degree] = by_degree.get(g.degree, 0) + 1
+    counts, by_degree = _degree_counts(g.degree for g in res.generators)
     lines = [
         f"semifree resolution of {args.module}: {len(res.generators)} generator(s), "
         f"exact on {res.validity.lo}..{res.validity.hi}"
     ]
-    lines += [f"  degree {n}: {by_degree[n]}" for n in sorted(by_degree)]
     _emit(
         args,
         "resolve",
         {
             "module": args.module,
-            "generators": {str(n): by_degree[n] for n in by_degree},
+            "generators": by_degree,
             "window": [res.validity.lo, res.validity.hi],
         },
-        lines,
+        lines + counts,
     )
     return 0
 
 
-def _tor_ext(args, which: str):
-    pf = _load(args.file)
-    A = _get(pf.algebras, args.algebra, "algebra")
-    M = _get(pf.modules, args.left, "module")
-    N = _get(pf.modules, args.right, "module")
-    _validated(("algebra", args.algebra, A), ("module", args.left, M), ("module", args.right, N))
+def cmd_tor_ext(args, pf, A, M, N):
+    which = args.command
     D = max(args.window.hi, 0)
     table = (tor_table if which == "tor" else ext_table)(A, M, N, D, args.max_generators)
     name = "Tor" if which == "tor" else "Ext"
@@ -202,21 +215,8 @@ def _tor_ext(args, which: str):
     return 0
 
 
-def cmd_tor(args):
-    return _tor_ext(args, "tor")
-
-
-def cmd_ext(args):
-    return _tor_ext(args, "ext")
-
-
-def _tensor_rhom(args, which: str):
-    pf = _load(args.file)
-    A = _get(pf.algebras, args.algebra, "algebra")
-    M = _get(pf.modules, args.left, "module")
-    N = _get(pf.modules, args.right, "module")
-    _validated(("algebra", args.algebra, A), ("module", args.left, M), ("module", args.right, N))
-    w = args.window
+def cmd_tensor_rhom(args, pf, A, M, N):
+    which, w = args.command, args.window
     D = max(abs(w.lo), abs(w.hi))
     dc = (derived_tensor if which == "tensor" else rhom)(A, M, N, D, args.max_generators)
     dims = homology_dims(dc.value, w)
@@ -227,34 +227,20 @@ def _tensor_rhom(args, which: str):
     return 0
 
 
-def cmd_tensor(args):
-    return _tensor_rhom(args, "tensor")
-
-
-def cmd_rhom(args):
-    return _tensor_rhom(args, "rhom")
-
-
-def cmd_endo_dga(args):
-    pf = _load(args.file)
-    M = _get(pf.modules, args.module, "module")
-    _validated(("module", args.module, M))
+def cmd_endo_dga(args, pf, M):
     if M.side != "left":
         raise InputError("endomorphism DGA needs a left module")
     Fdga, _ = endomorphism_dga(M)
     viols = validate_dga(Fdga)
-    lines = [f"endomorphism DGA of {args.module}: dimension {Fdga.total_dim}"]
-    by_degree: dict = {}
-    for _, d in Fdga.basis:
-        by_degree[d] = by_degree.get(d, 0) + 1
-    lines += [f"  degree {n}: {by_degree[n]}" for n in sorted(by_degree)]
+    counts, by_degree = _degree_counts(d for _, d in Fdga.basis)
+    lines = [f"endomorphism DGA of {args.module}: dimension {Fdga.total_dim}", *counts]
     lines.append(f"axioms: {'ok' if not viols else 'violated'}")
     _emit(
         args,
         "endo-dga",
         {
             "dimension": Fdga.total_dim,
-            "by_degree": {str(n): by_degree[n] for n in by_degree},
+            "by_degree": by_degree,
             "valid": not viols,
         },
         lines,
@@ -262,11 +248,8 @@ def cmd_endo_dga(args):
     return 0
 
 
-def cmd_witness_verify(args):
-    pf = _load(args.file)
-    w = _get(pf.witnesses, args.witness, "witness")
+def cmd_witness_verify(args, pf, w):
     M = pf.modules[w.module_name]
-    _validated(("module", w.module_name, M))
     if M.side == "right":
         M = right_to_left_op(M)
     ok = verify_build_tree(w.witness, M)
@@ -287,7 +270,7 @@ def _verdict_lines(name: str, verdicts) -> list:
     return [f"morphism {name}:"] + [f"  {v.summary()}" for v in verdicts]
 
 
-def _epi_report(args, name: str, rep) -> list:
+def _epi_report(name: str, rep) -> list:
     lines = _verdict_lines(name, rep.verdicts)
     lines.append(f"  agreement: {_yesno(rep.agreement)}")
     if rep.disagreement:
@@ -320,10 +303,7 @@ def _rep_data(rep) -> dict:
     }
 
 
-def cmd_check_epi(args):
-    pf = _load(args.file)
-    phi = _get(pf.morphisms, args.morphism, "morphism")
-    _validated(("morphism", args.morphism, phi))
+def cmd_check_epi(args, pf, phi):
     D = _epi_depth(args.window)
     fam = generate_test_family(phi.target, args.seed, args.family_size)
     try:
@@ -334,15 +314,11 @@ def cmd_check_epi(args):
         lines = _verdict_lines(args.morphism, e.verdicts) + [f"  unfinished: {e}"]
         _emit(args, "check-epi", {"morphism": args.morphism, **data}, lines)
         raise
-    _emit(args, "check-epi", {"morphism": args.morphism, **_rep_data(rep)}, _epi_report(args, args.morphism, rep))
+    _emit(args, "check-epi", {"morphism": args.morphism, **_rep_data(rep)}, _epi_report(args.morphism, rep))
     return 0
 
 
-def cmd_dwyer_greenlees(args):
-    pf = _load(args.file)
-    M = _get(pf.modules, args.module, "module")
-    w = _get(pf.witnesses, args.witness, "witness")
-    _validated(("module", args.module, M), ("module", w.module_name, pf.modules[w.module_name]))
+def cmd_dwyer_greenlees(args, pf, M, w):
     if M.side != "left":
         raise InputError("the acting module must be a left module")
     try:
@@ -369,14 +345,13 @@ def cmd_dwyer_greenlees(args):
     return 0
 
 
-def cmd_consistency(args):
-    pf = _load(args.file)
+def cmd_consistency(args, pf):
     corpus = [(n, pf.morphisms[n]) for k, n in pf.order if k == "morphism"]
     _validated(*(("morphism", n, phi) for n, phi in corpus))
     D = _epi_depth(args.window)
 
     def report(instances):
-        lines = [line for name, r in instances for line in _epi_report(args, name, r)]
+        lines = [line for name, r in instances for line in _epi_report(name, r)]
         return lines, {n: _rep_data(r) for n, r in instances}
 
     try:
@@ -397,13 +372,41 @@ def cmd_consistency(args):
     return 0
 
 
-def cmd_roundtrip(args):
-    pf = _load(args.file)
+def cmd_roundtrip(args, pf):
     sys.stdout.write(serialize(pf))
     return 0
 
 
 # -- entry point ---------------------------------------------------------------
+
+
+_FLAGS = {
+    "--window": {"default": "0..8"},
+    "--seed": {"type": int, "default": 0},
+    "--family-size": {"type": int, "default": 6},
+    "--max-generators": {"type": int, "default": 10000},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
+_PAIR = ("algebra", "left", "right")
+_RESOLVING = ("--window", "--max-generators", "--format")
+_EPI = ("--window", "--seed", "--family-size", "--max-generators", "--format")
+
+# command -> (handler, positional arguments after the file, flags it reads)
+_COMMANDS = {
+    "validate": (cmd_validate, (), ("--format",)),
+    "homology": (cmd_homology, ("module",), ("--window", "--format")),
+    "resolve": (cmd_resolve, ("module",), _RESOLVING),
+    "tor": (cmd_tor_ext, _PAIR, _RESOLVING),
+    "ext": (cmd_tor_ext, _PAIR, _RESOLVING),
+    "tensor": (cmd_tensor_rhom, _PAIR, _RESOLVING),
+    "rhom": (cmd_tensor_rhom, _PAIR, _RESOLVING),
+    "endo-dga": (cmd_endo_dga, ("module",), ("--format",)),
+    "witness-verify": (cmd_witness_verify, ("witness",), ("--format",)),
+    "check-epi": (cmd_check_epi, ("morphism",), _EPI),
+    "dwyer-greenlees": (cmd_dwyer_greenlees, ("module", "witness"), ("--window", "--format")),
+    "consistency": (cmd_consistency, (), _EPI),
+    "roundtrip": (cmd_roundtrip, (), ()),
+}
 
 
 # built once per process: parsing leaves it unchanged, and each build leaves
@@ -412,33 +415,12 @@ def cmd_roundtrip(args):
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dgkit")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, *positional):
+    for name, (_, positional, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("file")
-        for a in positional:
+        for a in ("file", *positional):
             p.add_argument(a)
-        p.add_argument("--window", default="0..8")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--family-size", type=int, default=6)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-generators", type=int, default=10000)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate)
-    add("homology", cmd_homology, "module")
-    add("resolve", cmd_resolve, "module")
-    add("tor", cmd_tor, "algebra", "left", "right")
-    add("ext", cmd_ext, "algebra", "left", "right")
-    add("tensor", cmd_tensor, "algebra", "left", "right")
-    add("rhom", cmd_rhom, "algebra", "left", "right")
-    add("endo-dga", cmd_endo_dga, "module")
-    add("witness-verify", cmd_witness_verify, "witness")
-    add("check-epi", cmd_check_epi, "morphism")
-    add("dwyer-greenlees", cmd_dwyer_greenlees, "module", "witness")
-    add("consistency", cmd_consistency)
-    add("roundtrip", cmd_roundtrip)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return top
 
 
@@ -448,10 +430,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # bad command-line usage is invalid input, not a resource bound
         return 0 if e.code in (0, None) else 1
+    fn, positional, _ = _COMMANDS[args.command]
     try:
-        args.window = _window(args.window)
-        _check_counts(args)
-        return args.fn(args)
+        _check_flags(args)
+        return fn(args, *_prologue(args, positional))
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -36,27 +36,16 @@ class Window:
 
 
 class GradedSpace:
-    """Finite-support assignment of dimensions (and basis labels) to degrees."""
+    """Finite-support assignment of dimensions to degrees."""
 
-    def __init__(self, dims: dict[int, int], labels: dict[int, tuple] | None = None):
+    def __init__(self, dims: dict[int, int]):
         self.dims = {n: d for n, d in dims.items() if d > 0}
-        self.labels = {}
-        for n, d in self.dims.items():
-            if labels and n in labels:
-                if len(labels[n]) != d:
-                    raise ValueError(f"label count mismatch in degree {n}")
-                self.labels[n] = tuple(labels[n])
-            else:
-                self.labels[n] = tuple(f"e{n}_{i}" for i in range(d))
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
     def degrees(self):
         return sorted(self.dims)
-
-    def label(self, n: int, i: int) -> str:
-        return self.labels[n][i]
 
     @property
     def total_dim(self) -> int:
@@ -138,9 +127,8 @@ def zero_complex(field: Field) -> Complex:
     return Complex(field, GradedSpace({}), {})
 
 
-def single(field: Field, degree: int = 0, dim: int = 1, label: str | None = None) -> Complex:
-    labels = {degree: tuple(f"{label}{i}" for i in range(dim))} if label else None
-    return Complex(field, GradedSpace({degree: dim}, labels), {})
+def single(field: Field, degree: int = 0, dim: int = 1) -> Complex:
+    return Complex(field, GradedSpace({degree: dim}), {})
 
 
 def validate_complex(C: Complex):
@@ -250,9 +238,8 @@ def shift(C: Complex, t: int) -> Complex:
     if t == 0:
         return C
     dims = {n + t: d for n, d in C.space.dims.items()}
-    labels = {n + t: lab for n, lab in C.space.labels.items()}
     diffs = {n + t: m.scale(C.field.sign(t)) for n, m in C.diffs.items()}
-    return Complex(C.field, GradedSpace(dims, labels), diffs)
+    return Complex(C.field, GradedSpace(dims), diffs)
 
 
 def direct_sum(summands: list[Complex], field: Field | None = None) -> Complex:
@@ -266,10 +253,6 @@ def direct_sum(summands: list[Complex], field: Field | None = None) -> Complex:
         raise ValueError("mixed fields in direct_sum")
     degrees = sorted({n for c in summands for n in c.space.dims})
     dims = {n: sum(c.dim(n) for c in summands) for n in degrees}
-    labels = {
-        n: tuple(f"s{i}.{c.space.label(n, j)}" for i, c in enumerate(summands) for j in range(c.dim(n)))
-        for n in degrees
-    }
     diffs = {}
     for n in degrees:
         cols, off = [], 0
@@ -277,7 +260,7 @@ def direct_sum(summands: list[Complex], field: Field | None = None) -> Complex:
             cols += [{i + off: x for i, x in col.items()} for col in c.d(n).columns]
             off += c.dim(n - 1)
         diffs[n] = Matrix.from_columns(F, cols, off)
-    return Complex(F, GradedSpace(dims, labels), diffs)
+    return Complex(F, GradedSpace(dims), diffs)
 
 
 def cone(f: ChainMap):
@@ -290,11 +273,6 @@ def cone(f: ChainMap):
     F = N.field
     degrees = sorted(set(N.space.dims) | {n + 1 for n in M.space.dims})
     dims = {n: N.dim(n) + M.dim(n - 1) for n in degrees}
-    labels = {
-        n: tuple(f"t.{N.space.label(n, j)}" for j in range(N.dim(n)))
-        + tuple(f"s.{M.space.label(n - 1, j)}" for j in range(M.dim(n - 1)))
-        for n in degrees
-    }
     diffs = {}
     for n in degrees:
         off = N.dim(n - 1)
@@ -303,7 +281,7 @@ def cone(f: ChainMap):
             for fc, dc in zip(f.f(n - 1).columns, M.d(n - 1).columns)
         ]
         diffs[n] = Matrix.from_columns(F, list(N.d(n).columns) + shifted, off + M.dim(n - 2))
-    Cn = Complex(F, GradedSpace(dims, labels), diffs)
+    Cn = Complex(F, GradedSpace(dims), diffs)
     incl = ChainMap(
         N,
         Cn,

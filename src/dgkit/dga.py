@@ -126,7 +126,6 @@ class _Graded:
     def underlying(self) -> Complex:
         if self._complex is None:
             dims = {n: len(ix) for n, ix in self._by_degree.items()}
-            labels = {n: tuple(self.label(i) for i in ix) for n, ix in self._by_degree.items()}
             diffs = {
                 n: Matrix.from_columns(
                     self.field,
@@ -136,7 +135,7 @@ class _Graded:
                 for n, idx in self._by_degree.items()
                 if self.component(n - 1)
             }
-            self._complex = Complex(self.field, GradedSpace(dims, labels), diffs)
+            self._complex = Complex(self.field, GradedSpace(dims), diffs)
         return self._complex
 
     @property
@@ -543,26 +542,14 @@ def regular_bimodule(A: DgAlgebra) -> DgBimodule:
 
 def bimodule_from_morphism(phi: DgaMorphism) -> DgBimodule:
     """The R-S-bimodule S with left R-action through phi: R -> S."""
-    S, F = phi.target, phi.target.field
-    act_left = {}
-    for i in range(phi.source.total_dim):
-        img = phi.apply({i: F.one})
-        for m in range(S.total_dim):
-            e = S.mul_elem(img, {m: F.one})
-            if e:
-                act_left[(i, m)] = e
+    S = phi.target
+    act_left = restrict_scalars(left_regular(S), phi).act
     act_right = {(j, i): e for (i, j), e in S.mul.items()}
     return DgBimodule(phi.source, S, S.basis, act_left, act_right, S.diff, name=S.name)
 
 
 def sr_bimodule_from_morphism(phi: DgaMorphism) -> DgBimodule:
     """The S-R-bimodule S with right R-action through phi: R -> S."""
-    S, F = phi.target, phi.target.field
-    act_right = {}
-    for j in range(phi.source.total_dim):
-        img = phi.apply({j: F.one})
-        for m in range(S.total_dim):
-            e = S.mul_elem({m: F.one}, img)
-            if e:
-                act_right[(j, m)] = e
+    S = phi.target
+    act_right = restrict_scalars(right_regular(S), phi).act
     return DgBimodule(S, phi.source, S.basis, dict(S.mul), act_right, S.diff, name=S.name)

@@ -90,7 +90,7 @@ class GroundComplex:
     def _build_complex(self, labels: dict):
         dims = {n: len(self.component(n)) for n in self.degrees()}
         diffs = matrices_from_images(self, self, self.ground_differential, offset=-1)
-        self.complex = Complex(self.field, GradedSpace(dims, labels), diffs)
+        self.complex = Complex(self.field, GradedSpace(dims), diffs)
         self._module = None
         self.basis = [(label, n) for n in dims for label in labels[n]]
         self.reps = [rep for n in dims for rep in self.component(n)]

@@ -15,7 +15,7 @@ row-major view, for tests and printing only.
 Every elimination goes through :class:`Echelon`, the reduced echelon basis of
 a subspace held as sparse dict rows.  A row's pivot is the least index of its
 support and every row is zero on every other pivot, so the rows are the
-unique reduced row-echelon form of the span: rank, kernel bases, solutions
+unique reduced row-echelon form of the span: rank, kernel bases, coordinates
 and normal forms depend only on the input and its order, never on the
 elimination path.
 """
@@ -309,21 +309,3 @@ def kernel_basis(A: Matrix) -> list[dict]:
     for r in rows:
         E.add(r)
     return E.kernel(range(A.cols))
-
-
-def solve(A: Matrix, b):
-    """One exact solution of A x = b, or None if b is not in the column space.
-
-    b is a sequence or a sparse dict; the solution is a tuple.  It is the one
-    that vanishes on the non-pivot columns: the certified echelon of the
-    columns expresses b in the columns independent of the earlier ones.
-    """
-    if not isinstance(b, dict) and len(b) != A.rows:
-        raise DimensionMismatch("rhs length mismatch")
-    E = Echelon(A.field, certify=True)
-    for c in A.columns:
-        E.add(c)
-    x = E.coords(b)
-    if x is None:
-        return None
-    return tuple(x.get(j, A.field.zero) for j in range(A.cols))

@@ -23,6 +23,12 @@ Grammar (one declaration per line, blocks introduced by a header line):
 A <lin-comb> is `c1*b1 + c2*b2 + ...` or `0`; coefficients are integers or
 rationals `a/b` (reduced mod p in prime-field mode).  Omitted mul/act/d lines
 default to 0.  Lines starting with `#` and blank lines are ignored.
+
+One block reader (`_read_block`) reads the basis and table lines of algebra
+and module blocks, each keyword in its line form (`_FORMS`); one table helper
+(`_table`) resolves every mul, act, d and image line, each key against its
+label pool and the right-hand side through `_lin_comb`; one writer
+(`_write_table`) serializes all five tables.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -80,18 +86,50 @@ class PresentationFile:
 
 _TOP_KEYWORDS = {"field", "algebra", "module", "morphism", "map", "witness"}
 
+# the line form of each keyword in an algebra or module block, besides `basis`;
+# a form with ` = ` is a table line `<keyword> <keys> = <lin-comb>`
+_FORMS = {
+    "algebra": {"unit": "unit <label>", "mul": "mul <a> <b> = <lin-comb>", "d": "d <a> = <lin-comb>"},
+    "module": {"act": "act <a> <m> = <lin-comb>", "d": "d <m> = <lin-comb>"},
+}
 
-def _coef(F: Field, tok: str, line: int, col: int):
+
+def _coef(F: Field, tok: str, line: int):
     try:
         if "/" in tok:
             a, b = tok.split("/", 1)
             return F.of(Fraction(int(a), int(b)))
         return F.of(int(tok))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(line, col, "integer or rational coefficient")
+        raise ParseError(line, 1, "integer or rational coefficient")
 
 
-def _lin_comb(F: Field, text: str, labels: dict, line: int, col: int) -> dict:
+def _fresh(store: dict, kind: str, name: str, line: int):
+    if name in store:
+        raise ParseError(line, 1, f"fresh {kind} name (got duplicate {name!r})")
+
+
+def _declared(store: dict, kind: str, name: str, line: int):
+    if name not in store:
+        raise ParseError(line, 1, f"declared {kind} (got {name!r})")
+    return store[name]
+
+
+def _label(labels: dict, what: str, tok: str, line: int) -> int:
+    if tok not in labels:
+        raise ParseError(line, 1, f"known {what} label (got {tok!r})")
+    return labels[tok]
+
+
+def _names(X) -> list:
+    return [lbl for lbl, _ in X.basis]
+
+
+def _labels(X) -> dict:
+    return {lbl: i for i, lbl in enumerate(_names(X))}
+
+
+def _lin_comb(F: Field, text: str, labels: dict, line: int) -> dict:
     text = text.strip()
     if text == "0":
         return {}
@@ -99,24 +137,38 @@ def _lin_comb(F: Field, text: str, labels: dict, line: int, col: int) -> dict:
     for term in text.split("+"):
         term = term.strip()
         if not term:
-            raise ParseError(line, col, "term between '+' signs")
+            raise ParseError(line, 1, "term between '+' signs")
         if "*" in term:
             ctext, label = term.split("*", 1)
-            c = _coef(F, ctext.strip(), line, col)
+            c = _coef(F, ctext.strip(), line)
             label = label.strip()
         else:
             c, label = F.one, term
-        if label not in labels:
-            raise ParseError(line, col, f"known basis label (got {label!r})")
-        vec_iadd(F, out, {labels[label]: c})
+        vec_iadd(F, out, {_label(labels, "basis", label, line): c})
     return out
 
 
-def _int(tok: str, line: int, col: int) -> int:
+def _table(F: Field, rows, pools: tuple, labels: dict) -> dict:
+    """Resolve table lines (line, key tokens, right-hand side) in order.
+
+    Key token k is looked up in pools[k], a (labels, what) pair, and the
+    right-hand side in `labels`.  A key is the tuple of indices, or the one
+    index of a one-key table; zero right-hand sides are left out.
+    """
+    table = {}
+    for ln, keys, rhs in rows:
+        key = tuple(_label(pool, what, k, ln) for k, (pool, what) in zip(keys, pools))
+        e = _lin_comb(F, rhs, labels, ln)
+        if e:
+            table[key if len(key) > 1 else key[0]] = e
+    return table
+
+
+def _int(tok: str, line: int) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(line, col, f"integer (got {tok!r})")
+        raise ParseError(line, 1, f"integer (got {tok!r})")
 
 
 class _Lines:
@@ -142,7 +194,7 @@ def _parse_basis(tokens, line: int) -> list:
         if ":" not in tok:
             raise ParseError(line, 1, f"label:degree (got {tok!r})")
         label, deg = tok.rsplit(":", 1)
-        out.append((label, _int(deg, line, 1)))
+        out.append((label, _int(deg, line)))
     return out
 
 
@@ -159,17 +211,17 @@ def _block_lines(lines: _Lines):
         yield lineno, raw.split(), raw
 
 
-def _parse_algebra(pf: PresentationFile, header_tokens, lineno: int, lines: _Lines):
-    if len(header_tokens) != 2:
-        raise ParseError(lineno, 1, "algebra <name>")
-    name = header_tokens[1]
-    if name in pf.algebras:
-        raise ParseError(lineno, 1, f"fresh algebra name (got duplicate {name!r})")
-    F = pf.field
+def _read_block(lines: _Lines, kind: str):
+    """Read an algebra or module block: (basis, labels, rows).
+
+    rows[kw] lists the block's `kw` lines as (line, key tokens, right-hand
+    side), in order.  Only the line forms are checked here; the labels are
+    resolved once the whole block is read, since basis lines may come last.
+    """
+    forms = _FORMS[kind]
     basis: list = []
     labels: dict = {}
-    unit = None
-    mul_raw, diff_raw = [], []
+    rows: dict = {kw: [] for kw in forms}
     for ln, toks, raw in _block_lines(lines):
         if toks[0] == "basis":
             for label, deg in _parse_basis(toks[1:], ln):
@@ -177,47 +229,39 @@ def _parse_algebra(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
                     raise ParseError(ln, 1, f"fresh basis label (got duplicate {label!r})")
                 labels[label] = len(basis)
                 basis.append((label, deg))
-        elif toks[0] == "unit":
-            if len(toks) != 2:
-                raise ParseError(ln, 1, "unit <label>")
-            unit = (ln, toks[1])
-        elif toks[0] == "mul":
-            if len(toks) < 5 or toks[3] != "=":
-                raise ParseError(ln, 1, "mul <a> <b> = <lin-comb>")
-            mul_raw.append((ln, toks[1], toks[2], raw.split("=", 1)[1]))
-        elif toks[0] == "d":
-            if len(toks) < 4 or toks[2] != "=":
-                raise ParseError(ln, 1, "d <a> = <lin-comb>")
-            diff_raw.append((ln, toks[1], raw.split("=", 1)[1]))
+        elif toks[0] in forms:
+            form = forms[toks[0]]
+            keys, eq, _ = form.partition(" = ")
+            n = len(keys.split())  # the keyword and its keys
+            ok = len(toks) > n + 1 and toks[n] == "=" if eq else len(toks) == n
+            if not ok:
+                raise ParseError(ln, 1, form)
+            rows[toks[0]].append((ln, toks[1:n], raw.split("=", 1)[1] if eq else None))
         else:
-            raise ParseError(ln, 1, "basis, unit, mul or d line")
-    if unit is None:
+            *kws, last = ["basis", *forms]
+            raise ParseError(ln, 1, f"{', '.join(kws)} or {last} line")
+    return basis, labels, rows
+
+
+def _parse_algebra(pf: PresentationFile, header_tokens, lineno: int, lines: _Lines):
+    if len(header_tokens) != 2:
+        raise ParseError(lineno, 1, "algebra <name>")
+    name = header_tokens[1]
+    _fresh(pf.algebras, "algebra", name, lineno)
+    F = pf.field
+    basis, labels, rows = _read_block(lines, "algebra")
+    if not rows["unit"]:
         raise ParseError(lineno, 1, f"unit line in algebra block {name!r}")
-    uln, ulabel = unit
-    if ulabel not in labels:
-        raise ParseError(uln, 1, f"known basis label (got {ulabel!r})")
-    mul = {}
-    for ln, a, b, rhs in mul_raw:
-        for t in (a, b):
-            if t not in labels:
-                raise ParseError(ln, 1, f"known basis label (got {t!r})")
-        e = _lin_comb(F, rhs, labels, ln, 1)
-        if e:
-            mul[(labels[a], labels[b])] = e
-    diff = {}
-    for ln, a, rhs in diff_raw:
-        if a not in labels:
-            raise ParseError(ln, 1, f"known basis label (got {a!r})")
-        e = _lin_comb(F, rhs, labels, ln, 1)
-        if e:
-            diff[labels[a]] = e
+    uln, (ulabel,), _ = rows["unit"][-1]
+    u = _label(labels, "basis", ulabel, uln)
+    own = (labels, "basis")
+    mul = _table(F, rows["mul"], (own, own), labels)
+    diff = _table(F, rows["d"], (own,), labels)
     # unit products default to the unit axiom rather than to zero
-    u = labels[ulabel]
     for i in range(len(basis)):
         mul.setdefault((u, i), {i: F.one})
         mul.setdefault((i, u), {i: F.one})
-    A = DgAlgebra(F, basis, u, mul, diff, name=name)
-    pf.algebras[name] = A
+    pf.algebras[name] = DgAlgebra(F, basis, u, mul, diff, name=name)
     pf.order.append(("algebra", name))
 
 
@@ -230,54 +274,17 @@ def _parse_module(pf: PresentationFile, header_tokens, lineno: int, lines: _Line
         if header_tokens[4] != "right":
             raise ParseError(lineno, 1, "'right' or end of line")
         side = "right"
-    if name in pf.modules:
-        raise ParseError(lineno, 1, f"fresh module name (got duplicate {name!r})")
-    if alg not in pf.algebras:
-        raise ParseError(lineno, 1, f"declared algebra (got {alg!r})")
-    A = pf.algebras[alg]
-    alabels = {lbl: i for i, (lbl, _) in enumerate(A.basis)}
+    _fresh(pf.modules, "module", name, lineno)
+    A = _declared(pf.algebras, "algebra", alg, lineno)
     F = pf.field
-    basis: list = []
-    labels: dict = {}
-    act_raw, diff_raw = [], []
-    for ln, toks, raw in _block_lines(lines):
-        if toks[0] == "basis":
-            for label, deg in _parse_basis(toks[1:], ln):
-                if label in labels:
-                    raise ParseError(ln, 1, f"fresh basis label (got duplicate {label!r})")
-                labels[label] = len(basis)
-                basis.append((label, deg))
-        elif toks[0] == "act":
-            if len(toks) < 5 or toks[3] != "=":
-                raise ParseError(ln, 1, "act <a> <m> = <lin-comb>")
-            act_raw.append((ln, toks[1], toks[2], raw.split("=", 1)[1]))
-        elif toks[0] == "d":
-            if len(toks) < 4 or toks[2] != "=":
-                raise ParseError(ln, 1, "d <m> = <lin-comb>")
-            diff_raw.append((ln, toks[1], raw.split("=", 1)[1]))
-        else:
-            raise ParseError(ln, 1, "basis, act or d line")
-    act = {}
-    for ln, a, m, rhs in act_raw:
-        if a not in alabels:
-            raise ParseError(ln, 1, f"known algebra label (got {a!r})")
-        if m not in labels:
-            raise ParseError(ln, 1, f"known module label (got {m!r})")
-        e = _lin_comb(F, rhs, labels, ln, 1)
-        if e:
-            act[(alabels[a], labels[m])] = e
-    diff = {}
-    for ln, m, rhs in diff_raw:
-        if m not in labels:
-            raise ParseError(ln, 1, f"known module label (got {m!r})")
-        e = _lin_comb(F, rhs, labels, ln, 1)
-        if e:
-            diff[labels[m]] = e
+    basis, labels, rows = _read_block(lines, "module")
+    own = (labels, "module")
+    act = _table(F, rows["act"], ((_labels(A), "algebra"), own), labels)
+    diff = _table(F, rows["d"], (own,), labels)
     # the unit acts as the identity unless stated otherwise
     for i in range(len(basis)):
         act.setdefault((A.unit, i), {i: F.one})
-    M = DgModule(A, side, basis, act, diff, name=name)
-    pf.modules[name] = M
+    pf.modules[name] = DgModule(A, side, basis, act, diff, name=name)
     pf.module_over[name] = alg
     pf.order.append(("module", name))
 
@@ -288,33 +295,22 @@ def _parse_arrow_block(pf, header_tokens, lineno, lines, kind):
     name, src, tgt = header_tokens[1], header_tokens[3], header_tokens[5]
     pool = pf.algebras if kind == "morphism" else pf.modules
     store = pf.morphisms if kind == "morphism" else pf.maps
-    if name in store:
-        raise ParseError(lineno, 1, f"fresh {kind} name (got duplicate {name!r})")
-    for t in (src, tgt):
-        if t not in pool:
-            raise ParseError(lineno, 1, f"declared {'algebra' if kind == 'morphism' else 'module'} (got {t!r})")
-    S, T = pool[src], pool[tgt]
-    slabels = {lbl: i for i, (lbl, _) in enumerate(S.basis)}
-    tlabels = {lbl: i for i, (lbl, _) in enumerate(T.basis)}
-    images = {}
-    for ln, toks, raw in _block_lines(lines):
-        if len(toks) < 3 or toks[1] != "->":
-            raise ParseError(ln, 1, "<element> -> <lin-comb>")
-        if toks[0] not in slabels:
-            raise ParseError(ln, 1, f"known source label (got {toks[0]!r})")
-        e = _lin_comb(pf.field, raw.split("->", 1)[1], tlabels, ln, 1)
-        if e:
-            images[slabels[toks[0]]] = e
+    _fresh(store, kind, name, lineno)
+    S, T = (_declared(pool, "algebra" if kind == "morphism" else "module", t, lineno) for t in (src, tgt))
+
+    def rows():
+        for ln, toks, raw in _block_lines(lines):
+            if len(toks) < 3 or toks[1] != "->":
+                raise ParseError(ln, 1, "<element> -> <lin-comb>")
+            yield ln, toks[:1], raw.split("->", 1)[1]
+
+    # each line is resolved as it is read, before the next one is checked
+    images = _table(pf.field, rows(), ((_labels(S), "source"),), _labels(T))
     if kind == "morphism":
         store[name] = DgaMorphism(S, T, images, name=name)
     else:
         store[name] = MapDecl(name, S, T, images)
     pf.order.append((kind, name))
-
-
-def _tokenize_sexpr(text: str, lineno: int):
-    toks = text.replace("(", " ( ").replace(")", " ) ").split()
-    return toks
 
 
 def _parse_node(pf, toks, pos: int, lineno: int):
@@ -330,7 +326,7 @@ def _parse_node(pf, toks, pos: int, lineno: int):
     if kw == "leaf":
         node = Leaf(0)
     elif kw == "shift":
-        t = _int(toks[pos], lineno, 1)
+        t = _int(toks[pos], lineno)
         child, pos = _parse_node(pf, toks, pos + 1, lineno)
         node = Leaf(child.shift + t) if isinstance(child, Leaf) else ShiftNode(t, child)
     elif kw == "sum":
@@ -340,12 +336,10 @@ def _parse_node(pf, toks, pos: int, lineno: int):
             children.append(child)
         node = SumNode(children)
     elif kw == "cone":
-        mname = toks[pos]
-        if mname not in pf.maps:
-            raise ParseError(lineno, 1, f"declared map (got {mname!r})")
+        f = _declared(pf.maps, "map", toks[pos], lineno)
         src, pos = _parse_node(pf, toks, pos + 1, lineno)
         tgt, pos = _parse_node(pf, toks, pos, lineno)
-        node = ConeNode(src, tgt, pf.maps[mname].matrices())
+        node = ConeNode(src, tgt, f.matrices())
     else:
         raise ParseError(lineno, 1, f"leaf, shift, sum or cone (got {kw!r})")
     if pos >= len(toks) or toks[pos] != ")":
@@ -357,10 +351,8 @@ def _parse_witness(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
     if len(header_tokens) != 4 or header_tokens[2] != "for":
         raise ParseError(lineno, 1, "witness <name> for <module>")
     name, mod = header_tokens[1], header_tokens[3]
-    if name in pf.witnesses:
-        raise ParseError(lineno, 1, f"fresh witness name (got duplicate {name!r})")
-    if mod not in pf.modules:
-        raise ParseError(lineno, 1, f"declared module (got {mod!r})")
+    _fresh(pf.witnesses, "witness", name, lineno)
+    _declared(pf.modules, "module", mod, lineno)
     body = []
     retract = None
     first_ln = lineno
@@ -370,14 +362,13 @@ def _parse_witness(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
             if len(toks) != 4:
                 raise ParseError(ln, 1, "retract <incl-map> <proj-map> <homotopy-map>")
             for t in toks[1:]:
-                if t not in pf.maps:
-                    raise ParseError(ln, 1, f"declared map (got {t!r})")
+                _declared(pf.maps, "map", t, ln)
             retract = (toks[1], toks[2], toks[3])
         else:
             body.append(raw)
             first_ln = ln
     expr = " ".join(" ".join(b.split()) for b in body)
-    toks = _tokenize_sexpr(expr, first_ln)
+    toks = expr.replace("(", " ( ").replace(")", " ) ").split()
     if not toks:
         raise ParseError(lineno, 1, "build-tree s-expression in the witness block")
     tree, pos = _parse_node(pf, toks, 0, first_ln)
@@ -409,7 +400,7 @@ def parse(text: str) -> PresentationFile:
     if toks[1:] == ["Q"]:
         F, decl = QQ, "Q"
     elif len(toks) == 3 and toks[1] == "Fp":
-        p = _int(toks[2], lineno, 1)
+        p = _int(toks[2], lineno)
         try:
             F = GF(p)
         except ValueError:
@@ -430,10 +421,8 @@ def parse(text: str) -> PresentationFile:
             _parse_algebra(pf, toks, lineno, lines)
         elif toks[0] == "module":
             _parse_module(pf, toks, lineno, lines)
-        elif toks[0] == "morphism":
-            _parse_arrow_block(pf, toks, lineno, lines, "morphism")
-        elif toks[0] == "map":
-            _parse_arrow_block(pf, toks, lineno, lines, "map")
+        elif toks[0] in ("morphism", "map"):
+            _parse_arrow_block(pf, toks, lineno, lines, toks[0])
         elif toks[0] == "witness":
             _parse_witness(pf, toks, lineno, lines)
         elif toks[0] == "field":
@@ -455,47 +444,42 @@ def _render_comb(F: Field, e: dict, labels) -> str:
     return " + ".join(parts)
 
 
+def _write_table(out: list, F: Field, kw: str, table: dict, key_labels: tuple, labels: list, sep: str = "="):
+    """Append one line `[kw] <keys> sep <lin-comb>` per table entry, in key order."""
+    for key, e in sorted(table.items()):
+        keys = key if isinstance(key, tuple) else (key,)
+        words = [kw] if kw else []
+        words += [names[k] for names, k in zip(key_labels, keys)]
+        out.append("  " + " ".join(words + [sep, _render_comb(F, e, labels)]))
+
+
 def serialize(pf: PresentationFile) -> str:
     out = [f"field {pf.field_decl}"]
     F = pf.field
     for kind, name in pf.order:
         out.append("")
+        if kind in ("algebra", "module"):
+            X = pf.algebras[name] if kind == "algebra" else pf.modules[name]
+            labels = _names(X)
+            basis = "  basis " + " ".join(f"{lbl}:{d}" for lbl, d in X.basis)
         if kind == "algebra":
-            A = pf.algebras[name]
-            labels = [lbl for lbl, _ in A.basis]
-            out.append(f"algebra {name}")
-            out.append("  basis " + " ".join(f"{lbl}:{d}" for lbl, d in A.basis))
-            out.append(f"  unit {labels[A.unit]}")
-            for (i, j), e in sorted(A.mul.items()):
-                if i == A.unit or j == A.unit:
-                    continue
-                out.append(f"  mul {labels[i]} {labels[j]} = {_render_comb(F, e, labels)}")
-            for i, e in sorted(A.diff.items()):
-                out.append(f"  d {labels[i]} = {_render_comb(F, e, labels)}")
+            out += [f"algebra {name}", basis, f"  unit {labels[X.unit]}"]
+            # products with the unit are implied by the unit line
+            mul = {ij: e for ij, e in X.mul.items() if X.unit not in ij}
+            _write_table(out, F, "mul", mul, (labels, labels), labels)
+            _write_table(out, F, "d", X.diff, (labels,), labels)
         elif kind == "module":
-            M = pf.modules[name]
-            A = M.algebra
-            alabels = [lbl for lbl, _ in A.basis]
-            labels = [lbl for lbl, _ in M.basis]
-            side = " right" if M.side == "right" else ""
-            out.append(f"module {name} over {pf.module_over[name]}{side}")
-            out.append("  basis " + " ".join(f"{lbl}:{d}" for lbl, d in M.basis))
-            for (a, m), e in sorted(M.act.items()):
-                if a == A.unit:
-                    continue
-                out.append(f"  act {alabels[a]} {labels[m]} = {_render_comb(F, e, labels)}")
-            for m, e in sorted(M.diff.items()):
-                out.append(f"  d {labels[m]} = {_render_comb(F, e, labels)}")
+            side = " right" if X.side == "right" else ""
+            out += [f"module {name} over {pf.module_over[name]}{side}", basis]
+            # and so is the unit's action
+            act = {am: e for am, e in X.act.items() if am[0] != X.algebra.unit}
+            _write_table(out, F, "act", act, (_names(X.algebra), labels), labels)
+            _write_table(out, F, "d", X.diff, (labels,), labels)
         elif kind in ("morphism", "map"):
             obj = (pf.morphisms if kind == "morphism" else pf.maps)[name]
-            S, T = (obj.source, obj.target)
-            sname, tname = S.name, T.name
-            slabels = [lbl for lbl, _ in S.basis]
-            tlabels = [lbl for lbl, _ in T.basis]
-            out.append(f"{kind} {name} : {sname} -> {tname}")
-            images = obj.images
-            for i in sorted(images):
-                out.append(f"  {slabels[i]} -> {_render_comb(F, images[i], tlabels)}")
+            S, T = obj.source, obj.target
+            out.append(f"{kind} {name} : {S.name} -> {T.name}")
+            _write_table(out, F, "", obj.images, (_names(S),), _names(T), "->")
         elif kind == "witness":
             w = pf.witnesses[name]
             out.append(f"witness {name} for {w.module_name}")

@@ -240,6 +240,66 @@ def test_bad_usage_exits_one(capsys):
     assert main(["homology"]) == 1
 
 
+# -- each command takes only the flags it reads --------------------------------------
+
+FLAG_VALUES = {
+    "--window": "0..2",
+    "--seed": "0",
+    "--family-size": "2",
+    "--max-generators": "10000",
+    "--format": "json",
+}
+_RESOLVING = ("--window", "--max-generators", "--format")
+_EPI = ("--window", "--seed", "--family-size", "--max-generators", "--format")
+# command -> (fixture and positional arguments, flags it reads)
+COMMAND_FLAGS = {
+    "validate": (["truncated.dg"], ("--format",)),
+    "homology": (["truncated.dg", "K"], ("--window", "--format")),
+    "resolve": (["truncated.dg", "K"], _RESOLVING),
+    "tor": (["truncated.dg", "A", "Kr", "K"], _RESOLVING),
+    "ext": (["truncated.dg", "A", "K", "K"], _RESOLVING),
+    "tensor": (["truncated.dg", "A", "Kr", "K"], _RESOLVING),
+    "rhom": (["truncated.dg", "A", "K", "K"], _RESOLVING),
+    "endo-dga": (["truncated.dg", "K"], ("--format",)),
+    "witness-verify": (["exterior.dg", "wRetract"], ("--format",)),
+    "check-epi": (["product.dg", "pr"], _EPI),
+    "dwyer-greenlees": (["exterior.dg", "R", "wR"], ("--window", "--format")),
+    "consistency": (["product.dg"], _EPI),
+    "roundtrip": (["truncated.dg"], ()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_takes_the_flags_it_reads(capsys, command):
+    (fixture, *positional), flags = COMMAND_FLAGS[command]
+    argv = [command, FIXTURES / fixture, *positional]
+    code, out, err = _run(capsys, *argv, *(a for f in flags for a in (f, FLAG_VALUES[f])))
+    assert (code, err) == (0, "")
+    if "--format" in flags:
+        assert json.loads(out)["command"] == command
+    for flag in sorted(set(FLAG_VALUES) - set(flags)):
+        code, out, err = _run(capsys, *argv, flag, FLAG_VALUES[flag])
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "truncated.dg", "--family-size", "1"],
+        ["roundtrip", "truncated.dg", "--window", "5..1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_flags_a_command_does_not_read_are_not_range_checked(capsys, argv):
+    # the command never reads the flag: it is a usage error, not a bad value
+    code, out, err = _run(capsys, argv[0], FIXTURES / argv[1], *argv[2:])
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {argv[2]}" in err
+    assert "must be at least" not in err and "empty window" not in err
+    assert _run(capsys, argv[0], FIXTURES / argv[1])[0] == 0
+
+
 def test_bad_window_exits_one(capsys):
     code, _, err = _run(
         capsys, "homology", FIXTURES / "truncated.dg", "K", "--window", "5..1"
@@ -384,7 +444,7 @@ def test_mutated_fixtures_exit_cleanly(fixture, data):
         path = Path(d) / fixture
         path.write_text(text)
         algebra, module, witness = (_first(text, k) for k in ("algebra", "module", "witness"))
-        bounded = ["--window", "0..3", "--max-generators", "30", "--family-size", "2"]
+        bounded = ["--window", "0..3", "--max-generators", "30"]
         for argv in (
             ["validate", path],
             ["roundtrip", path],

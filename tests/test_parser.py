@@ -112,3 +112,81 @@ def test_truncated_build_tree_is_a_parse_error(tree):
     with pytest.raises(ParseError) as exc:
         parse(text + f"witness w for M\n  {tree}\n")
     assert exc.value.line == 8
+
+
+# -- pinned parse errors --------------------------------------------------------
+# Each malformed block below reports (line, column, expected) as recorded before
+# the block reader and the table helper were shared.  Algebra and module tables
+# are resolved after the whole block is read (mul or act before d); arrow lines
+# are resolved as they are read, so a bad label before a bad line wins.
+
+_A = "field Q\nalgebra A\n  basis e:0 x:1\n  unit e\n"  # lines 1-4
+_M = _A + "module M over A\n  basis m:0 n:1\n"  # lines 5-6
+_N = _M + "module N over A\n  basis p:0\n"  # lines 7-8
+
+
+@pytest.mark.parametrize(
+    "text, line, column, expected",
+    [
+        ('field Q\nalgebra\n', 2, 1, 'algebra <name>'),
+        (_A + 'algebra A\n  basis f:0\n  unit f\n', 5, 1, "fresh algebra name (got duplicate 'A')"),
+        ('field Q\nalgebra A\n  basis e0\n  unit e\n', 3, 1, "label:degree (got 'e0')"),
+        ('field Q\nalgebra A\n  basis e:x\n  unit e\n', 3, 1, "integer (got 'x')"),
+        ('field Q\nalgebra A\n  basis e:0 e:1\n  unit e\n', 3, 1, "fresh basis label (got duplicate 'e')"),
+        ('field Q\nalgebra A\n  basis e:0 e:0 x:q\n  unit e\n', 3, 1, "integer (got 'q')"),
+        ('field Q\nalgebra A\n  basis e:0\n  unit e e\n', 4, 1, 'unit <label>'),
+        (_A + '  mul x = e\n', 5, 1, 'mul <a> <b> = <lin-comb>'),
+        (_A + '  d x e\n', 5, 1, 'd <a> = <lin-comb>'),
+        (_A + '  act x e = e\n', 5, 1, 'basis, unit, mul or d line'),
+        ('field Q\nalgebra A\n  basis e:0\n', 2, 1, "unit line in algebra block 'A'"),
+        ('field Q\nalgebra A\n  basis e:0\n  unit q\n  mul q q = q\n', 4, 1, "known basis label (got 'q')"),
+        (_A + '  mul y e = e\n', 5, 1, "known basis label (got 'y')"),
+        (_A + '  mul e y = e\n', 5, 1, "known basis label (got 'y')"),
+        (_A + '  mul x x = y\n', 5, 1, "known basis label (got 'y')"),
+        (_A + '  mul x x = a*x\n', 5, 1, 'integer or rational coefficient'),
+        (_A + '  mul x x = x + \n', 5, 1, "term between '+' signs"),
+        (_A + '  mul x x = 1/0*x\n', 5, 1, 'integer or rational coefficient'),
+        (_A + '  d q = e\n', 5, 1, "known basis label (got 'q')"),
+        (_A + '  d x = 2*q\n', 5, 1, "known basis label (got 'q')"),
+        (_A + '  d q = e\n  mul y e = e\n', 6, 1, "known basis label (got 'y')"),
+        (_A + '  mul y e = e\n  frob\n', 6, 1, 'basis, unit, mul or d line'),
+        ('field Q\nalgebra A\n  mul x x = x\n  basis e:0 x:0\n  unit e\n  d x = z\n', 6, 1, "known basis label (got 'z')"),
+        (_A + 'module M over\n', 5, 1, 'module <name> over <algebra> [right]'),
+        (_A + 'module M over A left\n', 5, 1, "'right' or end of line"),
+        (_A + 'module M over B\n', 5, 1, "declared algebra (got 'B')"),
+        (_M + 'module M over A\n  basis q:0\n', 7, 1, "fresh module name (got duplicate 'M')"),
+        (_M + '  act x m\n', 7, 1, 'act <a> <m> = <lin-comb>'),
+        (_M + '  act y m = n\n', 7, 1, "known algebra label (got 'y')"),
+        (_M + '  act x q = n\n', 7, 1, "known module label (got 'q')"),
+        (_M + '  act x m = r\n', 7, 1, "known basis label (got 'r')"),
+        (_M + '  d q = m\n', 7, 1, "known module label (got 'q')"),
+        (_M + '  d m = 1/2*n + e\n', 7, 1, "known basis label (got 'e')"),
+        (_M + '  mul x m = n\n', 7, 1, 'basis, act or d line'),
+        (_A + 'module M over A\n  basis m:0 m:1\n', 6, 1, "fresh basis label (got duplicate 'm')"),
+        (_M + '  d q = m\n  act y m = n\n', 8, 1, "known algebra label (got 'y')"),
+        (_M + '  act y m = n\n  d m\n', 8, 1, 'd <m> = <lin-comb>'),
+        (_A + 'morphism f : A -> \n', 5, 1, 'morphism <name> : <source> -> <target>'),
+        (_A + 'morphism f : A => A\n', 5, 1, 'morphism <name> : <source> -> <target>'),
+        (_A + 'morphism f : A -> B\n', 5, 1, "declared algebra (got 'B')"),
+        (_A + 'morphism f : A -> A\n  e -> e\nmorphism f : A -> A\n', 7, 1, "fresh morphism name (got duplicate 'f')"),
+        (_A + 'morphism f : A -> A\n  e => e\n', 6, 1, '<element> -> <lin-comb>'),
+        (_A + 'morphism f : A -> A\n  y -> e\n', 6, 1, "known source label (got 'y')"),
+        (_A + 'morphism f : A -> A\n  e -> e + y\n', 6, 1, "known basis label (got 'y')"),
+        (_A + 'morphism f : A -> A\n  y -> e\n  e e\n', 6, 1, "known source label (got 'y')"),
+        (_A + 'morphism f : A -> A\n  e e\n  y -> e\n', 6, 1, '<element> -> <lin-comb>'),
+        (_A + 'morphism f : A -> A\n  e -> e\n  x -> 3/x*x\n', 7, 1, 'integer or rational coefficient'),
+        (_M + 'map g : M -> P\n', 7, 1, "declared module (got 'P')"),
+        (_M + 'map g : M -> M\n  q -> m\n', 8, 1, "known source label (got 'q')"),
+        (_M + 'map g : M -> M\n  m -> q\n', 8, 1, "known basis label (got 'q')"),
+        (_N + 'map g : M -> N\n  m -> p\n  n -> x*p\n', 11, 1, 'integer or rational coefficient'),
+        (_N + 'map g : M -> N\n  m -> p\nmap g : M -> N\n', 11, 1, "fresh map name (got duplicate 'g')"),
+        (_N + 'map g : M -> N\n  m -> p + \n', 10, 1, "term between '+' signs"),
+        (_N + 'map g : M -> N\n  m\n', 10, 1, '<element> -> <lin-comb>'),
+        (_N + 'map g : M -> N -> N\n', 9, 1, 'map <name> : <source> -> <target>'),
+    ],
+)
+def test_parse_error_positions_and_texts_are_pinned(text, line, column, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column, exc.value.expected) == (line, column, expected)
+    assert str(exc.value) == f"line {line}, column {column}: expected {expected}"

@@ -16,7 +16,7 @@ from dgkit.dga import (
     vec_scale,
 )
 from dgkit.epicheck import generate_test_family
-from dgkit.linalg import Echelon, Matrix, kernel_basis, solve
+from dgkit.linalg import Echelon, Matrix, kernel_basis
 from dgkit.modops import DgModuleMap, FreeModule, Generator, module_direct_sum, module_shift
 from dgkit.resolutions import (
     BuildTreeWitness,
@@ -265,11 +265,14 @@ def rebuild_free_generators(M):
             if not span.add({i: F.one}):
                 continue
             dm, comp = M.diff.get(m_idx, {}), FreeModule(A, gens).module.component(n - 1)
-            eps_f = FreeModule(A, gens).augmentation(M).f(n - 1)
-            x = solve(eps_f, M.coords(dm, n - 1)) if dm else ()
+            # a certified echelon of ε's columns expresses d m through them
+            eps = Echelon(F, certify=True)
+            for col in FreeModule(A, gens).augmentation(M).f(n - 1).columns:
+                eps.add(col)
+            x = eps.coords(M.coords(dm, n - 1)) if dm else {}
             if x is None:
                 return None
-            d_elem = {comp[j]: c for j, c in enumerate(x) if c != 0}
+            d_elem = {comp[j]: c for j, c in sorted(x.items())}
             gens.append(Generator(M.label(m_idx), n, d_elem, {m_idx: F.one}, 0))
     return gens
 

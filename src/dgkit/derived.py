@@ -8,12 +8,16 @@ Conventions (fixed for determinism; balancing is a test, not an assumption):
 Canonical maps are realized by explicit Koszul-signed formulas and certified
 by chain-map validation; with these conventions the evaluation pairing
 Hom_{S^op}(Q, S) ⊗ Q → S is sign-free: (z·r)(q) = z(rq) and z(qs) = z(q)s.
+The counit and epicheck's two-sided map (3) pair Q with one truncated dual,
+truncated_dual's, which owns its depth and cut and is built once per
+bimodule and window; duality_map pairs Q with a shallower dual of its own.
 Whether a canonical map is an isomorphism on its window is is_derived_iso,
 whose report is complexes.quasi_iso's: the one iso verdict of the library.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .complexes import ChainMap, Complex, QuasiIsoReport, Window, homology_dims, quasi_iso
@@ -102,26 +106,14 @@ def is_derived_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
 class DualizedBimodule:
     Z: DgBimodule  # left S, right R
     hom: HomComplex  # Hom over S^op; Z's basis element g is hom.reps[g]
-    resolution: BimoduleResolution
-    validity: Window
-    provenance: str
-
-    def evaluate(self, z_idx: int, q_elem: dict) -> dict:
-        """z(q) ∈ S for a basis element z of Z and an element q of Q."""
-        return self.hom.evaluate(self.hom.reps[z_idx], q_elem)
-
-    @property
-    def Q(self) -> DgBimodule:
-        return self.resolution.bimodule
+    Q: DgBimodule  # the R-S bimodule resolution of M: hom's source, sides swapped
 
 
 def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimodule:
     """Z = RHom_{S^op}(M, S) with its left-S and right-R structure."""
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    D2 = required_depth(D, S.max_degree())
-    bres = semifree_resolution_bimodule(M, D2, max_generators)
-    Q = bres.bimodule
+    Q = semifree_resolution_bimodule(M, required_depth(D, S.max_degree()), max_generators).bimodule
     Sop, Rop = opposite(S), opposite(R)
     Qp = swap_sides(Q, Sop, Rop, name=f"{Q.name}'")
     # S as an S^op-S^op-bimodule: s̄·x = (-1)^{|s||x|} xs, x·s̄ = (-1)^{|s||x|} sx,
@@ -130,14 +122,7 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
     Sp = DgBimodule(Sop, Sop, S.basis, act, act, S.diff, name="S'")
     H = hom_over(Sop, Qp, Sp, name=f"Z({M.name})")
     Zb = H.structure()  # left R^op, right S^op
-    Z = swap_sides(Zb, S, R)  # left S, right R
-    return DualizedBimodule(
-        Z,
-        H,
-        bres,
-        Window(-D, D),
-        f"dual of {M.name} via enveloping resolution through {D2}",
-    )
+    return DualizedBimodule(swap_sides(Zb, S, R), H, Q)
 
 
 # -- canonical maps ------------------------------------------------------------
@@ -152,16 +137,36 @@ def _truncated_dual(dual: "DualizedBimodule", c: int):
     pair with top-degree junk of the other tensor factor and contaminate the
     window (the junk degrees are opposite, their sum lands in the middle).
     """
-    F = dual.Z.field
+    F, H = dual.Z.field, dual.hom
     Zt, carriers = truncate_below(dual.Z, c)
 
     def ev(zt_idx: int, q_elem: dict) -> dict:
         out: dict = {}
         for zi, cz in carriers[zt_idx].items():
-            vec_iadd(F, out, dual.evaluate(zi, q_elem), cz)
+            vec_iadd(F, out, H.evaluate(H.reps[zi], q_elem), cz)
         return out
 
     return Zt, ev
+
+
+# the truncated duals of each live bimodule, keyed on (D, max_generators)
+_TRUNCATED_DUALS = weakref.WeakKeyDictionary()
+
+
+def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
+    """The dual that the canonical maps on the window -D..D tensor with.
+
+    Returns (depth, Q, Zt, ev): the depth through which the dual and the
+    other factors are resolved, the bimodule resolution Q of M behind the
+    dual, τ_{≥-D-1}Z and its evaluation z(q).  Built once and kept for the
+    life of M, so the counit and the two-sided map of one check share it.
+    """
+    duals = _TRUNCATED_DUALS.setdefault(M, {})
+    if (D, max_generators) not in duals:
+        depth = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
+        dual = dualize(M, depth, max_generators)
+        duals[D, max_generators] = (depth, dual.Q, *_truncated_dual(dual, -D - 1))
+    return duals[D, max_generators]
 
 
 @dataclass
@@ -184,8 +189,7 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     D2q = required_depth(D, M.max_degree(), -M.min_degree(), N.max_degree())
     # stagger: the Hom target's resolution is deeper than the Hom source's
     D2p = required_depth(D, D2q)
-    res_N = semifree_resolution(N, D2p, max_generators)
-    P = res_N.module
+    P = semifree_resolution(N, D2p, max_generators).module
     bres = semifree_resolution_bimodule(M, D2q, max_generators)
     Q = bres.bimodule
     eps_gr = _eps_ground(bres)  # Q basis idx -> element of M
@@ -221,15 +225,11 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     """
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    D2 = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
-    dual = dualize(M, D2, max_generators)
-    Q = dual.Q  # R-S bimodule resolution of M
+    D2, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
     P = res_N.module
     T2 = tensor_over(S, Q, P)  # Q right-S ⊗ P; outer left R retained
-    T2mod = T2.structure()
-    Zt, ev = _truncated_dual(dual, -D - 1)
-    T1 = tensor_over(R, Zt, T2mod)  # outer left S retained
+    T1 = tensor_over(R, Zt, T2.structure())  # outer left S retained
 
     def image(pair, d):
         z_idx, t_idx = pair
@@ -252,17 +252,14 @@ def duality_map(
 
     Requires an accepted finitely-built witness for M over S^op.
     """
-    R, S = M.left_algebra, M.right_algebra
-    F = M.field
+    S, F = M.right_algebra, M.field
     if witness is None:
         raise ValueError("duality_map requires a finitely-built witness for M")
     require_witness(witness, right_to_left_op(M.right_module()))
     D2 = required_depth(D, M.max_degree(), -M.min_degree())
     dual = dualize(M, D, max_generators)
-    Q = dual.Q
-    res_N = semifree_resolution(N, D2, max_generators)
-    P = res_N.module
-    T2 = tensor_over(S, Q, P)
+    P = semifree_resolution(N, D2, max_generators).module
+    T2 = tensor_over(S, dual.Q, P)
     Zt, ev = _truncated_dual(dual, -D - 1)
     H2 = hom_over(S, Zt, P)  # Z is left S with outer right R
 

@@ -6,13 +6,18 @@ homological-degree window, both recorded in the verdicts.  The report's claim
 is falsification power plus mutual consistency of the checkable conditions,
 never certified universal quantification.
 
-Every condition takes one path to its verdict: ``_check`` builds the chain
+Every condition takes one path to its verdict: ``_reports`` builds the chain
 map of the condition or of each family member and asks ``is_derived_iso``,
-``_fold`` turns the iso reports into one ``ConditionVerdict`` (ring
-conditions (3) and (5) compare dims tables in the same report shape), and
-``_agreement`` compares the conditions group by group: one group of every
+``_fold`` turns the (description, report) pairs into one ``ConditionVerdict``
+(ring conditions (3) and (5) compare dims tables in the same report shape),
+and ``_agreement`` compares the conditions group by group: one group of every
 checkable condition, or (1)-(3) and (4)-(5) apart when no finitely-built
 witness bridges them.  Witnesses pass ``resolutions.require_witness``.
+
+Each report is built once.  The family's first member is S itself, so (2)
+reads (1)'s report there, and ring-mode Translation reads Tor_i(S, S) off
+the same report.  The counit and the two-sided map (3) pair M's resolution
+with one dual, ``derived.truncated_dual``.
 """
 
 import random
@@ -29,7 +34,6 @@ from .dga import (
     left_regular,
     opposite,
     restrict_scalars,
-    right_regular,
     right_to_left_op,
     validate_dga,
     validate_module,
@@ -37,13 +41,12 @@ from .dga import (
 )
 from .derived import (
     _induction_counit as _ring_condition2_map,
-    _truncated_dual,
     counit_map,
-    dualize,
     ext_table,
     is_derived_iso,
     multiplication_map,
     tor_table,
+    truncated_dual,
     unit_map,
 )
 from .homtensor import _endomorphism_dga, _pointwise, hom_over, identity_ground, tensor_over
@@ -185,9 +188,10 @@ def _fold(condition, window: Window, reports) -> ConditionVerdict:
     )
 
 
-def _check(condition, window: Window, what: str, build, members=None) -> ConditionVerdict:
+def _reports(window: Window, what: str, build, members=None) -> list:
     """The one member loop: build each member's chain map, require it to be
-    a chain map, check it on the window and fold the reports.
+    a chain map and check it on the window; (description, report) pairs
+    for ``_fold``.
 
     ``members`` are (description, arguments of ``build``) pairs; without
     them the condition is the single map ``build()``.
@@ -200,7 +204,16 @@ def _check(condition, window: Window, what: str, build, members=None) -> Conditi
             at = what if desc is None else f"{what} at {desc}"
             raise ValueError(f"{at} is not a chain map: {ok.reason} (degree {ok.degree})")
         reports.append((desc, is_derived_iso(cm, window)))
-    return _fold(condition, window, reports)
+    return reports
+
+
+def _split_S(family: TestFamily, S: DgAlgebra):
+    """The description of the family's first left member, which must be S,
+    and the other members: (2) reads (1)'s report at S, builds the others."""
+    desc, N = family.left[0]
+    if (N.side, N.field, N.basis, N.act, N.diff) != ("left", S.field, S.basis, S.mul, S.diff):
+        raise ValueError(f"test family member {desc} is not S, where (2) reads (1)'s report")
+    return desc, family.singles()[1:]
 
 
 def _table_report(a: dict, b: dict) -> QuasiIsoReport:
@@ -343,10 +356,7 @@ def _condition3_map(R, S, M, Nr, Nl, D, max_generators) -> ChainMap:
     elements change order, so no Koszul sign appears.
     """
     F = M.field
-    Ddeep = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
-    dual = dualize(M, Ddeep, max_generators)
-    Zt, ev = _truncated_dual(dual, -D - 1)
-    Q = dual.Q
+    Ddeep, Q, Zt, ev = truncated_dual(M, D, max_generators)
     P = semifree_resolution(Nl, Ddeep, max_generators).module
     _, Pr, _ = resolve_right_module(Nr, Ddeep, max_generators)
     Ta = tensor_over(S, Pr, Zt)  # outer right R retained
@@ -435,27 +445,31 @@ def _bimodule_verdicts(R, S, M, family: TestFamily, D: int, max_generators: int)
     window = Window(-D, D)
     g = max_generators
 
-    # (1): counit at N = S; (2): counit over the family
-    yield _check(1, window, "counit at S", lambda: counit_map(M, left_regular(S), D, g).chain_map)
-    yield _check(2, window, "counit", lambda N: counit_map(M, N, D, g).chain_map, family.singles())
+    # (1): counit at N = S; (2): counit over the family, (1)'s report at S
+    at_S, others = _split_S(family, S)
+    r1 = _reports(window, "counit at S", lambda: counit_map(M, left_regular(S), D, g).chain_map)
+    yield _fold(1, window, r1)
+    counit = _reports(window, "counit", lambda N: counit_map(M, N, D, g).chain_map, others)
+    yield _fold(2, window, [(at_S, r1[0][1])] + counit)
     # (3): the two-sided composed map over right/left pairs
-    yield _check(
-        3,
+    two_sided = _reports(
         window,
         "two-sided map",
         lambda Nr, Nl: _condition3_map(R, S, M, Nr, Nl, D, g),
         family.pairs(),
     )
+    yield _fold(3, window, two_sided)
     # (4): unit over the family
-    yield _check(4, window, "unit", lambda N: unit_map(M, N, D, g).chain_map, family.singles())
+    unit = _reports(window, "unit", lambda N: unit_map(M, N, D, g).chain_map, family.singles())
+    yield _fold(4, window, unit)
     # (5): induced map on RHom over diagonal pairs
-    yield _check(
-        5,
+    rhom_map = _reports(
         window,
         "RHom map",
         lambda N, N2: _condition5_map(R, S, M, N, N2, D, g),
         family.diagonal(),
     )
+    yield _fold(5, window, rhom_map)
     yield _condition6(window)
 
 
@@ -486,12 +500,12 @@ def _endpoint_verdict(S: DgAlgebra, M: DgBimodule, H, window: Window) -> Conditi
         # f_s(m) = (-1)^{|s||m|} m·s is graded R-linear and chain
         return _pointwise(M, n, lambda mi: M.act_right.get((s, mi), {}))
 
-    return _check(
-        "compact-endpoint",
+    reports = _reports(
         window,
         "endpoint map S → Hom_R(M, M)",
         lambda: ChainMap(S.underlying(), H.complex, matrices_from_images(S, H, image)),
     )
+    return _fold("compact-endpoint", window, reports)
 
 
 def check_dwyer_greenlees(
@@ -566,66 +580,51 @@ def _ring_verdicts(phi: DgaMorphism, D: int, family: TestFamily, max_generators:
     window = Window(0, D)
     g = max_generators
 
-    def restricted(X):
-        return restrict_scalars(X, phi)
-
     # (1): multiplication map S ⊗^L_R S → S
-    v1 = _check(1, window, "multiplication map", lambda: multiplication_map(phi, D, g).chain_map)
+    at_S, others = _split_S(family, S)
+    r1 = _reports(window, "multiplication map", lambda: multiplication_map(phi, D, g).chain_map)
+    v1 = _fold(1, window, r1)
     yield v1
 
-    # Translation: H_0 bijective and Tor_i(S,S) = 0 for 1 <= i <= D
-    tors = tor_table(R, restricted(right_regular(S)), restricted(left_regular(S)), D, g)
-    bad_i = next((i for i in range(1, D + 1) if tors.get(i, 0) != 0), None)
+    # Translation: H_0 bijective and Tor_i(S,S) = 0 for 1 <= i <= D, read
+    # off the homology of (1)'s source S ⊗^L_R S
+    tor = {i: h for i, (h, _) in r1[0][1].dims.items()}
+    bad_i = next((i for i in range(1, D + 1) if tor[i] != 0), None)
     if v1.degree == 0:  # the window starts at 0, so (1) fails there first
-        yield ConditionVerdict(
-            "translation",
-            FAILS,
-            window,
-            degree=0,
-            dims=v1.dims,
-            note="multiplication not bijective on H_0",
-        )
+        bad_i, dims, note = 0, v1.dims, "multiplication not bijective on H_0"
     elif bad_i is not None:
-        yield ConditionVerdict(
-            "translation",
-            FAILS,
-            window,
-            degree=bad_i,
-            dims=(tors[bad_i], 0),
-            note=f"Tor_{bad_i}(S,S) has dimension {tors[bad_i]}",
-        )
-    else:
+        dims, note = (tor[bad_i], 0), f"Tor_{bad_i}(S,S) has dimension {tor[bad_i]}"
+    if bad_i is None:
         yield ConditionVerdict("translation", HOLDS, window)
+    else:
+        yield ConditionVerdict("translation", FAILS, window, degree=bad_i, dims=dims, note=note)
 
-    # (2): S ⊗^L_R N → N over the family, chain-realized
-    yield _check(
-        2,
-        window,
-        "induction counit",
-        lambda N: _ring_condition2_map(phi, N, D, g),
-        family.singles(),
+    # (2): S ⊗^L_R N → N over the family, chain-realized; (1)'s report at S
+    counit = _reports(
+        window, "induction counit", lambda N: _ring_condition2_map(phi, N, D, g), others
     )
+    yield _fold(2, window, [(at_S, r1[0][1])] + counit)
 
     # (3): Tor over R vs over S on right/left pairs (dims level)
     reports = []
     for desc, (Mr, Nl) in family.pairs():
-        tR = tor_table(R, restricted(Mr), restricted(Nl), D, g)
+        tR = tor_table(R, restrict_scalars(Mr, phi), restrict_scalars(Nl, phi), D, g)
         reports.append((desc, _table_report(tR, tor_table(S, Mr, Nl, D, g))))
     yield _fold(3, window, reports)
 
     # (4): N → RHom_R(S, N) over the family, chain-realized
-    yield _check(
-        4,
+    unit = _reports(
         Window(-D, D),
         "restriction unit",
         lambda N: _ring_condition4_map(phi, N, D, g),
         family.singles(),
     )
+    yield _fold(4, Window(-D, D), unit)
 
     # (5): Ext over S vs over R on diagonal pairs (dims level)
     reports = []
     for desc, (N, _) in family.diagonal():
-        NR = restricted(N)
+        NR = restrict_scalars(N, phi)
         eS = ext_table(S, N, N, D, g)
         reports.append((desc, _table_report(eS, ext_table(R, NR, NR, D, g))))
     yield _fold(5, window, reports)

@@ -148,20 +148,40 @@ def _lin_comb(F: Field, text: str, labels: dict, line: int) -> dict:
     return out
 
 
-def _table(F: Field, rows, pools: tuple, labels: dict) -> dict:
+def _table(F: Field, rows, pools: tuple, labels: dict, defaults=()) -> dict:
     """Resolve table lines (line, key tokens, right-hand side) in order.
 
     Key token k is looked up in pools[k], a (labels, what) pair, and the
     right-hand side in `labels`.  A key is the tuple of indices, or the one
-    index of a one-key table; zero right-hand sides are left out.
+    index of a one-key table, and has at most one line; zero right-hand
+    sides are left out.  The (key, value) pairs `defaults` fill the keys no
+    line names.
     """
-    table = {}
+    table, named = {}, set()
     for ln, keys, rhs in rows:
         key = tuple(_label(pool, what, k, ln) for k, (pool, what) in zip(keys, pools))
+        key = key if len(key) > 1 else key[0]
+        if key in named:
+            raise ParseError(ln, 1, f"fresh table key (got duplicate {' '.join(keys)!r})")
+        named.add(key)
         e = _lin_comb(F, rhs, labels, ln)
         if e:
-            table[key if len(key) > 1 else key[0]] = e
+            table[key] = e
+    for key, e in defaults:
+        if key not in named:
+            table.setdefault(key, e)
     return table
+
+
+def _unit_entries(F: Field, u: int, n: int, algebra: bool) -> dict:
+    """The table entries that the unit line implies: u·i = i and, in an
+    algebra, i·u = i, for each basis index i < n."""
+    out = {}
+    for i in range(n):
+        out[u, i] = {i: F.one}
+        if algebra:
+            out.setdefault((i, u), {i: F.one})
+    return out
 
 
 def _int(tok: str, line: int) -> int:
@@ -255,12 +275,10 @@ def _parse_algebra(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
     uln, (ulabel,), _ = rows["unit"][-1]
     u = _label(labels, "basis", ulabel, uln)
     own = (labels, "basis")
-    mul = _table(F, rows["mul"], (own, own), labels)
-    diff = _table(F, rows["d"], (own,), labels)
     # unit products default to the unit axiom rather than to zero
-    for i in range(len(basis)):
-        mul.setdefault((u, i), {i: F.one})
-        mul.setdefault((i, u), {i: F.one})
+    units = _unit_entries(F, u, len(basis), True)
+    mul = _table(F, rows["mul"], (own, own), labels, units.items())
+    diff = _table(F, rows["d"], (own,), labels)
     pf.algebras[name] = DgAlgebra(F, basis, u, mul, diff, name=name)
     pf.order.append(("algebra", name))
 
@@ -279,11 +297,10 @@ def _parse_module(pf: PresentationFile, header_tokens, lineno: int, lines: _Line
     F = pf.field
     basis, labels, rows = _read_block(lines, "module")
     own = (labels, "module")
-    act = _table(F, rows["act"], ((_labels(A), "algebra"), own), labels)
-    diff = _table(F, rows["d"], (own,), labels)
     # the unit acts as the identity unless stated otherwise
-    for i in range(len(basis)):
-        act.setdefault((A.unit, i), {i: F.one})
+    units = _unit_entries(F, A.unit, len(basis), False)
+    act = _table(F, rows["act"], ((_labels(A), "algebra"), own), labels, units.items())
+    diff = _table(F, rows["d"], (own,), labels)
     pf.modules[name] = DgModule(A, side, basis, act, diff, name=name)
     pf.module_over[name] = alg
     pf.order.append(("module", name))
@@ -313,37 +330,39 @@ def _parse_arrow_block(pf, header_tokens, lineno, lines, kind):
     pf.order.append((kind, name))
 
 
-def _parse_node(pf, toks, pos: int, lineno: int):
+def _parse_node(pf, toks, pos: int, line):
+    """The node at toks[pos] and the position after it; `line(k)` is the line
+    of token k, or of the last token when k is past the end."""
     if pos >= len(toks) or toks[pos] != "(":
-        raise ParseError(lineno, 1, "'(' starting a build-tree node")
+        raise ParseError(line(pos), 1, "'(' starting a build-tree node")
     pos += 1
     if pos >= len(toks):
-        raise ParseError(lineno, 1, "node keyword")
+        raise ParseError(line(pos), 1, "node keyword")
     kw = toks[pos]
     pos += 1
     if kw in ("shift", "cone") and pos >= len(toks):
-        raise ParseError(lineno, 1, f"{'shift amount' if kw == 'shift' else 'map name'} after {kw!r}")
+        raise ParseError(line(pos), 1, f"{'shift amount' if kw == 'shift' else 'map name'} after {kw!r}")
     if kw == "leaf":
         node = Leaf(0)
     elif kw == "shift":
-        t = _int(toks[pos], lineno)
-        child, pos = _parse_node(pf, toks, pos + 1, lineno)
+        t = _int(toks[pos], line(pos))
+        child, pos = _parse_node(pf, toks, pos + 1, line)
         node = Leaf(child.shift + t) if isinstance(child, Leaf) else ShiftNode(t, child)
     elif kw == "sum":
         children = []
         while pos < len(toks) and toks[pos] == "(":
-            child, pos = _parse_node(pf, toks, pos, lineno)
+            child, pos = _parse_node(pf, toks, pos, line)
             children.append(child)
         node = SumNode(children)
     elif kw == "cone":
-        f = _declared(pf.maps, "map", toks[pos], lineno)
-        src, pos = _parse_node(pf, toks, pos + 1, lineno)
-        tgt, pos = _parse_node(pf, toks, pos, lineno)
+        f = _declared(pf.maps, "map", toks[pos], line(pos))
+        src, pos = _parse_node(pf, toks, pos + 1, line)
+        tgt, pos = _parse_node(pf, toks, pos, line)
         node = ConeNode(src, tgt, f.matrices())
     else:
-        raise ParseError(lineno, 1, f"leaf, shift, sum or cone (got {kw!r})")
+        raise ParseError(line(pos - 1), 1, f"leaf, shift, sum or cone (got {kw!r})")
     if pos >= len(toks) or toks[pos] != ")":
-        raise ParseError(lineno, 1, "')' closing the node")
+        raise ParseError(line(pos), 1, "')' closing the node")
     return node, pos + 1
 
 
@@ -353,27 +372,31 @@ def _parse_witness(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
     name, mod = header_tokens[1], header_tokens[3]
     _fresh(pf.witnesses, "witness", name, lineno)
     _declared(pf.modules, "module", mod, lineno)
-    body = []
+    body, toks, lns = [], [], []  # body lines, their tokens and each token's line
     retract = None
-    first_ln = lineno
-    for ln, toks, raw in _block_lines(lines):
-        if toks[0] == "retract":
+    for ln, words, raw in _block_lines(lines):
+        if words[0] == "retract":
             # retract <i> <p> <h> consumes the surrounding tree
-            if len(toks) != 4:
+            if len(words) != 4:
                 raise ParseError(ln, 1, "retract <incl-map> <proj-map> <homotopy-map>")
-            for t in toks[1:]:
+            for t in words[1:]:
                 _declared(pf.maps, "map", t, ln)
-            retract = (toks[1], toks[2], toks[3])
+            retract = (words[1], words[2], words[3])
         else:
             body.append(raw)
-            first_ln = ln
+            new = raw.replace("(", " ( ").replace(")", " ) ").split()
+            toks += new
+            lns += [ln] * len(new)
     expr = " ".join(" ".join(b.split()) for b in body)
-    toks = expr.replace("(", " ( ").replace(")", " ) ").split()
     if not toks:
         raise ParseError(lineno, 1, "build-tree s-expression in the witness block")
-    tree, pos = _parse_node(pf, toks, 0, first_ln)
+
+    def line(k: int) -> int:
+        return lns[min(k, len(lns) - 1)]
+
+    tree, pos = _parse_node(pf, toks, 0, line)
     if pos != len(toks):
-        raise ParseError(first_ln, 1, "end of s-expression")
+        raise ParseError(line(pos), 1, "end of s-expression")
     if retract is None:
         w = BuildTreeWitness(tree)
     else:
@@ -453,6 +476,18 @@ def _write_table(out: list, F: Field, kw: str, table: dict, key_labels: tuple, l
         out.append("  " + " ".join(words + [sep, _render_comb(F, e, labels)]))
 
 
+def _beyond_unit(table: dict, units: dict) -> dict:
+    """`table` less the entries `units` that the unit line implies; a unit
+    entry written otherwise, zero included, stays."""
+    out = dict(table)
+    for key, e in units.items():
+        if out.get(key) == e:
+            del out[key]
+        else:
+            out.setdefault(key, {})
+    return out
+
+
 def serialize(pf: PresentationFile) -> str:
     out = [f"field {pf.field_decl}"]
     F = pf.field
@@ -465,14 +500,14 @@ def serialize(pf: PresentationFile) -> str:
         if kind == "algebra":
             out += [f"algebra {name}", basis, f"  unit {labels[X.unit]}"]
             # products with the unit are implied by the unit line
-            mul = {ij: e for ij, e in X.mul.items() if X.unit not in ij}
+            mul = _beyond_unit(X.mul, _unit_entries(F, X.unit, X.total_dim, True))
             _write_table(out, F, "mul", mul, (labels, labels), labels)
             _write_table(out, F, "d", X.diff, (labels,), labels)
         elif kind == "module":
             side = " right" if X.side == "right" else ""
             out += [f"module {name} over {pf.module_over[name]}{side}", basis]
             # and so is the unit's action
-            act = {am: e for am, e in X.act.items() if am[0] != X.algebra.unit}
+            act = _beyond_unit(X.act, _unit_entries(F, X.algebra.unit, X.total_dim, False))
             _write_table(out, F, "act", act, (_names(X.algebra), labels), labels)
             _write_table(out, F, "d", X.diff, (labels,), labels)
         elif kind in ("morphism", "map"):

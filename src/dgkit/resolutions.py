@@ -187,7 +187,7 @@ def required_depth(D: int, *reaches: int) -> int:
     homology at the window's edge reads.
 
     A composite map adds the reaches of its factors.  The dual truncated
-    below -D - 1 (`derived._truncated_dual`) has reach D + 1.  A second
+    below -D - 1 (`derived.truncated_dual`) has reach D + 1.  A second
     resolution staggered against a first one takes the first one's depth as
     its reach, so that their junk cannot pair into the window.
     """

@@ -94,11 +94,11 @@ DEPTH_DIGESTS = {
     "rhom": (_rhom, "fe0d556e7ce9716fe883e4edaff0a991d67ff17bfccb41a814bdebebcf148ee4"),
     "dga-identity": (
         _dga_identity,
-        "db46b7a4bf8d3458dc4d0a2937cbe7f7b7b50efa6d16234dd3a41325e0578dbe",
+        "f6aafccd6d218fa0e434c76ab9ee15debed057f4a04b73955d835a8a7600b4aa",
     ),
     "ring-product": (
         _ring_product,
-        "75469686da46c3c649ea8cc40f6a584242b7aa07ba3000249cf0344a959c2748",
+        "94c1410d46b3464fecff425e8e8f5cb6d05a36ed7fc68acfbb4dee04cb8aa6ac",
     ),
 }
 
@@ -108,6 +108,21 @@ def test_resolution_depths_unchanged(capsys, depth_log, case):
     run, digest = DEPTH_DIGESTS[case]
     record = depth_log + (run(capsys) or [])
     assert hashlib.sha256(repr(record).encode()).hexdigest() == digest, record
+
+
+# the sorted set of distinct requests, recorded before repeated resolutions
+# were shared within a check: sharing may drop repeats, never change a depth
+DISTINCT_DIGESTS = {
+    "dga-identity": "294d401901b654a0bc970ec2e3897b03e7b39f782a5478889e0f019842a82079",
+    "ring-product": "1d5b3b3623d18709d344339b1922f2d9594e8cf4cb144e6f152eb9d97baf9aad",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISTINCT_DIGESTS))
+def test_distinct_resolution_requests_unchanged(capsys, depth_log, case):
+    DEPTH_DIGESTS[case][0](capsys)
+    distinct = sorted(set(depth_log))
+    assert hashlib.sha256(repr(distinct).encode()).hexdigest() == DISTINCT_DIGESTS[case], distinct
 
 
 # -- depth independence ----------------------------------------------------------

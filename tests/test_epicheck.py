@@ -1,7 +1,19 @@
+import gc
+
 import pytest
 
+import dgkit.derived
+import dgkit.epicheck
 from dgkit.complexes import Window
-from dgkit.dga import bimodule_from_morphism, left_regular, regular_bimodule, validate_module
+from dgkit.dga import (
+    bimodule_from_morphism,
+    left_regular,
+    regular_bimodule,
+    restrict_scalars,
+    right_regular,
+    validate_module,
+)
+from dgkit.derived import is_derived_iso, multiplication_map, tor_table, truncated_dual
 from dgkit.epicheck import (
     check_bimodule_conditions,
     check_compact_endpoint,
@@ -283,6 +295,74 @@ def test_dwyer_greenlees_builds_the_endomorphism_hom_once(monkeypatch):
     F = rep.endomorphism_algebra
     assert (F.basis, F.unit, F.mul, F.diff) == (E.basis, E.unit, E.mul, E.diff)
     assert rep.endpoint == check_compact_endpoint(R, rep.acting_algebra, bimod, w, Window(-2, 8))
+
+
+# -- one build per check ---------------------------------------------------------
+
+
+def _counting(monkeypatch, name, *modules):
+    """Count the calls of ``name``, wherever one of ``modules`` binds it."""
+    calls = []
+    build = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", [3, 6])
+def test_dga_check_dualizes_once(monkeypatch, size):
+    # (1), (2) and (3) share one truncated dual: 1 + 2·size builds before
+    calls = _counting(monkeypatch, "dualize", dgkit.derived, dgkit.epicheck)
+    phi = identity_morphism(exterior_algebra())
+    assert check_dga_epi(phi, 2, generate_test_family(phi.target, 0, size)).is_epi
+    assert len(calls) == 1
+
+
+def test_condition_two_reads_condition_one_at_S(monkeypatch):
+    # (2) builds the counit only at the members after S: size builds in all
+    calls = _counting(monkeypatch, "counit_map", dgkit.epicheck)
+    phi = identity_morphism(exterior_algebra())
+    rep = check_dga_epi(phi, 2, generate_test_family(phi.target, 0, 3))
+    assert len(calls) == 3
+    assert rep.verdict(2).members[0] == ("S", "holds")
+
+
+def test_truncated_dual_lives_as_long_as_its_bimodule():
+    M = bimodule_from_morphism(identity_morphism(exterior_algebra()))
+    first = truncated_dual(M, 2)
+    assert truncated_dual(M, 2) is first
+    assert truncated_dual(M, 3) is not first
+    del M, first
+    gc.collect()
+    assert len(dgkit.derived._TRUNCATED_DUALS) == 0
+
+
+@pytest.mark.parametrize("check", [check_dga_epi, check_ring_epi])
+def test_family_not_starting_at_S_is_refused(check):
+    phi = identity_morphism(truncated_polynomial(2))
+    fam = generate_test_family(phi.target, 0, 3)
+    shifted_first = dgkit.epicheck.TestFamily(fam.seed, fam.left[1:] + fam.left[:1], fam.right)
+    with pytest.raises(ValueError, match="is not S"):
+        check(phi, 2, shifted_first)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [truncated_to_ground(2), truncated_to_ground(3), product_to_ground(), triangular_to_product()],
+    ids=["x2", "x3", "kxk", "T2"],
+)
+def test_translation_tor_is_tor_table(phi):
+    # Translation reads Tor_i(S, S) off (1)'s source instead of a Tor table
+    R, S = phi.source, phi.target
+    Sr, Sl = (restrict_scalars(X(S), phi) for X in (right_regular, left_regular))
+    rep = is_derived_iso(multiplication_map(phi, 4).chain_map, Window(0, 4))
+    assert {i: h for i, (h, _) in rep.dims.items()} == tor_table(R, Sr, Sl, 4)
 
 
 # -- aggregate runs ------------------------------------------------------------

@@ -46,6 +46,29 @@ def test_unit_products_defaulted():
     assert A.mul[(1, 0)] == {1: A.field.one}
 
 
+@pytest.mark.parametrize(
+    "block, axiom",
+    [
+        ("algebra A\n  basis e:0 x:0\n  unit e\n  mul e x = 0\n", "unit-law"),
+        ("algebra A\n  basis e:0 x:0\n  unit e\n  mul x e = 2*x\n", "unit-law"),
+        ("algebra A\n  basis e:0\n  unit e\nmodule M over A\n  basis m:0\n  act e m = 0\n", "unit-action"),
+    ],
+)
+def test_explicit_unit_products_are_kept(block, axiom):
+    # a written unit product or action, zero included, is not replaced by the default
+    pf = parse("field Q\n" + block)
+    bad = [validate_dga(A) for A in pf.algebras.values()] + [
+        validate_module(M) for M in pf.modules.values()
+    ]
+    assert [v.axiom for vs in bad for v in vs][0] == axiom
+    # and written back, so a round trip keeps it
+    text = serialize(pf)
+    assert serialize(parse(text)) == text
+    again = parse(text)
+    assert [A.mul for A in again.algebras.values()] == [A.mul for A in pf.algebras.values()]
+    assert [M.act for M in again.modules.values()] == [M.act for M in pf.modules.values()]
+
+
 def test_rational_and_prime_coefficients():
     pf = parse("field Q\nalgebra A\n  basis e:0 x:0\n  unit e\n  mul x x = 1/2*x + 3*e\n")
     assert pf.algebras["A"].mul[(1, 1)] == {0: Fraction(3), 1: Fraction(1, 2)}
@@ -183,6 +206,21 @@ _N = _M + "module N over A\n  basis p:0\n"  # lines 7-8
         (_N + 'map g : M -> N\n  m -> p + \n', 10, 1, "term between '+' signs"),
         (_N + 'map g : M -> N\n  m\n', 10, 1, '<element> -> <lin-comb>'),
         (_N + 'map g : M -> N -> N\n', 9, 1, 'map <name> : <source> -> <target>'),
+        # a key has one line: the second is an error, whatever either says
+        (_A + '  mul x x = x\n  mul x x = 0\n', 6, 1, "fresh table key (got duplicate 'x x')"),
+        (_A + '  mul x x = 0\n  mul x x = e\n', 6, 1, "fresh table key (got duplicate 'x x')"),
+        (_A + '  mul e x = x\n  mul e x = x\n', 6, 1, "fresh table key (got duplicate 'e x')"),
+        (_A + '  d x = e\n  d e = 0\n  d x = 0\n', 7, 1, "fresh table key (got duplicate 'x')"),
+        (_A + '  d x = e\n  d x = e\n  mul y e = e\n', 7, 1, "known basis label (got 'y')"),
+        (_M + '  act x m = n\n  act x m = 0\n', 8, 1, "fresh table key (got duplicate 'x m')"),
+        (_M + '  d n = m\n  d n = 2*m\n', 8, 1, "fresh table key (got duplicate 'n')"),
+        (_A + 'morphism f : A -> A\n  e -> e\n  e -> e\n', 7, 1, "fresh table key (got duplicate 'e')"),
+        (_N + 'map g : M -> N\n  m -> p\n  m -> 0\n', 11, 1, "fresh table key (got duplicate 'm')"),
+        # a build-tree error is reported at the line of its token
+        (_M + 'witness w for M\n  (shift x\n  (leaf))\n', 8, 1, "integer (got 'x')"),
+        (_M + 'witness w for M\n  (sum (leaf)\n  (frob))\n', 9, 1, "leaf, shift, sum or cone (got 'frob')"),
+        (_M + 'witness w for M\n  (shift 1\n  (leaf)\n', 9, 1, "')' closing the node"),
+        (_M + 'witness w for M\n  (leaf)\n  (leaf)\n', 9, 1, 'end of s-expression'),
     ],
 )
 def test_parse_error_positions_and_texts_are_pinned(text, line, column, expected):

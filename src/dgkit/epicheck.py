@@ -17,7 +17,9 @@ witness bridges them.  Witnesses pass ``resolutions.require_witness``.
 Each report is built once.  The family's first member is S itself, so (2)
 reads (1)'s report there, and ring-mode Translation reads Tor_i(S, S) off
 the same report.  The counit and the two-sided map (3) pair M's resolution
-with one dual, ``derived.truncated_dual``.
+with one dual, ``derived.truncated_dual``.  Each check runs its conditions
+in one ``resolutions.resolution_scope``, so equal resolution requests of its
+conditions and members are built once.
 """
 
 import random
@@ -65,6 +67,7 @@ from .resolutions import (
     ResourceBoundExceeded,
     require_witness,
     required_depth,
+    resolution_scope,
     resolve_right_module,
     semifree_resolution,
     semifree_resolution_bimodule,
@@ -436,7 +439,8 @@ def check_bimodule_conditions(
     else:
         require_witness(witness_Sop, right_to_left_op(M.right_module()))
         groups, note = [[1, 2, 3, 4, 5]], ""
-    verdicts = _finished(_bimodule_verdicts(R, S, M, family, D, max_generators))
+    with resolution_scope():
+        verdicts = _finished(_bimodule_verdicts(R, S, M, family, D, max_generators))
     return _agreement(verdicts, groups, note)
 
 
@@ -570,7 +574,8 @@ def check_ring_epi(
     R, S = phi.source, phi.target
     if any(d != 0 for _, d in R.basis) or any(d != 0 for _, d in S.basis):
         raise ValueError("ring mode requires algebras concentrated in degree zero")
-    verdicts = _finished(_ring_verdicts(phi, D, family, max_generators))
+    with resolution_scope():
+        verdicts = _finished(_ring_verdicts(phi, D, family, max_generators))
     return _agreement(verdicts, [[v.condition for v in verdicts if v.checkable]])
 
 

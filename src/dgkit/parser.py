@@ -272,7 +272,10 @@ def _parse_algebra(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
     basis, labels, rows = _read_block(lines, "algebra")
     if not rows["unit"]:
         raise ParseError(lineno, 1, f"unit line in algebra block {name!r}")
-    uln, (ulabel,), _ = rows["unit"][-1]
+    (uln, (ulabel,), _), *more = rows["unit"]
+    if more:
+        ln, (label,), _ = more[0]
+        raise ParseError(ln, 1, f"one unit line (got second 'unit {label}')")
     u = _label(labels, "basis", ulabel, uln)
     own = (labels, "basis")
     # unit products default to the unit axiom rather than to zero

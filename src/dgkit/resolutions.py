@@ -19,10 +19,19 @@ kernel-basis order against one growing echelon of boundaries, and a cycle
 gets a generator iff it is not yet a boundary.  The cone's columns are
 built sparsely from the generator list; the free module and ε are built
 once, at the end.
+
+Inside a ``resolution_scope`` (each epimorphism check opens one for its
+conditions) ``semifree_resolution`` hands back the resolution it already
+built for an equal request: equal module and algebra content, depth and
+generator cap.  The checks restrict, regularize and envelop afresh for every
+condition and member, so the key is the content, not the object.  A request
+that hits the cap stores nothing.  Outside a scope every request is built.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .linalg import Echelon, Matrix, kernel_basis, rank
@@ -194,10 +203,53 @@ def required_depth(D: int, *reaches: int) -> int:
     return D + 1 + sum(max(0, r) for r in reaches)
 
 
+# the resolutions of the open scope by request key; None outside a scope
+_BUILT: ContextVar[dict | None] = ContextVar("dgkit_resolutions_built", default=None)
+
+
+@contextmanager
+def resolution_scope():
+    """Reuse resolutions of equal requests until the outermost scope closes."""
+    if _BUILT.get() is not None:
+        yield
+        return
+    token = _BUILT.set({})
+    try:
+        yield
+    finally:
+        _BUILT.reset(token)
+
+
+def _table_key(table: dict) -> frozenset:
+    return frozenset((k, frozenset(e.items())) for k, e in table.items())
+
+
+def _request_key(M: DgModule, D: int, max_generators: int) -> tuple:
+    """Everything the builder reads of a request, as a hashable value."""
+    A = M.algebra
+    p = A.field.characteristic
+    algebra = (p, tuple(A.basis), A.unit, _table_key(A.mul), _table_key(A.diff))
+    module = (M.side, tuple(M.basis), _table_key(M.act), _table_key(M.diff))
+    return module, algebra, D, max_generators
+
+
 def semifree_resolution(
     M: DgModule, D: int, max_generators: int = 10000
 ) -> SemifreeResolution:
-    """Semifree resolution of a bounded-below left module, exact through D."""
+    """Semifree resolution of a bounded-below left module, exact through D.
+
+    Inside a ``resolution_scope`` an equal request gets the same object back.
+    """
+    built = _BUILT.get()
+    if built is None:
+        return _build_resolution(M, D, max_generators)
+    key = _request_key(M, D, max_generators)
+    if key not in built:
+        built[key] = _build_resolution(M, D, max_generators)
+    return built[key]
+
+
+def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResolution:
     A, F = M.algebra, M.field
     if M.side != "left":
         raise ValueError("resolve left modules; convert right modules first")

@@ -1,11 +1,14 @@
+import contextlib
 import gc
 
 import pytest
 
 import dgkit.derived
 import dgkit.epicheck
+import dgkit.resolutions
 from dgkit.complexes import Window
 from dgkit.dga import (
+    DgaMorphism,
     bimodule_from_morphism,
     left_regular,
     regular_bimodule,
@@ -24,7 +27,14 @@ from dgkit.epicheck import (
     generate_test_family,
 )
 from dgkit.modops import module_direct_sum, module_shift
-from dgkit.resolutions import BuildTreeWitness, Leaf, ResourceBoundExceeded, SumNode
+from dgkit.resolutions import (
+    BuildTreeWitness,
+    Leaf,
+    ResourceBoundExceeded,
+    SumNode,
+    resolution_scope,
+    semifree_resolution,
+)
 from dgkit.standard import (
     exterior_algebra,
     ground_algebra,
@@ -363,6 +373,125 @@ def test_translation_tor_is_tor_table(phi):
     Sr, Sl = (restrict_scalars(X(S), phi) for X in (right_regular, left_regular))
     rep = is_derived_iso(multiplication_map(phi, 4).chain_map, Window(0, 4))
     assert {i: h for i, (h, _) in rep.dims.items()} == tor_table(R, Sr, Sl, 4)
+
+
+# -- one resolution per request per check ----------------------------------------
+
+
+def _lambda_augmentation():
+    E, k = exterior_algebra(), ground_algebra()
+    return DgaMorphism(E, k, {0: {0: k.field.one}}, name="aug")
+
+
+# the ring-consistency corpus at window 0..4 and family size 6, then Λ(x)
+CACHE_CASES = [
+    (lambda: identity_morphism(ground_algebra()), 4, 6),
+    (lambda: identity_morphism(truncated_polynomial(2)), 4, 6),
+    (product_to_ground, 4, 6),
+    (lambda: truncated_to_ground(2), 4, 6),
+    (lambda: truncated_to_ground(3), 4, 6),
+    (triangular_to_product, 4, 6),
+    (lambda: identity_morphism(exterior_algebra()), 2, 2),
+    (lambda: identity_morphism(exterior_algebra()), 2, 3),
+    (_lambda_augmentation, 2, 2),
+    (_lambda_augmentation, 2, 3),
+]
+CACHE_IDS = ["idk", "idD", "prk", "dual2", "dual3", "tri", "idE-2", "idE-3", "aug-2", "aug-3"]
+
+
+def _builds(monkeypatch):
+    """Log the request key of every resolution the private builder builds."""
+    keys = []
+    build = dgkit.resolutions._build_resolution
+
+    def counted(M, D, max_generators):
+        keys.append(dgkit.resolutions._request_key(M, D, max_generators))
+        return build(M, D, max_generators)
+
+    monkeypatch.setattr(dgkit.resolutions, "_build_resolution", counted)
+    return keys
+
+
+def _requests(monkeypatch):
+    """Log the request key of every call of the public semifree_resolution."""
+    keys = []
+    request = dgkit.resolutions.semifree_resolution
+
+    def logged(M, D, max_generators=10000):
+        keys.append(dgkit.resolutions._request_key(M, D, max_generators))
+        return request(M, D, max_generators)
+
+    for module in (dgkit.resolutions, dgkit.derived, dgkit.epicheck):
+        monkeypatch.setattr(module, "semifree_resolution", logged)
+    return keys
+
+
+@pytest.mark.parametrize("make, D, size", CACHE_CASES, ids=CACHE_IDS)
+def test_resolution_cache_changes_no_report(monkeypatch, make, D, size):
+    phi = make()
+    cached = check_dga_epi(phi, D, generate_test_family(phi.target, 0, size))
+    monkeypatch.setattr(dgkit.epicheck, "resolution_scope", contextlib.nullcontext)
+    builds, requests = _builds(monkeypatch), _requests(monkeypatch)
+    uncached = check_dga_epi(phi, D, generate_test_family(phi.target, 0, size))
+    assert len(builds) == len(requests)  # the no-op scope really builds each time
+    assert cached == uncached
+
+
+@pytest.mark.parametrize("make, D, size", [CACHE_CASES[3], CACHE_CASES[7]], ids=["dual2", "idE-3"])
+def test_one_build_per_distinct_request_in_a_check(monkeypatch, make, D, size):
+    builds, requests = _builds(monkeypatch), _requests(monkeypatch)
+    phi = make()
+    check_dga_epi(phi, D, generate_test_family(phi.target, 0, size))
+    assert len(set(builds)) == len(builds)
+    assert set(builds) == set(requests)
+    assert len(builds) < len(requests)
+
+
+def test_scope_closes_when_a_check_returns_or_raises(monkeypatch):
+    builds = _builds(monkeypatch)
+    phi = truncated_to_ground(2)
+    for _ in range(2):
+        check_ring_epi(phi, 3, generate_test_family(phi.target, 0, 3))
+        assert dgkit.resolutions._BUILT.get() is None
+    assert len(builds) % 2 == 0 and builds[: len(builds) // 2] == builds[len(builds) // 2 :]
+    builds.clear()
+    for _ in range(2):
+        with pytest.raises(ResourceBoundExceeded):
+            check_ring_epi(phi, 3, generate_test_family(phi.target, 0, 3), max_generators=12)
+        assert dgkit.resolutions._BUILT.get() is None
+    assert len(builds) % 2 == 0 and builds[: len(builds) // 2] == builds[len(builds) // 2 :]
+
+
+def _k_over_dual_numbers():
+    """k as a left k[x]/(x²)-module: one generator per degree."""
+    phi = truncated_to_ground(2)
+    return restrict_scalars(left_regular(phi.target), phi)
+
+
+def test_capped_request_is_not_stored(monkeypatch):
+    builds = _builds(monkeypatch)
+    with resolution_scope():
+        for _ in range(2):
+            with pytest.raises(ResourceBoundExceeded):
+                semifree_resolution(_k_over_dual_numbers(), 5, max_generators=3)
+            assert dgkit.resolutions._BUILT.get() == {}
+    assert len(builds) == 2
+
+
+def test_depth_and_cap_are_separate_entries(monkeypatch):
+    builds = _builds(monkeypatch)
+    with resolution_scope():
+        first = semifree_resolution(_k_over_dual_numbers(), 3)
+        # an equal module built afresh, and a nested scope, reuse the entry
+        with resolution_scope():
+            assert semifree_resolution(_k_over_dual_numbers(), 3) is first
+        assert semifree_resolution(_k_over_dual_numbers(), 4) is not first
+        assert semifree_resolution(_k_over_dual_numbers(), 3, max_generators=50) is not first
+        assert len(dgkit.resolutions._BUILT.get()) == 3
+    assert len(builds) == 3
+    # outside a scope nothing is kept
+    assert semifree_resolution(_k_over_dual_numbers(), 3) is not first
+    assert len(builds) == 4 and dgkit.resolutions._BUILT.get() is None
 
 
 # -- aggregate runs ------------------------------------------------------------

@@ -221,6 +221,8 @@ _N = _M + "module N over A\n  basis p:0\n"  # lines 7-8
         (_M + 'witness w for M\n  (sum (leaf)\n  (frob))\n', 9, 1, "leaf, shift, sum or cone (got 'frob')"),
         (_M + 'witness w for M\n  (shift 1\n  (leaf)\n', 9, 1, "')' closing the node"),
         (_M + 'witness w for M\n  (leaf)\n  (leaf)\n', 9, 1, 'end of s-expression'),
+        # an algebra block has one unit line, whatever either says
+        ('field Q\nalgebra A\n  basis e:0 x:0\n  unit e\n  unit x\n', 5, 1, "one unit line (got second 'unit x')"),
     ],
 )
 def test_parse_error_positions_and_texts_are_pinned(text, line, column, expected):

@@ -175,9 +175,6 @@ class CanonicalMap:
     validity: Window
     provenance: str
 
-    def report(self) -> QuasiIsoReport:
-        return is_derived_iso(self.chain_map, self.validity)
-
 
 def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) -> CanonicalMap:
     """N → RHom_R(M, M⊗^L_S N) at chain level.

@@ -241,7 +241,6 @@ class Generator:
     degree: int
     d_elem: dict = dc_field(default_factory=dict)  # over free-module indices
     eps: dict = dc_field(default_factory=dict)  # over target-module indices
-    stage: int = 0
 
 
 def free_act(A: DgAlgebra, a_idx: int, e: dict) -> dict:

@@ -7,7 +7,10 @@ A-linear quasi-isomorphism ε: F → M on the stated validity window.
 
 The builder kills the lowest-degree homology of cone(ε) bottom-up; since
 new generators only change the cone in strictly higher degrees, each degree
-is handled exactly once and the window is honest by construction.
+is handled exactly once and the window is honest by construction.  It is the
+only builder: a module that is already free goes through it too, so every
+finished resolution is exact on (bottom − 1)..D and every request obeys the
+generator cap.
 
 Within degree n it needs one cycle basis and one boundary echelon.  Because
 cone(ε)_n = M_n ⊕ F_{n-1} and A is nonnegatively graded, generators of
@@ -34,7 +37,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .linalg import Echelon, Matrix, kernel_basis, rank
+from .linalg import Echelon, Matrix, kernel_basis
 from .complexes import ChainMap, Homotopy, Violation, Window, check_homotopy, quasi_iso
 from .dga import (
     DgAlgebra,
@@ -118,71 +121,6 @@ def _cone_differential(M: DgModule, gens: list[Generator], n: int) -> Matrix:
     return Matrix.from_columns(M.field, cols, len(m_pos) + len(rows[1]))
 
 
-def _free_generators(M: DgModule) -> list[Generator] | None:
-    """Generators presenting M as visibly free, or None if there are none.
-
-    The candidates are basis vectors completing span(A⁺·M) degreewise; each
-    needs d(g) in F_{n-1} with ε(d(g)) = d_M(m).
-    """
-    A, F = M.algebra, M.field
-    by_degree: dict[int, list[int]] = {}
-    for n in M.degrees():
-        span = Echelon(F)
-        for a in range(A.total_dim):
-            if a == A.unit:
-                continue
-            for m in M.component(n - A.deg(a)):
-                e = M.act.get((a, m), {})
-                if e:
-                    span.add(M.coords(e, n))
-        comp = M.component(n)
-        by_degree[n] = [g for i, g in enumerate(comp) if span.add({i: F.one})]
-    gens: list[Generator] = []
-    for n in sorted(by_degree):
-        # ε on F_{n-1} is fixed while degree-n generators are added, so one
-        # certified echelon of its columns solves for all of them
-        free = _free_basis(A, gens, n - 1)
-        m_pos = {m: p for p, m in enumerate(M.component(n - 1))}
-        image = Echelon(F, certify=True)
-        for x in free:
-            image.add(_eps_column(M, gens, x, m_pos))
-        for m_idx in by_degree[n]:
-            x = image.coords(M.coords(M.diff.get(m_idx, {}), n - 1))
-            if x is None:
-                return None
-            d_elem = {free[i]: c for i, c in sorted(x.items())}
-            gens.append(Generator(M.label(m_idx), n, d_elem, {m_idx: F.one}, 0))
-    return gens
-
-
-def _try_free_presentation(M: DgModule, D: int) -> SemifreeResolution | None:
-    """If M is visibly free on a generating set, return it as its own
-    resolution (no spurious generators)."""
-    A = M.algebra
-    gens = _free_generators(M)
-    if gens is None:
-        return None
-    # dim F_n = Σ_g dim A_{n-|g|}: compare it with dim M_n before building F
-    dims: dict[int, int] = {}
-    for gen in gens:
-        for a in range(A.total_dim):
-            n = gen.degree + A.deg(a)
-            dims[n] = dims.get(n, 0) + 1
-    if dims != {n: len(M.component(n)) for n in M.degrees()}:
-        return None
-    free = FreeModule(A, gens)
-    eps = free.augmentation(M)
-    FM = free.module
-    for n in FM.degrees():
-        f = eps.f(n)
-        if f.rows != f.cols or rank(f) != f.rows:
-            return None
-    if eps.validate() is not True:
-        return None
-    lo = min(M.min_degree() - 1, -abs(D) - 1)
-    return SemifreeResolution(A, M, free, eps, Window(lo, max(D, lo)))
-
-
 def required_depth(D: int, *reaches: int) -> int:
     """Depth E through which to resolve for a verdict on the window -D..D.
 
@@ -256,9 +194,6 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
     if A.min_degree() < 0:
         raise ValueError("algebra must be nonnegatively graded")
     bottom = M.min_degree()
-    fast = _try_free_presentation(M, D)
-    if fast is not None:
-        return fast
     gens: list[Generator] = []
     for n in range(bottom, D + 2):
         rows = _positions(M, gens, n)
@@ -276,8 +211,8 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
             # keeping the resolution close to minimal
             m_part = {m_of[p]: c for p, c in z.items() if p < dimM}
             x_part = {x_of[p - dimM]: c for p, c in z.items() if p >= dimM}
-            g = len(gens)  # also its stage: each generator is its own stage
-            gens.append(Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part), g))
+            g = len(gens)
+            gens.append(Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part)))
             if len(gens) > max_generators:
                 free = FreeModule(A, gens)
                 partial = SemifreeResolution(
@@ -337,8 +272,6 @@ def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):
 class BimoduleResolution:
     env_resolution: SemifreeResolution
     bimodule: DgBimodule
-    eps_chain: ChainMap
-    validity: Window
 
 
 def semifree_resolution_bimodule(
@@ -350,7 +283,7 @@ def semifree_resolution_bimodule(
     X = bimodule_to_env_module(M, E)
     res = semifree_resolution(X, D, max_generators)
     B = env_module_to_bimodule(res.module, R, S)
-    return BimoduleResolution(res, B, res.eps.chain_map(), res.validity)
+    return BimoduleResolution(res, B)
 
 
 # -- finitely-built witnesses -------------------------------------------------

@@ -66,6 +66,29 @@ def test_resource_bound_exits_two(capsys):
     assert "generator cap" in err
 
 
+@pytest.mark.parametrize(
+    "fixture, module", [("exterior.dg", "R"), ("exterior.dg", "M2"), ("truncated.dg", "RA")]
+)
+def test_resolve_free_module_is_exact_from_below_its_bottom(capsys, fixture, module):
+    # a free module takes the one builder: exact on (bottom - 1)..HI like any other
+    argv = ["resolve", FIXTURES / fixture, module, "--window", "0..6"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0].endswith("exact on -1..6")
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["window"] == [-1, 6]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_resolve_free_module_obeys_generator_cap(capsys, fmt):
+    # M2 is free on two generators; the cap applies to it as to any module
+    argv = ["resolve", FIXTURES / "exterior.dg", "M2", "--window", "0..4"]
+    code, out, err = _run(capsys, *argv, "--max-generators", "1", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "generator cap 1 exceeded at degree 1" in err
+
+
 def test_check_epi_ring_mode_resource_bound_exits_two(capsys):
     # ring mode passes --max-generators to its Tor and Ext resolutions too;
     # the cap is hit in an Ext table of (5), after (1)-(4) and Translation

@@ -287,4 +287,5 @@ def test_unit_map_quasi_iso_on_family_of_size_three(S):
     from dgkit.epicheck import generate_test_family
 
     for desc, N in generate_test_family(S, 0, 3).left:
-        assert unit_map(regular_bimodule(S), N, 2).report().ok, desc
+        u = unit_map(regular_bimodule(S), N, 2)
+        assert is_derived_iso(u.chain_map, u.validity).ok, desc

@@ -143,8 +143,10 @@ def _tensor_unit(F):
 MAP_DIGESTS = {
     ("unit_map", "Q"): "370fe0de927375d579bce3e67926b979305c8957d0d2a70c5c8ea1d21e53e181",
     ("unit_map", "F101"): "e61642c82c039ef402e4b5e3963eb5d12cb347bbba07b3bc8c655e308f139ab6",
-    ("counit_map", "Q"): "c4d0f115656afe3d037409baee82243c63922c1b79c0c48b727ba2b890324215",
-    ("counit_map", "F101"): "c71ba6d5104ed06a1f02bcefbb4e30468dea0b1bd21740c4397bff004ad34059",
+    # a free module resolves to itself with ε = −id, a sign every entry of
+    # these maps carries
+    ("counit_map", "Q"): "b7465099b2e5ef0a21e9c66ecccaee52b5c51815150f70430481617edf95ab7b",
+    ("counit_map", "F101"): "b387d08055272d2af9039db429e216f59c889fa9ad5382f1322a8e9c5d2739bf",
     ("duality_map", "Q"): "2f52fd16fdf32effce3cd953cbef3102de4f78524d86561bb4168504affb1cca",
     ("duality_map", "F101"): "be7f028308887bc9cd3b7b9fa40e980c468db8832e3d2d83f3227b90595ed1f6",
     ("multiplication_map", "Q"): "2d60b60dbb56de716253d1083d0ea5211e75f7f384f3c39d927a1df3237c63e6",

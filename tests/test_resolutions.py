@@ -15,7 +15,9 @@ from dgkit.dga import (
     validate_module,
     vec_scale,
 )
+from dgkit.derived import derived_tensor
 from dgkit.epicheck import generate_test_family
+from dgkit.homtensor import tensor_over
 from dgkit.linalg import Echelon, Matrix, kernel_basis
 from dgkit.modops import DgModuleMap, FreeModule, Generator, module_direct_sum, module_shift
 from dgkit.resolutions import (
@@ -24,8 +26,6 @@ from dgkit.resolutions import (
     Leaf,
     ResourceBoundExceeded,
     SumNode,
-    _free_generators,
-    _try_free_presentation,
     semifree_resolution,
     semifree_resolution_bimodule,
     verify_build_tree,
@@ -135,7 +135,7 @@ def test_verify_rejects_perturbed_differential():
     res = semifree_resolution(k, 4)
     g = res.generators[2]
     # point the differential at a later generator: filtration failure
-    bad = Generator(g.label, g.degree, {len(res.generators) * 2 - 1: QQ.one}, g.eps, g.stage)
+    bad = Generator(g.label, g.degree, {len(res.generators) * 2 - 1: QQ.one}, g.eps)
     from dgkit.resolutions import SemifreeResolution
 
     gens = list(res.free.gens)
@@ -164,7 +164,8 @@ def test_bimodule_resolution():
         bres = semifree_resolution_bimodule(M, 5)
         assert verify_resolution(bres.env_resolution) is True
         assert validate_module(bres.bimodule) == []
-        r = quasi_iso(bres.eps_chain, bres.validity.intersect(Window(-1, 5)))
+        res = bres.env_resolution
+        r = quasi_iso(res.eps.chain_map(), res.validity.intersect(Window(-1, 5)))
         assert r.ok
 
 
@@ -223,10 +224,8 @@ def rebuild_resolution(M, D, max_generators=10000):
     and the whole cone(ε), then eliminates again.  Returns (generators,
     window, capped).
     """
-    if free_presentation := _try_free_presentation(M, D):
-        return free_presentation.generators, free_presentation.validity, False
     A, F = M.algebra, M.field
-    gens, stage = [], 0
+    gens = []
     free = FreeModule(A, gens)
     bottom = min((d for _, d in M.basis), default=0)
     for n in range(bottom, D + 2):
@@ -243,42 +242,15 @@ def rebuild_resolution(M, D, max_generators=10000):
             m_part = M.elem_from_component({p: c for p, c in v.items() if p < dimM}, n)
             x_part = {comp_free[p - dimM]: c for p, c in sorted(v.items()) if p >= dimM}
             eps = vec_scale(F, F.neg(F.one), m_part)
-            gens.append(Generator(f"g{n}.{len(gens)}", n, x_part, eps, stage))
+            gens.append(Generator(f"g{n}.{len(gens)}", n, x_part, eps))
             if len(gens) > max_generators:
                 return gens, Window(bottom - 1, n - 1), True
             free = FreeModule(A, gens)
-            stage += 1
     return gens, Window(bottom - 1, D), False
 
 
-def rebuild_free_generators(M):
-    """Generators of the visibly-free fast path, solving with ε rebuilt per generator."""
-    A, F = M.algebra, M.field
-    gens = []
-    for n in M.degrees():
-        span = Echelon(F)
-        for a in range(A.total_dim):
-            for m in M.component(n - A.deg(a)) if a != A.unit else ():
-                if (a, m) in M.act:
-                    span.add(M.coords(M.act[(a, m)], n))
-        for i, m_idx in enumerate(M.component(n)):
-            if not span.add({i: F.one}):
-                continue
-            dm, comp = M.diff.get(m_idx, {}), FreeModule(A, gens).module.component(n - 1)
-            # a certified echelon of ε's columns expresses d m through them
-            eps = Echelon(F, certify=True)
-            for col in FreeModule(A, gens).augmentation(M).f(n - 1).columns:
-                eps.add(col)
-            x = eps.coords(M.coords(dm, n - 1)) if dm else {}
-            if x is None:
-                return None
-            d_elem = {comp[j]: c for j, c in sorted(x.items())}
-            gens.append(Generator(M.label(m_idx), n, d_elem, {m_idx: F.one}, 0))
-    return gens
-
-
 def _gen_data(gens):
-    return [(g.label, g.degree, g.d_elem, g.eps, g.stage) for g in gens]
+    return [(g.label, g.degree, g.d_elem, g.eps) for g in gens]
 
 
 def _dy_equals_x(field):
@@ -290,10 +262,10 @@ def _dy_equals_x(field):
     return A
 
 
-def _ground(A):
-    """k as a left A-module: every basis element but the unit acts by zero."""
+def _ground(A, side="left"):
+    """k as an A-module: every basis element but the unit acts by zero."""
     F = A.field
-    return DgModule(A, "left", [("m", 0)], {(A.unit, 0): {0: F.one}}, {}, name="k")
+    return DgModule(A, side, [("m", 0)], {(A.unit, 0): {0: F.one}}, {}, name="k")
 
 
 def _two_cell(A):
@@ -301,6 +273,19 @@ def _two_cell(A):
     F = A.field
     act = {(A.unit, 0): {0: F.one}, (A.unit, 1): {1: F.one}}
     return DgModule(A, "left", [("m", 0), ("n", 1)], act, {1: {0: F.one}}, name="two-cell")
+
+
+def _dgas(field):
+    return exterior_algebra(field), _dy_equals_x(field)
+
+
+def _family_members(A):
+    """A's seed-1 family of five: S, ΣS, cones and semifree modules, each free
+    as a module; the right members as left modules over the opposite algebra."""
+    family = generate_test_family(A, 1, 5)
+    return [(f"{d} over {A.name}", m, 4) for d, m in family.left] + [
+        (f"{d} over {A.name}", right_to_left_op(m), 4) for d, m in family.right
+    ]
 
 
 def _corpus(field):
@@ -316,18 +301,14 @@ def _corpus(field):
         out.append((f"{phi.name} bimodule", bimodule_to_env_module(bimodule), 3))
     T2 = upper_triangular(field)
     out.append(("k over T2(k)", _ground(T2), 5))
-    for A in (exterior_algebra(field), _dy_equals_x(field)):
+    for A in _dgas(field):
         out.append((f"k over {A.name}", _ground(A), 5))
         out.append((f"two-cell over {A.name}", _two_cell(A), 4))
-        family = generate_test_family(A, 1, 5)
-        out += [(f"{d} over {A.name}", m, 4) for d, m in family.left]
-        out += [(f"{d} over {A.name}", right_to_left_op(m), 4) for d, m in family.right]
-        # k ⊕ (member) is not visibly free, so the member's differential
-        # reaches the general builder
-        out += [
-            (f"k ⊕ {d} over {A.name}", module_direct_sum([_ground(A), m]), 3)
-            for d, m in family.left[2:]
-        ]
+        members = _family_members(A)
+        out += members
+        # k ⊕ (left member): a summand that is not free next to the member's
+        # differential
+        out += [(f"k ⊕ {name}", module_direct_sum([_ground(A), m]), 3) for name, m, _ in members[2:5]]
     return out
 
 
@@ -344,16 +325,31 @@ def test_incremental_builder_matches_rebuild_loop(field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
-def test_free_generators_match_rebuild(field):
-    presented = 0
-    for name, M, D in _corpus(field):
-        old = rebuild_free_generators(M)
-        new = _free_generators(M)
-        assert (new is None) == (old is None), name
-        if new is not None:
-            assert _gen_data(new) == _gen_data(old), name
-            presented += _try_free_presentation(M, D) is not None
-    assert presented >= 4
+def test_free_modules_resolve_like_every_module(field):
+    # the family members are free as modules, so K-projective: Tor against k
+    # through their resolution must equal the homology of the plain tensor
+    for A in _dgas(field):
+        for name, M, D in _family_members(A):
+            res = semifree_resolution(M, D)
+            assert verify_resolution(res) is True, name
+            assert res.validity == Window(M.min_degree() - 1, D), name
+            B, k = M.algebra, _ground(M.algebra, "right")
+            derived = derived_tensor(B, k, M, D)
+            plain = tensor_over(B, k, M).complex
+            w = derived.validity
+            assert homology_dims(derived.value, w) == homology_dims(plain, w), name
+
+
+def test_generator_cap_holds_for_free_modules():
+    # S ⊕ ΣS over Λ(x) is free on two generators: a cap of one stops it
+    A = exterior_algebra()
+    M = module_direct_sum([left_regular(A), module_shift(left_regular(A), 1)])
+    with pytest.raises(ResourceBoundExceeded) as e:
+        semifree_resolution(M, 4, max_generators=1)
+    partial = e.value.partial
+    assert len(partial.generators) == 2
+    assert partial.validity == Window(-1, 0)
+    assert verify_resolution(partial) is True
 
 
 def test_incremental_builder_cap_partial_matches_rebuild_loop():

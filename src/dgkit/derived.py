@@ -8,11 +8,13 @@ Conventions (fixed for determinism; balancing is a test, not an assumption):
 Canonical maps are realized by explicit Koszul-signed formulas and certified
 by chain-map validation; with these conventions the evaluation pairing
 Hom_{S^op}(Q, S) ⊗ Q → S is sign-free: (z·r)(q) = z(rq) and z(qs) = z(q)s.
-The counit and epicheck's two-sided map (3) pair Q with one truncated dual,
-truncated_dual's, which owns its depth and cut and is built once per
-bimodule and window; duality_map pairs Q with a shallower dual of its own.
-Whether a canonical map is an isomorphism on its window is is_derived_iso,
-whose report is complexes.quasi_iso's: the one iso verdict of the library.
+Every chain map the checks compare is built here with its own resolution
+depths: the unit, counit, duality and multiplication maps, and epicheck's
+(3), (5) and ring (2) and (4).  The counit, duality map and (3) pair Q with
+one truncated dual, truncated_dual's, which owns its depth and cut and is
+built once per bimodule and window.  Whether a canonical map is an
+isomorphism on its window is is_derived_iso, whose report is
+complexes.quasi_iso's: the one iso verdict of the library.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .dga import (
 from .homtensor import HomComplex, _pointwise, hom_over, tensor_over
 from .modops import matrices_from_images, truncate_below
 from .resolutions import (
-    BimoduleResolution,
     require_witness,
     required_depth,
+    resolve_right_module,
     semifree_resolution,
     semifree_resolution_bimodule,
 )
@@ -128,27 +130,6 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
 # -- canonical maps ------------------------------------------------------------
 
 
-def _truncated_dual(dual: "DualizedBimodule", c: int):
-    """τ_{≥c}Z, the good truncation of the dual (``modops.truncate_below``),
-    and the evaluation z(q) of its basis elements, read through their
-    carriers in Z.  Every canonical map that pairs Z with Q uses it.
-
-    The truncation removes resolution junk below the window so it cannot
-    pair with top-degree junk of the other tensor factor and contaminate the
-    window (the junk degrees are opposite, their sum lands in the middle).
-    """
-    F, H = dual.Z.field, dual.hom
-    Zt, carriers = truncate_below(dual.Z, c)
-
-    def ev(zt_idx: int, q_elem: dict) -> dict:
-        out: dict = {}
-        for zi, cz in carriers[zt_idx].items():
-            vec_iadd(F, out, H.evaluate(H.reps[zi], q_elem), cz)
-        return out
-
-    return Zt, ev
-
-
 # the truncated duals of each live bimodule, keyed on (D, max_generators)
 _TRUNCATED_DUALS = weakref.WeakKeyDictionary()
 
@@ -158,14 +139,26 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
 
     Returns (depth, Q, Zt, ev): the depth through which the dual and the
     other factors are resolved, the bimodule resolution Q of M behind the
-    dual, τ_{≥-D-1}Z and its evaluation z(q).  Built once and kept for the
-    life of M, so the counit and the two-sided map of one check share it.
+    dual, the good truncation Zt = τ_{≥-D-1}Z and the evaluation z(q) of its
+    basis elements, read through their carriers in Z.  The cut keeps
+    resolution junk below the window from pairing with top-degree junk of
+    the other tensor factor, whose sum lands in the window.  Built once and
+    kept for the life of M, so the maps of one check share it.
     """
     duals = _TRUNCATED_DUALS.setdefault(M, {})
     if (D, max_generators) not in duals:
         depth = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
         dual = dualize(M, depth, max_generators)
-        duals[D, max_generators] = (depth, dual.Q, *_truncated_dual(dual, -D - 1))
+        F, H = M.field, dual.hom
+        Zt, carriers = truncate_below(dual.Z, -D - 1)
+
+        def ev(zt_idx: int, q_elem: dict) -> dict:
+            out: dict = {}
+            for zi, cz in carriers[zt_idx].items():
+                vec_iadd(F, out, H.evaluate(H.reps[zi], q_elem), cz)
+            return out
+
+        duals[D, max_generators] = (depth, dual.Q, Zt, ev)
     return duals[D, max_generators]
 
 
@@ -189,7 +182,7 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     P = semifree_resolution(N, D2p, max_generators).module
     bres = semifree_resolution_bimodule(M, D2q, max_generators)
     Q = bres.bimodule
-    eps_gr = _eps_ground(bres)  # Q basis idx -> element of M
+    eps_gr = _eps_on_basis(bres.env_resolution)  # Q basis idx -> element of M
     T = tensor_over(S, M, P)
     H = hom_over(R, Q, T.structure())  # T as a left R-module
 
@@ -204,15 +197,11 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     return CanonicalMap(cm, Window(-D, D), f"unit for {M.name} on {N.name}")
 
 
-def _eps_ground(bres: BimoduleResolution) -> dict[int, dict]:
-    """ε on basis elements of the enveloping resolution, as elements of M."""
-    res = bres.env_resolution
-    out = {}
-    for q_idx in range(res.module.total_dim):
-        e = res.eps.apply_elem({q_idx: res.algebra.field.one})
-        if e:
-            out[q_idx] = e
-    return out
+def _eps_on_basis(res) -> dict[int, dict]:
+    """ε(q) for each basis element q of the resolution where it is nonzero."""
+    one = res.module.field.one
+    eps = {idx: res.eps.apply_elem({idx: one}) for idx in range(res.module.total_dim)}
+    return {idx: e for idx, e in eps.items() if e}
 
 
 def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) -> CanonicalMap:
@@ -254,10 +243,9 @@ def duality_map(
         raise ValueError("duality_map requires a finitely-built witness for M")
     require_witness(witness, right_to_left_op(M.right_module()))
     D2 = required_depth(D, M.max_degree(), -M.min_degree())
-    dual = dualize(M, D, max_generators)
+    _, Q, Zt, ev = truncated_dual(M, D, max_generators)
     P = semifree_resolution(N, D2, max_generators).module
-    T2 = tensor_over(S, dual.Q, P)
-    Zt, ev = _truncated_dual(dual, -D - 1)
+    T2 = tensor_over(S, Q, P)
     H2 = hom_over(S, Zt, P)  # Z is left S with outer right R
 
     def image(pair, d):
@@ -284,6 +272,91 @@ def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap
         return N.act_elem({s_idx: F.one}, res.eps.apply_elem({p_idx: F.one}))
 
     return ChainMap(T.complex, N.underlying(), matrices_from_images(T, N, image))
+
+
+def _ring_condition4_map(phi, N: DgModule, D: int, max_generators: int) -> ChainMap:
+    """N → Hom_R(Q_S, N), n ↦ (q ↦ (-1)^{|n||q|} ε(q)·n), with Q_S → S a
+    resolution over R."""
+    R, S = phi.source, phi.target
+    F = S.field
+    S_left = restrict_scalars(left_regular(S), phi)
+    res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
+    Q, eps = res.module, _eps_on_basis(res)  # ε(q) in S
+    H = hom_over(R, Q, restrict_scalars(N, phi))
+
+    def image(n_idx, n):
+        return _pointwise(Q, n, lambda q_idx: N.act_elem(eps.get(q_idx, {}), {n_idx: F.one}))
+
+    return ChainMap(N.underlying(), H.complex, matrices_from_images(N, H, image))
+
+
+def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> ChainMap:
+    """(N_r ⊗^L_S Z) ⊗^L_R (M ⊗^L_S N') → N_r ⊗^L_S N' at chain level.
+
+    On representatives: pr ⊗ z ⊗ q ⊗ p ↦ pr ⊗ z(q)·p; the evaluation
+    pairing is sign-free under this library's conventions and no basis
+    elements change order, so no Koszul sign appears.
+    """
+    R, S, F = M.left_algebra, M.right_algebra, M.field
+    Ddeep, Q, Zt, ev = truncated_dual(M, D, max_generators)
+    P = semifree_resolution(Nl, Ddeep, max_generators).module
+    _, Pr, _ = resolve_right_module(Nr, Ddeep, max_generators)
+    Ta = tensor_over(S, Pr, Zt)  # outer right R retained
+    T2 = tensor_over(S, Q, P)  # outer left R retained
+    Tab = tensor_over(R, Ta.structure(), T2.structure())
+    Tc = tensor_over(S, Pr, P)
+
+    def image(pair, d):
+        a_idx, t_idx = pair
+        pr_idx, z_idx = Ta.reps[a_idx]
+        q_idx, p_idx = T2.reps[t_idx]
+        zq = ev(z_idx, {q_idx: F.one})  # element of S
+        return {(pr_idx, k): c for k, c in P.act_elem(zq, {p_idx: F.one}).items()}
+
+    return ChainMap(Tab.complex, Tc.complex, matrices_from_images(Tab, Tc, image))
+
+
+def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> ChainMap:
+    """RHom_S(N, N) → RHom_R(M ⊗^L_S N, M ⊗^L_S N) at chain level.
+
+    Source model Hom_S(P_N, N); target model Hom_R(Qs⊗P_N, Qt⊗N); the map
+    is f ↦ id_Q ⊗ f with the Koszul sign for moving f past q.
+    """
+    R, S, F = M.left_algebra, M.right_algebra, M.field
+    # two bimodule resolutions at staggered depths: were the same Q used on
+    # both sides of the Hom, its top junk would pair with itself at Hom
+    # degree 0, inside the window.  The builder is deterministic and adds
+    # generators in degree order, so the shallow resolution is a prefix of
+    # the deep one and the inclusion is the identity on common indices.
+    # `span`, the depth a window of width 0 needs against M and S, is how far
+    # Q ⊗_S X reaches above its generators: Qs goes one span and one degree
+    # past the window, Qt one span past the top of the Hom source Qs ⊗_S Pn
+    span = required_depth(0, M.max_degree(), -M.min_degree(), S.max_degree())
+    Dn = required_depth(D, N.max_degree())
+    Dqs = required_depth(D, span, 1)
+    Dqt = required_depth(D, max(Dqs, Dn), span)
+    Pn = semifree_resolution(N, Dn, max_generators).module
+    Qs = semifree_resolution_bimodule(M, Dqs, max_generators).bimodule
+    Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
+    if Qs.basis != Qt.basis[: len(Qs.basis)]:
+        raise AssertionError("staggered resolutions are not prefix-compatible")
+    Hsrc = hom_over(S, Pn, N)
+    Tn = tensor_over(S, Qs, Pn)
+    T2 = tensor_over(S, Qt, N)
+    Tn_mod = Tn.structure()
+    Htgt = hom_over(R, Tn_mod, T2.structure())
+
+    def image(f, n):
+        ground: dict = {}
+        for t_idx, (q_idx, p_idx) in enumerate(Tn.reps):
+            fp = Hsrc.evaluate(f, {p_idx: F.one})
+            if fp:
+                t = T2.element({(q_idx, k): c for k, c in fp.items()}, Tn_mod.deg(t_idx) + n)
+                sgn = F.sign(n * Qs.deg(q_idx))
+                vec_iadd(F, ground, {(t_idx, g): c for g, c in t.items()}, sgn)
+        return ground
+
+    return ChainMap(Hsrc.complex, Htgt.complex, matrices_from_images(Hsrc, Htgt, image))
 
 
 def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap:

@@ -448,9 +448,9 @@ def swap_sides(
     return DgBimodule(left, right, X.basis, act_left, act_right, X.diff, name=name or X.name)
 
 
-def right_to_left_op(M: DgModule, Aop: DgAlgebra | None = None) -> DgModule:
+def right_to_left_op(M: DgModule) -> DgModule:
     """Right A-module as a left A^op-module: a·m := (-1)^{|a||m|} m a."""
-    return _other_side(M, "right", Aop or opposite(M.algebra))
+    return _other_side(M, "right", opposite(M.algebra))
 
 
 def left_op_to_right(M: DgModule, A: DgAlgebra) -> DgModule:

@@ -16,10 +16,11 @@ witness bridges them.  Witnesses pass ``resolutions.require_witness``.
 
 Each report is built once.  The family's first member is S itself, so (2)
 reads (1)'s report there, and ring-mode Translation reads Tor_i(S, S) off
-the same report.  The counit and the two-sided map (3) pair M's resolution
-with one dual, ``derived.truncated_dual``.  Each check runs its conditions
-in one ``resolutions.resolution_scope``, so equal resolution requests of its
-conditions and members are built once.
+the same report.  Every chain map is built in ``derived``, with its
+resolution depths and the one truncated dual; this module keeps only the
+families, the member loop, the fold, the agreement rule and the reports.
+Each check runs its conditions in one ``resolutions.resolution_scope``, so
+equal resolution requests of its conditions and members are built once.
 """
 
 import random
@@ -42,16 +43,18 @@ from .dga import (
     vec_iadd,
 )
 from .derived import (
-    _induction_counit as _ring_condition2_map,
+    _condition3_map,
+    _condition5_map,
+    _induction_counit,
+    _ring_condition4_map,
     counit_map,
     ext_table,
     is_derived_iso,
     multiplication_map,
     tor_table,
-    truncated_dual,
     unit_map,
 )
-from .homtensor import _endomorphism_dga, _pointwise, hom_over, identity_ground, tensor_over
+from .homtensor import _endomorphism_dga, _pointwise, hom_over, identity_ground
 from .linalg import Matrix, kernel_basis
 from .modops import (
     FreeModule,
@@ -66,11 +69,7 @@ from .resolutions import (
     Leaf,
     ResourceBoundExceeded,
     require_witness,
-    required_depth,
     resolution_scope,
-    resolve_right_module,
-    semifree_resolution,
-    semifree_resolution_bimodule,
 )
 
 
@@ -127,8 +126,8 @@ class TestFamily:
         return [(f"({d1}, {d2})", (Nr, Nl)) for (d1, Nr), (d2, Nl) in zip(self.right, self.left)]
 
     def diagonal(self) -> list:
-        """(description, (N, N)) for each left member N."""
-        return [(f"({d}, {d})", (N, N)) for d, N in self.left]
+        """(description, (N,)) for each left member N, described as the pair (N, N)."""
+        return [(f"({d}, {d})", (N,)) for d, N in self.left]
 
 
 @dataclass
@@ -351,75 +350,6 @@ def generate_test_family(S: DgAlgebra, seed: int, size: int = 6) -> TestFamily:
 # -- the six bimodule conditions ----------------------------------------------
 
 
-def _condition3_map(R, S, M, Nr, Nl, D, max_generators) -> ChainMap:
-    """(N_r ⊗^L_S Z) ⊗^L_R (M ⊗^L_S N') → N_r ⊗^L_S N' at chain level.
-
-    On representatives: pr ⊗ z ⊗ q ⊗ p ↦ pr ⊗ z(q)·p; the evaluation
-    pairing is sign-free under this library's conventions and no basis
-    elements change order, so no Koszul sign appears.
-    """
-    F = M.field
-    Ddeep, Q, Zt, ev = truncated_dual(M, D, max_generators)
-    P = semifree_resolution(Nl, Ddeep, max_generators).module
-    _, Pr, _ = resolve_right_module(Nr, Ddeep, max_generators)
-    Ta = tensor_over(S, Pr, Zt)  # outer right R retained
-    T2 = tensor_over(S, Q, P)  # outer left R retained
-    Tab = tensor_over(R, Ta.structure(), T2.structure())
-    Tc = tensor_over(S, Pr, P)
-
-    def image(pair, d):
-        a_idx, t_idx = pair
-        pr_idx, z_idx = Ta.reps[a_idx]
-        q_idx, p_idx = T2.reps[t_idx]
-        zq = ev(z_idx, {q_idx: F.one})  # element of S
-        return {(pr_idx, k): c for k, c in P.act_elem(zq, {p_idx: F.one}).items()}
-
-    return ChainMap(Tab.complex, Tc.complex, matrices_from_images(Tab, Tc, image))
-
-
-def _condition5_map(R, S, M, Nl, Nl2, D, max_generators) -> ChainMap:
-    """RHom_S(N, N') → RHom_R(M ⊗^L_S N, M ⊗^L_S N') at chain level.
-
-    Source model Hom_S(P_N, N'); target model Hom_R(Q⊗P_N, Q⊗N'); the map
-    is f ↦ id_Q ⊗ f with the Koszul sign for moving f past q.
-    """
-    F = M.field
-    # two bimodule resolutions at staggered depths: were the same Q used on
-    # both sides of the Hom, its top junk would pair with itself at Hom
-    # degree 0, inside the window.  The builder is deterministic and adds
-    # generators in degree order, so the shallow resolution is a prefix of
-    # the deep one and the inclusion is the identity on common indices.
-    # `span`, the depth a window of width 0 needs against M and S, is how far
-    # Q ⊗_S X reaches above its generators: Qs goes one span and one degree
-    # past the window, Qt one span past the top of the Hom source Qs ⊗_S Pn
-    span = required_depth(0, M.max_degree(), -M.min_degree(), S.max_degree())
-    Dn2 = required_depth(D, Nl2.max_degree())
-    Dqs = required_depth(D, span, 1)
-    Dqt = required_depth(D, max(Dqs, Dn2), span)
-    Pn = semifree_resolution(Nl, Dn2, max_generators).module
-    Qs = semifree_resolution_bimodule(M, Dqs, max_generators).bimodule
-    Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
-    if Qs.basis != Qt.basis[: len(Qs.basis)]:
-        raise AssertionError("staggered resolutions are not prefix-compatible")
-    Hsrc = hom_over(S, Pn, Nl2)
-    Tn = tensor_over(S, Qs, Pn)
-    T2 = tensor_over(S, Qt, Nl2)
-    Tn_mod = Tn.structure()
-    Htgt = hom_over(R, Tn_mod, T2.structure())
-
-    def image(f, n):
-        ground: dict = {}
-        for t_idx, (q_idx, p_idx) in enumerate(Tn.reps):
-            fp = Hsrc.evaluate(f, {p_idx: F.one})
-            if fp:
-                t = T2.element({(q_idx, k): c for k, c in fp.items()}, Tn_mod.deg(t_idx) + n)
-                sgn = F.sign(n * Qs.deg(q_idx))
-                vec_iadd(F, ground, {(t_idx, g): c for g, c in t.items()}, sgn)
-        return ground
-
-    return ChainMap(Hsrc.complex, Htgt.complex, matrices_from_images(Hsrc, Htgt, image))
-
-
 def check_bimodule_conditions(
     R: DgAlgebra,
     S: DgAlgebra,
@@ -429,7 +359,8 @@ def check_bimodule_conditions(
     D: int,
     max_generators: int = 10000,
 ) -> ConsistencyReport:
-    """Evaluate the six equivalent bimodule conditions over a test family."""
+    """Evaluate the six equivalent bimodule conditions over a test family;
+    R and S are M's left and right algebras."""
     if witness_Sop is None:
         groups = [[1, 2, 3], [4, 5]]
         note = (
@@ -440,12 +371,13 @@ def check_bimodule_conditions(
         require_witness(witness_Sop, right_to_left_op(M.right_module()))
         groups, note = [[1, 2, 3, 4, 5]], ""
     with resolution_scope():
-        verdicts = _finished(_bimodule_verdicts(R, S, M, family, D, max_generators))
+        verdicts = _finished(_bimodule_verdicts(M, family, D, max_generators))
     return _agreement(verdicts, groups, note)
 
 
-def _bimodule_verdicts(R, S, M, family: TestFamily, D: int, max_generators: int):
+def _bimodule_verdicts(M: DgBimodule, family: TestFamily, D: int, max_generators: int):
     """The verdicts on conditions (1)-(6), one at a time."""
+    S = M.right_algebra
     window = Window(-D, D)
     g = max_generators
 
@@ -457,23 +389,15 @@ def _bimodule_verdicts(R, S, M, family: TestFamily, D: int, max_generators: int)
     yield _fold(2, window, [(at_S, r1[0][1])] + counit)
     # (3): the two-sided composed map over right/left pairs
     two_sided = _reports(
-        window,
-        "two-sided map",
-        lambda Nr, Nl: _condition3_map(R, S, M, Nr, Nl, D, g),
-        family.pairs(),
+        window, "two-sided map", lambda Nr, Nl: _condition3_map(M, Nr, Nl, D, g), family.pairs()
     )
     yield _fold(3, window, two_sided)
     # (4): unit over the family
     unit = _reports(window, "unit", lambda N: unit_map(M, N, D, g).chain_map, family.singles())
     yield _fold(4, window, unit)
     # (5): induced map on RHom over diagonal pairs
-    rhom_map = _reports(
-        window,
-        "RHom map",
-        lambda N, N2: _condition5_map(R, S, M, N, N2, D, g),
-        family.diagonal(),
-    )
-    yield _fold(5, window, rhom_map)
+    induced = _reports(window, "RHom map", lambda N: _condition5_map(M, N, D, g), family.diagonal())
+    yield _fold(5, window, induced)
     yield _condition6(window)
 
 
@@ -550,23 +474,6 @@ def check_dwyer_greenlees(
 # -- ring-mode checker ---------------------------------------------------------
 
 
-def _ring_condition4_map(phi, N, D, max_generators) -> ChainMap:
-    """N → Hom_R(Q_S, N), n ↦ (q ↦ (-1)^{|n||q|} ε(q)·n)."""
-    R, S = phi.source, phi.target
-    F = S.field
-    NR = restrict_scalars(N, phi)
-    S_left = restrict_scalars(left_regular(S), phi)
-    res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
-    Q = res.module
-    H = hom_over(R, Q, NR)
-    eps = [res.eps.apply_elem({q_idx: F.one}) for q_idx in range(Q.total_dim)]  # in S
-
-    def image(n_idx, n):
-        return _pointwise(Q, n, lambda q_idx: N.act_elem(eps[q_idx], {n_idx: F.one}))
-
-    return ChainMap(N.underlying(), H.complex, matrices_from_images(N, H, image))
-
-
 def check_ring_epi(
     phi: DgaMorphism, D: int, family: TestFamily, max_generators: int = 10000
 ) -> ConsistencyReport:
@@ -605,9 +512,7 @@ def _ring_verdicts(phi: DgaMorphism, D: int, family: TestFamily, max_generators:
         yield ConditionVerdict("translation", FAILS, window, degree=bad_i, dims=dims, note=note)
 
     # (2): S ⊗^L_R N → N over the family, chain-realized; (1)'s report at S
-    counit = _reports(
-        window, "induction counit", lambda N: _ring_condition2_map(phi, N, D, g), others
-    )
+    counit = _reports(window, "induction counit", lambda N: _induction_counit(phi, N, D, g), others)
     yield _fold(2, window, [(at_S, r1[0][1])] + counit)
 
     # (3): Tor over R vs over S on right/left pairs (dims level)
@@ -619,16 +524,13 @@ def _ring_verdicts(phi: DgaMorphism, D: int, family: TestFamily, max_generators:
 
     # (4): N → RHom_R(S, N) over the family, chain-realized
     unit = _reports(
-        Window(-D, D),
-        "restriction unit",
-        lambda N: _ring_condition4_map(phi, N, D, g),
-        family.singles(),
+        Window(-D, D), "restriction unit", lambda N: _ring_condition4_map(phi, N, D, g), family.singles()
     )
     yield _fold(4, Window(-D, D), unit)
 
     # (5): Ext over S vs over R on diagonal pairs (dims level)
     reports = []
-    for desc, (N, _) in family.diagonal():
+    for desc, (N,) in family.diagonal():
         NR = restrict_scalars(N, phi)
         eS = ext_table(S, N, N, D, g)
         reports.append((desc, _table_report(eS, ext_table(R, NR, NR, D, g))))

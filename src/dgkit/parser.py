@@ -333,11 +333,19 @@ def _parse_arrow_block(pf, header_tokens, lineno, lines, kind):
     pf.order.append((kind, name))
 
 
-def _parse_node(pf, toks, pos: int, line):
-    """The node at toks[pos] and the position after it; `line(k)` is the line
-    of token k, or of the last token when k is past the end."""
+# the deepest build-tree nesting read: parsing, evaluating and verifying a
+# tree recurse once per level, so a deeper tree would exhaust the stack
+_MAX_NESTING = 256
+
+
+def _parse_node(pf, toks, pos: int, line, depth: int = 1):
+    """The node at toks[pos], `depth` levels deep, and the position after it;
+    `line(k)` is the line of token k, or of the last token when k is past
+    the end."""
     if pos >= len(toks) or toks[pos] != "(":
         raise ParseError(line(pos), 1, "'(' starting a build-tree node")
+    if depth > _MAX_NESTING:
+        raise ParseError(line(pos), 1, f"at most {_MAX_NESTING} nested build-tree nodes")
     pos += 1
     if pos >= len(toks):
         raise ParseError(line(pos), 1, "node keyword")
@@ -349,18 +357,18 @@ def _parse_node(pf, toks, pos: int, line):
         node = Leaf(0)
     elif kw == "shift":
         t = _int(toks[pos], line(pos))
-        child, pos = _parse_node(pf, toks, pos + 1, line)
+        child, pos = _parse_node(pf, toks, pos + 1, line, depth + 1)
         node = Leaf(child.shift + t) if isinstance(child, Leaf) else ShiftNode(t, child)
     elif kw == "sum":
         children = []
         while pos < len(toks) and toks[pos] == "(":
-            child, pos = _parse_node(pf, toks, pos, line)
+            child, pos = _parse_node(pf, toks, pos, line, depth + 1)
             children.append(child)
         node = SumNode(children)
     elif kw == "cone":
         f = _declared(pf.maps, "map", toks[pos], line(pos))
-        src, pos = _parse_node(pf, toks, pos + 1, line)
-        tgt, pos = _parse_node(pf, toks, pos, line)
+        src, pos = _parse_node(pf, toks, pos + 1, line, depth + 1)
+        tgt, pos = _parse_node(pf, toks, pos, line, depth + 1)
         node = ConeNode(src, tgt, f.matrices())
     else:
         raise ParseError(line(pos - 1), 1, f"leaf, shift, sum or cone (got {kw!r})")

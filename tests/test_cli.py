@@ -192,6 +192,38 @@ def test_witness_verify_accepts(capsys):
         assert "accepted" in out
 
 
+def _nested_witness(tmp_path, node: str, depth: int):
+    """exterior.dg plus a witness wDeep for R of ``depth`` nested nodes, one
+    opening ``node`` per line around a leaf; and the line of the header."""
+    base = (FIXTURES / "exterior.dg").read_text()
+    body = [f"  {node}"] * (depth - 1) + ["  (leaf)" + ")" * (depth - 1)]
+    path = tmp_path / "nested.dg"
+    path.write_text(base + "\nwitness wDeep for R\n" + "\n".join(body) + "\n")
+    return path, len(base.splitlines()) + 2
+
+
+@pytest.mark.parametrize("node", ["(shift 1", "(sum"])
+@pytest.mark.parametrize("command", ["validate", "witness-verify"])
+def test_witness_nested_too_deep_is_a_parse_error(capsys, tmp_path, node, command):
+    path, header = _nested_witness(tmp_path, node, 1000)
+    code, _, err = _run(capsys, command, path, *(["wDeep"] if command == "witness-verify" else []))
+    assert code == 1
+    # the 257th '(' is on the 257th line after the header
+    assert err.splitlines() == [
+        f"error: line {header + 257}, column 1: expected at most 256 nested build-tree nodes"
+    ]
+    assert "Traceback" not in err
+
+
+def test_witness_nested_256_deep_parses(capsys, tmp_path):
+    for node, verdict in (("(shift 1", "rejected"), ("(sum", "accepted")):
+        path, _ = _nested_witness(tmp_path, node, 256)
+        assert _run(capsys, "validate", path)[0] == 0
+        code, out, _ = _run(capsys, "witness-verify", path, "wDeep")
+        assert code == 0
+        assert f"wDeep for R: {verdict}" in out
+
+
 def test_dwyer_greenlees_regular(capsys):
     code, out, _ = _run(
         capsys, "dwyer-greenlees", FIXTURES / "exterior.dg", "R", "wR", "--window=-2..4"

@@ -16,7 +16,14 @@ from dgkit.dga import (
     right_regular,
     validate_module,
 )
-from dgkit.derived import is_derived_iso, multiplication_map, tor_table, truncated_dual
+from dgkit.derived import (
+    counit_map,
+    duality_map,
+    is_derived_iso,
+    multiplication_map,
+    tor_table,
+    truncated_dual,
+)
 from dgkit.epicheck import (
     check_bimodule_conditions,
     check_compact_endpoint,
@@ -334,6 +341,15 @@ def test_dga_check_dualizes_once(monkeypatch, size):
     assert len(calls) == 1
 
 
+def test_counit_and_duality_map_share_one_dual(monkeypatch):
+    calls = _counting(monkeypatch, "dualize", dgkit.derived)
+    phi = truncated_to_ground(2)
+    M, N = bimodule_from_morphism(phi), left_regular(phi.target)
+    counit_map(M, N, 2)
+    duality_map(M, N, BuildTreeWitness(Leaf(0)), 2)
+    assert len(calls) == 1
+
+
 def test_condition_two_reads_condition_one_at_S(monkeypatch):
     # (2) builds the counit only at the members after S: size builds in all
     calls = _counting(monkeypatch, "counit_map", dgkit.epicheck)
@@ -421,7 +437,7 @@ def _requests(monkeypatch):
         keys.append(dgkit.resolutions._request_key(M, D, max_generators))
         return request(M, D, max_generators)
 
-    for module in (dgkit.resolutions, dgkit.derived, dgkit.epicheck):
+    for module in (dgkit.resolutions, dgkit.derived):
         monkeypatch.setattr(module, "semifree_resolution", logged)
     return keys
 

@@ -360,7 +360,10 @@ def check_bimodule_conditions(
     max_generators: int = 10000,
 ) -> ConsistencyReport:
     """Evaluate the six equivalent bimodule conditions over a test family;
-    R and S are M's left and right algebras."""
+    R and S must be M's left and right algebras, by content."""
+    for side, A, own in (("left", R, M.left_algebra), ("right", S, M.right_algebra)):
+        if _content(A) != _content(own):
+            raise ValueError(f"{A.name} is not the {side} algebra of {M.name}")
     if witness_Sop is None:
         groups = [[1, 2, 3], [4, 5]]
         note = (
@@ -373,6 +376,11 @@ def check_bimodule_conditions(
     with resolution_scope():
         verdicts = _finished(_bimodule_verdicts(M, family, D, max_generators))
     return _agreement(verdicts, groups, note)
+
+
+def _content(A: DgAlgebra) -> tuple:
+    """What an algebra is, apart from its name."""
+    return A.field, A.basis, A.unit, A.mul, A.diff
 
 
 def _bimodule_verdicts(M: DgBimodule, family: TestFamily, D: int, max_generators: int):

@@ -1,13 +1,21 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Scalars are plain Python objects: ``Fraction`` over the rationals, ints in
-``0..p-1`` over a prime field.  A ``Field`` instance supplies the arithmetic
+Scalars are plain Python objects.  Over the rationals a scalar is an ``int``
+when it is integral and a ``Fraction`` with denominator other than 1
+otherwise: no integral ``Fraction`` is ever stored, so the ±1 and small
+integers that fill most tables cost int arithmetic.  Over a prime field a
+scalar is an int in ``0..p-1``.  A ``Field`` instance supplies the arithmetic
 so every matrix and structure-constant table can stay field-agnostic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _normal(x):
+    """A rational in normal form: the int itself when x is integral."""
+    return x.numerator if x.__class__ is not int and x.denominator == 1 else x
 
 
 def _is_prime(n: int) -> bool:
@@ -31,10 +39,9 @@ class Field:
             raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         self.characteristic = characteristic
         # stored once: every read of zero or one returns the same object
-        self.zero = 0 if characteristic else Fraction(0)
-        self.one = 1 if characteristic else Fraction(1)
+        self.zero, self.one = 0, 1
         # (-1)^0 and (-1)^1, reduced: the values of sign()
-        self._parity = (self.one, characteristic - 1 if characteristic else Fraction(-1))
+        self._parity = (1, characteristic - 1)
 
     @property
     def is_rational(self) -> bool:
@@ -45,7 +52,7 @@ class Field:
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string into this field."""
         if self.is_rational:
-            return Fraction(x)
+            return _normal(Fraction(x))
         p = self.characteristic
         if isinstance(x, str):
             if "/" in x:
@@ -61,20 +68,21 @@ class Field:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        return a + b if self.is_rational else (a + b) % self.characteristic
+        return _normal(a + b) if self.is_rational else (a + b) % self.characteristic
 
     def sub(self, a, b):
-        return a - b if self.is_rational else (a - b) % self.characteristic
+        return _normal(a - b) if self.is_rational else (a - b) % self.characteristic
 
     def mul(self, a, b):
-        return a * b if self.is_rational else (a * b) % self.characteristic
+        return _normal(a * b) if self.is_rational else (a * b) % self.characteristic
 
     def neg(self, a):
         return -a if self.is_rational else (-a) % self.characteristic
 
     def inv(self, a):
         if self.is_rational:
-            return Fraction(1) / a
+            # Fraction(1) / a, never 1 / a: an int quotient would be a float
+            return _normal(Fraction(1) / a)
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)

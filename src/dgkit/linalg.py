@@ -148,9 +148,12 @@ def vec_iadd(F: Field, acc: dict, b: dict, c=None) -> dict:
     """acc += c·b in place (b itself when c is omitted), dropping zeros; returns acc.
 
     The one sparse-vector kernel.  When acc and b hold field elements, so does
-    acc afterwards (0..p-1 over F_p, whatever integer stands for c).  Over F_p
-    each entry is one integer multiply-add mod p; over Q, where every product
-    is a Fraction operation, a coefficient of ±1 adds or subtracts instead.
+    acc afterwards: 0..p-1 over F_p, whatever integer stands for c; over Q an
+    int for every integral entry (1/2 + 1/2 is stored as 1), whatever rational
+    stands for c, and a fraction only for the others.  Over F_p each entry
+    is one integer multiply-add mod p; over Q integral entries and
+    coefficients are int operations, and a coefficient of ±1 adds or
+    subtracts instead of multiplying.
     """
     p, get = F.characteristic, acc.get
     if p:
@@ -162,13 +165,14 @@ def vec_iadd(F: Field, acc: dict, b: dict, c=None) -> dict:
             else:
                 acc.pop(k, None)
         return acc
-    # a missing entry reads as None, not 0: int 0 + Fraction is a slow round trip
+    # a missing entry reads as None, not 0: int 0 + a fraction is a slow round trip;
+    # an integral sum is stored as its int (int.denominator is 1)
     if c is None or c == 1:
         for k, x in b.items():
             s = get(k)
             s = x if s is None else s + x
             if s:
-                acc[k] = s
+                acc[k] = s.numerator if s.__class__ is not int and s.denominator == 1 else s
             else:
                 acc.pop(k, None)
     elif c == -1:
@@ -176,7 +180,7 @@ def vec_iadd(F: Field, acc: dict, b: dict, c=None) -> dict:
             s = get(k)
             s = -x if s is None else s - x
             if s:
-                acc[k] = s
+                acc[k] = s.numerator if s.__class__ is not int and s.denominator == 1 else s
             else:
                 acc.pop(k, None)
     else:
@@ -184,14 +188,17 @@ def vec_iadd(F: Field, acc: dict, b: dict, c=None) -> dict:
             s = get(k)
             s = c * x if s is None else s + c * x
             if s:
-                acc[k] = s
+                acc[k] = s.numerator if s.__class__ is not int and s.denominator == 1 else s
             else:
                 acc.pop(k, None)
     return acc
 
 
 def vec_scale(F: Field, c, a: dict) -> dict:
-    """c·a as a new vector: a copy for c = 1, negated entries for c = -1 over Q."""
+    """c·a as a new vector: a copy for c = 1, negated entries for c = -1 over Q.
+
+    Over Q an integral product is stored as its int, as in :func:`vec_iadd`.
+    """
     p = F.characteristic
     if c == 0:
         return {}
@@ -199,7 +206,13 @@ def vec_scale(F: Field, c, a: dict) -> dict:
         return dict(a)
     if p:
         return {k: c * x % p for k, x in a.items()}
-    return {k: -x for k, x in a.items()} if c == -1 else {k: c * x for k, x in a.items()}
+    if c == -1:
+        return {k: -x for k, x in a.items()}
+    out = {}
+    for k, x in a.items():
+        s = c * x
+        out[k] = s.numerator if s.__class__ is not int and s.denominator == 1 else s
+    return out
 
 
 class Echelon:
@@ -209,7 +222,9 @@ class Echelon:
     0..n-1); indices only need to be comparable.  ``rows[p]`` is 1 at its
     pivot p = min(support) and 0 at every other pivot.  With ``certify`` each
     row also keeps its expression in the vectors passed to :meth:`add`,
-    numbered in call order, which :meth:`coords` uses.
+    numbered in call order, which :meth:`coords` uses.  Input is copied in
+    normal form, so over Q every row, certificate and result stores each
+    integral entry as an int, even one handed in as a fraction over 1.
     """
 
     def __init__(self, field: Field, certify: bool = False):
@@ -223,7 +238,12 @@ class Echelon:
 
     def _reduce(self, v, cert: dict | None):
         items = v.items() if isinstance(v, dict) else enumerate(v)
-        v = {j: c for j, c in items if c != 0}
+        # a copy in normal form: an integral entry is stored as its int
+        v = {
+            j: c.numerator if c.__class__ is not int and c.denominator == 1 else c
+            for j, c in items
+            if c
+        }
         F, rows = self.field, self.rows
         # subtracting a row changes v only off the pivots, so one pass suffices
         for piv in [j for j in v if j in rows]:

@@ -7,6 +7,7 @@ here; a deliberate change has to record new digests and say why.
 """
 
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,18 @@ def test_canonical_map_matrices_unchanged(name, field):
     maps = BUILDERS[name](FIELDS[field])
     assert all(cm.validate() is True for cm in maps)
     assert _family_digests(maps) == MAP_DIGESTS[(name, field)]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_rational_map_entries_in_normal_form(name):
+    """Every Q matrix entry of these maps is an int, or a Fraction only when
+    it is not integral."""
+    for cm in BUILDERS[name](QQ):
+        mats = [cm.f(n) for n in cm.source.degrees()]
+        mats += [C.d(n) for C in (cm.source, cm.target) for n in C.degrees()]
+        for m in mats:
+            for x in (x for col in m.columns for x in col.values()):
+                assert type(x) is int or (type(x) is Fraction and x.denominator != 1), (name, x)
 
 
 README_DIGESTS = {

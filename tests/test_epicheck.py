@@ -250,6 +250,25 @@ def test_bimodule_bad_witness_rejected():
         )
 
 
+def test_bimodule_conditions_refuse_other_algebras():
+    # Λ(x), Λ(x) are not the algebras of the bimodule of k[x]/(x²) → k
+    phi = truncated_to_ground(2)
+    M = bimodule_from_morphism(phi)
+    fam = generate_test_family(phi.target, 0, 2)
+    E = exterior_algebra()
+    for R, S in ((E, E), (E, phi.target), (phi.source, E), (phi.target, phi.source)):
+        with pytest.raises(ValueError, match="algebra of"):
+            check_bimodule_conditions(R, S, M, BuildTreeWitness(Leaf(0)), fam, 2)
+    # equal content, not the same object, is M's own algebra
+    R, S = truncated_to_ground(2).source, truncated_to_ground(2).target
+    rep = check_bimodule_conditions(R, S, M, BuildTreeWitness(Leaf(0)), fam, 2)
+    assert rep == check_bimodule_conditions(
+        phi.source, phi.target, M, BuildTreeWitness(Leaf(0)), fam, 2
+    )
+    assert rep.agreement and not rep.is_epi
+    assert [rep.verdict(c).status for c in (1, 2, 3, 4, 5)] == ["fails"] * 5
+
+
 # -- compact endpoint and Dwyer-Greenlees -------------------------------------
 
 

@@ -185,11 +185,13 @@ def test_rank_nullity_property(r, c, seed):
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_field_zero_and_one_stored_once(F):
-    kind = Fraction if F.is_rational else int
-    assert type(F.zero) is kind and type(F.one) is kind
+    # integral scalars are ints over every field; over F_p they lie in 0..p-1
+    assert type(F.zero) is int and type(F.one) is int
     assert (F.zero, F.one) == (0, 1)
     assert F.zero is F.zero and F.one is F.one
     assert F.sign(0) == F.one and F.add(F.sign(1), F.one) == F.zero
+    assert is_scalar(F, F.sign(0)) and is_scalar(F, F.sign(1))
+    assert F.sign(1) == (-1 if F.is_rational else F.characteristic - 1)
 
 
 # -- the echelon engine against the dense oracle ------------------------------------
@@ -310,13 +312,18 @@ def sparse_vectors(F):
     return st.dictionaries(st.integers(0, 7), scalars(F).filter(lambda x: x != 0), max_size=6)
 
 
-def assert_reduced(F, v):
-    """No stored zeros; Fractions over Q, integers in 0..p-1 over F_p."""
-    assert all(x != 0 for x in v.values())
+def is_scalar(F, x) -> bool:
+    """x is a field element in normal form: over Q an int iff integral, else a
+    Fraction with denominator other than 1; over F_p an int in 0..p-1."""
     if F.is_rational:
-        assert all(type(x) is Fraction for x in v.values())
-    else:
-        assert all(type(x) is int and 0 <= x < F.characteristic for x in v.values())
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    return type(x) is int and 0 <= x < F.characteristic
+
+
+def assert_reduced(F, v):
+    """No stored zeros, and every entry in normal form (``is_scalar``)."""
+    assert all(x != 0 for x in v.values())
+    assert all(is_scalar(F, x) for x in v.values())
 
 
 @given(st.sampled_from(FIELDS), st.data())
@@ -350,3 +357,102 @@ def test_vector_kernel_matches_field_oracle(F, data):
     scaled = vec_scale(F, k, b)
     assert scaled == oracle_scale(F, k, b)
     assert_reduced(F, scaled)
+
+
+# -- the normal form against the all-Fraction path ---------------------------------
+
+
+def fractions_only(v: dict) -> dict:
+    """The same vector with every entry a Fraction, integral ones included."""
+    return {k: Fraction(x) for k, x in v.items()}
+
+
+# denominators up to 2 make 1/2 + 1/2 and 2·(1/2) common
+q_scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2).map(QQ.of)
+
+
+@given(q_scalars, q_scalars.filter(bool))
+def test_field_results_in_normal_form(a, b):
+    F, fa, fb = QQ, Fraction(a), Fraction(b)
+    results = [F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a), F.inv(b), F.div(a, b)]
+    assert results == [fa + fb, fa - fb, fa * fb, -fa, 1 / fb, fa / fb]
+    results += [F.of(fa), F.of(str(fa)), F.of(f"{2 * fa.numerator}/{2 * fa.denominator}")]
+    assert results[-3:] == [a, a, a]
+    assert all(is_scalar(F, x) for x in results)
+
+
+def q_vectors(n):
+    return st.dictionaries(st.integers(0, n - 1), q_scalars.filter(bool), max_size=n)
+
+
+def kernel_results(vs, u, c):
+    """vec_iadd, vec_scale, Echelon and kernel_basis on the vectors vs, u and c."""
+    F = QQ
+    added = Echelon(F, certify=True)
+    independent = [added.add(v) for v in vs]
+    cols = Matrix.from_columns(F, vs, 5)
+    return {
+        "iadd": [vec_iadd(F, dict(vs[0]), u, k) for k in (None, 1, -1, c)],
+        "scale": [vec_scale(F, k, u) for k in (1, -1, c)],
+        "independent": independent,
+        "rows": added.rows,
+        "reduce": added.reduce(u),
+        "coords": added.coords(u),
+        "kernel": added.kernel(range(5)),
+        "kernel_basis": kernel_basis(cols),
+    }
+
+
+@given(st.lists(q_vectors(5), min_size=1, max_size=5), q_vectors(5), st.data())
+def test_normal_form_matches_all_fraction_path(vs, u, data):
+    c = data.draw(q_scalars)
+    normal = kernel_results(vs, u, c)
+    fraction = kernel_results([fractions_only(v) for v in vs], fractions_only(u), Fraction(c))
+    assert normal == fraction
+
+    def echelon_out(r):
+        return [*r["rows"].values(), r["reduce"], r["coords"] or {}, *r["kernel"], *r["kernel_basis"]]
+
+    # input in normal form comes out in normal form; the echelon engine copies
+    # any input in normal form, and vec_iadd writes every entry it computes so
+    for v in normal["iadd"] + normal["scale"] + echelon_out(normal) + echelon_out(fraction):
+        assert_reduced(QQ, v)
+    for v in fraction["iadd"]:
+        assert_reduced(QQ, {k: x for k, x in v.items() if k in u})
+
+
+def quasi_iso_outcome(r0, r1, d, f0, f1, wrap):
+    """quasi_iso of f = (f0, f1) on the complex k^r1 --d--> k^r0, or the
+    witness it raises; every matrix column is fractions_only first if wrap."""
+
+    def mat(m, rows):
+        return Matrix.from_columns(QQ, [fractions_only(c) if wrap else c for c in m.columns], rows)
+
+    C = Complex(QQ, GradedSpace({0: r0, 1: r1}), {1: mat(d, r0)})
+    f = ChainMap(C, C, {0: mat(f0, r0), 1: mat(f1, r1)})
+    try:
+        return quasi_iso(f, Window(0, 1))
+    except ValueError as err:
+        return err.witness
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_quasi_iso_matches_all_fraction_path(r0, r1, perturb, data):
+    def matrix(rows, cols):
+        row = st.lists(q_scalars, min_size=cols, max_size=cols)
+        return Matrix(QQ, data.draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+    # f = λ·id + (dh + hd) is a chain map, quasi-iso iff λ ≠ 0 or H = 0;
+    # a perturbation of f_1 may send a cycle to a non-cycle
+    d, h = matrix(r0, r1), matrix(r1, r0)
+    lam = data.draw(q_scalars)
+    f0 = Matrix.identity(QQ, r0).scale(lam) + d * h
+    f1 = Matrix.identity(QQ, r1).scale(lam) + h * d
+    if perturb:
+        f1 = f1 + matrix(r1, r1)
+    normal = quasi_iso_outcome(r0, r1, d, f0, f1, wrap=False)
+    assert normal == quasi_iso_outcome(r0, r1, d, f0, f1, wrap=True)
+    if isinstance(normal, tuple):
+        assert all(is_scalar(QQ, x) for x in normal)
+    for m in (d, h, f0, f1):
+        assert all(is_scalar(QQ, x) for col in m.columns for x in col.values())

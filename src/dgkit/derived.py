@@ -37,7 +37,7 @@ from .dga import (
     vec_iadd,
 )
 from .homtensor import HomComplex, _pointwise, hom_over, tensor_over
-from .modops import matrices_from_images, truncate_below
+from .modops import FreeModule, matrices_from_images, truncate_below
 from .resolutions import (
     require_witness,
     required_depth,
@@ -55,12 +55,13 @@ class DerivedComplex:
 
 
 def _resolve(X, depth: int, max_generators: int):
-    """A semifree resolution of X, over the enveloping algebra when X is a
-    bimodule, and its provenance."""
+    """A semifree resolution of X and its provenance: the bimodule over the
+    enveloping algebra when X is a bimodule, else the FreeModule, which
+    hom_over reads on its generators."""
     if isinstance(X, DgBimodule):
         P = semifree_resolution_bimodule(X, depth, max_generators).bimodule
         return P, f"resolved {X.name} over enveloping through {depth}"
-    P = semifree_resolution(X, depth, max_generators).module
+    P = semifree_resolution(X, depth, max_generators).free
     return P, f"resolved {X.name} through {depth}"
 
 
@@ -70,6 +71,8 @@ def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> D
     M: right A-module or R-A-bimodule; N: left A-module or A-T-bimodule.
     """
     P, prov = _resolve(N, required_depth(D, -M.min_degree()), max_generators)
+    if isinstance(P, FreeModule):
+        P = P.module
     T = tensor_over(A, M, P)
     lo = min(M.min_degree() + P.min_degree() - 1, -D)
     return DerivedComplex(T.complex, Window(lo, D), prov)
@@ -282,7 +285,7 @@ def _ring_condition4_map(phi, N: DgModule, D: int, max_generators: int) -> Chain
     S_left = restrict_scalars(left_regular(S), phi)
     res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
     Q, eps = res.module, _eps_on_basis(res)  # ε(q) in S
-    H = hom_over(R, Q, restrict_scalars(N, phi))
+    H = hom_over(R, res.free, restrict_scalars(N, phi))
 
     def image(n_idx, n):
         return _pointwise(Q, n, lambda q_idx: N.act_elem(eps.get(q_idx, {}), {n_idx: F.one}))
@@ -335,12 +338,13 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     Dn = required_depth(D, N.max_degree())
     Dqs = required_depth(D, span, 1)
     Dqt = required_depth(D, max(Dqs, Dn), span)
-    Pn = semifree_resolution(N, Dn, max_generators).module
+    res_n = semifree_resolution(N, Dn, max_generators)
+    Pn = res_n.module
     Qs = semifree_resolution_bimodule(M, Dqs, max_generators).bimodule
     Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
     if Qs.basis != Qt.basis[: len(Qs.basis)]:
         raise AssertionError("staggered resolutions are not prefix-compatible")
-    Hsrc = hom_over(S, Pn, N)
+    Hsrc = hom_over(S, res_n.free, N)
     Tn = tensor_over(S, Qs, Pn)
     T2 = tensor_over(S, Qt, N)
     Tn_mod = Tn.structure()

@@ -412,23 +412,6 @@ def _bimodule_verdicts(M: DgBimodule, family: TestFamily, D: int, max_generators
 # -- compact endpoint ----------------------------------------------------------
 
 
-def check_compact_endpoint(
-    R: DgAlgebra,
-    S: DgAlgebra,
-    M: DgBimodule,
-    witness_R: BuildTreeWitness,
-    window: Window,
-) -> ConditionVerdict:
-    """Verdict on S → RHom_R(M, M) when M is finitely built from R on the left.
-
-    The witness makes M K-projective over R, so the underived Hom complex
-    computes RHom and no resolution of M is needed.
-    """
-    require_witness(witness_R, M.left_module())
-    H = hom_over(R, M.left_module(), M.left_module())
-    return _endpoint_verdict(S, M, H, window)
-
-
 def _endpoint_verdict(S: DgAlgebra, M: DgBimodule, H, window: Window) -> ConditionVerdict:
     """Verdict on S → H, s ↦ (m ↦ ± m·s), for any Hom complex H of Hom_R(M, M)."""
 

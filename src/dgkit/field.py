@@ -81,6 +81,8 @@ class Field:
 
     def inv(self, a):
         if self.is_rational:
+            if a.__class__ is int and a * a == 1:
+                return a  # ±1, the most common pivot, is its own inverse
             # Fraction(1) / a, never 1 / a: an int quotient would be a float
             return _normal(Fraction(1) / a)
         if a % self.characteristic == 0:

@@ -3,8 +3,20 @@
 ``tensor_over(A, M, N)`` is the quotient of the ground-field tensor product
 by the relations m·a ⊗ n − m ⊗ a·n; ``hom_over(A, M, N)`` is the complex of
 graded A-linear maps with the Koszul linearity rule f(a m) = (-1)^{|f||a|}
-a f(m) and differential D(f) = d∘f − (-1)^{|f|} f∘d.  When an argument is a
-bimodule, the spare action descends to the result:
+a f(m) and differential D(f) = d∘f − (-1)^{|f|} f∘d.
+
+One class, :class:`HomComplex`, builds every Hom, and its source picks the
+path.  A semifree source given as a resolution's ``FreeModule`` A ⊗ V
+(``res.free``: ``derived.rhom`` and ``ext`` on modules, ring condition (4)
+and the source of (5)) has Hom_A(A ⊗ V, N) ≅ Hom_k(V, N): a map is its
+values on the generators, its differential is twisted by each generator's
+``d_elem``, and no A-linearity echelon is built (Félix–Halperin–Thomas,
+*Rational Homotopy Theory*, §6).  Every other source takes the generic
+path, the kernel of the A-linearity constraints over the ground pairs:
+bimodules (the unit map's and ``dualize``'s Q), the truncated dual, the
+modules of ``endomorphism_dga`` and the endpoint verdict, and Qs ⊗_S Pn,
+the source of (5)'s target.  When an argument is a bimodule, the spare
+action descends to the result:
 
   * tensor: outer left action on M and outer right action on N pass through;
   * hom:    a right S-action on M gives (s·f)(m) = (-1)^{|s|(|f|+|m|)} f(m s),
@@ -15,10 +27,10 @@ All descended structures are certified by the module validators in tests.
 
 from __future__ import annotations
 
-from .linalg import Echelon
+from .linalg import Echelon, Matrix
 from .complexes import ChainMap, Complex, GradedSpace
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd
-from .modops import matrices_from_images
+from .modops import FreeModule, matrices_from_images
 
 
 class SideMismatch(ValueError):
@@ -89,14 +101,18 @@ class GroundComplex:
 
     def _build_complex(self, labels: dict):
         dims = {n: len(self.component(n)) for n in self.degrees()}
-        diffs = matrices_from_images(self, self, self.ground_differential, offset=-1)
-        self.complex = Complex(self.field, GradedSpace(dims), diffs)
+        self.complex = Complex(self.field, GradedSpace(dims), self._differentials())
         self._module = None
         self.basis = [(label, n) for n in dims for label in labels[n]]
         self.reps = [rep for n in dims for rep in self.component(n)]
         self._start: dict[int, int] = {}  # degree -> index of its first basis element
         for g, (_, n) in enumerate(self.basis):
             self._start.setdefault(n, g)
+
+    def _differentials(self) -> dict:
+        """The matrices of the differential, each ground_differential image
+        read back through coords."""
+        return matrices_from_images(self, self, self.ground_differential, offset=-1)
 
     def _table(self, mats: dict, offset: int) -> dict:
         """{g: image of basis element g} of the map given by per-degree
@@ -235,19 +251,50 @@ def _as_map(vec: dict) -> dict:
 
 
 class HomComplex(GroundComplex):
-    """Hom_A(M, N): graded A-linear maps as explicit per-degree bases."""
+    """Hom_A(M, N): graded A-linear maps as explicit per-degree bases.
+
+    The source decides the path.  A :class:`~dgkit.modops.FreeModule` A ⊗ V,
+    a resolution's ``free``, takes the free path: Hom_A(A ⊗ V, N) ≅
+    Hom_k(V, N), so degree n has one basis element per pair (generator g,
+    basis element w of N) with |w| − |g| = n, in (g, w) order.  Its rep is
+    the A-linear extension f(a·g) = (-1)^{n|a|} a·w; the differential is
+    read off the generator values and ``coords`` off the generator rows.
+    Every other source takes the generic path: the degree-n basis is the
+    kernel of the A-linearity constraints over the ground pairs, and
+    ``coords`` reduces through a certified echelon of it.
+    """
 
     def __init__(self, A: DgAlgebra, M, N, prefer=None, name: str | None = None):
+        self._gens = None
+        if isinstance(M, FreeModule):
+            if prefer:
+                raise ValueError("a preferred Hom basis needs a generic source")
+            self._gens, M = M.gens, M.module
         self.A = A
         self.M = M
         self.N = N
-        F = A.field
-        self.field = F
+        self.field = A.field
         self.name = name or f"Hom({M.name},{N.name})"
         act_M, self.outer_left, self._act_outer_l = _left_over(M, A)
-        act_N, self.outer_right, self._act_outer_r = _left_over(N, A)
+        self._act_N, self.outer_right, self._act_outer_r = _left_over(N, A)
+        if self._gens is None:
+            self._constraint_kernels(act_M, prefer)
+        else:
+            self._generator_pairs()
 
+        self._dM_into: dict[int, dict] = {}  # k ↦ {m: coefficient of k in d(m)}
+        for mi, dm in M.diff.items():
+            for k, c in dm.items():
+                self._dM_into.setdefault(k, {})[mi] = c
+        labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in self._components.items()}
+        self._build_complex(labels)
+
+    def _constraint_kernels(self, act_M, prefer):
+        """Generic path: each Hom_n component is the kernel of the
+        A-linearity constraints over the ground pairs of degree n."""
+        A, M, N, F, act_N = self.A, self.M, self.N, self.field, self._act_N
         self._components: dict[int, list[dict]] = {}
+        self._spans: dict[int, Echelon] = {}
         for n, ps in sorted(_ground_pairs(M, N, -1).items()):
             in_ps = set(ps)
             # A-linearity constraints, one per (a, m, w): the Hom_n component
@@ -280,13 +327,60 @@ class HomComplex(GroundComplex):
             if vecs:
                 self._components[n] = vecs
 
-        self._spans: dict[int, Echelon] = {}
-        self._dM_into: dict[int, dict] = {}  # k ↦ {m: coefficient of k in d(m)}
-        for mi, dm in M.diff.items():
-            for k, c in dm.items():
-                self._dM_into.setdefault(k, {})[mi] = c
-        labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in self._components.items()}
-        self._build_complex(labels)
+    def _generator_pairs(self):
+        """Free path: the pairs (g, w) of each degree |w| − |g|, in (g, w)
+        order, their positions, and their reps, the A-linear extensions of g ↦ w."""
+        self._pairs: dict[int, list[tuple[int, int]]] = {}
+        for g, gen in enumerate(self._gens):
+            for w in range(self.N.total_dim):
+                self._pairs.setdefault(self.N.deg(w) - gen.degree, []).append((g, w))
+        self._pos = {n: {pair: i for i, pair in enumerate(ps)} for n, ps in self._pairs.items()}
+        self._components = {
+            n: [self._extension(g, {w: self.field.one}, n) for g, w in ps]
+            for n, ps in sorted(self._pairs.items())
+        }
+
+    def _a_times(self, a: int, v: dict) -> dict:
+        """a·v in N, for a basis element a of A and an element v of N."""
+        return v if a == self.A.unit else linear(self.field, lambda w: self._act_N.get((a, w), {}), v)
+
+    def _extension(self, g: int, value: dict, n: int) -> dict:
+        """The degree-n ground Hom vector a·g ↦ (-1)^{n|a|} a·value, zero on
+        the other generators."""
+        F, A = self.field, self.A
+        base = g * A.total_dim
+        ground: dict = {}
+        for a in range(A.total_dim):
+            av = self._a_times(a, value)
+            if av:
+                vec_iadd(F, ground, {(base + a, k): c for k, c in av.items()}, F.sign(n * A.deg(a)))
+        return ground
+
+    def _differentials(self) -> dict:
+        if self._gens is None:
+            return super()._differentials()
+        # D(f)(h) = d_N(f(h)) − (-1)^n f(d h) on generator values: the pair
+        # (g, w) gives d_N(w) at g and −(-1)^n (-1)^{n|a|} c·a·w at each
+        # generator h whose d(h) has the term c·a·g
+        F, A, N = self.field, self.A, self.N
+        into: dict[int, list] = {}  # g ↦ [(h, a, c)]: the terms c·a·g of each d(h)
+        for h, gen in enumerate(self._gens):
+            for x, c in gen.d_elem.items():
+                g, a = divmod(x, A.total_dim)
+                into.setdefault(g, []).append((h, a, c))
+        mats = {}
+        for n in self.degrees():
+            pos = self._pos.get(n - 1, {})
+            cols = []
+            for g, w in self._pairs[n]:
+                col = {pos[g, k]: c for k, c in N.diff.get(w, {}).items()}
+                for h, a, c in into.get(g, ()):
+                    aw = self._a_times(a, {w: F.one})
+                    sgn = F.sign(n * (A.deg(a) + 1) + 1)
+                    vec_iadd(F, col, {pos[h, k]: c2 for k, c2 in aw.items()}, sgn * c)
+                cols.append(col)
+            mats[n] = Matrix.from_columns(F, cols, len(self.component(n - 1)))
+        return mats
 
     def _seat_first(self, preferred, vecs):
         """Reorder a component basis so the preferred vectors come first."""
@@ -321,7 +415,11 @@ class HomComplex(GroundComplex):
         return out
 
     def coords(self, ground: dict, n: int) -> dict:
-        """Coordinates {position: c} of an A-linear ground vector of degree n."""
+        """Coordinates {position: c} of an A-linear ground vector of degree n.
+
+        Raises ValueError for a vector that is not A-linear of degree n."""
+        if self._gens is not None:
+            return self._generator_coords(ground, n)
         vecs = self.component(n)
         if not vecs:
             if any(c != 0 for c in ground.values()):
@@ -336,6 +434,27 @@ class HomComplex(GroundComplex):
         if x is None:
             raise ValueError("ground vector is not A-linear (outside Hom span)")
         return x
+
+    def _generator_coords(self, ground: dict, n: int) -> dict:
+        """Free path: the values at the generator rows g·dim A + unit, once
+        the vector is checked to be their A-linear extension."""
+        F, A = self.field, self.A
+        pos = self._pos.get(n, {})
+        values: dict = {}  # g ↦ f(g)
+        x = {}
+        for (m, w), c in ground.items():
+            g, a = divmod(m, A.total_dim)
+            if a == A.unit and c != 0:
+                if (g, w) not in pos:
+                    raise ValueError(f"ground vector has a value outside Hom degree {n}")
+                values.setdefault(g, {})[w] = c
+                x[pos[g, w]] = c
+        extension: dict = {}
+        for g, value in values.items():
+            vec_iadd(F, extension, self._extension(g, value, n))
+        if extension != {k: c for k, c in ground.items() if c != 0}:
+            raise ValueError("ground vector is not A-linear (not the extension of its generator values)")
+        return dict(sorted(x.items()))
 
     # -- outer actions on ground vectors -------------------------------------
 

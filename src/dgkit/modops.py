@@ -136,10 +136,6 @@ def module_direct_sum(summands: list[DgModule]) -> DgModule:
     return DgModule(A, side, basis, act, diff, name="⊕".join(s.name for s in summands))
 
 
-def zero_module(A: DgAlgebra, side: str = "left") -> DgModule:
-    return DgModule(A, side, [], {}, {}, name="0")
-
-
 def module_cone(f: DgModuleMap):
     """Cone of an A-linear map at module level.
 

@@ -156,12 +156,15 @@ MAP_DIGESTS = {
     ("multiplication_map", "F101"): "8887119b40d03425f3db85dd435c26bef86917a215408a41db9438b2eae6f00c",
     ("_condition3_map", "Q"): "bd8efaa986949224ec670737eb2e4a270f5819fef81da761824a70cda28330d4",
     ("_condition3_map", "F101"): "2bade4213bdda15a4dd6a0aea0ffe10c66f5df48cbf4123cae97b1cd1ed37c28",
-    ("_condition5_map", "Q"): "94ab1202b2e4698d3accf07778958a6002b75e792e0117345af379abbed68822",
-    ("_condition5_map", "F101"): "ef9b49a5093428808ca8cb3fe617bfe191baa113d0144552b6a7029acf91ca31",
+    # the Hom basis of (5)'s source and ring (4)'s target is now the generator
+    # values of the resolution, not the RREF kernel basis of the A-linearity
+    # constraints: a change of basis, checked in tests/test_free_hom.py
+    ("_condition5_map", "Q"): "40f8bfb0a3da0085731f818887b37d454b177db4f19fe350f46cccaf0ad674d2",
+    ("_condition5_map", "F101"): "14677d2b6b28dad7c531d3de4fe69689a6df8c3434a87b61f93b7d2831c77a68",
     ("_ring_condition2_map", "Q"): "7ed6b5a8457c701ef96d1d001e2cc78069c43431d47d3842088b0f9fee57405a",
     ("_ring_condition2_map", "F101"): "3854b11d845b9dd99e7af5ddd673ad1340602e41e25b9918f74c1898d879c048",
-    ("_ring_condition4_map", "Q"): "12ef55d908ab4519c66e653af0800f39ecadf3103f52fb17e90b5a8caea8cd92",
-    ("_ring_condition4_map", "F101"): "65a1a4c2c4ed693527697a65205a76636bc2f6488c07e3702a4dae3a71dc782b",
+    ("_ring_condition4_map", "Q"): "b99f0ca667c90f365b974c7179f47da952e048897b04bcacb20e0942e90b40d4",
+    ("_ring_condition4_map", "F101"): "0ea00544e7d6a5ee70448674a61f2b7381159b26942700cc1cd189fcbb45762a",
     ("tensor_unit_iso", "Q"): "65ecec7194a82f5c2a9169e09515362ac974f4bc24fefdb64b1eb3d5299d501a",
     ("tensor_unit_iso", "F101"): "bc23e6de90ae30c1374660f59b82c70e83b9554b7505786ce2869472b003d820",
 }

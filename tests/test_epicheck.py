@@ -25,20 +25,22 @@ from dgkit.derived import (
     truncated_dual,
 )
 from dgkit.epicheck import (
+    _endpoint_verdict,
     check_bimodule_conditions,
-    check_compact_endpoint,
     check_dga_epi,
     check_dwyer_greenlees,
     check_ring_epi,
     consistency_run,
     generate_test_family,
 )
+from dgkit.homtensor import hom_over
 from dgkit.modops import module_direct_sum, module_shift
 from dgkit.resolutions import (
     BuildTreeWitness,
     Leaf,
     ResourceBoundExceeded,
     SumNode,
+    require_witness,
     resolution_scope,
     semifree_resolution,
 )
@@ -270,6 +272,17 @@ def test_bimodule_conditions_refuse_other_algebras():
 
 
 # -- compact endpoint and Dwyer-Greenlees -------------------------------------
+
+
+def check_compact_endpoint(R, S, M, witness_R, window):
+    """Verdict on S → RHom_R(M, M) when M is finitely built from R on the left.
+
+    The witness makes M K-projective over R, so the underived Hom complex
+    computes RHom and no resolution of M is needed.
+    """
+    require_witness(witness_R, M.left_module())
+    H = hom_over(R, M.left_module(), M.left_module())
+    return _endpoint_verdict(S, M, H, window)
 
 
 def test_endpoint_regular_bimodule_holds():

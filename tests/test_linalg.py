@@ -379,6 +379,8 @@ def test_field_results_in_normal_form(a, b):
     results += [F.of(fa), F.of(str(fa)), F.of(f"{2 * fa.numerator}/{2 * fa.denominator}")]
     assert results[-3:] == [a, a, a]
     assert all(is_scalar(F, x) for x in results)
+    # ±1 is its own inverse, as an int and without a Fraction round trip
+    assert [(F.inv(u), type(F.inv(u))) for u in (1, -1)] == [(1, int), (-1, int)]
 
 
 def q_vectors(n):

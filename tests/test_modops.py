@@ -3,6 +3,7 @@ import pytest
 from dgkit.field import GF, QQ
 from dgkit.complexes import Window, cone, homology_dims, quasi_iso
 from dgkit.dga import (
+    DgModule,
     bimodule_from_morphism,
     left_regular,
     restrict_scalars,
@@ -21,7 +22,6 @@ from dgkit.modops import (
     module_direct_sum,
     module_shift,
     truncate_below,
-    zero_module,
 )
 from dgkit.standard import (
     exterior_algebra,
@@ -32,6 +32,11 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
+
+
+def zero_module(A, side="left"):
+    """The zero module over A."""
+    return DgModule(A, side, [], {}, {}, name="0")
 
 
 def simple_module(A):

@@ -36,7 +36,7 @@ from .dga import (
     swap_sides,
     vec_iadd,
 )
-from .homtensor import HomComplex, _pointwise, hom_over, tensor_over
+from .homtensor import HomComplex, _as_map, _pointwise, hom_over, tensor_over
 from .modops import FreeModule, matrices_from_images, truncate_below
 from .resolutions import (
     require_witness,
@@ -155,11 +155,16 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
         F, H = M.field, dual.hom
         Zt, carriers = truncate_below(dual.Z, -D - 1)
 
+        maps: dict = {}  # zt_idx ↦ its carrier as a map, built on first use
+
         def ev(zt_idx: int, q_elem: dict) -> dict:
-            out: dict = {}
-            for zi, cz in carriers[zt_idx].items():
-                vec_iadd(F, out, H.evaluate(H.reps[zi], q_elem), cz)
-            return out
+            f = maps.get(zt_idx)
+            if f is None:
+                ground: dict = {}
+                for zi, cz in carriers[zt_idx].items():
+                    vec_iadd(F, ground, H.reps[zi], cz)
+                f = maps[zt_idx] = _as_map(ground)
+            return H.evaluate(f, q_elem)
 
         duals[D, max_generators] = (depth, dual.Q, Zt, ev)
     return duals[D, max_generators]
@@ -351,9 +356,9 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     Htgt = hom_over(R, Tn_mod, T2.structure())
 
     def image(f, n):
-        ground: dict = {}
+        f, ground = _as_map(f), {}
         for t_idx, (q_idx, p_idx) in enumerate(Tn.reps):
-            fp = Hsrc.evaluate(f, {p_idx: F.one})
+            fp = f.get(p_idx)
             if fp:
                 t = T2.element({(q_idx, k): c for k, c in fp.items()}, Tn_mod.deg(t_idx) + n)
                 sgn = F.sign(n * Qs.deg(q_idx))

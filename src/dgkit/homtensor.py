@@ -15,7 +15,9 @@ values on the generators, its differential is twisted by each generator's
 path, the kernel of the A-linearity constraints over the ground pairs:
 bimodules (the unit map's and ``dualize``'s Q), the truncated dual, the
 modules of ``endomorphism_dga`` and the endpoint verdict, and Qs ⊗_S Pn,
-the source of (5)'s target.  When an argument is a bimodule, the spare
+the source of (5)'s target.  Both paths give a basis in lead form, so a
+vector's coordinates are its values at the leads (``linalg.lead_coords``),
+with no echelon behind them.  When an argument is a bimodule, the spare
 action descends to the result:
 
   * tensor: outer left action on M and outer right action on N pass through;
@@ -27,7 +29,7 @@ All descended structures are certified by the module validators in tests.
 
 from __future__ import annotations
 
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, lead_coords
 from .complexes import ChainMap, Complex, GradedSpace
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd
 from .modops import FreeModule, matrices_from_images
@@ -258,17 +260,17 @@ class HomComplex(GroundComplex):
     Hom_k(V, N), so degree n has one basis element per pair (generator g,
     basis element w of N) with |w| − |g| = n, in (g, w) order.  Its rep is
     the A-linear extension f(a·g) = (-1)^{n|a|} a·w; the differential is
-    read off the generator values and ``coords`` off the generator rows.
-    Every other source takes the generic path: the degree-n basis is the
-    kernel of the A-linearity constraints over the ground pairs, and
-    ``coords`` reduces through a certified echelon of it.
+    read off the generator values.  Every other source takes the generic
+    path: the degree-n basis is the kernel of the A-linearity constraints
+    over the ground pairs.  Both bases are in lead form, so ``coords`` reads
+    a vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
+    generator row (g·dim A + unit, w) of a free basis element, the largest
+    ground pair of a kernel vector.
     """
 
-    def __init__(self, A: DgAlgebra, M, N, prefer=None, name: str | None = None):
+    def __init__(self, A: DgAlgebra, M, N, name: str | None = None):
         self._gens = None
         if isinstance(M, FreeModule):
-            if prefer:
-                raise ValueError("a preferred Hom basis needs a generic source")
             self._gens, M = M.gens, M.module
         self.A = A
         self.M = M
@@ -278,7 +280,7 @@ class HomComplex(GroundComplex):
         act_M, self.outer_left, self._act_outer_l = _left_over(M, A)
         self._act_N, self.outer_right, self._act_outer_r = _left_over(N, A)
         if self._gens is None:
-            self._constraint_kernels(act_M, prefer)
+            self._constraint_kernels(act_M)
         else:
             self._generator_pairs()
 
@@ -289,12 +291,13 @@ class HomComplex(GroundComplex):
         labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in self._components.items()}
         self._build_complex(labels)
 
-    def _constraint_kernels(self, act_M, prefer):
+    def _constraint_kernels(self, act_M):
         """Generic path: each Hom_n component is the kernel of the
-        A-linearity constraints over the ground pairs of degree n."""
+        A-linearity constraints over the ground pairs of degree n, and each
+        kernel vector's lead is its largest ground pair."""
         A, M, N, F, act_N = self.A, self.M, self.N, self.field, self._act_N
         self._components: dict[int, list[dict]] = {}
-        self._spans: dict[int, Echelon] = {}
+        self._leads: dict[int, list] = {}
         for n, ps in sorted(_ground_pairs(M, N, -1).items()):
             in_ps = set(ps)
             # A-linearity constraints, one per (a, m, w): the Hom_n component
@@ -322,19 +325,21 @@ class HomComplex(GroundComplex):
                                 an[(mi, nj)] = coef
                         constraints.add(vec_iadd(F, row, an, sgn))
             vecs = constraints.kernel(ps)
-            if prefer and n in prefer:
-                vecs = self._seat_first(prefer[n], vecs)
             if vecs:
                 self._components[n] = vecs
+                self._leads[n] = [max(v) for v in vecs]
 
     def _generator_pairs(self):
         """Free path: the pairs (g, w) of each degree |w| − |g|, in (g, w)
-        order, their positions, and their reps, the A-linear extensions of g ↦ w."""
+        order, their positions, their reps, the A-linear extensions of g ↦ w,
+        and their leads, the ground pairs (g·dim A + unit, w)."""
         self._pairs: dict[int, list[tuple[int, int]]] = {}
         for g, gen in enumerate(self._gens):
             for w in range(self.N.total_dim):
                 self._pairs.setdefault(self.N.deg(w) - gen.degree, []).append((g, w))
         self._pos = {n: {pair: i for i, pair in enumerate(ps)} for n, ps in self._pairs.items()}
+        dim, unit = self.A.total_dim, self.A.unit
+        self._leads = {n: [(g * dim + unit, w) for g, w in ps] for n, ps in self._pairs.items()}
         self._components = {
             n: [self._extension(g, {w: self.field.one}, n) for g, w in ps]
             for n, ps in sorted(self._pairs.items())
@@ -382,22 +387,11 @@ class HomComplex(GroundComplex):
             mats[n] = Matrix.from_columns(F, cols, len(self.component(n - 1)))
         return mats
 
-    def _seat_first(self, preferred, vecs):
-        """Reorder a component basis so the preferred vectors come first."""
-        span = Echelon(self.field)
-        chosen = []
-        for i, v in enumerate(list(preferred) + vecs):
-            if span.add(v):
-                chosen.append({pair: c for pair, c in sorted(v.items()) if c != 0})
-            elif i < len(preferred):
-                raise ValueError("preferred Hom vector dependent or not A-linear")
-        return chosen
-
     # -- evaluation and differential on ground vectors -----------------------
 
-    def evaluate(self, vec: dict, elem: dict) -> dict:
-        """Apply a ground Hom vector to an element of M; lands in N."""
-        f = _as_map(vec)
+    def evaluate(self, f: dict, elem: dict) -> dict:
+        """Apply a Hom vector, as the map m ↦ f(m) of :func:`_as_map`, to an
+        element of M; lands in N."""
         return linear(self.field, lambda m: f.get(m, {}), elem)
 
     def ground_differential(self, vec: dict, n: int) -> dict:
@@ -415,46 +409,14 @@ class HomComplex(GroundComplex):
         return out
 
     def coords(self, ground: dict, n: int) -> dict:
-        """Coordinates {position: c} of an A-linear ground vector of degree n.
+        """Coordinates {position: c} of an A-linear ground vector of degree n:
+        its values at the leads.
 
         Raises ValueError for a vector that is not A-linear of degree n."""
-        if self._gens is not None:
-            return self._generator_coords(ground, n)
-        vecs = self.component(n)
-        if not vecs:
-            if any(c != 0 for c in ground.values()):
-                raise ValueError("vector outside empty Hom component")
-            return {}
-        span = self._spans.get(n)
-        if span is None:
-            span = self._spans[n] = Echelon(self.field, certify=True)
-            for v in vecs:
-                span.add(v)
-        x = span.coords(ground)
+        x = lead_coords(self.field, self.component(n), self._leads.get(n, ()), ground)
         if x is None:
-            raise ValueError("ground vector is not A-linear (outside Hom span)")
+            raise ValueError(f"ground vector is not an A-linear map of degree {n} (outside the Hom span)")
         return x
-
-    def _generator_coords(self, ground: dict, n: int) -> dict:
-        """Free path: the values at the generator rows g·dim A + unit, once
-        the vector is checked to be their A-linear extension."""
-        F, A = self.field, self.A
-        pos = self._pos.get(n, {})
-        values: dict = {}  # g ↦ f(g)
-        x = {}
-        for (m, w), c in ground.items():
-            g, a = divmod(m, A.total_dim)
-            if a == A.unit and c != 0:
-                if (g, w) not in pos:
-                    raise ValueError(f"ground vector has a value outside Hom degree {n}")
-                values.setdefault(g, {})[w] = c
-                x[pos[g, w]] = c
-        extension: dict = {}
-        for g, value in values.items():
-            vec_iadd(F, extension, self._extension(g, value, n))
-        if extension != {k: c for k, c in ground.items() if c != 0}:
-            raise ValueError("ground vector is not A-linear (not the extension of its generator values)")
-        return dict(sorted(x.items()))
 
     # -- outer actions on ground vectors -------------------------------------
 
@@ -483,8 +445,8 @@ class HomComplex(GroundComplex):
         return out
 
 
-def hom_over(A: DgAlgebra, M, N, prefer=None, name: str | None = None) -> HomComplex:
-    return HomComplex(A, M, N, prefer=prefer, name=name)
+def hom_over(A: DgAlgebra, M, N, name: str | None = None) -> HomComplex:
+    return HomComplex(A, M, N, name=name)
 
 
 def identity_ground(M) -> dict:
@@ -507,43 +469,57 @@ def _pointwise(X, n: int, value) -> dict:
 def endomorphism_dga(M: DgModule):
     """Endomorphism DGA of a left module, and M as an R-F^op-bimodule.
 
-    Multiplication is composition; the unit is the identity map, seated as
-    the first degree-0 basis vector.  The right F^op-action on M is
-    m·f = (-1)^{|f||m|} f(m).
+    Multiplication is composition; the unit is the identity map, which
+    replaces the last degree-0 basis vector of Hom(M, M) that its
+    coordinates use.  The right F^op-action on M is m·f = (-1)^{|f||m|} f(m).
     """
-    H = hom_over(M.algebra, M, M, prefer={0: [identity_ground(M)]}, name=f"End({M.name})")
-    return _endomorphism_dga(H)
+    return _endomorphism_dga(hom_over(M.algebra, M, M, name=f"End({M.name})"))
 
 
 def _endomorphism_dga(H: HomComplex):
-    """:func:`endomorphism_dga` on H = Hom(M, M) with the identity seated first."""
+    """:func:`endomorphism_dga` on H = Hom(M, M).  F's basis is H's with the
+    identity at F's unit, so elements of F are H's coordinates with those of
+    degree 0 converted there."""
     from .dga import opposite
 
     M, A, F = H.M, H.A, H.field
-    basis, fs = H.basis, H.reps
+    basis = H.basis
+    # the identity's coordinates are its values at the leads, ground pairs,
+    # so each is 1: h_unit = id − Σ_{i ≠ unit} h_i over the coordinates i
+    ident = H.element(identity_ground(M), 0)
+    if not ident:
+        raise ValueError(f"{M.name} is zero: its endomorphism DGA has no unit")
+    unit = max(ident)
+
+    def seated(e: dict) -> dict:
+        """An element in H's basis, rewritten in F's."""
+        c = e.get(unit)
+        if c:
+            vec_iadd(F, e, ident, -c)
+            e[unit] = c
+        return dict(sorted(e.items()))
+
+    fs = [_as_map(f) for f in H.reps]  # each basis element of F as the map m ↦ f(m)
+    fs[unit] = _as_map(identity_ground(M))
     mul = {}
     for i1, f1 in enumerate(fs):
         for i2, f2 in enumerate(fs):
             comp: dict = {}
             for mi in range(M.total_dim):
-                img = H.evaluate(f1, H.evaluate(f2, {mi: F.one}))
+                img = H.evaluate(f1, f2.get(mi, {}))
                 vec_iadd(F, comp, {(mi, nj): c for nj, c in img.items()})
             if comp:
                 nn = basis[i1][1] + basis[i2][1]
                 if not H.component(nn):
                     raise ValueError("composition left the Hom complex")
-                e = H.element(comp, nn)
+                e = seated(H.element(comp, nn))
                 if e:
                     mul[(i1, i2)] = e
-    diff = H._table(H.complex.diffs, -1)
-    Fdga = DgAlgebra(F, basis, H._start[0], mul, diff, name=f"End({M.name})")
+    # D(id) = 0; every other differential is H's, seated
+    diff = {g: seated(e) for g, e in H._table(H.complex.diffs, -1).items() if g != unit}
+    Fdga = DgAlgebra(F, basis, unit, mul, diff, name=f"End({M.name})")
     S = opposite(Fdga)
-    act_right = {}
-    for fi, f in enumerate(fs):
-        for mi in range(M.total_dim):
-            e = H.evaluate(f, {mi: F.one})
-            if e:
-                act_right[(fi, mi)] = e
+    act_right = {(fi, mi): f[mi] for fi, f in enumerate(fs) for mi in range(M.total_dim) if mi in f}
     act_right = koszul_signed(F, act_right, lambda fi: basis[fi][1], M.deg)
     bimod = DgBimodule(A, S, M.basis, dict(M.act), act_right, M.diff, name=M.name)
     return Fdga, bimod

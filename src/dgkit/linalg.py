@@ -15,9 +15,10 @@ row-major view, for tests and printing only.
 Every elimination goes through :class:`Echelon`, the reduced echelon basis of
 a subspace held as sparse dict rows.  A row's pivot is the least index of its
 support and every row is zero on every other pivot, so the rows are the
-unique reduced row-echelon form of the span: rank, kernel bases, coordinates
-and normal forms depend only on the input and its order, never on the
-elimination path.
+unique reduced row-echelon form of the span: rank, kernel bases and normal
+forms depend only on the input and its order, never on the elimination path.
+Coordinates need no elimination: every basis solved in is in lead form, and
+:func:`lead_coords` reads a vector's coordinates at the leads.
 """
 
 from __future__ import annotations
@@ -220,78 +221,43 @@ class Echelon:
 
     Vectors are dicts {index: scalar} (a sequence is read as one over
     0..n-1); indices only need to be comparable.  ``rows[p]`` is 1 at its
-    pivot p = min(support) and 0 at every other pivot.  With ``certify`` each
-    row also keeps its expression in the vectors passed to :meth:`add`,
-    numbered in call order, which :meth:`coords` uses.  Input is copied in
-    normal form, so over Q every row, certificate and result stores each
-    integral entry as an int, even one handed in as a fraction over 1.
+    pivot p = min(support) and 0 at every other pivot.  Input is copied in
+    normal form, so over Q every row and result stores each integral entry
+    as an int, even one handed in as a fraction over 1.
     """
 
-    def __init__(self, field: Field, certify: bool = False):
+    def __init__(self, field: Field):
         self.field = field
         self.rows: dict = {}
-        self._certs: dict | None = {} if certify else None
-        self._added = 0
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v, cert: dict | None):
-        items = v.items() if isinstance(v, dict) else enumerate(v)
-        # a copy in normal form: an integral entry is stored as its int
-        v = {
-            j: c.numerator if c.__class__ is not int and c.denominator == 1 else c
-            for j, c in items
-            if c
-        }
+    def reduce(self, v) -> dict:
+        """Normal form of v modulo the span: zero on every pivot, and unique."""
+        v = _normal_copy(v.items() if isinstance(v, dict) else enumerate(v))
         F, rows = self.field, self.rows
         # subtracting a row changes v only off the pivots, so one pass suffices
         for piv in [j for j in v if j in rows]:
-            c = -v[piv]
-            vec_iadd(F, v, rows[piv], c)
-            if cert is not None:
-                vec_iadd(F, cert, self._certs[piv], c)
-        return v, cert
-
-    def reduce(self, v) -> dict:
-        """Normal form of v modulo the span: zero on every pivot, and unique."""
-        return self._reduce(v, None)[0]
+            vec_iadd(F, v, rows[piv], -v[piv])
+        return v
 
     def add(self, v) -> bool:
         """Insert v; True iff it was independent of the span so far."""
         F = self.field
-        cert = None if self._certs is None else {self._added: F.one}
-        self._added += 1
-        v, cert = self._reduce(v, cert)
+        v = self.reduce(v)
         if not v:
             return False
         piv = min(v)
-        # v is the fresh dict _reduce built: already normalised when its pivot is 1
+        # v is the fresh dict reduce built: already normalised when its pivot is 1
         if v[piv] != 1:
-            inv = F.inv(v[piv])
-            v = vec_scale(F, inv, v)
-            if cert is not None:
-                cert = vec_scale(F, inv, cert)
-        for q, r in self.rows.items():
+            v = vec_scale(F, F.inv(v[piv]), v)
+        for r in self.rows.values():
             c = r.get(piv)
             if c is not None:
                 vec_iadd(F, r, v, -c)
-                if cert is not None:
-                    vec_iadd(F, self._certs[q], cert, -c)
         self.rows[piv] = v
-        if cert is not None:
-            self._certs[piv] = cert
         return True
-
-    def coords(self, v) -> dict | None:
-        """{i: c} with v = Σ c·(i-th added vector), or None outside the span.
-
-        Needs ``certify``; unique when the added vectors are independent.
-        """
-        rest, cert = self._reduce(v, {})
-        if rest:
-            return None
-        return vec_scale(self.field, self.field.sign(1), cert)
 
     def kernel(self, columns) -> list[dict]:
         """Basis of the vectors x over ``columns`` with row·x = 0 for every row.
@@ -329,3 +295,28 @@ def kernel_basis(A: Matrix) -> list[dict]:
     for r in rows:
         E.add(r)
     return E.kernel(range(A.cols))
+
+
+def lead_coords(F: Field, basis, leads, v: dict) -> dict | None:
+    """{i: c} with v = Σ c·basis[i], or None when v is outside their span.
+
+    The basis is in lead form: ``basis[i]`` is 1 at index ``leads[i]`` and 0
+    at every other lead, as the vector of :meth:`Echelon.kernel` for
+    non-pivot column j is at j, its largest index.  So the coordinates of v
+    are its values at the leads, and v is in the span exactly when it equals
+    their combination; no elimination is needed.  Over Q every coordinate is
+    in normal form.
+    """
+    rest = _normal_copy(v.items())
+    x = {}
+    for i, (b, lead) in enumerate(zip(basis, leads)):
+        c = rest.get(lead)
+        if c is not None:
+            x[i] = c
+            vec_iadd(F, rest, b, -c)
+    return None if rest else x
+
+
+def _normal_copy(items) -> dict:
+    """The nonzero entries, copied in normal form: an integral one as its int."""
+    return {j: c.numerator if c.__class__ is not int and c.denominator == 1 else c for j, c in items if c}

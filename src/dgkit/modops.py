@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Echelon, Matrix, kernel_basis
+from .linalg import Matrix, kernel_basis, lead_coords
 from .complexes import ChainMap, Violation
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, vec_iadd, vec_scale
 
@@ -183,13 +183,12 @@ def truncate_below(Z: DgBimodule, c: int):
     algebra elements are cycles, so they preserve kernels.  Returns (the
     truncation, its carriers: each new basis element as an element of Z).
     Homology agrees with Z in degrees ≥ c and vanishes below.  Elements of
-    degree c are expressed in the cycle basis through one certified echelon.
+    degree c are expressed in the cycle basis, a kernel basis, by their values
+    at its leads.
     """
     F = Z.field
     cycles = kernel_basis(Z.underlying().d(c)) if Z.component(c) else []
-    span = Echelon(F, certify=True)
-    for v in cycles:
-        span.add(v)
+    leads = [max(v) for v in cycles]
     carriers = [Z.elem_from_component(v, c) for v in cycles]
     basis = [(f"z{c}_{i}", c) for i in range(len(cycles))]
     new_index = {}
@@ -204,10 +203,10 @@ def truncate_below(Z: DgBimodule, c: int):
         """An element of Z of degree n ≥ c in the new basis."""
         if n > c:
             return {new_index[g]: x for g, x in e.items()}
-        x = span.coords(Z.coords(e, c))
+        x = lead_coords(F, cycles, leads, Z.coords(e, c))
         if x is None:
             raise ValueError("truncation: element not a cycle in the cut degree")
-        return dict(sorted(x.items()))
+        return x
 
     L, R = Z.left_algebra, Z.right_algebra
     diff, act_left, act_right = {}, {}, {}

@@ -7,13 +7,16 @@ import dgkit.derived
 import dgkit.epicheck
 import dgkit.resolutions
 from dgkit.complexes import Window
+from dgkit.field import GF, QQ
 from dgkit.dga import (
+    DgModule,
     DgaMorphism,
     bimodule_from_morphism,
     left_regular,
     regular_bimodule,
     restrict_scalars,
     right_regular,
+    validate_dga,
     validate_module,
 )
 from dgkit.derived import (
@@ -33,7 +36,7 @@ from dgkit.epicheck import (
     consistency_run,
     generate_test_family,
 )
-from dgkit.homtensor import hom_over
+from dgkit.homtensor import endomorphism_dga, hom_over, identity_ground
 from dgkit.modops import module_direct_sum, module_shift
 from dgkit.resolutions import (
     BuildTreeWitness,
@@ -206,10 +209,9 @@ def test_identity_is_epi_at_family_size_three(make, seed):
 
 def test_bimodule_identity_all_hold():
     phi = identity_morphism(truncated_polynomial(2))
-    R = S = phi.target
     M = bimodule_from_morphism(phi)
-    fam = generate_test_family(S, 0, 2)
-    rep = check_bimodule_conditions(R, S, M, BuildTreeWitness(Leaf(0)), fam, 2)
+    fam = generate_test_family(phi.target, 0, 2)
+    rep = check_bimodule_conditions(M, BuildTreeWitness(Leaf(0)), fam, 2)
     assert rep.agreement and rep.is_epi
 
 
@@ -218,7 +220,7 @@ def test_bimodule_truncated_all_fail_agreement():
     phi = truncated_to_ground(2)
     M = bimodule_from_morphism(phi)
     fam = generate_test_family(phi.target, 0, 2)
-    rep = check_bimodule_conditions(phi.source, phi.target, M, BuildTreeWitness(Leaf(0)), fam, 2)
+    rep = check_bimodule_conditions(M, BuildTreeWitness(Leaf(0)), fam, 2)
     assert rep.agreement and not rep.is_epi
     for c in (1, 2, 3, 4, 5):
         assert rep.verdict(c).status == "fails"
@@ -229,7 +231,7 @@ def test_bimodule_product_all_hold():
     phi = product_to_ground()
     M = bimodule_from_morphism(phi)
     fam = generate_test_family(phi.target, 0, 2)
-    rep = check_bimodule_conditions(phi.source, phi.target, M, BuildTreeWitness(Leaf(0)), fam, 2)
+    rep = check_bimodule_conditions(M, BuildTreeWitness(Leaf(0)), fam, 2)
     assert rep.agreement and rep.is_epi
 
 
@@ -237,7 +239,7 @@ def test_bimodule_without_witness_groups():
     phi = identity_morphism(truncated_polynomial(2))
     M = bimodule_from_morphism(phi)
     fam = generate_test_family(phi.target, 0, 2)
-    rep = check_bimodule_conditions(phi.source, phi.target, M, None, fam, 2)
+    rep = check_bimodule_conditions(M, None, fam, 2)
     assert rep.note  # the two condition groups are compared separately
     assert rep.agreement
 
@@ -247,28 +249,7 @@ def test_bimodule_bad_witness_rejected():
     M = bimodule_from_morphism(phi)
     fam = generate_test_family(phi.target, 0, 2)
     with pytest.raises(ValueError):
-        check_bimodule_conditions(
-            phi.source, phi.target, M, BuildTreeWitness(Leaf(1)), fam, 2
-        )
-
-
-def test_bimodule_conditions_refuse_other_algebras():
-    # Λ(x), Λ(x) are not the algebras of the bimodule of k[x]/(x²) → k
-    phi = truncated_to_ground(2)
-    M = bimodule_from_morphism(phi)
-    fam = generate_test_family(phi.target, 0, 2)
-    E = exterior_algebra()
-    for R, S in ((E, E), (E, phi.target), (phi.source, E), (phi.target, phi.source)):
-        with pytest.raises(ValueError, match="algebra of"):
-            check_bimodule_conditions(R, S, M, BuildTreeWitness(Leaf(0)), fam, 2)
-    # equal content, not the same object, is M's own algebra
-    R, S = truncated_to_ground(2).source, truncated_to_ground(2).target
-    rep = check_bimodule_conditions(R, S, M, BuildTreeWitness(Leaf(0)), fam, 2)
-    assert rep == check_bimodule_conditions(
-        phi.source, phi.target, M, BuildTreeWitness(Leaf(0)), fam, 2
-    )
-    assert rep.agreement and not rep.is_epi
-    assert [rep.verdict(c).status for c in (1, 2, 3, 4, 5)] == ["fails"] * 5
+        check_bimodule_conditions(M, BuildTreeWitness(Leaf(1)), fam, 2)
 
 
 # -- compact endpoint and Dwyer-Greenlees -------------------------------------
@@ -304,6 +285,52 @@ def test_dwyer_greenlees_three_algebras():
         M = module_direct_sum([left_regular(R), module_shift(left_regular(R), 1)])
         w = BuildTreeWitness(SumNode([Leaf(0), Leaf(1)]))
         rep = check_dwyer_greenlees(R, M, w, Window(-2, 8))
+        assert rep.degreewise_iso
+        assert rep.endpoint.holds
+
+
+def two_summand_modules(F):
+    """Λ(x) ⊕ Λ(x), Λ(x) ⊕ ΣΛ(x) and T ⊕ T for T = k[x]/(x³), each with the
+    shifts of its witness's leaves: modules whose identity has two
+    coordinates in Hom(M, M), where regular modules give it one."""
+    L, T = left_regular(exterior_algebra(F)), left_regular(truncated_polynomial(3, F))
+    return [
+        (module_direct_sum([L, L]), (0, 0)),
+        (module_direct_sum([L, module_shift(L, 1)]), (0, 1)),
+        (module_direct_sum([T, T]), (0, 0)),
+    ]
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2)], ids=repr)
+def test_endomorphism_dga_unit_is_identity_of_several_coordinates(F):
+    for M, _ in two_summand_modules(F):
+        H = hom_over(M.algebra, M, M)
+        assert len(H.coords(identity_ground(M), 0)) >= 2
+        E, bimod = endomorphism_dga(M)
+        assert validate_dga(E) == [] and validate_module(bimod) == []
+        assert E.deg(E.unit) == 0 and E.total_dim == len(H.basis)
+        for i in range(E.total_dim):
+            assert E.mul_elem(E.one(), {i: F.one}) == {i: F.one}
+            assert E.mul_elem({i: F.one}, E.one()) == {i: F.one}
+        # the unit acts on M as the identity
+        for m in range(M.total_dim):
+            assert bimod.act_right[E.unit, m] == {m: F.one}
+
+
+def test_endomorphism_dga_of_zero_module_refused():
+    # the zero module's identity has no coordinate to seat as a unit
+    Z = DgModule(exterior_algebra(), "left", [], {}, {}, name="Z")
+    with pytest.raises(ValueError, match="is zero"):
+        endomorphism_dga(Z)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2)], ids=repr)
+def test_dwyer_greenlees_identity_of_several_coordinates(F):
+    # the identity has two coordinates in Hom_R(M, M), so F's basis is not
+    # H's: the degreewise comparison maps F's identity to H's combination
+    for M, shifts in two_summand_modules(F):
+        w = BuildTreeWitness(SumNode([Leaf(t) for t in shifts]))
+        rep = check_dwyer_greenlees(M.algebra, M, w, Window(-2, 8))
         assert rep.degreewise_iso
         assert rep.endpoint.holds
 

@@ -109,15 +109,37 @@ def test_free_coords_refuse_a_perturbed_vector(F):
     assert perturbed_entries
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_generic_coords_refuse_perturbed_and_misplaced_vectors(F):
+    # a generic rep is in lead form at its largest ground pair; a change at
+    # any other pair leaves the span, and so does a change of degree
+    perturbed_entries = 0
+    for A, res, N in list(_dg_cases(F))[:6] + list(_ring_cases(F))[:6]:
+        generic = hom_over(A, res.module, N)
+        for n in generic.degrees():
+            for rep in generic.component(n):
+                with pytest.raises(ValueError):
+                    generic.coords(rep, n + 1)
+                for pair, c in rep.items():
+                    if pair == max(rep):
+                        continue
+                    perturbed = dict(rep)
+                    perturbed[pair] = F.add(c, F.one)
+                    perturbed_entries += 1
+                    with pytest.raises(ValueError):
+                        generic.coords(perturbed, n)
+    assert perturbed_entries
+
+
 def _spy_homs(monkeypatch, generic: bool) -> list:
     """Record the Hom complexes derived builds; with generic, every free
     source is handed to hom_over as its module instead."""
     built = []
 
-    def spy(A, M, N, prefer=None, name=None):
+    def spy(A, M, N, name=None):
         if generic and isinstance(M, FreeModule):
             M = M.module
-        H = hom_over(A, M, N, prefer, name)
+        H = hom_over(A, M, N, name)
         built.append(H)
         return H
 

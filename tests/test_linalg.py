@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from dgkit.complexes import ChainMap, Complex, GradedSpace, Window, quasi_iso
 from dgkit.field import GF, QQ
-from dgkit.linalg import Echelon, Matrix, kernel_basis, rank, vec_iadd, vec_scale
+from dgkit.linalg import Echelon, Matrix, kernel_basis, lead_coords, rank, vec_iadd, vec_scale
 
 FIELDS = (QQ, GF(2), GF(101))
 
@@ -56,14 +56,26 @@ def oracle_kernel(F, R, pivots, ncols):
     return ker
 
 
-def certified_solution(A: Matrix, b):
-    """The coordinates of b in A's columns from a certified echelon of them,
-    as a dense tuple, or None if b is not in their span."""
-    E = Echelon(A.field, certify=True)
-    for j in range(A.cols):
-        E.add(A.column(j))
-    x = E.coords(b)
-    return None if x is None else tuple(x.get(j, A.field.zero) for j in range(A.cols))
+def leads_of(ker):
+    """The lead of each kernel vector: its non-pivot column, its largest index."""
+    return [max(v) for v in ker]
+
+
+def kernel_solution(A: Matrix, v):
+    """The coordinates of v in A's kernel basis, read at its leads by
+    lead_coords, as a dense tuple, or None if v is not in the kernel."""
+    F, ker = A.field, kernel_basis(A)
+    x = lead_coords(F, ker, leads_of(ker), {j: c for j, c in enumerate(v) if c})
+    if x is not None:
+        assert_reduced(F, x)
+    return None if x is None else tuple(x.get(i, F.zero) for i in range(len(ker)))
+
+
+def kernel_oracle_solution(F, R, pivots, ncols, v):
+    """oracle_solve of K x = v, K the columns of oracle_kernel."""
+    ker = oracle_kernel(F, R, pivots, ncols)
+    rows = [[k.get(j, F.zero) for k in ker] for j in range(ncols)]
+    return oracle_solve(F, rows, v, len(ker))
 
 
 def oracle_solve(F, rows, b, ncols):
@@ -209,8 +221,13 @@ def test_engine_matches_dense_oracle(F, r, c, data):
     assert rank(A) == len(pivots)
     assert kernel_basis(A) == oracle_kernel(F, R, pivots, c)
 
-    b = tuple(F.of(x) for x in data.draw(st.lists(entries, min_size=r, max_size=r)))
-    assert certified_solution(A, b) == oracle_solve(F, A.entries, b, c)
+    # the kernel basis is in lead form: 1 at its own non-pivot column, its
+    # largest index, and 0 at every other vector's
+    ker = kernel_basis(A)
+    leads = leads_of(ker)
+    assert leads == [j for j in range(c) if j not in pivots]
+    for i, v in enumerate(ker):
+        assert [v.get(lead) for lead in leads] == [F.one if k == i else None for k in range(len(ker))]
 
     # normal form modulo the row space, as the tensor product reduces ground vectors
     v = [F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c))]
@@ -219,13 +236,17 @@ def test_engine_matches_dense_oracle(F, r, c, data):
         w = [F.sub(x, F.mul(w[p], y)) for x, y in zip(w, row)]
     assert E.reduce(v) == {j: x for j, x in enumerate(w) if x != 0}
 
-    # certified coordinates in the inserted columns
-    cols = Echelon(F, certify=True)
-    for j in range(c):
-        cols.add(A.column(j))
-    x0 = [F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c))]
-    coords = cols.coords(A.apply(x0))
-    assert A.apply([coords.get(j, F.zero) for j in range(c)]) == A.apply(x0)
+    # lead coordinates: a combination of the kernel vectors comes back with
+    # its coefficients, as the dense oracle solves for them
+    x0 = [F.of(x) for x in data.draw(st.lists(entries, min_size=len(ker), max_size=len(ker)))]
+    comb: dict = {}
+    for x, k in zip(x0, ker):
+        vec_iadd(F, comb, k, x)
+    dense = tuple(comb.get(j, F.zero) for j in range(c))
+    assert kernel_solution(A, dense) == tuple(x0) == kernel_oracle_solution(F, R, pivots, c, dense)
+    # perturbed off a lead the vector leaves the span and is refused
+    for p in pivots:
+        assert lead_coords(F, ker, leads, vec_iadd(F, dict(comb), {p: F.one})) is None
 
 
 # -- the sparse-column Matrix against a dense list-of-lists oracle ------------------
@@ -278,8 +299,8 @@ def test_matrix_matches_dense_oracle(F, r, c, k, data):
     R, pivots = dense_rref(F, a, c)
     assert rank(A) == len(pivots)
     assert kernel_basis(A) == oracle_kernel(F, R, pivots, c)
-    rhs = tuple(F.of(x) for x in data.draw(st.lists(entries, min_size=r, max_size=r)))
-    assert certified_solution(A, rhs) == oracle_solve(F, a, rhs, c)
+    v = tuple(F.of(x) for x in data.draw(st.lists(entries, min_size=c, max_size=c)))
+    assert kernel_solution(A, v) == kernel_oracle_solution(F, R, pivots, c, v)
 
 
 # -- the sparse-vector kernel against the Field-based oracle ------------------------
@@ -388,19 +409,26 @@ def q_vectors(n):
 
 
 def kernel_results(vs, u, c):
-    """vec_iadd, vec_scale, Echelon and kernel_basis on the vectors vs, u and c."""
+    """vec_iadd, vec_scale, Echelon, kernel_basis and lead_coords on the
+    vectors vs, u and c."""
     F = QQ
-    added = Echelon(F, certify=True)
+    added = Echelon(F)
     independent = [added.add(v) for v in vs]
     cols = Matrix.from_columns(F, vs, 5)
+    ker = added.kernel(range(5))
+    leads = leads_of(ker)
+    comb: dict = {}  # Σ u_i·ker_i, in the span by construction
+    for i, k in enumerate(ker):
+        if u.get(i):
+            vec_iadd(F, comb, k, u[i])
     return {
         "iadd": [vec_iadd(F, dict(vs[0]), u, k) for k in (None, 1, -1, c)],
         "scale": [vec_scale(F, k, u) for k in (1, -1, c)],
         "independent": independent,
         "rows": added.rows,
         "reduce": added.reduce(u),
-        "coords": added.coords(u),
-        "kernel": added.kernel(range(5)),
+        "coords": [lead_coords(F, ker, leads, comb), lead_coords(F, ker, leads, u)],
+        "kernel": ker,
         "kernel_basis": kernel_basis(cols),
     }
 
@@ -411,9 +439,10 @@ def test_normal_form_matches_all_fraction_path(vs, u, data):
     normal = kernel_results(vs, u, c)
     fraction = kernel_results([fractions_only(v) for v in vs], fractions_only(u), Fraction(c))
     assert normal == fraction
+    assert normal["coords"][0] == {i: x for i, x in sorted(u.items()) if i < len(normal["kernel"])}
 
     def echelon_out(r):
-        return [*r["rows"].values(), r["reduce"], r["coords"] or {}, *r["kernel"], *r["kernel_basis"]]
+        return [*r["rows"].values(), r["reduce"], *(x or {} for x in r["coords"]), *r["kernel"], *r["kernel_basis"]]
 
     # input in normal form comes out in normal form; the echelon engine copies
     # any input in normal form, and vec_iadd writes every entry it computes so

@@ -73,7 +73,7 @@ def _ring_unit_inclusion(F, monkeypatch):
 
 def _bimodule(phi, witness):
     M = bimodule_from_morphism(phi)
-    return check_bimodule_conditions(phi.source, phi.target, M, witness, _family(phi), 1)
+    return check_bimodule_conditions(M, witness, _family(phi), 1)
 
 
 def _bimodule_without_witness(F, monkeypatch):

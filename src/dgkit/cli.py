@@ -204,7 +204,22 @@ def cmd_resolve(args, pf, M):
     return 0
 
 
+def _pair_sides(args, pf, M, N):
+    """Refuse a module over another algebra or on the wrong side before anything
+    is resolved: tor and tensor take a right module, then a left one; ext and
+    rhom take two left modules."""
+    alg, tor_like = args.algebra, args.command in ("tor", "tensor")
+    rule = f"a right {alg}-module, then a left {alg}-module" if tor_like else f"two left {alg}-modules"
+    for name, X, side in ((args.left, M, "right" if tor_like else "left"), (args.right, N, "left")):
+        over = pf.module_over[name]
+        if X.side != side or over != alg:
+            raise InputError(
+                f"{args.command} over {alg} takes {rule}; module {name} is a {X.side} module over {over}"
+            )
+
+
 def cmd_tor_ext(args, pf, A, M, N):
+    _pair_sides(args, pf, M, N)
     which = args.command
     D = max(args.window.hi, 0)
     table = (tor_table if which == "tor" else ext_table)(A, M, N, D, args.max_generators)
@@ -216,6 +231,7 @@ def cmd_tor_ext(args, pf, A, M, N):
 
 
 def cmd_tensor_rhom(args, pf, A, M, N):
+    _pair_sides(args, pf, M, N)
     which, w = args.command, args.window
     D = max(abs(w.lo), abs(w.hi))
     dc = (derived_tensor if which == "tensor" else rhom)(A, M, N, D, args.max_generators)

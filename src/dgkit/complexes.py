@@ -131,16 +131,6 @@ def single(field: Field, degree: int = 0, dim: int = 1) -> Complex:
     return Complex(field, GradedSpace({degree: dim}), {})
 
 
-def validate_complex(C: Complex):
-    """Check d*d = 0 everywhere; returns True or a Violation."""
-    for n in list(C.diffs):
-        prod = C.d(n - 1) * C.d(n)
-        for j, col in enumerate(prod.columns):
-            if col:
-                return Violation(n, "d ∘ d != 0", (j, prod.column(j)))
-    return True
-
-
 class ChainMap:
     """Degree-0 map of complexes; commutation with d is checked on demand."""
 
@@ -212,14 +202,15 @@ class Homotopy:
         return Homotopy(source, target, {})
 
 
-def check_homotopy(f: ChainMap, g: ChainMap, h: Homotopy) -> bool:
-    """True iff f - g = d h + h d exactly in every degree."""
+def check_homotopy(f: ChainMap, g: ChainMap, h: Homotopy):
+    """True iff f - g = d h + h d exactly in every degree, else a Violation
+    at the first degree found where it fails."""
     degrees = set(f.source.space.dims) | set(f.target.space.dims)
     for n in degrees:
         lhs = f.f(n) - g.f(n)
         rhs = f.target.d(n + 1) * h.h(n) + h.h(n - 1) * f.source.d(n)
         if lhs != rhs:
-            return False
+            return Violation(n, "f − g is not dh + hd")
     return True
 
 

@@ -468,13 +468,13 @@ def _other_side(M: DgModule, side: str, B: DgAlgebra) -> DgModule:
     return DgModule(B, other, M.basis, act, M.diff, name=M.name)
 
 
-def bimodule_to_env_module(M: DgBimodule, E: DgAlgebra | None = None) -> DgModule:
+def bimodule_to_env_module(M: DgBimodule) -> DgModule:
     """R-S-bimodule as a left module over enveloping(R, S).
 
     (r⊗s)·m = (-1)^{|s||m|} r (m s).  Inverse: :func:`env_module_to_bimodule`.
     """
     R, S, F = M.left_algebra, M.right_algebra, M.field
-    E = E or enveloping(R, S)
+    E = enveloping(R, S)
     nS = S.total_dim
     act = {}
     for a in range(E.total_dim):

@@ -412,9 +412,10 @@ def _endpoint_map(S: DgAlgebra, M: DgBimodule, H) -> ChainMap:
     return ChainMap(S.underlying(), H.complex, matrices_from_images(S, H, image))
 
 
-def _endpoint_verdict(S: DgAlgebra, M: DgBimodule, H, window: Window) -> ConditionVerdict:
-    """Verdict on the endpoint map S → H of :func:`_endpoint_map`."""
-    reports = _reports(window, "endpoint map S → Hom_R(M, M)", lambda: _endpoint_map(S, M, H))
+def _endpoint_verdict(f: ChainMap, window: Window) -> ConditionVerdict:
+    """Verdict on an endpoint map f of :func:`_endpoint_map`; raises
+    ValueError unless f is a chain map."""
+    reports = _reports(window, "endpoint map S → Hom_R(M, M)", lambda: f)
     return _fold("compact-endpoint", window, reports)
 
 
@@ -437,16 +438,14 @@ def check_dwyer_greenlees(
     if bad:
         raise ValueError(f"endomorphism bimodule invalid: {bad[0].axiom}")
     S = bimod.right_algebra
+    # the witness was verified above, so the endpoint map can target H
+    endpoint = _endpoint_verdict(_endpoint_map(S, bimod, H), window)
     # degreewise comparison S ≅ Hom_R(M, M): a basis element f of F is a map
     # of M, and the endpoint map sends it to f itself, since the signs of
-    # m·f = (-1)^{|f||m|} f(m) and of the pointwise rule cancel; being a
-    # chain map pins the differentials to agree
+    # m·f = (-1)^{|f||m|} f(m) and of the pointwise rule cancel; the verdict
+    # above required it to be a chain map, which pins the differentials to agree
     SC = S.underlying()
     degreewise = all(SC.dim(n) == H.complex.dim(n) for n in set(SC.degrees()) | set(H.complex.degrees()))
-    if degreewise:
-        degreewise = _endpoint_map(S, bimod, H).validate() is True
-    # the witness was verified above, so the endpoint map can target H
-    endpoint = _endpoint_verdict(S, bimod, H, window)
     return DwyerGreenleesReport(Fdga, S, degreewise, endpoint)
 
 

@@ -30,7 +30,7 @@ All descended structures are certified by the module validators in tests.
 from __future__ import annotations
 
 from .linalg import Echelon, Matrix, lead_coords
-from .complexes import ChainMap, Complex, GradedSpace
+from .complexes import Complex, GradedSpace
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd
 from .modops import FreeModule, matrices_from_images
 
@@ -39,30 +39,20 @@ class SideMismatch(ValueError):
     pass
 
 
-def _right_over(X, A: DgAlgebra):
-    """(right-A action table, outer-left algebra or None, outer act table)."""
+def _over(X, A: DgAlgebra, side: str):
+    """(``side`` A-action table, algebra of the other action or None, its table)."""
     if isinstance(X, DgBimodule):
-        if X.right_algebra.basis != A.basis:
-            raise SideMismatch(f"{X!r} is not a right {A.name}-module")
-        return X.act_right, X.left_algebra, X.act_left
-    if isinstance(X, DgModule):
-        if X.side != "right" or X.algebra.basis != A.basis:
-            raise SideMismatch(f"{X!r} is not a right {A.name}-module")
-        return X.act, None, None
-    raise SideMismatch(f"unsupported operand {X!r}")
-
-
-def _left_over(X, A: DgAlgebra):
-    """(left-A action table, outer-right algebra or None, outer act table)."""
-    if isinstance(X, DgBimodule):
-        if X.left_algebra.basis != A.basis:
-            raise SideMismatch(f"{X!r} is not a left {A.name}-module")
-        return X.act_left, X.right_algebra, X.act_right
-    if isinstance(X, DgModule):
-        if X.side != "left" or X.algebra.basis != A.basis:
-            raise SideMismatch(f"{X!r} is not a left {A.name}-module")
-        return X.act, None, None
-    raise SideMismatch(f"unsupported operand {X!r}")
+        if side == "left":
+            alg, acts = X.left_algebra, (X.act_left, X.right_algebra, X.act_right)
+        else:
+            alg, acts = X.right_algebra, (X.act_right, X.left_algebra, X.act_left)
+    elif isinstance(X, DgModule):
+        alg, acts = (X.algebra if X.side == side else None), (X.act, None, None)
+    else:
+        raise SideMismatch(f"unsupported operand {X!r}")
+    if alg is None or alg.basis != A.basis:
+        raise SideMismatch(f"{X!r} is not a {side} {A.name}-module")
+    return acts
 
 
 def _ground_pairs(M, N, sign: int) -> dict[int, list[tuple[int, int]]]:
@@ -166,8 +156,8 @@ class TensorProduct(GroundComplex):
         F = A.field
         self.field = F
         self.name = name or f"{M.name}⊗{N.name}"
-        act_rA, self.outer_left, self._act_outer_l = _right_over(M, A)
-        act_lA, self.outer_right, self._act_outer_r = _left_over(N, A)
+        act_rA, self.outer_left, self._act_outer_l = _over(M, A, "right")
+        act_lA, self.outer_right, self._act_outer_r = _over(N, A, "left")
 
         pairs = _ground_pairs(M, N, 1)
 
@@ -233,17 +223,6 @@ def tensor_over(A: DgAlgebra, M, N, name: str | None = None) -> TensorProduct:
     return TensorProduct(A, M, N, name=name)
 
 
-def tensor_unit_iso(A: DgAlgebra, N) -> ChainMap:
-    """The unit-law quasi-isomorphism A ⊗_A N -> N (it is an isomorphism)."""
-    from .dga import regular_bimodule
-
-    T = tensor_over(A, regular_bimodule(A), N)
-    act_lA, _, _ = _left_over(N, A)
-    # the ground pair (a, n) maps to a·n
-    mats = matrices_from_images(T, N, lambda pair, d: act_lA.get(pair, {}))
-    return ChainMap(T.complex, N.underlying(), mats)
-
-
 def _as_map(vec: dict) -> dict:
     """A ground Hom vector as the map m ↦ f(m)."""
     f: dict = {}
@@ -277,8 +256,8 @@ class HomComplex(GroundComplex):
         self.N = N
         self.field = A.field
         self.name = name or f"Hom({M.name},{N.name})"
-        act_M, self.outer_left, self._act_outer_l = _left_over(M, A)
-        self._act_N, self.outer_right, self._act_outer_r = _left_over(N, A)
+        act_M, self.outer_left, self._act_outer_l = _over(M, A, "left")
+        self._act_N, self.outer_right, self._act_outer_r = _over(N, A, "left")
         if self._gens is None:
             self._constraint_kernels(act_M)
         else:

@@ -79,9 +79,6 @@ class Matrix:
     def __getitem__(self, ij):
         return self.columns[ij[1]].get(ij[0], self.field.zero)
 
-    def column(self, j):
-        return tuple(self[i, j] for i in range(self.rows))
-
     def is_zero(self) -> bool:
         return not any(self.columns)
 
@@ -133,13 +130,6 @@ class Matrix:
         for j, x in v.items():
             vec_iadd(F, out, self.columns[j], x)
         return out
-
-    def apply(self, vec):
-        """Multiply by a column vector given as a sequence; returns a tuple."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        y = self.image({j: x for j, x in enumerate(vec) if x != 0})
-        return tuple(y.get(i, self.field.zero) for i in range(self.rows))
 
 
 # -- sparse vectors ------------------------------------------------------------

@@ -33,18 +33,18 @@ that hits the cap stores nothing.  Outside a scope every request is built.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .linalg import Echelon, Matrix, kernel_basis
-from .complexes import ChainMap, Homotopy, Violation, Window, check_homotopy, quasi_iso
+from .complexes import ChainMap, Homotopy, Violation, Window, check_homotopy
 from .dga import (
     DgAlgebra,
     DgBimodule,
     DgModule,
     bimodule_to_env_module,
-    enveloping,
     env_module_to_bimodule,
     left_op_to_right,
     right_to_left_op,
@@ -228,33 +228,6 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
     return SemifreeResolution(A, M, free, free.augmentation(M), Window(bottom - 1, D))
 
 
-def verify_resolution(res: SemifreeResolution):
-    """Independent re-check: filtration, A-linearity, quasi-iso on window."""
-    A = res.algebra
-    dimA = A.total_dim
-    for g, gen in enumerate(res.free.gens):
-        for idx in gen.d_elem:
-            if idx >= g * dimA:
-                return Violation(
-                    gen.degree,
-                    f"generator {gen.label}: differential hits a non-earlier generator",
-                )
-    v = res.free.module
-    from .dga import validate_module
-
-    bad = validate_module(v)
-    if bad:
-        return Violation(0, f"free module invalid: {bad[0]}")
-    ok = res.eps.validate()
-    if ok is not True:
-        return ok
-    r = quasi_iso(res.eps.chain_map(), res.validity)
-    if not r.ok:
-        n = min(k for k, good in r.per_degree.items() if not good)
-        return Violation(n, "ε is not a quasi-isomorphism on the claimed window")
-    return True
-
-
 def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):
     """Resolution of a right A-module via the left A^op picture.
 
@@ -279,8 +252,7 @@ def semifree_resolution_bimodule(
 ) -> BimoduleResolution:
     """Resolve an R-S-bimodule as a left module over enveloping(R, S)."""
     R, S = M.left_algebra, M.right_algebra
-    E = enveloping(R, S)
-    X = bimodule_to_env_module(M, E)
+    X = bimodule_to_env_module(M)
     res = semifree_resolution(X, D, max_generators)
     B = env_module_to_bimodule(res.module, R, S)
     return BimoduleResolution(res, B)
@@ -347,10 +319,6 @@ def evaluate_build_tree(A: DgAlgebra, node) -> DgModule:
     raise ValueError(f"unknown build-tree node {node!r}")
 
 
-def _structurally_equal(M: DgModule, X: DgModule) -> bool:
-    return _module_data(M) == _module_data(X)
-
-
 def verify_build_tree(w: BuildTreeWitness, M: DgModule):
     """Accept iff the tree evaluates to a module exhibiting M as stated."""
     A = M.algebra
@@ -359,16 +327,14 @@ def verify_build_tree(w: BuildTreeWitness, M: DgModule):
     except ValueError as e:
         return Violation(0, str(e))
     if w.incl is None and w.proj is None:
-        if _structurally_equal(M, X):
+        data = _module_data(M)
+        if data == _module_data(X):
             return True
         # a finite sum is order-insensitive: retry child permutations
         if isinstance(w.tree, SumNode) and len(w.tree.children) <= 6:
-            import itertools
-
-            for perm in itertools.permutations(w.tree.children):
-                Xp = evaluate_build_tree(A, SumNode(list(perm)))
-                if _structurally_equal(M, Xp):
-                    return True
+            perms = itertools.permutations(w.tree.children)
+            if any(data == _module_data(evaluate_build_tree(A, SumNode(list(q)))) for q in perms):
+                return True
         return Violation(0, "tree value does not match the module and no retract given")
     if w.incl is None or w.proj is None:
         return Violation(0, "retract needs both inclusion and projection")
@@ -383,15 +349,9 @@ def verify_build_tree(w: BuildTreeWitness, M: DgModule):
             return Violation(ok.degree, f"retract {name}: {ok.reason}")
     MU = M.underlying()
     h = Homotopy(MU, MU, w.homotopy or {})
-    pi = p.compose(i).chain_map()
-    if not check_homotopy(pi, ChainMap.identity(MU), h):
-        bad = next(
-            n
-            for n in set(MU.space.dims)
-            if pi.f(n) - ChainMap.identity(MU).f(n)
-            != MU.d(n + 1) * h.h(n) + h.h(n - 1) * MU.d(n)
-        )
-        return Violation(bad, "p∘i − id is not ∂h + h∂")
+    ok = check_homotopy(p.compose(i).chain_map(), ChainMap.identity(MU), h)
+    if ok is not True:
+        return Violation(ok.degree, "p∘i − id is not ∂h + h∂")
     return True
 
 

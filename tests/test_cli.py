@@ -154,6 +154,41 @@ def test_tor_matches_periodic_oracle(capsys):
         assert f"Tor_{i} = 1" in out
 
 
+# (command, algebra, first module, second module, the module refused, its side, its algebra)
+PAIR_MISMATCHES = [
+    # a module over another algebra
+    ("tor", "A", "Kr", "Kk", "Kk", "left", "k"),
+    ("tensor", "A", "Kr", "Kk", "Kk", "left", "k"),
+    ("ext", "k", "K", "Kk", "K", "left", "A"),
+    ("rhom", "k", "Kk", "K", "K", "left", "A"),
+    # a module on the wrong side: tor and tensor take a right module, then a
+    # left one; ext and rhom take two left modules
+    ("tor", "A", "K", "Kr", "K", "left", "A"),
+    ("tensor", "A", "Kr", "Kr", "Kr", "right", "A"),
+    ("ext", "A", "Kr", "K", "Kr", "right", "A"),
+    ("rhom", "A", "K", "Kr", "Kr", "right", "A"),
+]
+
+
+@pytest.mark.parametrize("command, algebra, first, second, bad, side, over", PAIR_MISMATCHES)
+def test_pair_commands_check_modules_before_resolving(
+    capsys, monkeypatch, tmp_path, command, algebra, first, second, bad, side, over
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resolution was requested")
+
+    for module in ("dgkit.cli", "dgkit.derived", "dgkit.resolutions"):
+        monkeypatch.setattr(f"{module}.semifree_resolution", refuse)
+    path = tmp_path / "two_algebras.dg"
+    path.write_text((FIXTURES / "truncated.dg").read_text() + "\nmodule Kk over k\n  basis m:0\n")
+    code, out, err = _run(capsys, command, path, algebra, first, second, "--window", "0..2")
+    assert code == 1
+    assert out == ""
+    assert f"module {bad} is a {side} module over {over}" in err
+    for text in ("DgModule(", "free(", "Traceback"):
+        assert text not in err
+
+
 def test_check_epi_truncated_says_no(capsys):
     code, out, _ = _run(
         capsys,

@@ -17,9 +17,10 @@ from dgkit.complexes import (
     quasi_iso,
     shift,
     single,
-    validate_complex,
     zero_complex,
 )
+
+from oracles import validate_complex
 
 
 def random_complex(rng, max_deg=5, max_dim=4, field=QQ):
@@ -164,11 +165,10 @@ def test_check_homotopy_contraction_of_cone():
 
 
 def test_check_homotopy_obstructed():
+    # id − 0 on k in degree 0 is not dh + hd for h = 0: the failure names degree 0
     C = single(QQ, 0)
-    assert (
-        check_homotopy(ChainMap.identity(C), ChainMap.zero(C, C), Homotopy.zero(C, C))
-        is False
-    )
+    v = check_homotopy(ChainMap.identity(C), ChainMap.zero(C, C), Homotopy.zero(C, C))
+    assert isinstance(v, Violation) and v.degree == 0
 
 
 def test_quasi_iso_identity_and_zero():

@@ -1,5 +1,4 @@
 from dgkit.field import QQ
-from dgkit.complexes import validate_complex
 from dgkit.dga import (
     DgAlgebra,
     DgModule,
@@ -32,6 +31,8 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
+
+from oracles import validate_complex
 
 
 def test_standard_algebras_valid():

@@ -26,7 +26,6 @@ from dgkit.derived import (
 )
 from dgkit.epicheck import generate_test_family
 from dgkit.field import GF, QQ
-from dgkit.homtensor import tensor_unit_iso
 from dgkit.resolutions import BuildTreeWitness, Leaf
 from dgkit.standard import (
     exterior_algebra,
@@ -36,6 +35,8 @@ from dgkit.standard import (
     truncated_polynomial,
     truncated_to_ground,
 )
+
+from oracles import tensor_unit_iso
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIELDS = {"Q": QQ, "F101": GF(101)}

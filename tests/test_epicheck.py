@@ -28,6 +28,7 @@ from dgkit.derived import (
     truncated_dual,
 )
 from dgkit.epicheck import (
+    _endpoint_map,
     _endpoint_verdict,
     check_bimodule_conditions,
     check_dga_epi,
@@ -263,7 +264,7 @@ def check_compact_endpoint(R, S, M, witness_R, window):
     """
     require_witness(witness_R, M.left_module())
     H = hom_over(R, M.left_module(), M.left_module())
-    return _endpoint_verdict(S, M, H, window)
+    return _endpoint_verdict(_endpoint_map(S, M, H), window)
 
 
 def test_endpoint_regular_bimodule_holds():
@@ -346,6 +347,30 @@ def test_dwyer_greenlees_broken_witness_refused():
     M = module_direct_sum([left_regular(R), module_shift(left_regular(R), 1)])
     with pytest.raises(ValueError):
         check_dwyer_greenlees(R, M, BuildTreeWitness(Leaf(0)), Window(-2, 4))
+
+
+def test_dwyer_greenlees_builds_and_checks_the_endpoint_map_once(monkeypatch):
+    # the degreewise comparison and the endpoint verdict read one endpoint map
+    import dgkit.epicheck as epicheck
+
+    built, checked = [], []
+    build, validate = epicheck._endpoint_map, epicheck.ChainMap.validate
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def counted_validate(f):
+        checked.extend(g for g in built if g is f)
+        return validate(f)
+
+    monkeypatch.setattr(epicheck, "_endpoint_map", counted_build)
+    monkeypatch.setattr(epicheck.ChainMap, "validate", counted_validate)
+    R = exterior_algebra()
+    M = module_direct_sum([left_regular(R), module_shift(left_regular(R), 1)])
+    rep = check_dwyer_greenlees(R, M, BuildTreeWitness(SumNode([Leaf(0), Leaf(1)])), Window(-2, 8))
+    assert rep.degreewise_iso and rep.endpoint.holds
+    assert len(built) == 1 and len(checked) == 1
 
 
 def test_dwyer_greenlees_builds_the_endomorphism_hom_once(monkeypatch):

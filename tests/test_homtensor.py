@@ -1,5 +1,7 @@
+import pytest
+
 from dgkit.field import QQ
-from dgkit.complexes import Window, homology_dims, quasi_iso, validate_complex
+from dgkit.complexes import Window, homology_dims, quasi_iso
 from dgkit.dga import (
     DgBimodule,
     bimodule_from_morphism,
@@ -11,10 +13,11 @@ from dgkit.dga import (
     validate_module,
 )
 from dgkit.homtensor import (
+    SideMismatch,
+    _over,
     endomorphism_dga,
     hom_over,
     tensor_over,
-    tensor_unit_iso,
 )
 from dgkit.standard import (
     exterior_algebra,
@@ -25,6 +28,8 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
+
+from oracles import tensor_unit_iso, validate_complex
 
 
 def ground_as_module(phi):
@@ -195,3 +200,27 @@ def test_endomorphism_dga_of_two_generator_free():
     E, bimod = endomorphism_dga(F.module)
     assert validate_dga(E) == []
     assert validate_module(bimod) == []
+
+
+def test_over_reads_either_side_and_refuses_with_side_mismatch():
+    phi = truncated_to_ground(2)
+    R, S = phi.source, phi.target
+    X = bimodule_from_morphism(phi)  # an R-S-bimodule
+    assert _over(X, R, "left") == (X.act_left, S, X.act_right)
+    assert _over(X, S, "right") == (X.act_right, R, X.act_left)
+    M = left_regular(R)
+    assert _over(M, R, "left") == (M.act, None, None)
+    refused = [
+        # a module on the wrong side, and over another algebra
+        (M, R, "right", f"{M!r} is not a right {R.name}-module"),
+        (M, S, "left", f"{M!r} is not a left {S.name}-module"),
+        # a bimodule over the wrong algebra on either side
+        (X, S, "left", f"{X!r} is not a left {S.name}-module"),
+        (X, R, "right", f"{X!r} is not a right {R.name}-module"),
+        # an operand that is no module
+        (R.underlying(), R, "left", f"unsupported operand {R.underlying()!r}"),
+    ]
+    for Y, A, side, text in refused:
+        with pytest.raises(SideMismatch) as e:
+            _over(Y, A, side)
+        assert str(e.value) == text

@@ -1,7 +1,7 @@
 import pytest
 
 from dgkit.field import GF, QQ
-from dgkit.complexes import Window, cone, homology_dims, quasi_iso
+from dgkit.complexes import Violation, Window, cone, homology_dims, quasi_iso
 from dgkit.dga import (
     DgAlgebra,
     DgModule,
@@ -29,7 +29,6 @@ from dgkit.resolutions import (
     semifree_resolution,
     semifree_resolution_bimodule,
     verify_build_tree,
-    verify_resolution,
 )
 from dgkit.standard import (
     exterior_algebra,
@@ -41,6 +40,29 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
+
+
+def verify_resolution(res):
+    """Independent re-check: filtration, A-linearity, quasi-iso on window."""
+    dimA = res.algebra.total_dim
+    for g, gen in enumerate(res.free.gens):
+        for idx in gen.d_elem:
+            if idx >= g * dimA:
+                return Violation(
+                    gen.degree,
+                    f"generator {gen.label}: differential hits a non-earlier generator",
+                )
+    bad = validate_module(res.free.module)
+    if bad:
+        return Violation(0, f"free module invalid: {bad[0]}")
+    ok = res.eps.validate()
+    if ok is not True:
+        return ok
+    r = quasi_iso(res.eps.chain_map(), res.validity)
+    if not r.ok:
+        n = min(k for k, good in r.per_degree.items() if not good)
+        return Violation(n, "ε is not a quasi-isomorphism on the claimed window")
+    return True
 
 
 def ground_left_module(phi):
@@ -208,6 +230,23 @@ def test_build_tree_retract_bad_homotopy_rejected():
     assert v is not True
 
 
+@pytest.mark.parametrize("bad", [0, 1])
+def test_build_tree_retract_rejected_at_the_degree_its_homotopy_fails(bad):
+    # M = A ⊕ ΣA is the tree's own value; i = id and p = id except 0 in degree
+    # `bad` are A-linear chain maps, and with h = 0, p∘i − id = ∂h + h∂ fails
+    # in degree `bad` alone
+    A = truncated_polynomial(2)
+    M = module_direct_sum([left_regular(A), module_shift(left_regular(A), 1)])
+    ident = {n: Matrix.identity(QQ, len(M.component(n))) for n in M.degrees()}
+    proj = {n: m for n, m in ident.items() if n != bad}
+    w = BuildTreeWitness(SumNode([Leaf(0), Leaf(1)]), incl=ident, proj=proj, homotopy={})
+    v = verify_build_tree(w, M)
+    assert isinstance(v, Violation)
+    assert (v.degree, v.reason) == (bad, "p∘i − id is not ∂h + h∂")
+    # with p = id the same witness is accepted
+    assert verify_build_tree(BuildTreeWitness(w.tree, ident, ident, {}), M) is True
+
+
 def test_build_tree_wrong_module_rejected():
     A = truncated_polynomial(2)
     M = ground_left_module(truncated_to_ground(2))
@@ -232,8 +271,8 @@ def rebuild_resolution(M, D, max_generators=10000):
         while True:
             Cn, _, _ = cone(free.augmentation(M).chain_map())
             boundaries = Echelon(F)
-            for j in range(Cn.d(n + 1).cols):
-                boundaries.add(Cn.d(n + 1).column(j))
+            for col in Cn.d(n + 1).columns:
+                boundaries.add(col)
             v = next((z for z in kernel_basis(Cn.d(n)) if boundaries.add(z)), None)
             if v is None:
                 break

@@ -335,6 +335,8 @@ def cmd_check_epi(args, pf, phi):
 
 
 def cmd_dwyer_greenlees(args, pf, M, w):
+    if w.module_name != args.module:
+        raise InputError(f"witness {args.witness} is declared for module {w.module_name}, not {args.module}")
     if M.side != "left":
         raise InputError("the acting module must be a left module")
     try:

@@ -37,7 +37,7 @@ from .dga import (
     vec_iadd,
 )
 from .homtensor import HomComplex, _as_map, _pointwise, hom_over, tensor_over
-from .modops import FreeModule, matrices_from_images, truncate_below
+from .modops import matrices_from_images, truncate_below
 from .resolutions import (
     require_witness,
     required_depth,
@@ -57,7 +57,7 @@ class DerivedComplex:
 def _resolve(X, depth: int, max_generators: int):
     """A semifree resolution of X and its provenance: the bimodule over the
     enveloping algebra when X is a bimodule, else the FreeModule, which
-    hom_over reads on its generators."""
+    hom_over and tensor_over read on its generators."""
     if isinstance(X, DgBimodule):
         P = semifree_resolution_bimodule(X, depth, max_generators).bimodule
         return P, f"resolved {X.name} over enveloping through {depth}"
@@ -71,10 +71,8 @@ def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> D
     M: right A-module or R-A-bimodule; N: left A-module or A-T-bimodule.
     """
     P, prov = _resolve(N, required_depth(D, -M.min_degree()), max_generators)
-    if isinstance(P, FreeModule):
-        P = P.module
     T = tensor_over(A, M, P)
-    lo = min(M.min_degree() + P.min_degree() - 1, -D)
+    lo = min(M.min_degree() + T.N.min_degree() - 1, -D)
     return DerivedComplex(T.complex, Window(lo, D), prov)
 
 
@@ -187,11 +185,12 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     D2q = required_depth(D, M.max_degree(), -M.min_degree(), N.max_degree())
     # stagger: the Hom target's resolution is deeper than the Hom source's
     D2p = required_depth(D, D2q)
-    P = semifree_resolution(N, D2p, max_generators).module
+    res_N = semifree_resolution(N, D2p, max_generators)
+    P = res_N.module
     bres = semifree_resolution_bimodule(M, D2q, max_generators)
     Q = bres.bimodule
     eps_gr = _eps_on_basis(bres.env_resolution)  # Q basis idx -> element of M
-    T = tensor_over(S, M, P)
+    T = tensor_over(S, M, res_N.free)
     H = hom_over(R, Q, T.structure())  # T as a left R-module
 
     def image(p_idx, n):
@@ -222,7 +221,7 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     D2, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
     P = res_N.module
-    T2 = tensor_over(S, Q, P)  # Q right-S ⊗ P; outer left R retained
+    T2 = tensor_over(S, Q, res_N.free)  # Q right-S ⊗ P; outer left R retained
     T1 = tensor_over(R, Zt, T2.structure())  # outer left S retained
 
     def image(pair, d):
@@ -252,8 +251,9 @@ def duality_map(
     require_witness(witness, right_to_left_op(M.right_module()))
     D2 = required_depth(D, M.max_degree(), -M.min_degree())
     _, Q, Zt, ev = truncated_dual(M, D, max_generators)
-    P = semifree_resolution(N, D2, max_generators).module
-    T2 = tensor_over(S, Q, P)
+    res_N = semifree_resolution(N, D2, max_generators)
+    P = res_N.module
+    T2 = tensor_over(S, Q, res_N.free)
     H2 = hom_over(S, Zt, P)  # Z is left S with outer right R
 
     def image(pair, d):
@@ -273,7 +273,7 @@ def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap
     res = semifree_resolution(
         restrict_scalars(N, phi), required_depth(D, -S.min_degree()), max_generators
     )
-    T = tensor_over(R, sr_bimodule_from_morphism(phi), res.module)
+    T = tensor_over(R, sr_bimodule_from_morphism(phi), res.free)
 
     def image(pair, d):
         s_idx, p_idx = pair
@@ -307,12 +307,13 @@ def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> Chain
     """
     R, S, F = M.left_algebra, M.right_algebra, M.field
     Ddeep, Q, Zt, ev = truncated_dual(M, D, max_generators)
-    P = semifree_resolution(Nl, Ddeep, max_generators).module
+    res_l = semifree_resolution(Nl, Ddeep, max_generators)
+    P = res_l.module
     _, Pr, _ = resolve_right_module(Nr, Ddeep, max_generators)
     Ta = tensor_over(S, Pr, Zt)  # outer right R retained
-    T2 = tensor_over(S, Q, P)  # outer left R retained
+    T2 = tensor_over(S, Q, res_l.free)  # outer left R retained
     Tab = tensor_over(R, Ta.structure(), T2.structure())
-    Tc = tensor_over(S, Pr, P)
+    Tc = tensor_over(S, Pr, res_l.free)
 
     def image(pair, d):
         a_idx, t_idx = pair
@@ -344,13 +345,12 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     Dqs = required_depth(D, span, 1)
     Dqt = required_depth(D, max(Dqs, Dn), span)
     res_n = semifree_resolution(N, Dn, max_generators)
-    Pn = res_n.module
     Qs = semifree_resolution_bimodule(M, Dqs, max_generators).bimodule
     Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
     if Qs.basis != Qt.basis[: len(Qs.basis)]:
         raise AssertionError("staggered resolutions are not prefix-compatible")
     Hsrc = hom_over(S, res_n.free, N)
-    Tn = tensor_over(S, Qs, Pn)
+    Tn = tensor_over(S, Qs, res_n.free)
     T2 = tensor_over(S, Qt, N)
     Tn_mod = Tn.structure()
     Htgt = hom_over(R, Tn_mod, T2.structure())

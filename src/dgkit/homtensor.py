@@ -1,9 +1,18 @@
 """Tensor and Hom complexes over a DGA, with retained outer actions.
 
-``tensor_over(A, M, N)`` is the quotient of the ground-field tensor product
-by the relations m·a ⊗ n − m ⊗ a·n; ``hom_over(A, M, N)`` is the complex of
-graded A-linear maps with the Koszul linearity rule f(a m) = (-1)^{|f||a|}
-a f(m) and differential D(f) = d∘f − (-1)^{|f|} f∘d.
+``tensor_over(A, M, N)`` is M ⊗_A N, the quotient of the ground-field tensor
+product by the relations m·a ⊗ n − m ⊗ a·n; ``hom_over(A, M, N)`` is the
+complex of graded A-linear maps with the Koszul linearity rule f(a m) =
+(-1)^{|f||a|} a f(m) and differential D(f) = d∘f − (-1)^{|f|} f∘d.
+
+One class, :class:`TensorProduct`, builds every tensor product, and its
+right factor picks the path.  A resolution's ``FreeModule`` A ⊗ V
+(``res.free``: ``derived_tensor`` of a module, so ``tor``, and the M ⊗_S P
+factors of the canonical maps) has M ⊗_A (A ⊗ V) ≅ M ⊗_k V: the basis is
+the pairs (m, 1·g), and no relation echelon is built.  Every other right
+factor takes the generic path, the quotient by the relations of each
+degree: a bimodule's resolution, the truncated dual in (3)'s Pr ⊗_S Zt,
+(3)'s two-sided product and (5)'s Qt ⊗_S N.
 
 One class, :class:`HomComplex`, builds every Hom, and its source picks the
 path.  A semifree source given as a resolution's ``FreeModule`` A ⊗ V
@@ -11,8 +20,8 @@ path.  A semifree source given as a resolution's ``FreeModule`` A ⊗ V
 and the source of (5)) has Hom_A(A ⊗ V, N) ≅ Hom_k(V, N): a map is its
 values on the generators, its differential is twisted by each generator's
 ``d_elem``, and no A-linearity echelon is built (Félix–Halperin–Thomas,
-*Rational Homotopy Theory*, §6).  Every other source takes the generic
-path, the kernel of the A-linearity constraints over the ground pairs:
+*Rational Homotopy Theory*, §6, for both).  Every other source takes the
+generic path, the kernel of the A-linearity constraints over the ground pairs:
 bimodules (the unit map's and ``dualize``'s Q), the truncated dual, the
 modules of ``endomorphism_dga`` and the endpoint verdict, and Qs ⊗_S Pn,
 the source of (5)'s target.  Both paths give a basis in lead form, so a
@@ -55,12 +64,13 @@ def _over(X, A: DgAlgebra, side: str):
     return acts
 
 
-def _ground_pairs(M, N, sign: int) -> dict[int, list[tuple[int, int]]]:
-    """The ground pairs (m, n) by degree sign·|m| + |n|, each in lexicographic order."""
+def _ground_pairs(M, N, sign: int, ns=None) -> dict[int, list[tuple[int, int]]]:
+    """The ground pairs (m, n) by degree sign·|m| + |n|, each in lexicographic
+    order; n runs over ``ns``, by default every basis element of N."""
     pairs: dict[int, list[tuple[int, int]]] = {}
     for mi in range(M.total_dim):
         dm = sign * M.deg(mi)
-        for nj in range(N.total_dim):
+        for nj in range(N.total_dim) if ns is None else ns:
             pairs.setdefault(dm + N.deg(nj), []).append((mi, nj))
     return pairs
 
@@ -147,27 +157,50 @@ class GroundComplex:
 
 
 class TensorProduct(GroundComplex):
-    """M ⊗_A N as an explicit quotient of the ground tensor product."""
+    """M ⊗_A N on a basis of ground pairs (m, n), in (m, n) order per degree.
+
+    The right factor decides the path.  A :class:`~dgkit.modops.FreeModule`
+    A ⊗ V, a resolution's ``free``, takes the free path: degree d has one
+    basis element per pair (m, 1·g) with |m| + |g| = d, and ``coords`` reads
+    a pair (m, a·g) as (m·a, 1·g) through M's right A-action.  Every other
+    right factor takes the generic path: the basis is the pairs off the
+    pivots of each degree's echelon of relations m·a ⊗ n − m ⊗ a·n, and
+    ``coords`` reduces modulo it.
+    """
 
     def __init__(self, A: DgAlgebra, M, N, name: str | None = None):
+        gens = None
+        if isinstance(N, FreeModule):
+            gens, N = N.gens, N.module
         self.A = A
         self.M = M
         self.N = N
-        F = A.field
-        self.field = F
+        self.field = A.field
         self.name = name or f"{M.name}⊗{N.name}"
-        act_rA, self.outer_left, self._act_outer_l = _over(M, A, "right")
+        self._act_rA, self.outer_left, self._act_outer_l = _over(M, A, "right")
         act_lA, self.outer_right, self._act_outer_r = _over(N, A, "left")
+        if gens is None:
+            self._relation_echelons(act_lA)
+        else:
+            self._relations = None
+            heads = [g * A.total_dim + A.unit for g in range(len(gens))]
+            self._components = _ground_pairs(M, N, 1, heads)
+        self._pos = {d: {pair: i for i, pair in enumerate(ps)} for d, ps in self._components.items()}
 
-        pairs = _ground_pairs(M, N, 1)
+        labels = {
+            d: tuple(f"{M.label(mi)}⊗{N.label(nj)}" for mi, nj in fr)
+            for d, fr in self._components.items()
+        }
+        self._build_complex(labels)
 
-        # the relations of each degree, as an echelon over ground pairs; the
-        # pairs off its pivots represent the quotient basis
+    def _relation_echelons(self, act_lA):
+        """Generic path: the relations of each degree, as an echelon over
+        ground pairs; the pairs off its pivots represent the quotient basis."""
+        A, M, N, F, act_rA = self.A, self.M, self.N, self.field, self._act_rA
         self._relations: dict[int, Echelon] = {}
         self._components: dict[int, list[tuple[int, int]]] = {}
-        self._free_pos: dict[int, dict[tuple[int, int], int]] = {}
         ncomp = {n: N.component(n) for n in N.degrees()}
-        for d, ps in pairs.items():
+        for d, ps in _ground_pairs(M, N, 1).items():
             relations = Echelon(F)
             for a in range(A.total_dim):
                 if a == A.unit:
@@ -182,13 +215,6 @@ class TensorProduct(GroundComplex):
                         relations.add(vec_iadd(F, vec, an, F.sign(1)))
             self._relations[d] = relations
             self._components[d] = [pair for pair in ps if pair not in relations.rows]
-            self._free_pos[d] = {pair: i for i, pair in enumerate(self._components[d])}
-
-        labels = {
-            d: tuple(f"{M.label(mi)}⊗{N.label(nj)}" for mi, nj in fr)
-            for d, fr in self._components.items()
-        }
-        self._build_complex(labels)
 
     # -- ground-level helpers ------------------------------------------------
 
@@ -207,16 +233,24 @@ class TensorProduct(GroundComplex):
         mi, nj = pair
         return {(mi, k): c for k, c in self._act_outer_r.get((a, nj), {}).items()}
 
-    def reduce(self, ground: dict, d: int) -> dict:
-        """Normal form of a ground vector of degree d modulo the relations."""
-        if not any(ground.values()):
-            return {}
-        return self._relations[d].reduce(ground)
-
     def coords(self, ground: dict, d: int) -> dict:
         """Coordinates {position: c} of a ground vector of degree d in the quotient basis."""
-        fpos = self._free_pos.get(d, {})
-        return {fpos[pair]: c for pair, c in self.reduce(ground, d).items()}
+        pos = self._pos.get(d, {})
+        if self._relations is None:
+            # free path: m ⊗ a·g = m·a ⊗ 1·g
+            F, dim, unit = self.field, self.A.total_dim, self.A.unit
+            out: dict = {}
+            for (mi, x), c in ground.items():
+                a = x % dim
+                if a == unit:
+                    vec_iadd(F, out, {pos[mi, x]: c})
+                else:
+                    g1 = x - a + unit
+                    vec_iadd(F, out, {pos[k, g1]: c2 for k, c2 in self._act_rA.get((a, mi), {}).items()}, c)
+            return out
+        if not any(ground.values()):
+            return {}
+        return {pos[pair]: c for pair, c in self._relations[d].reduce(ground).items()}
 
 
 def tensor_over(A: DgAlgebra, M, N, name: str | None = None) -> TensorProduct:

@@ -20,8 +20,11 @@ killing the cycle v adds the boundaries d(a·g) = a·d(g) for the degree-0
 basis elements a of A, which span exactly A_0·v.  So Z_n is walked once in
 kernel-basis order against one growing echelon of boundaries, and a cycle
 gets a generator iff it is not yet a boundary.  The cone's columns are
-built sparsely from the generator list; the free module and ε are built
-once, at the end.
+built sparsely from the generator list, each once: the boundary columns of
+degree n, d_{n+1} with the new A_0·g columns appended (they come last in
+its column order, and its rows M_n ⊕ F_{n-1} do not move), are the d_{n+1}
+whose cycles degree n + 1 walks.  The free module and ε are built once, at
+the end.
 
 Inside a ``resolution_scope`` (each epimorphism check opens one for its
 conditions) ``semifree_resolution`` hands back the resolution it already
@@ -195,16 +198,21 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
         raise ValueError("algebra must be nonnegatively graded")
     bottom = M.min_degree()
     gens: list[Generator] = []
+    d_n = _cone_differential(M, gens, bottom)
     for n in range(bottom, D + 2):
         rows = _positions(M, gens, n)
         dimM = len(rows[0])
         m_of = M.component(n)
         x_of = list(rows[1])
+        # d_{n+1} of the generators so far; the new generators' A_0·g
+        # columns are appended, which makes it d_{n+1} for degree n + 1
+        d_next = _cone_differential(M, gens, n + 1)
+        cols = list(d_next.columns)
         boundaries = Echelon(F)
-        for col in _cone_differential(M, gens, n + 1).columns:
+        for col in cols:
             boundaries.add(col)
         # the cycles not yet bounded, in kernel-basis order
-        for z in kernel_basis(_cone_differential(M, gens, n)):
+        for z in kernel_basis(d_n):
             if not boundaries.add(z):
                 continue
             # one generator per class: dependent classes then die for free,
@@ -223,7 +231,9 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
                 )
             # d(a·g) = a·d(g) for |a| = 0: the boundaries grow by A_0·z
             for a in A.component(0):
-                boundaries.add(_free_column(M, gens, g * A.total_dim + a, rows))
+                cols.append(_free_column(M, gens, g * A.total_dim + a, rows))
+                boundaries.add(cols[-1])
+        d_n = Matrix.from_columns(F, cols, d_next.rows)
     free = FreeModule(A, gens)
     return SemifreeResolution(A, M, free, free.augmentation(M), Window(bottom - 1, D))
 

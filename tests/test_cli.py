@@ -268,6 +268,22 @@ def test_dwyer_greenlees_regular(capsys):
     assert "holds-on-window" in out
 
 
+@pytest.mark.parametrize("module, witness, declared", [("R", "wM2", "M2"), ("M2", "wR", "R")])
+def test_dwyer_greenlees_refuses_another_modules_witness(capsys, monkeypatch, module, witness, declared):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the endomorphism picture was built")
+
+    monkeypatch.setattr("dgkit.cli.check_dwyer_greenlees", refuse)
+    code, out, err = _run(
+        capsys, "dwyer-greenlees", FIXTURES / "exterior.dg", module, witness, "--window=-2..8"
+    )
+    assert code == 1
+    assert out == ""
+    assert f"witness {witness} is declared for module {declared}, not {module}" in err
+    for text in ("witness rejected", "tree value", "Traceback"):
+        assert text not in err
+
+
 def test_text_output_deterministic(capsys):
     runs = []
     for _ in range(2):

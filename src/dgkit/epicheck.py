@@ -281,12 +281,11 @@ def _random_cycle(rng: random.Random, M: DgModule, n: int) -> dict:
 
 def _random_semifree(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:
     """Free module on 2-3 generators whose differentials are earlier cycles."""
-    gens = [Generator(f"{label}0", rng.randint(0, 1))]
+    free = FreeModule(A, [Generator(f"{label}0", rng.randint(0, 1))])
     for i in range(rng.randint(1, 2)):
-        part = FreeModule(A, gens).module
         deg = rng.randint(1, 3)
-        gens.append(Generator(f"{label}{i + 1}", deg, d_elem=_random_cycle(rng, part, deg - 1)))
-    return FreeModule(A, gens).module
+        free.add(Generator(f"{label}{i + 1}", deg, d_elem=_random_cycle(rng, free.module, deg - 1)))
+    return free.module
 
 
 def _random_cone(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:

@@ -251,26 +251,31 @@ def free_act(A: DgAlgebra, a_idx: int, e: dict) -> dict:
     return out
 
 
-def free_diff(A: DgAlgebra, g: int, d_g: dict, a: int) -> dict:
-    """d(a·g) = d(a)·g + (-1)^{|a|} a·d(g) in a free module with d(g) = d_g."""
-    F, dA = A.field, A.total_dim
-    e = {g * dA + a2: c for a2, c in A.diff.get(a, {}).items()}
-    return vec_iadd(F, e, free_act(A, a, d_g), F.sign(A.deg(a)))
-
-
 class FreeModule:
     """Left A-module free on graded generators, with triangular differential.
 
     Basis elements are pairs (generator, algebra basis element); the global
     index of (g, a) is g * dim(A) + a.  The differential of a generator is an
     arbitrary element of the span of earlier generators, so any semifree
-    module can be presented.
+    module can be presented.  ``add`` appends a generator and computes its
+    basis elements a·g once: their labels, their action rows and
+    d(a·g) = d(a)·g + (-1)^{|a|} a·d(g).  ``component`` and ``d`` read those
+    tables, and ``module`` is built from them when first read after an add.
     """
 
-    def __init__(self, algebra: DgAlgebra, gens: list[Generator]):
+    def __init__(self, algebra: DgAlgebra, gens=()):
         self.algebra = algebra
-        self.gens = list(gens)
-        self.module = self._build()
+        self.gens: list[Generator] = []
+        self._basis: list[tuple[str, int]] = []
+        self._act = [{} for _ in range(algebra.total_dim)]  # b ↦ {x: b·x}
+        # a ↦ the nonzero products b·a, in b order
+        dA = range(algebra.total_dim)
+        self._mul_into = [[(b, algebra.mul[b, a]) for b in dA if (b, a) in algebra.mul] for a in dA]
+        self._diff: dict[int, dict] = {}
+        self._by_degree: dict[int, list[int]] = {}
+        self._module = None
+        for gen in gens:
+            self.add(gen)
 
     def index(self, g: int, a: int) -> int:
         return g * self.algebra.total_dim + a
@@ -278,36 +283,37 @@ class FreeModule:
     def split(self, idx: int) -> tuple[int, int]:
         return divmod(idx, self.algebra.total_dim)
 
-    def _build(self) -> DgModule:
+    def add(self, gen: Generator) -> int:
+        """Append a generator, whose d_elem lies over earlier ones; returns its number."""
         A, F = self.algebra, self.algebra.field
-        basis = []
-        for g, gen in enumerate(self.gens):
-            for a in range(A.total_dim):
-                basis.append((f"{A.label(a)}·{gen.label}", A.deg(a) + gen.degree))
-        act = {}
-        for b in range(A.total_dim):
-            for g, gen in enumerate(self.gens):
-                for a in range(A.total_dim):
-                    prod = A.mul.get((b, a), {})
-                    e = {self.index(g, a2): c for a2, c in prod.items()}
-                    if e:
-                        act[(b, self.index(g, a))] = e
-        diff = {}
-        for g, gen in enumerate(self.gens):
-            for a in range(A.total_dim):
-                e = free_diff(A, g, gen.d_elem, a)
-                if e:
-                    diff[self.index(g, a)] = e
-        name = f"free({','.join(g.label for g in self.gens)})"
-        return DgModule(A, "left", basis, act, diff, name=name)
+        g = len(self.gens)
+        base = self.index(g, 0)
+        self.gens.append(gen)
+        for a in range(A.total_dim):
+            x, n = base + a, A.deg(a) + gen.degree
+            self._basis.append((f"{A.label(a)}·{gen.label}", n))
+            self._by_degree.setdefault(n, []).append(x)
+            for b, prod in self._mul_into[a]:
+                self._act[b][x] = {base + a2: c for a2, c in prod.items()}
+            e = {base + a2: c for a2, c in A.diff.get(a, {}).items()}
+            vec_iadd(F, e, free_act(A, a, gen.d_elem), F.sign(A.deg(a)))
+            if e:
+                self._diff[x] = e
+        self._module = None
+        return g
 
-    def augmentation(self, target: DgModule) -> DgModuleMap:
-        """Extend the generators' eps values A-linearly to a module map."""
-        one = self.algebra.field.one
+    def component(self, n: int) -> list[int]:
+        """The degree-n basis indices, in index order."""
+        return self._by_degree.get(n, [])
 
-        def image(idx, n):
-            g, a = self.split(idx)
-            return target.act_elem({a: one}, self.gens[g].eps)
+    def d(self, x: int) -> dict:
+        """The differential of basis element x."""
+        return self._diff.get(x, {})
 
-        M = self.module
-        return DgModuleMap(M, target, matrices_from_images(M, target, image))
+    @property
+    def module(self) -> DgModule:
+        if self._module is None:
+            act = {(b, x): e for b, row in enumerate(self._act) for x, e in row.items()}
+            name = f"free({','.join(g.label for g in self.gens)})"
+            self._module = DgModule(self.algebra, "left", self._basis, act, self._diff, name=name)
+        return self._module

@@ -19,12 +19,13 @@ canonical kernel basis Z_n, stay fixed for the whole degree.  A generator g
 killing the cycle v adds the boundaries d(a·g) = a·d(g) for the degree-0
 basis elements a of A, which span exactly A_0·v.  So Z_n is walked once in
 kernel-basis order against one growing echelon of boundaries, and a cycle
-gets a generator iff it is not yet a boundary.  The cone's columns are
-built sparsely from the generator list, each once: the boundary columns of
-degree n, d_{n+1} with the new A_0·g columns appended (they come last in
-its column order, and its rows M_n ⊕ F_{n-1} do not move), are the d_{n+1}
-whose cycles degree n + 1 walks.  The free module and ε are built once, at
-the end.
+gets a generator iff it is not yet a boundary.  The builder grows one
+``FreeModule``: adding a generator g computes d(a·g) and ε(a·g) = a·ε(g)
+once for each of its basis elements, and the cone's columns and ε read
+those tables.  Each column is built once: the boundary columns of degree n,
+d_{n+1} with the new A_0·g columns appended (they come last in its column
+order, and its rows M_n ⊕ F_{n-1}, positioned once per degree, do not
+move), are the d_{n+1} whose cycles degree n + 1 walks.
 
 Inside a ``resolution_scope`` (each epimorphism check opens one for its
 conditions) ``semifree_resolution`` hands back the resolution it already
@@ -53,7 +54,7 @@ from .dga import (
     right_to_left_op,
     vec_scale,
 )
-from .modops import DgModuleMap, FreeModule, Generator, free_diff, module_shift
+from .modops import DgModuleMap, FreeModule, Generator, matrices_from_images, module_shift
 
 
 class ResourceBoundExceeded(RuntimeError):
@@ -85,43 +86,37 @@ class SemifreeResolution:
         return self.free.gens
 
 
-def _free_basis(A: DgAlgebra, gens: list[Generator], n: int) -> list[int]:
-    """Indices of the degree-n basis of the free module on gens, in index order."""
-    dA = A.total_dim
-    return [g * dA + a for g, gen in enumerate(gens) for a in A.component(n - gen.degree)]
-
-
-def _positions(M: DgModule, gens: list[Generator], n: int) -> tuple[dict, dict]:
+def _positions(M: DgModule, free: FreeModule, n: int) -> tuple[dict, dict]:
     """Positions in cone(ε)_n = M_n ⊕ F_{n-1}: the M part first, each part in index order."""
     m_pos = {m: p for p, m in enumerate(M.component(n))}
     off = len(m_pos)
-    f_pos = {x: off + p for p, x in enumerate(_free_basis(M.algebra, gens, n - 1))}
+    f_pos = {x: off + p for p, x in enumerate(free.component(n - 1))}
     return m_pos, f_pos
 
 
-def _eps_column(M: DgModule, gens: list[Generator], x: int, m_pos: dict) -> dict:
-    """ε(a·g) = a·ε(g) for the free basis element x = a·g, over positions in M."""
-    g, a = divmod(x, M.algebra.total_dim)
-    return {m_pos[t]: c for t, c in M.act_elem({a: M.field.one}, gens[g].eps).items()}
-
-
-def _free_column(M: DgModule, gens: list[Generator], x: int, rows) -> dict:
+def _free_column(free: FreeModule, eps: list, x: int, rows) -> dict:
     """Cone column of the free basis element x = a·g: ε(a·g) ⊕ −d(a·g)."""
+    F = free.algebra.field
     m_pos, f_pos = rows
-    col = _eps_column(M, gens, x, m_pos)
-    g, a = divmod(x, M.algebra.total_dim)
-    d = {f_pos[y]: c for y, c in free_diff(M.algebra, g, gens[g].d_elem, a).items()}
-    col.update(vec_scale(M.field, M.field.sign(1), d))
+    col = {m_pos[t]: c for t, c in eps[x].items()}
+    col.update(vec_scale(F, F.sign(1), {f_pos[y]: c for y, c in free.d(x).items()}))
     return col
 
 
-def _cone_differential(M: DgModule, gens: list[Generator], n: int) -> Matrix:
-    """d_n of cone(ε: F → M), built column by column from the generator list."""
-    rows = _positions(M, gens, n - 1)
+def _cone_differential(M: DgModule, free: FreeModule, eps: list, n: int, rows) -> Matrix:
+    """d_n of cone(ε: F → M), built column by column; ``rows`` are the
+    positions in cone(ε)_{n-1}."""
     m_pos = rows[0]
     cols = [{m_pos[t]: c for t, c in M.diff.get(m, {}).items()} for m in M.component(n)]
-    cols += [_free_column(M, gens, x, rows) for x in _free_basis(M.algebra, gens, n - 1)]
+    cols += [_free_column(free, eps, x, rows) for x in free.component(n - 1)]
     return Matrix.from_columns(M.field, cols, len(m_pos) + len(rows[1]))
+
+
+def _resolution(M: DgModule, free: FreeModule, eps: list, validity: Window) -> SemifreeResolution:
+    """The resolution on ``free`` whose ε sends basis element x to eps[x]."""
+    P = free.module
+    mats = matrices_from_images(P, M, lambda x, n: eps[x])
+    return SemifreeResolution(M.algebra, M, free, DgModuleMap(P, M, mats), validity)
 
 
 def required_depth(D: int, *reaches: int) -> int:
@@ -197,16 +192,17 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
     if A.min_degree() < 0:
         raise ValueError("algebra must be nonnegatively graded")
     bottom = M.min_degree()
-    gens: list[Generator] = []
-    d_n = _cone_differential(M, gens, bottom)
+    free = FreeModule(A)
+    eps: list[dict] = []  # ε(x) over M's indices, for each free basis element x
+    d_n = _cone_differential(M, free, eps, bottom, _positions(M, free, bottom - 1))
     for n in range(bottom, D + 2):
-        rows = _positions(M, gens, n)
+        rows = _positions(M, free, n)
         dimM = len(rows[0])
         m_of = M.component(n)
-        x_of = list(rows[1])
+        x_of = free.component(n - 1)
         # d_{n+1} of the generators so far; the new generators' A_0·g
         # columns are appended, which makes it d_{n+1} for degree n + 1
-        d_next = _cone_differential(M, gens, n + 1)
+        d_next = _cone_differential(M, free, eps, n + 1, rows)
         cols = list(d_next.columns)
         boundaries = Echelon(F)
         for col in cols:
@@ -219,23 +215,21 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
             # keeping the resolution close to minimal
             m_part = {m_of[p]: c for p, c in z.items() if p < dimM}
             x_part = {x_of[p - dimM]: c for p, c in z.items() if p >= dimM}
-            g = len(gens)
-            gens.append(Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part)))
-            if len(gens) > max_generators:
-                free = FreeModule(A, gens)
-                partial = SemifreeResolution(
-                    A, M, free, free.augmentation(M), Window(bottom - 1, n - 1)
-                )
+            g = len(free.gens)
+            gen = Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part))
+            free.add(gen)
+            eps += [M.act_elem({a: F.one}, gen.eps) for a in range(A.total_dim)]
+            if len(free.gens) > max_generators:
                 raise ResourceBoundExceeded(
-                    partial, f"generator cap {max_generators} exceeded at degree {n}"
+                    _resolution(M, free, eps, Window(bottom - 1, n - 1)),
+                    f"generator cap {max_generators} exceeded at degree {n}",
                 )
             # d(a·g) = a·d(g) for |a| = 0: the boundaries grow by A_0·z
             for a in A.component(0):
-                cols.append(_free_column(M, gens, g * A.total_dim + a, rows))
+                cols.append(_free_column(free, eps, free.index(g, a), rows))
                 boundaries.add(cols[-1])
         d_n = Matrix.from_columns(F, cols, d_next.rows)
-    free = FreeModule(A, gens)
-    return SemifreeResolution(A, M, free, free.augmentation(M), Window(bottom - 1, D))
+    return _resolution(M, free, eps, Window(bottom - 1, D))
 
 
 def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):

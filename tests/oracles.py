@@ -2,9 +2,9 @@
 the library builds, kept out of the library itself."""
 
 from dgkit.complexes import ChainMap, Complex, Violation
-from dgkit.dga import DgAlgebra, DgBimodule, regular_bimodule
+from dgkit.dga import DgAlgebra, DgBimodule, DgModule, regular_bimodule
 from dgkit.homtensor import tensor_over
-from dgkit.modops import matrices_from_images
+from dgkit.modops import DgModuleMap, FreeModule, matrices_from_images
 
 
 def validate_complex(C: Complex):
@@ -26,3 +26,15 @@ def tensor_unit_iso(A: DgAlgebra, N) -> ChainMap:
     # the ground pair (a, n) maps to a·n
     mats = matrices_from_images(T, N, lambda pair, d: act.get(pair, {}))
     return ChainMap(T.complex, N.underlying(), mats)
+
+
+def augmentation(free: FreeModule, target: DgModule) -> DgModuleMap:
+    """ε: the generators' eps values extended A-linearly, a·g ↦ a·ε(g)."""
+    one = free.algebra.field.one
+
+    def image(idx, n):
+        g, a = free.split(idx)
+        return target.act_elem({a: one}, free.gens[g].eps)
+
+    M = free.module
+    return DgModuleMap(M, target, matrices_from_images(M, target, image))

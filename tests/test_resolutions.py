@@ -40,6 +40,7 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
+from oracles import augmentation
 
 
 def verify_resolution(res):
@@ -269,7 +270,7 @@ def rebuild_resolution(M, D, max_generators=10000):
     bottom = min((d for _, d in M.basis), default=0)
     for n in range(bottom, D + 2):
         while True:
-            Cn, _, _ = cone(free.augmentation(M).chain_map())
+            Cn, _, _ = cone(augmentation(free, M).chain_map())
             boundaries = Echelon(F)
             for col in Cn.d(n + 1).columns:
                 boundaries.add(col)
@@ -290,6 +291,16 @@ def rebuild_resolution(M, D, max_generators=10000):
 
 def _gen_data(gens):
     return [(g.label, g.degree, g.d_elem, g.eps) for g in gens]
+
+
+def _same_free_module_and_eps(res, M):
+    """The builder's grown free module and ε equal those built in one go from
+    its generators, ε by the oracle's A-linear extension."""
+    P = FreeModule(M.algebra, res.generators)
+    for table in ("basis", "act", "diff"):
+        if getattr(res.free.module, table) != getattr(P.module, table):
+            return table
+    return None if res.eps.mats == augmentation(P, M).mats else "eps"
 
 
 def _dy_equals_x(field):
@@ -351,7 +362,7 @@ def _corpus(field):
     return out
 
 
-@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["QQ", "GF2", "GF101"])
 def test_incremental_builder_matches_rebuild_loop(field):
     for name, M, D in _corpus(field):
         assert validate_module(M) == [], name
@@ -361,6 +372,7 @@ def test_incremental_builder_matches_rebuild_loop(field):
         assert _gen_data(res.generators) == _gen_data(gens), name
         assert res.validity == window, name
         assert verify_resolution(res) is True, name
+        assert _same_free_module_and_eps(res, M) is None, name
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
@@ -392,7 +404,7 @@ def test_generator_cap_holds_for_free_modules():
 
 
 def test_incremental_builder_cap_partial_matches_rebuild_loop():
-    for field in (QQ, GF(101)):
+    for field in (QQ, GF(2), GF(101)):
         for name, M, _ in _corpus(field)[:6]:
             gens, window, capped = rebuild_resolution(M, 6, max_generators=3)
             if not capped:
@@ -403,3 +415,4 @@ def test_incremental_builder_cap_partial_matches_rebuild_loop():
             assert _gen_data(partial.generators) == _gen_data(gens), name
             assert partial.validity == window, name
             assert verify_resolution(partial) is True, name
+            assert _same_free_module_and_eps(partial, M) is None, name

@@ -37,7 +37,7 @@ from .dga import (
     vec_iadd,
 )
 from .homtensor import HomComplex, _as_map, _pointwise, hom_over, tensor_over
-from .modops import matrices_from_images, truncate_below
+from .modops import FreeModule, matrices_from_images, truncate_below
 from .resolutions import (
     require_witness,
     required_depth,
@@ -109,14 +109,17 @@ def is_derived_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
 class DualizedBimodule:
     Z: DgBimodule  # left S, right R
     hom: HomComplex  # Hom over S^op; Z's basis element g is hom.reps[g]
-    Q: DgBimodule  # the R-S bimodule resolution of M: hom's source, sides swapped
+    # the R-S bimodule resolution Q of M as a left R-module, free on the
+    # (1⊗s)·g; Q.module is hom's source, sides swapped
+    Q: FreeModule
 
 
 def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimodule:
     """Z = RHom_{S^op}(M, S) with its left-S and right-R structure."""
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    Q = semifree_resolution_bimodule(M, required_depth(D, S.max_degree()), max_generators).bimodule
+    bres = semifree_resolution_bimodule(M, required_depth(D, S.max_degree()), max_generators)
+    Q = bres.bimodule
     Sop, Rop = opposite(S), opposite(R)
     Qp = swap_sides(Q, Sop, Rop, name=f"{Q.name}'")
     # S as an S^op-S^op-bimodule: s̄·x = (-1)^{|s||x|} xs, x·s̄ = (-1)^{|s||x|} sx,
@@ -125,7 +128,7 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
     Sp = DgBimodule(Sop, Sop, S.basis, act, act, S.diff, name="S'")
     H = hom_over(Sop, Qp, Sp, name=f"Z({M.name})")
     Zb = H.structure()  # left R^op, right S^op
-    return DualizedBimodule(swap_sides(Zb, S, R), H, Q)
+    return DualizedBimodule(swap_sides(Zb, S, R), H, bres.free)
 
 
 # -- canonical maps ------------------------------------------------------------
@@ -139,9 +142,10 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
     """The dual that the canonical maps on the window -D..D tensor with.
 
     Returns (depth, Q, Zt, ev): the depth through which the dual and the
-    other factors are resolved, the bimodule resolution Q of M behind the
-    dual, the good truncation Zt = τ_{≥-D-1}Z and the evaluation z(q) of its
-    basis elements, read through their carriers in Z.  The cut keeps
+    other factors are resolved, the bimodule resolution of M behind the
+    dual as Q, the left R-module free on the (1⊗s)·g, the good truncation
+    Zt = τ_{≥-D-1}Z and the evaluation z(q) of its basis elements, read
+    through their carriers in Z.  The cut keeps
     resolution junk below the window from pairing with top-degree junk of
     the other tensor factor, whose sum lands in the window.  Built once and
     kept for the life of M, so the maps of one check share it.
@@ -191,7 +195,7 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     Q = bres.bimodule
     eps_gr = _eps_on_basis(bres.env_resolution)  # Q basis idx -> element of M
     T = tensor_over(S, M, res_N.free)
-    H = hom_over(R, Q, T.structure())  # T as a left R-module
+    H = hom_over(R, bres.free, T.structure())  # T as a left R-module
 
     def image(p_idx, n):
         def value(q_idx):
@@ -221,7 +225,7 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     D2, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
     P = res_N.module
-    T2 = tensor_over(S, Q, res_N.free)  # Q right-S ⊗ P; outer left R retained
+    T2 = tensor_over(S, Q, res_N.free)  # Q right-S ⊗ P: R-free
     T1 = tensor_over(R, Zt, T2.structure())  # outer left S retained
 
     def image(pair, d):
@@ -311,7 +315,7 @@ def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> Chain
     P = res_l.module
     _, Pr, _ = resolve_right_module(Nr, Ddeep, max_generators)
     Ta = tensor_over(S, Pr, Zt)  # outer right R retained
-    T2 = tensor_over(S, Q, res_l.free)  # outer left R retained
+    T2 = tensor_over(S, Q, res_l.free)  # R-free
     Tab = tensor_over(R, Ta.structure(), T2.structure())
     Tc = tensor_over(S, Pr, res_l.free)
 
@@ -345,22 +349,22 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     Dqs = required_depth(D, span, 1)
     Dqt = required_depth(D, max(Dqs, Dn), span)
     res_n = semifree_resolution(N, Dn, max_generators)
-    Qs = semifree_resolution_bimodule(M, Dqs, max_generators).bimodule
+    bres_s = semifree_resolution_bimodule(M, Dqs, max_generators)
+    Qs = bres_s.bimodule
     Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
     if Qs.basis != Qt.basis[: len(Qs.basis)]:
         raise AssertionError("staggered resolutions are not prefix-compatible")
     Hsrc = hom_over(S, res_n.free, N)
-    Tn = tensor_over(S, Qs, res_n.free)
+    Tn = tensor_over(S, bres_s.free, res_n.free)  # R-free
     T2 = tensor_over(S, Qt, N)
-    Tn_mod = Tn.structure()
-    Htgt = hom_over(R, Tn_mod, T2.structure())
+    Htgt = hom_over(R, Tn.structure(), T2.structure())
 
     def image(f, n):
         f, ground = _as_map(f), {}
         for t_idx, (q_idx, p_idx) in enumerate(Tn.reps):
             fp = f.get(p_idx)
             if fp:
-                t = T2.element({(q_idx, k): c for k, c in fp.items()}, Tn_mod.deg(t_idx) + n)
+                t = T2.element({(q_idx, k): c for k, c in fp.items()}, Tn.basis[t_idx][1] + n)
                 sgn = F.sign(n * Qs.deg(q_idx))
                 vec_iadd(F, ground, {(t_idx, g): c for g, c in t.items()}, sgn)
         return ground

@@ -67,10 +67,10 @@ class AxiomViolation:
 class _Graded:
     """Shared machinery: graded basis, differential, underlying complex."""
 
-    def __init__(self, field: Field, basis: list[tuple[str, int]], diff: dict[int, dict]):
+    def __init__(self, field: Field, basis: list[tuple[str, int]], diff: dict[int, dict], copy=True):
         self.field = field
-        self.basis = list(basis)
-        self.diff = {i: dict(e) for i, e in diff.items() if e}
+        self.basis = list(basis) if copy else basis
+        self.diff = {i: dict(e) for i, e in diff.items() if e} if copy else diff
         self._by_degree: dict[int, list[int]] = {}
         self._pos: list[int] = []  # position of each basis index in its component
         for i, (_, d) in enumerate(self.basis):
@@ -163,15 +163,21 @@ class DgAlgebra(_Graded):
 
 
 class DgModule(_Graded):
-    """One-sided DG module.  ``act[(a, m)]`` is a·m (left) or m·a (right)."""
+    """One-sided DG module.  ``act[(a, m)]`` is a·m (left) or m·a (right).
 
-    def __init__(self, algebra: DgAlgebra, side: str, basis, act: dict, diff: dict, name: str = "M"):
+    With ``copy=False`` the module keeps the given basis and tables instead of
+    copying them; they must have no empty entries, as a free module's have.
+    """
+
+    def __init__(
+        self, algebra: DgAlgebra, side: str, basis, act: dict, diff: dict, name: str = "M", copy=True
+    ):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        super().__init__(algebra.field, basis, diff)
+        super().__init__(algebra.field, basis, diff, copy)
         self.algebra = algebra
         self.side = side
-        self.act = {am: dict(e) for am, e in act.items() if e}
+        self.act = {am: dict(e) for am, e in act.items() if e} if copy else act
         self.name = name
         self._action_mats: dict = {}
 

@@ -5,29 +5,43 @@ product by the relations m·a ⊗ n − m ⊗ a·n; ``hom_over(A, M, N)`` is the
 complex of graded A-linear maps with the Koszul linearity rule f(a m) =
 (-1)^{|f||a|} a f(m) and differential D(f) = d∘f − (-1)^{|f|} f∘d.
 
+A free module is a :class:`~dgkit.modops.FreeModule`, which numbers its
+basis through its layout: both free paths ask it for ``index(g, a)``, the
+basis element a·g, ``split`` and the generators, and never compute an index
+themselves.  Three kinds are passed here: a resolution's ``res.free`` A ⊗ V;
+a bimodule resolution Q over R ⊗ S^op, which as a left R-module is free on
+the (1⊗s)·g (``BimoduleResolution.free``, on Q's own numbering); and Q ⊗_S P
+for P = ``res.free`` over S, which is R-free on the pairs of those
+generators and P's (``TensorProduct.structure()`` on the free path, when the
+left factor is Q's view).
+
 One class, :class:`TensorProduct`, builds every tensor product, and its
-right factor picks the path.  A resolution's ``FreeModule`` A ⊗ V
-(``res.free``: ``derived_tensor`` of a module, so ``tor``, and the M ⊗_S P
-factors of the canonical maps) has M ⊗_A (A ⊗ V) ≅ M ⊗_k V: the basis is
-the pairs (m, 1·g), and no relation echelon is built.  Every other right
-factor takes the generic path, the quotient by the relations of each
-degree: a bimodule's resolution, the truncated dual in (3)'s Pr ⊗_S Zt,
-(3)'s two-sided product and (5)'s Qt ⊗_S N.
+right factor picks the path.  A free right factor A ⊗ V has
+M ⊗_A (A ⊗ V) ≅ M ⊗_k V: the basis is the pairs (m, 1·g), and no relation
+echelon is built.  It is ``res.free`` for ``derived_tensor`` of a module, so
+``tor``, and for the M ⊗_S P factors of the canonical maps, and the R-free
+Q ⊗_S P for (3)'s two-sided product ``Tab`` and the counit's Zt ⊗_R (Q ⊗_S P).
+Every other right factor takes the generic path, the quotient by the
+relations of each degree: a bimodule, the truncated dual in (3)'s
+Pr ⊗_S Zt and (5)'s Qt ⊗_S N.
 
 One class, :class:`HomComplex`, builds every Hom, and its source picks the
-path.  A semifree source given as a resolution's ``FreeModule`` A ⊗ V
-(``res.free``: ``derived.rhom`` and ``ext`` on modules, ring condition (4)
-and the source of (5)) has Hom_A(A ⊗ V, N) ≅ Hom_k(V, N): a map is its
+path.  A free source A ⊗ V has Hom_A(A ⊗ V, N) ≅ Hom_k(V, N): a map is its
 values on the generators, its differential is twisted by each generator's
 ``d_elem``, and no A-linearity echelon is built (Félix–Halperin–Thomas,
-*Rational Homotopy Theory*, §6, for both).  Every other source takes the
-generic path, the kernel of the A-linearity constraints over the ground pairs:
-bimodules (the unit map's and ``dualize``'s Q), the truncated dual, the
-modules of ``endomorphism_dga`` and the endpoint verdict, and Qs ⊗_S Pn,
-the source of (5)'s target.  Both paths give a basis in lead form, so a
-vector's coordinates are its values at the leads (``linalg.lead_coords``),
-with no echelon behind them.  When an argument is a bimodule, the spare
-action descends to the result:
+*Rational Homotopy Theory*, §6, for both).  It is ``res.free`` for
+``derived.rhom`` and ``ext`` on modules, ring condition (4) and the source
+of (5); Q's R-free view for the unit map's Hom_R(Q, M ⊗_S P); and the R-free
+Qs ⊗_S Pn for (5)'s target.  Every other source takes the generic path, the
+kernel of the A-linearity constraints over the ground pairs: the truncated
+dual, the modules of ``endomorphism_dga`` and the endpoint verdict, and
+``dualize``'s Q over S^op.  That one stays generic because Q is free as a
+left S^op-module only up to the sign (-1)^{|r||s|} of ``swap_sides`` and the
+enveloping product, so its layout would carry signs; it is 2 of a check's
+Homs.  Both paths give a basis in lead form, so a vector's coordinates are
+its values at the leads (``linalg.lead_coords``, through an index of the
+leads of each degree), with no echelon behind them.  When an argument is a
+bimodule, the spare action descends to the result:
 
   * tensor: outer left action on M and outer right action on N pass through;
   * hom:    a right S-action on M gives (s·f)(m) = (-1)^{|s|(|f|+|m|)} f(m s),
@@ -41,7 +55,7 @@ from __future__ import annotations
 from .linalg import Echelon, Matrix, lead_coords
 from .complexes import Complex, GradedSpace
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd
-from .modops import FreeModule, matrices_from_images
+from .modops import FreeModule, Generator, matrices_from_images
 
 
 class SideMismatch(ValueError):
@@ -160,18 +174,23 @@ class TensorProduct(GroundComplex):
     """M ⊗_A N on a basis of ground pairs (m, n), in (m, n) order per degree.
 
     The right factor decides the path.  A :class:`~dgkit.modops.FreeModule`
-    A ⊗ V, a resolution's ``free``, takes the free path: degree d has one
-    basis element per pair (m, 1·g) with |m| + |g| = d, and ``coords`` reads
-    a pair (m, a·g) as (m·a, 1·g) through M's right A-action.  Every other
-    right factor takes the generic path: the basis is the pairs off the
-    pivots of each degree's echelon of relations m·a ⊗ n − m ⊗ a·n, and
+    A ⊗ V (a resolution's ``free``, or an R-free Q ⊗_S P) takes the free
+    path: degree d has one basis element per pair (m, 1·g) with
+    |m| + |g| = d, and ``coords`` reads a pair (m, a·g) as (m·a, 1·g) through
+    M's right A-action.  When the left factor is a ``FreeModule`` too, over
+    the outer left algebra R (a bimodule resolution's R-free view), the
+    product is R-free and ``structure()`` is that ``FreeModule``.  Every
+    other right factor takes the generic path: the basis is the pairs off
+    the pivots of each degree's echelon of relations m·a ⊗ n − m ⊗ a·n, and
     ``coords`` reduces modulo it.
     """
 
     def __init__(self, A: DgAlgebra, M, N, name: str | None = None):
-        gens = None
-        if isinstance(N, FreeModule):
-            gens, N = N.gens, N.module
+        # the factors as free modules, when they are: M over the outer left
+        # algebra, N over A
+        self._free_left = M if isinstance(M, FreeModule) else None
+        self._free = N if isinstance(N, FreeModule) else None
+        M, N = (X.module if isinstance(X, FreeModule) else X for X in (M, N))
         self.A = A
         self.M = M
         self.N = N
@@ -179,11 +198,11 @@ class TensorProduct(GroundComplex):
         self.name = name or f"{M.name}⊗{N.name}"
         self._act_rA, self.outer_left, self._act_outer_l = _over(M, A, "right")
         act_lA, self.outer_right, self._act_outer_r = _over(N, A, "left")
-        if gens is None:
+        if self._free is None:
             self._relation_echelons(act_lA)
         else:
             self._relations = None
-            heads = [g * A.total_dim + A.unit for g in range(len(gens))]
+            heads = [self._free.index(g, A.unit) for g in range(len(self._free.gens))]
             self._components = _ground_pairs(M, N, 1, heads)
         self._pos = {d: {pair: i for i, pair in enumerate(ps)} for d, ps in self._components.items()}
 
@@ -238,19 +257,49 @@ class TensorProduct(GroundComplex):
         pos = self._pos.get(d, {})
         if self._relations is None:
             # free path: m ⊗ a·g = m·a ⊗ 1·g
-            F, dim, unit = self.field, self.A.total_dim, self.A.unit
+            F, free, unit = self.field, self._free, self.A.unit
             out: dict = {}
             for (mi, x), c in ground.items():
-                a = x % dim
+                g, a = free.split(x)
                 if a == unit:
                     vec_iadd(F, out, {pos[mi, x]: c})
                 else:
-                    g1 = x - a + unit
-                    vec_iadd(F, out, {pos[k, g1]: c2 for k, c2 in self._act_rA.get((a, mi), {}).items()}, c)
+                    head = free.index(g, unit)
+                    vec_iadd(F, out, {pos[k, head]: c2 for k, c2 in self._act_rA.get((a, mi), {}).items()}, c)
             return out
         if not any(ground.values()):
             return {}
         return {pos[pair]: c for pair, c in self._relations[d].reduce(ground).items()}
+
+    def structure(self):
+        """The R-``FreeModule`` when both factors are free and no outer right
+        action descends; else :meth:`GroundComplex.structure`."""
+        if self._module is None and None not in (self._free_left, self._free) and self.outer_right is None:
+            self._module = self._free_view()
+        return super().structure()
+
+    def _free_view(self) -> FreeModule:
+        """(R ⊗ U) ⊗_A (A ⊗ V) ≅ R ⊗ (U ⊗ V) on the numbering of ``basis``:
+        free on the pairs (1·u, 1·v) of the factors' generators, with
+        r·(q ⊗ p) = (r·q) ⊗ p, so r_i·(u ⊗ v) is the pair (r_i·u, 1·v), with
+        no sign.  The action is R's multiplication on that layout."""
+        left, right, R = self._free_left, self._free, self.outer_left
+        M, N, start, pos = self.M, self.N, self._start, self._pos
+
+        def at(mi: int, x: int) -> int:
+            d = M.deg(mi) + N.deg(x)
+            return start[d] + pos[d][mi, x]
+
+        diff = self._table(self.complex.diffs, -1)
+        gens, rows = [], []
+        for u in range(len(left.gens)):
+            for v in range(len(right.gens)):
+                head = right.index(v, self.A.unit)
+                row = [at(left.index(u, i), head) for i in range(R.total_dim)]
+                x = row[R.unit]
+                gens.append(Generator(self.basis[x][0], self.basis[x][1], diff.get(x, {})))
+                rows.append(row)
+        return FreeModule.view(R, gens, rows, self.basis, diff, name=self.name)
 
 
 def tensor_over(A: DgAlgebra, M, N, name: str | None = None) -> TensorProduct:
@@ -268,23 +317,24 @@ def _as_map(vec: dict) -> dict:
 class HomComplex(GroundComplex):
     """Hom_A(M, N): graded A-linear maps as explicit per-degree bases.
 
-    The source decides the path.  A :class:`~dgkit.modops.FreeModule` A ⊗ V,
-    a resolution's ``free``, takes the free path: Hom_A(A ⊗ V, N) ≅
-    Hom_k(V, N), so degree n has one basis element per pair (generator g,
-    basis element w of N) with |w| − |g| = n, in (g, w) order.  Its rep is
-    the A-linear extension f(a·g) = (-1)^{n|a|} a·w; the differential is
-    read off the generator values.  Every other source takes the generic
-    path: the degree-n basis is the kernel of the A-linearity constraints
-    over the ground pairs.  Both bases are in lead form, so ``coords`` reads
-    a vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
-    generator row (g·dim A + unit, w) of a free basis element, the largest
-    ground pair of a kernel vector.
+    The source decides the path.  A :class:`~dgkit.modops.FreeModule` A ⊗ V
+    (a resolution's ``free``, a bimodule resolution's R-free view, or an
+    R-free Q ⊗_S P) takes the free path: Hom_A(A ⊗ V, N) ≅ Hom_k(V, N), so
+    degree n has one basis element per pair (generator g, basis element w of
+    N) with |w| − |g| = n, in (g, w) order.  Its rep is the A-linear
+    extension f(a·g) = (-1)^{n|a|} a·w; the differential is read off the
+    generator values.  Every other source takes the generic path: the
+    degree-n basis is the kernel of the A-linearity constraints over the
+    ground pairs.  Both bases are in lead form, so ``coords`` reads a
+    vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
+    generator row (1·g, w) of a free basis element, the largest ground pair
+    of a kernel vector.
     """
 
     def __init__(self, A: DgAlgebra, M, N, name: str | None = None):
-        self._gens = None
-        if isinstance(M, FreeModule):
-            self._gens, M = M.gens, M.module
+        self._free = M if isinstance(M, FreeModule) else None
+        if self._free is not None:
+            M = M.module
         self.A = A
         self.M = M
         self.N = N
@@ -292,7 +342,7 @@ class HomComplex(GroundComplex):
         self.name = name or f"Hom({M.name},{N.name})"
         act_M, self.outer_left, self._act_outer_l = _over(M, A, "left")
         self._act_N, self.outer_right, self._act_outer_r = _over(N, A, "left")
-        if self._gens is None:
+        if self._free is None:
             self._constraint_kernels(act_M)
         else:
             self._generator_pairs()
@@ -310,7 +360,7 @@ class HomComplex(GroundComplex):
         kernel vector's lead is its largest ground pair."""
         A, M, N, F, act_N = self.A, self.M, self.N, self.field, self._act_N
         self._components: dict[int, list[dict]] = {}
-        self._leads: dict[int, list] = {}
+        self._leads: dict[int, dict] = {}  # n ↦ {lead: position}
         for n, ps in sorted(_ground_pairs(M, N, -1).items()):
             in_ps = set(ps)
             # A-linearity constraints, one per (a, m, w): the Hom_n component
@@ -340,19 +390,22 @@ class HomComplex(GroundComplex):
             vecs = constraints.kernel(ps)
             if vecs:
                 self._components[n] = vecs
-                self._leads[n] = [max(v) for v in vecs]
+                self._leads[n] = {max(v): i for i, v in enumerate(vecs)}
 
     def _generator_pairs(self):
         """Free path: the pairs (g, w) of each degree |w| − |g|, in (g, w)
         order, their positions, their reps, the A-linear extensions of g ↦ w,
-        and their leads, the ground pairs (g·dim A + unit, w)."""
+        and their leads, the ground pairs (1·g, w)."""
+        free = self._free
         self._pairs: dict[int, list[tuple[int, int]]] = {}
-        for g, gen in enumerate(self._gens):
+        for g, gen in enumerate(free.gens):
             for w in range(self.N.total_dim):
                 self._pairs.setdefault(self.N.deg(w) - gen.degree, []).append((g, w))
         self._pos = {n: {pair: i for i, pair in enumerate(ps)} for n, ps in self._pairs.items()}
-        dim, unit = self.A.total_dim, self.A.unit
-        self._leads = {n: [(g * dim + unit, w) for g, w in ps] for n, ps in self._pairs.items()}
+        unit = self.A.unit
+        self._leads = {
+            n: {(free.index(g, unit), w): i for i, (g, w) in enumerate(ps)} for n, ps in self._pairs.items()
+        }
         self._components = {
             n: [self._extension(g, {w: self.field.one}, n) for g, w in ps]
             for n, ps in sorted(self._pairs.items())
@@ -366,25 +419,25 @@ class HomComplex(GroundComplex):
         """The degree-n ground Hom vector a·g ↦ (-1)^{n|a|} a·value, zero on
         the other generators."""
         F, A = self.field, self.A
-        base = g * A.total_dim
         ground: dict = {}
         for a in range(A.total_dim):
             av = self._a_times(a, value)
             if av:
-                vec_iadd(F, ground, {(base + a, k): c for k, c in av.items()}, F.sign(n * A.deg(a)))
+                x = self._free.index(g, a)
+                vec_iadd(F, ground, {(x, k): c for k, c in av.items()}, F.sign(n * A.deg(a)))
         return ground
 
     def _differentials(self) -> dict:
-        if self._gens is None:
+        if self._free is None:
             return super()._differentials()
         # D(f)(h) = d_N(f(h)) − (-1)^n f(d h) on generator values: the pair
         # (g, w) gives d_N(w) at g and −(-1)^n (-1)^{n|a|} c·a·w at each
         # generator h whose d(h) has the term c·a·g
         F, A, N = self.field, self.A, self.N
         into: dict[int, list] = {}  # g ↦ [(h, a, c)]: the terms c·a·g of each d(h)
-        for h, gen in enumerate(self._gens):
+        for h, gen in enumerate(self._free.gens):
             for x, c in gen.d_elem.items():
-                g, a = divmod(x, A.total_dim)
+                g, a = self._free.split(x)
                 into.setdefault(g, []).append((h, a, c))
         mats = {}
         for n in self.degrees():
@@ -426,7 +479,7 @@ class HomComplex(GroundComplex):
         its values at the leads.
 
         Raises ValueError for a vector that is not A-linear of degree n."""
-        x = lead_coords(self.field, self.component(n), self._leads.get(n, ()), ground)
+        x = lead_coords(self.field, self.component(n), self._leads.get(n, {}), ground)
         if x is None:
             raise ValueError(f"ground vector is not an A-linear map of degree {n} (outside the Hom span)")
         return x

@@ -287,24 +287,22 @@ def kernel_basis(A: Matrix) -> list[dict]:
     return E.kernel(range(A.cols))
 
 
-def lead_coords(F: Field, basis, leads, v: dict) -> dict | None:
+def lead_coords(F: Field, basis, leads: dict, v: dict) -> dict | None:
     """{i: c} with v = Σ c·basis[i], or None when v is outside their span.
 
-    The basis is in lead form: ``basis[i]`` is 1 at index ``leads[i]`` and 0
-    at every other lead, as the vector of :meth:`Echelon.kernel` for
-    non-pivot column j is at j, its largest index.  So the coordinates of v
-    are its values at the leads, and v is in the span exactly when it equals
-    their combination; no elimination is needed.  Over Q every coordinate is
-    in normal form.
+    The basis is in lead form: ``leads`` maps each lead to its basis vector,
+    ``basis[i]`` is 1 at its own lead and 0 at every other lead, as the
+    vector of :meth:`Echelon.kernel` for non-pivot column j is at j, its
+    largest index.  So the coordinates of v are its values at the leads,
+    read off the entries of v that are leads, and v is in the span exactly
+    when it equals their combination; no elimination is needed.  Over Q
+    every coordinate is in normal form.
     """
     rest = _normal_copy(v.items())
-    x = {}
-    for i, (b, lead) in enumerate(zip(basis, leads)):
-        c = rest.get(lead)
-        if c is not None:
-            x[i] = c
-            vec_iadd(F, rest, b, -c)
-    return None if rest else x
+    x = sorted((leads[j], c) for j, c in rest.items() if j in leads)
+    for i, c in x:
+        vec_iadd(F, rest, basis[i], -c)
+    return None if rest else dict(x)
 
 
 def _normal_copy(items) -> dict:

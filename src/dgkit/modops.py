@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix, kernel_basis, lead_coords
 from .complexes import ChainMap, Violation
-from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, vec_iadd, vec_scale
+from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd, vec_scale
 
 
 def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Matrix]:
@@ -188,7 +188,7 @@ def truncate_below(Z: DgBimodule, c: int):
     """
     F = Z.field
     cycles = kernel_basis(Z.underlying().d(c)) if Z.component(c) else []
-    leads = [max(v) for v in cycles]
+    leads = {max(v): i for i, v in enumerate(cycles)}
     carriers = [Z.elem_from_component(v, c) for v in cycles]
     basis = [(f"z{c}_{i}", c) for i in range(len(cycles))]
     new_index = {}
@@ -238,65 +238,91 @@ class Generator:
     eps: dict = dc_field(default_factory=dict)  # over target-module indices
 
 
-def free_act(A: DgAlgebra, a_idx: int, e: dict) -> dict:
-    """Left-multiply a free-module element by an algebra basis element.
-
-    Free-module indices are g * dim(A) + a, as in :class:`FreeModule`.
-    """
-    F, dA = A.field, A.total_dim
-    out: dict = {}
-    for idx, c in e.items():
-        g, b = divmod(idx, dA)
-        vec_iadd(F, out, {g * dA + b2: c2 for b2, c2 in A.mul.get((a_idx, b), {}).items()}, c)
-    return out
-
-
 class FreeModule:
-    """Left A-module free on graded generators, with triangular differential.
+    """Left A-module free on graded generators.
 
-    Basis elements are pairs (generator, algebra basis element); the global
-    index of (g, a) is g * dim(A) + a.  The differential of a generator is an
-    arbitrary element of the span of earlier generators, so any semifree
-    module can be presented.  ``add`` appends a generator and computes its
-    basis elements a·g once: their labels, their action rows and
-    d(a·g) = d(a)·g + (-1)^{|a|} a·d(g).  ``component`` and ``d`` read those
-    tables, and ``module`` is built from them when first read after an add.
+    Its layout numbers the basis: ``index(g, a)`` is the basis index of a·g,
+    for generator g and algebra basis element a, ``split`` is its inverse,
+    and each generator's ``degree`` and ``d_elem`` are in that numbering.
+    ``add`` appends a generator in the standard layout g·dim A + a.  Its
+    ``d_elem`` lies over earlier generators, so any semifree module can be
+    presented, and its basis elements a·g are computed once: their labels,
+    their action rows b·(a·g) = (ba)·g and d(a·g) = d(a)·g + (-1)^{|a|} a·d(g).
+    ``view`` presents a module built elsewhere as a free one on its own
+    numbering.  ``component`` and ``d`` read the tables, and ``module`` is
+    built on them, not on copies, when first read after an add; a module read
+    before an add is not to be used after it.
     """
 
     def __init__(self, algebra: DgAlgebra, gens=()):
         self.algebra = algebra
         self.gens: list[Generator] = []
+        self._rows: list[list[int]] = []  # g ↦ the index of a·g, for each a
+        self._split: list[tuple[int, int]] = []  # basis index ↦ (g, a)
         self._basis: list[tuple[str, int]] = []
-        self._act = [{} for _ in range(algebra.total_dim)]  # b ↦ {x: b·x}
+        self._act: dict = {}  # (b, x) ↦ b·x
         # a ↦ the nonzero products b·a, in b order
         dA = range(algebra.total_dim)
         self._mul_into = [[(b, algebra.mul[b, a]) for b in dA if (b, a) in algebra.mul] for a in dA]
         self._diff: dict[int, dict] = {}
         self._by_degree: dict[int, list[int]] = {}
         self._module = None
+        self._name = None
         for gen in gens:
             self.add(gen)
 
+    @classmethod
+    def view(cls, algebra: DgAlgebra, gens, rows, basis, diff, bimodule=None, name=None):
+        """The free module on ``gens`` whose a·g is basis element rows[g][a],
+        over a basis and differential numbered elsewhere, kept and not copied.
+
+        When it is the left module of ``bimodule``, its action is the
+        bimodule's left action and its ``module`` the bimodule itself; else
+        the action is A's multiplication on the layout.
+        """
+        free = cls(algebra)
+        free.gens, free._rows, free._basis, free._diff, free._name = list(gens), rows, basis, diff, name
+        free._split = [None] * len(basis)
+        for g, row in enumerate(rows):
+            for a, x in enumerate(row):
+                free._split[x] = (g, a)
+        for x, (_, n) in enumerate(basis):
+            free._by_degree.setdefault(n, []).append(x)
+        if bimodule is None:
+            for row in rows:
+                free._act_on(row)
+        else:
+            free._act, free._module = bimodule.act_left, bimodule
+        return free
+
     def index(self, g: int, a: int) -> int:
-        return g * self.algebra.total_dim + a
+        return self._rows[g][a]
 
     def split(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.algebra.total_dim)
+        return self._split[idx]
+
+    def _act_on(self, row: list[int]):
+        """The action rows of one generator's basis elements: b·(a·g) = (ba)·g."""
+        for a, x in enumerate(row):
+            for b, prod in self._mul_into[a]:
+                self._act[b, x] = {row[a2]: c for a2, c in prod.items()}
 
     def add(self, gen: Generator) -> int:
         """Append a generator, whose d_elem lies over earlier ones; returns its number."""
         A, F = self.algebra, self.algebra.field
-        g = len(self.gens)
-        base = self.index(g, 0)
+        g, base = len(self.gens), len(self._basis)
+        row = list(range(base, base + A.total_dim))
         self.gens.append(gen)
-        for a in range(A.total_dim):
-            x, n = base + a, A.deg(a) + gen.degree
+        self._rows.append(row)
+        self._act_on(row)
+        for a, x in enumerate(row):
+            n = A.deg(a) + gen.degree
             self._basis.append((f"{A.label(a)}·{gen.label}", n))
+            self._split.append((g, a))
             self._by_degree.setdefault(n, []).append(x)
-            for b, prod in self._mul_into[a]:
-                self._act[b][x] = {base + a2: c for a2, c in prod.items()}
-            e = {base + a2: c for a2, c in A.diff.get(a, {}).items()}
-            vec_iadd(F, e, free_act(A, a, gen.d_elem), F.sign(A.deg(a)))
+            e = {row[a2]: c for a2, c in A.diff.get(a, {}).items()}
+            ad = linear(F, lambda y: self._act.get((a, y), {}), gen.d_elem)
+            vec_iadd(F, e, ad, F.sign(A.deg(a)))
             if e:
                 self._diff[x] = e
         self._module = None
@@ -311,9 +337,31 @@ class FreeModule:
         return self._diff.get(x, {})
 
     @property
-    def module(self) -> DgModule:
+    def module(self):
+        """The left module on the tables, or the bimodule of a ``view``."""
         if self._module is None:
-            act = {(b, x): e for b, row in enumerate(self._act) for x, e in row.items()}
-            name = f"free({','.join(g.label for g in self.gens)})"
-            self._module = DgModule(self.algebra, "left", self._basis, act, self._diff, name=name)
+            name = self._name or f"free({','.join(g.label for g in self.gens)})"
+            self._module = DgModule(
+                self.algebra, "left", self._basis, self._act, self._diff, name, copy=False
+            )
         return self._module
+
+
+def left_free(Q: DgBimodule, env: FreeModule) -> FreeModule:
+    """Q, an R-S-bimodule free over enveloping(R, S) on ``env``'s generators,
+    as a left R-module: free on the (1⊗s_j)·g, on Q's own numbering.
+
+    ``enveloping`` numbers r_i⊗s_j as i·|S| + j, and (r_i⊗1)(1⊗s_j) = r_i⊗s_j
+    with no sign, so r_i·(1⊗s_j)·g is env's basis element at a = i·|S| + j.
+    ``env_module_to_bimodule`` puts no sign on the left action either, so
+    the view reads Q's own tables.
+    """
+    R, S = Q.left_algebra, Q.right_algebra
+    nS = S.total_dim
+    gens, rows = [], []
+    for g in range(len(env.gens)):
+        for j in range(nS):
+            head = env.index(g, R.unit * nS + j)
+            gens.append(Generator(Q.label(head), Q.deg(head), Q.diff.get(head, {})))
+            rows.append([env.index(g, i * nS + j) for i in range(R.total_dim)])
+    return FreeModule.view(R, gens, rows, Q.basis, Q.diff, bimodule=Q)

@@ -33,6 +33,9 @@ built for an equal request: equal module and algebra content, depth and
 generator cap.  The checks restrict, regularize and envelop afresh for every
 condition and member, so the key is the content, not the object.  A request
 that hits the cap stores nothing.  Outside a scope every request is built.
+``semifree_resolution_bimodule`` reads a resolution over the enveloping
+algebra as a bimodule, and that bimodule as a free left module, once, and
+keeps both on the resolution.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .linalg import Echelon, Matrix, kernel_basis
 from .complexes import ChainMap, Homotopy, Violation, Window, check_homotopy
@@ -54,7 +57,7 @@ from .dga import (
     right_to_left_op,
     vec_scale,
 )
-from .modops import DgModuleMap, FreeModule, Generator, matrices_from_images, module_shift
+from .modops import DgModuleMap, FreeModule, Generator, left_free, matrices_from_images, module_shift
 
 
 class ResourceBoundExceeded(RuntimeError):
@@ -76,6 +79,10 @@ class SemifreeResolution:
     free: FreeModule
     eps: DgModuleMap
     validity: Window
+    # a resolution over enveloping(R, S) as an R-S-bimodule, and that
+    # bimodule as a free left R-module: made by the first
+    # semifree_resolution_bimodule that returns this resolution
+    as_bimodule: "tuple[DgBimodule, FreeModule] | None" = dc_field(default=None, repr=False)
 
     @property
     def module(self) -> DgModule:
@@ -249,17 +256,23 @@ def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):
 class BimoduleResolution:
     env_resolution: SemifreeResolution
     bimodule: DgBimodule
+    free: FreeModule  # the bimodule as a left R-module, free on the (1⊗s)·g
 
 
 def semifree_resolution_bimodule(
     M: DgBimodule, D: int, max_generators: int = 10000
 ) -> BimoduleResolution:
-    """Resolve an R-S-bimodule as a left module over enveloping(R, S)."""
+    """Resolve an R-S-bimodule as a left module over enveloping(R, S).
+
+    The bimodule and its R-free view are made once per resolution, so a
+    request that gets a resolution back from the scope gets them back too.
+    """
     R, S = M.left_algebra, M.right_algebra
-    X = bimodule_to_env_module(M)
-    res = semifree_resolution(X, D, max_generators)
-    B = env_module_to_bimodule(res.module, R, S)
-    return BimoduleResolution(res, B)
+    res = semifree_resolution(bimodule_to_env_module(M), D, max_generators)
+    if res.as_bimodule is None:
+        Q = env_module_to_bimodule(res.module, R, S)
+        res.as_bimodule = Q, left_free(Q, res.free)
+    return BimoduleResolution(res, *res.as_bimodule)
 
 
 # -- finitely-built witnesses -------------------------------------------------

@@ -1,0 +1,218 @@
+"""The R-free views of a bimodule resolution Q and of Q ⊗_S P, and the four
+canonical maps that read them, against the generic builds.
+
+A bimodule resolution Q of M is free over R ⊗ S^op on generators V, so as a
+left R-module it is free on the (1⊗s)·g, and Q ⊗_S P, with P free over S on
+W, is R-free on the pairs of those and W.  ``BimoduleResolution.free`` and
+``tensor_over(S, Q's view, res.free).structure()`` record this on the
+numbering that Q and the tensor product already have.  A view must present
+the generic module of that numbering: every basis element is one r·u of a
+generator u, once, and the degrees, the left action and the differential are
+those the free-module rules give on the layout.  The unit map, the counit,
+(3) and (5) then build a Hom or a tensor product on a view's free path; each
+must be its generic complex up to a change of basis B, with the map's
+matrices the generic ones times B.
+"""
+
+import pytest
+
+from dgkit import derived
+from dgkit.dga import DgBimodule, bimodule_from_morphism, regular_bimodule
+from dgkit.derived import _condition3_map, _condition5_map, counit_map, unit_map
+from dgkit.epicheck import generate_test_family
+from dgkit.field import GF, QQ
+from dgkit.homtensor import hom_over, tensor_over
+from dgkit.linalg import rank, vec_iadd
+from dgkit.modops import FreeModule
+from dgkit.resolutions import semifree_resolution, semifree_resolution_bimodule
+from dgkit.standard import exterior_algebra, identity_morphism, truncated_polynomial, truncated_to_ground
+
+from test_free_hom import _assert_change_of_basis
+from test_free_tensor import _change_of_basis as _tensor_change_of_basis
+
+FIELDS = [QQ, GF(2), GF(101)]
+CAP = 10000
+DEPTH = 3
+
+
+def _morphism_bimodules(F):
+    """S along x ↦ 0 on k[x]/(x²) and along the identity of Λ(x): the
+    digest families of the counit, (3) and (5)."""
+    morphisms = (truncated_to_ground(2, F), identity_morphism(exterior_algebra(F)))
+    return [bimodule_from_morphism(phi) for phi in morphisms]
+
+
+def _bimodules(F):
+    """The digest families' bimodules: the regular bimodules of k[x]/(x²) and
+    Λ(x), the unit map's, and the morphism bimodules."""
+    regular = [regular_bimodule(S) for S in (truncated_polynomial(2, F), exterior_algebra(F))]
+    return regular + _morphism_bimodules(F)
+
+
+def _assert_presents(X: FreeModule, G):
+    """X's generators and layout present G, a left module or a bimodule's
+    left module on X's numbering: each basis element is one a·g, and G's
+    degrees, action and differential are those of the free module there."""
+    A, F = X.algebra, X.algebra.field
+    act = G.act_left if isinstance(G, DgBimodule) else G.act
+    layout = [(g, a) for g in range(len(X.gens)) for a in range(A.total_dim)]
+    assert sorted(X.index(g, a) for g, a in layout) == list(range(G.total_dim))
+
+    def times(a: int, e: dict) -> dict:
+        """a·e on the layout: a·(a'·h) = (aa')·h."""
+        out: dict = {}
+        for y, c in e.items():
+            h, a1 = X.split(y)
+            vec_iadd(F, out, {X.index(h, a2): c2 for a2, c2 in A.mul.get((a, a1), {}).items()}, c)
+        return out
+
+    for g, a in layout:
+        x, gen = X.index(g, a), X.gens[g]
+        assert X.split(x) == (g, a)
+        assert G.deg(x) == A.deg(a) + gen.degree
+        for b in range(A.total_dim):
+            assert act.get((b, x), {}) == times(b, {x: F.one})
+        # d(a·g) = d(a)·g + (-1)^{|a|} a·d(g)
+        d = {X.index(g, a2): c for a2, c in A.diff.get(a, {}).items()}
+        vec_iadd(F, d, times(a, gen.d_elem), F.sign(A.deg(a)))
+        assert G.diff.get(x, {}) == d
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_bimodule_resolution_view_presents_its_left_module(F):
+    for M in _bimodules(F):
+        bres = semifree_resolution_bimodule(M, DEPTH)
+        Q, view = bres.bimodule, bres.free
+        assert view.algebra is Q.left_algebra and view.module is Q
+        # the generic left module of the same numbering
+        _assert_presents(view, Q.left_module())
+        assert len(view.gens) == len(bres.env_resolution.generators) * M.right_algebra.total_dim
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_tensor_view_is_the_generic_structure(F):
+    checked = 0
+    for M in _bimodules(F):
+        R, S = M.left_algebra, M.right_algebra
+        bres = semifree_resolution_bimodule(M, DEPTH)
+        for _, N in generate_test_family(S, 0, 3).left:
+            res = semifree_resolution(N, DEPTH)
+            T = tensor_over(S, bres.free, res.free)
+            view = T.structure()
+            # the generic structure, read off matrices_from_images on the same basis
+            generic = tensor_over(S, bres.bimodule, res.free).structure()
+            assert isinstance(view, FreeModule) and view.algebra is R
+            assert view.module.basis == generic.basis
+            assert view.module.act == generic.act
+            assert view.module.diff == generic.diff
+            _assert_presents(view, generic)
+            assert len(view.gens) == len(bres.free.gens) * len(res.generators)
+            checked += 1
+    assert checked
+
+
+def _spy(monkeypatch, generic: bool) -> dict:
+    """Record the Homs and tensor products derived builds; with generic, a
+    bimodule resolution's R-free view goes in as its bimodule, so the complexes
+    built on it take the generic paths, and every other argument is kept."""
+    built = {"hom": [], "tensor": []}
+
+    def hom(A, M, N, name=None):
+        if generic and isinstance(M, FreeModule) and isinstance(M.module, DgBimodule):
+            M = M.module
+        built["hom"].append(hom_over(A, M, N, name))
+        return built["hom"][-1]
+
+    def tensor(A, M, N, name=None):
+        if generic and isinstance(M, FreeModule):
+            M = M.module
+        built["tensor"].append(tensor_over(A, M, N, name))
+        return built["tensor"][-1]
+
+    monkeypatch.setattr(derived, "hom_over", hom)
+    monkeypatch.setattr(derived, "tensor_over", tensor)
+    return built
+
+
+def _both_paths(monkeypatch, build):
+    """build() on the free paths and on the generic ones, with what each built."""
+    free = _spy(monkeypatch, generic=False)
+    cm_free = build()
+    generic = _spy(monkeypatch, generic=True)
+    cm_generic = build()
+    monkeypatch.undo()
+    return cm_free, cm_generic, free, generic
+
+
+def _assert_tensor_change_of_basis(free, generic) -> dict:
+    """Equal dimensions, B of full rank and D·B = B·D for two builds of one
+    tensor product; returns B."""
+    assert free._relations is None and generic._relations is not None
+    degrees = free.complex.degrees() + generic.complex.degrees()
+    lo, hi = min(degrees, default=0), max(degrees, default=0)
+    B = {n: _tensor_change_of_basis(free, generic, n) for n in range(lo - 1, hi + 2)}
+    for n in range(lo, hi + 1):
+        assert free.complex.dim(n) == generic.complex.dim(n)
+        assert rank(B[n]) == free.complex.dim(n)
+        assert generic.complex.d(n) * B[n] == B[n - 1] * free.complex.d(n)
+    return B
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=repr)
+def test_unit_map_changes_basis_on_its_target(monkeypatch, F):
+    # N → Hom_R(Q, M ⊗_S P): the Hom over Q's view is the generic one up to B
+    for S in (truncated_polynomial(2, F), exterior_algebra(F)):
+        M = regular_bimodule(S)
+        for _, N in generate_test_family(S, 0, 3).left:
+            cm_free, cm_generic, free, generic = _both_paths(monkeypatch, lambda: unit_map(M, N, 2).chain_map)
+            (H,), (G,) = free["hom"], generic["hom"]
+            assert H._free is not None and G._free is None
+            B = _assert_change_of_basis(H, G)
+            for n in cm_free.source.degrees():
+                assert cm_generic.f(n) == B[n] * cm_free.f(n)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=repr)
+def test_counit_map_changes_basis_on_its_source(monkeypatch, F):
+    # Zt ⊗_R (Q ⊗_S P) → N: T1 over the R-free Q ⊗_S P is the generic one up to B
+    for M in _morphism_bimodules(F):
+        for _, N in generate_test_family(M.right_algebra, 0, 3).left:
+            cm_free, cm_generic, free, generic = _both_paths(
+                monkeypatch, lambda: counit_map(M, N, 1).chain_map
+            )
+            B = _assert_tensor_change_of_basis(free["tensor"][-1], generic["tensor"][-1])
+            for n in cm_free.source.degrees():
+                assert cm_free.f(n) == cm_generic.f(n) * B[n]
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=repr)
+def test_condition3_map_changes_basis_on_its_source(monkeypatch, F):
+    # (Pr ⊗_S Zt) ⊗_R (Q ⊗_S P) → Pr ⊗_S P: Tab is the generic one up to B
+    for M in _morphism_bimodules(F):
+        fam = generate_test_family(M.right_algebra, 0, 3)
+        for (_, Nr), (_, Nl) in zip(fam.right, fam.left):
+            cm_free, cm_generic, free, generic = _both_paths(
+                monkeypatch, lambda: _condition3_map(M, Nr, Nl, 1, CAP)
+            )
+            _, _, Tab, _ = free["tensor"]
+            _, _, generic_Tab, _ = generic["tensor"]
+            B = _assert_tensor_change_of_basis(Tab, generic_Tab)
+            for n in cm_free.source.degrees():
+                assert cm_free.f(n) == cm_generic.f(n) * B[n]
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=repr)
+def test_condition5_map_changes_basis_on_its_target(monkeypatch, F):
+    # RHom_S(N, N) → Hom_R(Qs ⊗_S Pn, Qt ⊗_S N): the target over the R-free
+    # Qs ⊗_S Pn is the generic one up to B; the source is built alike twice
+    for M in _morphism_bimodules(F):
+        for _, N in generate_test_family(M.right_algebra, 0, 3).left:
+            cm_free, cm_generic, free, generic = _both_paths(
+                monkeypatch, lambda: _condition5_map(M, N, 1, CAP)
+            )
+            (src, tgt), (generic_src, generic_tgt) = free["hom"], generic["hom"]
+            assert src.complex == generic_src.complex
+            assert tgt._free is not None and generic_tgt._free is None
+            B = _assert_change_of_basis(tgt, generic_tgt)
+            for n in cm_free.source.degrees():
+                assert cm_generic.f(n) == B[n] * cm_free.f(n)

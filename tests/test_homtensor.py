@@ -158,12 +158,12 @@ def test_carrier_numbering_is_the_structure_numbering():
 
 def test_hom_differential_squares_to_zero_with_nontrivial_diff():
     # module with differential: cone-style module over Λ(x)
-    from dgkit.modops import FreeModule, Generator, free_act
+    from dgkit.modops import FreeModule, Generator
 
     A = exterior_algebra()
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = free_act(A, 1, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     F = FreeModule(A, [g0, Generator("g1", 2, d_elem=x_g0)])
     M = F.module
     assert validate_module(M) == []
@@ -190,12 +190,12 @@ def test_endomorphism_dga_identity_is_unit():
 
 
 def test_endomorphism_dga_of_two_generator_free():
-    from dgkit.modops import FreeModule, Generator, free_act
+    from dgkit.modops import FreeModule, Generator
 
     A = exterior_algebra()
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = free_act(A, 1, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     F = FreeModule(A, [g0, Generator("g1", 2, d_elem=x_g0)])
     E, bimod = endomorphism_dga(F.module)
     assert validate_dga(E) == []

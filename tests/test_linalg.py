@@ -57,8 +57,9 @@ def oracle_kernel(F, R, pivots, ncols):
 
 
 def leads_of(ker):
-    """The lead of each kernel vector: its non-pivot column, its largest index."""
-    return [max(v) for v in ker]
+    """The lead of each kernel vector, its non-pivot column and largest index,
+    as the index {lead: position} that lead_coords reads."""
+    return {max(v): i for i, v in enumerate(ker)}
 
 
 def kernel_solution(A: Matrix, v):
@@ -225,7 +226,7 @@ def test_engine_matches_dense_oracle(F, r, c, data):
     # largest index, and 0 at every other vector's
     ker = kernel_basis(A)
     leads = leads_of(ker)
-    assert leads == [j for j in range(c) if j not in pivots]
+    assert list(leads) == [j for j in range(c) if j not in pivots]
     for i, v in enumerate(ker):
         assert [v.get(lead) for lead in leads] == [F.one if k == i else None for k in range(len(ker))]
 

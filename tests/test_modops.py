@@ -16,7 +16,6 @@ from dgkit.modops import (
     DgModuleMap,
     FreeModule,
     Generator,
-    free_act,
     matrices_from_images,
     module_cone,
     module_direct_sum,
@@ -133,7 +132,7 @@ def test_free_module_with_differential():
     A = truncated_polynomial(2)
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = free_act(A, 1, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     g1 = Generator("g1", 1, d_elem=x_g0)
     F = FreeModule(A, [g0, g1])
     M = F.module
@@ -164,7 +163,7 @@ def test_augmentation_respects_differential_of_generators():
     k = restrict_scalars(left_regular(ground_algebra()), truncated_to_ground(2))
     g0 = Generator("g0", 0, eps={0: QQ.one})
     F0 = FreeModule(A, [g0])
-    x_g0 = free_act(A, 1, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     g1 = Generator("g1", 1, d_elem=x_g0)
     F = FreeModule(A, [g0, g1])
     eps = augmentation(F, k)

@@ -111,6 +111,13 @@ class Complex:
     def is_zero(self) -> bool:
         return not self.space.dims
 
+    def restrict(self, w: Window) -> "Complex":
+        """The complex on the degrees in w: d_n is kept where n and n − 1
+        both lie in w, the rule of every range-built complex."""
+        dims = {n: d for n, d in self.space.dims.items() if n in w}
+        diffs = {n: m for n, m in self.diffs.items() if n in w and n - 1 in w}
+        return Complex(self.field, GradedSpace(dims), diffs)
+
     def __eq__(self, other):
         return (
             isinstance(other, Complex)
@@ -151,7 +158,8 @@ class ChainMap:
         return m
 
     def validate(self):
-        """True iff f commutes with the differentials in every degree."""
+        """True iff f commutes with the differentials in every degree: between
+        complexes built on a range, every square of the range."""
         degrees = set(self.source.space.dims) | set(self.target.space.dims)
         for n in degrees:
             lhs = self.target.d(n) * self.f(n)
@@ -305,24 +313,37 @@ class QuasiIsoReport:
         return self.ok
 
 
+def read_range(w: Window) -> Window:
+    """The degrees :func:`quasi_iso` reads on the window w: H_n needs d_n
+    and d_{n+1}, so w widened by one degree on each side.  A complex that
+    only a quasi_iso on w compares is built on this range alone."""
+    lo, hi = w.lo - 1, w.hi + 1
+    return Window(lo, hi)
+
+
 def quasi_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
     """Per-degree bijectivity of H_n(f) on the window, from ranks.
 
     With one echelon per degree, rank H_n(f) = rank[B_n(tgt) | f(Z_n(src))]
-    − dim B_n(tgt).  Raises ValueError, with the cycle as ``witness``, when
-    f does not map cycles to cycles.
+    − dim B_n(tgt).  Each differential is eliminated once: on the source,
+    one kernel of d_n for n in w.lo..w.hi + 1 gives Z_n and rank d_n (its
+    columns minus its kernel); on the target, the boundary echelon of
+    d_{n+1}, before any cycle image joins it, gives rank d_{n+1}, carried
+    to degree n + 1.  Raises ValueError, with the cycle as ``witness``,
+    when f does not map cycles to cycles.
     """
     src, tgt = f.source, f.target
+    cycles = {n: kernel_basis(src.d(n)) for n in range(w.lo, w.hi + 2)}
+    rank_dn = rank(tgt.d(w.lo))  # rank of the target's d_n
     per, dims = {}, {}
     for n in w.degrees():
-        cycles = kernel_basis(src.d(n))
-        h_src = len(cycles) - rank(src.d(n + 1))
+        h_src = len(cycles[n]) - (src.dim(n + 1) - len(cycles[n + 1]))
         fn, dn = f.f(n), tgt.d(n)
         image = Echelon(tgt.field)
         b_tgt = sum(image.add(c) for c in tgt.d(n + 1).columns)
-        h_tgt = tgt.dim(n) - rank(dn) - b_tgt
+        h_tgt = tgt.dim(n) - rank_dn - b_tgt
         rank_hf = 0
-        for z in cycles:
+        for z in cycles[n]:
             y = fn.image(z)
             if dn.image(y):
                 err = ValueError(f"f_{n} maps a cycle to a non-cycle")
@@ -331,4 +352,5 @@ def quasi_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
             rank_hf += image.add(y)
         dims[n] = (h_src, h_tgt)
         per[n] = h_src == h_tgt == rank_hf
+        rank_dn = b_tgt
     return QuasiIsoReport(per, all(per.values()), dims)

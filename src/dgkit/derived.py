@@ -15,6 +15,18 @@ one truncated dual, truncated_dual's, which owns its depth and cut and is
 built once per bimodule and window.  Whether a canonical map is an
 isomorphism on its window is is_derived_iso, whose report is
 complexes.quasi_iso's: the one iso verdict of the library.
+
+quasi_iso on -D..D reads degrees -D-1..D+1 of both complexes, the
+window's ``complexes.read_range``, and every map builds what it compares on
+that range alone: the unit's Hom, the counit's T1, the duality map's T2
+and H2, (3)'s Tab and Tc, (5)'s source and target, ring (2)'s tensor and
+ring (4)'s Hom take it as ``degrees``, the map's matrices are built there
+(``matrices_from_images``) and a module on the other side is cut to it
+(``Complex.restrict``).  On the range each matrix is the full build's.
+A range-built complex has no ``structure()``: its actions and differential
+would lack the terms that leave the range.  So every factor whose
+structure another complex reads (the M ⊗_S P factors, Ta, Tn, T2 and
+dualize's Z) is built in every degree.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .complexes import ChainMap, Complex, QuasiIsoReport, Window, homology_dims, quasi_iso
+from .complexes import ChainMap, Complex, QuasiIsoReport, Window, homology_dims, quasi_iso, read_range
 from .dga import (
     DgAlgebra,
     DgBimodule,
@@ -194,8 +206,10 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     bres = semifree_resolution_bimodule(M, D2q, max_generators)
     Q = bres.bimodule
     eps_gr = _eps_on_basis(bres.env_resolution)  # Q basis idx -> element of M
+    w = Window(-D, D)
+    rr = read_range(w)
     T = tensor_over(S, M, res_N.free)
-    H = hom_over(R, bres.free, T.structure())  # T as a left R-module
+    H = hom_over(R, bres.free, T.structure(), degrees=rr)  # T as a left R-module
 
     def image(p_idx, n):
         def value(q_idx):
@@ -204,8 +218,8 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
 
         return _pointwise(Q, n, value)
 
-    cm = ChainMap(P.underlying(), H.complex, matrices_from_images(P, H, image))
-    return CanonicalMap(cm, Window(-D, D), f"unit for {M.name} on {N.name}")
+    cm = ChainMap(P.underlying().restrict(rr), H.complex, matrices_from_images(P, H, image, degrees=rr))
+    return CanonicalMap(cm, w, f"unit for {M.name} on {N.name}")
 
 
 def _eps_on_basis(res) -> dict[int, dict]:
@@ -225,8 +239,10 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     D2, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
     P = res_N.module
+    w = Window(-D, D)
+    rr = read_range(w)
     T2 = tensor_over(S, Q, res_N.free)  # Q right-S ⊗ P: R-free
-    T1 = tensor_over(R, Zt, T2.structure())  # outer left S retained
+    T1 = tensor_over(R, Zt, T2.structure(), degrees=rr)
 
     def image(pair, d):
         z_idx, t_idx = pair
@@ -234,8 +250,8 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
         zq = ev(z_idx, {q_idx: F.one})  # element of S
         return res_N.eps.apply_elem(P.act_elem(zq, {p_idx: F.one}))  # z(q)·p, in N
 
-    cm = ChainMap(T1.complex, N.underlying(), matrices_from_images(T1, N, image))
-    return CanonicalMap(cm, Window(-D, D), f"counit for {M.name} on {N.name}")
+    cm = ChainMap(T1.complex, N.underlying().restrict(rr), matrices_from_images(T1, N, image, degrees=rr))
+    return CanonicalMap(cm, w, f"counit for {M.name} on {N.name}")
 
 
 def duality_map(
@@ -257,8 +273,10 @@ def duality_map(
     _, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
     P = res_N.module
-    T2 = tensor_over(S, Q, res_N.free)
-    H2 = hom_over(S, Zt, P)  # Z is left S with outer right R
+    w = Window(-D, D)
+    rr = read_range(w)
+    T2 = tensor_over(S, Q, res_N.free, degrees=rr)
+    H2 = hom_over(S, Zt, P, degrees=rr)  # Z is left S with outer right R
 
     def image(pair, d):
         # the sign (-1)^{|z|(|q|+|p|)} is forced by graded S-linearity of the
@@ -266,8 +284,8 @@ def duality_map(
         q_idx, p_idx = pair
         return _pointwise(Zt, d, lambda z: P.act_elem(ev(z, {q_idx: F.one}), {p_idx: F.one}))
 
-    cm = ChainMap(T2.complex, H2.complex, matrices_from_images(T2, H2, image))
-    return CanonicalMap(cm, Window(-D, D), f"duality for {M.name} on {N.name}")
+    cm = ChainMap(T2.complex, H2.complex, matrices_from_images(T2, H2, image, degrees=rr))
+    return CanonicalMap(cm, w, f"duality for {M.name} on {N.name}")
 
 
 def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap:
@@ -277,13 +295,14 @@ def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap
     res = semifree_resolution(
         restrict_scalars(N, phi), required_depth(D, -S.min_degree()), max_generators
     )
-    T = tensor_over(R, sr_bimodule_from_morphism(phi), res.free)
+    rr = read_range(Window(-D, D))
+    T = tensor_over(R, sr_bimodule_from_morphism(phi), res.free, degrees=rr)
 
     def image(pair, d):
         s_idx, p_idx = pair
         return N.act_elem({s_idx: F.one}, res.eps.apply_elem({p_idx: F.one}))
 
-    return ChainMap(T.complex, N.underlying(), matrices_from_images(T, N, image))
+    return ChainMap(T.complex, N.underlying().restrict(rr), matrices_from_images(T, N, image, degrees=rr))
 
 
 def _ring_condition4_map(phi, N: DgModule, D: int, max_generators: int) -> ChainMap:
@@ -294,12 +313,13 @@ def _ring_condition4_map(phi, N: DgModule, D: int, max_generators: int) -> Chain
     S_left = restrict_scalars(left_regular(S), phi)
     res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
     Q, eps = res.module, _eps_on_basis(res)  # ε(q) in S
-    H = hom_over(R, res.free, restrict_scalars(N, phi))
+    rr = read_range(Window(-D, D))
+    H = hom_over(R, res.free, restrict_scalars(N, phi), degrees=rr)
 
     def image(n_idx, n):
         return _pointwise(Q, n, lambda q_idx: N.act_elem(eps.get(q_idx, {}), {n_idx: F.one}))
 
-    return ChainMap(N.underlying(), H.complex, matrices_from_images(N, H, image))
+    return ChainMap(N.underlying().restrict(rr), H.complex, matrices_from_images(N, H, image, degrees=rr))
 
 
 def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> ChainMap:
@@ -316,8 +336,9 @@ def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> Chain
     _, Pr, _ = resolve_right_module(Nr, Ddeep, max_generators)
     Ta = tensor_over(S, Pr, Zt)  # outer right R retained
     T2 = tensor_over(S, Q, res_l.free)  # R-free
-    Tab = tensor_over(R, Ta.structure(), T2.structure())
-    Tc = tensor_over(S, Pr, res_l.free)
+    rr = read_range(Window(-D, D))
+    Tab = tensor_over(R, Ta.structure(), T2.structure(), degrees=rr)
+    Tc = tensor_over(S, Pr, res_l.free, degrees=rr)
 
     def image(pair, d):
         a_idx, t_idx = pair
@@ -326,7 +347,7 @@ def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> Chain
         zq = ev(z_idx, {q_idx: F.one})  # element of S
         return {(pr_idx, k): c for k, c in P.act_elem(zq, {p_idx: F.one}).items()}
 
-    return ChainMap(Tab.complex, Tc.complex, matrices_from_images(Tab, Tc, image))
+    return ChainMap(Tab.complex, Tc.complex, matrices_from_images(Tab, Tc, image, degrees=rr))
 
 
 def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> ChainMap:
@@ -354,10 +375,11 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
     if Qs.basis != Qt.basis[: len(Qs.basis)]:
         raise AssertionError("staggered resolutions are not prefix-compatible")
-    Hsrc = hom_over(S, res_n.free, N)
+    rr = read_range(Window(-D, D))
+    Hsrc = hom_over(S, res_n.free, N, degrees=rr)
     Tn = tensor_over(S, bres_s.free, res_n.free)  # R-free
     T2 = tensor_over(S, Qt, N)
-    Htgt = hom_over(R, Tn.structure(), T2.structure())
+    Htgt = hom_over(R, Tn.structure(), T2.structure(), degrees=rr)
 
     def image(f, n):
         f, ground = _as_map(f), {}
@@ -369,7 +391,7 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
                 vec_iadd(F, ground, {(t_idx, g): c for g, c in t.items()}, sgn)
         return ground
 
-    return ChainMap(Hsrc.complex, Htgt.complex, matrices_from_images(Hsrc, Htgt, image))
+    return ChainMap(Hsrc.complex, Htgt.complex, matrices_from_images(Hsrc, Htgt, image, degrees=rr))
 
 
 def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap:

@@ -48,12 +48,23 @@ bimodule, the spare action descends to the result:
             a right T-action on N gives (f·t)(m) = (-1)^{|t||m|} f(m)·t.
 
 All descended structures are certified by the module validators in tests.
+
+``tensor_over`` and ``hom_over`` take a keyword-only ``degrees`` window.
+With one, both paths build only the ground pairs, generator pairs,
+relation echelons and constraint kernels of the degrees inside it, and
+d_n only where n and n - 1 both lie inside.  Each degree's basis,
+coordinates and differential are the full build's, since none of them
+reads another degree.  ``derived`` builds the complexes a canonical map
+compares on the degrees ``quasi_iso`` reads.  ``structure()`` of a
+range-built complex raises ValueError: its outer actions and differential
+would lack the terms that leave the range, and a consumer reading them
+would get a wrong module.
 """
 
 from __future__ import annotations
 
 from .linalg import Echelon, Matrix, lead_coords
-from .complexes import Complex, GradedSpace
+from .complexes import Complex, GradedSpace, Window
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd
 from .modops import FreeModule, Generator, matrices_from_images
 
@@ -78,14 +89,17 @@ def _over(X, A: DgAlgebra, side: str):
     return acts
 
 
-def _ground_pairs(M, N, sign: int, ns=None) -> dict[int, list[tuple[int, int]]]:
+def _ground_pairs(M, N, sign: int, ns=None, degrees=None) -> dict[int, list[tuple[int, int]]]:
     """The ground pairs (m, n) by degree sign·|m| + |n|, each in lexicographic
-    order; n runs over ``ns``, by default every basis element of N."""
+    order; n runs over ``ns``, by default every basis element of N, and the
+    degree over ``degrees``, by default every one."""
     pairs: dict[int, list[tuple[int, int]]] = {}
     for mi in range(M.total_dim):
         dm = sign * M.deg(mi)
         for nj in range(N.total_dim) if ns is None else ns:
-            pairs.setdefault(dm + N.deg(nj), []).append((mi, nj))
+            d = dm + N.deg(nj)
+            if degrees is None or d in degrees:
+                pairs.setdefault(d, []).append((mi, nj))
     return pairs
 
 
@@ -93,7 +107,8 @@ class GroundComplex:
     """A complex whose basis vectors are ground vectors over pairs (m, n).
 
     Shared by :class:`TensorProduct` and :class:`HomComplex`.  A subclass sets
-    ``field``, ``name``, the outer algebras and ``_components`` (degree ->
+    ``field``, ``name``, the outer algebras, ``degree_range`` (the window it
+    is built on, or None for every degree) and ``_components`` (degree ->
     basis representatives), and provides ``coords`` (sparse coordinates of a
     ground vector), ``ground_differential`` and the outer actions on ground
     vectors.  Like a module, it numbers its basis once, in degree order:
@@ -128,7 +143,9 @@ class GroundComplex:
     def _differentials(self) -> dict:
         """The matrices of the differential, each ground_differential image
         read back through coords."""
-        return matrices_from_images(self, self, self.ground_differential, offset=-1)
+        return matrices_from_images(
+            self, self, self.ground_differential, offset=-1, degrees=self.degree_range
+        )
 
     def _table(self, mats: dict, offset: int) -> dict:
         """{g: image of basis element g} of the map given by per-degree
@@ -151,7 +168,12 @@ class GroundComplex:
         return act
 
     def structure(self):
-        """The richest available structure: bimodule, module, or complex."""
+        """The richest available structure: bimodule, module, or complex.
+
+        Raises ValueError on a range-built complex, whose differential and
+        actions lack the terms that leave its range."""
+        if self.degree_range is not None:
+            raise ValueError(f"{self.name} is built on degrees {self.degree_range} only: it has no structure")
         if self._module is not None:
             return self._module
         L, R = self.outer_left, self.outer_right
@@ -182,10 +204,11 @@ class TensorProduct(GroundComplex):
     product is R-free and ``structure()`` is that ``FreeModule``.  Every
     other right factor takes the generic path: the basis is the pairs off
     the pivots of each degree's echelon of relations m·a ⊗ n − m ⊗ a·n, and
-    ``coords`` reduces modulo it.
+    ``coords`` reduces modulo it.  With ``degrees``, only the pairs and
+    relation echelons of those degrees are built.
     """
 
-    def __init__(self, A: DgAlgebra, M, N, name: str | None = None):
+    def __init__(self, A: DgAlgebra, M, N, name: str | None = None, degrees: Window | None = None):
         # the factors as free modules, when they are: M over the outer left
         # algebra, N over A
         self._free_left = M if isinstance(M, FreeModule) else None
@@ -196,6 +219,7 @@ class TensorProduct(GroundComplex):
         self.N = N
         self.field = A.field
         self.name = name or f"{M.name}⊗{N.name}"
+        self.degree_range = degrees
         self._act_rA, self.outer_left, self._act_outer_l = _over(M, A, "right")
         act_lA, self.outer_right, self._act_outer_r = _over(N, A, "left")
         if self._free is None:
@@ -203,7 +227,7 @@ class TensorProduct(GroundComplex):
         else:
             self._relations = None
             heads = [self._free.index(g, A.unit) for g in range(len(self._free.gens))]
-            self._components = _ground_pairs(M, N, 1, heads)
+            self._components = _ground_pairs(M, N, 1, heads, degrees)
         self._pos = {d: {pair: i for i, pair in enumerate(ps)} for d, ps in self._components.items()}
 
         labels = {
@@ -219,7 +243,7 @@ class TensorProduct(GroundComplex):
         self._relations: dict[int, Echelon] = {}
         self._components: dict[int, list[tuple[int, int]]] = {}
         ncomp = {n: N.component(n) for n in N.degrees()}
-        for d, ps in _ground_pairs(M, N, 1).items():
+        for d, ps in _ground_pairs(M, N, 1, degrees=self.degree_range).items():
             relations = Echelon(F)
             for a in range(A.total_dim):
                 if a == A.unit:
@@ -272,9 +296,15 @@ class TensorProduct(GroundComplex):
         return {pos[pair]: c for pair, c in self._relations[d].reduce(ground).items()}
 
     def structure(self):
-        """The R-``FreeModule`` when both factors are free and no outer right
-        action descends; else :meth:`GroundComplex.structure`."""
-        if self._module is None and None not in (self._free_left, self._free) and self.outer_right is None:
+        """The R-``FreeModule`` when both factors are free, no outer right
+        action descends and every degree is built; else
+        :meth:`GroundComplex.structure`."""
+        if (
+            self._module is None
+            and self.degree_range is None
+            and None not in (self._free_left, self._free)
+            and self.outer_right is None
+        ):
             self._module = self._free_view()
         return super().structure()
 
@@ -302,8 +332,10 @@ class TensorProduct(GroundComplex):
         return FreeModule.view(R, gens, rows, self.basis, diff, name=self.name)
 
 
-def tensor_over(A: DgAlgebra, M, N, name: str | None = None) -> TensorProduct:
-    return TensorProduct(A, M, N, name=name)
+def tensor_over(
+    A: DgAlgebra, M, N, name: str | None = None, *, degrees: Window | None = None
+) -> TensorProduct:
+    return TensorProduct(A, M, N, name=name, degrees=degrees)
 
 
 def _as_map(vec: dict) -> dict:
@@ -328,10 +360,11 @@ class HomComplex(GroundComplex):
     ground pairs.  Both bases are in lead form, so ``coords`` reads a
     vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
     generator row (1·g, w) of a free basis element, the largest ground pair
-    of a kernel vector.
+    of a kernel vector.  With ``degrees``, only the pairs and constraint
+    kernels of those degrees are built.
     """
 
-    def __init__(self, A: DgAlgebra, M, N, name: str | None = None):
+    def __init__(self, A: DgAlgebra, M, N, name: str | None = None, degrees: Window | None = None):
         self._free = M if isinstance(M, FreeModule) else None
         if self._free is not None:
             M = M.module
@@ -340,6 +373,7 @@ class HomComplex(GroundComplex):
         self.N = N
         self.field = A.field
         self.name = name or f"Hom({M.name},{N.name})"
+        self.degree_range = degrees
         act_M, self.outer_left, self._act_outer_l = _over(M, A, "left")
         self._act_N, self.outer_right, self._act_outer_r = _over(N, A, "left")
         if self._free is None:
@@ -361,7 +395,7 @@ class HomComplex(GroundComplex):
         A, M, N, F, act_N = self.A, self.M, self.N, self.field, self._act_N
         self._components: dict[int, list[dict]] = {}
         self._leads: dict[int, dict] = {}  # n ↦ {lead: position}
-        for n, ps in sorted(_ground_pairs(M, N, -1).items()):
+        for n, ps in sorted(_ground_pairs(M, N, -1, degrees=self.degree_range).items()):
             in_ps = set(ps)
             # A-linearity constraints, one per (a, m, w): the Hom_n component
             # is their kernel over the ground pairs
@@ -396,11 +430,13 @@ class HomComplex(GroundComplex):
         """Free path: the pairs (g, w) of each degree |w| − |g|, in (g, w)
         order, their positions, their reps, the A-linear extensions of g ↦ w,
         and their leads, the ground pairs (1·g, w)."""
-        free = self._free
+        free, keep = self._free, self.degree_range
         self._pairs: dict[int, list[tuple[int, int]]] = {}
         for g, gen in enumerate(free.gens):
             for w in range(self.N.total_dim):
-                self._pairs.setdefault(self.N.deg(w) - gen.degree, []).append((g, w))
+                n = self.N.deg(w) - gen.degree
+                if keep is None or n in keep:
+                    self._pairs.setdefault(n, []).append((g, w))
         self._pos = {n: {pair: i for i, pair in enumerate(ps)} for n, ps in self._pairs.items()}
         unit = self.A.unit
         self._leads = {
@@ -439,8 +475,10 @@ class HomComplex(GroundComplex):
             for x, c in gen.d_elem.items():
                 g, a = self._free.split(x)
                 into.setdefault(g, []).append((h, a, c))
-        mats = {}
+        mats, keep = {}, self.degree_range
         for n in self.degrees():
+            if keep is not None and n - 1 not in keep:
+                continue
             pos = self._pos.get(n - 1, {})
             cols = []
             for g, w in self._pairs[n]:
@@ -511,8 +549,10 @@ class HomComplex(GroundComplex):
         return out
 
 
-def hom_over(A: DgAlgebra, M, N, name: str | None = None) -> HomComplex:
-    return HomComplex(A, M, N, name=name)
+def hom_over(
+    A: DgAlgebra, M, N, name: str | None = None, *, degrees: Window | None = None
+) -> HomComplex:
+    return HomComplex(A, M, N, name=name, degrees=degrees)
 
 
 def identity_ground(M) -> dict:

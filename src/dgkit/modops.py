@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix, kernel_basis, lead_coords
-from .complexes import ChainMap, Violation
+from .complexes import ChainMap, Violation, Window
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd, vec_scale
 
 
-def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Matrix]:
+def matrices_from_images(
+    source, target, image, offset: int = 0, degrees: Window | None = None
+) -> dict[int, Matrix]:
     """Matrices of the linear map b ↦ image(b, n), source_n → target_{n+offset}.
 
     ``source`` and ``target`` are graded carriers: DG algebras and
@@ -26,7 +28,9 @@ def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Ma
     Hom ground vectors) and ``coords(element, n)``, the sparse coordinates
     {position: c} of a degree-n element.  ``image`` receives a
     member of ``source.component(n)`` and its degree and returns an element
-    of ``target`` of degree n + offset.
+    of ``target`` of degree n + offset.  With a ``degrees`` window, f_n is
+    built only where n and n + offset both lie in it, as on a range-built
+    complex.
     """
     F = target.field
     return {
@@ -36,6 +40,7 @@ def matrices_from_images(source, target, image, offset: int = 0) -> dict[int, Ma
             rows=len(target.component(n + offset)),
         )
         for n in source.degrees()
+        if degrees is None or (n in degrees and n + offset in degrees)
     }
 
 

@@ -143,33 +143,38 @@ def _tensor_unit(F):
 
 
 MAP_DIGESTS = {
+    # range-built: every map but tensor_unit_iso builds its compared complexes
+    # and its matrices only on −D−1..D+1, the degrees quasi_iso reads on
+    # −D..D, so the degrees outside drop out of these hashes; every matrix on
+    # the range is the full build's (tests/test_ranges.py)
+    #
     # the unit's target Hom_R(Q, M ⊗_S P), the counit's source Zt ⊗_R (Q ⊗_S P),
     # (3)'s source and (5)'s target Hom_R(Qs ⊗_S Pn, Qt ⊗_S N) are built on the
     # R-free views of Q and Q ⊗_S P, not on the generic kernel and quotient
     # bases: a change of basis, checked in tests/test_free_views.py
-    ("unit_map", "Q"): "a168f857171f553b7dcdf3fd81ed23fc77ebe657f721696162c5a3a323ae3742",
-    ("unit_map", "F101"): "a16e5e2a315175c578638e5dc99ca9b9a6f8c39f8a50429fa9132539b75855d1",
+    ("unit_map", "Q"): "436623b7e8de444894a92e023192add6e1c617db778c1c7b112a5462f95a9101",
+    ("unit_map", "F101"): "795cdf5b093be3d222cc1659b41a8da86f9f00bf1853bedef9fcd4535f849ec9",
     # a free module resolves to itself with ε = −id, a sign every entry of
     # these maps carries
-    ("counit_map", "Q"): "676776ac201d4f13e21a3c6d32fa74a8a8971592754cb63bc27f377a663bd4fc",
-    ("counit_map", "F101"): "d5397cabef299245c0881c60a72e4bc0a0cd09f9b52a28dc3e7c722ee8dfd7c7",
+    ("counit_map", "Q"): "015e3635a4ad1c655d1232dc3a5b1a08369569307c4e49ee85207a7dcb940e24",
+    ("counit_map", "F101"): "fe8b8bed1b24c72304039cb93703674550cd61aa9c7756f666f929d3845393f6",
     # the duality map pairs the one truncated dual, whose deeper resolution Q
     # widens the source Q ⊗ P; homology on -2..2 is unchanged
-    ("duality_map", "Q"): "78047ccdfd6f1191d24784d517b43d52a92057ada1c16aa548f36d36f4eb513c",
-    ("duality_map", "F101"): "3a0cfe88ccacabc852116d7601dfee7352eb29464960d582ac85a7de659be4f7",
-    ("multiplication_map", "Q"): "2d60b60dbb56de716253d1083d0ea5211e75f7f384f3c39d927a1df3237c63e6",
-    ("multiplication_map", "F101"): "8887119b40d03425f3db85dd435c26bef86917a215408a41db9438b2eae6f00c",
-    ("_condition3_map", "Q"): "cc12ac0e72237abd13e38873e3ed73bad9b131051caf10f972aaa3610d3ecf25",
-    ("_condition3_map", "F101"): "407f256401412f6bb84b1d26ca13d39bda4733c0fc71d1b94f7e83335bd14025",
+    ("duality_map", "Q"): "9d5e847fb9bf2dd61ddc4ea3bca8bdd868f723cc4aa4db466ee0a88c0611a645",
+    ("duality_map", "F101"): "7544c74b259881b151f742374bb87c5aec5608c97c35e7a02dc97ce8bdc39775",
+    ("multiplication_map", "Q"): "d1843b578dfbc051199fee3f520f02073a654af3c9f8ffcd3ba8563a44f88f14",
+    ("multiplication_map", "F101"): "22504b950198a1c5ad7cccd815ae9aedc891148089e3e77a127030ba8b20596e",
+    ("_condition3_map", "Q"): "fb86066c18360ae188a4d6d2a3c16e422bb359fbf54c209b31cc7864d97d00cc",
+    ("_condition3_map", "F101"): "e5ff0df1d0ec0728ec8ffec21ec95bb520abe16d75080ff175e3324212592c4a",
     # the Hom basis of (5)'s source and ring (4)'s target is now the generator
     # values of the resolution, not the RREF kernel basis of the A-linearity
     # constraints: a change of basis, checked in tests/test_free_hom.py
-    ("_condition5_map", "Q"): "0ffd1a0a7487c77326711ca8a853e22045d67457d3e9246252983c4e81dd16a2",
-    ("_condition5_map", "F101"): "f9db95932eafa6d18461e83bd558448515632223b4d945c09c07409559cec566",
-    ("_ring_condition2_map", "Q"): "7ed6b5a8457c701ef96d1d001e2cc78069c43431d47d3842088b0f9fee57405a",
-    ("_ring_condition2_map", "F101"): "3854b11d845b9dd99e7af5ddd673ad1340602e41e25b9918f74c1898d879c048",
-    ("_ring_condition4_map", "Q"): "b99f0ca667c90f365b974c7179f47da952e048897b04bcacb20e0942e90b40d4",
-    ("_ring_condition4_map", "F101"): "0ea00544e7d6a5ee70448674a61f2b7381159b26942700cc1cd189fcbb45762a",
+    ("_condition5_map", "Q"): "e33b8a0a203cbfa169c88a5925ddef5ca41f495a95972dcbb801400d38ce7957",
+    ("_condition5_map", "F101"): "5fef9012a824a0f17e2ca2bfa9b7fbc9b29653031aebd8210e68d9f664996ef1",
+    ("_ring_condition2_map", "Q"): "896f88537accde0b27f99af7ba5a8758733b4fb3750335e3f29bcb05aa9a681e",
+    ("_ring_condition2_map", "F101"): "85f08feace01d9cd46700a3bbe14d146ddd973cb0bc19a1ca2bffe6f02e451e9",
+    ("_ring_condition4_map", "Q"): "48a9f2f23a10247af4c8e8af6f30c9a0cadfb84c7730a6b41e6fceab14e274d1",
+    ("_ring_condition4_map", "F101"): "728723b7aa46fdbff1dadde7ba221b251fd0e47b3e03bbb3fa3767c10306cb66",
     ("tensor_unit_iso", "Q"): "65ecec7194a82f5c2a9169e09515362ac974f4bc24fefdb64b1eb3d5299d501a",
     ("tensor_unit_iso", "F101"): "bc23e6de90ae30c1374660f59b82c70e83b9554b7505786ce2869472b003d820",
 }

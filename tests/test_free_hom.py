@@ -136,10 +136,10 @@ def _spy_homs(monkeypatch, generic: bool) -> list:
     source is handed to hom_over as its module instead."""
     built = []
 
-    def spy(A, M, N, name=None):
+    def spy(A, M, N, name=None, *, degrees=None):
         if generic and isinstance(M, FreeModule):
             M = M.module
-        H = hom_over(A, M, N, name)
+        H = hom_over(A, M, N, name, degrees=degrees)
         built.append(H)
         return H
 

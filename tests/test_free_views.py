@@ -117,16 +117,16 @@ def _spy(monkeypatch, generic: bool) -> dict:
     built on it take the generic paths, and every other argument is kept."""
     built = {"hom": [], "tensor": []}
 
-    def hom(A, M, N, name=None):
+    def hom(A, M, N, name=None, *, degrees=None):
         if generic and isinstance(M, FreeModule) and isinstance(M.module, DgBimodule):
             M = M.module
-        built["hom"].append(hom_over(A, M, N, name))
+        built["hom"].append(hom_over(A, M, N, name, degrees=degrees))
         return built["hom"][-1]
 
-    def tensor(A, M, N, name=None):
+    def tensor(A, M, N, name=None, *, degrees=None):
         if generic and isinstance(M, FreeModule):
             M = M.module
-        built["tensor"].append(tensor_over(A, M, N, name))
+        built["tensor"].append(tensor_over(A, M, N, name, degrees=degrees))
         return built["tensor"][-1]
 
     monkeypatch.setattr(derived, "hom_over", hom)

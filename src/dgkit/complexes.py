@@ -1,16 +1,16 @@
 """Bounded chain complexes of finite-dimensional graded vector spaces.
 
 Indexing is homological throughout: the differential of a complex has degree
--1, suspension raises degree, and ``shift(C, t)`` satisfies
-``H_n(shift(C, t)) = H_{n-t}(C)``.
+-1.  A degree-0 map of complexes is a ``ChainMap``; a homotopy is a dict of
+degree +1 matrices, read by ``check_homotopy``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import QQ, Field
-from .linalg import Echelon, Matrix, kernel_basis, rank, vec_scale
+from .field import Field
+from .linalg import Echelon, Matrix, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,6 @@ class Window:
 
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi
-
-    def intersect(self, other: "Window") -> "Window":
-        return Window(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __str__(self):
         return f"{self.lo}..{self.hi}"
@@ -130,14 +127,6 @@ class Complex:
         return f"Complex(dims={self.space.dims!r})"
 
 
-def zero_complex(field: Field) -> Complex:
-    return Complex(field, GradedSpace({}), {})
-
-
-def single(field: Field, degree: int = 0, dim: int = 1) -> Complex:
-    return Complex(field, GradedSpace({degree: dim}), {})
-
-
 class ChainMap:
     """Degree-0 map of complexes; commutation with d is checked on demand."""
 
@@ -186,38 +175,20 @@ class ChainMap:
         return ChainMap(source, target, {})
 
 
-class Homotopy:
-    """Degree +1 map; the homotopy identity is checked by check_homotopy."""
+def check_homotopy(f: ChainMap, g: ChainMap, h: dict[int, Matrix]):
+    """True iff f - g = d h + h d exactly in every degree, where h_n:
+    source_n → target_{n+1} is h[n], zero where absent; else a Violation at
+    a mis-shaped h_n or at the first degree found where the identity fails."""
+    S, T = f.source, f.target
+    for n, m in h.items():
+        if m.rows != T.dim(n + 1) or m.cols != S.dim(n):
+            return Violation(n, f"h_{n} shape {m.rows}x{m.cols} inconsistent")
 
-    def __init__(self, source: Complex, target: Complex, mats: dict[int, Matrix]):
-        self.source = source
-        self.target = target
-        self.mats = {}
-        for n, m in mats.items():
-            if m.rows != target.dim(n + 1) or m.cols != source.dim(n):
-                raise ValueError(f"h_{n} shape {m.rows}x{m.cols} inconsistent")
-            if not m.is_zero():
-                self.mats[n] = m
+    def h_(n: int) -> Matrix:
+        return h[n] if n in h else Matrix.zero(S.field, T.dim(n + 1), S.dim(n))
 
-    def h(self, n: int) -> Matrix:
-        m = self.mats.get(n)
-        if m is None:
-            return Matrix.zero(self.source.field, self.target.dim(n + 1), self.source.dim(n))
-        return m
-
-    @staticmethod
-    def zero(source: Complex, target: Complex) -> "Homotopy":
-        return Homotopy(source, target, {})
-
-
-def check_homotopy(f: ChainMap, g: ChainMap, h: Homotopy):
-    """True iff f - g = d h + h d exactly in every degree, else a Violation
-    at the first degree found where it fails."""
-    degrees = set(f.source.space.dims) | set(f.target.space.dims)
-    for n in degrees:
-        lhs = f.f(n) - g.f(n)
-        rhs = f.target.d(n + 1) * h.h(n) + h.h(n - 1) * f.source.d(n)
-        if lhs != rhs:
+    for n in set(S.space.dims) | set(T.space.dims):
+        if f.f(n) - g.f(n) != T.d(n + 1) * h_(n) + h_(n - 1) * S.d(n):
             return Violation(n, "f − g is not dh + hd")
     return True
 
@@ -226,81 +197,6 @@ def homology_dims(C: Complex, w: Window) -> dict[int, int]:
     """dim H_n = dim C_n − rank d_n − rank d_{n+1} for each n in the window."""
     ranks = {n: rank(C.d(n)) for n in range(w.lo, w.hi + 2)}
     return {n: C.dim(n) - ranks[n] - ranks[n + 1] for n in w.degrees()}
-
-
-def euler_characteristic(C: Complex) -> int:
-    return sum(int(QQ.sign(n)) * d for n, d in C.space.dims.items())
-
-
-def shift(C: Complex, t: int) -> Complex:
-    """Suspension power: shift(C, t)_n = C_{n-t}, differential times (-1)^t."""
-    if t == 0:
-        return C
-    dims = {n + t: d for n, d in C.space.dims.items()}
-    diffs = {n + t: m.scale(C.field.sign(t)) for n, m in C.diffs.items()}
-    return Complex(C.field, GradedSpace(dims), diffs)
-
-
-def direct_sum(summands: list[Complex], field: Field | None = None) -> Complex:
-    """Componentwise direct sum with block-diagonal differential."""
-    if not summands:
-        if field is None:
-            raise ValueError("field needed for an empty direct sum")
-        return zero_complex(field)
-    F = summands[0].field
-    if any(c.field != F for c in summands):
-        raise ValueError("mixed fields in direct_sum")
-    degrees = sorted({n for c in summands for n in c.space.dims})
-    dims = {n: sum(c.dim(n) for c in summands) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        cols, off = [], 0
-        for c in summands:
-            cols += [{i + off: x for i, x in col.items()} for col in c.d(n).columns]
-            off += c.dim(n - 1)
-        diffs[n] = Matrix.from_columns(F, cols, off)
-    return Complex(F, GradedSpace(dims), diffs)
-
-
-def cone(f: ChainMap):
-    """Mapping cone with differential [[d_tgt, f], [0, -d_src]].
-
-    Returns (cone complex, inclusion of the target, projection onto the
-    suspended source).
-    """
-    M, N = f.source, f.target
-    F = N.field
-    degrees = sorted(set(N.space.dims) | {n + 1 for n in M.space.dims})
-    dims = {n: N.dim(n) + M.dim(n - 1) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        off = N.dim(n - 1)
-        shifted = [
-            {**fc, **vec_scale(F, F.sign(1), {off + i: x for i, x in dc.items()})}
-            for fc, dc in zip(f.f(n - 1).columns, M.d(n - 1).columns)
-        ]
-        diffs[n] = Matrix.from_columns(F, list(N.d(n).columns) + shifted, off + M.dim(n - 2))
-    Cn = Complex(F, GradedSpace(dims), diffs)
-    incl = ChainMap(
-        N,
-        Cn,
-        {
-            n: Matrix.from_columns(F, [{j: F.one} for j in range(N.dim(n))], Cn.dim(n))
-            for n in N.degrees()
-        },
-    )
-    SM = shift(M, 1)
-    proj = ChainMap(
-        Cn,
-        SM,
-        {
-            n: Matrix.from_columns(
-                F, [{}] * N.dim(n) + [{i: F.one} for i in range(SM.dim(n))], SM.dim(n)
-            )
-            for n in Cn.degrees()
-        },
-    )
-    return Cn, incl, proj
 
 
 @dataclass

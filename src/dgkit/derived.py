@@ -9,10 +9,11 @@ Canonical maps are realized by explicit Koszul-signed formulas and certified
 by chain-map validation; with these conventions the evaluation pairing
 Hom_{S^op}(Q, S) ⊗ Q → S is sign-free: (z·r)(q) = z(rq) and z(qs) = z(q)s.
 Every chain map the checks compare is built here with its own resolution
-depths: the unit, counit, duality and multiplication maps, and epicheck's
-(3), (5) and ring (2) and (4).  The counit, duality map and (3) pair Q with
-one truncated dual, truncated_dual's, which owns its depth and cut and is
-built once per bimodule and window.  Whether a canonical map is an
+depths and returned as its ``ChainMap``: the unit, counit, duality and
+multiplication maps, and epicheck's (3), (5) and ring (2) and (4).  The
+counit, duality map and (3) pair Q with one truncated dual,
+truncated_dual's, which owns its depth and cut and is built once per
+bimodule and window.  Whether a canonical map is an
 isomorphism on its window is is_derived_iso, whose report is
 complexes.quasi_iso's: the one iso verdict of the library.
 
@@ -41,6 +42,7 @@ from .dga import (
     DgModule,
     koszul_signed,
     left_regular,
+    linear,
     opposite,
     restrict_scalars,
     right_to_left_op,
@@ -184,14 +186,7 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
     return duals[D, max_generators]
 
 
-@dataclass
-class CanonicalMap:
-    chain_map: ChainMap
-    validity: Window
-    provenance: str
-
-
-def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) -> CanonicalMap:
+def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) -> ChainMap:
     """N → RHom_R(M, M⊗^L_S N) at chain level.
 
     Realized as P → Hom_R(Q, M⊗_S P), p ↦ (q ↦ (-1)^{|p||q|} ε(q) ⊗ p),
@@ -205,31 +200,22 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     P = res_N.module
     bres = semifree_resolution_bimodule(M, D2q, max_generators)
     Q = bres.bimodule
-    eps_gr = _eps_on_basis(bres.env_resolution)  # Q basis idx -> element of M
-    w = Window(-D, D)
-    rr = read_range(w)
+    eps = bres.env_resolution.eps  # ε(q) ∈ M for each basis element q of Q
+    rr = read_range(Window(-D, D))
     T = tensor_over(S, M, res_N.free)
     H = hom_over(R, bres.free, T.structure(), degrees=rr)  # T as a left R-module
 
     def image(p_idx, n):
         def value(q_idx):
-            eq = eps_gr.get(q_idx)  # ε(q) ∈ M, absent when zero
+            eq = eps[q_idx]
             return T.element({(m, p_idx): c for m, c in eq.items()}, Q.deg(q_idx) + n) if eq else {}
 
         return _pointwise(Q, n, value)
 
-    cm = ChainMap(P.underlying().restrict(rr), H.complex, matrices_from_images(P, H, image, degrees=rr))
-    return CanonicalMap(cm, w, f"unit for {M.name} on {N.name}")
+    return ChainMap(P.underlying().restrict(rr), H.complex, matrices_from_images(P, H, image, degrees=rr))
 
 
-def _eps_on_basis(res) -> dict[int, dict]:
-    """ε(q) for each basis element q of the resolution where it is nonzero."""
-    one = res.module.field.one
-    eps = {idx: res.eps.apply_elem({idx: one}) for idx in range(res.module.total_dim)}
-    return {idx: e for idx, e in eps.items() if e}
-
-
-def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) -> CanonicalMap:
+def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) -> ChainMap:
     """Z ⊗^L_R (M ⊗^L_S N) → N at chain level: z⊗q⊗p ↦ z(q)·p.
 
     With this library's sign conventions the evaluation pairing is sign-free.
@@ -238,9 +224,8 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     F = M.field
     D2, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
-    P = res_N.module
-    w = Window(-D, D)
-    rr = read_range(w)
+    P, eps = res_N.module, res_N.eps
+    rr = read_range(Window(-D, D))
     T2 = tensor_over(S, Q, res_N.free)  # Q right-S ⊗ P: R-free
     T1 = tensor_over(R, Zt, T2.structure(), degrees=rr)
 
@@ -248,10 +233,9 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
         z_idx, t_idx = pair
         q_idx, p_idx = T2.reps[t_idx]
         zq = ev(z_idx, {q_idx: F.one})  # element of S
-        return res_N.eps.apply_elem(P.act_elem(zq, {p_idx: F.one}))  # z(q)·p, in N
+        return linear(F, eps.__getitem__, P.act_elem(zq, {p_idx: F.one}))  # ε(z(q)·p), in N
 
-    cm = ChainMap(T1.complex, N.underlying().restrict(rr), matrices_from_images(T1, N, image, degrees=rr))
-    return CanonicalMap(cm, w, f"counit for {M.name} on {N.name}")
+    return ChainMap(T1.complex, N.underlying().restrict(rr), matrices_from_images(T1, N, image, degrees=rr))
 
 
 def duality_map(
@@ -260,7 +244,7 @@ def duality_map(
     witness,
     D: int,
     max_generators: int = 10000,
-) -> CanonicalMap:
+) -> ChainMap:
     """M ⊗^L_S N → RHom_S(Z, N): q⊗p ↦ (z ↦ (-1)^{|z||q|} z(q)·p).
 
     Requires an accepted finitely-built witness for M over S^op.
@@ -273,8 +257,7 @@ def duality_map(
     _, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
     P = res_N.module
-    w = Window(-D, D)
-    rr = read_range(w)
+    rr = read_range(Window(-D, D))
     T2 = tensor_over(S, Q, res_N.free, degrees=rr)
     H2 = hom_over(S, Zt, P, degrees=rr)  # Z is left S with outer right R
 
@@ -284,8 +267,7 @@ def duality_map(
         q_idx, p_idx = pair
         return _pointwise(Zt, d, lambda z: P.act_elem(ev(z, {q_idx: F.one}), {p_idx: F.one}))
 
-    cm = ChainMap(T2.complex, H2.complex, matrices_from_images(T2, H2, image, degrees=rr))
-    return CanonicalMap(cm, w, f"duality for {M.name} on {N.name}")
+    return ChainMap(T2.complex, H2.complex, matrices_from_images(T2, H2, image, degrees=rr))
 
 
 def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap:
@@ -300,7 +282,7 @@ def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap
 
     def image(pair, d):
         s_idx, p_idx = pair
-        return N.act_elem({s_idx: F.one}, res.eps.apply_elem({p_idx: F.one}))
+        return N.act_elem({s_idx: F.one}, res.eps[p_idx])
 
     return ChainMap(T.complex, N.underlying().restrict(rr), matrices_from_images(T, N, image, degrees=rr))
 
@@ -312,12 +294,12 @@ def _ring_condition4_map(phi, N: DgModule, D: int, max_generators: int) -> Chain
     F = S.field
     S_left = restrict_scalars(left_regular(S), phi)
     res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
-    Q, eps = res.module, _eps_on_basis(res)  # ε(q) in S
+    Q, eps = res.module, res.eps  # ε(q) in S
     rr = read_range(Window(-D, D))
     H = hom_over(R, res.free, restrict_scalars(N, phi), degrees=rr)
 
     def image(n_idx, n):
-        return _pointwise(Q, n, lambda q_idx: N.act_elem(eps.get(q_idx, {}), {n_idx: F.one}))
+        return _pointwise(Q, n, lambda q_idx: N.act_elem(eps[q_idx], {n_idx: F.one}))
 
     return ChainMap(N.underlying().restrict(rr), H.complex, matrices_from_images(N, H, image, degrees=rr))
 
@@ -333,7 +315,7 @@ def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> Chain
     Ddeep, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_l = semifree_resolution(Nl, Ddeep, max_generators)
     P = res_l.module
-    _, Pr, _ = resolve_right_module(Nr, Ddeep, max_generators)
+    _, Pr = resolve_right_module(Nr, Ddeep, max_generators)
     Ta = tensor_over(S, Pr, Zt)  # outer right R retained
     T2 = tensor_over(S, Q, res_l.free)  # R-free
     rr = read_range(Window(-D, D))
@@ -394,8 +376,7 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     return ChainMap(Hsrc.complex, Htgt.complex, matrices_from_images(Hsrc, Htgt, image, degrees=rr))
 
 
-def multiplication_map(phi, D: int, max_generators: int = 10000) -> CanonicalMap:
+def multiplication_map(phi, D: int, max_generators: int = 10000) -> ChainMap:
     """S ⊗^L_R S → S: the induction counit at N = S, where N's action is S's
     multiplication."""
-    cm = _induction_counit(phi, left_regular(phi.target), D, max_generators)
-    return CanonicalMap(cm, Window(-D, D), f"multiplication for {phi.name}")
+    return _induction_counit(phi, left_regular(phi.target), D, max_generators)

@@ -1,7 +1,9 @@
 """Operations on DG modules: A-linear chain maps, shifts, sums, cones, frees.
 
 Every map given by the images of basis elements is assembled by
-:func:`matrices_from_images`.
+:func:`matrices_from_images`.  A module map, ``DgModuleMap``, is the
+``ChainMap`` of the underlying complexes plus its modules and A-linearity;
+``module_cone`` builds the cone of one as a module.
 
 Suspension convention for left modules: the action on shift(M, t) is twisted
 by (-1)^{t|a|}; right actions are untwisted.  Both choices are forced by the
@@ -44,72 +46,31 @@ def matrices_from_images(
     }
 
 
-class DgModuleMap:
-    """A-linear degree-0 chain map between DG modules over one algebra."""
+class DgModuleMap(ChainMap):
+    """A-linear degree-0 chain map between DG modules over one algebra: the
+    ``ChainMap`` of their underlying complexes, with the two modules kept in
+    ``modules`` for the side check and the A-linearity of ``validate``."""
 
     def __init__(self, source: DgModule, target: DgModule, mats: dict[int, Matrix]):
         if source.side != target.side:
             raise ValueError("side mismatch")
-        self.source = source
-        self.target = target
-        self.mats = {}
-        for n, m in mats.items():
-            if m.rows != len(target.component(n)) or m.cols != len(source.component(n)):
-                raise ValueError(f"f_{n} shape inconsistent")
-            if not m.is_zero():
-                self.mats[n] = m
-
-    def f(self, n: int) -> Matrix:
-        m = self.mats.get(n)
-        if m is None:
-            return Matrix.zero(
-                self.source.field, len(self.target.component(n)), len(self.source.component(n))
-            )
-        return m
-
-    def chain_map(self) -> ChainMap:
-        return ChainMap(self.source.underlying(), self.target.underlying(), self.mats)
-
-    def apply_elem(self, e: dict) -> dict:
-        out: dict = {}
-        F = self.source.field
-        for i, c in e.items():
-            n = self.source.deg(i)
-            col = self.f(n).columns[self.source._pos[i]]
-            vec_iadd(F, out, self.target.elem_from_component(col, n), c)
-        return out
+        super().__init__(source.underlying(), target.underlying(), mats)
+        self.modules = source, target
 
     def validate(self):
         """Chain-map property plus A-linearity against both action tables."""
-        cm = self.chain_map().validate()
+        cm = super().validate()
         if cm is not True:
             return cm
-        A = self.source.algebra
-        degrees = set(self.source.degrees()) | set(self.target.degrees())
+        M, N = self.modules
+        A = M.algebra
+        degrees = set(M.degrees()) | set(N.degrees())
         for a in range(A.total_dim):
             p = A.deg(a)
             for n in sorted(degrees):
-                lhs = self.f(n + p) * self.source.action_matrix(a, n)
-                rhs = self.target.action_matrix(a, n) * self.f(n)
-                if lhs != rhs:
+                if self.f(n + p) * M.action_matrix(a, n) != N.action_matrix(a, n) * self.f(n):
                     return Violation(n, f"not linear over basis element {A.label(a)}")
         return True
-
-    def compose(self, other: "DgModuleMap") -> "DgModuleMap":
-        degrees = set(other.source.degrees()) | set(self.target.degrees())
-        return DgModuleMap(
-            other.source, self.target, {n: self.f(n) * other.f(n) for n in degrees}
-        )
-
-    @staticmethod
-    def identity(M: DgModule) -> "DgModuleMap":
-        return DgModuleMap(
-            M, M, {n: Matrix.identity(M.field, len(M.component(n))) for n in M.degrees()}
-        )
-
-    @staticmethod
-    def zero(M: DgModule, N: DgModule) -> "DgModuleMap":
-        return DgModuleMap(M, N, {})
 
 
 def module_shift(M: DgModule, t: int) -> DgModule:
@@ -141,13 +102,10 @@ def module_direct_sum(summands: list[DgModule]) -> DgModule:
     return DgModule(A, side, basis, act, diff, name="⊕".join(s.name for s in summands))
 
 
-def module_cone(f: DgModuleMap):
-    """Cone of an A-linear map at module level.
-
-    Basis: target basis followed by suspended source basis.  Returns
-    (cone, inclusion of target, projection onto shift(source, 1)).
-    """
-    M, N = f.source, f.target
+def module_cone(f: DgModuleMap) -> DgModule:
+    """Cone of an A-linear map at module level: the target basis followed by
+    the suspended source basis."""
+    M, N = f.modules
     A, F = M.algebra, M.field
     nN = N.total_dim
     basis = [(f"t.{lab}", d) for lab, d in N.basis] + [
@@ -169,15 +127,7 @@ def module_cone(f: DgModuleMap):
         vec_iadd(F, e, N.elem_from_component(f.f(n).columns[M._pos[m]], n))
         if e:
             diff[m + nN] = e
-    C = DgModule(A, M.side, basis, act, diff, name=f"cone({M.name}->{N.name})")
-    # the target's basis indices are the cone's, and source index m is m + nN
-    incl = DgModuleMap(N, C, matrices_from_images(N, C, lambda g, n: {g: F.one}))
-
-    def to_source(g, n):
-        return {g - nN: F.one} if g >= nN else {}
-
-    proj = DgModuleMap(C, SM, matrices_from_images(C, SM, to_source))
-    return C, incl, proj
+    return DgModule(A, M.side, basis, act, diff, name=f"cone({M.name}->{N.name})")
 
 
 def truncate_below(Z: DgBimodule, c: int):

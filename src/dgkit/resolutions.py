@@ -21,11 +21,13 @@ basis elements a of A, which span exactly A_0·v.  So Z_n is walked once in
 kernel-basis order against one growing echelon of boundaries, and a cycle
 gets a generator iff it is not yet a boundary.  The builder grows one
 ``FreeModule``: adding a generator g computes d(a·g) and ε(a·g) = a·ε(g)
-once for each of its basis elements, and the cone's columns and ε read
-those tables.  Each column is built once: the boundary columns of degree n,
-d_{n+1} with the new A_0·g columns appended (they come last in its column
-order, and its rows M_n ⊕ F_{n-1}, positioned once per degree, do not
-move), are the d_{n+1} whose cycles degree n + 1 walks.
+once for each of its basis elements, and the cone's columns read those
+tables.  The resolution keeps ε as the builder's table: ``eps[x]`` is ε(x),
+an element of M, for each basis element x.  Each column is built once: the
+boundary columns of degree n, d_{n+1} with the new A_0·g columns appended
+(they come last in its column order, and its rows M_n ⊕ F_{n-1},
+positioned once per degree, do not move), are the d_{n+1} whose cycles
+degree n + 1 walks.
 
 Inside a ``resolution_scope`` (each epimorphism check opens one for its
 conditions) ``semifree_resolution`` hands back the resolution it already
@@ -46,7 +48,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import Echelon, Matrix, kernel_basis
-from .complexes import ChainMap, Homotopy, Violation, Window, check_homotopy
+from .complexes import ChainMap, Violation, Window, check_homotopy
 from .dga import (
     DgAlgebra,
     DgBimodule,
@@ -57,7 +59,7 @@ from .dga import (
     right_to_left_op,
     vec_scale,
 )
-from .modops import DgModuleMap, FreeModule, Generator, left_free, matrices_from_images, module_shift
+from .modops import DgModuleMap, FreeModule, Generator, left_free, module_shift
 
 
 class ResourceBoundExceeded(RuntimeError):
@@ -77,7 +79,7 @@ class SemifreeResolution:
     algebra: DgAlgebra
     target: DgModule
     free: FreeModule
-    eps: DgModuleMap
+    eps: list[dict]  # ε(x), an element of the target, for each basis element x
     validity: Window
     # a resolution over enveloping(R, S) as an R-S-bimodule, and that
     # bimodule as a free left R-module: made by the first
@@ -117,13 +119,6 @@ def _cone_differential(M: DgModule, free: FreeModule, eps: list, n: int, rows) -
     cols = [{m_pos[t]: c for t, c in M.diff.get(m, {}).items()} for m in M.component(n)]
     cols += [_free_column(free, eps, x, rows) for x in free.component(n - 1)]
     return Matrix.from_columns(M.field, cols, len(m_pos) + len(rows[1]))
-
-
-def _resolution(M: DgModule, free: FreeModule, eps: list, validity: Window) -> SemifreeResolution:
-    """The resolution on ``free`` whose ε sends basis element x to eps[x]."""
-    P = free.module
-    mats = matrices_from_images(P, M, lambda x, n: eps[x])
-    return SemifreeResolution(M.algebra, M, free, DgModuleMap(P, M, mats), validity)
 
 
 def required_depth(D: int, *reaches: int) -> int:
@@ -228,7 +223,7 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
             eps += [M.act_elem({a: F.one}, gen.eps) for a in range(A.total_dim)]
             if len(free.gens) > max_generators:
                 raise ResourceBoundExceeded(
-                    _resolution(M, free, eps, Window(bottom - 1, n - 1)),
+                    SemifreeResolution(A, M, free, eps, Window(bottom - 1, n - 1)),
                     f"generator cap {max_generators} exceeded at degree {n}",
                 )
             # d(a·g) = a·d(g) for |a| = 0: the boundaries grow by A_0·z
@@ -236,20 +231,16 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
                 cols.append(_free_column(free, eps, free.index(g, a), rows))
                 boundaries.add(cols[-1])
         d_n = Matrix.from_columns(F, cols, d_next.rows)
-    return _resolution(M, free, eps, Window(bottom - 1, D))
+    return SemifreeResolution(A, M, free, eps, Window(bottom - 1, D))
 
 
 def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):
     """Resolution of a right A-module via the left A^op picture.
 
-    Returns (resolution over A^op, free module as a right A-module,
-    ε as a chain map of underlying complexes).
+    Returns (resolution over A^op, free module as a right A-module).
     """
-    A = M.algebra
-    L = right_to_left_op(M)
-    res = semifree_resolution(L, D, max_generators)
-    right_free = left_op_to_right(res.module, A)
-    return res, right_free, res.eps.chain_map()
+    res = semifree_resolution(right_to_left_op(M), D, max_generators)
+    return res, left_op_to_right(res.module, M.algebra)
 
 
 @dataclass
@@ -331,8 +322,7 @@ def evaluate_build_tree(A: DgAlgebra, node) -> DgModule:
         ok = f.validate()
         if ok is not True:
             raise ValueError(f"cone node map invalid: {ok.reason} in degree {ok.degree}")
-        C, _, _ = module_cone(f)
-        return C
+        return module_cone(f)
     raise ValueError(f"unknown build-tree node {node!r}")
 
 
@@ -364,9 +354,9 @@ def verify_build_tree(w: BuildTreeWitness, M: DgModule):
         ok = f.validate()
         if ok is not True:
             return Violation(ok.degree, f"retract {name}: {ok.reason}")
-    MU = M.underlying()
-    h = Homotopy(MU, MU, w.homotopy or {})
-    ok = check_homotopy(p.compose(i).chain_map(), ChainMap.identity(MU), h)
+    ok = check_homotopy(p.compose(i), ChainMap.identity(i.source), w.homotopy or {})
+    if ok is not True and ok.reason.startswith("h_"):  # a mis-shaped h_n
+        return Violation(ok.degree, f"retract map shapes: {ok.reason}")
     if ok is not True:
         return Violation(ok.degree, "p∘i − id is not ∂h + h∂")
     return True

@@ -1,9 +1,12 @@
 """Test oracles shared by several test files: independent re-checks of what
-the library builds, kept out of the library itself."""
+the library builds, and the chain-complex constructions (shift, sum, cone)
+that only tests build, kept out of the library itself."""
 
-from dgkit.complexes import ChainMap, Complex, Violation
+from dgkit.complexes import ChainMap, Complex, GradedSpace, Violation
 from dgkit.dga import DgAlgebra, DgBimodule, DgModule, regular_bimodule
+from dgkit.field import Field
 from dgkit.homtensor import tensor_over
+from dgkit.linalg import Matrix, vec_scale
 from dgkit.modops import DgModuleMap, FreeModule, matrices_from_images
 
 
@@ -38,3 +41,85 @@ def augmentation(free: FreeModule, target: DgModule) -> DgModuleMap:
 
     M = free.module
     return DgModuleMap(M, target, matrices_from_images(M, target, image))
+
+
+# -- chain-complex constructions the tests build ------------------------------
+
+
+def zero_complex(field: Field) -> Complex:
+    return Complex(field, GradedSpace({}), {})
+
+
+def single(field: Field, degree: int = 0, dim: int = 1) -> Complex:
+    return Complex(field, GradedSpace({degree: dim}), {})
+
+
+def shift(C: Complex, t: int) -> Complex:
+    """Suspension power: shift(C, t)_n = C_{n-t}, differential times (-1)^t."""
+    if t == 0:
+        return C
+    dims = {n + t: d for n, d in C.space.dims.items()}
+    diffs = {n + t: m.scale(C.field.sign(t)) for n, m in C.diffs.items()}
+    return Complex(C.field, GradedSpace(dims), diffs)
+
+
+def direct_sum(summands: list[Complex], field: Field | None = None) -> Complex:
+    """Componentwise direct sum with block-diagonal differential."""
+    if not summands:
+        if field is None:
+            raise ValueError("field needed for an empty direct sum")
+        return zero_complex(field)
+    F = summands[0].field
+    if any(c.field != F for c in summands):
+        raise ValueError("mixed fields in direct_sum")
+    degrees = sorted({n for c in summands for n in c.space.dims})
+    dims = {n: sum(c.dim(n) for c in summands) for n in degrees}
+    diffs = {}
+    for n in degrees:
+        cols, off = [], 0
+        for c in summands:
+            cols += [{i + off: x for i, x in col.items()} for col in c.d(n).columns]
+            off += c.dim(n - 1)
+        diffs[n] = Matrix.from_columns(F, cols, off)
+    return Complex(F, GradedSpace(dims), diffs)
+
+
+def cone(f: ChainMap):
+    """Mapping cone with differential [[d_tgt, f], [0, -d_src]].
+
+    Returns (cone complex, inclusion of the target, projection onto the
+    suspended source).
+    """
+    M, N = f.source, f.target
+    F = N.field
+    degrees = sorted(set(N.space.dims) | {n + 1 for n in M.space.dims})
+    dims = {n: N.dim(n) + M.dim(n - 1) for n in degrees}
+    diffs = {}
+    for n in degrees:
+        off = N.dim(n - 1)
+        shifted = [
+            {**fc, **vec_scale(F, F.sign(1), {off + i: x for i, x in dc.items()})}
+            for fc, dc in zip(f.f(n - 1).columns, M.d(n - 1).columns)
+        ]
+        diffs[n] = Matrix.from_columns(F, list(N.d(n).columns) + shifted, off + M.dim(n - 2))
+    Cn = Complex(F, GradedSpace(dims), diffs)
+    incl = ChainMap(
+        N,
+        Cn,
+        {
+            n: Matrix.from_columns(F, [{j: F.one} for j in range(N.dim(n))], Cn.dim(n))
+            for n in N.degrees()
+        },
+    )
+    SM = shift(M, 1)
+    proj = ChainMap(
+        Cn,
+        SM,
+        {
+            n: Matrix.from_columns(
+                F, [{}] * N.dim(n) + [{i: F.one} for i in range(SM.dim(n))], SM.dim(n)
+            )
+            for n in Cn.degrees()
+        },
+    )
+    return Cn, incl, proj

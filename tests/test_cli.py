@@ -259,6 +259,33 @@ def test_witness_nested_256_deep_parses(capsys, tmp_path):
         assert f"wDeep for R: {verdict}" in out
 
 
+# a retract of R whose homotopy or inclusion is a map on M2 = R ⊕ ΣR
+MIS_SHAPED_RETRACTS = {
+    "homotopy": ("map hM : M2 -> M2\n", "retract idR idR hM", "h_0 shape 2x1 inconsistent"),
+    "inclusion": (
+        "map idM : M2 -> M2\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n",
+        "retract idM idR hR",
+        "f_1 shape 2x2 inconsistent",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIS_SHAPED_RETRACTS))
+def test_mis_shaped_retract_is_a_rejected_witness(capsys, tmp_path, case):
+    block, retract, shape = MIS_SHAPED_RETRACTS[case]
+    path = tmp_path / "retract.dg"
+    path.write_text(
+        (FIXTURES / "exterior.dg").read_text() + f"\n{block}\nwitness wBad for R\n  (leaf)\n  {retract}\n"
+    )
+    reason = f"retract map shapes: {shape} (degree 0)"
+    code, out, err = _run(capsys, "witness-verify", path, "wBad")
+    assert (code, err) == (0, "")
+    assert out == f"witness wBad for R: rejected\n  {reason}\n"
+    code, out, err = _run(capsys, "dwyer-greenlees", path, "R", "wBad", "--window=-2..8")
+    assert (code, out) == (1, "")
+    assert err == f"error: witness rejected: {reason}\n"
+
+
 def test_dwyer_greenlees_regular(capsys):
     code, out, _ = _run(
         capsys, "dwyer-greenlees", FIXTURES / "exterior.dg", "R", "wR", "--window=-2..4"

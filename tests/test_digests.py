@@ -76,7 +76,7 @@ def _unit(F):
     out = []
     for S in (truncated_polynomial(2, F), exterior_algebra(F)):
         M = regular_bimodule(S)
-        out += [unit_map(M, N, 2).chain_map for _, N in generate_test_family(S, 0, 3).left]
+        out += [unit_map(M, N, 2) for _, N in generate_test_family(S, 0, 3).left]
     return out
 
 
@@ -84,7 +84,7 @@ def _counit(F):
     out = []
     for phi in _morphisms(F)[:2]:
         M = bimodule_from_morphism(phi)
-        out += [counit_map(M, N, 1).chain_map for _, N in _family(phi).left]
+        out += [counit_map(M, N, 1) for _, N in _family(phi).left]
     return out
 
 
@@ -93,13 +93,13 @@ def _duality(F):
     out = []
     for phi in (truncated_to_ground(2, F), product_to_ground(F)):
         M = bimodule_from_morphism(phi)
-        out += [duality_map(M, N, w, 2).chain_map for _, N in _family(phi).left]
+        out += [duality_map(M, N, w, 2) for _, N in _family(phi).left]
     return out
 
 
 def _multiplication(F):
     return [
-        multiplication_map(phi, 3).chain_map
+        multiplication_map(phi, 3)
         for phi in (truncated_to_ground(2, F), product_to_ground(F), triangular_to_product(F))
     ]
 

@@ -471,7 +471,7 @@ def test_translation_tor_is_tor_table(phi):
     # Translation reads Tor_i(S, S) off (1)'s source instead of a Tor table
     R, S = phi.source, phi.target
     Sr, Sl = (restrict_scalars(X(S), phi) for X in (right_regular, left_regular))
-    rep = is_derived_iso(multiplication_map(phi, 4).chain_map, Window(0, 4))
+    rep = is_derived_iso(multiplication_map(phi, 4), Window(0, 4))
     assert {i: h for i, (h, _) in rep.dims.items()} == tor_table(R, Sr, Sl, 4)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from dgkit.field import GF, QQ
-from dgkit.complexes import Violation, Window, cone, homology_dims, quasi_iso
+from dgkit.complexes import Violation, Window, homology_dims, quasi_iso
 from dgkit.dga import (
     DgAlgebra,
     DgModule,
@@ -19,7 +19,14 @@ from dgkit.derived import derived_tensor
 from dgkit.epicheck import generate_test_family
 from dgkit.homtensor import tensor_over
 from dgkit.linalg import Echelon, Matrix, kernel_basis
-from dgkit.modops import DgModuleMap, FreeModule, Generator, module_direct_sum, module_shift
+from dgkit.modops import (
+    DgModuleMap,
+    FreeModule,
+    Generator,
+    matrices_from_images,
+    module_direct_sum,
+    module_shift,
+)
 from dgkit.resolutions import (
     BuildTreeWitness,
     ConeNode,
@@ -40,11 +47,18 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
-from oracles import augmentation
+from oracles import augmentation, cone
+
+
+def eps_map(res):
+    """ε as a module map, built from the resolution's table."""
+    P = res.free.module
+    return DgModuleMap(P, res.target, matrices_from_images(P, res.target, lambda x, n: res.eps[x]))
 
 
 def verify_resolution(res):
-    """Independent re-check: filtration, A-linearity, quasi-iso on window."""
+    """Independent re-check: filtration, A-linearity, quasi-iso on window, and
+    ε equal to the A-linear extension of the generators' ε."""
     dimA = res.algebra.total_dim
     for g, gen in enumerate(res.free.gens):
         for idx in gen.d_elem:
@@ -56,13 +70,18 @@ def verify_resolution(res):
     bad = validate_module(res.free.module)
     if bad:
         return Violation(0, f"free module invalid: {bad[0]}")
-    ok = res.eps.validate()
+    eps = eps_map(res)
+    ok = eps.validate()
     if ok is not True:
         return ok
-    r = quasi_iso(res.eps.chain_map(), res.validity)
+    r = quasi_iso(eps, res.validity)
     if not r.ok:
         n = min(k for k, good in r.per_degree.items() if not good)
         return Violation(n, "ε is not a quasi-isomorphism on the claimed window")
+    oracle = augmentation(res.free, res.target)
+    for n in res.free.module.degrees():
+        if eps.f(n) != oracle.f(n):
+            return Violation(n, "ε(a·g) is not a·ε(g)")
     return True
 
 
@@ -98,7 +117,7 @@ def test_resolution_of_k_over_truncated_square_matches_periodic_oracle():
     assert verify_resolution(res) is True
     degs = sorted(g.degree for g in res.generators)
     assert degs == list(range(D + 2))
-    r = quasi_iso(res.eps.chain_map(), Window(-1, D))
+    r = quasi_iso(eps_map(res), Window(-1, D))
     assert r.ok
 
 
@@ -131,7 +150,7 @@ def test_resolution_over_exterior_algebra():
     assert validate_module(k) == []
     res = semifree_resolution(k, 6)
     assert verify_resolution(res) is True
-    r = quasi_iso(res.eps.chain_map(), Window(-1, 6))
+    r = quasi_iso(eps_map(res), Window(-1, 6))
     assert r.ok
 
 
@@ -174,7 +193,7 @@ def test_verify_rejects_zero_augmentation():
     res = semifree_resolution(k, 4)
     from dgkit.resolutions import SemifreeResolution
 
-    zero = DgModuleMap.zero(res.module, k)
+    zero = [{} for _ in res.eps]
     broken = SemifreeResolution(res.algebra, k, res.free, zero, res.validity)
     assert verify_resolution(broken) is not True
 
@@ -188,7 +207,7 @@ def test_bimodule_resolution():
         assert verify_resolution(bres.env_resolution) is True
         assert validate_module(bres.bimodule) == []
         res = bres.env_resolution
-        r = quasi_iso(res.eps.chain_map(), res.validity.intersect(Window(-1, 5)))
+        r = quasi_iso(eps_map(res), Window(-1, 5))
         assert r.ok
 
 
@@ -212,9 +231,8 @@ def test_build_tree_cone():
 
     A = exterior_algebra()
     M = left_regular(A)
-    f = DgModuleMap.identity(M)
-    C, _, _ = module_cone(f)
-    mats = {n: f.f(n) for n in M.degrees()}
+    mats = {n: Matrix.identity(QQ, len(M.component(n))) for n in M.degrees()}
+    C = module_cone(DgModuleMap(M, M, mats))
     node = ConeNode(Leaf(0), Leaf(0), mats)
     assert verify_build_tree(BuildTreeWitness(node), C) is True
 
@@ -248,6 +266,23 @@ def test_build_tree_retract_rejected_at_the_degree_its_homotopy_fails(bad):
     assert verify_build_tree(BuildTreeWitness(w.tree, ident, ident, {}), M) is True
 
 
+@pytest.mark.parametrize("case", ["homotopy", "inclusion"])
+def test_build_tree_retract_mis_shaped_map_is_a_violation(case):
+    # R = Λ(x) is the leaf's value and i = p = id; a 2x1 h_0 or a 2x2 f_1, the
+    # shapes of maps on M2 = R ⊕ ΣR, is a rejected witness and not an error
+    M = left_regular(exterior_algebra())
+    ident = {n: Matrix.identity(QQ, len(M.component(n))) for n in M.degrees()}
+    if case == "homotopy":
+        w = BuildTreeWitness(Leaf(0), ident, ident, {0: Matrix.zero(QQ, 2, 1)})
+        reason = "h_0 shape 2x1 inconsistent"
+    else:
+        w = BuildTreeWitness(Leaf(0), {**ident, 1: Matrix.identity(QQ, 2)}, ident, {})
+        reason = "f_1 shape 2x2 inconsistent"
+    v = verify_build_tree(w, M)
+    assert isinstance(v, Violation)
+    assert (v.degree, v.reason) == (0, f"retract map shapes: {reason}")
+
+
 def test_build_tree_wrong_module_rejected():
     A = truncated_polynomial(2)
     M = ground_left_module(truncated_to_ground(2))
@@ -270,7 +305,7 @@ def rebuild_resolution(M, D, max_generators=10000):
     bottom = min((d for _, d in M.basis), default=0)
     for n in range(bottom, D + 2):
         while True:
-            Cn, _, _ = cone(augmentation(free, M).chain_map())
+            Cn, _, _ = cone(augmentation(free, M))
             boundaries = Echelon(F)
             for col in Cn.d(n + 1).columns:
                 boundaries.add(col)
@@ -300,7 +335,7 @@ def _same_free_module_and_eps(res, M):
     for table in ("basis", "act", "diff"):
         if getattr(res.free.module, table) != getattr(P.module, table):
             return table
-    return None if res.eps.mats == augmentation(P, M).mats else "eps"
+    return None if eps_map(res).mats == augmentation(P, M).mats else "eps"
 
 
 def _dy_equals_x(field):

@@ -110,10 +110,11 @@ def _window(text: str) -> Window:
     return Window(lo, hi)
 
 
-def _epi_depth(w: Window) -> int:
-    """The D of an epimorphism check, whose verdicts cover degrees 0..D."""
-    if w.lo != 0 or w.hi < 1:
-        raise InputError(f"--window must be 0..HI with HI at least 1, got {w}")
+def _depth(w: Window, least: int) -> int:
+    """The D of a command whose table or verdicts cover degrees 0..D: at
+    least 0 for tor and ext, at least 1 for an epimorphism check."""
+    if w.lo != 0 or w.hi < least:
+        raise InputError(f"--window must be 0..HI with HI at least {least}, got {w}")
     return w.hi
 
 
@@ -221,7 +222,7 @@ def _pair_sides(args, pf, M, N):
 def cmd_tor_ext(args, pf, A, M, N):
     _pair_sides(args, pf, M, N)
     which = args.command
-    D = max(args.window.hi, 0)
+    D = _depth(args.window, 0)
     table = (tor_table if which == "tor" else ext_table)(A, M, N, D, args.max_generators)
     name = "Tor" if which == "tor" else "Ext"
     lines = [f"{name} over {args.algebra} of ({args.left}, {args.right}), degrees 0..{D}"]
@@ -320,7 +321,7 @@ def _rep_data(rep) -> dict:
 
 
 def cmd_check_epi(args, pf, phi):
-    D = _epi_depth(args.window)
+    D = _depth(args.window, 1)
     fam = generate_test_family(phi.target, args.seed, args.family_size)
     try:
         rep = check_dga_epi(phi, D, fam, args.max_generators)
@@ -366,7 +367,7 @@ def cmd_dwyer_greenlees(args, pf, M, w):
 def cmd_consistency(args, pf):
     corpus = [(n, pf.morphisms[n]) for k, n in pf.order if k == "morphism"]
     _validated(*(("morphism", n, phi) for n, phi in corpus))
-    D = _epi_depth(args.window)
+    D = _depth(args.window, 1)
 
     def report(instances):
         lines = [line for name, r in instances for line in _epi_report(name, r)]

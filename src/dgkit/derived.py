@@ -43,6 +43,7 @@ from .dga import (
     koszul_signed,
     left_regular,
     linear,
+    matrices_from_images,
     opposite,
     restrict_scalars,
     right_to_left_op,
@@ -51,7 +52,7 @@ from .dga import (
     vec_iadd,
 )
 from .homtensor import HomComplex, _as_map, _pointwise, hom_over, tensor_over
-from .modops import FreeModule, matrices_from_images, truncate_below
+from .modops import FreeModule, truncate_below
 from .resolutions import (
     require_witness,
     required_depth,
@@ -124,7 +125,7 @@ class DualizedBimodule:
     Z: DgBimodule  # left S, right R
     hom: HomComplex  # Hom over S^op; Z's basis element g is hom.reps[g]
     # the R-S bimodule resolution Q of M as a left R-module, free on the
-    # (1⊗s)·g; Q.module is hom's source, sides swapped
+    # (1⊗s)·g; Q.bimodule is hom's source, sides swapped
     Q: FreeModule
 
 
@@ -197,12 +198,12 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     # stagger: the Hom target's resolution is deeper than the Hom source's
     D2p = required_depth(D, D2q)
     res_N = semifree_resolution(N, D2p, max_generators)
-    P = res_N.module
+    P = res_N.free
     bres = semifree_resolution_bimodule(M, D2q, max_generators)
     Q = bres.bimodule
     eps = bres.env_resolution.eps  # ε(q) ∈ M for each basis element q of Q
     rr = read_range(Window(-D, D))
-    T = tensor_over(S, M, res_N.free)
+    T = tensor_over(S, M, P)
     H = hom_over(R, bres.free, T.structure(), degrees=rr)  # T as a left R-module
 
     def image(p_idx, n):
@@ -224,9 +225,9 @@ def counit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) 
     F = M.field
     D2, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
-    P, eps = res_N.module, res_N.eps
+    P, eps = res_N.free, res_N.eps
     rr = read_range(Window(-D, D))
-    T2 = tensor_over(S, Q, res_N.free)  # Q right-S ⊗ P: R-free
+    T2 = tensor_over(S, Q, P)  # Q right-S ⊗ P: R-free
     T1 = tensor_over(R, Zt, T2.structure(), degrees=rr)
 
     def image(pair, d):
@@ -256,9 +257,9 @@ def duality_map(
     D2 = required_depth(D, M.max_degree(), -M.min_degree())
     _, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_N = semifree_resolution(N, D2, max_generators)
-    P = res_N.module
+    P = res_N.free
     rr = read_range(Window(-D, D))
-    T2 = tensor_over(S, Q, res_N.free, degrees=rr)
+    T2 = tensor_over(S, Q, P, degrees=rr)
     H2 = hom_over(S, Zt, P, degrees=rr)  # Z is left S with outer right R
 
     def image(pair, d):
@@ -294,9 +295,9 @@ def _ring_condition4_map(phi, N: DgModule, D: int, max_generators: int) -> Chain
     F = S.field
     S_left = restrict_scalars(left_regular(S), phi)
     res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
-    Q, eps = res.module, res.eps  # ε(q) in S
+    Q, eps = res.free, res.eps  # ε(q) in S
     rr = read_range(Window(-D, D))
-    H = hom_over(R, res.free, restrict_scalars(N, phi), degrees=rr)
+    H = hom_over(R, Q, restrict_scalars(N, phi), degrees=rr)
 
     def image(n_idx, n):
         return _pointwise(Q, n, lambda q_idx: N.act_elem(eps[q_idx], {n_idx: F.one}))
@@ -314,13 +315,13 @@ def _condition3_map(M: DgBimodule, Nr, Nl, D: int, max_generators: int) -> Chain
     R, S, F = M.left_algebra, M.right_algebra, M.field
     Ddeep, Q, Zt, ev = truncated_dual(M, D, max_generators)
     res_l = semifree_resolution(Nl, Ddeep, max_generators)
-    P = res_l.module
+    P = res_l.free
     _, Pr = resolve_right_module(Nr, Ddeep, max_generators)
     Ta = tensor_over(S, Pr, Zt)  # outer right R retained
-    T2 = tensor_over(S, Q, res_l.free)  # R-free
+    T2 = tensor_over(S, Q, P)  # R-free
     rr = read_range(Window(-D, D))
     Tab = tensor_over(R, Ta.structure(), T2.structure(), degrees=rr)
-    Tc = tensor_over(S, Pr, res_l.free, degrees=rr)
+    Tc = tensor_over(S, Pr, P, degrees=rr)
 
     def image(pair, d):
         a_idx, t_idx = pair

@@ -4,7 +4,11 @@ Elements are sparse dicts ``{global basis index: scalar}``; they are added
 and scaled by the sparse-vector kernel of :mod:`dgkit.linalg` (re-exported
 here as ``vec_iadd`` and ``vec_scale``), and every sign is ``Field.sign``.
 Structure constants (multiplication, actions, differentials) are given on
-basis elements and extended bilinearly.  All axioms are verified exactly on
+basis elements and extended bilinearly.  Every constructor keeps the entries
+it is given in tables of its own: new outer dicts without the empty entries,
+sharing the entry dicts, which nothing changes in place.  A graded object's
+differential and action matrices are built by :func:`matrices_from_images`,
+as every map given on basis elements is.  All axioms are verified exactly on
 basis tuples by the ``validate_*`` functions.
 
 Sign conventions (fixed once, certified by the validators):
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from .field import Field
 from .linalg import Matrix, vec_iadd, vec_scale
-from .complexes import Complex, GradedSpace
+from .complexes import Complex, GradedSpace, Window
 
 
 # -- sparse element helpers ---------------------------------------------------
@@ -64,13 +68,40 @@ class AxiomViolation:
         return f"{self.axiom} fails at ({loc}){extra}"
 
 
+def matrices_from_images(
+    source, target, image, offset: int = 0, degrees: Window | None = None
+) -> dict[int, Matrix]:
+    """Matrices of the linear map b ↦ image(b, n), source_n → target_{n+offset}.
+
+    ``source`` and ``target`` are graded carriers: DG algebras and
+    (bi)modules, tensor products and Hom complexes.  Each has ``degrees()``,
+    ``component(n)`` (its degree-n basis, as basis indices, ground pairs or
+    Hom ground vectors) and ``coords(element, n)``, the sparse coordinates
+    {position: c} of a degree-n element.  ``image`` receives a
+    member of ``source.component(n)`` and its degree and returns an element
+    of ``target`` of degree n + offset.  With a ``degrees`` window, f_n is
+    built only where n and n + offset both lie in it, as on a range-built
+    complex.
+    """
+    F = target.field
+    return {
+        n: Matrix.from_columns(
+            F,
+            [target.coords(image(b, n), n + offset) for b in source.component(n)],
+            rows=len(target.component(n + offset)),
+        )
+        for n in source.degrees()
+        if degrees is None or (n in degrees and n + offset in degrees)
+    }
+
+
 class _Graded:
     """Shared machinery: graded basis, differential, underlying complex."""
 
-    def __init__(self, field: Field, basis: list[tuple[str, int]], diff: dict[int, dict], copy=True):
+    def __init__(self, field: Field, basis: list[tuple[str, int]], diff: dict[int, dict]):
         self.field = field
-        self.basis = list(basis) if copy else basis
-        self.diff = {i: dict(e) for i, e in diff.items() if e} if copy else diff
+        self.basis = list(basis)
+        self.diff = {i: e for i, e in diff.items() if e}
         self._by_degree: dict[int, list[int]] = {}
         self._pos: list[int] = []  # position of each basis index in its component
         for i, (_, d) in enumerate(self.basis):
@@ -126,15 +157,7 @@ class _Graded:
     def underlying(self) -> Complex:
         if self._complex is None:
             dims = {n: len(ix) for n, ix in self._by_degree.items()}
-            diffs = {
-                n: Matrix.from_columns(
-                    self.field,
-                    [self.coords(self.diff.get(g, {}), n - 1) for g in idx],
-                    len(self.component(n - 1)),
-                )
-                for n, idx in self._by_degree.items()
-                if self.component(n - 1)
-            }
+            diffs = matrices_from_images(self, self, lambda g, n: self.diff.get(g, {}), -1)
             self._complex = Complex(self.field, GradedSpace(dims), diffs)
         return self._complex
 
@@ -149,7 +172,7 @@ class DgAlgebra(_Graded):
     def __init__(self, field, basis, unit: int, mul: dict, diff: dict, name: str = "A"):
         super().__init__(field, basis, diff)
         self.unit = unit
-        self.mul = {ij: dict(e) for ij, e in mul.items() if e}
+        self.mul = {ij: e for ij, e in mul.items() if e}
         self.name = name
 
     def mul_elem(self, a: dict, b: dict) -> dict:
@@ -163,21 +186,15 @@ class DgAlgebra(_Graded):
 
 
 class DgModule(_Graded):
-    """One-sided DG module.  ``act[(a, m)]`` is a·m (left) or m·a (right).
+    """One-sided DG module.  ``act[(a, m)]`` is a·m (left) or m·a (right)."""
 
-    With ``copy=False`` the module keeps the given basis and tables instead of
-    copying them; they must have no empty entries, as a free module's have.
-    """
-
-    def __init__(
-        self, algebra: DgAlgebra, side: str, basis, act: dict, diff: dict, name: str = "M", copy=True
-    ):
+    def __init__(self, algebra: DgAlgebra, side: str, basis, act: dict, diff: dict, name: str = "M"):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        super().__init__(algebra.field, basis, diff, copy)
+        super().__init__(algebra.field, basis, diff)
         self.algebra = algebra
         self.side = side
-        self.act = {am: dict(e) for am, e in act.items() if e} if copy else act
+        self.act = {am: e for am, e in act.items() if e}
         self.name = name
         self._action_mats: dict = {}
 
@@ -187,15 +204,11 @@ class DgModule(_Graded):
 
     def action_matrix(self, a_idx: int, n: int) -> Matrix:
         """Matrix of the action of basis element a on the degree-n component."""
-        key = (a_idx, n)
-        if key not in self._action_mats:
-            p = self.algebra.deg(a_idx)
-            self._action_mats[key] = Matrix.from_columns(
-                self.field,
-                [self.coords(self.act.get((a_idx, m), {}), n + p) for m in self.component(n)],
-                len(self.component(n + p)),
-            )
-        return self._action_mats[key]
+        p, mats = self.algebra.deg(a_idx), self._action_mats.get(a_idx)
+        if mats is None:
+            mats = matrices_from_images(self, self, lambda m, _: self.act.get((a_idx, m), {}), p)
+            self._action_mats[a_idx] = mats
+        return mats[n] if n in mats else Matrix.zero(self.field, len(self.component(n + p)), 0)
 
     def __repr__(self):
         return f"DgModule({self.name}, {self.side} over {self.algebra.name}, dim={self.total_dim})"
@@ -210,8 +223,8 @@ class DgBimodule(_Graded):
         super().__init__(left_algebra.field, basis, diff)
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
-        self.act_left = {am: dict(e) for am, e in act_left.items() if e}
-        self.act_right = {am: dict(e) for am, e in act_right.items() if e}
+        self.act_left = {am: e for am, e in act_left.items() if e}
+        self.act_right = {am: e for am, e in act_right.items() if e}
         self.name = name
 
     def left_module(self) -> DgModule:

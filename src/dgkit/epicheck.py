@@ -35,6 +35,7 @@ from .dga import (
     bimodule_from_morphism,
     left_op_to_right,
     left_regular,
+    matrices_from_images,
     opposite,
     restrict_scalars,
     right_to_left_op,
@@ -60,7 +61,6 @@ from .modops import (
     FreeModule,
     Generator,
     DgModuleMap,
-    matrices_from_images,
     module_cone,
     module_shift,
 )
@@ -284,21 +284,21 @@ def _random_semifree(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:
     free = FreeModule(A, [Generator(f"{label}0", rng.randint(0, 1))])
     for i in range(rng.randint(1, 2)):
         deg = rng.randint(1, 3)
-        free.add(Generator(f"{label}{i + 1}", deg, d_elem=_random_cycle(rng, free.module, deg - 1)))
-    return free.module
+        free.add(Generator(f"{label}{i + 1}", deg, d_elem=_random_cycle(rng, free, deg - 1)))
+    # a plain module on the free module's tables: its tensors take the generic path
+    return DgModule(A, "left", free.basis, free.act, free.diff, free.name)
 
 
 def _random_cone(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:
     """Cone of a random chain map between free modules on one generator."""
     F = A.field
     sdeg = rng.randint(0, 1)
-    fs = FreeModule(A, [Generator(f"{label}s", sdeg)])
-    ft = FreeModule(A, [Generator(f"{label}t", 0)])
-    src, tgt = fs.module, ft.module
+    src = FreeModule(A, [Generator(f"{label}s", sdeg)])
+    tgt = FreeModule(A, [Generator(f"{label}t", 0)])
     img = _random_cycle(rng, tgt, sdeg)  # image of the generator: a cycle
 
     def image(idx, n):  # a·g ↦ a·img
-        return tgt.act_elem({fs.split(idx)[1]: F.one}, img)
+        return tgt.act_elem({src.split(idx)[1]: F.one}, img)
 
     f = DgModuleMap(src, tgt, matrices_from_images(src, tgt, image))
     ok = f.validate()

@@ -5,12 +5,14 @@ product by the relations m·a ⊗ n − m ⊗ a·n; ``hom_over(A, M, N)`` is the
 complex of graded A-linear maps with the Koszul linearity rule f(a m) =
 (-1)^{|f||a|} a f(m) and differential D(f) = d∘f − (-1)^{|f|} f∘d.
 
-A free module is a :class:`~dgkit.modops.FreeModule`, which numbers its
-basis through its layout: both free paths ask it for ``index(g, a)``, the
-basis element a·g, ``split`` and the generators, and never compute an index
-themselves.  Three kinds are passed here: a resolution's ``res.free`` A ⊗ V;
-a bimodule resolution Q over R ⊗ S^op, which as a left R-module is free on
-the (1⊗s)·g (``BimoduleResolution.free``, on Q's own numbering); and Q ⊗_S P
+A free module is a :class:`~dgkit.modops.FreeModule`, a ``DgModule`` that
+numbers its basis through its layout: both free paths ask it for
+``index(g, a)``, the basis element a·g, ``split`` and the generators, and
+never compute an index themselves.  Three kinds are passed here: a
+resolution's ``res.free`` A ⊗ V, the resolving module itself; a bimodule
+resolution Q over R ⊗ S^op, which as a left R-module is free on the
+(1⊗s)·g (``BimoduleResolution.free``, on Q's own numbering, keeping Q as
+its ``bimodule``, whose right S-action ``_over`` reads); and Q ⊗_S P
 for P = ``res.free`` over S, which is R-free on the pairs of those
 generators and P's (``TensorProduct.structure()`` on the free path, when the
 left factor is Q's view).
@@ -65,8 +67,8 @@ from __future__ import annotations
 
 from .linalg import Echelon, Matrix, lead_coords
 from .complexes import Complex, GradedSpace, Window
-from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd
-from .modops import FreeModule, Generator, matrices_from_images
+from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, matrices_from_images, vec_iadd
+from .modops import FreeModule, Generator
 
 
 class SideMismatch(ValueError):
@@ -74,7 +76,9 @@ class SideMismatch(ValueError):
 
 
 def _over(X, A: DgAlgebra, side: str):
-    """(``side`` A-action table, algebra of the other action or None, its table)."""
+    """(``side`` A-action table, algebra of the other action or None, its
+    table); a bimodule's free view is read as its bimodule."""
+    X = getattr(X, "bimodule", None) or X
     if isinstance(X, DgBimodule):
         if side == "left":
             alg, acts = X.left_algebra, (X.act_left, X.right_algebra, X.act_right)
@@ -210,10 +214,10 @@ class TensorProduct(GroundComplex):
 
     def __init__(self, A: DgAlgebra, M, N, name: str | None = None, degrees: Window | None = None):
         # the factors as free modules, when they are: M over the outer left
-        # algebra, N over A
+        # algebra (a bimodule's view, whose right A-action is its
+        # bimodule's), N over A
         self._free_left = M if isinstance(M, FreeModule) else None
         self._free = N if isinstance(N, FreeModule) else None
-        M, N = (X.module if isinstance(X, FreeModule) else X for X in (M, N))
         self.A = A
         self.M = M
         self.N = N
@@ -366,8 +370,6 @@ class HomComplex(GroundComplex):
 
     def __init__(self, A: DgAlgebra, M, N, name: str | None = None, degrees: Window | None = None):
         self._free = M if isinstance(M, FreeModule) else None
-        if self._free is not None:
-            M = M.module
         self.A = A
         self.M = M
         self.N = N

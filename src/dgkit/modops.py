@@ -1,9 +1,10 @@
 """Operations on DG modules: A-linear chain maps, shifts, sums, cones, frees.
 
 Every map given by the images of basis elements is assembled by
-:func:`matrices_from_images`.  A module map, ``DgModuleMap``, is the
+:func:`~dgkit.dga.matrices_from_images`.  A module map, ``DgModuleMap``, is the
 ``ChainMap`` of the underlying complexes plus its modules and A-linearity;
-``module_cone`` builds the cone of one as a module.
+``module_cone`` builds the cone of one as a module.  A free module,
+``FreeModule``, is a ``DgModule`` that grows its own tables: one record.
 
 Suspension convention for left modules: the action on shift(M, t) is twisted
 by (-1)^{t|a|}; right actions are untwisted.  Both choices are forced by the
@@ -15,35 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix, kernel_basis, lead_coords
-from .complexes import ChainMap, Violation, Window
+from .complexes import ChainMap, Violation
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd, vec_scale
-
-
-def matrices_from_images(
-    source, target, image, offset: int = 0, degrees: Window | None = None
-) -> dict[int, Matrix]:
-    """Matrices of the linear map b ↦ image(b, n), source_n → target_{n+offset}.
-
-    ``source`` and ``target`` are graded carriers: DG algebras and
-    (bi)modules, tensor products and Hom complexes.  Each has ``degrees()``,
-    ``component(n)`` (its degree-n basis, as basis indices, ground pairs or
-    Hom ground vectors) and ``coords(element, n)``, the sparse coordinates
-    {position: c} of a degree-n element.  ``image`` receives a
-    member of ``source.component(n)`` and its degree and returns an element
-    of ``target`` of degree n + offset.  With a ``degrees`` window, f_n is
-    built only where n and n + offset both lie in it, as on a range-built
-    complex.
-    """
-    F = target.field
-    return {
-        n: Matrix.from_columns(
-            F,
-            [target.coords(image(b, n), n + offset) for b in source.component(n)],
-            rows=len(target.component(n + offset)),
-        )
-        for n in source.degrees()
-        if degrees is None or (n in degrees and n + offset in degrees)
-    }
 
 
 class DgModuleMap(ChainMap):
@@ -193,8 +167,9 @@ class Generator:
     eps: dict = dc_field(default_factory=dict)  # over target-module indices
 
 
-class FreeModule:
-    """Left A-module free on graded generators.
+class FreeModule(DgModule):
+    """Left A-module free on graded generators: a ``DgModule`` whose tables
+    grow in place.
 
     Its layout numbers the basis: ``index(g, a)`` is the basis index of a·g,
     for generator g and algebra basis element a, ``split`` is its inverse,
@@ -202,53 +177,56 @@ class FreeModule:
     ``add`` appends a generator in the standard layout g·dim A + a.  Its
     ``d_elem`` lies over earlier generators, so any semifree module can be
     presented, and its basis elements a·g are computed once: their labels,
-    their action rows b·(a·g) = (ba)·g and d(a·g) = d(a)·g + (-1)^{|a|} a·d(g).
-    ``view`` presents a module built elsewhere as a free one on its own
-    numbering.  ``component`` and ``d`` read the tables, and ``module`` is
-    built on them, not on copies, when first read after an add; a module read
-    before an add is not to be used after it.
+    their action rows b·(a·g) = (ba)·g and d(a·g) = d(a)·g + (-1)^{|a|} a·d(g),
+    appended to the module's own basis and tables.  ``view`` presents a
+    module built elsewhere as a free one on its own numbering.  The name is
+    free(g0,g1,…) on the generators so far unless ``view`` is given one.
     """
 
     def __init__(self, algebra: DgAlgebra, gens=()):
-        self.algebra = algebra
-        self.gens: list[Generator] = []
-        self._rows: list[list[int]] = []  # g ↦ the index of a·g, for each a
-        self._split: list[tuple[int, int]] = []  # basis index ↦ (g, a)
-        self._basis: list[tuple[str, int]] = []
-        self._act: dict = {}  # (b, x) ↦ b·x
-        # a ↦ the nonzero products b·a, in b order
-        dA = range(algebra.total_dim)
-        self._mul_into = [[(b, algebra.mul[b, a]) for b in dA if (b, a) in algebra.mul] for a in dA]
-        self._diff: dict[int, dict] = {}
-        self._by_degree: dict[int, list[int]] = {}
-        self._module = None
-        self._name = None
+        super().__init__(algebra, "left", [], {}, {}, None)
+        self._layout([], [])
         for gen in gens:
             self.add(gen)
 
     @classmethod
     def view(cls, algebra: DgAlgebra, gens, rows, basis, diff, bimodule=None, name=None):
         """The free module on ``gens`` whose a·g is basis element rows[g][a],
-        over a basis and differential numbered elsewhere, kept and not copied.
+        over a basis and differential numbered elsewhere.
 
         When it is the left module of ``bimodule``, its action is the
-        bimodule's left action and its ``module`` the bimodule itself; else
-        the action is A's multiplication on the layout.
+        bimodule's left action and ``bimodule`` is kept; else the action is
+        A's multiplication on the layout.
         """
-        free = cls(algebra)
-        free.gens, free._rows, free._basis, free._diff, free._name = list(gens), rows, basis, diff, name
-        free._split = [None] * len(basis)
-        for g, row in enumerate(rows):
-            for a, x in enumerate(row):
-                free._split[x] = (g, a)
-        for x, (_, n) in enumerate(basis):
-            free._by_degree.setdefault(n, []).append(x)
+        free = cls.__new__(cls)
+        act = {} if bimodule is None else bimodule.act_left
+        DgModule.__init__(free, algebra, "left", basis, act, diff, name)
+        free._layout(gens, rows, bimodule)
         if bimodule is None:
             for row in rows:
                 free._act_on(row)
-        else:
-            free._act, free._module = bimodule.act_left, bimodule
         return free
+
+    def _layout(self, gens, rows, bimodule=None):
+        """The generators, ``index`` and ``split`` tables, and A's products by
+        right factor: a ↦ the nonzero b·a, in b order."""
+        self.gens: list[Generator] = list(gens)
+        self._rows: list[list[int]] = rows  # g ↦ the index of a·g, for each a
+        self._split: list = [None] * self.total_dim  # basis index ↦ (g, a)
+        for g, row in enumerate(rows):
+            for a, x in enumerate(row):
+                self._split[x] = (g, a)
+        self.bimodule = bimodule
+        A, dA = self.algebra, range(self.algebra.total_dim)
+        self._mul_into = [[(b, A.mul[b, a]) for b in dA if (b, a) in A.mul] for a in dA]
+
+    @property
+    def name(self) -> str:
+        return self._name or f"free({','.join(g.label for g in self.gens)})"
+
+    @name.setter
+    def name(self, name):
+        self._name = name
 
     def index(self, g: int, a: int) -> int:
         return self._rows[g][a]
@@ -260,46 +238,29 @@ class FreeModule:
         """The action rows of one generator's basis elements: b·(a·g) = (ba)·g."""
         for a, x in enumerate(row):
             for b, prod in self._mul_into[a]:
-                self._act[b, x] = {row[a2]: c for a2, c in prod.items()}
+                self.act[b, x] = {row[a2]: c for a2, c in prod.items()}
 
     def add(self, gen: Generator) -> int:
         """Append a generator, whose d_elem lies over earlier ones; returns its number."""
-        A, F = self.algebra, self.algebra.field
-        g, base = len(self.gens), len(self._basis)
+        A, F = self.algebra, self.field
+        g, base = len(self.gens), self.total_dim
         row = list(range(base, base + A.total_dim))
         self.gens.append(gen)
         self._rows.append(row)
         self._act_on(row)
         for a, x in enumerate(row):
             n = A.deg(a) + gen.degree
-            self._basis.append((f"{A.label(a)}·{gen.label}", n))
+            self.basis.append((f"{A.label(a)}·{gen.label}", n))
             self._split.append((g, a))
-            self._by_degree.setdefault(n, []).append(x)
+            comp = self._by_degree.setdefault(n, [])
+            self._pos.append(len(comp))
+            comp.append(x)
             e = {row[a2]: c for a2, c in A.diff.get(a, {}).items()}
-            ad = linear(F, lambda y: self._act.get((a, y), {}), gen.d_elem)
-            vec_iadd(F, e, ad, F.sign(A.deg(a)))
+            vec_iadd(F, e, linear(F, lambda y: self.act.get((a, y), {}), gen.d_elem), F.sign(A.deg(a)))
             if e:
-                self._diff[x] = e
-        self._module = None
+                self.diff[x] = e
+        self._complex, self._action_mats = None, {}
         return g
-
-    def component(self, n: int) -> list[int]:
-        """The degree-n basis indices, in index order."""
-        return self._by_degree.get(n, [])
-
-    def d(self, x: int) -> dict:
-        """The differential of basis element x."""
-        return self._diff.get(x, {})
-
-    @property
-    def module(self):
-        """The left module on the tables, or the bimodule of a ``view``."""
-        if self._module is None:
-            name = self._name or f"free({','.join(g.label for g in self.gens)})"
-            self._module = DgModule(
-                self.algebra, "left", self._basis, self._act, self._diff, name, copy=False
-            )
-        return self._module
 
 
 def left_free(Q: DgBimodule, env: FreeModule) -> FreeModule:
@@ -319,4 +280,4 @@ def left_free(Q: DgBimodule, env: FreeModule) -> FreeModule:
             head = env.index(g, R.unit * nS + j)
             gens.append(Generator(Q.label(head), Q.deg(head), Q.diff.get(head, {})))
             rows.append([env.index(g, i * nS + j) for i in range(R.total_dim)])
-    return FreeModule.view(R, gens, rows, Q.basis, Q.diff, bimodule=Q)
+    return FreeModule.view(R, gens, rows, Q.basis, Q.diff, bimodule=Q, name=Q.name)

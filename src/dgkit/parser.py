@@ -34,9 +34,8 @@ label pool and the right-hand side through `_lin_comb`; one writer
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .dga import DgAlgebra, DgModule, DgaMorphism, vec_iadd
+from .dga import DgAlgebra, DgModule, DgaMorphism, matrices_from_images, vec_iadd
 from .field import Field, GF, QQ
-from .modops import matrices_from_images
 from .resolutions import BuildTreeWitness, ConeNode, Leaf, ShiftNode, SumNode
 
 

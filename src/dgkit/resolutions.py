@@ -20,7 +20,8 @@ killing the cycle v adds the boundaries d(a·g) = a·d(g) for the degree-0
 basis elements a of A, which span exactly A_0·v.  So Z_n is walked once in
 kernel-basis order against one growing echelon of boundaries, and a cycle
 gets a generator iff it is not yet a boundary.  The builder grows one
-``FreeModule``: adding a generator g computes d(a·g) and ε(a·g) = a·ε(g)
+``FreeModule``, which is the resolving module itself (``res.free``, a
+``DgModule``): adding a generator g computes d(a·g) and ε(a·g) = a·ε(g)
 once for each of its basis elements, and the cone's columns read those
 tables.  The resolution keeps ε as the builder's table: ``eps[x]`` is ε(x),
 an element of M, for each basis element x.  Each column is built once: the
@@ -87,10 +88,6 @@ class SemifreeResolution:
     as_bimodule: "tuple[DgBimodule, FreeModule] | None" = dc_field(default=None, repr=False)
 
     @property
-    def module(self) -> DgModule:
-        return self.free.module
-
-    @property
     def generators(self) -> list[Generator]:
         return self.free.gens
 
@@ -108,7 +105,7 @@ def _free_column(free: FreeModule, eps: list, x: int, rows) -> dict:
     F = free.algebra.field
     m_pos, f_pos = rows
     col = {m_pos[t]: c for t, c in eps[x].items()}
-    col.update(vec_scale(F, F.sign(1), {f_pos[y]: c for y, c in free.d(x).items()}))
+    col.update(vec_scale(F, F.sign(1), {f_pos[y]: c for y, c in free.diff.get(x, {}).items()}))
     return col
 
 
@@ -240,7 +237,7 @@ def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):
     Returns (resolution over A^op, free module as a right A-module).
     """
     res = semifree_resolution(right_to_left_op(M), D, max_generators)
-    return res, left_op_to_right(res.module, M.algebra)
+    return res, left_op_to_right(res.free, M.algebra)
 
 
 @dataclass
@@ -261,7 +258,7 @@ def semifree_resolution_bimodule(
     R, S = M.left_algebra, M.right_algebra
     res = semifree_resolution(bimodule_to_env_module(M), D, max_generators)
     if res.as_bimodule is None:
-        Q = env_module_to_bimodule(res.module, R, S)
+        Q = env_module_to_bimodule(res.free, R, S)
         res.as_bimodule = Q, left_free(Q, res.free)
     return BimoduleResolution(res, *res.as_bimodule)
 

@@ -3,11 +3,11 @@ the library builds, and the chain-complex constructions (shift, sum, cone)
 that only tests build, kept out of the library itself."""
 
 from dgkit.complexes import ChainMap, Complex, GradedSpace, Violation
-from dgkit.dga import DgAlgebra, DgBimodule, DgModule, regular_bimodule
+from dgkit.dga import DgAlgebra, DgBimodule, DgModule, matrices_from_images, regular_bimodule
 from dgkit.field import Field
 from dgkit.homtensor import tensor_over
 from dgkit.linalg import Matrix, vec_scale
-from dgkit.modops import DgModuleMap, FreeModule, matrices_from_images
+from dgkit.modops import DgModuleMap, FreeModule
 
 
 def validate_complex(C: Complex):
@@ -39,8 +39,14 @@ def augmentation(free: FreeModule, target: DgModule) -> DgModuleMap:
         g, a = free.split(idx)
         return target.act_elem({a: one}, free.gens[g].eps)
 
-    M = free.module
-    return DgModuleMap(M, target, matrices_from_images(M, target, image))
+    return DgModuleMap(free, target, matrices_from_images(free, target, image))
+
+
+def plain(free: FreeModule) -> DgModule:
+    """A plain module on a free module's tables: hom_over and tensor_over
+    take their generic paths on it, so it is the reference of every
+    free-path comparison."""
+    return DgModule(free.algebra, "left", free.basis, free.act, free.diff, free.name)
 
 
 # -- chain-complex constructions the tests build ------------------------------

@@ -472,6 +472,28 @@ def test_epi_window_must_start_at_zero(capsys, argv):
     assert "error: --window must be 0..HI with HI at least 1, got " in err
 
 
+@pytest.mark.parametrize("window", [["--window", "3..4"], ["--window=-3..-1"]], ids=" ".join)
+@pytest.mark.parametrize("command, modules", [("tor", ["Kr", "K"]), ("ext", ["K", "K"])])
+def test_tor_ext_window_must_start_at_zero(capsys, command, modules, window):
+    # the table covers degrees 0..HI: a window that starts elsewhere, or ends
+    # below 0, would print degrees outside it
+    code, out, err = _run(capsys, command, FIXTURES / "truncated.dg", "A", *modules, *window)
+    assert (code, out) == (1, "")
+    assert "error: --window must be 0..HI with HI at least 0, got " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, modules", [("tor", ["Kr", "K"]), ("ext", ["K", "K"])])
+def test_tor_ext_window_from_zero_prints_its_degrees(capsys, command, modules):
+    code, out, err = _run(capsys, command, FIXTURES / "truncated.dg", "A", *modules, "--window", "0..4")
+    name = command.capitalize()
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{name} over A of ({', '.join(modules)}), degrees 0..4",
+        *(f"  {name}_{i} = 1" for i in range(5)),
+    ]
+
+
 @pytest.mark.parametrize(
     "flag, value, least",
     [

@@ -1,7 +1,7 @@
 """The free Hom path against the generic one, on the same resolutions.
 
 ``hom_over(A, res.free, N)`` builds Hom_A(P, N) from the generators of P;
-``hom_over(A, res.module, N)`` builds it as the kernel of the A-linearity
+``hom_over(A, plain(res.free), N)`` builds it as the kernel of the A-linearity
 constraints.  They must be the same complex up to a change of basis B (the
 free basis in generic coordinates): equal dimensions, every free rep in the
 generic span, D_generic·B = B·D_free, and equal coordinates of the vectors
@@ -27,6 +27,8 @@ from dgkit.standard import (
     truncated_polynomial,
     truncated_to_ground,
 )
+
+from oracles import plain
 
 FIELDS = [QQ, GF(2), GF(101)]
 CAP = 10000
@@ -79,7 +81,7 @@ def _assert_change_of_basis(free, generic):
 def test_free_hom_is_generic_hom_up_to_basis(F):
     for A, res, N in list(_dg_cases(F)) + list(_ring_cases(F)):
         free = hom_over(A, res.free, N)
-        generic = hom_over(A, res.module, N)
+        generic = hom_over(A, plain(res.free), N)
         _assert_change_of_basis(free, generic)
         for n in free.degrees():
             d = free.complex.d(n)
@@ -115,7 +117,7 @@ def test_generic_coords_refuse_perturbed_and_misplaced_vectors(F):
     # any other pair leaves the span, and so does a change of degree
     perturbed_entries = 0
     for A, res, N in list(_dg_cases(F))[:6] + list(_ring_cases(F))[:6]:
-        generic = hom_over(A, res.module, N)
+        generic = hom_over(A, plain(res.free), N)
         for n in generic.degrees():
             for rep in generic.component(n):
                 with pytest.raises(ValueError):
@@ -133,12 +135,12 @@ def test_generic_coords_refuse_perturbed_and_misplaced_vectors(F):
 
 def _spy_homs(monkeypatch, generic: bool) -> list:
     """Record the Hom complexes derived builds; with generic, every free
-    source is handed to hom_over as its module instead."""
+    source is handed to hom_over as a plain module on its tables instead."""
     built = []
 
     def spy(A, M, N, name=None, *, degrees=None):
         if generic and isinstance(M, FreeModule):
-            M = M.module
+            M = plain(M)
         H = hom_over(A, M, N, name, degrees=degrees)
         built.append(H)
         return H

@@ -17,7 +17,7 @@ matrices the generic ones times B.
 import pytest
 
 from dgkit import derived
-from dgkit.dga import DgBimodule, bimodule_from_morphism, regular_bimodule
+from dgkit.dga import DgBimodule, bimodule_from_morphism, left_regular, regular_bimodule
 from dgkit.derived import _condition3_map, _condition5_map, counit_map, unit_map
 from dgkit.epicheck import generate_test_family
 from dgkit.field import GF, QQ
@@ -83,10 +83,26 @@ def test_bimodule_resolution_view_presents_its_left_module(F):
     for M in _bimodules(F):
         bres = semifree_resolution_bimodule(M, DEPTH)
         Q, view = bres.bimodule, bres.free
-        assert view.algebra is Q.left_algebra and view.module is Q
+        assert view.algebra is Q.left_algebra and view.bimodule is Q
         # the generic left module of the same numbering
         _assert_presents(view, Q.left_module())
         assert len(view.gens) == len(bres.env_resolution.generators) * M.right_algebra.total_dim
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_bimodule_view_keeps_the_bimodule_and_its_action(F):
+    # the view is a left R-module whose act entries are Q's own; a tensor
+    # product or Hom on it reads Q's right S-action through it
+    for M in _bimodules(F):
+        bres = semifree_resolution_bimodule(M, DEPTH)
+        Q, view = bres.bimodule, bres.free
+        assert view.bimodule is Q and view.name == Q.name
+        assert view.act == Q.act_left and all(view.act[k] is e for k, e in Q.act_left.items())
+        assert view.diff == Q.diff
+        P = semifree_resolution(left_regular(M.right_algebra), DEPTH).free
+        assert tensor_over(M.right_algebra, view, P)._act_rA is Q.act_right
+        H = hom_over(M.left_algebra, view, left_regular(M.left_algebra))
+        assert H.outer_left is M.right_algebra and H._act_outer_l is Q.act_right
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
@@ -102,9 +118,9 @@ def test_tensor_view_is_the_generic_structure(F):
             # the generic structure, read off matrices_from_images on the same basis
             generic = tensor_over(S, bres.bimodule, res.free).structure()
             assert isinstance(view, FreeModule) and view.algebra is R
-            assert view.module.basis == generic.basis
-            assert view.module.act == generic.act
-            assert view.module.diff == generic.diff
+            assert view.basis == generic.basis
+            assert view.act == generic.act
+            assert view.diff == generic.diff
             _assert_presents(view, generic)
             assert len(view.gens) == len(bres.free.gens) * len(res.generators)
             checked += 1
@@ -118,14 +134,14 @@ def _spy(monkeypatch, generic: bool) -> dict:
     built = {"hom": [], "tensor": []}
 
     def hom(A, M, N, name=None, *, degrees=None):
-        if generic and isinstance(M, FreeModule) and isinstance(M.module, DgBimodule):
-            M = M.module
+        if generic and isinstance(M, FreeModule) and M.bimodule is not None:
+            M = M.bimodule
         built["hom"].append(hom_over(A, M, N, name, degrees=degrees))
         return built["hom"][-1]
 
     def tensor(A, M, N, name=None, *, degrees=None):
         if generic and isinstance(M, FreeModule):
-            M = M.module
+            M = M.bimodule
         built["tensor"].append(tensor_over(A, M, N, name, degrees=degrees))
         return built["tensor"][-1]
 

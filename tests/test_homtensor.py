@@ -29,7 +29,7 @@ from dgkit.standard import (
     upper_triangular,
 )
 
-from oracles import tensor_unit_iso, validate_complex
+from oracles import plain, tensor_unit_iso, validate_complex
 
 
 def ground_as_module(phi):
@@ -163,9 +163,9 @@ def test_hom_differential_squares_to_zero_with_nontrivial_diff():
     A = exterior_algebra()
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     F = FreeModule(A, [g0, Generator("g1", 2, d_elem=x_g0)])
-    M = F.module
+    M = plain(F)
     assert validate_module(M) == []
     H = hom_over(A, M, M)
     assert validate_complex(H.complex) is True
@@ -195,9 +195,9 @@ def test_endomorphism_dga_of_two_generator_free():
     A = exterior_algebra()
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     F = FreeModule(A, [g0, Generator("g1", 2, d_elem=x_g0)])
-    E, bimod = endomorphism_dga(F.module)
+    E, bimod = endomorphism_dga(plain(F))
     assert validate_dga(E) == []
     assert validate_module(bimod) == []
 

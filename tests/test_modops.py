@@ -6,6 +6,7 @@ from dgkit.dga import (
     DgModule,
     bimodule_from_morphism,
     left_regular,
+    matrices_from_images,
     restrict_scalars,
     validate_module,
     vec_iadd,
@@ -16,7 +17,6 @@ from dgkit.modops import (
     DgModuleMap,
     FreeModule,
     Generator,
-    matrices_from_images,
     module_cone,
     module_direct_sum,
     module_shift,
@@ -31,7 +31,7 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
-from oracles import augmentation, cone
+from oracles import augmentation, cone, plain
 
 
 def zero_module(A, side="left"):
@@ -113,8 +113,7 @@ def test_module_cone_nonlinear_map_rejected():
 
 def test_free_module_on_one_generator_is_regular():
     for A in (truncated_polynomial(3), exterior_algebra(), upper_triangular()):
-        F = FreeModule(A, [Generator("g", 0)])
-        M = F.module
+        M = FreeModule(A, [Generator("g", 0)])
         assert validate_module(M) == []
         R = left_regular(A)
         assert [d for _, d in M.basis] == [d for _, d in R.basis]
@@ -125,8 +124,8 @@ def test_free_module_on_one_generator_is_regular():
 def test_free_module_shifted_generator():
     A = exterior_algebra()
     F = FreeModule(A, [Generator("g", 2)])
-    assert validate_module(F.module) == []
-    assert sorted(d for _, d in F.module.basis) == [2, 3]
+    assert validate_module(F) == []
+    assert sorted(d for _, d in F.basis) == [2, 3]
 
 
 def test_free_module_with_differential():
@@ -134,14 +133,53 @@ def test_free_module_with_differential():
     A = truncated_polynomial(2)
     g0 = Generator("g0", 0)
     F0 = FreeModule(A, [g0])
-    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     g1 = Generator("g1", 1, d_elem=x_g0)
-    F = FreeModule(A, [g0, g1])
-    M = F.module
+    M = FreeModule(A, [g0, g1])
     assert validate_module(M) == []
     # homology: k in degree 0 (g0 mod x g0), k in degree 1 (x g1)
     dims = homology_dims(M.underlying(), Window(-1, 3))
     assert dims == {-1: 0, 0: 1, 1: 1, 2: 0, 3: 0}
+
+
+def test_free_module_tables_grow_with_each_add():
+    # the Koszul resolution of k over k[x]/(x²), d(g_n) = x·g_{n-1}, grown one
+    # generator at a time: the free module is its own module, so after each
+    # add its complex, action matrices, coords and name see the new
+    # generator, also when they were read before the add
+    A = truncated_polynomial(2)
+    F = FreeModule(A, [Generator("g0", 0)])
+    for n in range(1, 5):
+        read_before = F.underlying(), [F.action_matrix(1, k) for k in range(n + 1)]
+        F.add(Generator(f"g{n}", n, d_elem=F.act_elem({1: QQ.one}, {F.index(n - 1, 0): QQ.one})))
+        assert read_before[0] is not F.underlying()
+        assert validate_module(F) == []
+        assert F.name == f"free({','.join(f'g{k}' for k in range(n + 1))})"
+        reference = plain(F)  # a module built afresh on the same tables
+        assert F.underlying() == reference.underlying()
+        assert F.underlying().dim(n) == 2
+        for k in range(n + 2):
+            assert F.action_matrix(1, k) == reference.action_matrix(1, k)
+        x = F.index(n, 0)
+        assert F.coords({x: QQ.one}, n) == {F.component(n).index(x): QQ.one}
+    assert homology_dims(F.underlying(), Window(0, 3)) == {0: 1, 1: 0, 2: 0, 3: 0}
+
+
+def test_modules_keep_the_entries_but_not_the_tables_they_are_given():
+    # a constructor copies the outer dicts, so a caller that changes its own
+    # table afterwards leaves the module's unchanged; the entries are shared
+    A = truncated_polynomial(2)
+    R = left_regular(A)
+    basis, act, diff = list(R.basis), dict(R.act), {0: {}, **R.diff}
+    M = DgModule(A, "left", basis, act, diff)
+    assert M.act == R.act and M.diff == R.diff and 0 not in M.diff
+    assert all(M.act[k] is e for k, e in R.act.items())
+    basis.append(("y", 1))
+    act[1, 1] = {0: QQ.one}
+    del act[0, 0]
+    diff[1] = {0: QQ.one}
+    assert M.basis == R.basis and M.act == R.act and M.diff == R.diff
+    assert validate_module(M) == []
 
 
 def test_augmentation_is_module_map_and_surjective_on_h0():
@@ -165,7 +203,7 @@ def test_augmentation_respects_differential_of_generators():
     k = restrict_scalars(left_regular(ground_algebra()), truncated_to_ground(2))
     g0 = Generator("g0", 0, eps={0: QQ.one})
     F0 = FreeModule(A, [g0])
-    x_g0 = F0.module.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
+    x_g0 = F0.act_elem({1: QQ.one}, {F0.index(0, 0): QQ.one})
     g1 = Generator("g1", 1, d_elem=x_g0)
     F = FreeModule(A, [g0, g1])
     eps = augmentation(F, k)

@@ -8,6 +8,7 @@ from dgkit.dga import (
     bimodule_from_morphism,
     bimodule_to_env_module,
     left_regular,
+    matrices_from_images,
     restrict_scalars,
     right_to_left_op,
     tensor_algebra,
@@ -23,7 +24,6 @@ from dgkit.modops import (
     DgModuleMap,
     FreeModule,
     Generator,
-    matrices_from_images,
     module_direct_sum,
     module_shift,
 )
@@ -52,7 +52,7 @@ from oracles import augmentation, cone
 
 def eps_map(res):
     """ε as a module map, built from the resolution's table."""
-    P = res.free.module
+    P = res.free
     return DgModuleMap(P, res.target, matrices_from_images(P, res.target, lambda x, n: res.eps[x]))
 
 
@@ -67,7 +67,7 @@ def verify_resolution(res):
                     gen.degree,
                     f"generator {gen.label}: differential hits a non-earlier generator",
                 )
-    bad = validate_module(res.free.module)
+    bad = validate_module(res.free)
     if bad:
         return Violation(0, f"free module invalid: {bad[0]}")
     eps = eps_map(res)
@@ -79,7 +79,7 @@ def verify_resolution(res):
         n = min(k for k, good in r.per_degree.items() if not good)
         return Violation(n, "ε is not a quasi-isomorphism on the claimed window")
     oracle = augmentation(res.free, res.target)
-    for n in res.free.module.degrees():
+    for n in res.free.degrees():
         if eps.f(n) != oracle.f(n):
             return Violation(n, "ε(a·g) is not a·ε(g)")
     return True
@@ -95,7 +95,7 @@ def test_free_module_resolves_to_itself():
         res = semifree_resolution(M, 6)
         assert verify_resolution(res) is True
         assert len(res.generators) == 1
-        assert res.module.underlying().space.dims == M.underlying().space.dims
+        assert res.free.underlying().space.dims == M.underlying().space.dims
 
 
 def test_shifted_free_resolves_to_itself():
@@ -136,7 +136,7 @@ def test_resolution_of_projective_over_product():
     res = semifree_resolution(k, 8)
     assert verify_resolution(res) is True
     # no homology above degree 0 in the resolution
-    dims = homology_dims(res.module.underlying(), Window(0, 8))
+    dims = homology_dims(res.free.underlying(), Window(0, 8))
     assert dims == {0: 1, **{i: 0 for i in range(1, 9)}}
 
 
@@ -313,7 +313,7 @@ def rebuild_resolution(M, D, max_generators=10000):
             if v is None:
                 break
             dimM = len(M.component(n))
-            comp_free = free.module.component(n - 1)
+            comp_free = free.component(n - 1)
             m_part = M.elem_from_component({p: c for p, c in v.items() if p < dimM}, n)
             x_part = {comp_free[p - dimM]: c for p, c in sorted(v.items()) if p >= dimM}
             eps = vec_scale(F, F.neg(F.one), m_part)
@@ -333,7 +333,7 @@ def _same_free_module_and_eps(res, M):
     its generators, ε by the oracle's A-linear extension."""
     P = FreeModule(M.algebra, res.generators)
     for table in ("basis", "act", "diff"):
-        if getattr(res.free.module, table) != getattr(P.module, table):
+        if getattr(res.free, table) != getattr(P, table):
             return table
     return None if eps_map(res).mats == augmentation(P, M).mats else "eps"
 

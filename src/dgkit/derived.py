@@ -3,7 +3,10 @@
 Conventions (fixed for determinism; balancing is a test, not an assumption):
   * derived_tensor resolves its second argument;
   * rhom resolves its first argument;
-  * bimodule-structured results use resolutions over the enveloping algebra.
+  * a bimodule is resolved over the enveloping algebra and read, as a module
+    is, through its resolution's ``free`` (Q as a free left module, with Q
+    itself as ``free.bimodule``) and ``eps``, so derived_tensor and rhom of a
+    bimodule take the free tensor and Hom paths.
 
 Canonical maps are realized by explicit Koszul-signed formulas and certified
 by chain-map validation; with these conventions the evaluation pairing
@@ -51,8 +54,8 @@ from .dga import (
     swap_sides,
     vec_iadd,
 )
-from .homtensor import HomComplex, _as_map, _pointwise, hom_over, tensor_over
-from .modops import FreeModule, truncate_below
+from .homtensor import _as_map, _pointwise, hom_over, tensor_over
+from .modops import truncate_below
 from .resolutions import (
     require_witness,
     required_depth,
@@ -70,14 +73,12 @@ class DerivedComplex:
 
 
 def _resolve(X, depth: int, max_generators: int):
-    """A semifree resolution of X and its provenance: the bimodule over the
-    enveloping algebra when X is a bimodule, else the FreeModule, which
-    hom_over and tensor_over read on its generators."""
-    if isinstance(X, DgBimodule):
-        P = semifree_resolution_bimodule(X, depth, max_generators).bimodule
-        return P, f"resolved {X.name} over enveloping through {depth}"
-    P = semifree_resolution(X, depth, max_generators).free
-    return P, f"resolved {X.name} through {depth}"
+    """The free module of a semifree resolution of X, which hom_over and
+    tensor_over read on its generators, and its provenance; a bimodule is
+    resolved over the enveloping algebra and read as a free left module."""
+    two_sided = isinstance(X, DgBimodule)
+    res = (semifree_resolution_bimodule if two_sided else semifree_resolution)(X, depth, max_generators)
+    return res.free, f"resolved {X.name}{' over enveloping' if two_sided else ''} through {depth}"
 
 
 def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
@@ -120,21 +121,14 @@ def is_derived_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
 # -- dualized bimodule Z = RHom_{S^op}(M, S) ----------------------------------
 
 
-@dataclass
-class DualizedBimodule:
-    Z: DgBimodule  # left S, right R
-    hom: HomComplex  # Hom over S^op; Z's basis element g is hom.reps[g]
-    # the R-S bimodule resolution Q of M as a left R-module, free on the
-    # (1⊗s)·g; Q.bimodule is hom's source, sides swapped
-    Q: FreeModule
-
-
-def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimodule:
-    """Z = RHom_{S^op}(M, S) with its left-S and right-R structure."""
+def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> tuple:
+    """(Z, H, Q): Z = RHom_{S^op}(M, S), left S and right R; H, the Hom over
+    S^op whose ``reps[g]`` is Z's basis element g; and Q, M's resolution as
+    a free left R-module, whose ``bimodule``, sides swapped, is H's source."""
     R, S = M.left_algebra, M.right_algebra
     F = M.field
-    bres = semifree_resolution_bimodule(M, required_depth(D, S.max_degree()), max_generators)
-    Q = bres.bimodule
+    free = semifree_resolution_bimodule(M, required_depth(D, S.max_degree()), max_generators).free
+    Q = free.bimodule
     Sop, Rop = opposite(S), opposite(R)
     Qp = swap_sides(Q, Sop, Rop, name=f"{Q.name}'")
     # S as an S^op-S^op-bimodule: s̄·x = (-1)^{|s||x|} xs, x·s̄ = (-1)^{|s||x|} sx,
@@ -143,7 +137,7 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> DualizedBimod
     Sp = DgBimodule(Sop, Sop, S.basis, act, act, S.diff, name="S'")
     H = hom_over(Sop, Qp, Sp, name=f"Z({M.name})")
     Zb = H.structure()  # left R^op, right S^op
-    return DualizedBimodule(swap_sides(Zb, S, R), H, bres.free)
+    return swap_sides(Zb, S, R), H, free
 
 
 # -- canonical maps ------------------------------------------------------------
@@ -168,9 +162,9 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
     duals = _TRUNCATED_DUALS.setdefault(M, {})
     if (D, max_generators) not in duals:
         depth = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
-        dual = dualize(M, depth, max_generators)
-        F, H = M.field, dual.hom
-        Zt, carriers = truncate_below(dual.Z, -D - 1)
+        Z, H, Q = dualize(M, depth, max_generators)
+        F = M.field
+        Zt, carriers = truncate_below(Z, -D - 1)
 
         maps: dict = {}  # zt_idx ↦ its carrier as a map, built on first use
 
@@ -183,7 +177,7 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
                 f = maps[zt_idx] = _as_map(ground)
             return H.evaluate(f, q_elem)
 
-        duals[D, max_generators] = (depth, dual.Q, Zt, ev)
+        duals[D, max_generators] = (depth, Q, Zt, ev)
     return duals[D, max_generators]
 
 
@@ -199,12 +193,11 @@ def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) ->
     D2p = required_depth(D, D2q)
     res_N = semifree_resolution(N, D2p, max_generators)
     P = res_N.free
-    bres = semifree_resolution_bimodule(M, D2q, max_generators)
-    Q = bres.bimodule
-    eps = bres.env_resolution.eps  # ε(q) ∈ M for each basis element q of Q
+    res_M = semifree_resolution_bimodule(M, D2q, max_generators)
+    Q, eps = res_M.free, res_M.eps  # ε(q) ∈ M for each basis element q of Q
     rr = read_range(Window(-D, D))
     T = tensor_over(S, M, P)
-    H = hom_over(R, bres.free, T.structure(), degrees=rr)  # T as a left R-module
+    H = hom_over(R, Q, T.structure(), degrees=rr)  # T as a left R-module
 
     def image(p_idx, n):
         def value(q_idx):
@@ -353,14 +346,13 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     Dqs = required_depth(D, span, 1)
     Dqt = required_depth(D, max(Dqs, Dn), span)
     res_n = semifree_resolution(N, Dn, max_generators)
-    bres_s = semifree_resolution_bimodule(M, Dqs, max_generators)
-    Qs = bres_s.bimodule
-    Qt = semifree_resolution_bimodule(M, Dqt, max_generators).bimodule
+    Qs = semifree_resolution_bimodule(M, Dqs, max_generators).free
+    Qt = semifree_resolution_bimodule(M, Dqt, max_generators).free
     if Qs.basis != Qt.basis[: len(Qs.basis)]:
         raise AssertionError("staggered resolutions are not prefix-compatible")
     rr = read_range(Window(-D, D))
     Hsrc = hom_over(S, res_n.free, N, degrees=rr)
-    Tn = tensor_over(S, bres_s.free, res_n.free)  # R-free
+    Tn = tensor_over(S, Qs, res_n.free)  # R-free
     T2 = tensor_over(S, Qt, N)
     Htgt = hom_over(R, Tn.structure(), T2.structure(), degrees=rr)
 

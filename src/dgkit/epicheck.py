@@ -279,14 +279,13 @@ def _random_cycle(rng: random.Random, M: DgModule, n: int) -> dict:
     return out
 
 
-def _random_semifree(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:
+def _random_semifree(A: DgAlgebra, rng: random.Random, label: str) -> FreeModule:
     """Free module on 2-3 generators whose differentials are earlier cycles."""
     free = FreeModule(A, [Generator(f"{label}0", rng.randint(0, 1))])
     for i in range(rng.randint(1, 2)):
         deg = rng.randint(1, 3)
         free.add(Generator(f"{label}{i + 1}", deg, d_elem=_random_cycle(rng, free, deg - 1)))
-    # a plain module on the free module's tables: its tensors take the generic path
-    return DgModule(A, "left", free.basis, free.act, free.diff, free.name)
+    return free
 
 
 def _random_cone(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:

@@ -116,4 +116,7 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    """F_p; raises ValueError unless p is prime (``Field(0)`` is the rationals)."""
+    if not _is_prime(p):
+        raise ValueError(f"GF needs a prime, got {p}")
     return Field(p)

@@ -11,7 +11,7 @@ numbers its basis through its layout: both free paths ask it for
 never compute an index themselves.  Three kinds are passed here: a
 resolution's ``res.free`` A ⊗ V, the resolving module itself; a bimodule
 resolution Q over R ⊗ S^op, which as a left R-module is free on the
-(1⊗s)·g (``BimoduleResolution.free``, on Q's own numbering, keeping Q as
+(1⊗s)·g (the resolution's ``free``, on Q's own numbering, keeping Q as
 its ``bimodule``, whose right S-action ``_over`` reads); and Q ⊗_S P
 for P = ``res.free`` over S, which is R-free on the pairs of those
 generators and P's (``TensorProduct.structure()`` on the free path, when the
@@ -20,21 +20,22 @@ left factor is Q's view).
 One class, :class:`TensorProduct`, builds every tensor product, and its
 right factor picks the path.  A free right factor A ⊗ V has
 M ⊗_A (A ⊗ V) ≅ M ⊗_k V: the basis is the pairs (m, 1·g), and no relation
-echelon is built.  It is ``res.free`` for ``derived_tensor`` of a module, so
-``tor``, and for the M ⊗_S P factors of the canonical maps, and the R-free
-Q ⊗_S P for (3)'s two-sided product ``Tab`` and the counit's Zt ⊗_R (Q ⊗_S P).
+echelon is built.  It is ``res.free`` for ``derived_tensor`` of a module or
+a bimodule, so ``tor``, and for the M ⊗_S P factors of the canonical maps,
+the R-free Q ⊗_S P for (3)'s two-sided product ``Tab`` and the counit's
+Zt ⊗_R (Q ⊗_S P), and a test family's semifree member N in (5)'s Qt ⊗_S N.
 Every other right factor takes the generic path, the quotient by the
 relations of each degree: a bimodule, the truncated dual in (3)'s
-Pr ⊗_S Zt and (5)'s Qt ⊗_S N.
+Pr ⊗_S Zt and the other members in (5)'s Qt ⊗_S N.
 
 One class, :class:`HomComplex`, builds every Hom, and its source picks the
 path.  A free source A ⊗ V has Hom_A(A ⊗ V, N) ≅ Hom_k(V, N): a map is its
 values on the generators, its differential is twisted by each generator's
 ``d_elem``, and no A-linearity echelon is built (Félix–Halperin–Thomas,
 *Rational Homotopy Theory*, §6, for both).  It is ``res.free`` for
-``derived.rhom`` and ``ext`` on modules, ring condition (4) and the source
-of (5); Q's R-free view for the unit map's Hom_R(Q, M ⊗_S P); and the R-free
-Qs ⊗_S Pn for (5)'s target.  Every other source takes the generic path, the
+``derived.rhom`` on modules and bimodules, ``ext``, ring condition (4) and
+the source of (5); Q's R-free view for the unit map's Hom_R(Q, M ⊗_S P);
+and the R-free Qs ⊗_S Pn for (5)'s target.  Every other source takes the generic path, the
 kernel of the A-linearity constraints over the ground pairs: the truncated
 dual, the modules of ``endomorphism_dga`` and the endpoint verdict, and
 ``dualize``'s Q over S^op.  That one stays generic because Q is free as a

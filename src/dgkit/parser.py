@@ -208,11 +208,16 @@ class _Lines:
 
 
 def _parse_basis(tokens, line: int) -> list:
+    """The (label, degree) pairs of a basis line.  A label is one a
+    <lin-comb> or image line can name back: not empty, not `0`, which reads
+    as zero, and without `*`, `+`, `=` or `->`, which split those lines."""
     out = []
     for tok in tokens:
         if ":" not in tok:
             raise ParseError(line, 1, f"label:degree (got {tok!r})")
         label, deg = tok.rsplit(":", 1)
+        if label in ("", "0") or any(s in label for s in ("*", "+", "=", "->")):
+            raise ParseError(line, 1, f"basis label: not empty or 0, no *, +, = or -> (got {label!r})")
         out.append((label, _int(deg, line)))
     return out
 

@@ -36,9 +36,11 @@ built for an equal request: equal module and algebra content, depth and
 generator cap.  The checks restrict, regularize and envelop afresh for every
 condition and member, so the key is the content, not the object.  A request
 that hits the cap stores nothing.  Outside a scope every request is built.
-``semifree_resolution_bimodule`` reads a resolution over the enveloping
-algebra as a bimodule, and that bimodule as a free left module, once, and
-keeps both on the resolution.
+``semifree_resolution_bimodule`` resolves a bimodule M over the enveloping
+algebra and reads that resolution, once, as a ``SemifreeResolution`` of M
+over the left algebra R: its ``free`` is the bimodule Q as a free left
+R-module, with Q itself as ``free.bimodule``, and its ``eps`` and
+``validity`` are the enveloping resolution's, on Q's own numbering.
 """
 
 from __future__ import annotations
@@ -82,10 +84,9 @@ class SemifreeResolution:
     free: FreeModule
     eps: list[dict]  # ε(x), an element of the target, for each basis element x
     validity: Window
-    # a resolution over enveloping(R, S) as an R-S-bimodule, and that
-    # bimodule as a free left R-module: made by the first
-    # semifree_resolution_bimodule that returns this resolution
-    as_bimodule: "tuple[DgBimodule, FreeModule] | None" = dc_field(default=None, repr=False)
+    # on a resolution over enveloping(R, S): the bimodule's resolution over R
+    # read off it, made once by semifree_resolution_bimodule
+    r_reading: "SemifreeResolution | None" = dc_field(default=None, repr=False)
 
     @property
     def generators(self) -> list[Generator]:
@@ -240,27 +241,21 @@ def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):
     return res, left_op_to_right(res.free, M.algebra)
 
 
-@dataclass
-class BimoduleResolution:
-    env_resolution: SemifreeResolution
-    bimodule: DgBimodule
-    free: FreeModule  # the bimodule as a left R-module, free on the (1⊗s)·g
-
-
 def semifree_resolution_bimodule(
     M: DgBimodule, D: int, max_generators: int = 10000
-) -> BimoduleResolution:
-    """Resolve an R-S-bimodule as a left module over enveloping(R, S).
+) -> SemifreeResolution:
+    """An R-S-bimodule's resolution over enveloping(R, S), read over R.
 
-    The bimodule and its R-free view are made once per resolution, so a
-    request that gets a resolution back from the scope gets them back too.
+    ``free`` is the resolution Q as a left R-module, free on the (1⊗s)·g,
+    and ``free.bimodule`` is Q.  The reading is made once per enveloping
+    resolution, so a request that gets a resolution back from the scope
+    gets its reading back too.
     """
-    R, S = M.left_algebra, M.right_algebra
     res = semifree_resolution(bimodule_to_env_module(M), D, max_generators)
-    if res.as_bimodule is None:
-        Q = env_module_to_bimodule(res.free, R, S)
-        res.as_bimodule = Q, left_free(Q, res.free)
-    return BimoduleResolution(res, *res.as_bimodule)
+    if res.r_reading is None:
+        Q = env_module_to_bimodule(res.free, M.left_algebra, M.right_algebra)
+        res.r_reading = SemifreeResolution(M.left_algebra, M, left_free(Q, res.free), res.eps, res.validity)
+    return res.r_reading
 
 
 # -- finitely-built witnesses -------------------------------------------------

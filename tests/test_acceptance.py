@@ -505,7 +505,7 @@ def test_criterion_9_balancing_associativity():
         Nr = generate_test_family(R, seed, 3).right[seed % 3][1]
         Np = fam.left[seed % 3][1]
         B = bimodule_from_morphism(phi)
-        P = semifree_resolution_bimodule(B, 8 + max(0, -_bot(Nr))).bimodule
+        P = semifree_resolution_bimodule(B, 8 + max(0, -_bot(Nr))).free.bimodule
         M1 = tensor_over(R, Nr, P).structure()  # (Nr ⊗^L_R S) as a right S-module
         left = derived_tensor(S, M1, Np, 2)
         right = derived_tensor(R, Nr, restrict_scalars(Np, phi), 2)

@@ -52,6 +52,16 @@ def test_parse_errors_exit_one(capsys, fixture):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "roundtrip"])
+def test_field_fp_zero_exits_one(capsys, tmp_path, command):
+    # Fp 0 once validated and computed over the rationals, and roundtrip wrote it back
+    path = tmp_path / "fp0.dg"
+    path.write_text("field Fp 0\n\nalgebra A\n  basis e:0\n  unit e\n")
+    code, out, err = _run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: line 1, column 1: expected prime modulus (got 0)"
+
+
 def test_unknown_name_exits_one(capsys):
     code, _, err = _run(capsys, "homology", FIXTURES / "truncated.dg", "nope")
     assert code == 1

@@ -211,7 +211,7 @@ def test_swap_sides_is_an_involution_with_koszul_signs():
     # the enveloping resolution of Λ(x) has odd generators with x acting on
     # both sides, so the Koszul signs are exercised
     S = exterior_algebra()
-    Q = semifree_resolution_bimodule(regular_bimodule(S), 3).bimodule
+    Q = semifree_resolution_bimodule(regular_bimodule(S), 3).free.bimodule
     Sop = opposite(S)
     Qp = swap_sides(Q, Sop, Sop, name="Q'")
     assert Qp.name == "Q'"

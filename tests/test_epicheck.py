@@ -20,6 +20,7 @@ from dgkit.dga import (
     validate_module,
 )
 from dgkit.derived import (
+    _condition5_map,
     counit_map,
     duality_map,
     is_derived_iso,
@@ -37,8 +38,8 @@ from dgkit.epicheck import (
     consistency_run,
     generate_test_family,
 )
-from dgkit.homtensor import endomorphism_dga, hom_over, identity_ground
-from dgkit.modops import module_direct_sum, module_shift
+from dgkit.homtensor import endomorphism_dga, hom_over, identity_ground, tensor_over
+from dgkit.modops import FreeModule, module_direct_sum, module_shift
 from dgkit.resolutions import (
     BuildTreeWitness,
     Leaf,
@@ -59,6 +60,8 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
+
+from oracles import plain
 
 
 # -- test families -------------------------------------------------------------
@@ -96,6 +99,34 @@ def test_family_different_seeds_differ():
         ma.diff != mb.diff or ma.basis != mb.basis
         for (_, ma), (_, mb) in zip(a.left[2:], b.left[2:])
     )
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(101)], ids=repr)
+@pytest.mark.parametrize(
+    "make", [lambda F: identity_morphism(exterior_algebra(F)), lambda F: truncated_to_ground(2, F)], ids=["idE", "x2"]
+)
+def test_semifree_members_are_free_modules_and_condition5_reads_them_alike(monkeypatch, F, make):
+    # (5)'s Qt ⊗_S N takes the free tensor path at a semifree member, and its
+    # report is the one at a plain module on the member's tables
+    phi = make(F)
+    M, D = bimodule_from_morphism(phi), 2
+    members = [m for desc, m in generate_test_family(phi.target, 0, 6).left if desc.startswith("semifree")]
+    assert members and all(isinstance(m, FreeModule) for m in members)
+    built = []
+
+    def tensor(*args, **kwargs):
+        built.append(tensor_over(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dgkit.derived, "tensor_over", tensor)
+    for N in members:
+        reports = []
+        for X in (N, plain(N)):
+            built.clear()
+            reports.append(is_derived_iso(_condition5_map(M, X, D, 10000), Window(-D, D)))
+            (T2,) = [T for T in built if T.N is X]
+            assert (T2._relations is None) == (X is N)
+        assert reports[0] == reports[1]
 
 
 # -- ring mode -----------------------------------------------------------------

@@ -38,7 +38,7 @@ def _cases(F):
     for A in (exterior_algebra(F), truncated_polynomial(2, F)):
         family = generate_test_family(A, 0, 3)
         lefts = [M for _, M in family.right]
-        lefts.append(semifree_resolution_bimodule(regular_bimodule(A), 3).bimodule)
+        lefts.append(semifree_resolution_bimodule(regular_bimodule(A), 3).free.bimodule)
         for M in lefts:
             for res in _resolutions(A, 3):
                 yield A, M, res

@@ -3,7 +3,7 @@ canonical maps that read them, against the generic builds.
 
 A bimodule resolution Q of M is free over R ⊗ S^op on generators V, so as a
 left R-module it is free on the (1⊗s)·g, and Q ⊗_S P, with P free over S on
-W, is R-free on the pairs of those and W.  ``BimoduleResolution.free`` and
+W, is R-free on the pairs of those and W.  A bimodule resolution's ``free`` and
 ``tensor_over(S, Q's view, res.free).structure()`` record this on the
 numbering that Q and the tensor product already have.  A view must present
 the generic module of that numbering: every basis element is one r·u of a
@@ -14,17 +14,36 @@ must be its generic complex up to a change of basis B, with the map's
 matrices the generic ones times B.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from dgkit import derived
-from dgkit.dga import DgBimodule, bimodule_from_morphism, left_regular, regular_bimodule
-from dgkit.derived import _condition3_map, _condition5_map, counit_map, unit_map
+from dgkit.complexes import Window, homology_dims, quasi_iso
+from dgkit.dga import (
+    DgBimodule,
+    bimodule_from_morphism,
+    bimodule_to_env_module,
+    left_regular,
+    matrices_from_images,
+    regular_bimodule,
+    right_regular,
+    validate_module,
+)
+from dgkit.derived import _condition3_map, _condition5_map, counit_map, derived_tensor, rhom, truncated_dual, unit_map
 from dgkit.epicheck import generate_test_family
 from dgkit.field import GF, QQ
 from dgkit.homtensor import hom_over, tensor_over
 from dgkit.linalg import rank, vec_iadd
-from dgkit.modops import FreeModule
-from dgkit.resolutions import semifree_resolution, semifree_resolution_bimodule
+from dgkit.modops import DgModuleMap, FreeModule
+from dgkit.resolutions import (
+    SemifreeResolution,
+    required_depth,
+    resolution_scope,
+    semifree_resolution,
+    semifree_resolution_bimodule,
+)
 from dgkit.standard import exterior_algebra, identity_morphism, truncated_polynomial, truncated_to_ground
 
 from test_free_hom import _assert_change_of_basis
@@ -81,12 +100,13 @@ def _assert_presents(X: FreeModule, G):
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_bimodule_resolution_view_presents_its_left_module(F):
     for M in _bimodules(F):
-        bres = semifree_resolution_bimodule(M, DEPTH)
-        Q, view = bres.bimodule, bres.free
-        assert view.algebra is Q.left_algebra and view.bimodule is Q
+        view = semifree_resolution_bimodule(M, DEPTH).free
+        Q = view.bimodule
+        assert view.algebra is Q.left_algebra
         # the generic left module of the same numbering
         _assert_presents(view, Q.left_module())
-        assert len(view.gens) == len(bres.env_resolution.generators) * M.right_algebra.total_dim
+        env = semifree_resolution(bimodule_to_env_module(M), DEPTH)
+        assert len(view.gens) == len(env.generators) * M.right_algebra.total_dim
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
@@ -94,9 +114,9 @@ def test_bimodule_view_keeps_the_bimodule_and_its_action(F):
     # the view is a left R-module whose act entries are Q's own; a tensor
     # product or Hom on it reads Q's right S-action through it
     for M in _bimodules(F):
-        bres = semifree_resolution_bimodule(M, DEPTH)
-        Q, view = bres.bimodule, bres.free
-        assert view.bimodule is Q and view.name == Q.name
+        view = semifree_resolution_bimodule(M, DEPTH).free
+        Q = view.bimodule
+        assert view.name == Q.name
         assert view.act == Q.act_left and all(view.act[k] is e for k, e in Q.act_left.items())
         assert view.diff == Q.diff
         P = semifree_resolution(left_regular(M.right_algebra), DEPTH).free
@@ -116,7 +136,7 @@ def test_tensor_view_is_the_generic_structure(F):
             T = tensor_over(S, bres.free, res.free)
             view = T.structure()
             # the generic structure, read off matrices_from_images on the same basis
-            generic = tensor_over(S, bres.bimodule, res.free).structure()
+            generic = tensor_over(S, bres.free.bimodule, res.free).structure()
             assert isinstance(view, FreeModule) and view.algebra is R
             assert view.basis == generic.basis
             assert view.act == generic.act
@@ -232,3 +252,81 @@ def test_condition5_map_changes_basis_on_its_target(monkeypatch, F):
             B = _assert_change_of_basis(tgt, generic_tgt)
             for n in cm_free.source.degrees():
                 assert cm_generic.f(n) == B[n] * cm_free.f(n)
+
+
+# -- one resolution record ----------------------------------------------------
+# A bimodule's resolution is a SemifreeResolution over R, read the way a
+# module's is: ``free`` is Q's R-free view, Q is ``free.bimodule``, and
+# ``eps`` and ``validity`` are the enveloping resolution's.
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_equal_bimodule_requests_in_a_scope_share_one_record(F):
+    for M, again in zip(_bimodules(F), _bimodules(F)):
+        with resolution_scope():
+            res = semifree_resolution_bimodule(M, DEPTH)
+            assert isinstance(res, SemifreeResolution)
+            assert isinstance(res.free, FreeModule) and res.free.algebra is M.left_algebra
+            assert res.algebra is M.left_algebra and res.target is M
+            assert again is not M and semifree_resolution_bimodule(again, DEPTH) is res
+    # outside a scope every request is built
+    M = _bimodules(F)[0]
+    assert semifree_resolution_bimodule(M, DEPTH) is not semifree_resolution_bimodule(M, DEPTH)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_bimodule_record_is_the_enveloping_resolution_read_over_r(F):
+    for M in _bimodules(F):
+        with resolution_scope():
+            env = semifree_resolution(bimodule_to_env_module(M), DEPTH)
+            res = semifree_resolution_bimodule(M, DEPTH)
+            assert res.eps is env.eps and res.validity == env.validity
+        assert validate_module(res.free.bimodule) == []
+        assert validate_module(res.free) == []
+        # ε as a map to M's left module: R-linear and a quasi-isomorphism on the window
+        target = M.left_module()
+        eps = DgModuleMap(res.free, target, matrices_from_images(res.free, target, lambda x, n: res.eps[x]))
+        assert eps.validate() is True
+        assert quasi_iso(eps, res.validity).ok
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_derived_tensor_and_rhom_of_a_bimodule_take_the_free_paths(monkeypatch, F):
+    D, w = 2, Window(-2, 2)
+    built = _spy(monkeypatch, generic=False)
+    for M in _bimodules(F):
+        R = M.left_algebra
+        for _, X in generate_test_family(R, 0, 3).right + [("R_r", right_regular(R))]:
+            dc = derived_tensor(R, X, M, D)
+            assert built["tensor"].pop()._relations is None  # the free path
+            res = semifree_resolution_bimodule(M, required_depth(D, -X.min_degree()))
+            generic = tensor_over(R, X, res.free.bimodule)
+            assert generic._relations is not None
+            assert homology_dims(dc.value, w) == homology_dims(generic.complex, w)
+        for _, N in generate_test_family(R, 0, 3).left:
+            dc = rhom(R, M, N, D)
+            assert built["hom"].pop()._free is not None  # the free path
+            res = semifree_resolution_bimodule(M, required_depth(D, N.max_degree()))
+            generic = hom_over(R, res.free.bimodule, N)
+            assert generic._free is None
+            assert homology_dims(dc.value, w) == homology_dims(generic.complex, w)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_bimodule_record_and_its_reading_are_freed_without_gc(F):
+    # the reading kept on the enveloping resolution points back at nothing
+    # that holds it, so reference counting alone frees them and M
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(len(_bimodules(F))):
+            M = _bimodules(F)[i]  # held by no list, so it can go
+            with resolution_scope():
+                env = semifree_resolution(bimodule_to_env_module(M), DEPTH)
+                res = semifree_resolution_bimodule(M, DEPTH)
+                truncated_dual(M, 1)
+                refs = [weakref.ref(x) for x in (env, res, res.free, res.free.bimodule, M)]
+            del env, res, M
+            assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -239,7 +239,7 @@ DUAL_MORPHISMS = {
 @pytest.mark.parametrize("morphism", sorted(DUAL_MORPHISMS))
 def test_truncate_below_dual(morphism, F):
     # Z = RHom_{S^op}(M, S) reaches below every cut c tried here
-    Z = dualize(bimodule_from_morphism(DUAL_MORPHISMS[morphism](F)), 3).Z
+    Z = dualize(bimodule_from_morphism(DUAL_MORPHISMS[morphism](F)), 3)[0]
     lo, hi = Z.min_degree() - 1, Z.max_degree() + 1
     hz = homology_dims(Z.underlying(), Window(lo, hi))
     for c in (-3, -2, -1):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from dgkit.dga import validate_dga, validate_module, validate_morphism
+from dgkit.field import GF
 from dgkit.parser import ParseError, parse, serialize
 from dgkit.resolutions import verify_build_tree
 
@@ -223,6 +224,9 @@ _N = _M + "module N over A\n  basis p:0\n"  # lines 7-8
         (_M + 'witness w for M\n  (leaf)\n  (leaf)\n', 9, 1, 'end of s-expression'),
         # an algebra block has one unit line, whatever either says
         ('field Q\nalgebra A\n  basis e:0 x:0\n  unit e\n  unit x\n', 5, 1, "one unit line (got second 'unit x')"),
+        # F_p needs a prime p: Fp 0 is not the rationals
+        ('field Fp 0\n', 1, 1, 'prime modulus (got 0)'),
+        ('field Fp 1\n', 1, 1, 'prime modulus (got 1)'),
     ],
 )
 def test_parse_error_positions_and_texts_are_pinned(text, line, column, expected):
@@ -230,3 +234,37 @@ def test_parse_error_positions_and_texts_are_pinned(text, line, column, expected
         parse(text)
     assert (exc.value.line, exc.value.column, exc.value.expected) == (line, column, expected)
     assert str(exc.value) == f"line {line}, column {column}: expected {expected}"
+
+
+def test_gf_needs_a_prime():
+    for p in (-3, 0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            GF(p)
+    assert GF(2).characteristic == 2 and GF(101).characteristic == 101
+
+
+_LABEL = "basis label: not empty or 0, no *, +, = or ->"
+
+
+@pytest.mark.parametrize(
+    "label", ["0", "", "a*b", "a+b", "a=b", "a->b", "*", "+a", "b="],
+)
+@pytest.mark.parametrize("block", ["algebra", "module"])
+def test_basis_labels_the_tables_cannot_name_are_rejected(label, block):
+    # with label 0, `mul z z = 1*0` read z² as the basis element 0 and wrote
+    # it back as `= 0`, zero; with label a=b, `d a=b = 0` split at its first '='
+    if block == "algebra":
+        text = f"field Q\nalgebra A\n  basis e:0 z:1 {label}:2\n  unit e\n  mul z z = 1*{label}\n  d {label} = 0\n"
+    else:
+        text = _A + f"module M over A\n  basis m:0 {label}:1\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    line = 3 if block == "algebra" else 6
+    assert (exc.value.line, exc.value.expected) == (line, f"{_LABEL} (got {label!r})")
+
+
+@pytest.mark.parametrize("label", ["x0", "0x", "10", "a-b", "a>b", "-", "x'", "1/2"])
+def test_other_labels_round_trip(label):
+    pf = parse(f"field Q\nalgebra A\n  basis e:0 z:1 {label}:2\n  unit e\n  mul z z = 2*{label}\n")
+    assert pf.algebras["A"].mul[1, 1] == {2: 2}
+    assert serialize(parse(serialize(pf))) == serialize(pf)

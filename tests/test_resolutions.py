@@ -203,10 +203,9 @@ def test_bimodule_resolution():
         from dgkit.dga import bimodule_from_morphism
 
         M = bimodule_from_morphism(phi)
-        bres = semifree_resolution_bimodule(M, 5)
-        assert verify_resolution(bres.env_resolution) is True
-        assert validate_module(bres.bimodule) == []
-        res = bres.env_resolution
+        res = semifree_resolution(bimodule_to_env_module(M), 5)
+        assert verify_resolution(res) is True
+        assert validate_module(semifree_resolution_bimodule(M, 5).free.bimodule) == []
         r = quasi_iso(eps_map(res), Window(-1, 5))
         assert r.ok
 

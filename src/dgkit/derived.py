@@ -335,9 +335,10 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
     R, S, F = M.left_algebra, M.right_algebra, M.field
     # two bimodule resolutions at staggered depths: were the same Q used on
     # both sides of the Hom, its top junk would pair with itself at Hom
-    # degree 0, inside the window.  The builder is deterministic and adds
-    # generators in degree order, so the shallow resolution is a prefix of
-    # the deep one and the inclusion is the identity on common indices.
+    # degree 0, inside the window.  Both are read off one build, the shallow
+    # one as the prefix of the deep one on the generators it needs, so the
+    # inclusion is the identity on common indices by construction; the
+    # assertion below keeps that promise checked.
     # `span`, the depth a window of width 0 needs against M and S, is how far
     # Q ⊗_S X reaches above its generators: Qs goes one span and one degree
     # past the window, Qt one span past the top of the Hom source Qs ⊗_S Pn

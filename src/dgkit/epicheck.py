@@ -20,7 +20,8 @@ the same report.  Every chain map is built in ``derived``, with its
 resolution depths and the one truncated dual; this module keeps only the
 families, the member loop, the fold, the agreement rule and the reports.
 Each check runs its conditions in one ``resolutions.resolution_scope``, so
-equal resolution requests of its conditions and members are built once.
+each module its conditions and members resolve is built once, grown to the
+deepest depth requested, and a shallower request reads its prefix.
 """
 
 import random

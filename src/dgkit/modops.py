@@ -178,8 +178,9 @@ class FreeModule(DgModule):
     ``d_elem`` lies over earlier generators, so any semifree module can be
     presented, and its basis elements a·g are computed once: their labels,
     their action rows b·(a·g) = (ba)·g and d(a·g) = d(a)·g + (-1)^{|a|} a·d(g),
-    appended to the module's own basis and tables.  ``view`` presents a
-    module built elsewhere as a free one on its own numbering.  The name is
+    appended to the module's own basis and tables.  ``prefix(k)`` copies the
+    module on the first k generators.  ``view`` presents a module built
+    elsewhere as a free one on its own numbering.  The name is
     free(g0,g1,…) on the generators so far unless ``view`` is given one.
     """
 
@@ -261,6 +262,13 @@ class FreeModule(DgModule):
                 self.diff[x] = e
         self._complex, self._action_mats = None, {}
         return g
+
+    def prefix(self, k: int) -> "FreeModule":
+        """A copy on the first k generators of a module grown by ``add``: the
+        module ``add`` made after them."""
+        end = self._rows[k][0] if k < len(self.gens) else self.total_dim
+        diff = {x: e for x, e in self.diff.items() if x < end}
+        return FreeModule.view(self.algebra, self.gens[:k], self._rows[:k], self.basis[:end], diff)
 
 
 def left_free(Q: DgBimodule, env: FreeModule) -> FreeModule:

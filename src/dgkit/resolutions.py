@@ -30,12 +30,25 @@ boundary columns of degree n, d_{n+1} with the new A_0·g columns appended
 positioned once per degree, do not move), are the d_{n+1} whose cycles
 degree n + 1 walks.
 
+A build (``_ResolutionBuild``) keeps ``free``, ``eps``, the last cone
+differential and the next degree between requests, so it grows as requests
+deepen.  Generators are added in degree order, so the resolution exact
+through D is the prefix on the generators of degree ≤ D + 1, which a build
+that stops at D makes identically; a shallower request reads that prefix
+(``FreeModule.prefix``).  Once the next degree n lies above M and n − 1 above
+F, cone(ε) is zero from n on and the build is complete: it serves any depth
+with no further elimination.  A record handed out never changes: growth
+after a record holds the build's ``free`` goes on in a copy.
+
 Inside a ``resolution_scope`` (each epimorphism check opens one for its
-conditions) ``semifree_resolution`` hands back the resolution it already
-built for an equal request: equal module and algebra content, depth and
-generator cap.  The checks restrict, regularize and envelop afresh for every
-condition and member, so the key is the content, not the object.  A request
-that hits the cap stores nothing.  Outside a scope every request is built.
+conditions) ``semifree_resolution`` keeps one build per key: equal module
+and algebra content and generator cap, but not depth.  The checks restrict,
+regularize and envelop afresh for every condition and member, so the key is
+the content, not the object.  An equal request gets the same record back.
+A build that hits the cap raises again for every request that reaches the
+capped degree, and serves shallower ones.  Outside a scope every request is
+one build of its own.
+
 ``semifree_resolution_bimodule`` resolves a bimodule M over the enveloping
 algebra and reads that resolution, once, as a ``SemifreeResolution`` of M
 over the left algebra R: its ``free`` is the bimodule Q as a free left
@@ -45,6 +58,7 @@ R-module, with Q itself as ``free.bimodule``, and its ``eps`` and
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -139,13 +153,13 @@ def required_depth(D: int, *reaches: int) -> int:
     return D + 1 + sum(max(0, r) for r in reaches)
 
 
-# the resolutions of the open scope by request key; None outside a scope
+# the builds of the open scope by request key; None outside a scope
 _BUILT: ContextVar[dict | None] = ContextVar("dgkit_resolutions_built", default=None)
 
 
 @contextmanager
 def resolution_scope():
-    """Reuse resolutions of equal requests until the outermost scope closes."""
+    """Reuse the resolutions of a module until the outermost scope closes."""
     if _BUILT.get() is not None:
         yield
         return
@@ -160,13 +174,13 @@ def _table_key(table: dict) -> frozenset:
     return frozenset((k, frozenset(e.items())) for k, e in table.items())
 
 
-def _request_key(M: DgModule, D: int, max_generators: int) -> tuple:
-    """Everything the builder reads of a request, as a hashable value."""
+def _request_key(M: DgModule, max_generators: int) -> tuple:
+    """Everything the builder reads of a request but its depth, as a hashable value."""
     A = M.algebra
     p = A.field.characteristic
     algebra = (p, tuple(A.basis), A.unit, _table_key(A.mul), _table_key(A.diff))
     module = (M.side, tuple(M.basis), _table_key(M.act), _table_key(M.diff))
-    return module, algebra, D, max_generators
+    return module, algebra, max_generators
 
 
 def semifree_resolution(
@@ -174,28 +188,72 @@ def semifree_resolution(
 ) -> SemifreeResolution:
     """Semifree resolution of a bounded-below left module, exact through D.
 
-    Inside a ``resolution_scope`` an equal request gets the same object back.
+    Inside a ``resolution_scope`` every request for an equal module and cap
+    reads one build, grown to the deepest request so far, and an equal
+    request gets the same object back.
     """
     built = _BUILT.get()
     if built is None:
-        return _build_resolution(M, D, max_generators)
-    key = _request_key(M, D, max_generators)
+        return _ResolutionBuild(M, max_generators)._upto(D)
+    key = _request_key(M, max_generators)
     if key not in built:
-        built[key] = _build_resolution(M, D, max_generators)
-    return built[key]
+        built[key] = _ResolutionBuild(M, max_generators)
+    return built[key]._upto(D)
 
 
-def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResolution:
-    A, F = M.algebra, M.field
-    if M.side != "left":
-        raise ValueError("resolve left modules; convert right modules first")
-    if A.min_degree() < 0:
-        raise ValueError("algebra must be nonnegatively graded")
-    bottom = M.min_degree()
-    free = FreeModule(A)
-    eps: list[dict] = []  # ε(x) over M's indices, for each free basis element x
-    d_n = _cone_differential(M, free, eps, bottom, _positions(M, free, bottom - 1))
-    for n in range(bottom, D + 2):
+class _ResolutionBuild:
+    """The resolution of one module, grown degree by degree as requests deepen.
+
+    ``free`` and ``eps`` hold every generator made so far, and ``d_n`` is the
+    differential of cone(ε) whose cycles degree ``n``, the next one, walks.
+    ``records`` holds the record handed out at each depth.
+    """
+
+    def __init__(self, M: DgModule, max_generators: int):
+        A = M.algebra
+        if M.side != "left":
+            raise ValueError("resolve left modules; convert right modules first")
+        if A.min_degree() < 0:
+            raise ValueError("algebra must be nonnegatively graded")
+        self.M, self.cap, self.bottom = M, max_generators, M.min_degree()
+        self.free = FreeModule(A)
+        self.eps: list[dict] = []  # ε(x) over M's indices, for each free basis element x
+        self.n = self.bottom
+        self.d_n = _cone_differential(M, self.free, self.eps, self.n, _positions(M, self.free, self.n - 1))
+        self.capped: tuple | None = None  # (degree, partial, message) once the cap is hit
+        self.shared = False  # a handed-out record holds free and eps
+        self.records: dict[int, SemifreeResolution] = {}
+
+    def _upto(self, D: int) -> SemifreeResolution:
+        """The record exact through D, grown to degree D + 1 first if need be."""
+        if D not in self.records:
+            if self.capped and D + 1 >= self.capped[0]:
+                raise ResourceBoundExceeded(*self.capped[1:])
+            while self.n <= D + 1 and not self._complete():
+                self._eliminate()
+            k = bisect.bisect_right(self.free.gens, D + 1, key=lambda g: g.degree)
+            if k == len(self.free.gens):
+                free, eps, self.shared = self.free, self.eps, True
+            else:
+                free = self.free.prefix(k)
+                eps = self.eps[: free.total_dim]
+            window = Window(self.bottom - 1, D)
+            self.records[D] = SemifreeResolution(self.M.algebra, self.M, free, eps, window)
+        return self.records[D]
+
+    def _complete(self) -> bool:
+        """Whether cone(ε) = M ⊕ ΣF is zero from degree n on: no generator
+        can appear there, so every depth reads the generators made so far."""
+        return self.n > self.M.max_degree() and self.n - 1 > self.free.max_degree()
+
+    def _eliminate(self):
+        """Kill the homology of cone(ε) in degree n, then step to n + 1."""
+        M, n = self.M, self.n
+        A, F = M.algebra, M.field
+        if self.shared:  # a record holds free and eps: grow copies
+            self.free, self.eps = self.free.prefix(len(self.free.gens)), list(self.eps)
+            self.shared = False
+        free, eps = self.free, self.eps
         rows = _positions(M, free, n)
         dimM = len(rows[0])
         m_of = M.component(n)
@@ -208,7 +266,7 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
         for col in cols:
             boundaries.add(col)
         # the cycles not yet bounded, in kernel-basis order
-        for z in kernel_basis(d_n):
+        for z in kernel_basis(self.d_n):
             if not boundaries.add(z):
                 continue
             # one generator per class: dependent classes then die for free,
@@ -219,17 +277,16 @@ def _build_resolution(M: DgModule, D: int, max_generators: int) -> SemifreeResol
             gen = Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part))
             free.add(gen)
             eps += [M.act_elem({a: F.one}, gen.eps) for a in range(A.total_dim)]
-            if len(free.gens) > max_generators:
-                raise ResourceBoundExceeded(
-                    SemifreeResolution(A, M, free, eps, Window(bottom - 1, n - 1)),
-                    f"generator cap {max_generators} exceeded at degree {n}",
-                )
+            if len(free.gens) > self.cap:
+                partial = SemifreeResolution(A, M, free, eps, Window(self.bottom - 1, n - 1))
+                self.capped = n, partial, f"generator cap {self.cap} exceeded at degree {n}"
+                raise ResourceBoundExceeded(partial, self.capped[2])
             # d(a·g) = a·d(g) for |a| = 0: the boundaries grow by A_0·z
             for a in A.component(0):
                 cols.append(_free_column(free, eps, free.index(g, a), rows))
                 boundaries.add(cols[-1])
-        d_n = Matrix.from_columns(F, cols, d_next.rows)
-    return SemifreeResolution(A, M, free, eps, Window(bottom - 1, D))
+        self.d_n = Matrix.from_columns(F, cols, d_next.rows)
+        self.n = n + 1
 
 
 def resolve_right_module(M: DgModule, D: int, max_generators: int = 10000):

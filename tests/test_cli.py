@@ -26,6 +26,24 @@ def test_validate_good_fixture(capsys):
     assert "result: valid" in out
 
 
+def test_readme_presentation_block_validates(capsys, tmp_path):
+    # the field, algebra and module blocks of the README's format example,
+    # comment lines included, form a presentation `validate` accepts
+    readme = (FIXTURES.parent / "README.md").read_text()
+    block = readme.split("## Presentation format")[1].split("```text\n")[1].split("```")[0]
+    keep = []
+    for chunk in block.split("\n\n"):
+        head = next(s for s in chunk.splitlines() if not s.lstrip().startswith("#"))
+        if head.split()[0] in ("field", "algebra", "module"):
+            keep.append(chunk)
+    assert len(keep) == 3
+    path = tmp_path / "readme.dg"
+    path.write_text("\n\n".join(keep) + "\n")
+    code, out, err = _run(capsys, "validate", path)
+    assert code == 0, err
+    assert err == ""
+
+
 def test_validate_axiom_violation_exits_one(capsys):
     code, out, _ = _run(capsys, "validate", FIXTURES / "bad_axiom.dg")
     assert code == 1

@@ -45,6 +45,7 @@ from dgkit.resolutions import (
     Leaf,
     ResourceBoundExceeded,
     SumNode,
+    _request_key,
     require_witness,
     resolution_scope,
     semifree_resolution,
@@ -531,25 +532,32 @@ CACHE_IDS = ["idk", "idD", "prk", "dual2", "dual3", "tri", "idE-2", "idE-3", "au
 
 
 def _builds(monkeypatch):
-    """Log the request key of every resolution the private builder builds."""
-    keys = []
-    build = dgkit.resolutions._build_resolution
+    """Log the key of every build the builder starts, and (key, degree) for
+    every degree it eliminates; a key is a request's content and cap."""
+    started, eliminated = [], []
+    Build = dgkit.resolutions._ResolutionBuild
+    init, eliminate = Build.__init__, Build._eliminate
 
-    def counted(M, D, max_generators):
-        keys.append(dgkit.resolutions._request_key(M, D, max_generators))
-        return build(M, D, max_generators)
+    def counted_init(self, M, max_generators):
+        init(self, M, max_generators)
+        started.append(_request_key(M, max_generators))
 
-    monkeypatch.setattr(dgkit.resolutions, "_build_resolution", counted)
-    return keys
+    def counted_eliminate(self):
+        eliminated.append((_request_key(self.M, self.cap), self.n))
+        eliminate(self)
+
+    monkeypatch.setattr(Build, "__init__", counted_init)
+    monkeypatch.setattr(Build, "_eliminate", counted_eliminate)
+    return started, eliminated
 
 
 def _requests(monkeypatch):
-    """Log the request key of every call of the public semifree_resolution."""
+    """Log (key, depth) for every call of the public semifree_resolution."""
     keys = []
     request = dgkit.resolutions.semifree_resolution
 
     def logged(M, D, max_generators=10000):
-        keys.append(dgkit.resolutions._request_key(M, D, max_generators))
+        keys.append((_request_key(M, max_generators), D))
         return request(M, D, max_generators)
 
     for module in (dgkit.resolutions, dgkit.derived):
@@ -562,35 +570,52 @@ def test_resolution_cache_changes_no_report(monkeypatch, make, D, size):
     phi = make()
     cached = check_dga_epi(phi, D, generate_test_family(phi.target, 0, size))
     monkeypatch.setattr(dgkit.epicheck, "resolution_scope", contextlib.nullcontext)
-    builds, requests = _builds(monkeypatch), _requests(monkeypatch)
+    (started, _), requests = _builds(monkeypatch), _requests(monkeypatch)
     uncached = check_dga_epi(phi, D, generate_test_family(phi.target, 0, size))
-    assert len(builds) == len(requests)  # the no-op scope really builds each time
+    assert len(started) == len(requests)  # the no-op scope really builds each time
     assert cached == uncached
 
 
-@pytest.mark.parametrize("make, D, size", [CACHE_CASES[3], CACHE_CASES[7]], ids=["dual2", "idE-3"])
+@pytest.mark.parametrize("make, D, size", CACHE_CASES, ids=CACHE_IDS)
 def test_one_build_per_distinct_request_in_a_check(monkeypatch, make, D, size):
-    builds, requests = _builds(monkeypatch), _requests(monkeypatch)
+    # one build per module content and cap, whatever depths it is asked at,
+    # and each of its degrees eliminated once, bottom up, no deeper than the
+    # deepest request needs
+    (started, eliminated), requests = _builds(monkeypatch), _requests(monkeypatch)
     phi = make()
     check_dga_epi(phi, D, generate_test_family(phi.target, 0, size))
-    assert len(set(builds)) == len(builds)
-    assert set(builds) == set(requests)
-    assert len(builds) < len(requests)
+    assert len(set(started)) == len(started)
+    assert set(started) == {key for key, _ in requests}
+    assert len(set(eliminated)) == len(eliminated)
+    for key in started:
+        degrees = [n for k, n in eliminated if k == key]
+        assert degrees == list(range(degrees[0], degrees[0] + len(degrees)))
+        assert degrees[-1] <= max(d for k, d in requests if k == key) + 1
+    assert len(started) < len(set(requests))
 
 
 def test_scope_closes_when_a_check_returns_or_raises(monkeypatch):
-    builds = _builds(monkeypatch)
+    started, eliminated = _builds(monkeypatch)
     phi = truncated_to_ground(2)
-    for _ in range(2):
-        check_ring_epi(phi, 3, generate_test_family(phi.target, 0, 3))
-        assert dgkit.resolutions._BUILT.get() is None
-    assert len(builds) % 2 == 0 and builds[: len(builds) // 2] == builds[len(builds) // 2 :]
-    builds.clear()
-    for _ in range(2):
+
+    def twice(run):
+        """Run a check twice; the second must build exactly what the first did."""
+        logs = []
+        for _ in range(2):
+            run()
+            assert dgkit.resolutions._BUILT.get() is None
+            logs.append((list(started), list(eliminated)))
+            started.clear()
+            eliminated.clear()
+        assert logs[0] == logs[1] and logs[0][0]
+
+    twice(lambda: check_ring_epi(phi, 3, generate_test_family(phi.target, 0, 3)))
+
+    def capped():
         with pytest.raises(ResourceBoundExceeded):
             check_ring_epi(phi, 3, generate_test_family(phi.target, 0, 3), max_generators=12)
-        assert dgkit.resolutions._BUILT.get() is None
-    assert len(builds) % 2 == 0 and builds[: len(builds) // 2] == builds[len(builds) // 2 :]
+
+    twice(capped)
 
 
 def _k_over_dual_numbers():
@@ -599,30 +624,64 @@ def _k_over_dual_numbers():
     return restrict_scalars(left_regular(phi.target), phi)
 
 
-def test_capped_request_is_not_stored(monkeypatch):
-    builds = _builds(monkeypatch)
+def _record_data(res):
+    return (
+        [(g.label, g.degree, g.d_elem, g.eps) for g in res.generators],
+        res.free.basis,
+        res.eps,
+        res.validity,
+    )
+
+
+@pytest.mark.parametrize("shallow_first", [False, True], ids=["deep-first", "shallow-first"])
+def test_capped_request_raises_again_at_its_depth_and_deeper(monkeypatch, shallow_first):
+    # k over k[x]/(x²) has one generator per degree: a cap of 3 is hit by the
+    # fourth, in degree 3, so depth 2 is capped and depth 1 is not
+    M = _k_over_dual_numbers()
+    with pytest.raises(ResourceBoundExceeded) as fresh:
+        semifree_resolution(M, 5, max_generators=3)
+    assert str(fresh.value) == "generator cap 3 exceeded at degree 3"
+    assert fresh.value.partial.validity == Window(-1, 2)
+    assert len(fresh.value.partial.generators) == 4
+    shallow = semifree_resolution(M, 1, max_generators=3)
+    started, eliminated = _builds(monkeypatch)
     with resolution_scope():
-        for _ in range(2):
-            with pytest.raises(ResourceBoundExceeded):
-                semifree_resolution(_k_over_dual_numbers(), 5, max_generators=3)
-            assert dgkit.resolutions._BUILT.get() == {}
-    assert len(builds) == 2
+        if shallow_first:
+            assert _record_data(semifree_resolution(M, 1, max_generators=3)) == _record_data(shallow)
+        for D in (5, 5, 2, 8):
+            with pytest.raises(ResourceBoundExceeded) as e:
+                semifree_resolution(_k_over_dual_numbers(), D, max_generators=3)
+            assert str(e.value) == str(fresh.value)
+            assert _record_data(e.value.partial) == _record_data(fresh.value.partial)
+        # degrees 0..2 finished before the cap: depth 1 is served from them
+        assert _record_data(semifree_resolution(M, 1, max_generators=3)) == _record_data(shallow)
+        assert len(dgkit.resolutions._BUILT.get()) == 1
+    # one build, its degrees 0..3 eliminated once, the last one up to the cap
+    assert len(started) == 1 and [n for _, n in eliminated] == [0, 1, 2, 3]
 
 
-def test_depth_and_cap_are_separate_entries(monkeypatch):
-    builds = _builds(monkeypatch)
+def test_cap_is_a_separate_entry_and_depth_is_not(monkeypatch):
+    started, eliminated = _builds(monkeypatch)
     with resolution_scope():
         first = semifree_resolution(_k_over_dual_numbers(), 3)
+        kept = _record_data(first)
         # an equal module built afresh, and a nested scope, reuse the entry
         with resolution_scope():
             assert semifree_resolution(_k_over_dual_numbers(), 3) is first
-        assert semifree_resolution(_k_over_dual_numbers(), 4) is not first
+        # a deeper request grows the same build and leaves the first record as it was
+        deeper = semifree_resolution(_k_over_dual_numbers(), 4)
+        assert deeper is not first and deeper.free is not first.free
+        assert len(deeper.generators) == 6 and _record_data(first) == kept
+        assert semifree_resolution(_k_over_dual_numbers(), 3) is first
         assert semifree_resolution(_k_over_dual_numbers(), 3, max_generators=50) is not first
-        assert len(dgkit.resolutions._BUILT.get()) == 3
-    assert len(builds) == 3
+        assert len(dgkit.resolutions._BUILT.get()) == 2
+    assert len(started) == 2
+    assert [n for _, n in eliminated] == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4]
     # outside a scope nothing is kept
-    assert semifree_resolution(_k_over_dual_numbers(), 3) is not first
-    assert len(builds) == 4 and dgkit.resolutions._BUILT.get() is None
+    again = semifree_resolution(_k_over_dual_numbers(), 3)
+    assert again is not first and _record_data(again) == kept
+    assert semifree_resolution(_k_over_dual_numbers(), 3) is not again
+    assert len(started) == 4 and dgkit.resolutions._BUILT.get() is None
 
 
 # -- aggregate runs ------------------------------------------------------------

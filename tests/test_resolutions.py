@@ -1,5 +1,6 @@
 import pytest
 
+import dgkit.resolutions
 from dgkit.field import GF, QQ
 from dgkit.complexes import Violation, Window, homology_dims, quasi_iso
 from dgkit.dga import (
@@ -33,6 +34,7 @@ from dgkit.resolutions import (
     Leaf,
     ResourceBoundExceeded,
     SumNode,
+    resolution_scope,
     semifree_resolution,
     semifree_resolution_bimodule,
     verify_build_tree,
@@ -450,3 +452,48 @@ def test_incremental_builder_cap_partial_matches_rebuild_loop():
             assert partial.validity == window, name
             assert verify_resolution(partial) is True, name
             assert _same_free_module_and_eps(partial, M) is None, name
+
+
+# -- a finished resolution stops growing -----------------------------------------
+
+
+def _finishing_modules():
+    """(name, module, finishes): k over k and S over S finish, with cone(ε)
+    zero above the top of M and F; k over k × k does not, since its
+    generators carry both idempotents and each leaves a kernel above it."""
+    phi = product_to_ground()
+    out = [("k over k", left_regular(ground_algebra()), True)]
+    for S in (exterior_algebra(), truncated_polynomial(2), product_kk()):
+        out.append((f"S over S, S = {S.name}", left_regular(S), True))
+    out.append(("k over k × k", restrict_scalars(left_regular(phi.target), phi), False))
+    return out
+
+
+@pytest.mark.parametrize("D", [0, 2])
+def test_finished_resolution_is_read_at_any_depth(monkeypatch, D):
+    Build = dgkit.resolutions._ResolutionBuild
+    eliminate, eliminated = Build._eliminate, []
+
+    def logged(self):
+        eliminated.append(self.n)
+        eliminate(self)
+
+    monkeypatch.setattr(Build, "_eliminate", logged)
+    for name, M, finishes in _finishing_modules():
+        eliminated.clear()
+        with resolution_scope():
+            shallow = semifree_resolution(M, D)
+            deep = semifree_resolution(M, D + 5)
+        for res, depth in ((shallow, D), (deep, D + 5)):
+            gens, window, _ = rebuild_resolution(M, depth)
+            assert _gen_data(res.generators) == _gen_data(gens), name
+            assert res.validity == window == Window(M.min_degree() - 1, depth), name
+            assert verify_resolution(res) is True, name
+        top = max(M.max_degree(), deep.free.max_degree() + 1)
+        assert eliminated == list(range(M.min_degree(), M.min_degree() + len(eliminated))), name
+        if finishes:
+            assert _gen_data(deep.generators) == _gen_data(shallow.generators), name
+            assert eliminated[-1] <= top, name
+        else:
+            assert len(deep.generators) > len(shallow.generators), name
+            assert eliminated[-1] == D + 6, name

@@ -16,7 +16,7 @@ depths and returned as its ``ChainMap``: the unit, counit, duality and
 multiplication maps, and epicheck's (3), (5) and ring (2) and (4).  The
 counit, duality map and (3) pair Q with one truncated dual,
 truncated_dual's, which owns its depth and cut and is built once per
-bimodule and window.  Whether a canonical map is an
+check (``resolutions.scoped``).  Whether a canonical map is an
 isomorphism on its window is is_derived_iso, whose report is
 complexes.quasi_iso's: the one iso verdict of the library.
 
@@ -35,7 +35,6 @@ dualize's Z) is built in every degree.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .complexes import ChainMap, Complex, QuasiIsoReport, Window, homology_dims, quasi_iso, read_range
@@ -60,6 +59,7 @@ from .resolutions import (
     require_witness,
     required_depth,
     resolve_right_module,
+    scoped,
     semifree_resolution,
     semifree_resolution_bimodule,
 )
@@ -143,10 +143,6 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> tuple:
 # -- canonical maps ------------------------------------------------------------
 
 
-# the truncated duals of each live bimodule, keyed on (D, max_generators)
-_TRUNCATED_DUALS = weakref.WeakKeyDictionary()
-
-
 def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
     """The dual that the canonical maps on the window -D..D tensor with.
 
@@ -156,29 +152,24 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
     Zt = τ_{≥-D-1}Z and the evaluation z(q) of its basis elements, read
     through their carriers in Z.  The cut keeps
     resolution junk below the window from pairing with top-degree junk of
-    the other tensor factor, whose sum lands in the window.  Built once and
-    kept for the life of M, so the maps of one check share it.
+    the other tensor factor, whose sum lands in the window.  Built once per
+    check (``resolutions.scoped``), so the maps of one check share it.
     """
-    duals = _TRUNCATED_DUALS.setdefault(M, {})
-    if (D, max_generators) not in duals:
+
+    def make():
         depth = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
         Z, H, Q = dualize(M, depth, max_generators)
         F = M.field
         Zt, carriers = truncate_below(Z, -D - 1)
+        maps = []  # each basis element of Zt as a map, read off its carrier
+        for carrier in carriers:
+            ground: dict = {}
+            for zi, cz in carrier.items():
+                vec_iadd(F, ground, H.reps[zi], cz)
+            maps.append(_as_map(ground))
+        return depth, Q, Zt, lambda zt_idx, q_elem: H.evaluate(maps[zt_idx], q_elem)
 
-        maps: dict = {}  # zt_idx ↦ its carrier as a map, built on first use
-
-        def ev(zt_idx: int, q_elem: dict) -> dict:
-            f = maps.get(zt_idx)
-            if f is None:
-                ground: dict = {}
-                for zi, cz in carriers[zt_idx].items():
-                    vec_iadd(F, ground, H.reps[zi], cz)
-                f = maps[zt_idx] = _as_map(ground)
-            return H.evaluate(f, q_elem)
-
-        duals[D, max_generators] = (depth, Q, Zt, ev)
-    return duals[D, max_generators]
+    return scoped((M, D, max_generators), make)
 
 
 def unit_map(M: DgBimodule, N: DgModule, D: int, max_generators: int = 10000) -> ChainMap:

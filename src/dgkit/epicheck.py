@@ -19,9 +19,12 @@ reads (1)'s report there, and ring-mode Translation reads Tor_i(S, S) off
 the same report.  Every chain map is built in ``derived``, with its
 resolution depths and the one truncated dual; this module keeps only the
 families, the member loop, the fold, the agreement rule and the reports.
-Each check runs its conditions in one ``resolutions.resolution_scope``, so
-each module its conditions and members resolve is built once, grown to the
-deepest depth requested, and a shallower request reads its prefix.
+Each check runs its conditions in one ``resolutions.resolution_scope``, the
+lifetime of everything the check reuses through ``resolutions.scoped``: each
+module its conditions and members resolve is built once, grown to the
+deepest depth requested, and a shallower request reads its prefix; the
+bimodule is converted to its enveloping module once and each of its
+resolutions read over R once; and the truncated dual is built once.
 """
 
 import random

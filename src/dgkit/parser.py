@@ -54,8 +54,15 @@ class MapDecl:
     target: DgModule
     images: dict  # source basis index -> element of target
 
-    def matrices(self, offset: int = 0) -> dict:
-        """Degree-wise matrices of the map, as a degree-`offset` assignment."""
+    def matrices(self, line: int, offset: int = 0) -> dict:
+        """Degree-wise matrices of the map, as a degree-`offset` assignment;
+        an image outside degree |x| + offset is a ParseError at `line`."""
+        for i, e in self.images.items():
+            n = self.source.deg(i) + offset
+            for t in e:
+                if self.target.deg(t) != n:
+                    got = f"{self.source.label(i)!r} -> {self.target.label(t)!r} in degree {self.target.deg(t)}"
+                    raise ParseError(line, 1, f"degree-{offset} map {self.name!r} (got {got})")
         return matrices_from_images(
             self.source, self.target, lambda i, n: self.images.get(i, {}), offset
         )
@@ -370,10 +377,10 @@ def _parse_node(pf, toks, pos: int, line, depth: int = 1):
             children.append(child)
         node = SumNode(children)
     elif kw == "cone":
-        f = _declared(pf.maps, "map", toks[pos], line(pos))
+        mats = _declared(pf.maps, "map", toks[pos], line(pos)).matrices(line(pos))
         src, pos = _parse_node(pf, toks, pos + 1, line, depth + 1)
         tgt, pos = _parse_node(pf, toks, pos, line, depth + 1)
-        node = ConeNode(src, tgt, f.matrices())
+        node = ConeNode(src, tgt, mats)
     else:
         raise ParseError(line(pos - 1), 1, f"leaf, shift, sum or cone (got {kw!r})")
     if pos >= len(toks) or toks[pos] != ")":
@@ -396,7 +403,7 @@ def _parse_witness(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
                 raise ParseError(ln, 1, "retract <incl-map> <proj-map> <homotopy-map>")
             for t in words[1:]:
                 _declared(pf.maps, "map", t, ln)
-            retract = (words[1], words[2], words[3])
+            retract, retract_line = (words[1], words[2], words[3]), ln
         else:
             body.append(raw)
             new = raw.replace("(", " ( ").replace(")", " ) ").split()
@@ -415,12 +422,12 @@ def _parse_witness(pf: PresentationFile, header_tokens, lineno: int, lines: _Lin
     if retract is None:
         w = BuildTreeWitness(tree)
     else:
-        i, p, h = retract
+        i, p, h = (pf.maps[m] for m in retract)
         w = BuildTreeWitness(
             tree,
-            incl=pf.maps[i].matrices(),
-            proj=pf.maps[p].matrices(),
-            homotopy=pf.maps[h].matrices(offset=1),
+            incl=i.matrices(retract_line),
+            proj=p.matrices(retract_line),
+            homotopy=h.matrices(retract_line, offset=1),
         )
     pf.witnesses[name] = WitnessDecl(name, mod, w, expr, retract)
     pf.order.append(("witness", name))

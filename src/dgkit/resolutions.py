@@ -40,20 +40,21 @@ F, cone(ε) is zero from n on and the build is complete: it serves any depth
 with no further elimination.  A record handed out never changes: growth
 after a record holds the build's ``free`` goes on in a copy.
 
-Inside a ``resolution_scope`` (each epimorphism check opens one for its
-conditions) ``semifree_resolution`` keeps one build per key: equal module
-and algebra content and generator cap, but not depth.  The checks restrict,
-regularize and envelop afresh for every condition and member, so the key is
-the content, not the object.  An equal request gets the same record back.
-A build that hits the cap raises again for every request that reaches the
-capped degree, and serves shallower ones.  Outside a scope every request is
-one build of its own.
+``scoped(key, make)`` is the one memo of a check: inside a
+``resolution_scope`` (each epimorphism check opens one) it returns what
+``make()`` returned the first time for ``key``; outside one it calls
+``make()`` afresh, and nothing is kept.  ``semifree_resolution`` keeps there
+one build per module and algebra content and generator cap, but not depth,
+and one record per build and depth.  The checks restrict, regularize and
+envelop afresh for every condition and member, so the key is the content,
+not the object.  A build that hits the cap raises again for every request
+that reaches the capped degree, and serves shallower ones.
 
 ``semifree_resolution_bimodule`` resolves a bimodule M over the enveloping
-algebra and reads that resolution, once, as a ``SemifreeResolution`` of M
-over the left algebra R: its ``free`` is the bimodule Q as a free left
-R-module, with Q itself as ``free.bimodule``, and its ``eps`` and
-``validity`` are the enveloping resolution's, on Q's own numbering.
+algebra and reads that resolution as a ``SemifreeResolution`` of M over the
+left algebra R: its ``free`` is the bimodule Q as a free left R-module, with
+Q itself as ``free.bimodule``, and its ``eps`` and ``validity`` are the
+enveloping resolution's, on Q's own numbering.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import bisect
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .linalg import Echelon, Matrix, kernel_basis
 from .complexes import ChainMap, Violation, Window, check_homotopy
@@ -91,16 +92,13 @@ class ResourceBoundExceeded(RuntimeError):
         self.instances: list = []
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity, so a scope can key on a record
 class SemifreeResolution:
     algebra: DgAlgebra
     target: DgModule
     free: FreeModule
     eps: list[dict]  # ε(x), an element of the target, for each basis element x
     validity: Window
-    # on a resolution over enveloping(R, S): the bimodule's resolution over R
-    # read off it, made once by semifree_resolution_bimodule
-    r_reading: "SemifreeResolution | None" = dc_field(default=None, repr=False)
 
     @property
     def generators(self) -> list[Generator]:
@@ -153,13 +151,13 @@ def required_depth(D: int, *reaches: int) -> int:
     return D + 1 + sum(max(0, r) for r in reaches)
 
 
-# the builds of the open scope by request key; None outside a scope
+# what the open scope keeps, by key (see ``scoped``); None outside a scope
 _BUILT: ContextVar[dict | None] = ContextVar("dgkit_resolutions_built", default=None)
 
 
 @contextmanager
 def resolution_scope():
-    """Reuse the resolutions of a module until the outermost scope closes."""
+    """Keep what ``scoped`` makes until the outermost scope closes."""
     if _BUILT.get() is not None:
         yield
         return
@@ -168,6 +166,17 @@ def resolution_scope():
         yield
     finally:
         _BUILT.reset(token)
+
+
+def scoped(key, make):
+    """What ``make()`` returned the first time for ``key`` inside the open
+    scope; outside a scope, ``make()`` afresh.  The one memo of a check."""
+    kept = _BUILT.get()
+    if kept is None:
+        return make()
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
 
 
 def _table_key(table: dict) -> frozenset:
@@ -192,13 +201,9 @@ def semifree_resolution(
     reads one build, grown to the deepest request so far, and an equal
     request gets the same object back.
     """
-    built = _BUILT.get()
-    if built is None:
-        return _ResolutionBuild(M, max_generators)._upto(D)
     key = _request_key(M, max_generators)
-    if key not in built:
-        built[key] = _ResolutionBuild(M, max_generators)
-    return built[key]._upto(D)
+    build = scoped(key, lambda: _ResolutionBuild(M, max_generators))
+    return scoped((key, D), lambda: build._upto(D))
 
 
 class _ResolutionBuild:
@@ -206,7 +211,6 @@ class _ResolutionBuild:
 
     ``free`` and ``eps`` hold every generator made so far, and ``d_n`` is the
     differential of cone(ε) whose cycles degree ``n``, the next one, walks.
-    ``records`` holds the record handed out at each depth.
     """
 
     def __init__(self, M: DgModule, max_generators: int):
@@ -222,24 +226,20 @@ class _ResolutionBuild:
         self.d_n = _cone_differential(M, self.free, self.eps, self.n, _positions(M, self.free, self.n - 1))
         self.capped: tuple | None = None  # (degree, partial, message) once the cap is hit
         self.shared = False  # a handed-out record holds free and eps
-        self.records: dict[int, SemifreeResolution] = {}
 
     def _upto(self, D: int) -> SemifreeResolution:
-        """The record exact through D, grown to degree D + 1 first if need be."""
-        if D not in self.records:
-            if self.capped and D + 1 >= self.capped[0]:
-                raise ResourceBoundExceeded(*self.capped[1:])
-            while self.n <= D + 1 and not self._complete():
-                self._eliminate()
-            k = bisect.bisect_right(self.free.gens, D + 1, key=lambda g: g.degree)
-            if k == len(self.free.gens):
-                free, eps, self.shared = self.free, self.eps, True
-            else:
-                free = self.free.prefix(k)
-                eps = self.eps[: free.total_dim]
-            window = Window(self.bottom - 1, D)
-            self.records[D] = SemifreeResolution(self.M.algebra, self.M, free, eps, window)
-        return self.records[D]
+        """A new record exact through D, grown to degree D + 1 first if need be."""
+        if self.capped and D + 1 >= self.capped[0]:
+            raise ResourceBoundExceeded(*self.capped[1:])
+        while self.n <= D + 1 and not self._complete():
+            self._eliminate()
+        k = bisect.bisect_right(self.free.gens, D + 1, key=lambda g: g.degree)
+        if k == len(self.free.gens):
+            free, eps, self.shared = self.free, self.eps, True
+        else:
+            free = self.free.prefix(k)
+            eps = self.eps[: free.total_dim]
+        return SemifreeResolution(self.M.algebra, self.M, free, eps, Window(self.bottom - 1, D))
 
     def _complete(self) -> bool:
         """Whether cone(ε) = M ⊕ ΣF is zero from degree n on: no generator
@@ -304,15 +304,18 @@ def semifree_resolution_bimodule(
     """An R-S-bimodule's resolution over enveloping(R, S), read over R.
 
     ``free`` is the resolution Q as a left R-module, free on the (1⊗s)·g,
-    and ``free.bimodule`` is Q.  The reading is made once per enveloping
-    resolution, so a request that gets a resolution back from the scope
-    gets its reading back too.
+    and ``free.bimodule`` is Q.  A scope keeps M's enveloping module and
+    each enveloping record's reading, so a request that gets a resolution
+    back from the scope gets its reading back too.
     """
-    res = semifree_resolution(bimodule_to_env_module(M), D, max_generators)
-    if res.r_reading is None:
+    env = scoped(("env", M), lambda: bimodule_to_env_module(M))
+    res = semifree_resolution(env, D, max_generators)
+
+    def read():
         Q = env_module_to_bimodule(res.free, M.left_algebra, M.right_algebra)
-        res.r_reading = SemifreeResolution(M.left_algebra, M, left_free(Q, res.free), res.eps, res.validity)
-    return res.r_reading
+        return SemifreeResolution(M.left_algebra, M, left_free(Q, res.free), res.eps, res.validity)
+
+    return scoped(res, read)
 
 
 # -- finitely-built witnesses -------------------------------------------------

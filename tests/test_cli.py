@@ -278,6 +278,18 @@ def test_witness_nested_too_deep_is_a_parse_error(capsys, tmp_path, node, comman
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "witness-verify"])
+def test_witness_cone_of_a_wrong_degree_map_is_a_parse_error(capsys, tmp_path, command):
+    # a → b raises degree by one; the cone reads g as a degree-0 map
+    base = (FIXTURES / "exterior.dg").read_text() + "\nmap g : R -> R\n  a -> b\n\nwitness wG for R\n"
+    path = tmp_path / "cone.dg"
+    path.write_text(base + "  (cone g (leaf) (leaf))\n")
+    code, out, err = _run(capsys, command, path, *(["wG"] if command == "witness-verify" else []))
+    assert (code, out) == (1, "")
+    line = len(base.splitlines()) + 1
+    assert err == f"error: line {line}, column 1: expected degree-0 map 'g' (got 'a' -> 'b' in degree 1)\n"
+
+
 def test_witness_nested_256_deep_parses(capsys, tmp_path):
     for node, verdict in (("(shift 1", "rejected"), ("(sum", "accepted")):
         path, _ = _nested_witness(tmp_path, node, 256)

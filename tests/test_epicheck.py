@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import weakref
 
 import pytest
 
@@ -20,6 +21,7 @@ from dgkit.dga import (
     validate_module,
 )
 from dgkit.derived import (
+    _condition3_map,
     _condition5_map,
     counit_map,
     duality_map,
@@ -458,12 +460,23 @@ def test_dga_check_dualizes_once(monkeypatch, size):
 
 
 def test_counit_and_duality_map_share_one_dual(monkeypatch):
+    # the counit, the duality map and (3) pair with one dual inside a scope;
+    # outside a scope nothing is kept, so each builds its own
     calls = _counting(monkeypatch, "dualize", dgkit.derived)
     phi = truncated_to_ground(2)
-    M, N = bimodule_from_morphism(phi), left_regular(phi.target)
-    counit_map(M, N, 2)
-    duality_map(M, N, BuildTreeWitness(Leaf(0)), 2)
+    M, N, Nr = bimodule_from_morphism(phi), left_regular(phi.target), right_regular(phi.target)
+    maps = [
+        lambda: counit_map(M, N, 2),
+        lambda: duality_map(M, N, BuildTreeWitness(Leaf(0)), 2),
+        lambda: _condition3_map(M, Nr, N, 2, 10000),
+    ]
+    with resolution_scope():
+        for build in maps:
+            build()
     assert len(calls) == 1
+    for build in maps:
+        build()
+    assert len(calls) == 1 + len(maps)
 
 
 def test_condition_two_reads_condition_one_at_S(monkeypatch):
@@ -475,14 +488,21 @@ def test_condition_two_reads_condition_one_at_S(monkeypatch):
     assert rep.verdict(2).members[0] == ("S", "holds")
 
 
-def test_truncated_dual_lives_as_long_as_its_bimodule():
+def test_truncated_dual_lives_as_long_as_its_scope():
     M = bimodule_from_morphism(identity_morphism(exterior_algebra()))
-    first = truncated_dual(M, 2)
-    assert truncated_dual(M, 2) is first
-    assert truncated_dual(M, 3) is not first
-    del M, first
+    with resolution_scope():
+        first = truncated_dual(M, 2)
+        assert truncated_dual(M, 2) is first
+        assert truncated_dual(M, 3) is not first
+        assert truncated_dual(M, 2, max_generators=50) is not first
+    # the scope closed: a request builds afresh, every time
+    again = truncated_dual(M, 2)
+    assert again is not first and truncated_dual(M, 2) is not again
+    # and nothing outside a scope keeps M
+    ref = weakref.ref(M)
+    del M, first, again
     gc.collect()
-    assert len(dgkit.derived._TRUNCATED_DUALS) == 0
+    assert ref() is None
 
 
 @pytest.mark.parametrize("check", [check_dga_epi, check_ring_epi])
@@ -624,6 +644,12 @@ def _k_over_dual_numbers():
     return restrict_scalars(left_regular(phi.target), phi)
 
 
+def _kept_builds():
+    """The number of builds the open scope keeps, one per module content and cap."""
+    kept = dgkit.resolutions._BUILT.get().values()
+    return sum(isinstance(v, dgkit.resolutions._ResolutionBuild) for v in kept)
+
+
 def _record_data(res):
     return (
         [(g.label, g.degree, g.d_elem, g.eps) for g in res.generators],
@@ -655,7 +681,7 @@ def test_capped_request_raises_again_at_its_depth_and_deeper(monkeypatch, shallo
             assert _record_data(e.value.partial) == _record_data(fresh.value.partial)
         # degrees 0..2 finished before the cap: depth 1 is served from them
         assert _record_data(semifree_resolution(M, 1, max_generators=3)) == _record_data(shallow)
-        assert len(dgkit.resolutions._BUILT.get()) == 1
+        assert _kept_builds() == 1
     # one build, its degrees 0..3 eliminated once, the last one up to the cap
     assert len(started) == 1 and [n for _, n in eliminated] == [0, 1, 2, 3]
 
@@ -674,7 +700,7 @@ def test_cap_is_a_separate_entry_and_depth_is_not(monkeypatch):
         assert len(deeper.generators) == 6 and _record_data(first) == kept
         assert semifree_resolution(_k_over_dual_numbers(), 3) is first
         assert semifree_resolution(_k_over_dual_numbers(), 3, max_generators=50) is not first
-        assert len(dgkit.resolutions._BUILT.get()) == 2
+        assert _kept_builds() == 2
     assert len(started) == 2
     assert [n for _, n in eliminated] == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4]
     # outside a scope nothing is kept

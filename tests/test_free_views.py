@@ -314,8 +314,9 @@ def test_derived_tensor_and_rhom_of_a_bimodule_take_the_free_paths(monkeypatch, 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_bimodule_record_and_its_reading_are_freed_without_gc(F):
-    # the reading kept on the enveloping resolution points back at nothing
-    # that holds it, so reference counting alone frees them and M
+    # what the scope keeps (the enveloping module and record, the reading,
+    # the dual) points back at nothing that holds it, so once the scope
+    # closes reference counting alone frees them and M
     gc.collect()
     gc.disable()
     try:

@@ -236,6 +236,35 @@ def test_parse_error_positions_and_texts_are_pinned(text, line, column, expected
     assert str(exc.value) == f"line {line}, column {column}: expected {expected}"
 
 
+# a witness reads a cone's map and a retract's i and p as degree-0 maps and
+# its h as a degree-1 map; an image in another degree is an error at the
+# map's token, or at the retract line
+_G = _M + 'map g : M -> M\n  m -> n\n'  # degree 1, lines 7-8
+_I = _M + 'map i : M -> M\n  m -> m\n  n -> n\n'  # degree 0, lines 7-9
+
+
+@pytest.mark.parametrize(
+    "text, line, expected",
+    [
+        (_G + 'witness w for M\n  (sum (leaf)\n  (cone g (leaf) (leaf)))\n', 11, "degree-0 map 'g' (got 'm' -> 'n' in degree 1)"),
+        (_G + 'map h : M -> M\nwitness w for M\n  (leaf)\n  retract g g h\n', 12, "degree-0 map 'g' (got 'm' -> 'n' in degree 1)"),
+        (_I + 'map h : M -> M\n  m -> m\nwitness w for M\n  retract i i h\n  (leaf)\n', 13, "degree-1 map 'h' (got 'm' -> 'm' in degree 0)"),
+    ],
+    ids=["cone", "retract-i", "retract-h"],
+)
+def test_witness_map_of_the_wrong_degree_is_a_parse_error(text, line, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column, exc.value.expected) == (line, 1, expected)
+
+
+def test_witness_maps_of_their_degrees_parse():
+    text = _I + 'map h : M -> M\n  m -> n\nwitness w for M\n  (leaf)\n  retract i i h\n'
+    w = parse(text).witnesses["w"]
+    assert w.retract == ("i", "i", "h")
+    assert (w.witness.homotopy[0].rows, w.witness.homotopy[0].cols) == (1, 1)  # h: M_0 -> M_1
+
+
 def test_gf_needs_a_prime():
     for p in (-3, 0, 1, 4, 9):
         with pytest.raises(ValueError):

@@ -15,10 +15,10 @@ Every chain map the checks compare is built here with its own resolution
 depths and returned as its ``ChainMap``: the unit, counit, duality and
 multiplication maps, and epicheck's (3), (5) and ring (2) and (4).  The
 counit, duality map and (3) pair Q with one truncated dual,
-truncated_dual's, which owns its depth and cut and is built once per
-check (``resolutions.scoped``).  Whether a canonical map is an
-isomorphism on its window is is_derived_iso, whose report is
-complexes.quasi_iso's: the one iso verdict of the library.
+truncated_dual's, which owns its depth and its cut -D-1, is a Hom cut
+there and is built once per check (``resolutions.scoped``).  Whether a
+canonical map is an isomorphism on its window is is_derived_iso, whose
+report is complexes.quasi_iso's: the one iso verdict of the library.
 
 quasi_iso on -D..D reads degrees -D-1..D+1 of both complexes, the
 window's ``complexes.read_range``, and every map builds what it compares on
@@ -29,8 +29,8 @@ ring (4)'s Hom take it as ``degrees``, the map's matrices are built there
 (``Complex.restrict``).  On the range each matrix is the full build's.
 A range-built complex has no ``structure()``: its actions and differential
 would lack the terms that leave the range.  So every factor whose
-structure another complex reads (the M ⊗_S P factors, Ta, Tn, T2 and
-dualize's Z) is built in every degree.
+structure another complex reads (the M ⊗_S P factors, Ta, Tn and T2) is
+built in every degree, and the dual in every degree from its cut up.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from .dga import (
     swap_sides,
     vec_iadd,
 )
-from .homtensor import _as_map, _pointwise, hom_over, tensor_over
-from .modops import truncate_below
+from .homtensor import HomComplex, _as_map, _pointwise, hom_over, tensor_over
 from .resolutions import (
     require_witness,
     required_depth,
@@ -121,10 +120,12 @@ def is_derived_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
 # -- dualized bimodule Z = RHom_{S^op}(M, S) ----------------------------------
 
 
-def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> tuple:
-    """(Z, H, Q): Z = RHom_{S^op}(M, S), left S and right R; H, the Hom over
-    S^op whose ``reps[g]`` is Z's basis element g; and Q, M's resolution as
-    a free left R-module, whose ``bimodule``, sides swapped, is H's source."""
+def dualize(M: DgBimodule, D: int, cut: int, max_generators: int = 10000) -> tuple:
+    """(Zt, H, Q): Zt = τ_{≥cut} RHom_{S^op}(M, S), left S and right R; H,
+    the Hom over S^op cut there, whose ``reps[g]`` is Zt's basis element g;
+    and Q, M's resolution as a free left R-module, whose ``bimodule``,
+    sides swapped, is H's source.  A cut below the bottom degree keeps the
+    whole dual."""
     R, S = M.left_algebra, M.right_algebra
     F = M.field
     free = semifree_resolution_bimodule(M, required_depth(D, S.max_degree()), max_generators).free
@@ -135,9 +136,8 @@ def dualize(M: DgBimodule, D: int, max_generators: int = 10000) -> tuple:
     # one table for both sides
     act = koszul_signed(F, {(j, i): e for (i, j), e in S.mul.items()}, S.deg, S.deg)
     Sp = DgBimodule(Sop, Sop, S.basis, act, act, S.diff, name="S'")
-    H = hom_over(Sop, Qp, Sp, name=f"Z({M.name})")
-    Zb = H.structure()  # left R^op, right S^op
-    return swap_sides(Zb, S, R), H, free
+    H = HomComplex(Sop, Qp, Sp, name=f"Z({M.name})", cut=cut)  # left R^op, right S^op
+    return swap_sides(H.structure(), S, R), H, free
 
 
 # -- canonical maps ------------------------------------------------------------
@@ -149,8 +149,8 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
     Returns (depth, Q, Zt, ev): the depth through which the dual and the
     other factors are resolved, the bimodule resolution of M behind the
     dual as Q, the left R-module free on the (1⊗s)·g, the good truncation
-    Zt = τ_{≥-D-1}Z and the evaluation z(q) of its basis elements, read
-    through their carriers in Z.  The cut keeps
+    Zt = τ_{≥-D-1}Z, built by a Hom cut there, and the evaluation z(q) of
+    its basis elements, each the map of the Hom's rep.  The cut keeps
     resolution junk below the window from pairing with top-degree junk of
     the other tensor factor, whose sum lands in the window.  Built once per
     check (``resolutions.scoped``), so the maps of one check share it.
@@ -158,15 +158,8 @@ def truncated_dual(M: DgBimodule, D: int, max_generators: int = 10000):
 
     def make():
         depth = required_depth(D, D + 1, M.max_degree(), -M.min_degree())  # D + 1: Zt's reach
-        Z, H, Q = dualize(M, depth, max_generators)
-        F = M.field
-        Zt, carriers = truncate_below(Z, -D - 1)
-        maps = []  # each basis element of Zt as a map, read off its carrier
-        for carrier in carriers:
-            ground: dict = {}
-            for zi, cz in carrier.items():
-                vec_iadd(F, ground, H.reps[zi], cz)
-            maps.append(_as_map(ground))
+        Zt, H, Q = dualize(M, depth, -D - 1, max_generators)
+        maps = [_as_map(f) for f in H.reps]
         return depth, Q, Zt, lambda zt_idx, q_elem: H.evaluate(maps[zt_idx], q_elem)
 
     return scoped((M, D, max_generators), make)

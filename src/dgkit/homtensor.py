@@ -41,7 +41,9 @@ dual, the modules of ``endomorphism_dga`` and the endpoint verdict, and
 ``dualize``'s Q over S^op.  That one stays generic because Q is free as a
 left S^op-module only up to the sign (-1)^{|r||s|} of ``swap_sides`` and the
 enveloping product, so its layout would carry signs; it is 2 of a check's
-Homs.  Both paths give a basis in lead form, so a vector's coordinates are
+Homs, each built with ``dualize``'s ``cut``: the generic path skips the
+degrees below it and keeps only the cycles at it, so it builds the good
+truncation of the dual and nothing below.  Both paths give a basis in lead form, so a vector's coordinates are
 its values at the leads (``linalg.lead_coords``, through an index of the
 leads of each degree), with no echelon behind them.  When an argument is a
 bimodule, the spare action descends to the result:
@@ -366,11 +368,25 @@ class HomComplex(GroundComplex):
     vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
     generator row (1·g, w) of a free basis element, the largest ground pair
     of a kernel vector.  With ``degrees``, only the pairs and constraint
-    kernels of those degrees are built.
+    kernels of those degrees are built.  With a ``cut`` c, the generic path
+    is the good truncation τ_{≥c}: no degree below c, and at c the cycles,
+    the :meth:`~dgkit.linalg.Echelon.kernel` basis of x ↦ Σ x_i·D(v_i) over
+    that degree's basis v, each in lead form at its own non-pivot v_j's
+    lead.  Over a nonnegatively graded A it keeps both outer actions.
     """
 
-    def __init__(self, A: DgAlgebra, M, N, name: str | None = None, degrees: Window | None = None):
+    def __init__(
+        self,
+        A: DgAlgebra,
+        M,
+        N,
+        name: str | None = None,
+        degrees: Window | None = None,
+        cut: int | None = None,
+    ):
         self._free = M if isinstance(M, FreeModule) else None
+        if self._free is not None and cut is not None:
+            raise ValueError(f"a cut needs a generic source, not the free module {M.name}")
         self.A = A
         self.M = M
         self.N = N
@@ -379,26 +395,28 @@ class HomComplex(GroundComplex):
         self.degree_range = degrees
         act_M, self.outer_left, self._act_outer_l = _over(M, A, "left")
         self._act_N, self.outer_right, self._act_outer_r = _over(N, A, "left")
-        if self._free is None:
-            self._constraint_kernels(act_M)
-        else:
-            self._generator_pairs()
-
         self._dM_into: dict[int, dict] = {}  # k ↦ {m: coefficient of k in d(m)}
         for mi, dm in M.diff.items():
             for k, c in dm.items():
                 self._dM_into.setdefault(k, {})[mi] = c
+        if self._free is None:
+            self._constraint_kernels(act_M, cut)
+        else:
+            self._generator_pairs()
         labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in self._components.items()}
         self._build_complex(labels)
 
-    def _constraint_kernels(self, act_M):
+    def _constraint_kernels(self, act_M, cut: int | None):
         """Generic path: each Hom_n component is the kernel of the
-        A-linearity constraints over the ground pairs of degree n, and each
-        kernel vector's lead is its largest ground pair."""
+        A-linearity constraints over the ground pairs of degree n, cut to its
+        cycles at n = ``cut`` and skipped below, and each kernel vector's
+        lead is its largest ground pair."""
         A, M, N, F, act_N = self.A, self.M, self.N, self.field, self._act_N
         self._components: dict[int, list[dict]] = {}
         self._leads: dict[int, dict] = {}  # n ↦ {lead: position}
         for n, ps in sorted(_ground_pairs(M, N, -1, degrees=self.degree_range).items()):
+            if cut is not None and n < cut:
+                continue
             in_ps = set(ps)
             # A-linearity constraints, one per (a, m, w): the Hom_n component
             # is their kernel over the ground pairs
@@ -425,9 +443,24 @@ class HomComplex(GroundComplex):
                                 an[(mi, nj)] = coef
                         constraints.add(vec_iadd(F, row, an, sgn))
             vecs = constraints.kernel(ps)
+            if n == cut:
+                vecs = self._cycles(vecs, n)
             if vecs:
                 self._components[n] = vecs
                 self._leads[n] = {max(v): i for i, v in enumerate(vecs)}
+
+    def _cycles(self, vecs: list[dict], n: int) -> list[dict]:
+        """The cycles among the combinations of the degree-n basis ``vecs``:
+        one per non-pivot v_j of x ↦ Σ x_i·D(v_i), the vector Σ x_i·v_i."""
+        F = self.field
+        rows: dict = {}  # ground pair ↦ {i: its coefficient in D(v_i)}
+        for i, v in enumerate(vecs):
+            for pair, c in self.ground_differential(v, n).items():
+                rows.setdefault(pair, {})[i] = c
+        dv = Echelon(F)
+        for row in rows.values():
+            dv.add(row)
+        return [linear(F, vecs.__getitem__, x) for x in dv.kernel(range(len(vecs)))]
 
     def _generator_pairs(self):
         """Free path: the pairs (g, w) of each degree |w| − |g|, in (g, w)

@@ -74,10 +74,19 @@ from .dga import (
     bimodule_to_env_module,
     env_module_to_bimodule,
     left_op_to_right,
+    left_regular,
     right_to_left_op,
     vec_scale,
 )
-from .modops import DgModuleMap, FreeModule, Generator, left_free, module_shift
+from .modops import (
+    DgModuleMap,
+    FreeModule,
+    Generator,
+    left_free,
+    module_cone,
+    module_direct_sum,
+    module_shift,
+)
 
 
 class ResourceBoundExceeded(RuntimeError):
@@ -358,9 +367,6 @@ def _module_data(M: DgModule):
 
 
 def evaluate_build_tree(A: DgAlgebra, node) -> DgModule:
-    from .dga import left_regular
-    from .modops import module_cone, module_direct_sum
-
     if isinstance(node, Leaf):
         return module_shift(left_regular(A), node.shift)
     if isinstance(node, SumNode):

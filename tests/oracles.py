@@ -6,7 +6,7 @@ from dgkit.complexes import ChainMap, Complex, GradedSpace, Violation
 from dgkit.dga import DgAlgebra, DgBimodule, DgModule, matrices_from_images, regular_bimodule
 from dgkit.field import Field
 from dgkit.homtensor import tensor_over
-from dgkit.linalg import Matrix, vec_scale
+from dgkit.linalg import Matrix, kernel_basis, lead_coords, vec_scale
 from dgkit.modops import DgModuleMap, FreeModule
 
 
@@ -47,6 +47,58 @@ def plain(free: FreeModule) -> DgModule:
     take their generic paths on it, so it is the reference of every
     free-path comparison."""
     return DgModule(free.algebra, "left", free.basis, free.act, free.diff, free.name)
+
+
+def truncate_below(Z: DgBimodule, c: int):
+    """Good truncation τ_{≥c} of a bimodule: degrees > c kept, degree c
+    replaced by its cycles.
+
+    Over nonnegatively graded algebras this is a sub-bimodule: degree-0
+    algebra elements are cycles, so they preserve kernels.  Returns (the
+    truncation, its carriers: each new basis element as an element of Z).
+    Homology agrees with Z in degrees ≥ c and vanishes below.  Elements of
+    degree c are expressed in the cycle basis, a kernel basis, by their values
+    at its leads.
+    """
+    F = Z.field
+    cycles = kernel_basis(Z.underlying().d(c)) if Z.component(c) else []
+    leads = {max(v): i for i, v in enumerate(cycles)}
+    carriers = [Z.elem_from_component(v, c) for v in cycles]
+    basis = [(f"z{c}_{i}", c) for i in range(len(cycles))]
+    new_index = {}
+    for n in Z.degrees():
+        if n > c:
+            for g in Z.component(n):
+                new_index[g] = len(carriers)
+                carriers.append({g: F.one})
+                basis.append((Z.label(g), n))
+
+    def express(e: dict, n: int) -> dict:
+        """An element of Z of degree n ≥ c in the new basis."""
+        if n > c:
+            return {new_index[g]: x for g, x in e.items()}
+        x = lead_coords(F, cycles, leads, Z.coords(e, c))
+        if x is None:
+            raise ValueError("truncation: element not a cycle in the cut degree")
+        return x
+
+    L, R = Z.left_algebra, Z.right_algebra
+    diff, act_left, act_right = {}, {}, {}
+
+    def put(table: dict, key, e: dict, n: int):
+        """table[key] = e, an element of Z of degree n, unless it is zero or cut."""
+        if e and n >= c:
+            e = express(e, n)
+            if e:
+                table[key] = e
+
+    for i, (carrier, (_, n)) in enumerate(zip(carriers, basis)):
+        put(diff, i, Z.d_elem(carrier), n - 1)
+        for a in range(L.total_dim):
+            put(act_left, (a, i), Z.act_left_elem({a: F.one}, carrier), n + L.deg(a))
+        for b in range(R.total_dim):
+            put(act_right, (b, i), Z.act_right_elem({b: F.one}, carrier), n + R.deg(b))
+    return DgBimodule(L, R, basis, act_left, act_right, diff, name=f"τ≥{c}{Z.name}"), carriers
 
 
 # -- chain-complex constructions the tests build ------------------------------

@@ -155,7 +155,7 @@ def test_dualize_of_s_along_morphism():
     # Z = RHom_{S^op}(S, S) ≃ S for M = S via phi
     for phi in (truncated_to_ground(2), product_to_ground(), identity_morphism(exterior_algebra())):
         M = bimodule_from_morphism(phi)
-        Z = dualize(M, 4)[0]
+        Z = dualize(M, 4, -5)[0]  # cut below the window -4..4
         assert validate_module(Z) == []
         S = phi.target
         w = Window(-4, 4)
@@ -167,7 +167,7 @@ def test_dualize_of_s_along_morphism():
 def test_dualize_trivial_ground():
     phi = identity_morphism(ground_algebra())
     M = bimodule_from_morphism(phi)
-    Z = dualize(M, 3)[0]
+    Z = dualize(M, 3, -4)[0]  # cut below the window -3..3
     assert homology_dims(Z.underlying(), Window(-3, 3)) == {
         **{i: 0 for i in range(-3, 0)},
         0: 1,

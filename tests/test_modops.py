@@ -12,6 +12,7 @@ from dgkit.dga import (
     vec_iadd,
 )
 from dgkit.derived import dualize
+from dgkit.homtensor import HomComplex, hom_over
 from dgkit.linalg import Matrix
 from dgkit.modops import (
     DgModuleMap,
@@ -20,18 +21,19 @@ from dgkit.modops import (
     module_cone,
     module_direct_sum,
     module_shift,
-    truncate_below,
 )
+from dgkit.resolutions import resolution_scope
 from dgkit.standard import (
     exterior_algebra,
     ground_algebra,
     identity_morphism,
     product_to_ground,
+    triangular_to_product,
     truncated_polynomial,
     truncated_to_ground,
     upper_triangular,
 )
-from oracles import augmentation, cone, plain
+from oracles import augmentation, cone, plain, truncate_below
 
 
 def zero_module(A, side="left"):
@@ -226,43 +228,78 @@ def test_matrices_from_images_rejects_image_in_wrong_degree():
         matrices_from_images(M, M, lambda i, n: {1: QQ.one})
 
 
-# -- good truncation of the dual Z ---------------------------------------------
+# -- the dual Z cut at c, against the good truncation of the whole Z ----------
 
 DUAL_MORPHISMS = {
     "x→0 on k[x]/(x²)": lambda F: truncated_to_ground(2, F),
+    "x→0 on k[x]/(x³)": lambda F: truncated_to_ground(3, F),
+    "id on k[x]/(x²)": lambda F: identity_morphism(truncated_polynomial(2, F)),
     "id on Λ(x)": lambda F: identity_morphism(exterior_algebra(F)),
     "k×k→k": product_to_ground,
+    "T₂→k×k": triangular_to_product,
 }
+BELOW_ANY_DUAL = -1000  # a cut below every degree of every Z here keeps it whole
 
 
-@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["Q", "F101"])
-@pytest.mark.parametrize("morphism", sorted(DUAL_MORPHISMS))
-def test_truncate_below_dual(morphism, F):
-    # Z = RHom_{S^op}(M, S) reaches below every cut c tried here
-    Z = dualize(bimodule_from_morphism(DUAL_MORPHISMS[morphism](F)), 3)[0]
-    lo, hi = Z.min_degree() - 1, Z.max_degree() + 1
-    hz = homology_dims(Z.underlying(), Window(lo, hi))
-    for c in (-3, -2, -1):
-        Zt, carriers = truncate_below(Z, c)
-        assert validate_module(Zt) == []
-        assert len(carriers) == Zt.total_dim
+# T₂ → k×k at D = 5 alone would take longer than the rest together
+DUAL_DEPTHS = [(m, D) for m in sorted(DUAL_MORPHISMS) for D in (2, 3, 5) if (m, D) != ("T₂→k×k", 5)]
 
-        def lift(e):
-            out = {}
-            for j, x in e.items():
-                vec_iadd(F, out, carriers[j], x)
-            return out
 
-        # each carrier has Zt's differential and both actions, read through the carriers
-        for i, carrier in enumerate(carriers):
-            assert Z.elem_degree(carrier) == Zt.deg(i)
-            assert Z.d_elem(carrier) == lift(Zt.d_elem({i: F.one}))
-            for r in range(Z.left_algebra.total_dim):
-                er = {r: F.one}
-                assert Z.act_left_elem(er, carrier) == lift(Zt.act_left_elem(er, {i: F.one}))
-            for s in range(Z.right_algebra.total_dim):
-                es = {s: F.one}
-                assert Z.act_right_elem(es, carrier) == lift(Zt.act_right_elem(es, {i: F.one}))
-        ht = homology_dims(Zt.underlying(), Window(lo, hi))
-        assert ht == {n: hz[n] if n >= c else 0 for n in range(lo, hi + 1)}
-        assert Zt.min_degree() >= c and any(hz[n] for n in range(lo, c))
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(101)], ids=["Q", "F2", "F101"])
+@pytest.mark.parametrize("morphism, D", DUAL_DEPTHS)
+def test_cut_dual_is_the_good_truncation(morphism, F, D):
+    M = bimodule_from_morphism(DUAL_MORPHISMS[morphism](F))
+    with resolution_scope():  # one resolution of M for every cut
+        Z, HZ, _ = dualize(M, D, BELOW_ANY_DUAL)
+        lo, hi = Z.min_degree(), Z.max_degree()
+        assert lo > BELOW_ANY_DUAL
+        hz = homology_dims(Z.underlying(), Window(lo - 3, hi + 3))
+        cuts_homology = False
+        for c in range(lo - 2, hi + 3):
+            Zt, H, _ = dualize(M, D, c)
+            Zo, carriers = truncate_below(Z, c)
+            # the oracle: valid, each carrier has Zo's differential and both
+            # actions, read through the carriers, and Z's homology from c up
+            assert validate_module(Zo) == []
+            assert len(carriers) == Zo.total_dim
+
+            def lift(e):
+                out = {}
+                for j, x in e.items():
+                    vec_iadd(F, out, carriers[j], x)
+                return out
+
+            for i, carrier in enumerate(carriers):
+                assert Z.elem_degree(carrier) == Zo.deg(i)
+                assert Z.d_elem(carrier) == lift(Zo.d_elem({i: F.one}))
+                for r in range(Z.left_algebra.total_dim):
+                    er = {r: F.one}
+                    assert Z.act_left_elem(er, carrier) == lift(Zo.act_left_elem(er, {i: F.one}))
+                for s in range(Z.right_algebra.total_dim):
+                    es = {s: F.one}
+                    assert Z.act_right_elem(es, carrier) == lift(Zo.act_right_elem(es, {i: F.one}))
+            ht = homology_dims(Zo.underlying(), Window(lo - 3, hi + 3))
+            assert ht == {n: hz[n] if n >= c else 0 for n in range(lo - 3, hi + 4)}
+            cuts_homology |= any(hz[n] for n in range(lo, c))
+
+            # the cut Hom is the oracle's truncation: its degrees, tables and
+            # the map of each basis element, the oracle's carrier lifted to Z's maps
+            assert [n for _, n in Zt.basis] == [n for _, n in Zo.basis]
+            assert (Zt.act_left, Zt.act_right, Zt.diff) == (Zo.act_left, Zo.act_right, Zo.diff)
+            assert len(H.reps) == len(carriers)
+            for rep, carrier in zip(H.reps, carriers):
+                ground = {}
+                for zi, cz in carrier.items():
+                    vec_iadd(F, ground, HZ.reps[zi], cz)
+                assert rep == ground
+            if c <= lo:
+                assert Zt.basis == Z.basis
+        assert cuts_homology
+
+
+def test_cut_on_a_free_source_is_rejected():
+    A = exterior_algebra()
+    free = FreeModule(A, [Generator("g", 0)])
+    hom_over(A, free, left_regular(A))  # uncut, the free path
+    with pytest.raises(ValueError, match="cut"):
+        HomComplex(A, free, left_regular(A), cut=0)

@@ -148,13 +148,16 @@ class ChainMap:
 
     def validate(self):
         """True iff f commutes with the differentials in every degree: between
-        complexes built on a range, every square of the range."""
-        degrees = set(self.source.space.dims) | set(self.target.space.dims)
-        for n in degrees:
-            lhs = self.target.d(n) * self.f(n)
-            rhs = self.f(n - 1) * self.source.d(n)
-            if lhs != rhs:
-                return Violation(n, "chain-map square does not commute")
+        complexes built on a range, every square of the range.  Each square
+        is compared column by column, d(f(c)) against f(d(c)) for each basis
+        element c of the source, with no product matrix; the Violation names
+        the lowest degree where a square fails."""
+        S, T = self.source, self.target
+        for n in S.degrees():
+            dT, f_prev, dS = T.d(n), self.f(n - 1), S.d(n)
+            for fc, dc in zip(self.f(n).columns, dS.columns):
+                if (fc or dc) and dT.image(fc) != f_prev.image(dc):
+                    return Violation(n, "chain-map square does not commute")
         return True
 
     def compose(self, other: "ChainMap") -> "ChainMap":
@@ -178,7 +181,7 @@ class ChainMap:
 def check_homotopy(f: ChainMap, g: ChainMap, h: dict[int, Matrix]):
     """True iff f - g = d h + h d exactly in every degree, where h_n:
     source_n → target_{n+1} is h[n], zero where absent; else a Violation at
-    a mis-shaped h_n or at the first degree found where the identity fails."""
+    a mis-shaped h_n or at the lowest degree where the identity fails."""
     S, T = f.source, f.target
     for n, m in h.items():
         if m.rows != T.dim(n + 1) or m.cols != S.dim(n):
@@ -187,15 +190,21 @@ def check_homotopy(f: ChainMap, g: ChainMap, h: dict[int, Matrix]):
     def h_(n: int) -> Matrix:
         return h[n] if n in h else Matrix.zero(S.field, T.dim(n + 1), S.dim(n))
 
-    for n in set(S.space.dims) | set(T.space.dims):
+    for n in sorted(set(S.space.dims) | set(T.space.dims)):
         if f.f(n) - g.f(n) != T.d(n + 1) * h_(n) + h_(n - 1) * S.d(n):
             return Violation(n, "f − g is not dh + hd")
     return True
 
 
+def _rank_d(C: Complex, n: int) -> int:
+    """rank d_n, with no zero matrix built where d_n is zero."""
+    m = C.diffs.get(n)
+    return rank(m) if m is not None else 0
+
+
 def homology_dims(C: Complex, w: Window) -> dict[int, int]:
     """dim H_n = dim C_n − rank d_n − rank d_{n+1} for each n in the window."""
-    ranks = {n: rank(C.d(n)) for n in range(w.lo, w.hi + 2)}
+    ranks = {n: _rank_d(C, n) for n in range(w.lo, w.hi + 2)}
     return {n: C.dim(n) - ranks[n] - ranks[n + 1] for n in w.degrees()}
 
 
@@ -218,35 +227,63 @@ def read_range(w: Window) -> Window:
 
 
 def quasi_iso(f: ChainMap, w: Window) -> QuasiIsoReport:
-    """Per-degree bijectivity of H_n(f) on the window, from ranks.
+    """Per-degree bijectivity of H_n(f) on the window, read off ranks.
 
-    With one echelon per degree, rank H_n(f) = rank[B_n(tgt) | f(Z_n(src))]
-    − dim B_n(tgt).  Each differential is eliminated once: on the source,
-    one kernel of d_n for n in w.lo..w.hi + 1 gives Z_n and rank d_n (its
-    columns minus its kernel); on the target, the boundary echelon of
-    d_{n+1}, before any cycle image joins it, gives rank d_{n+1}, carried
-    to degree n + 1.  Raises ValueError, with the cycle as ``witness``,
-    when f does not map cycles to cycles.
+    Every number comes from one echelon per degree n of the window, over the
+    block (d^S_n c | d^T_n f_n c | f_n c) of the cone of f, on indices laid
+    out S_{n−1}, then T_{n−1}, then T_n, with the pivot of a row its least
+    index.  The columns of d^T_{n+1} go in first, in the T_n block: the
+    independent ones count rank d^T_{n+1}.  Then one column per source basis
+    element c.  The pivots in the S_{n−1} block count rank d^S_n.  A pivot
+    in the T_{n−1} block appears exactly when f maps a cycle to a non-cycle.
+    Otherwise the pivots in the T_n block span B_n(T) + f(Z_n(S)), since
+    rank [[A, B], [0, C]] = rank C + rank [A | B·ker C], so rank H_n(f) is
+    their count minus rank d^T_{n+1}.  Two more ranks close the window:
+    d^T at its bottom degree and d^S one above its top.
+
+    Raises ValueError, with the cycle as ``witness``, when f does not map
+    cycles to cycles: at the lowest such degree, the first cycle of that
+    degree's kernel basis whose image is not a cycle.
     """
     src, tgt = f.source, f.target
-    cycles = {n: kernel_basis(src.d(n)) for n in range(w.lo, w.hi + 2)}
-    rank_dn = rank(tgt.d(w.lo))  # rank of the target's d_n
+    rank_ds, rank_dt, rank_hf = {w.hi + 1: _rank_d(src, w.hi + 1)}, {w.lo: _rank_d(tgt, w.lo)}, {}
+    for n in w.degrees():
+        rank_ds[n], rank_dt[n + 1], rank_hf[n] = _cone_ranks(f, n)
     per, dims = {}, {}
     for n in w.degrees():
-        h_src = len(cycles[n]) - (src.dim(n + 1) - len(cycles[n + 1]))
-        fn, dn = f.f(n), tgt.d(n)
-        image = Echelon(tgt.field)
-        b_tgt = sum(image.add(c) for c in tgt.d(n + 1).columns)
-        h_tgt = tgt.dim(n) - rank_dn - b_tgt
-        rank_hf = 0
-        for z in cycles[n]:
-            y = fn.image(z)
-            if dn.image(y):
+        h_src = src.dim(n) - rank_ds[n] - rank_ds[n + 1]
+        h_tgt = tgt.dim(n) - rank_dt[n] - rank_dt[n + 1]
+        dims[n] = (h_src, h_tgt)
+        per[n] = h_src == h_tgt == rank_hf[n]
+    return QuasiIsoReport(per, all(per.values()), dims)
+
+
+def _cone_ranks(f: ChainMap, n: int) -> tuple[int, int, int]:
+    """(rank d^S_n, rank d^T_{n+1}, rank H_n(f)) from the degree-n cone
+    echelon of :func:`quasi_iso`; raises its ValueError at a cycle that f
+    maps to a non-cycle."""
+    src, tgt = f.source, f.target
+    if not (src.dim(n) or tgt.dim(n)):  # S_n = T_n = 0: every rank is 0
+        return 0, 0, 0
+    t0 = src.dim(n - 1)  # the T_{n−1} block starts here
+    t1 = t0 + tgt.dim(n - 1)  # and the T_n block here
+    E = Echelon(tgt.field)
+    boundaries = sum(E.add({t1 + i: x for i, x in col.items()}) for col in tgt.d(n + 1).columns)
+    dT = tgt.d(n)
+    for dc, fc in zip(src.d(n).columns, f.f(n).columns):
+        if fc:
+            dc = {**dc, **{t0 + i: x for i, x in dT.image(fc).items()}}
+            dc.update((t1 + i, x) for i, x in fc.items())
+        if dc:
+            E.add(dc)
+    pivots = [0, 0, 0]  # in the S_{n−1}, T_{n−1} and T_n blocks
+    for p in E.rows:
+        pivots[(p >= t0) + (p >= t1)] += 1
+    if pivots[1]:
+        fn = f.f(n)
+        for z in kernel_basis(src.d(n)):
+            if dT.image(fn.image(z)):
                 err = ValueError(f"f_{n} maps a cycle to a non-cycle")
                 err.witness = tuple(z.get(j, src.field.zero) for j in range(src.dim(n)))
                 raise err
-            rank_hf += image.add(y)
-        dims[n] = (h_src, h_tgt)
-        per[n] = h_src == h_tgt == rank_hf
-        rank_dn = b_tgt
-    return QuasiIsoReport(per, all(per.values()), dims)
+    return pivots[0], boundaries, pivots[2] - boundaries

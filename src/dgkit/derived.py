@@ -31,6 +31,9 @@ A range-built complex has no ``structure()``: its actions and differential
 would lack the terms that leave the range.  So every factor whose
 structure another complex reads (the M ⊗_S P factors, Ta, Tn and T2) is
 built in every degree, and the dual in every degree from its cut up.
+``tor_table`` and ``ext_table`` build their tensor or Hom on ``read_range``
+of 0..D or -D..0, the degrees their homology reads; ``derived_tensor`` and
+``rhom`` return full builds.
 """
 
 from __future__ import annotations
@@ -80,34 +83,50 @@ def _resolve(X, depth: int, max_generators: int):
     return res.free, f"resolved {X.name}{' over enveloping' if two_sided else ''} through {depth}"
 
 
+def _tensor(A: DgAlgebra, M, N, D: int, max_generators: int, degrees: Window | None = None):
+    """(M ⊗_A P, provenance) for P the resolution of N that the window
+    -D..D needs, built on ``degrees`` when given."""
+    P, prov = _resolve(N, required_depth(D, -M.min_degree()), max_generators)
+    return tensor_over(A, M, P, degrees=degrees), prov
+
+
+def _hom(A: DgAlgebra, M, N, D: int, max_generators: int, degrees: Window | None = None):
+    """(Hom_A(Q, N), provenance) for Q the resolution of M that the window
+    -D..D needs, built on ``degrees`` when given."""
+    Q, prov = _resolve(M, required_depth(D, N.max_degree()), max_generators)
+    return hom_over(A, Q, N, degrees=degrees), prov
+
+
 def derived_tensor(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
     """M ⊗^L_A N via a semifree resolution of N (outer actions retained).
 
     M: right A-module or R-A-bimodule; N: left A-module or A-T-bimodule.
     """
-    P, prov = _resolve(N, required_depth(D, -M.min_degree()), max_generators)
-    T = tensor_over(A, M, P)
+    T, prov = _tensor(A, M, N, D, max_generators)
     lo = min(M.min_degree() + T.N.min_degree() - 1, -D)
     return DerivedComplex(T.complex, Window(lo, D), prov)
 
 
 def rhom(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> DerivedComplex:
     """RHom_A(M, N) via a semifree resolution of M (outer actions retained)."""
-    Q, prov = _resolve(M, required_depth(D, N.max_degree()), max_generators)
-    H = hom_over(A, Q, N)
+    H, prov = _hom(A, M, N, D, max_generators)
     return DerivedComplex(H.complex, Window(-D, D), prov)
 
 
 def tor_table(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> dict[int, int]:
-    """Tor^A_i(M, N) dimensions for 0 ≤ i ≤ D (H_i of the derived tensor)."""
-    dc = derived_tensor(A, M, N, D, max_generators)
-    return homology_dims(dc.value, Window(0, D))
+    """Tor^A_i(M, N) dimensions for 0 ≤ i ≤ D (H_i of the derived tensor),
+    off the tensor built on the degrees their homology reads."""
+    w = Window(0, D)
+    T, _ = _tensor(A, M, N, D, max_generators, read_range(w))
+    return homology_dims(T.complex, w)
 
 
 def ext_table(A: DgAlgebra, M, N, D: int, max_generators: int = 10000) -> dict[int, int]:
-    """Ext_A^i(M, N) dimensions for 0 ≤ i ≤ D (H_{-i} of RHom)."""
-    dc = rhom(A, M, N, D, max_generators)
-    dims = homology_dims(dc.value, Window(-D, 0))
+    """Ext_A^i(M, N) dimensions for 0 ≤ i ≤ D (H_{-i} of RHom), off the
+    Hom built on the degrees their homology reads."""
+    w = Window(-D, 0)
+    H, _ = _hom(A, M, N, D, max_generators, read_range(w))
+    dims = homology_dims(H.complex, w)
     return {i: dims[-i] for i in range(D + 1)}
 
 

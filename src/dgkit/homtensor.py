@@ -121,13 +121,14 @@ class GroundComplex:
     vectors.  Like a module, it numbers its basis once, in degree order:
     ``basis[g] = (label, degree)`` and ``reps[g]`` is the ground
     representative of basis element g (a ground pair, or a Hom ground
-    vector).  ``component(n)`` and ``coords`` count positions within degree
-    n, as ``matrices_from_images`` reads them; ``structure()`` is the
-    bimodule, module or bare complex on the numbering of ``basis``.
+    vector), listed at its first read.  ``component(n)`` and ``coords``
+    count positions within degree n, as ``matrices_from_images`` reads them;
+    ``structure()`` is the bimodule, module or bare complex on the numbering
+    of ``basis``.
     """
 
     def degrees(self):
-        return [n for n in sorted(self._components) if self._components[n]]
+        return list(self._dims)
 
     def component(self, n: int) -> list:
         """Degree-n basis representatives: ground pairs or Hom ground vectors."""
@@ -138,14 +139,23 @@ class GroundComplex:
         return {self._start[n] + i: c for i, c in sorted(self.coords(ground, n).items())}
 
     def _build_complex(self, labels: dict):
-        dims = {n: len(self.component(n)) for n in self.degrees()}
-        self.complex = Complex(self.field, GradedSpace(dims), self._differentials())
+        """Number the basis, one label per basis element of each degree, and
+        build the differential."""
+        self._dims = {n: len(labels[n]) for n in sorted(labels) if labels[n]}
+        self.complex = Complex(self.field, GradedSpace(self._dims), self._differentials())
         self._module = None
-        self.basis = [(label, n) for n in dims for label in labels[n]]
-        self.reps = [rep for n in dims for rep in self.component(n)]
+        self._reps = None
+        self.basis = [(label, n) for n in self._dims for label in labels[n]]
         self._start: dict[int, int] = {}  # degree -> index of its first basis element
         for g, (_, n) in enumerate(self.basis):
             self._start.setdefault(n, g)
+
+    @property
+    def reps(self) -> list:
+        """reps[g]: the ground representative of basis element g."""
+        if self._reps is None:
+            self._reps = [rep for n in self._dims for rep in self.component(n)]
+        return self._reps
 
     def _differentials(self) -> dict:
         """The matrices of the differential, each ground_differential image
@@ -361,10 +371,12 @@ class HomComplex(GroundComplex):
     R-free Q ⊗_S P) takes the free path: Hom_A(A ⊗ V, N) ≅ Hom_k(V, N), so
     degree n has one basis element per pair (generator g, basis element w of
     N) with |w| − |g| = n, in (g, w) order.  Its rep is the A-linear
-    extension f(a·g) = (-1)^{n|a|} a·w; the differential is read off the
-    generator values.  Every other source takes the generic path: the
-    degree-n basis is the kernel of the A-linearity constraints over the
-    ground pairs.  Both bases are in lead form, so ``coords`` reads a
+    extension f(a·g) = (-1)^{n|a|} a·w, built at the first read of any rep
+    (``component``, ``coords``, ``reps``, ``structure``), all of the Hom's
+    at once; the differential is read off the generator values, so a Hom
+    read only as a complex builds none.  Every other source takes the
+    generic path: the degree-n basis is the kernel of the A-linearity
+    constraints over the ground pairs.  Both bases are in lead form, so ``coords`` reads a
     vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
     generator row (1·g, w) of a free basis element, the largest ground pair
     of a kernel vector.  With ``degrees``, only the pairs and constraint
@@ -403,7 +415,8 @@ class HomComplex(GroundComplex):
             self._constraint_kernels(act_M, cut)
         else:
             self._generator_pairs()
-        labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in self._components.items()}
+        sizes = self._components if self._free is None else self._pairs
+        labels = {n: tuple(f"f{n}_{i}" for i in range(len(v))) for n, v in sizes.items()}
         self._build_complex(labels)
 
     def _constraint_kernels(self, act_M, cut: int | None):
@@ -464,8 +477,7 @@ class HomComplex(GroundComplex):
 
     def _generator_pairs(self):
         """Free path: the pairs (g, w) of each degree |w| − |g|, in (g, w)
-        order, their positions, their reps, the A-linear extensions of g ↦ w,
-        and their leads, the ground pairs (1·g, w)."""
+        order, and their positions; the reps wait for :meth:`component`."""
         free, keep = self._free, self.degree_range
         self._pairs: dict[int, list[tuple[int, int]]] = {}
         for g, gen in enumerate(free.gens):
@@ -474,14 +486,22 @@ class HomComplex(GroundComplex):
                 if keep is None or n in keep:
                     self._pairs.setdefault(n, []).append((g, w))
         self._pos = {n: {pair: i for i, pair in enumerate(ps)} for n, ps in self._pairs.items()}
-        unit = self.A.unit
-        self._leads = {
-            n: {(free.index(g, unit), w): i for i, (g, w) in enumerate(ps)} for n, ps in self._pairs.items()
-        }
-        self._components = {
-            n: [self._extension(g, {w: self.field.one}, n) for g, w in ps]
-            for n, ps in sorted(self._pairs.items())
-        }
+        self._components = None
+
+    def component(self, n: int) -> list:
+        """Degree-n basis representatives.  On the free path the first call
+        builds every degree's: the A-linear extensions of g ↦ w and their
+        leads, the ground pairs (1·g, w)."""
+        if self._components is None:
+            free, one, unit = self._free, self.field.one, self.A.unit
+            self._leads = {
+                d: {(free.index(g, unit), w): i for i, (g, w) in enumerate(ps)}
+                for d, ps in self._pairs.items()
+            }
+            self._components = {
+                d: [self._extension(g, {w: one}, d) for g, w in ps] for d, ps in self._pairs.items()
+            }
+        return self._components.get(n, [])
 
     def _a_times(self, a: int, v: dict) -> dict:
         """a·v in N, for a basis element a of A and an element v of N."""
@@ -524,7 +544,7 @@ class HomComplex(GroundComplex):
                     sgn = F.sign(n * (A.deg(a) + 1) + 1)
                     vec_iadd(F, col, {pos[h, k]: c2 for k, c2 in aw.items()}, sgn * c)
                 cols.append(col)
-            mats[n] = Matrix.from_columns(F, cols, len(self.component(n - 1)))
+            mats[n] = Matrix.from_columns(F, cols, len(pos))
         return mats
 
     # -- evaluation and differential on ground vectors -----------------------
@@ -553,7 +573,8 @@ class HomComplex(GroundComplex):
         its values at the leads.
 
         Raises ValueError for a vector that is not A-linear of degree n."""
-        x = lead_coords(self.field, self.component(n), self._leads.get(n, {}), ground)
+        basis = self.component(n)  # on the free path, builds the leads too
+        x = lead_coords(self.field, basis, self._leads.get(n, {}), ground)
         if x is None:
             raise ValueError(f"ground vector is not an A-linear map of degree {n} (outside the Hom span)")
         return x

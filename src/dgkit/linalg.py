@@ -63,7 +63,9 @@ class Matrix:
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix.from_columns(field, [{}] * cols, rows)
+        m = object.__new__(Matrix)
+        m.field, m.rows, m.cols, m.columns = field, rows, cols, tuple({} for _ in range(cols))
+        return m
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":

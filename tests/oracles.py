@@ -1,12 +1,14 @@
 """Test oracles shared by several test files: independent re-checks of what
-the library builds, and the chain-complex constructions (shift, sum, cone)
-that only tests build, kept out of the library itself."""
+the library builds (among them the kernel-based quasi_iso and the
+product-matrix chain-map check that the library's rank readings replaced),
+and the chain-complex constructions (shift, sum, cone) that only tests
+build, kept out of the library itself."""
 
-from dgkit.complexes import ChainMap, Complex, GradedSpace, Violation
+from dgkit.complexes import ChainMap, Complex, GradedSpace, QuasiIsoReport, Violation, Window
 from dgkit.dga import DgAlgebra, DgBimodule, DgModule, matrices_from_images, regular_bimodule
 from dgkit.field import Field
 from dgkit.homtensor import tensor_over
-from dgkit.linalg import Matrix, kernel_basis, lead_coords, vec_scale
+from dgkit.linalg import Echelon, Matrix, kernel_basis, lead_coords, rank, vec_scale
 from dgkit.modops import DgModuleMap, FreeModule
 
 
@@ -19,6 +21,47 @@ def validate_complex(C: Complex):
             if col:
                 dense = tuple(col.get(i, C.field.zero) for i in range(prod.rows))
                 return Violation(n, "d ∘ d != 0", (j, dense))
+    return True
+
+
+def quasi_iso_kernels(f: ChainMap, w: Window) -> QuasiIsoReport:
+    """The reference for ``complexes.quasi_iso``: rank H_n(f) =
+    rank[B_n(tgt) | f(Z_n(src))] − dim B_n(tgt), with Z_n(src) a kernel basis
+    of each source differential and one boundary echelon of the target per
+    degree.  Raises ValueError, with the first cycle of the lowest degree
+    whose image is not a cycle as ``witness``, when f does not map cycles
+    to cycles."""
+    src, tgt = f.source, f.target
+    cycles = {n: kernel_basis(src.d(n)) for n in range(w.lo, w.hi + 2)}
+    rank_dn = rank(tgt.d(w.lo))
+    per, dims = {}, {}
+    for n in w.degrees():
+        h_src = len(cycles[n]) - (src.dim(n + 1) - len(cycles[n + 1]))
+        fn, dn = f.f(n), tgt.d(n)
+        image = Echelon(tgt.field)
+        b_tgt = sum(image.add(c) for c in tgt.d(n + 1).columns)
+        h_tgt = tgt.dim(n) - rank_dn - b_tgt
+        rank_hf = 0
+        for z in cycles[n]:
+            y = fn.image(z)
+            if dn.image(y):
+                err = ValueError(f"f_{n} maps a cycle to a non-cycle")
+                err.witness = tuple(z.get(j, src.field.zero) for j in range(src.dim(n)))
+                raise err
+            rank_hf += image.add(y)
+        dims[n] = (h_src, h_tgt)
+        per[n] = h_src == h_tgt == rank_hf
+        rank_dn = b_tgt
+    return QuasiIsoReport(per, all(per.values()), dims)
+
+
+def validate_products(f: ChainMap):
+    """The reference for ``ChainMap.validate``: the matrices d∘f and f∘d of
+    each square, compared in increasing degree."""
+    S, T = f.source, f.target
+    for n in sorted(set(S.space.dims) | set(T.space.dims)):
+        if T.d(n) * f.f(n) != f.f(n - 1) * S.d(n):
+            return Violation(n, "chain-map square does not commute")
     return True
 
 

@@ -196,3 +196,20 @@ def test_homotopic_maps_same_quasi_iso_verdict():
     assert check_homotopy(f, g, h)
     w = Window(-1, 2)
     assert quasi_iso(f, w).per_degree == quasi_iso(g, w).per_degree
+
+
+def test_validate_and_check_homotopy_name_the_lowest_failing_degree():
+    # k in each degree -3..2, with d_{-2} and d_2 the identity; f is the
+    # identity but 0 in degrees -3 and 1, so exactly the squares at -2 and 2
+    # fail.  Walked as a set, the degrees come 0, 1, 2, -1, -3, -2, and 2
+    # was reported.
+    C = Complex(
+        QQ, GradedSpace({n: 1 for n in range(-3, 3)}), {-2: Matrix(QQ, [[1]]), 2: Matrix(QQ, [[1]])}
+    )
+    f = ChainMap(C, C, {n: Matrix(QQ, [[1]]) for n in (-2, -1, 0, 2)})
+    v = f.validate()
+    assert isinstance(v, Violation) and v.degree == -2
+    # with h = 0, id − 0 = dh + hd fails in every degree: the lowest, -3,
+    # is named
+    v = check_homotopy(ChainMap.identity(C), ChainMap.zero(C, C), {})
+    assert isinstance(v, Violation) and v.degree == -3

@@ -10,9 +10,9 @@ The full build is derived's own with every ``degrees`` dropped: a spy on
 ``hom_over``, ``tensor_over`` and ``matrices_from_images`` in ``derived``,
 and ``Complex.restrict`` as the identity.
 
-``quasi_iso`` eliminates each differential once; its dims are checked
-against ``homology_dims`` and against the spheres of random chain maps
-between sums of spheres and disks in random bases.
+``quasi_iso`` reads its ranks off one cone echelon per degree; its dims are
+checked against ``homology_dims`` and against the spheres of random chain
+maps between sums of spheres and disks in random bases.
 """
 
 import random

@@ -151,12 +151,16 @@ class ChainMap:
         complexes built on a range, every square of the range.  Each square
         is compared column by column, d(f(c)) against f(d(c)) for each basis
         element c of the source, with no product matrix; the Violation names
-        the lowest degree where a square fails."""
+        the lowest degree where a square fails.  A matrix that is not stored
+        is zero, and no zero matrix is built for it."""
         S, T = self.source, self.target
         for n in S.degrees():
-            dT, f_prev, dS = T.d(n), self.f(n - 1), S.d(n)
-            for fc, dc in zip(self.f(n).columns, dS.columns):
-                if (fc or dc) and dT.image(fc) != f_prev.image(dc):
+            fn, dS = self.mats.get(n), S.diffs.get(n)
+            if fn is None and dS is None:  # both paths send degree n to 0
+                continue
+            dT, f_prev = T.diffs.get(n), self.mats.get(n - 1)
+            for fc, dc in zip(_columns(fn, S.dim(n)), _columns(dS, S.dim(n))):
+                if (fc or dc) and _image(dT, fc) != _image(f_prev, dc):
                     return Violation(n, "chain-map square does not commute")
         return True
 
@@ -194,6 +198,16 @@ def check_homotopy(f: ChainMap, g: ChainMap, h: dict[int, Matrix]):
         if f.f(n) - g.f(n) != T.d(n + 1) * h_(n) + h_(n - 1) * S.d(n):
             return Violation(n, "f − g is not dh + hd")
     return True
+
+
+def _columns(m: Matrix | None, cols: int):
+    """The columns of m, or ``cols`` empty ones for a matrix not stored."""
+    return m.columns if m is not None else ({},) * cols
+
+
+def _image(m: Matrix | None, v: dict) -> dict:
+    """m·v, where a matrix not stored is zero."""
+    return m.image(v) if m is not None and v else {}
 
 
 def _rank_d(C: Complex, n: int) -> int:
@@ -268,19 +282,19 @@ def _cone_ranks(f: ChainMap, n: int) -> tuple[int, int, int]:
     t0 = src.dim(n - 1)  # the T_{n−1} block starts here
     t1 = t0 + tgt.dim(n - 1)  # and the T_n block here
     E = Echelon(tgt.field)
-    boundaries = sum(E.add({t1 + i: x for i, x in col.items()}) for col in tgt.d(n + 1).columns)
-    dT = tgt.d(n)
-    for dc, fc in zip(src.d(n).columns, f.f(n).columns):
+    dT1 = _columns(tgt.diffs.get(n + 1), 0)  # no column to add when d^T_{n+1} = 0
+    boundaries = sum(E.add({t1 + i: x for i, x in col.items()}) for col in dT1)
+    dT, fn = tgt.diffs.get(n), f.mats.get(n)
+    for dc, fc in zip(_columns(src.diffs.get(n), src.dim(n)), _columns(fn, src.dim(n))):
         if fc:
-            dc = {**dc, **{t0 + i: x for i, x in dT.image(fc).items()}}
+            dc = {**dc, **{t0 + i: x for i, x in _image(dT, fc).items()}}
             dc.update((t1 + i, x) for i, x in fc.items())
         if dc:
             E.add(dc)
     pivots = [0, 0, 0]  # in the S_{n−1}, T_{n−1} and T_n blocks
     for p in E.rows:
         pivots[(p >= t0) + (p >= t1)] += 1
-    if pivots[1]:
-        fn = f.f(n)
+    if pivots[1]:  # so f_n and d^T_n are both stored
         for z in kernel_basis(src.d(n)):
             if dT.image(fn.image(z)):
                 err = ValueError(f"f_{n} maps a cycle to a non-cycle")

@@ -25,8 +25,16 @@ module its conditions and members resolve is built once, grown to the
 deepest depth requested, and a shallower request reads its prefix; the
 bimodule is converted to its enveloping module once and each of its
 resolutions read over R once; and the truncated dual is built once.
+
+A consistency run checks its instances independently, each on its own test
+family and in its own scope, so ``consistency_run`` sends them to a pool of
+``fork``-started workers, one per CPU the process may use, and reads the
+reports back in corpus order: its report, and the first exception, are
+those of checking the instances one after another.  With one worker the
+same per-instance function runs in-process.
 """
 
+import os
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -534,26 +542,93 @@ def check_dga_epi(
     return check_bimodule_conditions(M, BuildTreeWitness(Leaf(0)), family, D, max_generators)
 
 
+# the run in progress, (corpus, seed, D, family size, generator cap): forked
+# workers inherit it, so no instance is pickled on its way to a worker
+_RUN: tuple = ()
+
+
+class InstanceTraceback(Exception):
+    """Where an instance's exception was raised, as the text of its traceback:
+    the cause of the exception that ``consistency_run`` raises again."""
+
+
+def _check_instance(i: int):
+    """Check instance i of the run in progress on its own test family:
+    (report, None), or (None, (type, args, attributes, traceback text)) of
+    the exception it raised.  ``consistency_run`` makes the exception again
+    from these without its ``__init__``, which pickling would call with its
+    args: ``ResourceBoundExceeded(partial, message)`` cannot take them."""
+    corpus, seed, D, family_size, max_generators = _RUN
+    phi = corpus[i][1]
+    try:
+        family = generate_test_family(phi.target, seed, family_size)
+        return check_dga_epi(phi, D, family, max_generators), None
+    except Exception as e:
+        import traceback  # on this path only: it is not otherwise imported
+
+        return None, (type(e), e.args, vars(e), traceback.format_exc())
+
+
+def _pool(n: int):
+    """A pool of ``fork``-started workers for n instances, one per CPU this
+    process may use and at most n; None, to check them in-process, for one
+    worker, without ``fork``, or when this process has other threads, since
+    a forked child gets no copy of them or of the locks they hold.  A
+    ``ProcessPoolExecutor`` raises ``BrokenProcessPool`` when a worker dies,
+    where a ``multiprocessing.Pool`` would wait for its result forever."""
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return None
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(n, cpus)
+    if workers < 2:
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def consistency_run(
     corpus, seed: int, D: int, family_size: int = 6, max_generators: int = 10000
 ) -> AggregateReport:
     """Run the applicable checker on each (description, morphism) instance.
 
+    The instances are independent: each draws its own test family and opens
+    its own resolution scope.  So they run on a pool of ``fork``-started
+    workers, one per CPU this process may use and at most one per instance
+    (``_pool``), and the results are read in corpus order: the reports,
+    the agreement, the first disagreement and the first instance that raises
+    are those of checking the instances one after another.  With one worker
+    the same function runs in this process, through ``map``.  A worker's
+    exception reaches the caller with its type, message and attributes
+    (a ``quasi_iso`` witness, a resource bound's ``partial`` and
+    ``verdicts``), and the pool is joined on every path.
+
     On a resource bound the exception carries the (description, report)
     pairs finished before it, besides the capped instance's verdicts.
     """
+    global _RUN
+    _RUN = (corpus, seed, D, family_size, max_generators)
+    pool = _pool(len(corpus))  # forked after _RUN is set, so the workers see it
     instances = []
-    agreement = True
-    first = None
-    for desc, phi in corpus:
-        family = generate_test_family(phi.target, seed, family_size)
-        try:
-            rep = check_dga_epi(phi, D, family, max_generators)
-        except ResourceBoundExceeded as e:
-            e.instances = instances
-            raise
-        instances.append((desc, rep))
-        if not rep.agreement and first is None:
-            agreement = False
-            first = f"{desc}: {rep.disagreement}"
-    return AggregateReport(instances, agreement, first)
+    try:
+        outcomes = (pool.map if pool else map)(_check_instance, range(len(corpus)))
+        for (desc, _), (rep, err) in zip(corpus, outcomes):
+            if err is not None:
+                cls, args, attrs, text = err
+                e = cls.__new__(cls, *args)
+                vars(e).update(attrs)
+                if isinstance(e, ResourceBoundExceeded):
+                    e.instances = instances
+                raise e from InstanceTraceback(text)
+            instances.append((desc, rep))
+    finally:
+        _RUN = ()
+        if pool:  # after an exception, only the instances already started finish
+            pool.shutdown(cancel_futures=True)
+    first = next((f"{d}: {r.disagreement}" for d, r in instances if not r.agreement), None)
+    return AggregateReport(instances, first is None, first)

@@ -40,6 +40,18 @@ F, cone(ε) is zero from n on and the build is complete: it serves any depth
 with no further elimination.  A record handed out never changes: growth
 after a record holds the build's ``free`` goes on in a copy.
 
+Not every build completes, since not every module has a finite semifree
+resolution.  Over a finite-dimensional algebra A in degree 0, a bounded
+complex of finitely generated free modules has a class in K₀ that is a
+multiple of [A], and a resolution of M has M's class: its dimension vector,
+the multiplicities of the simple modules.  k over k × k has (1, 0), but
+[k × k] = (1, 1); k × k over T₂(k) has [S₁] + [S₂] = (1, 1), but
+[T₂(k)] = 2[S₁] + [S₂] = (2, 1).  So neither has a finite free resolution,
+though the first is projective and the second has projective dimension 1,
+and their builds add generators in every degree.  A generator on e·z for an
+idempotent e would make a projective module that is not free, which a
+``FreeModule`` is not.
+
 ``scoped(key, make)`` is the one memo of a check: inside a
 ``resolution_scope`` (each epimorphism check opens one) it returns what
 ``make()`` returned the first time for ``key``; outside one it calls

@@ -1,6 +1,11 @@
 import contextlib
 import gc
+import multiprocessing
+import os
+import signal
+import threading
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -31,6 +36,7 @@ from dgkit.derived import (
     truncated_dual,
 )
 from dgkit.epicheck import (
+    InstanceTraceback,
     _endpoint_map,
     _endpoint_verdict,
     check_bimodule_conditions,
@@ -65,6 +71,7 @@ from dgkit.standard import (
 )
 
 from oracles import plain
+from test_tables import _corpus as ring_corpus
 
 
 # -- test families -------------------------------------------------------------
@@ -726,3 +733,135 @@ def test_consistency_run_identity_corpus():
 def test_consistency_run_empty_corpus():
     rep = consistency_run([], seed=0, D=4)
     assert rep.instances == [] and rep.agreement
+
+
+# -- aggregate runs on forked workers ----------------------------------------------
+
+
+def _ring_corpus():
+    """The six morphisms of the ring-consistency benchmark over Q, named."""
+    return list(zip(("idk", "idD", "prk", "dual2", "dual3", "tri"), ring_corpus(QQ)))
+
+
+def _run(monkeypatch, cpus, *args, **kwargs):
+    """consistency_run on ``cpus`` CPUs: (its report or exception, processes
+    forked); no worker may be left once it returns or raises."""
+    forks = []
+    fork = dgkit.epicheck.os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(dgkit.epicheck.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(dgkit.epicheck.os, "fork", counted)
+        try:
+            out = consistency_run(*args, **kwargs)
+        except Exception as e:  # compared with the serial run's by the caller
+            out = e
+    assert multiprocessing.active_children() == []
+    return out, len(forks)
+
+
+def test_workers_give_the_serial_reports(monkeypatch):
+    # slowest first: a worker that finished later instances first must not
+    # change which report belongs to which instance
+    corpus = _ring_corpus()[::-1]
+    serial, forked = _run(monkeypatch, 1, corpus, seed=0, D=4, family_size=6)
+    assert forked == 0
+    parallel, forked = _run(monkeypatch, 2, corpus, seed=0, D=4, family_size=6)
+    assert forked == 2
+    assert [d for d, _ in parallel.instances] == [d for d, _ in corpus]
+    for (_, a), (_, b) in zip(parallel.instances, serial.instances):
+        assert a.verdicts == b.verdicts
+        assert (a.agreement, a.disagreement, a.note) == (b.agreement, b.disagreement, b.note)
+    assert (parallel.agreement, parallel.first_disagreement) == (
+        serial.agreement,
+        serial.first_disagreement,
+    )
+    assert parallel == serial
+
+
+def test_a_capped_instance_raises_as_in_the_serial_run(monkeypatch):
+    # idk finishes under a cap of 8 generators and dual2 hits it after (1)
+    # and Translation; idD, after it, finishes but must not be reported
+    ring = dict(_ring_corpus())
+    corpus = [(n, ring[n]) for n in ("idk", "dual2", "idD")]
+    args = dict(seed=0, D=4, family_size=3, max_generators=8)
+    serial, _ = _run(monkeypatch, 1, corpus, **args)
+    parallel, forked = _run(monkeypatch, 3, corpus, **args)
+    assert forked == 3
+    for e in (serial, parallel):
+        assert type(e) is ResourceBoundExceeded
+        assert [d for d, _ in e.instances] == ["idk"]
+        assert len(e.verdicts) == 2
+    assert str(parallel) == str(serial) == "generator cap 8 exceeded at degree 5"
+    assert parallel.verdicts == serial.verdicts
+    assert parallel.instances == serial.instances
+    assert len(parallel.partial.generators) == len(serial.partial.generators)
+
+
+def test_an_instance_error_arrives_with_its_witness(monkeypatch):
+    corpus = _ring_corpus()[:3]
+    check = dgkit.epicheck.check_dga_epi
+
+    def failing(phi, D, family, max_generators):
+        if phi is corpus[1][1]:
+            err = ValueError("f_2 maps a cycle to a non-cycle")
+            err.witness = (0, 1, -1)
+            raise err
+        return check(phi, D, family, max_generators)
+
+    monkeypatch.setattr(dgkit.epicheck, "check_dga_epi", failing)
+    for cpus, forks in ((1, 0), (3, 3)):
+        e, forked = _run(monkeypatch, cpus, corpus, seed=0, D=2, family_size=2)
+        assert forked == forks
+        assert type(e) is ValueError and str(e) == "f_2 maps a cycle to a non-cycle"
+        assert e.witness == (0, 1, -1)
+        assert isinstance(e.__cause__, InstanceTraceback) and "in failing" in str(e.__cause__)
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_a_corpus_of_at_most_one_instance_starts_no_process(monkeypatch, size):
+    corpus = _ring_corpus()[:size]
+    rep, forked = _run(monkeypatch, 2, corpus, seed=0, D=2, family_size=2)
+    assert forked == 0 and len(rep.instances) == size and rep.agreement
+
+
+def test_a_process_with_other_threads_checks_in_process(monkeypatch):
+    corpus = _ring_corpus()[:2]
+    serial, _ = _run(monkeypatch, 1, corpus, seed=0, D=2, family_size=2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        rep, forked = _run(monkeypatch, 2, corpus, seed=0, D=2, family_size=2)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forked == 0 and rep == serial
+
+
+def test_a_worker_that_dies_fails_the_run(monkeypatch):
+    corpus = _ring_corpus()[:3]
+    check, parent = dgkit.epicheck.check_dga_epi, os.getpid()
+
+    def dying(phi, D, family, max_generators):
+        if phi is corpus[1][1] and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return check(phi, D, family, max_generators)
+
+    def timeout(signum, frame):
+        raise TimeoutError("consistency_run still waits for a dead worker")
+
+    monkeypatch.setattr(dgkit.epicheck, "check_dga_epi", dying)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        e, forked = _run(monkeypatch, 3, corpus, seed=0, D=2, family_size=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert forked == 3 and type(e) is BrokenProcessPool

@@ -28,12 +28,13 @@ resolutions read over R once; and the truncated dual is built once.
 
 A consistency run checks its instances independently, each on its own test
 family and in its own scope, so ``consistency_run`` sends them to a pool of
-``fork``-started workers, one per CPU the process may use, and reads the
-reports back in corpus order: its report, and the first exception, are
+``fork``-started workers, one pinned to each CPU the process may use, and
+reads the reports back in corpus order: its report, and the first exception, are
 those of checking the instances one after another.  With one worker the
 same per-instance function runs in-process.
 """
 
+import functools
 import os
 import random
 from dataclasses import dataclass, field as dc_field
@@ -542,38 +543,44 @@ def check_dga_epi(
     return check_bimodule_conditions(M, BuildTreeWitness(Leaf(0)), family, D, max_generators)
 
 
-# the run in progress, (corpus, seed, D, family size, generator cap): forked
-# workers inherit it, so no instance is pickled on its way to a worker
-_RUN: tuple = ()
-
-
-class InstanceTraceback(Exception):
-    """Where an instance's exception was raised, as the text of its traceback:
-    the cause of the exception that ``consistency_run`` raises again."""
-
-
-def _check_instance(i: int):
-    """Check instance i of the run in progress on its own test family:
-    (report, None), or (None, (type, args, attributes, traceback text)) of
-    the exception it raised.  ``consistency_run`` makes the exception again
-    from these without its ``__init__``, which pickling would call with its
-    args: ``ResourceBoundExceeded(partial, message)`` cannot take them."""
-    corpus, seed, D, family_size, max_generators = _RUN
+def _check_instance(run: tuple, i: int) -> ConsistencyReport:
+    """Check instance i of run = (corpus, seed, D, family size, generator cap)
+    on its own test family."""
+    corpus, seed, D, family_size, max_generators = run
     phi = corpus[i][1]
-    try:
-        family = generate_test_family(phi.target, seed, family_size)
-        return check_dga_epi(phi, D, family, max_generators), None
-    except Exception as e:
-        import traceback  # on this path only: it is not otherwise imported
-
-        return None, (type(e), e.args, vars(e), traceback.format_exc())
+    family = generate_test_family(phi.target, seed, family_size)
+    return check_dga_epi(phi, D, family, max_generators)
 
 
-def _pool(n: int):
-    """A pool of ``fork``-started workers for n instances, one per CPU this
-    process may use and at most n; None, to check them in-process, for one
-    worker, without ``fork``, or when this process has other threads, since
-    a forked child gets no copy of them or of the locks they hold.  A
+# the run a forked worker checks, set in the worker only (``_start_worker``):
+# forked, it inherits the run, so no instance is pickled on its way to it
+_WORKER_RUN: tuple = ()
+
+
+def _start_worker(run: tuple, cpus):
+    """Keep the run in this worker and pin the worker to a CPU of its own,
+    taken from the queue ``cpus`` (None where there is no affinity mask).
+    Left unpinned, the workers of a run this short share their parent's CPU
+    for most of it: each instance then takes twice its CPU time."""
+    global _WORKER_RUN
+    _WORKER_RUN = run
+    if cpus is not None:
+        try:
+            os.sched_setaffinity(0, {cpus.get()})
+        except OSError:  # the CPU left the mask: run anywhere in it
+            pass
+
+
+def _check_in_worker(i: int) -> ConsistencyReport:
+    return _check_instance(_WORKER_RUN, i)
+
+
+def _pool(run: tuple):
+    """A pool of ``fork``-started workers for the run's instances, one per
+    CPU this process may use and at most one per instance, each pinned to
+    one of those CPUs; None, to check them in-process, for one worker,
+    without ``fork``, or when this process has other threads, since a forked
+    child gets no copy of them or of the locks they hold.  A
     ``ProcessPoolExecutor`` raises ``BrokenProcessPool`` when a worker dies,
     where a ``multiprocessing.Pool`` would wait for its result forever."""
     import multiprocessing
@@ -583,13 +590,21 @@ def _pool(n: int):
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return None
     try:
-        cpus = len(os.sched_getaffinity(0))
+        mask = sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(n, cpus)
+        mask = []
+    workers = min(len(run[0]), len(mask) or os.cpu_count() or 1)
     if workers < 2:
         return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    context = multiprocessing.get_context("fork")
+    cpus = None
+    if mask:
+        cpus = context.SimpleQueue()
+        for cpu in mask[:workers]:
+            cpus.put(cpu)
+    return ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_start_worker, initargs=(run, cpus)
+    )
 
 
 def consistency_run(
@@ -599,35 +614,33 @@ def consistency_run(
 
     The instances are independent: each draws its own test family and opens
     its own resolution scope.  So they run on a pool of ``fork``-started
-    workers, one per CPU this process may use and at most one per instance
-    (``_pool``), and the results are read in corpus order: the reports,
+    workers, one pinned to each CPU this process may use and at most one per
+    instance (``_pool``), and the results are read in corpus order: the reports,
     the agreement, the first disagreement and the first instance that raises
     are those of checking the instances one after another.  With one worker
     the same function runs in this process, through ``map``.  A worker's
-    exception reaches the caller with its type, message and attributes
-    (a ``quasi_iso`` witness, a resource bound's ``partial`` and
-    ``verdicts``), and the pool is joined on every path.
+    exception is pickled with its attributes (a ``quasi_iso`` witness, a
+    resource bound's ``partial`` and ``verdicts``) and reaches the caller
+    with the worker's traceback as its cause; the pool is joined on every
+    path.
 
     On a resource bound the exception carries the (description, report)
     pairs finished before it, besides the capped instance's verdicts.
     """
-    global _RUN
-    _RUN = (corpus, seed, D, family_size, max_generators)
-    pool = _pool(len(corpus))  # forked after _RUN is set, so the workers see it
+    run = (corpus, seed, D, family_size, max_generators)
+    pool = _pool(run)
     instances = []
     try:
-        outcomes = (pool.map if pool else map)(_check_instance, range(len(corpus)))
-        for (desc, _), (rep, err) in zip(corpus, outcomes):
-            if err is not None:
-                cls, args, attrs, text = err
-                e = cls.__new__(cls, *args)
-                vars(e).update(attrs)
-                if isinstance(e, ResourceBoundExceeded):
-                    e.instances = instances
-                raise e from InstanceTraceback(text)
+        if pool:
+            reports = pool.map(_check_in_worker, range(len(corpus)))
+        else:
+            reports = map(functools.partial(_check_instance, run), range(len(corpus)))
+        for (desc, _), rep in zip(corpus, reports):
             instances.append((desc, rep))
+    except ResourceBoundExceeded as e:
+        e.instances = instances
+        raise
     finally:
-        _RUN = ()
         if pool:  # after an exception, only the instances already started finish
             pool.shutdown(cancel_futures=True)
     first = next((f"{d}: {r.disagreement}" for d, r in instances if not r.agreement), None)

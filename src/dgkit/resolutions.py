@@ -112,6 +112,9 @@ class ResourceBoundExceeded(RuntimeError):
         self.verdicts: list = []
         self.instances: list = []
 
+    def __reduce__(self):  # pickled from a worker: __init__ does not take its args
+        return type(self), (self.partial, str(self)), vars(self)
+
 
 @dataclass(eq=False)  # compared and hashed by identity, so a scope can key on a record
 class SemifreeResolution:

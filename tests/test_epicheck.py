@@ -4,8 +4,9 @@ import multiprocessing
 import os
 import signal
 import threading
+import traceback
 import weakref
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, _RemoteTraceback
 
 import pytest
 
@@ -36,7 +37,6 @@ from dgkit.derived import (
     truncated_dual,
 )
 from dgkit.epicheck import (
-    InstanceTraceback,
     _endpoint_map,
     _endpoint_verdict,
     check_bimodule_conditions,
@@ -819,7 +819,10 @@ def test_an_instance_error_arrives_with_its_witness(monkeypatch):
         assert forked == forks
         assert type(e) is ValueError and str(e) == "f_2 maps a cycle to a non-cycle"
         assert e.witness == (0, 1, -1)
-        assert isinstance(e.__cause__, InstanceTraceback) and "in failing" in str(e.__cause__)
+        if forked:  # the worker's traceback, as text
+            assert isinstance(e.__cause__, _RemoteTraceback) and "in failing" in str(e.__cause__)
+        else:  # the exception itself
+            assert "failing" in [f.name for f in traceback.extract_tb(e.__traceback__)]
 
 
 @pytest.mark.parametrize("size", [0, 1])
@@ -842,6 +845,60 @@ def test_a_process_with_other_threads_checks_in_process(monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     assert forked == 0 and rep == serial
+
+
+def test_two_threads_check_their_own_corpora_at_once(monkeypatch):
+    # each thread waits for the other before every instance, so the two runs
+    # interleave; each must report its own instances
+    ring = dict(_ring_corpus())
+    corpora = [[(n, ring[n]) for n in names] for names in (("idk", "prk"), ("idD", "dual2"))]
+    serial = [_run(monkeypatch, 1, c, seed=0, D=2, family_size=2)[0] for c in corpora]
+    both = threading.Barrier(2, timeout=30)
+    family = dgkit.epicheck.generate_test_family
+
+    def in_step(S, seed, size):
+        both.wait()
+        return family(S, seed, size)
+
+    monkeypatch.setattr(dgkit.epicheck, "generate_test_family", in_step)
+    out = [None, None]
+
+    def check(k):
+        try:
+            out[k] = consistency_run(corpora[k], seed=0, D=2, family_size=2)
+        except Exception as e:
+            out[k] = e
+            both.abort()
+
+    threads = [threading.Thread(target=check, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert out == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_each_worker_runs_on_a_cpu_of_its_own(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    if len(cpus) < 2:
+        pytest.skip("needs two CPUs")
+    corpus = _ring_corpus()[:4]
+    check, affinity = dgkit.epicheck.check_dga_epi, os.sched_getaffinity
+
+    def placed(phi, D, family, max_generators):
+        rep = check(phi, D, family, max_generators)
+        rep.note = (os.getpid(), sorted(affinity(0)))  # read back by the test
+        return rep
+
+    monkeypatch.setattr(dgkit.epicheck, "check_dga_epi", placed)
+    monkeypatch.setattr(dgkit.epicheck.os, "sched_getaffinity", lambda pid: set(cpus))
+    rep = consistency_run(corpus, seed=0, D=2, family_size=2)
+    assert multiprocessing.active_children() == []
+    workers = dict(r.note for _, r in rep.instances)  # usually two, one if the other starts late
+    assert os.getpid() not in workers
+    pinned = [tuple(a) for a in workers.values()]
+    assert len(set(pinned)) == len(pinned) and all(len(a) == 1 and a[0] in cpus for a in pinned)
 
 
 def test_a_worker_that_dies_fails_the_run(monkeypatch):

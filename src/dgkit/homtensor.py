@@ -8,22 +8,28 @@ complex of graded A-linear maps with the Koszul linearity rule f(a m) =
 A free module is a :class:`~dgkit.modops.FreeModule`, a ``DgModule`` that
 numbers its basis through its layout: both free paths ask it for
 ``index(g, a)``, the basis element a·g, ``split`` and the generators, and
-never compute an index themselves.  Three kinds are passed here: a
-resolution's ``res.free`` A ⊗ V, the resolving module itself; a bimodule
+never compute an index themselves.  A generator g of a resolution spans
+A e for an idempotent e of A (1 when A has no other), and the layout's a·g
+run over a basis of A e.  Three kinds are passed here: a resolution's
+``res.free``, a sum of A e ⊗ V, the resolving module itself; a bimodule
 resolution Q over R ⊗ S^op, which as a left R-module is free on the
 (1⊗s)·g (the resolution's ``free``, on Q's own numbering, keeping Q as
 its ``bimodule``, whose right S-action ``_over`` reads); and Q ⊗_S P
 for P = ``res.free`` over S, which is R-free on the pairs of those
-generators and P's (``TensorProduct.structure()`` on the free path, when the
-left factor is Q's view).
+generators and P's, the pairs with e·p in its basis for P's generators
+of S e (``TensorProduct.structure()`` on the free path, when the left
+factor is Q's view).
 
 One class, :class:`TensorProduct`, builds every tensor product, and its
 right factor picks the path.  A free right factor A ⊗ V has
 M ⊗_A (A ⊗ V) ≅ M ⊗_k V: the basis is the pairs (m, 1·g), and no relation
-echelon is built.  It is ``res.free`` for ``derived_tensor`` of a module or
-a bimodule, so ``tor``, and for the M ⊗_S P factors of the canonical maps,
-the R-free Q ⊗_S P for (3)'s two-sided product ``Tab`` and the counit's
-Zt ⊗_R (Q ⊗_S P), and a test family's semifree member N in (5)'s Qt ⊗_S N.
+echelon is built.  A generator of A e gives M ⊗_A (A e ⊗ V) ≅ Me ⊗ V ≅
+M/M(1 − e) ⊗ V: the pairs (m, e·g) for the m off the pivots of M(1 − e),
+read through one normal form per basis element of M.  It is ``res.free``
+for ``derived_tensor`` of a module or a bimodule, so ``tor``, and for the
+M ⊗_S P factors of the canonical maps, the R-free Q ⊗_S P for (3)'s
+two-sided product ``Tab`` and the counit's Zt ⊗_R (Q ⊗_S P), and a test
+family's semifree member N in (5)'s Qt ⊗_S N.
 Every other right factor takes the generic path, the quotient by the
 relations of each degree: a bimodule, the truncated dual in (3)'s
 Pr ⊗_S Zt and the other members in (5)'s Qt ⊗_S N.
@@ -32,20 +38,24 @@ One class, :class:`HomComplex`, builds every Hom, and its source picks the
 path.  A free source A ⊗ V has Hom_A(A ⊗ V, N) ≅ Hom_k(V, N): a map is its
 values on the generators, its differential is twisted by each generator's
 ``d_elem``, and no A-linearity echelon is built (Félix–Halperin–Thomas,
-*Rational Homotopy Theory*, §6, for both).  It is ``res.free`` for
+*Rational Homotopy Theory*, §6, for both).  A generator of A e has
+Hom_A(A e ⊗ V, N) ≅ Hom_k(V, eN): its values lie in eN, on the reduced
+echelon basis of the e·w.  It is ``res.free`` for
 ``derived.rhom`` on modules and bimodules, ``ext``, ring condition (4) and
 the source of (5); Q's R-free view for the unit map's Hom_R(Q, M ⊗_S P);
-and the R-free Qs ⊗_S Pn for (5)'s target.  Every other source takes the generic path, the
-kernel of the A-linearity constraints over the ground pairs: the truncated
+and the R-free Qs ⊗_S Pn for (5)'s target.  Every other source takes the
+generic path, the kernel of the A-linearity constraints over the ground
+pairs: the truncated
 dual, the modules of ``endomorphism_dga`` and the endpoint verdict, and
 ``dualize``'s Q over S^op.  That one stays generic because Q is free as a
 left S^op-module only up to the sign (-1)^{|r||s|} of ``swap_sides`` and the
 enveloping product, so its layout would carry signs; it is 2 of a check's
 Homs, each built with ``dualize``'s ``cut``: the generic path skips the
 degrees below it and keeps only the cycles at it, so it builds the good
-truncation of the dual and nothing below.  Both paths give a basis in lead form, so a vector's coordinates are
-its values at the leads (``linalg.lead_coords``, through an index of the
-leads of each degree), with no echelon behind them.  When an argument is a
+truncation of the dual and nothing below.  Both paths give a basis in lead
+form, so a vector's coordinates are its values at the leads
+(``linalg.lead_coords``, through an index of the leads of each degree),
+with no echelon behind them.  When an argument is a
 bimodule, the spare action descends to the result:
 
   * tensor: outer left action on M and outer right action on N pass through;
@@ -71,7 +81,7 @@ from __future__ import annotations
 from .linalg import Echelon, Matrix, lead_coords
 from .complexes import Complex, GradedSpace, Window
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, matrices_from_images, vec_iadd
-from .modops import FreeModule, Generator
+from .modops import FreeModule, Generator, quotient_forms
 
 
 class SideMismatch(ValueError):
@@ -216,9 +226,13 @@ class TensorProduct(GroundComplex):
     A ⊗ V (a resolution's ``free``, or an R-free Q ⊗_S P) takes the free
     path: degree d has one basis element per pair (m, 1·g) with
     |m| + |g| = d, and ``coords`` reads a pair (m, a·g) as (m·a, 1·g) through
-    M's right A-action.  When the left factor is a ``FreeModule`` too, over
-    the outer left algebra R (a bimodule resolution's R-free view), the
-    product is R-free and ``structure()`` is that ``FreeModule``.  Every
+    M's right A-action.  A generator g of A e for an idempotent e ≠ 1 spans
+    Me ⊗ g ≅ M/M(1 − e) ⊗ g: its pairs are the (m, e·g) for the m off the
+    pivots of M(1 − e), and ``coords`` reads (m, a·e·g) as the normal form
+    of m·a, paired with e·g.  When the left factor is a ``FreeModule`` on
+    free generators, over the outer left algebra R (a bimodule resolution's
+    R-free view), the product is R-free and ``structure()`` is that
+    ``FreeModule``.  Every
     other right factor takes the generic path: the basis is the pairs off
     the pivots of each degree's echelon of relations m·a ⊗ n − m ⊗ a·n, and
     ``coords`` reduces modulo it.  With ``degrees``, only the pairs and
@@ -245,6 +259,13 @@ class TensorProduct(GroundComplex):
             self._relations = None
             heads = [self._free.index(g, A.unit) for g in range(len(self._free.gens))]
             self._components = _ground_pairs(M, N, 1, heads, degrees)
+            if self._free.projective:  # e·g pairs with the m off the pivots of M(1 − e)
+                self._normal = self._normal_forms()
+                off = {x: self._normal[g] for g, x in enumerate(heads)}
+                self._components = {
+                    d: [(m, x) for m, x in ps if off[x] is None or m in off[x][m]]
+                    for d, ps in self._components.items()
+                }
         self._pos = {d: {pair: i for i, pair in enumerate(ps)} for d, ps in self._components.items()}
 
         labels = {
@@ -276,6 +297,21 @@ class TensorProduct(GroundComplex):
             self._relations[d] = relations
             self._components[d] = [pair for pair in ps if pair not in relations.rows]
 
+    def _normal_forms(self) -> list:
+        """Per generator g of the free right factor, None when g is free, else
+        the normal forms modulo M(1 − e) for g's idempotent e
+        (:func:`~dgkit.modops.quotient_forms`): M ⊗_A (A e ⊗ V) ≅
+        M/M(1 − e) ⊗ V ≅ Me ⊗ V, with m ⊗ a·e·g ↦ [m·a] ⊗ g."""
+        F, M, unit, act = self.field, self.M, self.A.unit, self._act_rA
+
+        def forms(e: dict) -> dict:
+            def times_e(m: int) -> dict:  # m·e, the unit acting as 1
+                return linear(F, lambda a: {m: F.one} if a == unit else act.get((a, m), {}), e)
+
+            return quotient_forms(F, M.total_dim, times_e)
+
+        return self._free.per_idempotent(forms)
+
     # -- ground-level helpers ------------------------------------------------
 
     def ground_differential(self, pair: tuple[int, int], d: int) -> dict:
@@ -296,6 +332,8 @@ class TensorProduct(GroundComplex):
     def coords(self, ground: dict, d: int) -> dict:
         """Coordinates {position: c} of a ground vector of degree d in the quotient basis."""
         pos = self._pos.get(d, {})
+        if self._relations is None and self._free.projective:
+            return self._projective_coords(ground, pos)
         if self._relations is None:
             # free path: m ⊗ a·g = m·a ⊗ 1·g
             F, free, unit = self.field, self._free, self.A.unit
@@ -312,40 +350,68 @@ class TensorProduct(GroundComplex):
             return {}
         return {pos[pair]: c for pair, c in self._relations[d].reduce(ground).items()}
 
+    def _projective_coords(self, ground: dict, pos: dict) -> dict:
+        """``coords`` on the free path when a generator of the right factor
+        spans A e for e ≠ 1: m ⊗ a·e·g is [m·a] ⊗ e·g, the normal form of m·a
+        modulo M(1 − e) paired with e·g; m ⊗ a·g is m·a ⊗ 1·g for a free g."""
+        F, free, unit = self.field, self._free, self.A.unit
+        out: dict = {}
+        for (mi, x), c in ground.items():
+            g, a = free.split(x)
+            head, normal = free.index(g, unit), self._normal[g]
+            ma = {mi: F.one} if a == unit else self._act_rA.get((a, mi), {})
+            for k, c2 in ma.items():
+                form = {k: F.one} if normal is None else normal[k]
+                vec_iadd(F, out, {pos[j, head]: c3 for j, c3 in form.items()}, c * c2)
+        return out
+
     def structure(self):
-        """The R-``FreeModule`` when both factors are free, no outer right
-        action descends and every degree is built; else
+        """The R-``FreeModule`` when both factors are free modules, the left
+        one on free generators, no outer right action descends, every degree
+        is built and :meth:`_free_view` finds the layout; else
         :meth:`GroundComplex.structure`."""
         if (
             self._module is None
             and self.degree_range is None
             and None not in (self._free_left, self._free)
+            and not self._free_left.projective
             and self.outer_right is None
         ):
             self._module = self._free_view()
         return super().structure()
 
-    def _free_view(self) -> FreeModule:
+    def _free_view(self) -> FreeModule | None:
         """(R ⊗ U) ⊗_A (A ⊗ V) ≅ R ⊗ (U ⊗ V) on the numbering of ``basis``:
         free on the pairs (1·u, 1·v) of the factors' generators, with
         r·(q ⊗ p) = (r·q) ⊗ p, so r_i·(u ⊗ v) is the pair (r_i·u, 1·v), with
-        no sign.  The action is R's multiplication on that layout."""
+        no sign.  The action is R's multiplication on that layout.  For a
+        generator e·v of A e the pairs are those (1·u, e·v) in the basis,
+        each with every (r_i·u, e·v): a bimodule resolution's Q(1 − e) is
+        R ⊗ S(1 − e) on each generator, so whether (r_i·u, e·v) is in the
+        basis depends on u's S-part alone.  None when the basis is not such
+        a layout."""
         left, right, R = self._free_left, self._free, self.outer_left
         M, N, start, pos = self.M, self.N, self._start, self._pos
 
-        def at(mi: int, x: int) -> int:
+        def at(mi: int, x: int) -> int | None:
             d = M.deg(mi) + N.deg(x)
-            return start[d] + pos[d][mi, x]
+            return start[d] + pos[d][mi, x] if (mi, x) in pos.get(d, ()) else None
 
         diff = self._table(self.complex.diffs, -1)
         gens, rows = [], []
         for u in range(len(left.gens)):
             for v in range(len(right.gens)):
                 head = right.index(v, self.A.unit)
-                row = [at(left.index(u, i), head) for i in range(R.total_dim)]
+                row = {i: at(left.index(u, i), head) for i in range(R.total_dim)}
+                if None in row.values():
+                    if any(x is not None for x in row.values()):
+                        return None
+                    continue
                 x = row[R.unit]
                 gens.append(Generator(self.basis[x][0], self.basis[x][1], diff.get(x, {})))
                 rows.append(row)
+        if sum(map(len, rows)) != len(self.basis):
+            return None
         return FreeModule.view(R, gens, rows, self.basis, diff, name=self.name)
 
 
@@ -374,10 +440,13 @@ class HomComplex(GroundComplex):
     extension f(a·g) = (-1)^{n|a|} a·w, built at the first read of any rep
     (``component``, ``coords``, ``reps``, ``structure``), all of the Hom's
     at once; the differential is read off the generator values, so a Hom
-    read only as a complex builds none.  Every other source takes the
-    generic path: the degree-n basis is the kernel of the A-linearity
-    constraints over the ground pairs.  Both bases are in lead form, so ``coords`` reads a
-    vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
+    read only as a complex builds none.  A generator g of A e for an
+    idempotent e ≠ 1 takes its values in eN, Hom_A(A e ⊗ g, N) ≅ eN: its
+    pairs are (g, w) for the leads w of the reduced echelon basis u_w of the
+    e·w, and its rep extends g ↦ u_w.  Every other source takes the generic
+    path: the degree-n basis is the kernel of the A-linearity constraints
+    over the ground pairs.  Both bases are in lead form, so ``coords`` reads
+    a vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
     generator row (1·g, w) of a free basis element, the largest ground pair
     of a kernel vector.  With ``degrees``, only the pairs and constraint
     kernels of those degrees are built.  With a ``cut`` c, the generic path
@@ -477,29 +546,44 @@ class HomComplex(GroundComplex):
 
     def _generator_pairs(self):
         """Free path: the pairs (g, w) of each degree |w| − |g|, in (g, w)
-        order, and their positions; the reps wait for :meth:`component`."""
+        order, and their positions; the reps wait for :meth:`component`.  A
+        generator e·g of an idempotent e ≠ 1 pairs with the leads w of eN
+        (:meth:`_corner`), a free one with every basis element w of N."""
         free, keep = self._free, self.degree_range
+        self._values = free.per_idempotent(self._corner)  # g ↦ {w: u_w}, None for a free g
         self._pairs: dict[int, list[tuple[int, int]]] = {}
         for g, gen in enumerate(free.gens):
-            for w in range(self.N.total_dim):
+            values = self._values[g]
+            for w in range(self.N.total_dim) if values is None else values:
                 n = self.N.deg(w) - gen.degree
                 if keep is None or n in keep:
                     self._pairs.setdefault(n, []).append((g, w))
         self._pos = {n: {pair: i for i, pair in enumerate(ps)} for n, ps in self._pairs.items()}
         self._components = None
 
+    def _corner(self, e: dict) -> dict:
+        """eN in lead form: {lead w: u_w}, the reduced echelon basis of the
+        e·w, each 1 at its lead and 0 at the others.  Hom_A(A e ⊗ V, N) ≅
+        Hom_k(V, eN), so a map is its values in eN at the generators, and
+        they are read at the leads."""
+        F, E = self.field, Echelon(self.field)
+        for w in range(self.N.total_dim):
+            E.add(linear(F, lambda a: self._a_times(a, {w: F.one}), e))
+        return dict(sorted(E.rows.items()))
+
     def component(self, n: int) -> list:
         """Degree-n basis representatives.  On the free path the first call
-        builds every degree's: the A-linear extensions of g ↦ w and their
-        leads, the ground pairs (1·g, w)."""
+        builds every degree's: the A-linear extensions of g ↦ u_w (w itself
+        for a free g) and their leads, the ground pairs (1·g, w)."""
         if self._components is None:
-            free, one, unit = self._free, self.field.one, self.A.unit
+            free, one, unit, values = self._free, self.field.one, self.A.unit, self._values
             self._leads = {
                 d: {(free.index(g, unit), w): i for i, (g, w) in enumerate(ps)}
                 for d, ps in self._pairs.items()
             }
             self._components = {
-                d: [self._extension(g, {w: one}, d) for g, w in ps] for d, ps in self._pairs.items()
+                d: [self._extension(g, {w: one} if values[g] is None else values[g][w], d) for g, w in ps]
+                for d, ps in self._pairs.items()
             }
         return self._components.get(n, [])
 
@@ -508,14 +592,13 @@ class HomComplex(GroundComplex):
         return v if a == self.A.unit else linear(self.field, lambda w: self._act_N.get((a, w), {}), v)
 
     def _extension(self, g: int, value: dict, n: int) -> dict:
-        """The degree-n ground Hom vector a·g ↦ (-1)^{n|a|} a·value, zero on
-        the other generators."""
+        """The degree-n ground Hom vector a·g ↦ (-1)^{n|a|} a·value on the
+        basis elements a·g of g's row, zero on the other generators."""
         F, A = self.field, self.A
         ground: dict = {}
-        for a in range(A.total_dim):
+        for a, x in self._free.row(g).items():
             av = self._a_times(a, value)
             if av:
-                x = self._free.index(g, a)
                 vec_iadd(F, ground, {(x, k): c for k, c in av.items()}, F.sign(n * A.deg(a)))
         return ground
 
@@ -523,9 +606,10 @@ class HomComplex(GroundComplex):
         if self._free is None:
             return super()._differentials()
         # D(f)(h) = d_N(f(h)) − (-1)^n f(d h) on generator values: the pair
-        # (g, w) gives d_N(w) at g and −(-1)^n (-1)^{n|a|} c·a·w at each
-        # generator h whose d(h) has the term c·a·g
-        F, A, N = self.field, self.A, self.N
+        # (g, w) gives d_N(u_w) at g and −(-1)^n (-1)^{n|a|} c·a·u_w at each
+        # generator h whose d(h) has the term c·a·g, each read at the leads of
+        # its generator's eN (its values there, summed over the terms)
+        F, A, N, values = self.field, self.A, self.N, self._values
         into: dict[int, list] = {}  # g ↦ [(h, a, c)]: the terms c·a·g of each d(h)
         for h, gen in enumerate(self._free.gens):
             for x, c in gen.d_elem.items():
@@ -538,9 +622,16 @@ class HomComplex(GroundComplex):
             pos = self._pos.get(n - 1, {})
             cols = []
             for g, w in self._pairs[n]:
-                col = {pos[g, k]: c for k, c in N.diff.get(w, {}).items()}
+                if values[g] is None:
+                    value = {w: F.one}
+                    col = {pos[g, k]: c for k, c in N.diff.get(w, {}).items()}
+                else:
+                    value = values[g][w]
+                    col = {pos[g, k]: c for k, c in N.d_elem(value).items() if k in values[g]}
                 for h, a, c in into.get(g, ()):
-                    aw = self._a_times(a, {w: F.one})
+                    aw = self._a_times(a, value)
+                    if values[h] is not None:
+                        aw = {k: c2 for k, c2 in aw.items() if k in values[h]}
                     sgn = F.sign(n * (A.deg(a) + 1) + 1)
                     vec_iadd(F, col, {pos[h, k]: c2 for k, c2 in aw.items()}, sgn * c)
                 cols.append(col)

@@ -5,6 +5,10 @@ Every map given by the images of basis elements is assembled by
 ``ChainMap`` of the underlying complexes plus its modules and A-linearity;
 ``module_cone`` builds the cone of one as a module.  A free module,
 ``FreeModule``, is a ``DgModule`` that grows its own tables: one record.
+Its generators span A e for the orthogonal idempotents e of ``idempotents``
+(1 alone for an algebra without others), so it is projective, and free when
+every e is 1; ``quotient_forms`` gives the bases of the A e and of the Me
+that the free tensor path reads.
 
 Suspension convention for left modules: the action on shift(M, t) is twisted
 by (-1)^{t|a|}; right actions are untwisted.  Both choices are forced by the
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Matrix
+from .linalg import Echelon, Matrix
 from .complexes import ChainMap, Violation
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, vec_iadd, vec_scale
 
@@ -104,7 +108,7 @@ def module_cone(f: DgModuleMap) -> DgModule:
     return DgModule(A, M.side, basis, act, diff, name=f"cone({M.name}->{N.name})")
 
 
-# -- free and semifree modules ------------------------------------------------
+# -- free and projective modules ---------------------------------------------
 
 
 @dataclass
@@ -113,23 +117,104 @@ class Generator:
     degree: int
     d_elem: dict = dc_field(default_factory=dict)  # over free-module indices
     eps: dict = dc_field(default_factory=dict)  # over target-module indices
+    idempotent: dict | None = None  # e: the generator spans A e; None or 1 for A
+
+
+def idempotents(A: DgAlgebra) -> list[dict]:
+    """The idempotents whose summands A e a resolution's generators span.
+
+    Each basis element b ≠ 1 of degree 0 with d b = 0 and b·b = λb for some
+    λ ≠ 0 gives the idempotent e = λ⁻¹b; in basis order, each one orthogonal
+    to those kept before it is kept.  The complement 1 − Σe, never zero
+    since 1 is a basis element of its own, closes the list, so the e are
+    orthogonal, sum to 1 and A = ⊕ A e.  An algebra without such b has [1]:
+    free generators only.
+    """
+    F = A.field
+    found: list[dict] = []
+    for b in A.component(0):
+        square = {k: c for k, c in A.mul.get((b, b), {}).items() if c}
+        if b == A.unit or b in A.diff or list(square) != [b]:
+            continue
+        e = {b: F.inv(square[b])}
+        if all(not A.mul_elem(e, f) and not A.mul_elem(f, e) for f in found):
+            found.append(e)
+    rest = A.one()
+    for e in found:
+        vec_iadd(F, rest, e, F.sign(1))
+    return found + [rest]
+
+
+def quotient_forms(F, dim: int, times_e, last: int | None = None) -> dict:
+    """Normal forms modulo X(1 − e), for a right module X over an algebra
+    with an idempotent e, of dimension ``dim``: basis element x ↦ its
+    normal form modulo the reduced echelon basis of the x − x·e, where
+    ``times_e(x)`` is x·e.  X = Xe ⊕ X(1 − e), so X/X(1 − e) ≅ Xe by
+    [x] ↦ x·e: the x off the pivots, whose forms are {x: 1}, make a basis
+    of Xe, and an element's coordinates there are its normal form, the sum
+    of its entries' forms.  Basis element ``last`` is ordered after all the
+    others, so it is off the pivots unless x·e = 0 for it.
+    """
+    kernel = Echelon(F)  # X(1 − e), on the keys (x is last, x)
+    for x in range(dim):
+        kernel.add({(y == last, y): c for y, c in vec_iadd(F, {x: F.one}, times_e(x), F.sign(1)).items()})
+    forms = {}
+    for x in range(dim):
+        forms[x] = dict(sorted((y, c) for (_, y), c in kernel.reduce({(x == last, x): F.one}).items()))
+    return forms
+
+
+class _Summand:
+    """A e for an idempotent e of degree 0 with d e = 0, on the basis a·e for
+    the a in ``elems``: those off the pivots of A(1 − e), 1 among them and
+    first (:func:`quotient_forms`, with 1 ordered last).  ``mul_into[a]``
+    lists the nonzero b·(a·e) over that basis, in b order, and ``diff[a]``
+    is d(a·e) = d(a)·e over it: the normal forms of b·a and d(a).  Without e
+    it is A: every a, A's products and differential."""
+
+    def __init__(self, A: DgAlgebra, e: dict | None = None):
+        dA = range(A.total_dim)
+        if e is None:
+            self.elems = list(dA)
+            self.mul_into = [[(b, A.mul[b, a]) for b in dA if (b, a) in A.mul] for a in dA]
+            self.diff = A.diff
+            return
+        F = A.field
+        forms = quotient_forms(F, A.total_dim, lambda a: A.mul_elem({a: F.one}, e), last=A.unit)
+        self.elems = [A.unit] + [a for a in dA if a != A.unit and a in forms[a]]
+        self.mul_into, self.diff = {}, {}
+        for a in self.elems:
+            prods = ((b, linear(F, forms.__getitem__, A.mul.get((b, a), {}))) for b in dA)
+            self.mul_into[a] = [(b, p) for b, p in prods if p]
+            da = linear(F, forms.__getitem__, A.diff.get(a, {}))
+            if da:
+                self.diff[a] = da
 
 
 class FreeModule(DgModule):
-    """Left A-module free on graded generators: a ``DgModule`` whose tables
-    grow in place.
+    """Left A-module on graded generators, each spanning A e for its
+    idempotent e (``Generator.idempotent``, from :func:`idempotents`; 1 for
+    a free generator): a ``DgModule`` whose tables grow in place, free when
+    every e is 1 and ``projective`` otherwise.
 
     Its layout numbers the basis: ``index(g, a)`` is the basis index of a·g,
-    for generator g and algebra basis element a, ``split`` is its inverse,
-    and each generator's ``degree`` and ``d_elem`` are in that numbering.
-    ``add`` appends a generator in the standard layout g·dim A + a.  Its
-    ``d_elem`` lies over earlier generators, so any semifree module can be
-    presented, and its basis elements a·g are computed once: their labels,
-    their action rows b·(a·g) = (ba)·g and d(a·g) = d(a)·g + (-1)^{|a|} a·d(g),
-    appended to the module's own basis and tables.  ``prefix(k)`` copies the
-    module on the first k generators.  ``view`` presents a module built
-    elsewhere as a free one on its own numbering.  The name is
-    free(g0,g1,…) on the generators so far unless ``view`` is given one.
+    for generator g and an algebra basis element a of g's ``row``, ``split``
+    is its inverse, and each generator's ``degree`` and ``d_elem`` are in
+    that numbering.  Generator g is e·g, and its row runs over a basis a·e
+    of A e (``_Summand``): every a for e = 1, so the layout is g·dim A + a;
+    otherwise the unit first and then the other a off the pivots of the
+    echelon basis of A(1 − e).  ``add`` appends a generator in that layout.
+    Its ``d_elem`` lies over earlier generators, and e·d_elem = d_elem for
+    its e, so any semifree module, and any module with a finite projective
+    resolution, can be presented, and its basis elements a·g are computed
+    once: their labels, their action rows b·(a·g) = (ba)·g and d(a·g) =
+    d(a)·g + (-1)^{|a|} a·d(g), with (ba)·g and d(a)·g = (d(a)·e)·g read
+    over the basis of A e, appended to the module's own basis and tables.
+    ``per_idempotent`` makes what a free path reads of each e once.
+    ``prefix(k)`` copies the module on the first k generators.  ``view``
+    presents a module built elsewhere as a free one on its own numbering.
+    The name is free(g0,g1,…) on the generators so far unless ``view`` is
+    given one.
     """
 
     def __init__(self, algebra: DgAlgebra, gens=()):
@@ -140,7 +225,7 @@ class FreeModule(DgModule):
 
     @classmethod
     def view(cls, algebra: DgAlgebra, gens, rows, basis, diff, bimodule=None, name=None):
-        """The free module on ``gens`` whose a·g is basis element rows[g][a],
+        """The module on ``gens`` whose a·g is basis element rows[g][a],
         over a basis and differential numbered elsewhere.
 
         When it is the left module of ``bimodule``, its action is the
@@ -152,22 +237,34 @@ class FreeModule(DgModule):
         DgModule.__init__(free, algebra, "left", basis, act, diff, name)
         free._layout(gens, rows, bimodule)
         if bimodule is None:
-            for row in rows:
-                free._act_on(row)
+            for gen, key, row in zip(gens, free._types, rows):
+                free._act_on(row, free._summand(key, gen.idempotent))
         return free
 
     def _layout(self, gens, rows, bimodule=None):
-        """The generators, ``index`` and ``split`` tables, and A's products by
-        right factor: a ↦ the nonzero b·a, in b order."""
+        """The generators, ``index`` and ``split`` tables, and the summands
+        A e of their idempotents, made at their first read."""
         self.gens: list[Generator] = list(gens)
-        self._rows: list[list[int]] = rows  # g ↦ the index of a·g, for each a
+        self._rows: list[dict[int, int]] = rows  # g ↦ {a: the index of a·g}
         self._split: list = [None] * self.total_dim  # basis index ↦ (g, a)
         for g, row in enumerate(rows):
-            for a, x in enumerate(row):
+            for a, x in row.items():
                 self._split[x] = (g, a)
         self.bimodule = bimodule
-        A, dA = self.algebra, range(self.algebra.total_dim)
-        self._mul_into = [[(b, A.mul[b, a]) for b in dA if (b, a) in A.mul] for a in dA]
+        self._summands: dict = {}  # idempotent, as sorted items (None for 1) ↦ _Summand
+        self._one = self.algebra.one()
+        self._types = [self._key(gen.idempotent) for gen in gens]  # g ↦ its idempotent's key
+        self.projective = any(self._types)  # some e ≠ 1
+
+    def _key(self, e: dict | None) -> tuple | None:
+        """An idempotent as sorted items, and None for 1."""
+        return None if e is None or e == self._one else tuple(sorted(e.items()))
+
+    def _summand(self, key, e: dict | None) -> _Summand:
+        """A e for the idempotent e whose key is ``key``."""
+        if key not in self._summands:
+            self._summands[key] = _Summand(self.algebra, None if key is None else e)
+        return self._summands[key]
 
     @property
     def name(self) -> str:
@@ -183,28 +280,50 @@ class FreeModule(DgModule):
     def split(self, idx: int) -> tuple[int, int]:
         return self._split[idx]
 
-    def _act_on(self, row: list[int]):
+    def row(self, g: int) -> dict[int, int]:
+        """{a: index(g, a)}: the basis elements a·g of generator g, in index order."""
+        return self._rows[g]
+
+    def per_idempotent(self, make) -> list:
+        """g ↦ make(e) for generator g's idempotent e ≠ 1, made once per e,
+        and None for a free generator."""
+        out = [None] * len(self.gens)
+        if not self.projective:
+            return out
+        made: dict = {}
+        for g, key in enumerate(self._types):
+            if key is not None:
+                if key not in made:
+                    made[key] = make(self.gens[g].idempotent)
+                out[g] = made[key]
+        return out
+
+    def _act_on(self, row: dict[int, int], summand: _Summand):
         """The action rows of one generator's basis elements: b·(a·g) = (ba)·g."""
-        for a, x in enumerate(row):
-            for b, prod in self._mul_into[a]:
+        for a, x in row.items():
+            for b, prod in summand.mul_into[a]:
                 self.act[b, x] = {row[a2]: c for a2, c in prod.items()}
 
     def add(self, gen: Generator) -> int:
         """Append a generator, whose d_elem lies over earlier ones; returns its number."""
         A, F = self.algebra, self.field
+        key = self._key(gen.idempotent)
+        summand = self._summand(key, gen.idempotent)
         g, base = len(self.gens), self.total_dim
-        row = list(range(base, base + A.total_dim))
+        row = dict(zip(summand.elems, range(base, base + len(summand.elems))))
         self.gens.append(gen)
+        self._types.append(key)
+        self.projective = self.projective or key is not None
         self._rows.append(row)
-        self._act_on(row)
-        for a, x in enumerate(row):
+        self._act_on(row, summand)
+        for a, x in row.items():
             n = A.deg(a) + gen.degree
             self.basis.append((f"{A.label(a)}·{gen.label}", n))
             self._split.append((g, a))
             comp = self._by_degree.setdefault(n, [])
             self._pos.append(len(comp))
             comp.append(x)
-            e = {row[a2]: c for a2, c in A.diff.get(a, {}).items()}
+            e = {row[a2]: c for a2, c in summand.diff.get(a, {}).items()}
             vec_iadd(F, e, linear(F, lambda y: self.act.get((a, y), {}), gen.d_elem), F.sign(A.deg(a)))
             if e:
                 self.diff[x] = e
@@ -214,7 +333,7 @@ class FreeModule(DgModule):
     def prefix(self, k: int) -> "FreeModule":
         """A copy on the first k generators of a module grown by ``add``: the
         module ``add`` made after them."""
-        end = self._rows[k][0] if k < len(self.gens) else self.total_dim
+        end = next(iter(self._rows[k].values())) if k < len(self.gens) else self.total_dim
         diff = {x: e for x, e in self.diff.items() if x < end}
         return FreeModule.view(self.algebra, self.gens[:k], self._rows[:k], self.basis[:end], diff)
 
@@ -235,5 +354,5 @@ def left_free(Q: DgBimodule, env: FreeModule) -> FreeModule:
         for j in range(nS):
             head = env.index(g, R.unit * nS + j)
             gens.append(Generator(Q.label(head), Q.deg(head), Q.diff.get(head, {})))
-            rows.append([env.index(g, i * nS + j) for i in range(R.total_dim)])
+            rows.append({i: env.index(g, i * nS + j) for i in range(R.total_dim)})
     return FreeModule.view(R, gens, rows, Q.basis, Q.diff, bimodule=Q, name=Q.name)

@@ -1,9 +1,13 @@
 """Semifree resolutions and finitely-built witnesses.
 
 A semifree resolution of a bounded-below module M over a nonnegatively
-graded DGA is a free module F on generators filtered by stages, each
-generator's differential landing in the span of earlier generators, with an
-A-linear quasi-isomorphism ε: F → M on the stated validity window.
+graded DGA is a module F on generators filtered by stages, each generator's
+differential landing in the span of earlier generators, with an A-linear
+quasi-isomorphism ε: F → M on the stated validity window.  Each generator g
+spans A e for one of the algebra's orthogonal idempotents e
+(``modops.idempotents``): degree-0 cycles with d e = 0 that sum to 1.  An
+algebra with none but 1 gets free generators A ⊗ V, and F is semifree; with
+some, F is a sum of the projectives A e ⊗ V.
 
 The builder kills the lowest-degree homology of cone(ε) bottom-up; since
 new generators only change the cone in strictly higher degrees, each degree
@@ -17,13 +21,14 @@ cone(ε)_n = M_n ⊕ F_{n-1} and A is nonnegatively graded, generators of
 degree n change F only in degrees ≥ n: d_n of the cone, and with it the
 canonical kernel basis Z_n, stay fixed for the whole degree.  A generator g
 killing the cycle v adds the boundaries d(a·g) = a·d(g) for the degree-0
-basis elements a of A, which span exactly A_0·v.  So Z_n is walked once in
-kernel-basis order against one growing echelon of boundaries, and a cycle
-gets a generator iff it is not yet a boundary.  The builder grows one
-``FreeModule``, which is the resolving module itself (``res.free``, a
-``DgModule``): adding a generator g computes d(a·g) and ε(a·g) = a·ε(g)
-once for each of its basis elements, and the cone's columns read those
-tables.  The resolution keeps ε as the builder's table: ``eps[x]`` is ε(x),
+basis elements a·g of A e·g, which span exactly A_0·v.  So Z_n is walked once
+in kernel-basis order against one growing echelon of boundaries, each cycle
+z split into its parts e·z, which sum to z since the e sum to 1, and a part
+e·z gets a generator of A e iff it is not yet a boundary: z is a boundary
+exactly when every part is.  The builder grows one ``FreeModule``, which is
+the resolving module itself (``res.free``, a ``DgModule``): adding a
+generator g computes d(a·g) and ε(a·g) = a·ε(g) once for each of its basis
+elements, and the cone's columns read those tables.  The resolution keeps ε as the builder's table: ``eps[x]`` is ε(x),
 an element of M, for each basis element x.  Each column is built once: the
 boundary columns of degree n, d_{n+1} with the new A_0·g columns appended
 (they come last in its column order, and its rows M_n ⊕ F_{n-1},
@@ -40,27 +45,30 @@ F, cone(ε) is zero from n on and the build is complete: it serves any depth
 with no further elimination.  A record handed out never changes: growth
 after a record holds the build's ``free`` goes on in a copy.
 
-Not every build completes, since not every module has a finite semifree
-resolution.  Over a finite-dimensional algebra A in degree 0, a bounded
+A build completes exactly when it reaches a finite resolution by the
+summands A e.  Over a finite-dimensional algebra A in degree 0, a bounded
 complex of finitely generated free modules has a class in K₀ that is a
 multiple of [A], and a resolution of M has M's class: its dimension vector,
 the multiplicities of the simple modules.  k over k × k has (1, 0), but
 [k × k] = (1, 1); k × k over T₂(k) has [S₁] + [S₂] = (1, 1), but
 [T₂(k)] = 2[S₁] + [S₂] = (2, 1).  So neither has a finite free resolution,
-though the first is projective and the second has projective dimension 1,
-and their builds add generators in every degree.  A generator on e·z for an
-idempotent e would make a projective module that is not free, which a
-``FreeModule`` is not.
+and free generators alone add generators in every degree.  Generators of
+A e complete both: k over k × k is A(1 − e) itself, one generator, and
+k × k over T₂(k) is P₁ ⊕ P₂ ← P₁, three.  A module of infinite projective
+dimension, such as k over k[x]/(x²), still adds generators in every degree.
+A bimodule is resolved on free generators over its enveloping algebra, since
+its reading as a free left R-module (``modops.left_free``) takes the free
+layout.
 
 ``scoped(key, make)`` is the one memo of a check: inside a
 ``resolution_scope`` (each epimorphism check opens one) it returns what
 ``make()`` returned the first time for ``key``; outside one it calls
 ``make()`` afresh, and nothing is kept.  ``semifree_resolution`` keeps there
-one build per module and algebra content and generator cap, but not depth,
-and one record per build and depth.  The checks restrict, regularize and
-envelop afresh for every condition and member, so the key is the content,
-not the object.  A build that hits the cap raises again for every request
-that reaches the capped degree, and serves shallower ones.
+one build per module and algebra content, generator cap and idempotents,
+but not depth, and one record per build and depth.  The checks restrict,
+regularize and envelop afresh for every condition and member, so the key is
+the content, not the object.  A build that hits the cap raises again for
+every request that reaches the capped degree, and serves shallower ones.
 
 ``semifree_resolution_bimodule`` resolves a bimodule M over the enveloping
 algebra and reads that resolution as a ``SemifreeResolution`` of M over the
@@ -94,6 +102,7 @@ from .modops import (
     DgModuleMap,
     FreeModule,
     Generator,
+    idempotents,
     left_free,
     module_cone,
     module_direct_sum,
@@ -207,26 +216,32 @@ def _table_key(table: dict) -> frozenset:
     return frozenset((k, frozenset(e.items())) for k, e in table.items())
 
 
-def _request_key(M: DgModule, max_generators: int) -> tuple:
-    """Everything the builder reads of a request but its depth, as a hashable value."""
+def _request_key(M: DgModule, max_generators: int, types: list | None = None) -> tuple:
+    """Everything the builder reads of a request but its depth, as a hashable
+    value; ``types`` count only when they are not the algebra's idempotents,
+    which its content fixes."""
     A = M.algebra
     p = A.field.characteristic
     algebra = (p, tuple(A.basis), A.unit, _table_key(A.mul), _table_key(A.diff))
     module = (M.side, tuple(M.basis), _table_key(M.act), _table_key(M.diff))
-    return module, algebra, max_generators
+    if types is None or types == idempotents(A):
+        return module, algebra, max_generators, None
+    return module, algebra, max_generators, tuple(tuple(sorted(e.items())) for e in types)
 
 
 def semifree_resolution(
-    M: DgModule, D: int, max_generators: int = 10000
+    M: DgModule, D: int, max_generators: int = 10000, *, types: list | None = None
 ) -> SemifreeResolution:
     """Semifree resolution of a bounded-below left module, exact through D.
 
-    Inside a ``resolution_scope`` every request for an equal module and cap
-    reads one build, grown to the deepest request so far, and an equal
+    Its generators span the A e for the idempotents e of ``types``, by
+    default ``modops.idempotents(A)``; a bimodule's resolution passes [1].
+    Inside a ``resolution_scope`` every request for an equal module, cap and
+    types reads one build, grown to the deepest request so far, and an equal
     request gets the same object back.
     """
-    key = _request_key(M, max_generators)
-    build = scoped(key, lambda: _ResolutionBuild(M, max_generators))
+    key = _request_key(M, max_generators, types)
+    build = scoped(key, lambda: _ResolutionBuild(M, max_generators, types))
     return scoped((key, D), lambda: build._upto(D))
 
 
@@ -235,15 +250,18 @@ class _ResolutionBuild:
 
     ``free`` and ``eps`` hold every generator made so far, and ``d_n`` is the
     differential of cone(ε) whose cycles degree ``n``, the next one, walks.
+    ``types`` are the orthogonal idempotents, summing to 1, that the
+    generators span A e for: the algebra's unless others are given.
     """
 
-    def __init__(self, M: DgModule, max_generators: int):
+    def __init__(self, M: DgModule, max_generators: int, types: list | None):
         A = M.algebra
         if M.side != "left":
             raise ValueError("resolve left modules; convert right modules first")
         if A.min_degree() < 0:
             raise ValueError("algebra must be nonnegatively graded")
         self.M, self.cap, self.bottom = M, max_generators, M.min_degree()
+        self.types = idempotents(A) if types is None else types
         self.free = FreeModule(A)
         self.eps: list[dict] = []  # ε(x) over M's indices, for each free basis element x
         self.n = self.bottom
@@ -270,6 +288,15 @@ class _ResolutionBuild:
         can appear there, so every depth reads the generators made so far."""
         return self.n > self.M.max_degree() and self.n - 1 > self.free.max_degree()
 
+    def _times(self, e: dict, z: dict, rows, m_of: list, x_of: list) -> dict:
+        """e·z for a vector z of cone(ε)_n = M_n ⊕ F_{n-1} on the positions
+        ``rows``, whose parts are indexed by ``m_of`` and ``x_of``."""
+        m_pos, f_pos = rows
+        dimM = len(m_pos)
+        m = self.M.act_elem(e, {m_of[p]: c for p, c in z.items() if p < dimM})
+        x = self.free.act_elem(e, {x_of[p - dimM]: c for p, c in z.items() if p >= dimM})
+        return {**{m_pos[k]: c for k, c in m.items()}, **{f_pos[k]: c for k, c in x.items()}}
+
     def _eliminate(self):
         """Kill the homology of cone(ε) in degree n, then step to n + 1."""
         M, n = self.M, self.n
@@ -289,26 +316,31 @@ class _ResolutionBuild:
         boundaries = Echelon(F)
         for col in cols:
             boundaries.add(col)
-        # the cycles not yet bounded, in kernel-basis order
+        # the cycles not yet bounded, in kernel-basis order, each split into
+        # its parts e·z over the idempotents, which sum to 1
         for z in kernel_basis(self.d_n):
-            if not boundaries.add(z):
-                continue
-            # one generator per class: dependent classes then die for free,
-            # keeping the resolution close to minimal
-            m_part = {m_of[p]: c for p, c in z.items() if p < dimM}
-            x_part = {x_of[p - dimM]: c for p, c in z.items() if p >= dimM}
-            g = len(free.gens)
-            gen = Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part))
-            free.add(gen)
-            eps += [M.act_elem({a: F.one}, gen.eps) for a in range(A.total_dim)]
-            if len(free.gens) > self.cap:
-                partial = SemifreeResolution(A, M, free, eps, Window(self.bottom - 1, n - 1))
-                self.capped = n, partial, f"generator cap {self.cap} exceeded at degree {n}"
-                raise ResourceBoundExceeded(partial, self.capped[2])
-            # d(a·g) = a·d(g) for |a| = 0: the boundaries grow by A_0·z
-            for a in A.component(0):
-                cols.append(_free_column(free, eps, free.index(g, a), rows))
-                boundaries.add(cols[-1])
+            for e in self.types:
+                ez = z if len(self.types) == 1 else self._times(e, z, rows, m_of, x_of)
+                if not boundaries.add(ez):
+                    continue
+                m_part = {m_of[p]: c for p, c in ez.items() if p < dimM}
+                x_part = {x_of[p - dimM]: c for p, c in ez.items() if p >= dimM}
+                # one generator per class: dependent classes then die for free,
+                # keeping the resolution close to minimal
+                g = len(free.gens)
+                gen = Generator(f"g{n}.{g}", n, x_part, vec_scale(F, F.sign(1), m_part), e)
+                free.add(gen)
+                eps += [M.act_elem({a: F.one}, gen.eps) for a in free.row(g)]
+                if len(free.gens) > self.cap:
+                    partial = SemifreeResolution(A, M, free, eps, Window(self.bottom - 1, n - 1))
+                    self.capped = n, partial, f"generator cap {self.cap} exceeded at degree {n}"
+                    raise ResourceBoundExceeded(partial, self.capped[2])
+                # d(a·g) = a·d(g) for |a| = 0: the boundaries grow by A_0·e·z
+                row = free.row(g)
+                for a in A.component(0):
+                    if a in row:
+                        cols.append(_free_column(free, eps, row[a], rows))
+                        boundaries.add(cols[-1])
         self.d_n = Matrix.from_columns(F, cols, d_next.rows)
         self.n = n + 1
 
@@ -333,7 +365,8 @@ def semifree_resolution_bimodule(
     back from the scope gets its reading back too.
     """
     env = scoped(("env", M), lambda: bimodule_to_env_module(M))
-    res = semifree_resolution(env, D, max_generators)
+    # free generators only: the R-free reading ``left_free`` takes a free layout
+    res = semifree_resolution(env, D, max_generators, types=[env.algebra.one()])
 
     def read():
         Q = env_module_to_bimodule(res.free, M.left_algebra, M.right_algebra)

@@ -1,15 +1,16 @@
 """Test oracles shared by several test files: independent re-checks of what
 the library builds (among them the kernel-based quasi_iso and the
 product-matrix chain-map check that the library's rank readings replaced),
-and the chain-complex constructions (shift, sum, cone) that only tests
-build, kept out of the library itself."""
+the chain-complex constructions (shift, sum, cone) that only tests
+build, and the free resolution builder, kept out of the library itself."""
 
 from dgkit.complexes import ChainMap, Complex, GradedSpace, QuasiIsoReport, Violation, Window
 from dgkit.dga import DgAlgebra, DgBimodule, DgModule, matrices_from_images, regular_bimodule
 from dgkit.field import Field
 from dgkit.homtensor import tensor_over
 from dgkit.linalg import Echelon, Matrix, kernel_basis, lead_coords, rank, vec_scale
-from dgkit.modops import DgModuleMap, FreeModule
+from dgkit.modops import DgModuleMap, FreeModule, Generator
+from dgkit.resolutions import ResourceBoundExceeded, SemifreeResolution
 
 
 def validate_complex(C: Complex):
@@ -224,3 +225,65 @@ def cone(f: ChainMap):
         },
     )
     return Cn, incl, proj
+
+
+def rebuild_resolution(M, D, max_generators=10000, types=None):
+    """Generators and window of the rebuild-per-generator construction.
+
+    Test oracle only: after every generator it rebuilds the free module, ε
+    and the whole cone(ε), then eliminates again.  The generators span the
+    A e for the idempotents e of ``types``: the first cycle of the kernel
+    basis that is not a boundary, cut to its first part e·z that is not one.
+    By default ``types`` is [1], so this is the free builder, which the
+    library's projective builder replaced.  Returns (generators, window,
+    capped).
+    """
+    A, F = M.algebra, M.field
+    one = A.one()
+    types = [one] if types is None else types
+    gens = []
+    free = FreeModule(A, gens)
+    bottom = min((d for _, d in M.basis), default=0)
+    for n in range(bottom, D + 2):
+        while True:
+            Cn, _, _ = cone(augmentation(free, M))
+            boundaries = Echelon(F)
+            for col in Cn.d(n + 1).columns:
+                boundaries.add(col)
+            v = next((z for z in kernel_basis(Cn.d(n)) if boundaries.reduce(z)), None)
+            if v is None:
+                break
+            dimM = len(M.component(n))
+            comp_free = free.component(n - 1)
+            m_part = M.elem_from_component({p: c for p, c in v.items() if p < dimM}, n)
+            x_part = {comp_free[p - dimM]: c for p, c in sorted(v.items()) if p >= dimM}
+            for e in types:
+                if e == one:
+                    em, ex = m_part, x_part
+                else:
+                    em, ex = M.act_elem(e, m_part), free.act_elem(e, x_part)
+                ez = dict(M.coords(em, n))
+                ez.update({dimM + p: c for p, c in free.coords(ex, n - 1).items()})
+                if boundaries.reduce(ez):
+                    break
+            eps = vec_scale(F, F.neg(F.one), em)
+            gens.append(Generator(f"g{n}.{len(gens)}", n, ex, eps, e))
+            if len(gens) > max_generators:
+                return gens, Window(bottom - 1, n - 1), True
+            free = FreeModule(A, gens)
+    return gens, Window(bottom - 1, D), False
+
+
+def rebuilt_record(M, D, max_generators=10000, types=None) -> SemifreeResolution:
+    """:func:`rebuild_resolution` as a resolution record, with ε(a·g) =
+    a·ε(g); raises ResourceBoundExceeded past the cap."""
+    gens, window, capped = rebuild_resolution(M, D, max_generators, types)
+    free, one = FreeModule(M.algebra, gens), M.field.one
+    eps = []
+    for x in range(free.total_dim):
+        g, a = free.split(x)
+        eps.append(M.act_elem({a: one}, gens[g].eps))
+    res = SemifreeResolution(M.algebra, M, free, eps, window)
+    if capped:
+        raise ResourceBoundExceeded(res, f"generator cap {max_generators} exceeded at degree {window.hi + 1}")
+    return res

@@ -36,9 +36,9 @@ def depth_log(monkeypatch):
     log = []
     build = dgkit.resolutions.semifree_resolution
 
-    def logged(M, D, max_generators=10000):
+    def logged(M, D, max_generators=10000, **types):
         log.append((M.name, M.total_dim, D))
-        return build(M, D, max_generators)
+        return build(M, D, max_generators, **types)
 
     for mod in RESOLVING_MODULES:
         if hasattr(mod, "semifree_resolution"):

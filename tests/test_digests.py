@@ -162,8 +162,11 @@ MAP_DIGESTS = {
     # widens the source Q ⊗ P; homology on -2..2 is unchanged
     ("duality_map", "Q"): "9d5e847fb9bf2dd61ddc4ea3bca8bdd868f723cc4aa4db466ee0a88c0611a645",
     ("duality_map", "F101"): "7544c74b259881b151f742374bb87c5aec5608c97c35e7a02dc97ce8bdc39775",
-    ("multiplication_map", "Q"): "d1843b578dfbc051199fee3f520f02073a654af3c9f8ffcd3ba8563a44f88f14",
-    ("multiplication_map", "F101"): "22504b950198a1c5ad7cccd815ae9aedc891148089e3e77a127030ba8b20596e",
+    # multiplication, ring (2) and ring (4) over k × k and T₂(k) resolve on
+    # generators of A e, which finish: a change of resolution, with every iso
+    # report equal to the free builder's (tests/test_projective.py)
+    ("multiplication_map", "Q"): "767bd1c2b29e1ee10c47698eca8ea67d1d48b20960470b01949041290a7f8137",
+    ("multiplication_map", "F101"): "0534a74d9408cf23407f81a1edea9c6070d44c09f279c7808029c8073bd0cba6",
     ("_condition3_map", "Q"): "fb86066c18360ae188a4d6d2a3c16e422bb359fbf54c209b31cc7864d97d00cc",
     ("_condition3_map", "F101"): "e5ff0df1d0ec0728ec8ffec21ec95bb520abe16d75080ff175e3324212592c4a",
     # the Hom basis of (5)'s source and ring (4)'s target is now the generator
@@ -171,10 +174,10 @@ MAP_DIGESTS = {
     # constraints: a change of basis, checked in tests/test_free_hom.py
     ("_condition5_map", "Q"): "e33b8a0a203cbfa169c88a5925ddef5ca41f495a95972dcbb801400d38ce7957",
     ("_condition5_map", "F101"): "5fef9012a824a0f17e2ca2bfa9b7fbc9b29653031aebd8210e68d9f664996ef1",
-    ("_ring_condition2_map", "Q"): "896f88537accde0b27f99af7ba5a8758733b4fb3750335e3f29bcb05aa9a681e",
-    ("_ring_condition2_map", "F101"): "85f08feace01d9cd46700a3bbe14d146ddd973cb0bc19a1ca2bffe6f02e451e9",
-    ("_ring_condition4_map", "Q"): "48a9f2f23a10247af4c8e8af6f30c9a0cadfb84c7730a6b41e6fceab14e274d1",
-    ("_ring_condition4_map", "F101"): "728723b7aa46fdbff1dadde7ba221b251fd0e47b3e03bbb3fa3767c10306cb66",
+    ("_ring_condition2_map", "Q"): "4a4dd83563c86794356dc9a4cf8beaed1cf888c940de5c0d96ad2733cb7eca16",
+    ("_ring_condition2_map", "F101"): "8b7eba8f9a7b7728b43c751d580b0845bf283fe174999b1582fc6102ca49af95",
+    ("_ring_condition4_map", "Q"): "d509aaf8dd920552447f983e2ff99f5b20e4d22396135d2c7b2aca4eb3195700",
+    ("_ring_condition4_map", "F101"): "f30fef9de1acdaa3a76728579b06666b2952d586f2db6d30ff7177ad17168539",
     ("tensor_unit_iso", "Q"): "65ecec7194a82f5c2a9169e09515362ac974f4bc24fefdb64b1eb3d5299d501a",
     ("tensor_unit_iso", "F101"): "bc23e6de90ae30c1374660f59b82c70e83b9554b7505786ce2869472b003d820",
 }

@@ -565,12 +565,12 @@ def _builds(monkeypatch):
     Build = dgkit.resolutions._ResolutionBuild
     init, eliminate = Build.__init__, Build._eliminate
 
-    def counted_init(self, M, max_generators):
-        init(self, M, max_generators)
-        started.append(_request_key(M, max_generators))
+    def counted_init(self, M, max_generators, types):
+        init(self, M, max_generators, types)
+        started.append(_request_key(M, max_generators, types))
 
     def counted_eliminate(self):
-        eliminated.append((_request_key(self.M, self.cap), self.n))
+        eliminated.append((_request_key(self.M, self.cap, self.types), self.n))
         eliminate(self)
 
     monkeypatch.setattr(Build, "__init__", counted_init)
@@ -583,9 +583,9 @@ def _requests(monkeypatch):
     keys = []
     request = dgkit.resolutions.semifree_resolution
 
-    def logged(M, D, max_generators=10000):
-        keys.append((_request_key(M, max_generators), D))
-        return request(M, D, max_generators)
+    def logged(M, D, max_generators=10000, types=None):
+        keys.append((_request_key(M, max_generators, types), D))
+        return request(M, D, max_generators, types=types)
 
     for module in (dgkit.resolutions, dgkit.derived):
         monkeypatch.setattr(module, "semifree_resolution", logged)

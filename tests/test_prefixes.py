@@ -44,9 +44,9 @@ def _log_requests(monkeypatch):
     log = []
     request = dgkit.resolutions.semifree_resolution
 
-    def logged(M, D, max_generators=10000):
-        res = request(M, D, max_generators)
-        log.append((M, D, max_generators, res, _data(res)))
+    def logged(M, D, max_generators=10000, types=None):
+        res = request(M, D, max_generators, types=types)
+        log.append((M, D, max_generators, types, res, _data(res)))
         return res
 
     for module in (dgkit.resolutions, dgkit.derived):
@@ -58,10 +58,10 @@ def _check_against_fresh(log):
     """Every record equals a fresh out-of-scope build at its depth, and is as
     it was when handed out."""
     fresh = {}
-    for M, D, cap, res, handed in log:
-        key = _request_key(M, cap), D
+    for M, D, cap, types, res, handed in log:
+        key = _request_key(M, cap, types), D
         if key not in fresh:
-            fresh[key] = _data(semifree_resolution(M, D, cap))
+            fresh[key] = _data(semifree_resolution(M, D, cap, types=types))
         assert handed == fresh[key], (M.name, D)
         assert _data(res) == handed, (M.name, D)
 
@@ -72,18 +72,19 @@ def _replay(monkeypatch, run):
     with resolution_scope():
         run()
     assert log
-    requests = [(M, D, cap) for M, D, cap, _, _ in log]
+    requests = [(M, D, cap, types) for M, D, cap, types, _, _ in log]
     _check_against_fresh(log)
     # replay each module's requests deepest first, then shallowest first
     by_key = {}
-    for M, D, cap in requests:
-        by_key.setdefault(_request_key(M, cap), {})[D] = (M, D, cap)
+    for M, D, cap, types in requests:
+        by_key.setdefault(_request_key(M, cap, types), {})[D] = (M, D, cap, types)
     for deep_first in (True, False):
         log.clear()
         for depths in by_key.values():
             with resolution_scope():
                 for D in sorted(depths, reverse=deep_first):
-                    dgkit.resolutions.semifree_resolution(*depths[D])
+                    M, D, cap, types = depths[D]
+                    dgkit.resolutions.semifree_resolution(M, D, cap, types=types)
         _check_against_fresh(log)
 
 

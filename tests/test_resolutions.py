@@ -15,16 +15,16 @@ from dgkit.dga import (
     tensor_algebra,
     validate_dga,
     validate_module,
-    vec_scale,
 )
 from dgkit.derived import derived_tensor
 from dgkit.epicheck import generate_test_family
 from dgkit.homtensor import tensor_over
-from dgkit.linalg import Echelon, Matrix, kernel_basis
+from dgkit.linalg import Matrix
 from dgkit.modops import (
     DgModuleMap,
     FreeModule,
     Generator,
+    idempotents,
     module_direct_sum,
     module_shift,
 )
@@ -49,7 +49,7 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
-from oracles import augmentation, cone
+from oracles import augmentation, rebuild_resolution
 
 
 def eps_map(res):
@@ -61,10 +61,9 @@ def eps_map(res):
 def verify_resolution(res):
     """Independent re-check: filtration, A-linearity, quasi-iso on window, and
     ε equal to the A-linear extension of the generators' ε."""
-    dimA = res.algebra.total_dim
     for g, gen in enumerate(res.free.gens):
         for idx in gen.d_elem:
-            if idx >= g * dimA:
+            if res.free.split(idx)[0] >= g:
                 return Violation(
                     gen.degree,
                     f"generator {gen.label}: differential hits a non-earlier generator",
@@ -92,11 +91,13 @@ def ground_left_module(phi):
 
 
 def test_free_module_resolves_to_itself():
+    # A = ⊕ A e over its idempotents: one generator each, spanning A e
     for A in (truncated_polynomial(2), exterior_algebra(), upper_triangular()):
         M = left_regular(A)
         res = semifree_resolution(M, 6)
         assert verify_resolution(res) is True
-        assert len(res.generators) == 1
+        assert [g.idempotent for g in res.generators] == idempotents(A)
+        assert len(res.generators) == (2 if A.name == "T2(k)" else 1)
         assert res.free.underlying().space.dims == M.underlying().space.dims
 
 
@@ -293,40 +294,8 @@ def test_build_tree_wrong_module_rejected():
 # -- differential test: the incremental builder against the rebuild loop -------
 
 
-def rebuild_resolution(M, D, max_generators=10000):
-    """Generators and window of the rebuild-per-generator construction.
-
-    Test oracle only: after every generator it rebuilds the free module, ε
-    and the whole cone(ε), then eliminates again.  Returns (generators,
-    window, capped).
-    """
-    A, F = M.algebra, M.field
-    gens = []
-    free = FreeModule(A, gens)
-    bottom = min((d for _, d in M.basis), default=0)
-    for n in range(bottom, D + 2):
-        while True:
-            Cn, _, _ = cone(augmentation(free, M))
-            boundaries = Echelon(F)
-            for col in Cn.d(n + 1).columns:
-                boundaries.add(col)
-            v = next((z for z in kernel_basis(Cn.d(n)) if boundaries.add(z)), None)
-            if v is None:
-                break
-            dimM = len(M.component(n))
-            comp_free = free.component(n - 1)
-            m_part = M.elem_from_component({p: c for p, c in v.items() if p < dimM}, n)
-            x_part = {comp_free[p - dimM]: c for p, c in sorted(v.items()) if p >= dimM}
-            eps = vec_scale(F, F.neg(F.one), m_part)
-            gens.append(Generator(f"g{n}.{len(gens)}", n, x_part, eps))
-            if len(gens) > max_generators:
-                return gens, Window(bottom - 1, n - 1), True
-            free = FreeModule(A, gens)
-    return gens, Window(bottom - 1, D), False
-
-
 def _gen_data(gens):
-    return [(g.label, g.degree, g.d_elem, g.eps) for g in gens]
+    return [(g.label, g.degree, g.d_elem, g.eps, g.idempotent) for g in gens]
 
 
 def _same_free_module_and_eps(res, M):
@@ -402,7 +371,7 @@ def _corpus(field):
 def test_incremental_builder_matches_rebuild_loop(field):
     for name, M, D in _corpus(field):
         assert validate_module(M) == [], name
-        gens, window, capped = rebuild_resolution(M, D)
+        gens, window, capped = rebuild_resolution(M, D, types=idempotents(M.algebra))
         assert not capped
         res = semifree_resolution(M, D)
         assert _gen_data(res.generators) == _gen_data(gens), name
@@ -442,7 +411,7 @@ def test_generator_cap_holds_for_free_modules():
 def test_incremental_builder_cap_partial_matches_rebuild_loop():
     for field in (QQ, GF(2), GF(101)):
         for name, M, _ in _corpus(field)[:6]:
-            gens, window, capped = rebuild_resolution(M, 6, max_generators=3)
+            gens, window, capped = rebuild_resolution(M, 6, 3, idempotents(M.algebra))
             if not capped:
                 continue
             with pytest.raises(ResourceBoundExceeded) as e:
@@ -459,13 +428,17 @@ def test_incremental_builder_cap_partial_matches_rebuild_loop():
 
 def _finishing_modules():
     """(name, module, finishes): k over k and S over S finish, with cone(ε)
-    zero above the top of M and F; k over k × k does not, since its
-    generators carry both idempotents and each leaves a kernel above it."""
-    phi = product_to_ground()
+    zero above the top of M and F, and so does k over k × k, which is
+    projective: one generator spanning A(1 − e).  k over k[x]/(x²) does not:
+    no idempotent but 1, and its minimal resolution has a generator in every
+    degree."""
     out = [("k over k", left_regular(ground_algebra()), True)]
     for S in (exterior_algebra(), truncated_polynomial(2), product_kk()):
         out.append((f"S over S, S = {S.name}", left_regular(S), True))
-    out.append(("k over k × k", restrict_scalars(left_regular(phi.target), phi), False))
+    phi = product_to_ground()
+    out.append(("k over k × k", restrict_scalars(left_regular(phi.target), phi), True))
+    phi = truncated_to_ground(2)
+    out.append(("k over k[x]/(x²)", restrict_scalars(left_regular(phi.target), phi), False))
     return out
 
 
@@ -485,7 +458,7 @@ def test_finished_resolution_is_read_at_any_depth(monkeypatch, D):
             shallow = semifree_resolution(M, D)
             deep = semifree_resolution(M, D + 5)
         for res, depth in ((shallow, D), (deep, D + 5)):
-            gens, window, _ = rebuild_resolution(M, depth)
+            gens, window, _ = rebuild_resolution(M, depth, types=idempotents(M.algebra))
             assert _gen_data(res.generators) == _gen_data(gens), name
             assert res.validity == window == Window(M.min_degree() - 1, depth), name
             assert verify_resolution(res) is True, name

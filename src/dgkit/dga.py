@@ -507,21 +507,13 @@ def bimodule_to_env_module(M: DgBimodule) -> DgModule:
 
 
 def env_module_to_bimodule(X: DgModule, R: DgAlgebra, S: DgAlgebra) -> DgBimodule:
-    """Left enveloping(R,S)-module back to an R-S-bimodule."""
-    F = X.field
+    """Left enveloping(R,S)-module back to an R-S-bimodule, read off X's
+    action table: r_i acts as r_i⊗1 and s_j as 1⊗s_j, with the Koszul sign
+    (-1)^{|s||m|} on the right action."""
     nS = S.total_dim
-    act_left, act_right = {}, {}
-    for m in range(X.total_dim):
-        em = {m: F.one}
-        for i in range(R.total_dim):
-            e = X.act_elem({i * nS + S.unit: F.one}, em)
-            if e:
-                act_left[(i, m)] = e
-        for j in range(S.total_dim):
-            e = X.act_elem({R.unit * nS + j: F.one}, em)
-            if e:
-                act_right[(j, m)] = e
-    act_right = koszul_signed(F, act_right, S.deg, X.deg)
+    act_left = {(a // nS, m): e for (a, m), e in X.act.items() if a % nS == S.unit}
+    act_right = {(a % nS, m): e for (a, m), e in X.act.items() if a // nS == R.unit}
+    act_right = koszul_signed(X.field, act_right, S.deg, X.deg)
     return DgBimodule(R, S, X.basis, act_left, act_right, X.diff, name=X.name)
 
 

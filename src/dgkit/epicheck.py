@@ -582,19 +582,21 @@ def _pool(run: tuple):
     without ``fork``, or when this process has other threads, since a forked
     child gets no copy of them or of the locks they hold.  A
     ``ProcessPoolExecutor`` raises ``BrokenProcessPool`` when a worker dies,
-    where a ``multiprocessing.Pool`` would wait for its result forever."""
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return None
+    where a ``multiprocessing.Pool`` would wait for its result forever.
+    The worker count is read off the affinity mask first, so a run with one
+    worker imports neither ``multiprocessing`` nor ``concurrent.futures``."""
     try:
         mask = sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         mask = []
     workers = min(len(run[0]), len(mask) or os.cpu_count() or 1)
     if workers < 2:
+        return None
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return None
     context = multiprocessing.get_context("fork")
     cpus = None

@@ -225,17 +225,16 @@ class TensorProduct(GroundComplex):
     The right factor decides the path.  A :class:`~dgkit.modops.FreeModule`
     A ⊗ V (a resolution's ``free``, or an R-free Q ⊗_S P) takes the free
     path: degree d has one basis element per pair (m, 1·g) with
-    |m| + |g| = d, and ``coords`` reads a pair (m, a·g) as (m·a, 1·g) through
-    M's right A-action.  A generator g of A e for an idempotent e ≠ 1 spans
+    |m| + |g| = d.  A generator g of A e for an idempotent e ≠ 1 spans
     Me ⊗ g ≅ M/M(1 − e) ⊗ g: its pairs are the (m, e·g) for the m off the
-    pivots of M(1 − e), and ``coords`` reads (m, a·e·g) as the normal form
-    of m·a, paired with e·g.  When the left factor is a ``FreeModule`` on
-    free generators, over the outer left algebra R (a bimodule resolution's
-    R-free view), the product is R-free and ``structure()`` is that
-    ``FreeModule``.  Every
-    other right factor takes the generic path: the basis is the pairs off
-    the pivots of each degree's echelon of relations m·a ⊗ n − m ⊗ a·n, and
-    ``coords`` reduces modulo it.  With ``degrees``, only the pairs and
+    pivots of M(1 − e).  One reader, ``coords``, serves both: it reads a
+    pair (m, a·g) as m·a through M's right A-action, in normal form modulo
+    M(1 − e) when g spans A e, paired with g's head.  When the left factor
+    is a ``FreeModule`` too (a bimodule resolution's R-free view, over the
+    outer left algebra R), the product is R-free and ``structure()`` is
+    that ``FreeModule``.  Every other right factor takes the generic path:
+    the basis is the pairs off the pivots of each degree's echelon of
+    relations m·a ⊗ n − m ⊗ a·n, and ``coords`` reduces modulo it.  With ``degrees``, only the pairs and
     relation echelons of those degrees are built.
     """
 
@@ -259,8 +258,8 @@ class TensorProduct(GroundComplex):
             self._relations = None
             heads = [self._free.index(g, A.unit) for g in range(len(self._free.gens))]
             self._components = _ground_pairs(M, N, 1, heads, degrees)
+            self._normal = self._normal_forms()
             if self._free.projective:  # e·g pairs with the m off the pivots of M(1 − e)
-                self._normal = self._normal_forms()
                 off = {x: self._normal[g] for g, x in enumerate(heads)}
                 self._components = {
                     d: [(m, x) for m, x in ps if off[x] is None or m in off[x][m]]
@@ -330,88 +329,68 @@ class TensorProduct(GroundComplex):
         return {(mi, k): c for k, c in self._act_outer_r.get((a, nj), {}).items()}
 
     def coords(self, ground: dict, d: int) -> dict:
-        """Coordinates {position: c} of a ground vector of degree d in the quotient basis."""
+        """Coordinates {position: c} of a ground vector of degree d in the
+        quotient basis.  On the free path m ⊗ a·g is m·a ⊗ 1·g, and for a
+        generator g of A e, e ≠ 1, [m·a] ⊗ e·g: the normal form of m·a
+        modulo M(1 − e), paired with e·g."""
         pos = self._pos.get(d, {})
-        if self._relations is None and self._free.projective:
-            return self._projective_coords(ground, pos)
-        if self._relations is None:
-            # free path: m ⊗ a·g = m·a ⊗ 1·g
-            F, free, unit = self.field, self._free, self.A.unit
-            out: dict = {}
-            for (mi, x), c in ground.items():
-                g, a = free.split(x)
-                if a == unit:
-                    vec_iadd(F, out, {pos[mi, x]: c})
-                else:
-                    head = free.index(g, unit)
-                    vec_iadd(F, out, {pos[k, head]: c2 for k, c2 in self._act_rA.get((a, mi), {}).items()}, c)
-            return out
-        if not any(ground.values()):
-            return {}
-        return {pos[pair]: c for pair, c in self._relations[d].reduce(ground).items()}
-
-    def _projective_coords(self, ground: dict, pos: dict) -> dict:
-        """``coords`` on the free path when a generator of the right factor
-        spans A e for e ≠ 1: m ⊗ a·e·g is [m·a] ⊗ e·g, the normal form of m·a
-        modulo M(1 − e) paired with e·g; m ⊗ a·g is m·a ⊗ 1·g for a free g."""
+        if self._relations is not None:
+            if not any(ground.values()):
+                return {}
+            return {pos[pair]: c for pair, c in self._relations[d].reduce(ground).items()}
         F, free, unit = self.field, self._free, self.A.unit
         out: dict = {}
         for (mi, x), c in ground.items():
             g, a = free.split(x)
-            head, normal = free.index(g, unit), self._normal[g]
             ma = {mi: F.one} if a == unit else self._act_rA.get((a, mi), {})
-            for k, c2 in ma.items():
-                form = {k: F.one} if normal is None else normal[k]
-                vec_iadd(F, out, {pos[j, head]: c3 for j, c3 in form.items()}, c * c2)
+            if self._normal[g] is not None:
+                ma = linear(F, self._normal[g].__getitem__, ma)
+            head = free.index(g, unit)
+            vec_iadd(F, out, {pos[k, head]: c2 for k, c2 in ma.items()}, c)
         return out
 
     def structure(self):
-        """The R-``FreeModule`` when both factors are free modules, the left
-        one on free generators, no outer right action descends, every degree
-        is built and :meth:`_free_view` finds the layout; else
-        :meth:`GroundComplex.structure`."""
+        """The R-``FreeModule`` of :meth:`_free_view` when both factors are
+        free modules, no outer right action descends and every degree is
+        built; else :meth:`GroundComplex.structure`."""
         if (
             self._module is None
             and self.degree_range is None
             and None not in (self._free_left, self._free)
-            and not self._free_left.projective
             and self.outer_right is None
         ):
             self._module = self._free_view()
         return super().structure()
 
-    def _free_view(self) -> FreeModule | None:
+    def _free_view(self) -> FreeModule:
         """(R ⊗ U) ⊗_A (A ⊗ V) ≅ R ⊗ (U ⊗ V) on the numbering of ``basis``:
         free on the pairs (1·u, 1·v) of the factors' generators, with
         r·(q ⊗ p) = (r·q) ⊗ p, so r_i·(u ⊗ v) is the pair (r_i·u, 1·v), with
         no sign.  The action is R's multiplication on that layout.  For a
         generator e·v of A e the pairs are those (1·u, e·v) in the basis,
-        each with every (r_i·u, e·v): a bimodule resolution's Q(1 − e) is
+        each with every (r_i·u, e·v).
+
+        A left factor that is a ``FreeModule`` reaches here only as a
+        bimodule resolution's R-free view (``_over`` reads it through its
+        ``bimodule``), which :func:`~dgkit.modops.left_free` makes on free
+        generators (1⊗s)·g of the enveloping resolution.  Its Q(1 − e) is
         R ⊗ S(1 − e) on each generator, so whether (r_i·u, e·v) is in the
-        basis depends on u's S-part alone.  None when the basis is not such
-        a layout."""
+        basis depends on u's S-part alone: a row is all in the basis or
+        none of it is, and the rows cover the basis."""
         left, right, R = self._free_left, self._free, self.outer_left
-        M, N, start, pos = self.M, self.N, self._start, self._pos
-
-        def at(mi: int, x: int) -> int | None:
-            d = M.deg(mi) + N.deg(x)
-            return start[d] + pos[d][mi, x] if (mi, x) in pos.get(d, ()) else None
-
+        start = self._start
+        at = {pair: start[d] + i for d, ps in self._pos.items() for pair, i in ps.items()}
         diff = self._table(self.complex.diffs, -1)
         gens, rows = [], []
         for u in range(len(left.gens)):
             for v in range(len(right.gens)):
                 head = right.index(v, self.A.unit)
-                row = {i: at(left.index(u, i), head) for i in range(R.total_dim)}
-                if None in row.values():
-                    if any(x is not None for x in row.values()):
-                        return None
+                if (left.index(u, R.unit), head) not in at:  # u ⊗ e·v = 0
                     continue
+                row = {i: at[left.index(u, i), head] for i in range(R.total_dim)}
                 x = row[R.unit]
                 gens.append(Generator(self.basis[x][0], self.basis[x][1], diff.get(x, {})))
                 rows.append(row)
-        if sum(map(len, rows)) != len(self.basis):
-            return None
         return FreeModule.view(R, gens, rows, self.basis, diff, name=self.name)
 
 

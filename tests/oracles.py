@@ -2,15 +2,35 @@
 the library builds (among them the kernel-based quasi_iso and the
 product-matrix chain-map check that the library's rank readings replaced),
 the chain-complex constructions (shift, sum, cone) that only tests
-build, and the free resolution builder, kept out of the library itself."""
+build, the free resolution builder, kept out of the library itself, and
+``dy_equals_x``, the DGA with a differential that several files resolve
+and check over."""
 
 from dgkit.complexes import ChainMap, Complex, GradedSpace, QuasiIsoReport, Violation, Window
-from dgkit.dga import DgAlgebra, DgBimodule, DgModule, matrices_from_images, regular_bimodule
+from dgkit.dga import (
+    DgAlgebra,
+    DgBimodule,
+    DgModule,
+    matrices_from_images,
+    regular_bimodule,
+    tensor_algebra,
+    validate_dga,
+)
 from dgkit.field import Field
 from dgkit.homtensor import tensor_over
 from dgkit.linalg import Echelon, Matrix, kernel_basis, lead_coords, rank, vec_scale
 from dgkit.modops import DgModuleMap, FreeModule, Generator
 from dgkit.resolutions import ResourceBoundExceeded, SemifreeResolution
+from dgkit.standard import exterior_algebra, truncated_polynomial
+
+
+def dy_equals_x(field: Field) -> DgAlgebra:
+    """k[x]/(x²) ⊗ Λ(y) with |x| = 0, |y| = 1 and dy = x."""
+    T = tensor_algebra(truncated_polynomial(2, field), exterior_algebra(field))
+    # basis 1⊗1, 1⊗y, x⊗1, x⊗y
+    A = DgAlgebra(field, T.basis, T.unit, T.mul, {1: {2: field.one}}, name="k[x]/(x²)⊗Λ(y)")
+    assert validate_dga(A) == []
+    return A
 
 
 def validate_complex(C: Complex):

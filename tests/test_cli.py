@@ -255,6 +255,43 @@ def test_witness_verify_accepts(capsys):
         assert "accepted" in out
 
 
+# well-formed cone and shift nodes over exterior.dg: C is module_cone(idR)'s
+# layout, the target R then ΣR with d(Σa) = a and d(Σb) = b; SRR is Σ(E ⊕ E),
+# whose shifted action carries the sign (-1)^{|x|}; g is E-linear nowhere
+_CONE_MODULES = """
+module C over E
+  basis p:0 q:1 r:1 s:2
+  act x p = q
+  act x r = -1*s
+  d r = p
+  d s = q
+
+module SRR over E
+  basis a:1 b:2 c:1 d:2
+  act x a = -1*b
+  act x c = -1*d
+
+map g : R -> R
+  a -> a
+"""
+
+
+@pytest.mark.parametrize(
+    "module, tree, verdict",
+    [
+        ("C", "(cone idR (leaf) (leaf))", "accepted"),
+        ("C", "(cone g (leaf) (leaf))", "rejected\n  cone node map invalid: not linear over basis element x in degree 0 (degree 0)"),
+        ("SRR", "(shift 1 (sum (leaf) (leaf)))", "accepted"),
+        ("M2", "(shift 1 (sum (leaf) (leaf)))", "rejected\n  tree value does not match the module and no retract given (degree 0)"),
+    ],
+    ids=["cone", "cone-not-linear", "shift-of-sum", "shift-of-sum-wrong-module"],
+)
+def test_witness_verify_reads_cone_and_shift_nodes(capsys, tmp_path, module, tree, verdict):
+    path = tmp_path / "cone.dg"
+    path.write_text((FIXTURES / "exterior.dg").read_text() + _CONE_MODULES + f"\nwitness w for {module}\n  {tree}\n")
+    assert _run(capsys, "witness-verify", path, "w") == (0, f"witness w for {module}: {verdict}\n", "")
+
+
 def _nested_witness(tmp_path, node: str, depth: int):
     """exterior.dg plus a witness wDeep for R of ``depth`` nested nodes, one
     opening ``node`` per line around a leaf; and the line of the header."""

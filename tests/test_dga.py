@@ -1,4 +1,6 @@
-from dgkit.field import QQ
+import pytest
+
+from dgkit.field import GF, QQ
 from dgkit.dga import (
     DgAlgebra,
     DgModule,
@@ -32,7 +34,7 @@ from dgkit.standard import (
     upper_triangular,
 )
 
-from oracles import validate_complex
+from oracles import dy_equals_x, validate_complex
 
 
 def test_standard_algebras_valid():
@@ -186,6 +188,18 @@ def test_env_round_trip_with_graded_bimodule():
     assert validate_module(X) == []
     back = env_module_to_bimodule(X, A, A)
     assert back.act_left == M.act_left and back.act_right == M.act_right
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=repr)
+def test_enveloping_algebra_with_a_differential(F):
+    # dy = x: the enveloping algebra carries d(r⊗s) = dr⊗s ± r⊗ds, and the
+    # regular bimodule comes back from its enveloping module unchanged
+    A = dy_equals_x(F)
+    assert validate_dga(enveloping(A, A)) == []
+    M = regular_bimodule(A)
+    back = env_module_to_bimodule(bimodule_to_env_module(M), A, A)
+    assert validate_module(back) == []
+    assert (back.basis, back.act_left, back.act_right, back.diff) == (M.basis, M.act_left, M.act_right, M.diff)
 
 
 def test_vec_iadd_accumulates_in_place_and_drops_zeros():

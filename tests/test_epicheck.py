@@ -3,10 +3,13 @@ import gc
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import traceback
 import weakref
 from concurrent.futures.process import BrokenProcessPool, _RemoteTraceback
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from dgkit.dga import (
     right_regular,
     validate_dga,
     validate_module,
+    validate_morphism,
 )
 from dgkit.derived import (
     _condition3_map,
@@ -70,7 +74,7 @@ from dgkit.standard import (
     upper_triangular,
 )
 
-from oracles import plain
+from oracles import dy_equals_x, plain
 from test_tables import _corpus as ring_corpus
 
 
@@ -221,6 +225,24 @@ def test_dga_exterior_identity_is_epi():
     rep = check_dga_epi(phi, 2, fam)
     assert rep.agreement and rep.is_epi
     assert all(v.holds for v in rep.verdicts if v.checkable)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=repr)
+def test_dga_mode_over_an_algebra_with_a_differential(F):
+    # A = k[x]/(x²) ⊗ Λ(y) with dy = x: the identity is an epimorphism; the
+    # augmentation is not, since z ↦ x⊗y is a quasi-isomorphism Λ(z) → A with
+    # |z| = 1, so Tor^A_2(k, k) = k
+    A = dy_equals_x(F)
+    rep = check_dga_epi(identity_morphism(A), 3, generate_test_family(A, 0, 3))
+    assert rep.agreement and rep.is_epi
+    assert all(v.holds for v in rep.verdicts if v.checkable)
+    k = ground_algebra(F)
+    aug = DgaMorphism(A, k, {A.unit: {k.unit: F.one}}, name="aug")
+    assert validate_morphism(aug) == []
+    rep = check_dga_epi(aug, 3, generate_test_family(k, 0, 3))
+    assert rep.agreement and not rep.is_epi
+    failing = [(v.condition, v.degree) for v in rep.verdicts if v.checkable and not v.holds]
+    assert failing == [(1, 2), (2, 2), (3, 2), (4, -2), (5, -2)]
 
 
 # -- bimodule conditions directly ---------------------------------------------
@@ -899,6 +921,31 @@ def test_each_worker_runs_on_a_cpu_of_its_own(monkeypatch):
     assert os.getpid() not in workers
     pinned = [tuple(a) for a in workers.values()]
     assert len(set(pinned)) == len(pinned) and all(len(a) == 1 and a[0] in cpus for a in pinned)
+
+
+# pins itself to one CPU before it imports dgkit, runs the CLI and names the
+# pool's modules it loaded on stderr
+_ONE_CPU = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from dgkit.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules], file=sys.stderr)
+"""
+
+
+def test_a_one_cpu_run_loads_no_pool_modules():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no affinity mask on this platform")
+    src = Path(dgkit.epicheck.__file__).resolve().parent.parent
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "product.dg"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["consistency", str(fixture)]
+    pinned = subprocess.run([sys.executable, "-c", _ONE_CPU, *argv], capture_output=True, env=env, timeout=120)
+    unpinned = subprocess.run([sys.executable, "-m", "dgkit.cli", *argv], capture_output=True, env=env, timeout=120)
+    assert pinned.stderr.decode() == "0 []\n"
+    assert unpinned.returncode == 0 and pinned.stdout == unpinned.stdout != b""
 
 
 def test_a_worker_that_dies_fails_the_run(monkeypatch):

@@ -24,6 +24,7 @@ import dgkit.epicheck
 import dgkit.resolutions
 from dgkit.cli import main
 from dgkit.complexes import Window, quasi_iso
+from dgkit.derived import ext_table, tor_table
 from dgkit.dga import (
     DgAlgebra,
     DgaMorphism,
@@ -55,7 +56,7 @@ from dgkit.standard import (
     upper_triangular,
 )
 
-from oracles import plain, rebuild_resolution, rebuilt_record
+from oracles import dy_equals_x, plain, rebuild_resolution, rebuilt_record
 from test_digests import BUILDERS
 from test_free_hom import _assert_change_of_basis
 from test_free_tensor import _change_of_basis as _tensor_change_of_basis
@@ -184,6 +185,42 @@ def test_builds_over_idempotents_finish(F, seed):
         ], name
         # the free builder grows a generator or more in every degree
         assert len(rebuild_resolution(M, 4)[0]) == free, name
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=repr)
+def test_summands_over_an_algebra_with_a_differential(F, monkeypatch):
+    # P = (k × k) ⊗ A with dy = x: a summand P e carries d((1⊗y)·e) = (1⊗x)·e
+    P = tensor_algebra(product_kk(F), dy_equals_x(F), name="(k×k)⊗A")
+    types = idempotents(P)
+    ((e, _),) = types[0].items()
+    assert P.label(e) == "e⊗1⊗1" and types[0] == {e: F.one}
+    regular = semifree_resolution(left_regular(P), 4)
+    assert [g.idempotent for g in regular.generators] == types  # P = P e ⊕ P(1 − e)
+    assert verify_resolution(regular) is True
+    assert len(semifree_resolution(left_regular(P), 40).generators) == 2
+    # k_e: e acts as 1; 1 − e, x and y act as 0
+    acts = {(P.unit, 0): {0: F.one}, (e, 0): {0: F.one}}
+    L = DgModule(P, "left", [("m", 0)], acts, {}, name="k_e")
+    Rt = DgModule(P, "right", [("m", 0)], acts, {}, name="k_e")
+    res = semifree_resolution(L, 4)
+    assert res.free.projective and verify_resolution(res) is True
+    gens, _, _ = rebuild_resolution(L, 4, types=types)
+    assert [(g.degree, g.d_elem, g.eps, g.idempotent) for g in gens] == [
+        (g.degree, g.d_elem, g.eps, g.idempotent) for g in res.generators
+    ]
+    tables = [tor_table(P, Rt, L, 4), ext_table(P, L, L, 4)]
+    # k_e is k over e·P·e = A, and z ↦ x⊗y is a quasi-isomorphism Λ(z) → A
+    # with |z| = 1: k in every even degree
+    assert tables == [{0: 1, 1: 0, 2: 1, 3: 0, 4: 1}] * 2
+    free = []
+
+    def free_record(M, D, max_generators=10000):
+        free.append(M.name)
+        return rebuilt_record(M, D, max_generators)
+
+    monkeypatch.setattr(dgkit.derived, "semifree_resolution", free_record)
+    assert [tor_table(P, Rt, L, 4), ext_table(P, L, L, 4)] == tables
+    assert free == ["k_e", "k_e"]
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)

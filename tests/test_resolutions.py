@@ -4,7 +4,6 @@ import dgkit.resolutions
 from dgkit.field import GF, QQ
 from dgkit.complexes import Violation, Window, homology_dims, quasi_iso
 from dgkit.dga import (
-    DgAlgebra,
     DgModule,
     bimodule_from_morphism,
     bimodule_to_env_module,
@@ -12,8 +11,6 @@ from dgkit.dga import (
     matrices_from_images,
     restrict_scalars,
     right_to_left_op,
-    tensor_algebra,
-    validate_dga,
     validate_module,
 )
 from dgkit.derived import derived_tensor
@@ -49,7 +46,7 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
-from oracles import augmentation, rebuild_resolution
+from oracles import augmentation, dy_equals_x, rebuild_resolution
 
 
 def eps_map(res):
@@ -308,15 +305,6 @@ def _same_free_module_and_eps(res, M):
     return None if eps_map(res).mats == augmentation(P, M).mats else "eps"
 
 
-def _dy_equals_x(field):
-    """k[x]/(x²) ⊗ Λ(y) with |x| = 0, |y| = 1 and dy = x."""
-    T = tensor_algebra(truncated_polynomial(2, field), exterior_algebra(field))
-    # basis 1⊗1, 1⊗y, x⊗1, x⊗y
-    A = DgAlgebra(field, T.basis, T.unit, T.mul, {1: {2: field.one}}, name="k[x]/(x²)⊗Λ(y)")
-    assert validate_dga(A) == []
-    return A
-
-
 def _ground(A, side="left"):
     """k as an A-module: every basis element but the unit acts by zero."""
     F = A.field
@@ -331,7 +319,7 @@ def _two_cell(A):
 
 
 def _dgas(field):
-    return exterior_algebra(field), _dy_equals_x(field)
+    return exterior_algebra(field), dy_equals_x(field)
 
 
 def _family_members(A):

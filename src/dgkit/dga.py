@@ -7,9 +7,9 @@ Structure constants (multiplication, actions, differentials) are given on
 basis elements and extended bilinearly.  Every constructor keeps the entries
 it is given in tables of its own: new outer dicts without the empty entries,
 sharing the entry dicts, which nothing changes in place.  A graded object's
-differential and action matrices are built by :func:`matrices_from_images`,
-as every map given on basis elements is.  All axioms are verified exactly on
-basis tuples by the ``validate_*`` functions.
+differential is built by :func:`matrices_from_images`, as every map given on
+basis elements is; no action matrix is built.  All axioms are verified
+exactly on basis tuples by the ``validate_*`` functions.
 
 Sign conventions (fixed once, certified by the validators):
   * left Leibniz   d(a m) = d(a) m + (-1)^{|a|} a d(m)
@@ -196,19 +196,10 @@ class DgModule(_Graded):
         self.side = side
         self.act = {am: e for am, e in act.items() if e}
         self.name = name
-        self._action_mats: dict = {}
 
     def act_elem(self, a: dict, m: dict) -> dict:
         """Apply an algebra element: a·m (left) or m·a (right)."""
         return bilinear(self.field, lambda i, j: self.act.get((i, j), {}), a, m)
-
-    def action_matrix(self, a_idx: int, n: int) -> Matrix:
-        """Matrix of the action of basis element a on the degree-n component."""
-        p, mats = self.algebra.deg(a_idx), self._action_mats.get(a_idx)
-        if mats is None:
-            mats = matrices_from_images(self, self, lambda m, _: self.act.get((a_idx, m), {}), p)
-            self._action_mats[a_idx] = mats
-        return mats[n] if n in mats else Matrix.zero(self.field, len(self.component(n + p)), 0)
 
     def __repr__(self):
         return f"DgModule({self.name}, {self.side} over {self.algebra.name}, dim={self.total_dim})"

@@ -422,13 +422,6 @@ def _endpoint_map(S: DgAlgebra, M: DgBimodule, H) -> ChainMap:
     return ChainMap(S.underlying(), H.complex, matrices_from_images(S, H, image))
 
 
-def _endpoint_verdict(f: ChainMap, window: Window) -> ConditionVerdict:
-    """Verdict on an endpoint map f of :func:`_endpoint_map`; raises
-    ValueError unless f is a chain map."""
-    reports = _reports(window, "endpoint map S → Hom_R(M, M)", lambda: f)
-    return _fold("compact-endpoint", window, reports)
-
-
 def check_dwyer_greenlees(
     R: DgAlgebra,
     M: DgModule,
@@ -448,8 +441,10 @@ def check_dwyer_greenlees(
     if bad:
         raise ValueError(f"endomorphism bimodule invalid: {bad[0].axiom}")
     S = bimod.right_algebra
-    # the witness was verified above, so the endpoint map can target H
-    endpoint = _endpoint_verdict(_endpoint_map(S, bimod, H), window)
+    # the witness was verified above, so the endpoint map can target H;
+    # _reports raises ValueError unless it is a chain map
+    reports = _reports(window, "endpoint map S → Hom_R(M, M)", lambda: _endpoint_map(S, bimod, H))
+    endpoint = _fold("compact-endpoint", window, reports)
     # degreewise comparison S ≅ Hom_R(M, M): a basis element f of F is a map
     # of M, and the endpoint map sends it to f itself, since the signs of
     # m·f = (-1)^{|f||m|} f(m) and of the pointwise rule cancel; the verdict

@@ -81,7 +81,7 @@ from __future__ import annotations
 from .linalg import Echelon, Matrix, lead_coords
 from .complexes import Complex, GradedSpace, Window
 from .dga import DgAlgebra, DgBimodule, DgModule, koszul_signed, linear, matrices_from_images, vec_iadd
-from .modops import FreeModule, Generator, quotient_forms
+from .modops import FreeModule, quotient_forms
 
 
 class SideMismatch(ValueError):
@@ -368,7 +368,9 @@ class TensorProduct(GroundComplex):
         r·(q ⊗ p) = (r·q) ⊗ p, so r_i·(u ⊗ v) is the pair (r_i·u, 1·v), with
         no sign.  The action is R's multiplication on that layout.  For a
         generator e·v of A e the pairs are those (1·u, e·v) in the basis,
-        each with every (r_i·u, e·v).
+        each with every (r_i·u, e·v).  Only these rows are passed on:
+        ``FreeModule.view`` makes each generator, free over R, with the
+        label, degree and differential of its head (1·u, e·v).
 
         A left factor that is a ``FreeModule`` reaches here only as a
         bimodule resolution's R-free view (``_over`` reads it through its
@@ -380,18 +382,10 @@ class TensorProduct(GroundComplex):
         left, right, R = self._free_left, self._free, self.outer_left
         start = self._start
         at = {pair: start[d] + i for d, ps in self._pos.items() for pair, i in ps.items()}
-        diff = self._table(self.complex.diffs, -1)
-        gens, rows = [], []
-        for u in range(len(left.gens)):
-            for v in range(len(right.gens)):
-                head = right.index(v, self.A.unit)
-                if (left.index(u, R.unit), head) not in at:  # u ⊗ e·v = 0
-                    continue
-                row = {i: at[left.index(u, i), head] for i in range(R.total_dim)}
-                x = row[R.unit]
-                gens.append(Generator(self.basis[x][0], self.basis[x][1], diff.get(x, {})))
-                rows.append(row)
-        return FreeModule.view(R, gens, rows, self.basis, diff, name=self.name)
+        heads = [right.index(v, self.A.unit) for v in range(len(right.gens))]
+        pairs = [(u, h) for u in range(len(left.gens)) for h in heads if (left.index(u, R.unit), h) in at]
+        rows = [{i: at[left.index(u, i), h] for i in range(R.total_dim)} for u, h in pairs]  # u ⊗ e·v ≠ 0
+        return FreeModule.view(R, rows, self.basis, self._table(self.complex.diffs, -1), name=self.name)
 
 
 def tensor_over(
@@ -422,10 +416,13 @@ class HomComplex(GroundComplex):
     read only as a complex builds none.  A generator g of A e for an
     idempotent e ≠ 1 takes its values in eN, Hom_A(A e ⊗ g, N) ≅ eN: its
     pairs are (g, w) for the leads w of the reduced echelon basis u_w of the
-    e·w, and its rep extends g ↦ u_w.  Every other source takes the generic
-    path: the degree-n basis is the kernel of the A-linearity constraints
-    over the ground pairs.  Both bases are in lead form, so ``coords`` reads
-    a vector's values at the leads (:func:`~dgkit.linalg.lead_coords`): the
+    e·w, and its rep extends g ↦ u_w; the differential keeps each term at
+    the pairs of degree n − 1, the leads of eN for such a g.  Every other
+    source takes the generic path: the degree-n basis is the kernel of the
+    A-linearity constraints over the ground pairs, and its differential
+    reads the transpose of d_M, made at the first ``ground_differential``
+    call.  Both bases are in lead form, so ``coords`` reads a vector's
+    values at the leads (:func:`~dgkit.linalg.lead_coords`): the
     generator row (1·g, w) of a free basis element, the largest ground pair
     of a kernel vector.  With ``degrees``, only the pairs and constraint
     kernels of those degrees are built.  With a ``cut`` c, the generic path
@@ -455,10 +452,7 @@ class HomComplex(GroundComplex):
         self.degree_range = degrees
         act_M, self.outer_left, self._act_outer_l = _over(M, A, "left")
         self._act_N, self.outer_right, self._act_outer_r = _over(N, A, "left")
-        self._dM_into: dict[int, dict] = {}  # k ↦ {m: coefficient of k in d(m)}
-        for mi, dm in M.diff.items():
-            for k, c in dm.items():
-                self._dM_into.setdefault(k, {})[mi] = c
+        self._dM_into: dict[int, dict] | None = None  # k ↦ {m: coefficient of k in d(m)}
         if self._free is None:
             self._constraint_kernels(act_M, cut)
         else:
@@ -555,16 +549,20 @@ class HomComplex(GroundComplex):
         builds every degree's: the A-linear extensions of g ↦ u_w (w itself
         for a free g) and their leads, the ground pairs (1·g, w)."""
         if self._components is None:
-            free, one, unit, values = self._free, self.field.one, self.A.unit, self._values
+            free, unit = self._free, self.A.unit
             self._leads = {
                 d: {(free.index(g, unit), w): i for i, (g, w) in enumerate(ps)}
                 for d, ps in self._pairs.items()
             }
             self._components = {
-                d: [self._extension(g, {w: one} if values[g] is None else values[g][w], d) for g, w in ps]
-                for d, ps in self._pairs.items()
+                d: [self._extension(g, self._value(g, w), d) for g, w in ps] for d, ps in self._pairs.items()
             }
         return self._components.get(n, [])
+
+    def _value(self, g: int, w: int) -> dict:
+        """u_w, the value at generator g of the pair (g, w): w itself for a free g."""
+        values = self._values[g]
+        return {w: self.field.one} if values is None else values[w]
 
     def _a_times(self, a: int, v: dict) -> dict:
         """a·v in N, for a basis element a of A and an element v of N."""
@@ -586,9 +584,11 @@ class HomComplex(GroundComplex):
             return super()._differentials()
         # D(f)(h) = d_N(f(h)) − (-1)^n f(d h) on generator values: the pair
         # (g, w) gives d_N(u_w) at g and −(-1)^n (-1)^{n|a|} c·a·u_w at each
-        # generator h whose d(h) has the term c·a·g, each read at the leads of
-        # its generator's eN (its values there, summed over the terms)
-        F, A, N, values = self.field, self.A, self.N, self._values
+        # generator h whose d(h) has the term c·a·g, each kept at the pairs of
+        # degree n − 1 (for a generator of A e, the leads of eN, where it lies)
+        F, A, N = self.field, self.A, self.N
+        # g ↦ {w: d_N(u_w)}: N's own table for a free g
+        d_values = [N.diff if v is None else {w: N.d_elem(u) for w, u in v.items()} for v in self._values]
         into: dict[int, list] = {}  # g ↦ [(h, a, c)]: the terms c·a·g of each d(h)
         for h, gen in enumerate(self._free.gens):
             for x, c in gen.d_elem.items():
@@ -601,18 +601,12 @@ class HomComplex(GroundComplex):
             pos = self._pos.get(n - 1, {})
             cols = []
             for g, w in self._pairs[n]:
-                if values[g] is None:
-                    value = {w: F.one}
-                    col = {pos[g, k]: c for k, c in N.diff.get(w, {}).items()}
-                else:
-                    value = values[g][w]
-                    col = {pos[g, k]: c for k, c in N.d_elem(value).items() if k in values[g]}
+                col = {pos[g, k]: c for k, c in d_values[g].get(w, {}).items() if (g, k) in pos}
+                value = self._value(g, w)
                 for h, a, c in into.get(g, ()):
                     aw = self._a_times(a, value)
-                    if values[h] is not None:
-                        aw = {k: c2 for k, c2 in aw.items() if k in values[h]}
                     sgn = F.sign(n * (A.deg(a) + 1) + 1)
-                    vec_iadd(F, col, {pos[h, k]: c2 for k, c2 in aw.items()}, sgn * c)
+                    vec_iadd(F, col, {pos[h, k]: c2 for k, c2 in aw.items() if (h, k) in pos}, sgn * c)
                 cols.append(col)
             mats[n] = Matrix.from_columns(F, cols, len(pos))
         return mats
@@ -631,7 +625,12 @@ class HomComplex(GroundComplex):
         out: dict = {}
         for mi, fm in f.items():
             vec_iadd(F, out, {(mi, k): c for k, c in self.N.d_elem(fm).items()})
-        # (f ∘ d_M)(m) = Σ_k d(m)_k f(k), read off the transpose of d_M
+        # (f ∘ d_M)(m) = Σ_k d(m)_k f(k), read off the transpose of d_M made at the first call
+        if self._dM_into is None:
+            self._dM_into = {}
+            for mi, dm in self.M.diff.items():
+                for k, c in dm.items():
+                    self._dM_into.setdefault(k, {})[mi] = c
         sgn = F.sign(n + 1)
         for k, fk in f.items():
             for mi, c in self._dM_into.get(k, {}).items():

@@ -36,18 +36,23 @@ class DgModuleMap(ChainMap):
         self.modules = source, target
 
     def validate(self):
-        """Chain-map property plus A-linearity against both action tables."""
+        """Chain-map property plus A-linearity, f(a·m) = a·f(m) compared column
+        by column with no action matrix; the Violation names the first basis
+        element a of A, then the lowest degree, where it fails."""
         cm = super().validate()
         if cm is not True:
             return cm
         M, N = self.modules
         A = M.algebra
-        degrees = set(M.degrees()) | set(N.degrees())
         for a in range(A.total_dim):
-            p = A.deg(a)
-            for n in sorted(degrees):
-                if self.f(n + p) * M.action_matrix(a, n) != N.action_matrix(a, n) * self.f(n):
-                    return Violation(n, f"not linear over basis element {A.label(a)}")
+            p, one = A.deg(a), {a: A.field.one}
+            for n in M.degrees():
+                fn, f_up = self.mats.get(n), self.mats.get(n + p)
+                for q, m in enumerate(M.component(n)):
+                    fam = f_up.image(M.coords(M.act.get((a, m), {}), n + p)) if f_up else {}
+                    fm = N.elem_from_component(fn.columns[q], n) if fn else {}
+                    if fam != N.coords(N.act_elem(one, fm), n + p):
+                        return Violation(n, f"not linear over basis element {A.label(a)}")
         return True
 
 
@@ -224,9 +229,10 @@ class FreeModule(DgModule):
             self.add(gen)
 
     @classmethod
-    def view(cls, algebra: DgAlgebra, gens, rows, basis, diff, bimodule=None, name=None):
-        """The module on ``gens`` whose a·g is basis element rows[g][a],
-        over a basis and differential numbered elsewhere.
+    def view(cls, algebra: DgAlgebra, rows, basis, diff, gens=None, bimodule=None, name=None):
+        """The module whose a·g is basis element rows[g][a], over a basis and
+        differential numbered elsewhere; without ``gens``, each generator is
+        free, with the label, degree and differential of its head 1·g.
 
         When it is the left module of ``bimodule``, its action is the
         bimodule's left action and ``bimodule`` is kept; else the action is
@@ -235,6 +241,9 @@ class FreeModule(DgModule):
         free = cls.__new__(cls)
         act = {} if bimodule is None else bimodule.act_left
         DgModule.__init__(free, algebra, "left", basis, act, diff, name)
+        if gens is None:
+            heads = (row[algebra.unit] for row in rows)
+            gens = [Generator(free.label(x), free.deg(x), free.diff.get(x, {})) for x in heads]
         free._layout(gens, rows, bimodule)
         if bimodule is None:
             for gen, key, row in zip(gens, free._types, rows):
@@ -327,7 +336,7 @@ class FreeModule(DgModule):
             vec_iadd(F, e, linear(F, lambda y: self.act.get((a, y), {}), gen.d_elem), F.sign(A.deg(a)))
             if e:
                 self.diff[x] = e
-        self._complex, self._action_mats = None, {}
+        self._complex = None
         return g
 
     def prefix(self, k: int) -> "FreeModule":
@@ -335,7 +344,7 @@ class FreeModule(DgModule):
         module ``add`` made after them."""
         end = next(iter(self._rows[k].values())) if k < len(self.gens) else self.total_dim
         diff = {x: e for x, e in self.diff.items() if x < end}
-        return FreeModule.view(self.algebra, self.gens[:k], self._rows[:k], self.basis[:end], diff)
+        return FreeModule.view(self.algebra, self._rows[:k], self.basis[:end], diff, gens=self.gens[:k])
 
 
 def left_free(Q: DgBimodule, env: FreeModule) -> FreeModule:
@@ -345,14 +354,11 @@ def left_free(Q: DgBimodule, env: FreeModule) -> FreeModule:
     ``enveloping`` numbers r_i⊗s_j as i·|S| + j, and (r_i⊗1)(1⊗s_j) = r_i⊗s_j
     with no sign, so r_i·(1⊗s_j)·g is env's basis element at a = i·|S| + j.
     ``env_module_to_bimodule`` puts no sign on the left action either, so
-    the view reads Q's own tables.
+    the view reads Q's own tables.  Only the rows are passed on:
+    ``FreeModule.view`` makes each generator (1⊗s_j)·g, free over R, with
+    its head's label, degree and differential.
     """
-    R, S = Q.left_algebra, Q.right_algebra
-    nS = S.total_dim
-    gens, rows = [], []
-    for g in range(len(env.gens)):
-        for j in range(nS):
-            head = env.index(g, R.unit * nS + j)
-            gens.append(Generator(Q.label(head), Q.deg(head), Q.diff.get(head, {})))
-            rows.append({i: env.index(g, i * nS + j) for i in range(R.total_dim)})
-    return FreeModule.view(R, gens, rows, Q.basis, Q.diff, bimodule=Q, name=Q.name)
+    R, nS = Q.left_algebra, Q.right_algebra.total_dim
+    heads = [(g, j) for g in range(len(env.gens)) for j in range(nS)]  # (1⊗s_j)·g
+    rows = [{i: env.index(g, i * nS + j) for i in range(R.total_dim)} for g, j in heads]
+    return FreeModule.view(R, rows, Q.basis, Q.diff, bimodule=Q, name=Q.name)

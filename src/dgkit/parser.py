@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .dga import DgAlgebra, DgModule, DgaMorphism, matrices_from_images, vec_iadd
-from .field import Field, GF, QQ
+from .field import PRIME_BOUND, Field, GF, QQ
 from .resolutions import BuildTreeWitness, ConeNode, Leaf, ShiftNode, SumNode
 
 
@@ -446,6 +446,8 @@ def parse(text: str) -> PresentationFile:
         F, decl = QQ, "Q"
     elif len(toks) == 3 and toks[1] == "Fp":
         p = _int(toks[2], lineno)
+        if p >= PRIME_BOUND:  # primality is decided below the bound only
+            raise ParseError(lineno, 1, f"a modulus below {PRIME_BOUND} (got {p})")
         try:
             F = GF(p)
         except ValueError:
@@ -479,23 +481,23 @@ def parse(text: str) -> PresentationFile:
 # -- serialization -------------------------------------------------------------
 
 
-def _render_comb(F: Field, e: dict, labels) -> str:
+def _render_comb(e: dict, labels) -> str:
     if not e:
         return "0"
     parts = []
     for i in sorted(e):
-        c = F.to_str(e[i])
+        c = str(e[i])
         parts.append(labels[i] if c == "1" else f"{c}*{labels[i]}")
     return " + ".join(parts)
 
 
-def _write_table(out: list, F: Field, kw: str, table: dict, key_labels: tuple, labels: list, sep: str = "="):
+def _write_table(out: list, kw: str, table: dict, key_labels: tuple, labels: list, sep: str = "="):
     """Append one line `[kw] <keys> sep <lin-comb>` per table entry, in key order."""
     for key, e in sorted(table.items()):
         keys = key if isinstance(key, tuple) else (key,)
         words = [kw] if kw else []
         words += [names[k] for names, k in zip(key_labels, keys)]
-        out.append("  " + " ".join(words + [sep, _render_comb(F, e, labels)]))
+        out.append("  " + " ".join(words + [sep, _render_comb(e, labels)]))
 
 
 def _beyond_unit(table: dict, units: dict) -> dict:
@@ -523,20 +525,20 @@ def serialize(pf: PresentationFile) -> str:
             out += [f"algebra {name}", basis, f"  unit {labels[X.unit]}"]
             # products with the unit are implied by the unit line
             mul = _beyond_unit(X.mul, _unit_entries(F, X.unit, X.total_dim, True))
-            _write_table(out, F, "mul", mul, (labels, labels), labels)
-            _write_table(out, F, "d", X.diff, (labels,), labels)
+            _write_table(out, "mul", mul, (labels, labels), labels)
+            _write_table(out, "d", X.diff, (labels,), labels)
         elif kind == "module":
             side = " right" if X.side == "right" else ""
             out += [f"module {name} over {pf.module_over[name]}{side}", basis]
             # and so is the unit's action
             act = _beyond_unit(X.act, _unit_entries(F, X.algebra.unit, X.total_dim, False))
-            _write_table(out, F, "act", act, (_names(X.algebra), labels), labels)
-            _write_table(out, F, "d", X.diff, (labels,), labels)
+            _write_table(out, "act", act, (_names(X.algebra), labels), labels)
+            _write_table(out, "d", X.diff, (labels,), labels)
         elif kind in ("morphism", "map"):
             obj = (pf.morphisms if kind == "morphism" else pf.maps)[name]
             S, T = obj.source, obj.target
             out.append(f"{kind} {name} : {S.name} -> {T.name}")
-            _write_table(out, F, "", obj.images, (_names(S),), _names(T), "->")
+            _write_table(out, "", obj.images, (_names(S),), _names(T), "->")
         elif kind == "witness":
             w = pf.witnesses[name]
             out.append(f"witness {name} for {w.module_name}")

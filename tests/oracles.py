@@ -1,6 +1,7 @@
 """Test oracles shared by several test files: independent re-checks of what
 the library builds (among them the kernel-based quasi_iso and the
-product-matrix chain-map check that the library's rank readings replaced),
+product-matrix chain-map check that the library's rank readings replaced,
+and a module's action matrices, which it no longer builds),
 the chain-complex constructions (shift, sum, cone) that only tests
 build, the free resolution builder, kept out of the library itself, and
 ``dy_equals_x``, the DGA with a differential that several files resolve
@@ -86,6 +87,22 @@ def validate_products(f: ChainMap):
     return True
 
 
+def validate_linear_products(f: DgModuleMap):
+    """The reference for ``DgModuleMap.validate``: the chain-map check, then
+    f∘a = a∘f as products of action matrices, for each basis element a of A
+    and each degree in increasing order."""
+    cm = ChainMap.validate(f)
+    if cm is not True:
+        return cm
+    M, N = f.modules
+    A = M.algebra
+    for a in range(A.total_dim):
+        for n in sorted(set(M.degrees()) | set(N.degrees())):
+            if f.f(n + A.deg(a)) * action_matrix(M, a, n) != action_matrix(N, a, n) * f.f(n):
+                return Violation(n, f"not linear over basis element {A.label(a)}")
+    return True
+
+
 def tensor_unit_iso(A: DgAlgebra, N) -> ChainMap:
     """The unit-law quasi-isomorphism A ⊗_A N -> N (it is an isomorphism)."""
     T = tensor_over(A, regular_bimodule(A), N)
@@ -111,6 +128,15 @@ def plain(free: FreeModule) -> DgModule:
     take their generic paths on it, so it is the reference of every
     free-path comparison."""
     return DgModule(free.algebra, "left", free.basis, free.act, free.diff, free.name)
+
+
+def action_matrix(M: DgModule, a: int, n: int) -> Matrix:
+    """The matrix of basis element a acting on M's degree-n component, into
+    degree n + |a|: the tables read as matrices, which the library compares
+    column by column instead."""
+    p = M.algebra.deg(a)
+    mats = matrices_from_images(M, M, lambda m, _: M.act.get((a, m), {}), p)
+    return mats[n] if n in mats else Matrix.zero(M.field, len(M.component(n + p)), 0)
 
 
 def truncate_below(Z: DgBimodule, c: int):

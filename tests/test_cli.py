@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,97 @@ def test_field_fp_zero_exits_one(capsys, tmp_path, command):
     code, out, err = _run(capsys, command, path)
     assert (code, out) == (1, "")
     assert err.strip() == "error: line 1, column 1: expected prime modulus (got 0)"
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (10**18 + 3, None),  # a prime: trial division took minutes
+        (10**18 + 1, "prime modulus (got 1000000000000000001)"),  # 101 · 9901 · 999999000001
+        (561, "prime modulus (got 561)"),  # a Carmichael number
+        (3215031751, "prime modulus (got 3215031751)"),  # a strong pseudoprime to 2, 3, 5 and 7
+        # a strong pseudoprime to every prime base up to 37: base 41 decides it
+        (318665857834031151167461, "prime modulus (got 318665857834031151167461)"),
+        (2**89 - 1, "a modulus below 3317044064679887385961981 (got 618970019642690137449562111)"),
+    ],
+)
+def test_prime_moduli_are_decided_within_a_second(capsys, tmp_path, p, expected):
+    path = tmp_path / "fp.dg"
+    path.write_text(f"field Fp {p}\n\nalgebra A\n  basis e:0\n  unit e\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", path)
+    assert time.perf_counter() - start < 1
+    if expected is None:
+        assert (code, out.splitlines()[-1], err) == (0, "result: valid", "")
+    else:
+        assert (code, out, err) == (1, "", f"error: line 1, column 1: expected {expected}\n")
+
+
+def _blocks(*blocks: str) -> str:
+    """A presentation from its block heads and bodies, each a string of lines
+    joined by '; ' whose first line is the head."""
+    out = ["field Q"]
+    for block in blocks:
+        head, *body = block.split("; ")
+        out += ["", head] + [f"  {line}" for line in body]
+    return "\n".join(out) + "\n"
+
+
+_A, _B, _PHI = "algebra A; basis e:0", "algebra B; basis f:0", "morphism phi : A -> B; e -> f"
+# a file that breaks one morphism axiom each, and the violation it names
+BAD_MORPHISMS = {
+    "degree-preservation": (
+        _blocks(f"{_A} x:1; unit e; mul x x = 0", f"{_B} y:0; unit f; mul y y = 0", f"{_PHI}; x -> y"),
+        "degree-preservation fails at (1)",
+    ),
+    "unit-preservation": (
+        _blocks(f"{_A}; unit e", f"{_B}; unit f", "morphism phi : A -> B; e -> 0"),
+        "unit-preservation fails at (0)",
+    ),
+    # the identity on the basis, into a copy of A with d = 0
+    "d-commutation": (
+        _blocks(
+            f"{_A} x:0 y:1; unit e; mul x x = 0; d y = x",
+            f"{_B} x:0 y:1; unit f; mul x x = 0",
+            f"{_PHI}; x -> x; y -> y",
+        ),
+        "d-commutation fails at (2)",
+    ),
+    # x·x = 0 but y·y = y
+    "multiplicativity": (
+        _blocks(f"{_A} x:0; unit e; mul x x = 0", f"{_B} y:0; unit f; mul y y = y", f"{_PHI}; x -> y"),
+        "multiplicativity fails at (1, 1)",
+    ),
+}
+_NEGATIVE = _blocks(
+    "algebra A; basis e:0 z:-1; unit e; mul z z = 0", "morphism idA : A -> A; e -> e; z -> z", "module M over A; basis m:0"
+)
+# case -> (file text, None for no file; arguments after the path; the one error line)
+BAD_INPUTS = {
+    **{
+        axiom: (text, ["check-epi", "{path}", "phi"], f"morphism phi violates the axioms: {violation}")
+        for axiom, (text, violation) in BAD_MORPHISMS.items()
+    },
+    "second field line": ("field Q\nfield Q\n", ["validate", "{path}"], "line 2, column 1: expected a single field declaration"),
+    "missing file": (None, ["validate", "{path}"], "cannot read {path}: No such file or directory"),
+    "resolve below degree 0": (_NEGATIVE, ["resolve", "{path}", "M"], "algebra must be nonnegatively graded"),
+    "check-epi below degree 0": (_NEGATIVE, ["check-epi", "{path}", "idA"], "algebra must be nonnegatively graded"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, case):
+    text, argv, expected = BAD_INPUTS[case]
+    path = tmp_path / "bad.dg"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {expected.format(path=path)}\n")
+    if case in BAD_MORPHISMS:  # validate lists the violation
+        code, out, err = _run(capsys, "validate", path)
+        assert (code, err) == (1, "")
+        assert f"  {BAD_MORPHISMS[case][1]}" in out.splitlines()
+        assert out.splitlines()[-1] == "result: invalid"
 
 
 def test_unknown_name_exits_one(capsys):

@@ -42,7 +42,8 @@ from dgkit.derived import (
 )
 from dgkit.epicheck import (
     _endpoint_map,
-    _endpoint_verdict,
+    _fold,
+    _reports,
     check_bimodule_conditions,
     check_dga_epi,
     check_dwyer_greenlees,
@@ -327,7 +328,8 @@ def check_compact_endpoint(R, S, M, witness_R, window):
     """
     require_witness(witness_R, M.left_module())
     H = hom_over(R, M.left_module(), M.left_module())
-    return _endpoint_verdict(_endpoint_map(S, M, H), window)
+    reports = _reports(window, "endpoint map S → Hom_R(M, M)", lambda: _endpoint_map(S, M, H))
+    return _fold("compact-endpoint", window, reports)
 
 
 def test_endpoint_regular_bimodule_holds():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dgkit.field import GF, QQ
@@ -33,7 +35,7 @@ from dgkit.standard import (
     truncated_to_ground,
     upper_triangular,
 )
-from oracles import augmentation, cone, plain, truncate_below
+from oracles import action_matrix, augmentation, cone, plain, truncate_below, validate_linear_products
 
 
 def zero_module(A, side="left"):
@@ -113,6 +115,32 @@ def test_module_cone_nonlinear_map_rejected():
     assert f.validate() is not True
 
 
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(101)], ids=repr)
+def test_linearity_check_matches_the_product_oracle(F):
+    # degree-0 maps between modules with d = 0 are chain maps, so random ones
+    # reach the A-linearity check; validate compares f(a·m) with a·f(m) column
+    # by column and must name the Violation the action-matrix products name
+    rng = random.Random(33)
+    outcomes = set()
+    for A in (truncated_polynomial(3, F), exterior_algebra(F), upper_triangular(F)):
+        R = left_regular(A)
+        for M, N in ((R, R), (R, module_direct_sum([R, module_shift(R, 1)])), (module_shift(R, -1), R)):
+            for _ in range(8):
+                mats = {
+                    n: Matrix.from_columns(
+                        F,
+                        [{i: F.of(rng.randint(-1, 1)) for i in range(len(N.component(n)))} for _ in M.component(n)],
+                        len(N.component(n)),
+                    )
+                    for n in M.degrees()
+                }
+                f = DgModuleMap(M, N, mats)
+                assert f.validate() == validate_linear_products(f)
+                outcomes.add(f.validate() is True)
+            assert identity_map(M).validate() is True
+    assert outcomes == {True, False}
+
+
 def test_free_module_on_one_generator_is_regular():
     for A in (truncated_polynomial(3), exterior_algebra(), upper_triangular()):
         M = FreeModule(A, [Generator("g", 0)])
@@ -152,7 +180,7 @@ def test_free_module_tables_grow_with_each_add():
     A = truncated_polynomial(2)
     F = FreeModule(A, [Generator("g0", 0)])
     for n in range(1, 5):
-        read_before = F.underlying(), [F.action_matrix(1, k) for k in range(n + 1)]
+        read_before = F.underlying(), [action_matrix(F, 1, k) for k in range(n + 1)]
         F.add(Generator(f"g{n}", n, d_elem=F.act_elem({1: QQ.one}, {F.index(n - 1, 0): QQ.one})))
         assert read_before[0] is not F.underlying()
         assert validate_module(F) == []
@@ -161,7 +189,7 @@ def test_free_module_tables_grow_with_each_add():
         assert F.underlying() == reference.underlying()
         assert F.underlying().dim(n) == 2
         for k in range(n + 2):
-            assert F.action_matrix(1, k) == reference.action_matrix(1, k)
+            assert action_matrix(F, 1, k) == action_matrix(reference, 1, k)
         x = F.index(n, 0)
         assert F.coords({x: QQ.one}, n) == {F.component(n).index(x): QQ.one}
     assert homology_dims(F.underlying(), Window(0, 3)) == {0: 1, 1: 0, 2: 0, 3: 0}

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dgkit.dga import validate_dga, validate_module, validate_morphism
+from dgkit import field
 from dgkit.field import GF
 from dgkit.parser import ParseError, parse, serialize
 from dgkit.resolutions import verify_build_tree
@@ -270,6 +272,23 @@ def test_gf_needs_a_prime():
         with pytest.raises(ValueError):
             GF(p)
     assert GF(2).characteristic == 2 and GF(101).characteristic == 101
+
+
+def test_gf_agrees_with_trial_division(monkeypatch):
+    for p in range(10**4):
+        if p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1)):
+            assert GF(p).characteristic == p
+        else:
+            with pytest.raises(ValueError):
+                GF(p)
+    # beyond the bound Miller–Rabin decides nothing, and GF refuses the modulus
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        GF(2**89 - 1)
+    # one primality test per field
+    calls = []
+    monkeypatch.setattr(field, "_is_prime", lambda n, test=field._is_prime: calls.append(n) or test(n))
+    GF(10**18 + 3)
+    assert calls == [10**18 + 3]
 
 
 _LABEL = "basis label: not empty or 0, no *, +, = or ->"

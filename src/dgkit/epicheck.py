@@ -26,6 +26,12 @@ deepest depth requested, and a shallower request reads its prefix; the
 bimodule is converted to its enveloping module once and each of its
 resolutions read over R once; and the truncated dual is built once.
 
+The test family is valid by construction (S, ΣS, cones of A-linear chain maps,
+semifree modules on cycles, and their right-module forms), so it is built and
+not re-checked: the tests validate every member on a grid of algebras, fields,
+seeds and sizes.  Run time checks the CLI's inputs, each compared chain map
+(``_reports``), each witness and the endomorphism DGA.
+
 A consistency run checks its instances independently, each on its own test
 family and in its own scope, so ``consistency_run`` sends them to a pool of
 ``fork``-started workers, one pinned to each CPU the process may use, and
@@ -312,48 +318,28 @@ def _random_cone(A: DgAlgebra, rng: random.Random, label: str) -> DgModule:
     def image(idx, n):  # a·g ↦ a·img
         return tgt.act_elem({src.split(idx)[1]: F.one}, img)
 
-    f = DgModuleMap(src, tgt, matrices_from_images(src, tgt, image))
-    ok = f.validate()
-    if ok is not True:
-        raise AssertionError(f"random cone map invalid: {ok.reason}")
-    return module_cone(f)
+    return module_cone(DgModuleMap(src, tgt, matrices_from_images(src, tgt, image)))
 
 
 def _family_side(A: DgAlgebra, rng: random.Random, size: int, tag: str):
-    out = [
-        (f"{tag}", left_regular(A)),
-        (f"{tag}[1]", module_shift(left_regular(A), 1)),
-    ]
-    i = 0
-    while len(out) < size:
+    out = [(f"{tag}", left_regular(A)), (f"{tag}[1]", module_shift(left_regular(A), 1))]
+    for i in range(size - 2):
         if i % 2 == 0:
-            m = _random_cone(A, rng, f"{tag}c{i}")
-            desc = f"cone{i}"
+            out.append((f"cone{i}", _random_cone(A, rng, f"{tag}c{i}")))
         else:
-            m = _random_semifree(A, rng, f"{tag}m{i}")
-            desc = f"semifree{i}"
-        bad = validate_module(m)
-        if bad:
-            raise AssertionError(f"generated family member invalid: {bad[0].axiom}")
-        out.append((desc, m))
-        i += 1
-    return out[:size]
+            out.append((f"semifree{i}", _random_semifree(A, rng, f"{tag}m{i}")))
+    return out
 
 
 def generate_test_family(S: DgAlgebra, seed: int, size: int = 6) -> TestFamily:
-    """Deterministic family of left and right DG S-modules; always {S, ΣS}."""
+    """Deterministic family of left and right DG S-modules; always {S, ΣS}.
+
+    Every member is valid by construction, and the tests validate them."""
     size = max(size, 2)
     rng = random.Random(seed)
     left = _family_side(S, rng, size, "S")
-    Sop = opposite(S)
-    right_as_op = _family_side(Sop, rng, size, "S°")
-    right = []
-    for desc, m in right_as_op:
-        r = left_op_to_right(m, S)
-        bad = validate_module(r)
-        if bad:
-            raise AssertionError(f"right family member invalid: {bad[0].axiom}")
-        right.append((desc.replace("S°", "S_r"), r))
+    right_as_op = _family_side(opposite(S), rng, size, "S°")
+    right = [(desc.replace("S°", "S_r"), left_op_to_right(m, S)) for desc, m in right_as_op]
     return TestFamily(seed, left, right)
 
 

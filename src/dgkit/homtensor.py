@@ -134,7 +134,8 @@ class GroundComplex:
     vector), listed at its first read.  ``component(n)`` and ``coords``
     count positions within degree n, as ``matrices_from_images`` reads them;
     ``structure()`` is the bimodule, module or bare complex on the numbering
-    of ``basis``.
+    of ``basis``: its differential is read off the complex's matrices, and
+    each outer action off the ground action on reps[g], through ``element``.
     """
 
     def degrees(self):
@@ -174,25 +175,26 @@ class GroundComplex:
             self, self, self.ground_differential, offset=-1, degrees=self.degree_range
         )
 
-    def _table(self, mats: dict, offset: int) -> dict:
-        """{g: image of basis element g} of the map given by per-degree
-        matrices into degree n + offset, in the numbering of ``basis``."""
+    def _table(self) -> dict:
+        """The differential's table {g: d(basis element g)}, read off the
+        complex's matrices, in the numbering of ``basis``."""
         start = self._start
         return {
-            start[n] + q: {start[n + offset] + i: c for i, c in sorted(col.items())}
-            for n, m in sorted(mats.items())
+            start[n] + q: {start[n - 1] + i: c for i, c in sorted(col.items())}
+            for n, m in sorted(self.complex.diffs.items())
             for q, col in enumerate(m.columns)
             if col
         }
 
     def _act(self, alg: DgAlgebra, ground_act) -> dict:
-        """The outer action table {(a, g): a acting on g}."""
-        act = {}
-        for a in range(alg.total_dim):
-            p = alg.deg(a)
-            mats = matrices_from_images(self, self, lambda rep, n: ground_act(a, rep, n), p)
-            act.update(((a, g), e) for g, e in self._table(mats, p).items())
-        return act
+        """The outer action table {(a, g): a acting on g}, each entry the
+        ground action on reps[g] read back through ``element``."""
+        return {
+            (a, g): e
+            for a in range(alg.total_dim)
+            for g, (rep, (_, n)) in enumerate(zip(self.reps, self.basis))
+            if (e := self.element(ground_act(a, rep, n), n + alg.deg(a)))
+        }
 
     def structure(self):
         """The richest available structure: bimodule, module, or complex.
@@ -207,7 +209,7 @@ class GroundComplex:
         if L is None and R is None:
             self._module = self.complex
             return self._module
-        basis, diff = self.basis, self._table(self.complex.diffs, -1)
+        basis, diff = self.basis, self._table()
         act_l = self._act(L, self._left_act_ground) if L is not None else None
         act_r = self._act(R, self._right_act_ground) if R is not None else None
         if act_l is not None and act_r is not None:
@@ -385,7 +387,7 @@ class TensorProduct(GroundComplex):
         heads = [right.index(v, self.A.unit) for v in range(len(right.gens))]
         pairs = [(u, h) for u in range(len(left.gens)) for h in heads if (left.index(u, R.unit), h) in at]
         rows = [{i: at[left.index(u, i), h] for i in range(R.total_dim)} for u, h in pairs]  # u ⊗ e·v ≠ 0
-        return FreeModule.view(R, rows, self.basis, self._table(self.complex.diffs, -1), name=self.name)
+        return FreeModule.view(R, rows, self.basis, self._table(), name=self.name)
 
 
 def tensor_over(
@@ -748,7 +750,7 @@ def _endomorphism_dga(H: HomComplex):
                 if e:
                     mul[(i1, i2)] = e
     # D(id) = 0; every other differential is H's, seated
-    diff = {g: seated(e) for g, e in H._table(H.complex.diffs, -1).items() if g != unit}
+    diff = {g: seated(e) for g, e in H._table().items() if g != unit}
     Fdga = DgAlgebra(F, basis, unit, mul, diff, name=f"End({M.name})")
     S = opposite(Fdga)
     act_right = {(fi, mi): f[mi] for fi, f in enumerate(fs) for mi in range(M.total_dim) if mi in f}

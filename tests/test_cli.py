@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dgkit.cli import main
+from dgkit.complexes import Window
+from dgkit.epicheck import FAILS, HOLDS, AggregateReport, ConditionVerdict, ConsistencyReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -154,6 +156,11 @@ BAD_INPUTS = {
     "missing file": (None, ["validate", "{path}"], "cannot read {path}: No such file or directory"),
     "resolve below degree 0": (_NEGATIVE, ["resolve", "{path}", "M"], "algebra must be nonnegatively graded"),
     "check-epi below degree 0": (_NEGATIVE, ["check-epi", "{path}", "idA"], "algebra must be nonnegatively graded"),
+    "window without ..": (
+        _blocks("algebra A; basis e:0; unit e", "module M over A; basis m:0"),
+        ["resolve", "{path}", "M", "--window", "3"],
+        "window must be LO..HI, got '3'",
+    ),
 }
 
 
@@ -198,6 +205,14 @@ def test_resolve_free_module_is_exact_from_below_its_bottom(capsys, fixture, mod
     code, out, _ = _run(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["window"] == [-1, 6]
+
+
+def test_resolve_right_module(capsys):
+    # a right module is resolved as the left module over A^op it is
+    code, out, err = _run(capsys, "resolve", FIXTURES / "truncated.dg", "Kr", "--window", "0..3")
+    degrees = [f"  degree {n}: 1" for n in range(5)]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["semifree resolution of Kr: 5 generator(s), exact on -1..3", *degrees]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -340,11 +355,65 @@ def test_check_epi_product_says_yes(capsys):
     assert "homological epimorphism: YES" in out
 
 
+# a report whose conditions disagree: (1) holds, (2) fails at degree 2.  The
+# checks of every fixture agree, so the disagreement lines are pinned on this one
+_SPLIT = ConsistencyReport(
+    [ConditionVerdict(1, HOLDS, Window(0, 2)), ConditionVerdict(2, FAILS, Window(0, 2), degree=2, dims=(1, 0))],
+    False,
+    "(1) holds-on-window; (2) fails at degree 2: dims 1 vs 0",
+)
+_SPLIT_LINES = [
+    "morphism aug:",
+    "  (1) holds-on-window",
+    "  (2) fails at degree 2: dims 1 vs 0",
+    "  agreement: no",
+    "  disagreement: (1) holds-on-window; (2) fails at degree 2: dims 1 vs 0",
+    "  homological epimorphism: NO ((2) fails at degree 2: dims 1 vs 0)",
+]
+_SPLIT_DATA = {
+    "verdicts": [
+        {"condition": "1", "status": HOLDS, "degree": None, "dims": None},
+        {"condition": "2", "status": FAILS, "degree": 2, "dims": [1, 0]},
+    ],
+    "agreement": False,
+    "is_epi": False,
+}
+
+
+@pytest.mark.parametrize("command", ["check-epi", "consistency"])
+def test_disagreement_is_reported(capsys, monkeypatch, command):
+    monkeypatch.setattr("dgkit.cli.check_dga_epi", lambda *args: _SPLIT)
+    monkeypatch.setattr(
+        "dgkit.cli.consistency_run", lambda *args: AggregateReport([("aug", _SPLIT)], False, f"aug: {_SPLIT.disagreement}")
+    )
+    argv = [command, FIXTURES / "truncated.dg"] + (["aug"] if command == "check-epi" else [])
+    code, out, err = _run(capsys, *argv)
+    lines = _SPLIT_LINES
+    if command == "consistency":
+        lines = lines + ["all instances consistent: no", f"first disagreement: aug: {_SPLIT.disagreement}"]
+    assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    data = {"morphism": "aug", **_SPLIT_DATA} if command == "check-epi" else {"instances": {"aug": _SPLIT_DATA}}
+    assert (code, json.loads(out), err) == (0, {"command": command, **data, "agreement": False}, "")
+
+
 def test_witness_verify_accepts(capsys):
     for w in ("wR", "wM2", "wRetract"):
         code, out, _ = _run(capsys, "witness-verify", FIXTURES / "exterior.dg", w)
         assert code == 0
         assert "accepted" in out
+
+
+@pytest.mark.parametrize(
+    "module, verdict",
+    [("RAr", "accepted"), ("Kr", "rejected\n  tree value does not match the module and no retract given (degree 0)")],
+)
+def test_witness_verify_reads_a_right_module_as_a_left_module_over_the_opposite(capsys, tmp_path, module, verdict):
+    # RAr is A_A, the one-leaf tree's value over A^op; Kr = k is not
+    path = tmp_path / "right.dg"
+    extra = "\nmodule RAr over A right\n  basis a:0 b:0\n  act x a = b\n"
+    path.write_text((FIXTURES / "truncated.dg").read_text() + extra + f"\nwitness w for {module}\n  (leaf)\n")
+    assert _run(capsys, "witness-verify", path, "w") == (0, f"witness w for {module}: {verdict}\n", "")
 
 
 # well-formed cone and shift nodes over exterior.dg: C is module_cone(idR)'s

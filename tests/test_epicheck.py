@@ -16,7 +16,7 @@ import pytest
 import dgkit.derived
 import dgkit.epicheck
 import dgkit.resolutions
-from dgkit.complexes import Window
+from dgkit.complexes import ChainMap, Window
 from dgkit.field import GF, QQ
 from dgkit.dga import (
     DgModule,
@@ -26,6 +26,7 @@ from dgkit.dga import (
     regular_bimodule,
     restrict_scalars,
     right_regular,
+    tensor_algebra,
     validate_dga,
     validate_module,
     validate_morphism,
@@ -52,7 +53,9 @@ from dgkit.epicheck import (
     generate_test_family,
 )
 from dgkit.homtensor import endomorphism_dga, hom_over, identity_ground, tensor_over
+from dgkit.linalg import Matrix
 from dgkit.modops import FreeModule, module_direct_sum, module_shift
+from dgkit.parser import parse
 from dgkit.resolutions import (
     BuildTreeWitness,
     Leaf,
@@ -99,11 +102,44 @@ def test_family_deterministic():
         assert ma.basis == mb.basis and ma.act == mb.act and ma.diff == mb.diff
 
 
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _family_algebras(F):
+    """Every stock algebra, dy = x, (k × k) ⊗ Λ(x) and the algebras of every
+    good fixture, over F; a fixture algebra with a stock one's tables (k, Λ(x)
+    and k[x]/(x²)) is given once."""
+    algebras = [ground_algebra(F), truncated_polynomial(2, F), truncated_polynomial(3, F), product_kk(F)]
+    algebras += [upper_triangular(F), exterior_algebra(F), exterior_algebra(F, 2), dy_equals_x(F)]
+    algebras.append(tensor_algebra(product_kk(F), exterior_algebra(F)))
+    field_line = "field Q" if F is QQ else f"field Fp {F.characteristic}"
+    for path in sorted(_FIXTURES.glob("*.dg")):
+        if not path.name.startswith("bad_"):
+            algebras += parse(path.read_text().replace("field Q", field_line, 1)).algebras.values()
+    tables = {}
+    for A in algebras:
+        tables.setdefault(repr(([d for _, d in A.basis], A.unit, A.mul, A.diff)), A)
+    return list(tables.values())
+
+
 def test_family_members_all_valid():
-    for S in (truncated_polynomial(3), exterior_algebra()):
-        fam = generate_test_family(S, 3, 6)
-        for _, m in fam.left + fam.right:
-            assert validate_module(m) == []
+    # the family generator validates nothing at run time: its members are
+    # valid by construction, and this grid checks every one of them.  A member
+    # equal to one already checked over the same S (S and ΣS at every seed, a
+    # smaller family's left side inside a larger one's) is checked once.
+    for F in (QQ, GF(2), GF(101)):
+        for S in _family_algebras(F):
+            assert S.field == F and validate_dga(S) == []
+            valid = set()
+            for seed in range(5):
+                for size in (2, 6, 10):
+                    fam = generate_test_family(S, seed, size)
+                    assert len(fam.left) == len(fam.right) == size
+                    for desc, m in fam.left + fam.right:
+                        key = repr((m.side, m.basis, m.act, m.diff))
+                        if key not in valid:
+                            assert validate_module(m) == [], (S.name, F, seed, size, desc)
+                            valid.add(key)
 
 
 def test_family_different_seeds_differ():
@@ -405,6 +441,20 @@ def test_dwyer_greenlees_regular_module():
     R = truncated_polynomial(2)
     rep = check_dwyer_greenlees(R, left_regular(R), BuildTreeWitness(Leaf(0)), Window(-2, 4))
     assert rep.degreewise_iso and rep.endpoint.holds
+
+
+@pytest.mark.parametrize("builder, what", [("counit_map", "counit at S"), ("unit_map", "unit at S")])
+def test_a_compared_map_that_is_not_a_chain_map_stops_the_check(monkeypatch, builder, what):
+    # _reports requires every compared map to be a chain map.  Here the
+    # builder returns the identity of A = k[x]/(x²) ⊗ Λ(y), dy = x, in degree
+    # 1 only, which d(y) = x breaks; the single map (1) and the member loop
+    # of (4) name it with the failing degree
+    U = left_regular(dy_equals_x(QQ)).underlying()
+    monkeypatch.setattr(dgkit.epicheck, builder, lambda *args: ChainMap(U, U, {1: Matrix.identity(QQ, 2)}))
+    E = exterior_algebra()
+    with pytest.raises(ValueError) as e:
+        check_dga_epi(identity_morphism(E), 1, generate_test_family(E, 0, 2))
+    assert str(e.value) == f"{what} is not a chain map: chain-map square does not commute (degree 1)"
 
 
 def test_dwyer_greenlees_broken_witness_refused():

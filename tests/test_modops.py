@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dgkit.field import GF, QQ
-from dgkit.complexes import Window, homology_dims, quasi_iso
+from dgkit.complexes import Violation, Window, homology_dims, quasi_iso
 from dgkit.dga import (
     DgModule,
     bimodule_from_morphism,
@@ -113,6 +113,21 @@ def test_module_cone_nonlinear_map_rejected():
     M = left_regular(A)
     f = DgModuleMap(M, M, {0: Matrix(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.zero]])})
     assert f.validate() is not True
+
+
+def test_a_linear_map_that_is_not_a_chain_map_fails_its_chain_square():
+    # on C = cone(id_A), the identity on the suspended copy (degree 1) and 0 on
+    # the target copy commutes with the action but not with d: validate
+    # returns the chain-map Violation before it compares A-linearity
+    A = truncated_polynomial(2)
+    C = module_cone(identity_map(left_regular(A)))
+    f = DgModuleMap(C, C, {1: Matrix.identity(QQ, len(C.component(1)))})
+    for a in range(A.total_dim):
+        for n in C.degrees():
+            assert f.f(n) * action_matrix(C, a, n) == action_matrix(C, a, n) * f.f(n)
+    v = f.validate()
+    assert isinstance(v, Violation)
+    assert (v.degree, v.reason) == (1, "chain-map square does not commute")
 
 
 @pytest.mark.parametrize("F", [QQ, GF(2), GF(101)], ids=repr)

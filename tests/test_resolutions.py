@@ -31,6 +31,7 @@ from dgkit.resolutions import (
     Leaf,
     ResourceBoundExceeded,
     SumNode,
+    evaluate_build_tree,
     resolution_scope,
     semifree_resolution,
     semifree_resolution_bimodule,
@@ -280,6 +281,24 @@ def test_build_tree_retract_mis_shaped_map_is_a_violation(case):
     v = verify_build_tree(w, M)
     assert isinstance(v, Violation)
     assert (v.degree, v.reason) == (0, f"retract map shapes: {reason}")
+
+
+def test_build_tree_unknown_node_is_a_violation():
+    A = exterior_algebra()
+    with pytest.raises(ValueError, match="^unknown build-tree node 'leaf'$"):
+        evaluate_build_tree(A, "leaf")
+    v = verify_build_tree(BuildTreeWitness(SumNode([Leaf(0), "leaf"])), left_regular(A))
+    assert (v.degree, v.reason) == (0, "unknown build-tree node 'leaf'")
+
+
+@pytest.mark.parametrize("given", ["inclusion", "projection"])
+def test_build_tree_retract_needs_both_maps(given):
+    M = left_regular(exterior_algebra())
+    ident = {n: Matrix.identity(QQ, len(M.component(n))) for n in M.degrees()}
+    incl, proj = (ident, None) if given == "inclusion" else (None, ident)
+    v = verify_build_tree(BuildTreeWitness(Leaf(0), incl, proj, {}), M)
+    assert isinstance(v, Violation)
+    assert (v.degree, v.reason) == (0, "retract needs both inclusion and projection")
 
 
 def test_build_tree_wrong_module_rejected():

@@ -18,6 +18,7 @@ counit, duality map and (3) pair Q with one truncated dual,
 truncated_dual's, which owns its depth and its cut -D-1, is a Hom cut
 there and is built once per check (``resolutions.scoped``).  Ring (2)-(5)
 read a module over R through phi: R → S only by ``_over_R``, once per check,
+S's regular modules are ``_regular``'s, so S is read over R once per side,
 and ring (2) reads S as a right R-module, the only action S ⊗_R P uses.
 Whether a canonical map is an isomorphism on its window is is_derived_iso,
 whose report is complexes.quasi_iso's: the one iso verdict of the library.
@@ -274,13 +275,19 @@ def _over_R(N: DgModule, phi) -> DgModule:
     return scoped(("over R", N, phi), lambda: restrict_scalars(N, phi))
 
 
+def _regular(S: DgAlgebra, side: str) -> DgModule:
+    """S as a left or right module over itself, once per check (``scoped``),
+    so that ``_over_R`` reads each side of S over R once."""
+    return scoped(("regular", S, side), lambda: left_regular(S) if side == "left" else right_regular(S))
+
+
 def _induction_counit(phi, N: DgModule, D: int, max_generators: int) -> ChainMap:
     """S ⊗_R P_N → N, s⊗p ↦ s·ε(p), with P_N → N a resolution over R."""
     R, S = phi.source, phi.target
     F = S.field
     res = semifree_resolution(_over_R(N, phi), required_depth(D, -S.min_degree()), max_generators)
     rr = read_range(Window(-D, D))
-    T = tensor_over(R, _over_R(right_regular(S), phi), res.free, degrees=rr)  # S as a right R-module
+    T = tensor_over(R, _over_R(_regular(S, "right"), phi), res.free, degrees=rr)  # S as a right R-module
 
     def image(pair, d):
         s_idx, p_idx = pair
@@ -294,7 +301,7 @@ def _ring_condition4_map(phi, N: DgModule, D: int, max_generators: int) -> Chain
     resolution over R."""
     R, S = phi.source, phi.target
     F = S.field
-    S_left = _over_R(left_regular(S), phi)
+    S_left = _over_R(_regular(S, "left"), phi)
     res = semifree_resolution(S_left, required_depth(D, N.max_degree()), max_generators)
     Q, eps = res.free, res.eps  # ε(q) in S
     rr = read_range(Window(-D, D))
@@ -381,4 +388,4 @@ def _condition5_map(M: DgBimodule, N: DgModule, D: int, max_generators: int) -> 
 def multiplication_map(phi, D: int, max_generators: int = 10000) -> ChainMap:
     """S ⊗^L_R S → S: the induction counit at N = S, where N's action is S's
     multiplication."""
-    return _induction_counit(phi, left_regular(phi.target), D, max_generators)
+    return _induction_counit(phi, _regular(phi.target, "left"), D, max_generators)

@@ -65,11 +65,13 @@ layout.
 ``make()`` returned the first time for ``key``; outside one it calls
 ``make()`` afresh, and nothing is kept.  ``semifree_resolution`` keeps there
 one build per module and algebra content, generator cap and idempotents,
-but not depth, and one record per build and depth.  A check restricts each
-module over R once (``derived._over_R``), but the regular module, opposites
-and the enveloping algebra are rebuilt for every request, so the key stays
-the content, not the object.  A build that hits the cap raises again for
-every request that reaches the capped degree, and serves shallower ones.
+but not depth, and one record per build and depth.  The key is the content,
+not the object, because distinct objects with equal content share one
+build: a module and its reading over R through an identity morphism, and,
+over a graded-commutative S, whose opposite equals S by content, the
+left-op form of a right module and a module over S.  A build that hits the
+cap raises again for every request that reaches the capped degree, and
+serves shallower ones.
 
 ``semifree_resolution_bimodule`` resolves a bimodule M over the enveloping
 algebra and reads that resolution as a ``SemifreeResolution`` of M over the
